@@ -39,8 +39,8 @@ use rmc_energy::{attribute_energy, EnergyAttribution, NodeActivity, OpClassUsage
 use rmc_logstore::{LogConfig, TableId};
 use rmc_runtime::{MetricsRegistry, SimDuration};
 use rmc_standalone::{
-    reserve_addrs, rmcd_sibling_path, Client, DispatchMode, FleetConfig, MiniClient, MiniCluster,
-    NetClient, RmcdFleet, ServerConfig, StandaloneServer, STAGE_SAMPLE,
+    cluster, reserve_addrs, rmcd_sibling_path, Client, DispatchMode, Fabric, FleetConfig,
+    MiniCluster, NetClient, RmcdFleet, ServerConfig, StandaloneServer, STAGE_SAMPLE,
 };
 use rmc_wire::AddressBook;
 use rmc_ycsb::runner::{self, KvBackend, LatencySummary, RunSummary, RunnerConfig};
@@ -92,41 +92,42 @@ impl KvBackend for StandaloneBackend {
     }
 }
 
-/// Adapts the replicated mini-cluster to the runner's backend trait.
+/// Adapts a replicated cluster's sync clients — over either fabric — to
+/// the runner's backend trait.
 ///
-/// `MiniClient` ops take `&mut self` (they own a reply channel), so the
-/// backend keeps a pool of clients in a channel: each op checks one out,
-/// runs against it, and returns it. Pool size matches the runner's thread
-/// count, so checkout never blocks in steady state.
-struct MiniClusterBackend {
-    ret: Sender<MiniClient>,
-    pool: Receiver<MiniClient>,
+/// Client ops take `&mut self` (they own an inbox), so the backend keeps a
+/// pool of clients in a channel: each op checks one out, runs against it,
+/// and returns it. Pool size matches the runner's thread count, so
+/// checkout never blocks in steady state.
+struct ClusterBackend<F: Fabric> {
+    ret: Sender<cluster::Client<F>>,
+    pool: Receiver<cluster::Client<F>>,
 }
 
-impl MiniClusterBackend {
-    fn new(clients: Vec<MiniClient>) -> Self {
+impl<F: Fabric> ClusterBackend<F> {
+    fn new(clients: Vec<cluster::Client<F>>) -> Self {
         let (ret, pool) = crossbeam::channel::unbounded();
         for c in clients {
             ret.send(c).expect("pool channel open");
         }
-        MiniClusterBackend { ret, pool }
+        ClusterBackend { ret, pool }
     }
 
     fn with_client<T>(
         &self,
-        f: impl FnOnce(&mut MiniClient) -> Result<T, String>,
+        f: impl FnOnce(&mut cluster::Client<F>) -> Result<T, String>,
     ) -> Result<T, String> {
         let mut client = self
             .pool
             .recv()
-            .map_err(|_| "mini-cluster client pool closed".to_string())?;
+            .map_err(|_| "cluster client pool closed".to_string())?;
         let result = f(&mut client);
         let _ = self.ret.send(client);
         result
     }
 }
 
-impl KvBackend for MiniClusterBackend {
+impl<F: Fabric> KvBackend for ClusterBackend<F> {
     fn read(&self, key: &[u8]) -> Result<bool, String> {
         self.with_client(|c| c.get(key).map(|r| r.is_some()))
     }
@@ -455,7 +456,7 @@ fn run_mini(scale: Scale) -> Result<Json, String> {
     spec.ops_per_client = (scale.ops_per_client / 10).max(100);
 
     let (cluster, clients) = MiniCluster::start(cfg);
-    let backend = Arc::new(MiniClusterBackend::new(clients));
+    let backend = Arc::new(ClusterBackend::new(clients));
     runner::load(&*backend, &spec, 1)?;
     let summary = runner::run(
         &backend,
@@ -524,68 +525,6 @@ fn run_mini(scale: Scale) -> Result<Json, String> {
 /// every write replicated to two backups over real loopback TCP.
 const NET_SERVERS: usize = 3;
 const NET_REPLICATION: usize = 2;
-
-/// Adapts the socket-engine client to the runner's backend trait — the
-/// wire twin of [`MiniClusterBackend`]: `NetClient` ops take `&mut self`,
-/// so a channel pool checks one out per op.
-struct NetClusterBackend {
-    ret: Sender<NetClient>,
-    pool: Receiver<NetClient>,
-}
-
-impl NetClusterBackend {
-    fn new(clients: Vec<NetClient>) -> Self {
-        let (ret, pool) = crossbeam::channel::unbounded();
-        for c in clients {
-            ret.send(c).expect("pool channel open");
-        }
-        NetClusterBackend { ret, pool }
-    }
-
-    fn with_client<T>(
-        &self,
-        f: impl FnOnce(&mut NetClient) -> Result<T, String>,
-    ) -> Result<T, String> {
-        let mut client = self
-            .pool
-            .recv()
-            .map_err(|_| "net-cluster client pool closed".to_string())?;
-        let result = f(&mut client);
-        let _ = self.ret.send(client);
-        result
-    }
-}
-
-impl KvBackend for NetClusterBackend {
-    fn read(&self, key: &[u8]) -> Result<bool, String> {
-        self.with_client(|c| c.get(key).map(|r| r.is_some()))
-    }
-
-    fn write(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        self.with_client(|c| c.put(key, value))
-    }
-
-    fn multiread(&self, keys: &[Vec<u8>]) -> Result<usize, String> {
-        self.with_client(|c| {
-            let mut found = 0;
-            for key in keys {
-                if c.get(key)?.is_some() {
-                    found += 1;
-                }
-            }
-            Ok(found)
-        })
-    }
-
-    fn multiwrite(&self, ops: &[(Vec<u8>, Vec<u8>)]) -> Result<(), String> {
-        self.with_client(|c| {
-            for (key, value) in ops {
-                c.put(key, value)?;
-            }
-            Ok(())
-        })
-    }
-}
 
 // Fleet lifecycle plumbing (spawn with ready-line sync, graceful join on
 // shutdown, SIGKILL on drop) lives in `rmc_standalone::RmcdFleet` now,
@@ -659,7 +598,7 @@ fn run_wire_row(
     spec.record_count = (scale.record_count / 4).max(64);
     spec.ops_per_client = (scale.ops_per_client / 10).max(100);
 
-    let backend = Arc::new(NetClusterBackend::new(clients));
+    let backend = Arc::new(ClusterBackend::new(clients));
     runner::load(&*backend, &spec, 1)?;
     let summary = runner::run(
         &backend,

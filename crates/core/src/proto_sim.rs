@@ -286,16 +286,7 @@ fn dispatch(net: &SimNet, rt: &mut SimRuntime<'_, SimNet>, node: NodeId, q: Queu
     let latency = net.latency;
     for (to, msg, extra) in q.out.into_inner() {
         let from = node;
-        if let Some(trace) = msg.trace_id(from, to) {
-            net.spans.record(
-                trace,
-                SpanKind::Send,
-                msg.span_label(),
-                from.0,
-                to.0,
-                rt.now().as_nanos(),
-            );
-        }
+        msg.record_span(&net.spans, SpanKind::Send, from, to, rt.now());
         let inc = net.incarnations.get(to.0).copied().unwrap_or(0);
         let after = latency.checked_add(extra).unwrap_or(SimDuration::MAX);
         rt.schedule_after(after, move |net, rt| deliver(net, rt, from, to, inc, msg));
@@ -326,16 +317,7 @@ fn deliver(
         let Some(node) = net.nodes.get_mut(to.0).and_then(|n| n.as_mut()) else {
             return; // dead or unknown: the NIC drops it
         };
-        if let Some(trace) = msg.trace_id(from, to) {
-            net.spans.record(
-                trace,
-                SpanKind::Deliver,
-                msg.span_label(),
-                from.0,
-                to.0,
-                rt.now().as_nanos(),
-            );
-        }
+        msg.record_span(&net.spans, SpanKind::Deliver, from, to, rt.now());
         match net.faults.as_mut() {
             Some(f) => node.on_message(from, msg, &mut FaultRuntime::new(&mut q, f, msg_class)),
             None => node.on_message(from, msg, &mut q),

@@ -13,11 +13,13 @@
 //!
 //! - [`crate::proto_sim`] delivers messages through the deterministic
 //!   `rmc_sim` event queue (via [`crate::sim_runtime::SimRuntime`]), and
-//! - `ThreadRuntime` in `rmc-standalone` delivers them over crossbeam
-//!   channels between real threads on the wall clock (the *mini-cluster*).
+//! - `rmc_standalone::cluster` delivers them between real threads on the
+//!   wall clock, over crossbeam channels (the *mini-cluster*) or TCP
+//!   sockets (`rmcd` processes).
 //!
 //! The cross-engine equivalence test drives the same scripted op/crash
-//! sequence through both and asserts the surviving key/value sets match.
+//! sequence through all of them and asserts the surviving key/value sets
+//! match.
 //!
 //! ## Protocol sketch
 //!
@@ -81,6 +83,7 @@ use rmc_diskstore::{BackupStorage, MemStorage};
 use rmc_logstore::{
     CompletionId, LogConfig, LogEntry, ObjectRecord, SegmentId, Store, TableId, TombstoneRecord,
 };
+use rmc_obs::span::{SpanKind, SpanRecorder};
 use rmc_runtime::{Histogram, NodeId, Runtime, SimDuration, SimTime};
 
 use crate::coordinator::{bucket_for, Coordinator};
@@ -394,6 +397,22 @@ impl Msg {
                 (*token != REPLICA_RESEED).then_some(*token)
             }
             _ => None,
+        }
+    }
+
+    /// Records this message's hop `from → to` at `at` on the span timeline
+    /// of the client operation it serves (nothing for other traffic). Every
+    /// engine calls this at its send and its deliver chokepoint.
+    pub fn record_span(
+        &self,
+        spans: &SpanRecorder,
+        kind: SpanKind,
+        from: NodeId,
+        to: NodeId,
+        at: SimTime,
+    ) {
+        if let Some(trace) = self.trace_id(from, to) {
+            spans.record(trace, kind, self.span_label(), from.0, to.0, at.as_nanos());
         }
     }
 }

@@ -9,8 +9,9 @@
 //! `(time, sequence)` ordering — and therefore same-seed determinism — is
 //! bit-identical to scheduling on the engine directly.
 //!
-//! The threaded twin of this module is `ThreadRuntime` in `rmc-standalone`,
-//! which runs the same shared protocol over real threads and channels.
+//! The wall-clock counterpart is the node runtime inside
+//! `rmc_standalone::cluster`, which runs the same shared protocol over
+//! real threads on a channel or TCP fabric.
 
 use rmc_runtime::{SimDuration, SimTime};
 use rmc_sim::{EventId, Scheduler, Simulation};

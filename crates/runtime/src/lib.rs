@@ -14,6 +14,9 @@
 //! - [`Runtime`] + [`NodeId`]: the full surface a protocol node may touch —
 //!   clock, message transport, and a timer. Protocol handlers generic over
 //!   `R: Runtime` run unchanged under either engine.
+//! - [`Event`] + [`DelayLine`]: what every *wall-clock* engine shares below
+//!   its transport — the one inbox item a node's event loop drains, and the
+//!   one place a message held by `Runtime::send_after` is parked.
 //! - [`SimRng`]: deterministic seedable randomness.
 //! - Measurement primitives: [`Summary`], [`Histogram`], [`TimeSeries`],
 //!   [`RateMeter`], [`BinnedUsage`], and the [`StripedCounter`] used where
@@ -27,6 +30,8 @@
 
 mod clock;
 mod counter;
+mod delay;
+mod event;
 mod metrics;
 mod registry;
 mod rng;
@@ -35,6 +40,8 @@ mod time;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use counter::StripedCounter;
+pub use delay::DelayLine;
+pub use event::Event;
 pub use metrics::{BinnedUsage, Histogram, RateMeter, Summary, TimeSeries};
 pub use registry::{CounterHandle, HistogramHandle, MetricKind, MetricsFamily, MetricsRegistry};
 pub use rng::SimRng;

@@ -41,15 +41,14 @@ use std::process::exit;
 use std::sync::Arc;
 use std::thread;
 
-use crossbeam::channel::unbounded;
 use rmc_core::protocol::{
     coordinator_id, server_id, AnyNode, CoordinatorNode, ProtocolConfig, Server,
 };
 use rmc_diskstore::{bump_epoch, DiskMetrics, FileStorage, FsyncPolicy};
 use rmc_obs::span::SpanRecorder;
-use rmc_runtime::{MetricsRegistry, SimDuration, WallClock};
-use rmc_standalone::{forward_inbound, run_net_node, NodeEvent};
-use rmc_wire::{AddressBook, FabricConfig, NetRuntime, WireFabric};
+use rmc_runtime::{Event, MetricsRegistry, SimDuration, WallClock};
+use rmc_standalone::node_loop;
+use rmc_wire::{AddressBook, FabricConfig, WireFabric};
 
 const USAGE: &str = "usage: rmcd --role coordinator|server [--index I] \
 --addrs a0,a1,... --servers N --replication R \
@@ -176,8 +175,6 @@ fn main() {
         spans: SpanRecorder::default(),
         clock: Arc::new(WallClock::new()),
     });
-    let (tx, rx) = unbounded();
-    let _forwarder = forward_inbound(inbox, tx.clone());
     let node = if args.role == "coordinator" {
         AnyNode::Coordinator(CoordinatorNode::new(cfg))
     } else if let Some(dir) = &args.data_dir {
@@ -224,7 +221,6 @@ fn main() {
     } else {
         AnyNode::Server(Server::new(args.index, cfg))
     };
-    let rt = NetRuntime::new(Arc::clone(&fabric));
     // The ready line the launching harness waits for (stdout, flushed by
     // println's line buffering on a pipe... so use explicit flush).
     {
@@ -237,6 +233,7 @@ fn main() {
     // exits), the watcher delivers Shutdown and the node loop returns after
     // flushing storage. A SIGKILL, by contrast, reaches neither — that is
     // the crash the durability layer exists for.
+    let watched = Arc::clone(&fabric);
     thread::spawn(move || {
         let mut sink = [0u8; 256];
         let mut stdin = std::io::stdin();
@@ -246,8 +243,10 @@ fn main() {
                 Ok(_) => {}
             }
         }
-        let _ = tx.send(NodeEvent::Shutdown);
+        watched.deliver(Event::Shutdown);
     });
-    run_net_node(node, rt, rx, None, None);
+    // The node loop is this process's main thread, fed directly by the
+    // fabric's socket readers.
+    node_loop(node, Arc::clone(&fabric), inbox, None, None);
     fabric.shutdown();
 }

@@ -8,19 +8,17 @@
 //! same data-plane semantics the paper's system has — append-only log,
 //! versions, tombstones, cleaning.
 //!
-//! It also hosts the **threaded engine** for `rmc-core`'s shared
-//! replication/recovery protocol: [`MiniCluster`] runs coordinator,
-//! masters, and backups as real threads over crossbeam channels
-//! ([`ThreadRuntime`] implements `rmc_runtime::Runtime` on the wall
-//! clock), with real primary-backup replication and full will-based crash
-//! recovery — the wall-clock twin of the simulated engine in
-//! `rmc_core::proto_sim`.
-//!
-//! And it hosts the **socket engine**: [`NetCluster`] runs the same
-//! protocol over real loopback TCP through `rmc-wire` fabrics (one
-//! listener per coordinator/server, [`NetClient`] handles speaking the
-//! framed wire protocol), and [`run_net_node`] is the per-process node
-//! loop the `rmcd` binary uses to run one cluster member per OS process.
+//! It also hosts the **wall-clock cluster harness** for `rmc-core`'s
+//! shared replication/recovery protocol — one harness, two fabrics (see
+//! [`cluster`]). [`Cluster`] runs coordinator, masters, and backups as
+//! real threads with real primary-backup replication and full will-based
+//! crash recovery, generic over the [`Fabric`] that carries their
+//! messages: crossbeam channels ([`MiniCluster`]/[`MiniClient`], the
+//! wall-clock twin of the simulated engine in `rmc_core::proto_sim`) or
+//! loopback TCP through `rmc-wire` ([`NetCluster`]/[`NetClient`]). Both
+//! deliver the same `rmc_runtime::Event`s into one [`node_loop`], which is
+//! also what the `rmcd` binary runs on its main thread to be one cluster
+//! member per OS process.
 //!
 //! ## Example
 //!
@@ -43,17 +41,18 @@
 #![warn(missing_debug_implementations)]
 
 mod cleaner;
+pub mod cluster;
 mod dispatch;
-pub mod mini_cluster;
-pub mod net_cluster;
 pub mod procs;
 mod repl;
 mod server;
 mod shard;
 
+pub use cluster::{
+    node_loop, ChannelFabric, Cluster, ClusterReport, Fabric, MiniClient, MiniCluster, NetClient,
+    NetCluster, StorageFactory,
+};
 pub use dispatch::DispatchMode;
-pub use mini_cluster::{ClusterReport, MiniClient, MiniCluster, StorageFactory, ThreadRuntime};
-pub use net_cluster::{forward_inbound, run_net_node, NetClient, NetCluster, NodeEvent};
 pub use procs::{reserve_addrs, rmcd_sibling_path, FleetConfig, RmcdFleet};
 pub use repl::{parse_command, ParseCommandError, ReplCommand, HELP};
 pub use server::{Client, ClientError, ServerConfig, StandaloneServer, STAGE_SAMPLE};

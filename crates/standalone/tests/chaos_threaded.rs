@@ -1,9 +1,10 @@
-//! Chaos under the threaded engine: the same fault plans, state machines,
-//! and invariant checker as the deterministic suite in
+//! Chaos under the wall-clock engines: the same fault plans, state
+//! machines, and invariant checker as the deterministic suite in
 //! `rmc-core/tests/chaos_invariants.rs`, but on real threads and the wall
-//! clock.
+//! clock — each scenario written once and run over both fabrics (crossbeam
+//! channels and loopback TCP).
 //!
-//! The threaded engine cannot replay a plan bit-for-bit — scheduling is
+//! A wall-clock engine cannot replay a plan bit-for-bit — scheduling is
 //! the OS's business — so these tests check *graceful degradation*: under
 //! drops, duplicates, delays, partitions, backup-write failures, and
 //! crash/restart schedules, every acked write survives, versions stay
@@ -15,7 +16,7 @@ use std::time::Duration;
 use rmc_chaos::{check_histories, Crash, FaultPlan, PlanShape};
 use rmc_core::protocol::{server_id, ClientOp, ProtocolConfig, Reply};
 use rmc_runtime::{SimDuration, SimTime};
-use rmc_standalone::MiniCluster;
+use rmc_standalone::{on_both_fabrics, Cluster, Fabric};
 
 const SERVERS: usize = 4;
 const CLIENTS: usize = 2;
@@ -62,13 +63,18 @@ fn scripts() -> Vec<Vec<ClientOp>> {
         .collect()
 }
 
+on_both_fabrics!(
+    duplicated_write_returns_original_version,
+    backup_death_re_replicates_then_master_crash_recovers,
+    pinned_plans_degrade_gracefully,
+);
+
 /// Satellite: a *duplicated* (not merely retried) write returns the
-/// originally-assigned version and applies exactly once — the threaded
+/// originally-assigned version and applies exactly once — the wall-clock
 /// half of the RIFL exactly-once guarantee (the simulated half lives in
 /// `rmc-core`'s protocol tests).
-#[test]
-fn duplicated_write_returns_original_version_threaded() {
-    let (cluster, mut clients) = MiniCluster::start(chaos_cfg());
+fn duplicated_write_returns_original_version<F: Fabric>() {
+    let (cluster, mut clients) = Cluster::<F>::start(chaos_cfg());
     let c = &mut clients[0];
     let v1 = c.put_versioned(b"dup-key", b"first").unwrap();
     let v2 = c.put_versioned(b"dup-key", b"second").unwrap();
@@ -98,9 +104,8 @@ fn duplicated_write_returns_original_version_threaded() {
 /// Satellite: killing a backup mid-replication re-replicates its segments
 /// onto fresh targets, and a subsequent crash of the master still recovers
 /// the full live set from the re-replicated copies.
-#[test]
-fn backup_death_re_replicates_then_master_crash_recovers() {
-    let (cluster, mut clients) = MiniCluster::start(chaos_cfg());
+fn backup_death_re_replicates_then_master_crash_recovers<F: Fabric>() {
+    let (cluster, mut clients) = Cluster::<F>::start(chaos_cfg());
     let c = &mut clients[0];
     let mut expected = BTreeMap::new();
     // Seed writes so master 1 has segments replicated onto {2, 3}.
@@ -162,12 +167,11 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-/// Tentpole acceptance (threaded half): generated fault plans — message
+/// Tentpole acceptance (wall-clock half): generated fault plans — message
 /// faults plus a crash/restart schedule — degrade gracefully under real
 /// threads. The seeds are pinned for CI; override with
 /// `RMC_CHAOS_SEEDS=1,2,3` (comma-separated u64s, `0x` hex accepted).
-#[test]
-fn pinned_plans_degrade_gracefully_threaded() {
+fn pinned_plans_degrade_gracefully<F: Fabric>() {
     const PINNED: [u64; 4] = [
         0x0000_0000_dead_beef,
         0x3141_5926_5358_9793,
@@ -200,7 +204,7 @@ fn pinned_plans_degrade_gracefully_threaded() {
         });
         plan.quiesce_at = SimTime::ZERO.saturating_add(SimDuration::from_secs(3600));
 
-        let report = MiniCluster::run_plan(chaos_cfg(), scripts(), &plan, Duration::from_secs(60));
+        let report = Cluster::<F>::run_plan(chaos_cfg(), scripts(), &plan, Duration::from_secs(60));
         assert!(
             report.clients.iter().all(|(_, _, done)| *done),
             "seed {seed:#018x}: scripts unfinished"

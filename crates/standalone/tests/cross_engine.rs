@@ -1,14 +1,16 @@
 //! Cross-engine equivalence: the *same* scripted op/crash sequence runs
-//! through the simulated engine (`rmc_core::proto_sim`) and the threaded
-//! engine (`rmc_standalone::mini_cluster`), and must leave the surviving
-//! cluster serving the *identical* live key/value set after recovery.
+//! through the simulated engine (`rmc_core::proto_sim`) and a wall-clock
+//! engine (`rmc_standalone::Cluster` over channels, then over loopback
+//! TCP), and must leave the surviving cluster serving the *identical* live
+//! key/value set after recovery.
 //!
 //! The protocol makes the final state timing-independent: clients retry
 //! with stable RIFL sequence numbers (no double-applies), replication acks
 //! gate responses (no acked write is lost), and will-based recovery
 //! replays every staged replica (version-guarded). So even though the two
 //! engines interleave completely differently — one deterministic event
-//! queue vs. real preemptive threads — the converged map is the same.
+//! queue vs. real preemptive threads vs. real sockets — the converged map
+//! is the same.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -16,7 +18,7 @@ use std::time::Duration;
 use rmc_core::proto_sim;
 use rmc_core::protocol::{ClientOp, ProtocolConfig};
 use rmc_runtime::{SimDuration, SimTime};
-use rmc_standalone::MiniCluster;
+use rmc_standalone::{on_both_fabrics, Cluster, Fabric};
 
 /// Per-client disjoint key space so cross-client interleaving cannot
 /// change the final map.
@@ -74,8 +76,12 @@ fn cfg(clients: usize) -> ProtocolConfig {
     cfg
 }
 
-#[test]
-fn same_script_same_crash_same_live_set_under_both_engines() {
+on_both_fabrics!(
+    same_script_same_crash_same_live_set_as_the_simulation,
+    master_kill_restores_exact_pre_crash_live_set,
+);
+
+fn same_script_same_crash_same_live_set_as_the_simulation<F: Fabric>() {
     let clients = 2;
     let ops = 60;
     let scripts: Vec<Vec<ClientOp>> = (0..clients).map(|c| script(c, ops)).collect();
@@ -94,7 +100,7 @@ fn same_script_same_crash_same_live_set_under_both_engines() {
     let sim_map = net.live_map();
 
     // Engine 2: real threads on the wall clock, crash mid-script.
-    let cluster = MiniCluster::start_scripted(cfg(clients), scripts);
+    let cluster = Cluster::<F>::start_scripted(cfg(clients), scripts);
     std::thread::sleep(Duration::from_millis(5));
     cluster.kill_server(victim);
     cluster.wait_for_scripted_clients(Duration::from_secs(60));
@@ -103,7 +109,7 @@ fn same_script_same_crash_same_live_set_under_both_engines() {
     std::thread::sleep(Duration::from_millis(1500));
     let report = cluster.shutdown();
     for (c, _, done) in &report.clients {
-        assert!(done, "threaded client {c} finished");
+        assert!(done, "wall-clock client {c} finished");
     }
 
     let want = expected(clients, ops);
@@ -113,7 +119,7 @@ fn same_script_same_crash_same_live_set_under_both_engines() {
     );
     assert_eq!(
         report.live, want,
-        "threaded engine converges to the script's map"
+        "wall-clock engine converges to the script's map"
     );
     assert_eq!(sim_map, report.live, "engines agree key for key");
     assert!(
@@ -122,12 +128,11 @@ fn same_script_same_crash_same_live_set_under_both_engines() {
     );
 }
 
-/// Acceptance criterion: kill a master thread in mini-cluster mode and
-/// assert recovery restores the exact pre-crash live set — and that no
-/// client hangs while it happens (wall-clock liveness).
-#[test]
-fn master_kill_restores_exact_pre_crash_live_set() {
-    let (cluster, mut clients) = MiniCluster::start(cfg(1));
+/// Acceptance criterion: kill a master thread and assert recovery restores
+/// the exact pre-crash live set — and that no client hangs while it
+/// happens (wall-clock liveness).
+fn master_kill_restores_exact_pre_crash_live_set<F: Fabric>() {
+    let (cluster, mut clients) = Cluster::<F>::start(cfg(1));
     let c = &mut clients[0];
 
     // Build a known pre-crash state through the normal write path.

@@ -1,64 +1,38 @@
-//! [`WireFabric`] and [`NetRuntime`]: the cluster protocol's third engine,
-//! over real TCP sockets.
+//! [`WireFabric`]: the cluster protocol's transport over real TCP sockets.
 //!
 //! One `WireFabric` is one node's NIC: it owns the node's listener (if the
-//! node listens), its [`ConnectionPool`], the reader threads draining every
-//! socket into the node's inbox channel, and a delay-line thread backing
-//! [`rmc_runtime::Runtime::send_after`] (which is how chaos plans inject
-//! message *delay* at the wire). [`NetRuntime`] wraps a fabric as the
-//! `Runtime` a protocol node handles events against — the same handler
-//! code that runs under the simulated and threaded engines runs here over
-//! sockets, unchanged.
+//! node listens), its [`ConnectionPool`], the reader threads that decode
+//! every socket straight into the node's inbox — a channel of
+//! [`Event`]s, the same item the in-process channel fabric delivers, so
+//! one node loop serves both — and a [`DelayLine`] backing
+//! `Runtime::send_after` (which is how chaos plans inject message *delay*
+//! at the wire; its thread exists only once a plan has delayed something).
 //!
-//! Like the other engines' chokepoints, `post` stamps the
-//! [`SpanKind::Send`] side of RPC span propagation and the reader threads
-//! stamp [`SpanKind::Deliver`], so a request's timeline crosses process
-//! boundaries on the shared wall clock of each process.
+//! `post` stamps the [`SpanKind::Send`] side of RPC span propagation and
+//! the reader threads stamp [`SpanKind::Deliver`] — each exactly once per
+//! message — so a request's timeline crosses process boundaries on the
+//! shared wall clock of each process.
 
-use std::collections::BinaryHeap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use rmc_core::protocol::Msg;
 use rmc_obs::span::{SpanKind, SpanRecorder};
-use rmc_runtime::{Clock, MetricsRegistry, NodeId, Runtime, SimDuration, SimTime, WallClock};
+use rmc_runtime::{
+    Clock, DelayLine, Event, MetricsRegistry, NodeId, SimDuration, SimTime, WallClock,
+};
 
 use crate::codec;
 use crate::frame::{encode_frame, FrameKind, FrameReader};
 use crate::pool::{AddressBook, ConnectionPool, WireMetrics};
 
-/// Poll granularity for the acceptor and delay-line threads.
+/// Poll granularity for the acceptor thread.
 const POLL: Duration = Duration::from_millis(2);
-
-/// What a fabric delivers to its node's inbox.
-#[derive(Debug)]
-pub enum Inbound {
-    /// A protocol message, exactly as the in-process engines deliver it.
-    Msg {
-        /// Sending node.
-        from: NodeId,
-        /// The message.
-        msg: Msg,
-    },
-    /// A remote process asked for this process's TimeTrace dump.
-    TraceRequest {
-        /// The asking node (route the [`WireFabric::send_trace_reply`]
-        /// here).
-        from: NodeId,
-    },
-    /// The dump text answering an earlier trace request.
-    TraceReply {
-        /// The answering node.
-        from: NodeId,
-        /// Rendered dump text.
-        text: String,
-    },
-}
 
 /// Everything needed to start a fabric.
 #[derive(Debug)]
@@ -80,33 +54,6 @@ pub struct FabricConfig {
     pub clock: Arc<WallClock>,
 }
 
-/// A message parked on the delay line, ordered earliest-due first.
-#[derive(Debug)]
-struct Delayed {
-    due: Instant,
-    seq: u64,
-    to: NodeId,
-    msg: Msg,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    // Reversed: `BinaryHeap` is a max-heap, earliest due surfaces first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
 /// One node's TCP NIC: listener, connection pool, reader threads, delay
 /// line, and the observability chokepoints.
 #[derive(Debug)]
@@ -117,8 +64,8 @@ pub struct WireFabric {
     spans: SpanRecorder,
     metrics: WireMetrics,
     pool: ConnectionPool,
-    inbox_tx: Sender<Inbound>,
-    delay_tx: Sender<(Duration, NodeId, Msg)>,
+    inbox_tx: Sender<Event<Msg>>,
+    delay: DelayLine<(NodeId, Msg)>,
     shutdown: AtomicBool,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Read-half clones of every socket a reader thread blocks on, so
@@ -128,13 +75,17 @@ pub struct WireFabric {
 
 impl WireFabric {
     /// Starts the fabric's threads and returns it with the node's inbox.
-    pub fn start(cfg: FabricConfig) -> (Arc<WireFabric>, Receiver<Inbound>) {
+    pub fn start(cfg: FabricConfig) -> (Arc<WireFabric>, Receiver<Event<Msg>>) {
         let (inbox_tx, inbox_rx) = unbounded();
-        let (delay_tx, delay_rx) = unbounded();
         let metrics = WireMetrics::new(&cfg.registry);
         let me = cfg.me;
         let fabric = Arc::new_cyclic(|weak: &Weak<WireFabric>| {
-            let weak = weak.clone();
+            let (weak, sender) = (weak.clone(), weak.clone());
+            let delay = DelayLine::new(format!("wire-delay-{me}"), move |(to, msg)| {
+                if let Some(fabric) = sender.upgrade() {
+                    fabric.post_now(to, msg);
+                }
+            });
             let pool = ConnectionPool::new(
                 me,
                 cfg.book,
@@ -154,7 +105,7 @@ impl WireFabric {
                 metrics,
                 pool,
                 inbox_tx,
-                delay_tx,
+                delay,
                 shutdown: AtomicBool::new(false),
                 threads: Mutex::new(Vec::new()),
                 reader_socks: Mutex::new(Vec::new()),
@@ -167,15 +118,6 @@ impl WireFabric {
                     .name(format!("wire-accept-{me}"))
                     .spawn(move || f.accept_loop(listener))
                     .expect("spawn acceptor"),
-            );
-        }
-        {
-            let f = Arc::clone(&fabric);
-            fabric.track(
-                thread::Builder::new()
-                    .name(format!("wire-delay-{me}"))
-                    .spawn(move || f.delay_loop(delay_rx))
-                    .expect("spawn delay line"),
             );
         }
         (fabric, inbox_rx)
@@ -213,23 +155,20 @@ impl WireFabric {
         if extra.is_zero() {
             self.post_now(to, msg);
         } else {
-            let _ = self
-                .delay_tx
-                .send((Duration::from_nanos(extra.as_nanos()), to, msg));
+            self.delay
+                .send_after(Duration::from_nanos(extra.as_nanos()), (to, msg));
         }
     }
 
+    /// Pushes `event` into this node's own inbox, behind whatever the
+    /// sockets already delivered — how a harness (or `rmcd`'s stdin
+    /// watcher) hands the node loop [`Event::Kill`] / [`Event::Shutdown`].
+    pub fn deliver(&self, event: Event<Msg>) {
+        let _ = self.inbox_tx.send(event);
+    }
+
     fn post_now(&self, to: NodeId, msg: Msg) {
-        if let Some(trace) = msg.trace_id(self.me, to) {
-            self.spans.record(
-                trace,
-                SpanKind::Send,
-                msg.span_label(),
-                self.me.0,
-                to.0,
-                self.clock.now().as_nanos(),
-            );
-        }
+        msg.record_span(&self.spans, SpanKind::Send, self.me, to, self.now());
         let payload = codec::encode_msg(self.me, &msg);
         match encode_frame(FrameKind::Msg, &payload) {
             Ok(bytes) => {
@@ -245,7 +184,7 @@ impl WireFabric {
     }
 
     /// Asks the process behind `to` for its TimeTrace dump; the answer
-    /// arrives as [`Inbound::TraceReply`].
+    /// arrives as [`Event::TraceReply`].
     pub fn send_trace_request(&self, to: NodeId) {
         let payload = codec::encode_trace_request(self.me);
         if let Ok(bytes) = encode_frame(FrameKind::TraceRequest, &payload) {
@@ -272,6 +211,7 @@ impl WireFabric {
     /// Stops every fabric thread and closes every socket. Idempotent.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.delay.close();
         self.pool.close_all();
         for sock in self.reader_socks.lock().expect("socks lock").drain(..) {
             let _ = sock.shutdown(std::net::Shutdown::Both);
@@ -371,135 +311,41 @@ impl WireFabric {
             },
             FrameKind::Msg => match codec::decode_msg(&frame.payload) {
                 Ok((from, msg)) => {
-                    if let Some(trace) = msg.trace_id(from, self.me) {
-                        self.spans.record(
-                            trace,
-                            SpanKind::Deliver,
-                            msg.span_label(),
-                            from.0,
-                            self.me.0,
-                            self.clock.now().as_nanos(),
-                        );
-                    }
-                    let _ = self.inbox_tx.send(Inbound::Msg { from, msg });
+                    msg.record_span(&self.spans, SpanKind::Deliver, from, self.me, self.now());
+                    self.deliver(Event::Msg { from, msg });
                 }
                 Err(_) => self.metrics.decode_errors.incr(),
             },
             FrameKind::TraceRequest => match codec::decode_trace_request(&frame.payload) {
-                Ok(from) => {
-                    let _ = self.inbox_tx.send(Inbound::TraceRequest { from });
-                }
+                Ok(from) => self.deliver(Event::TraceRequest { from }),
                 Err(_) => self.metrics.decode_errors.incr(),
             },
             FrameKind::TraceReply => match codec::decode_trace_reply(&frame.payload) {
-                Ok((from, text)) => {
-                    let _ = self.inbox_tx.send(Inbound::TraceReply { from, text });
-                }
+                Ok((from, text)) => self.deliver(Event::TraceReply { from, text }),
                 Err(_) => self.metrics.decode_errors.incr(),
             },
         }
         true
-    }
-
-    fn delay_loop(self: Arc<Self>, rx: Receiver<(Duration, NodeId, Msg)>) {
-        let mut heap: BinaryHeap<Delayed> = BinaryHeap::new();
-        let mut seq = 0u64;
-        loop {
-            let now = Instant::now();
-            while heap.peek().is_some_and(|top| top.due <= now) {
-                let d = heap.pop().expect("peeked");
-                self.post_now(d.to, d.msg);
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let wait = heap
-                .peek()
-                .map_or(POLL.max(Duration::from_millis(10)), |t| {
-                    t.due.saturating_duration_since(now)
-                });
-            match rx.recv_timeout(wait) {
-                Ok((delay, to, msg)) => {
-                    seq += 1;
-                    heap.push(Delayed {
-                        due: Instant::now() + delay,
-                        seq,
-                        to,
-                        msg,
-                    });
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
-    }
-}
-
-/// The TCP [`Runtime`]: `send` frames and writes on the pooled
-/// connection, `now` reads the process clock, `set_timer` bounds the node
-/// loop's `recv_timeout` (the loop reads [`NetRuntime::deadline`]), and
-/// `send_after` parks the message on the fabric's delay line — which is
-/// where chaos plans inject message delay at the wire.
-#[derive(Debug)]
-pub struct NetRuntime {
-    fabric: Arc<WireFabric>,
-    /// Earliest armed timer deadline; the owning node loop consumes it.
-    pub deadline: Option<SimTime>,
-}
-
-impl NetRuntime {
-    /// A runtime for the node `fabric` belongs to.
-    pub fn new(fabric: Arc<WireFabric>) -> Self {
-        NetRuntime {
-            fabric,
-            deadline: None,
-        }
-    }
-
-    /// The underlying fabric.
-    pub fn fabric(&self) -> &Arc<WireFabric> {
-        &self.fabric
-    }
-}
-
-impl Runtime for NetRuntime {
-    type Msg = Msg;
-
-    fn node(&self) -> NodeId {
-        self.fabric.me
-    }
-
-    fn now(&self) -> SimTime {
-        self.fabric.now()
-    }
-
-    fn send(&self, to: NodeId, msg: Msg) {
-        self.fabric.post(to, msg, SimDuration::ZERO);
-    }
-
-    fn set_timer(&mut self, after: SimDuration) {
-        let at = self.fabric.now() + after;
-        self.deadline = Some(match self.deadline {
-            Some(cur) if cur <= at => cur,
-            _ => at,
-        });
-    }
-
-    fn send_after(&self, delay: SimDuration, to: NodeId, msg: Msg) {
-        self.fabric.post(to, msg, delay);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
-    fn loopback_pair() -> (
+    type Pair = (
         Arc<WireFabric>,
-        Receiver<Inbound>,
+        Receiver<Event<Msg>>,
         Arc<WireFabric>,
-        Receiver<Inbound>,
-    ) {
+        Receiver<Event<Msg>>,
+    );
+
+    fn loopback_pair() -> Pair {
+        pair_with_client(NodeId(1))
+    }
+
+    fn pair_with_client(client_id: NodeId) -> Pair {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let registry = MetricsRegistry::new();
@@ -515,7 +361,7 @@ mod tests {
             clock: Arc::clone(&clock),
         });
         let (client, client_rx) = WireFabric::start(FabricConfig {
-            me: NodeId(1),
+            me: client_id,
             book,
             listener: None,
             registry,
@@ -533,7 +379,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("request arrives");
         match got {
-            Inbound::Msg {
+            Event::Msg {
                 from,
                 msg: Msg::StatsRequest,
             } => assert_eq!(from, NodeId(1)),
@@ -552,7 +398,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("reply arrives")
         {
-            Inbound::Msg {
+            Event::Msg {
                 from,
                 msg: Msg::StatsReply { stats },
             } => {
@@ -577,7 +423,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("trace request arrives")
         {
-            Inbound::TraceRequest { from } => {
+            Event::TraceRequest { from } => {
                 assert_eq!(from, NodeId(1));
                 server.send_trace_reply(from, "trace dump text");
             }
@@ -587,7 +433,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("trace reply arrives")
         {
-            Inbound::TraceReply { from, text } => {
+            Event::TraceReply { from, text } => {
                 assert_eq!(from, NodeId(0));
                 assert_eq!(text, "trace dump text");
             }
@@ -606,7 +452,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("delayed message arrives")
         {
-            Inbound::Msg {
+            Event::Msg {
                 msg: Msg::MapRequest,
                 ..
             } => {}
@@ -617,6 +463,32 @@ mod tests {
             "delay line must actually delay"
         );
         client.shutdown();
+        server.shutdown();
+    }
+
+    /// An undelayed fabric has no delay-line thread to wake up; the first
+    /// delayed post creates it, under the name the benchmark classes by.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn delay_thread_exists_only_after_a_delayed_post() {
+        let has_delay_thread = || {
+            std::fs::read_dir("/proc/self/task")
+                .expect("own task list")
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .any(|comm| comm.trim() == "wire-delay-n777")
+        };
+        let (server, server_rx, client, _client_rx) = pair_with_client(NodeId(777));
+        client.post(NodeId(0), Msg::MapRequest, SimDuration::ZERO);
+        let _ = server_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(
+            !has_delay_thread(),
+            "idle fabric must not own a delay thread"
+        );
+        client.post(NodeId(0), Msg::MapRequest, SimDuration::from_millis(1));
+        let _ = server_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(has_delay_thread());
+        client.shutdown();
+        assert!(!has_delay_thread(), "shutdown joins the delay thread");
         server.shutdown();
     }
 

@@ -4,7 +4,7 @@
 //! the RAMCloud characterization study on an engine the node never sees:
 //! the deterministic simulator (`rmc-sim`), real threads over channels
 //! (`rmc-standalone`'s `MiniCluster`), and — with this crate — real OS
-//! processes over TCP. The same handler code, the same [`Runtime`]
+//! processes over TCP. The same handler code, the same `Runtime`
 //! surface, a third transport.
 //!
 //! Layers, bottom up:
@@ -21,9 +21,10 @@
 //!   adoption (replies multiplex back over the socket requests arrived
 //!   on). Health surfaces as `wire.*` counters in the shared
 //!   [`MetricsRegistry`](rmc_runtime::MetricsRegistry).
-//! - [`fabric`]: the [`WireFabric`] NIC (listener, readers, delay line,
-//!   span stamping at send/deliver) and the [`NetRuntime`] that plugs it
-//!   into the protocol's [`Runtime`] trait.
+//! - [`fabric`]: the [`WireFabric`] NIC (listener, readers decoding
+//!   straight into the node's inbox of `rmc_runtime::Event`s, delay line,
+//!   span stamping at send/deliver). `rmc-standalone`'s cluster harness
+//!   plugs it in as one of its two fabrics.
 //!
 //! Delivery semantics match the other engines: `send` may silently drop
 //! (connection died, peer backing off, peer has no route) and the
@@ -40,7 +41,6 @@ pub mod frame;
 pub mod pool;
 
 pub use codec::{decode_msg, encode_msg, CodecError};
-pub use fabric::{FabricConfig, Inbound, NetRuntime, WireFabric};
+pub use fabric::{FabricConfig, WireFabric};
 pub use frame::{encode_frame, Frame, FrameError, FrameKind, FrameReader};
 pub use pool::{AddressBook, ConnectionPool, WireMetrics};
-pub use rmc_runtime::Runtime;
