@@ -3,11 +3,11 @@
 //! the committed baseline.
 //!
 //! Rows are matched by identity key: every string field of the row (e.g.
-//! `dispatch`, `mix`, `mode`), the sweep-axis integers (`workers`,
-//! `clients`, `batch_size`), and the nested `read_path.mode` when present.
-//! That covers `BENCH_standalone.json`, `BENCH_read.json`, and
-//! `BENCH_cleaner.json` without per-schema code. `throughput_ops_per_sec`
-//! is then diffed per matched pair.
+//! `mix`, `mode`, `backend`, `engine`, `case`) and the sweep-axis integers
+//! (`workers`, `clients`, `batch_size`). That covers `BENCH_standalone.json`,
+//! `BENCH_obs.json`, `BENCH_wire.json` and `BENCH_recovery.json` without
+//! per-schema code. `throughput_ops_per_sec` is then diffed per matched
+//! pair.
 //!
 //! By default regressions are warnings (benchmarks on shared CI hardware
 //! are noisy) and the exit code stays 0; `--strict` turns any regression
@@ -50,11 +50,6 @@ fn row_key(row: &Json) -> String {
                 parts.push(format!("{name}={n}"));
             }
             _ => {}
-        }
-    }
-    if let Some(mode) = row.get("read_path").and_then(|rp| rp.get("mode")) {
-        if let Some(mode) = mode.as_str() {
-            parts.push(format!("read_path={mode}"));
         }
     }
     parts.join(" ")

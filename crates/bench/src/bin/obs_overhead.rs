@@ -29,65 +29,19 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use rmc_bench::backend::{latency_json, StandaloneBackend};
 use rmc_bench::json::{self, Json};
 use rmc_bench::kops;
 use rmc_bench::report::{paired_overhead_percent, validate_obs_report, SCHEMA_VERSION};
-use rmc_logstore::{LogConfig, TableId};
-use rmc_standalone::{Client, ServerConfig, StandaloneServer};
-use rmc_ycsb::runner::{self, KvBackend, LatencySummary, RunSummary, RunnerConfig};
+use rmc_logstore::LogConfig;
+use rmc_standalone::{ServerConfig, StandaloneServer};
+use rmc_ycsb::runner::{self, RunSummary, RunnerConfig};
 use rmc_ycsb::{Distribution, Mix, WorkloadSpec};
 
-const TABLE: TableId = TableId(1);
 const SHARDS: usize = 16;
 /// The acceptance bound: enabled instrumentation may cost at most this
 /// much read throughput versus the kill-switch baseline.
 const BUDGET_PERCENT: f64 = 3.0;
-
-/// Reads go through `read_view` — the zero-copy fast path where the
-/// instrumentation's sampled `Instant::now()` pair is proportionally most
-/// expensive.
-struct ViewBackend {
-    client: Client,
-}
-
-impl KvBackend for ViewBackend {
-    fn read(&self, key: &[u8]) -> Result<bool, String> {
-        self.client
-            .read_view(TABLE, key)
-            .map(|v| v.is_some())
-            .map_err(|e| e.to_string())
-    }
-
-    fn write(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        self.client
-            .write(TABLE, key, value)
-            .map(|_| ())
-            .map_err(|e| e.to_string())
-    }
-
-    fn multiread(&self, keys: &[Vec<u8>]) -> Result<usize, String> {
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        self.client
-            .multiread_views(TABLE, &refs)
-            .map(|vs| vs.iter().filter(|v| v.is_some()).count())
-            .map_err(|e| e.to_string())
-    }
-
-    fn multiwrite(&self, ops: &[(Vec<u8>, Vec<u8>)]) -> Result<(), String> {
-        let refs: Vec<(&[u8], &[u8])> = ops
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
-            .collect();
-        for outcome in self
-            .client
-            .multiwrite(TABLE, &refs)
-            .map_err(|e| e.to_string())?
-        {
-            outcome.map_err(|e| e.to_string())?;
-        }
-        Ok(())
-    }
-}
 
 #[derive(Clone, Copy)]
 struct Scale {
@@ -125,17 +79,6 @@ fn mode_name(enabled: bool) -> &'static str {
     }
 }
 
-fn latency_json(lat: &LatencySummary) -> Json {
-    Json::obj(vec![
-        ("count", lat.count.into()),
-        ("mean", lat.mean_us.into()),
-        ("p50", lat.p50_us.into()),
-        ("p90", lat.p90_us.into()),
-        ("p99", lat.p99_us.into()),
-        ("max", lat.max_us.into()),
-    ])
-}
-
 struct Measurement {
     enabled: bool,
     round: usize,
@@ -146,7 +89,7 @@ struct Measurement {
 }
 
 fn run_measured(
-    backend: &Arc<ViewBackend>,
+    backend: &Arc<StandaloneBackend>,
     spec: &WorkloadSpec,
     hist: &rmc_runtime::HistogramHandle,
     enabled: bool,
@@ -207,7 +150,7 @@ fn run_ablation(scale: Scale) -> Result<Vec<Measurement>, String> {
         value_bytes: scale.value_bytes,
         ops_per_client: scale.ops_per_client,
     };
-    let backend = Arc::new(ViewBackend {
+    let backend = Arc::new(StandaloneBackend {
         client: server.client(),
     });
     runner::load(&*backend, &spec, 1)?;

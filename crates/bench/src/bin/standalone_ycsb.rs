@@ -1,8 +1,7 @@
 //! YCSB-driven throughput harness for the standalone server.
 //!
 //! Binds the wall-clock YCSB runner (`rmc_ycsb::runner`) to
-//! `rmc_standalone` and sweeps worker counts × read/write mixes × dispatch
-//! architectures (shard affinity vs the seed's global queue) × batch sizes,
+//! `rmc_standalone` and sweeps worker counts × read/write mixes × batch sizes,
 //! emitting a machine-readable `BENCH_standalone.json` (schema validated by
 //! `rmc_bench::report`, which CI's smoke run re-checks).
 //!
@@ -31,66 +30,21 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
+use rmc_bench::backend::{latency_json, StandaloneBackend};
 use rmc_bench::json::{self, Json};
 use rmc_bench::kops;
 use rmc_bench::report::{validate_standalone_report, validate_wire_report, SCHEMA_VERSION};
 use rmc_core::protocol::{server_id, ProtocolConfig};
 use rmc_energy::{attribute_energy, EnergyAttribution, NodeActivity, OpClassUsage, PowerProfile};
-use rmc_logstore::{LogConfig, TableId};
+use rmc_logstore::LogConfig;
 use rmc_runtime::{MetricsRegistry, SimDuration};
 use rmc_standalone::{
-    cluster, reserve_addrs, rmcd_sibling_path, Client, DispatchMode, Fabric, FleetConfig,
-    MiniCluster, NetClient, RmcdFleet, ServerConfig, StandaloneServer, STAGE_SAMPLE,
+    cluster, reserve_addrs, rmcd_sibling_path, Fabric, FleetConfig, MiniCluster, NetClient,
+    RmcdFleet, ServerConfig, StandaloneServer, STAGE_SAMPLE,
 };
 use rmc_wire::AddressBook;
 use rmc_ycsb::runner::{self, KvBackend, LatencySummary, RunSummary, RunnerConfig};
 use rmc_ycsb::{Distribution, Mix, WorkloadSpec};
-
-const TABLE: TableId = TableId(1);
-
-/// Adapts a standalone-server client to the runner's backend trait.
-struct StandaloneBackend {
-    client: Client,
-}
-
-impl KvBackend for StandaloneBackend {
-    fn read(&self, key: &[u8]) -> Result<bool, String> {
-        self.client
-            .read(TABLE, key)
-            .map(|r| r.is_some())
-            .map_err(|e| e.to_string())
-    }
-
-    fn write(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        self.client
-            .write(TABLE, key, value)
-            .map(|_| ())
-            .map_err(|e| e.to_string())
-    }
-
-    fn multiread(&self, keys: &[Vec<u8>]) -> Result<usize, String> {
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        self.client
-            .multiread(TABLE, &refs)
-            .map(|rs| rs.iter().filter(|r| r.is_some()).count())
-            .map_err(|e| e.to_string())
-    }
-
-    fn multiwrite(&self, ops: &[(Vec<u8>, Vec<u8>)]) -> Result<(), String> {
-        let refs: Vec<(&[u8], &[u8])> = ops
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
-            .collect();
-        for outcome in self
-            .client
-            .multiwrite(TABLE, &refs)
-            .map_err(|e| e.to_string())?
-        {
-            outcome.map_err(|e| e.to_string())?;
-        }
-        Ok(())
-    }
-}
 
 /// Adapts a replicated cluster's sync clients — over either fabric — to
 /// the runner's backend trait.
@@ -189,8 +143,8 @@ const SMOKE: Scale = Scale {
 /// The read/write mixes swept (names are stable schema values).
 const MIXES: &[(&str, f64)] = &[("read50", 0.50), ("read95", 0.95), ("read100", 1.0)];
 const BATCH_SIZES: &[usize] = &[1, 16];
-/// The mix and batch size the acceptance comparison is quoted on.
-const COMPARISON_MIX: &str = "read95";
+/// The mix the replicated mini-cluster section runs.
+const MINI_MIX: &str = "read95";
 
 fn spec_for(name: &str, read_fraction: f64, scale: Scale) -> WorkloadSpec {
     WorkloadSpec {
@@ -209,26 +163,7 @@ fn spec_for(name: &str, read_fraction: f64, scale: Scale) -> WorkloadSpec {
     }
 }
 
-fn dispatch_name(mode: DispatchMode) -> &'static str {
-    match mode {
-        DispatchMode::ShardAffinity => "shard_affinity",
-        DispatchMode::GlobalQueue => "global_queue",
-    }
-}
-
-fn latency_json(lat: &LatencySummary) -> Json {
-    Json::obj(vec![
-        ("count", lat.count.into()),
-        ("mean", lat.mean_us.into()),
-        ("p50", lat.p50_us.into()),
-        ("p90", lat.p90_us.into()),
-        ("p99", lat.p99_us.into()),
-        ("max", lat.max_us.into()),
-    ])
-}
-
 struct Measurement {
-    dispatch: DispatchMode,
     workers: usize,
     mix: &'static str,
     read_fraction: f64,
@@ -236,7 +171,7 @@ struct Measurement {
     summary: RunSummary,
     /// Background-cleaner counters snapshotted before shutdown.
     cleaner: Json,
-    /// Read-path mode and fast-path counters snapshotted before shutdown.
+    /// Read-path counters snapshotted before shutdown.
     read_path: Json,
     /// Per-stage latency decomposition (`stage.*` histograms).
     stages: Json,
@@ -333,8 +268,8 @@ fn energy_split_json(split: &[EnergyAttribution]) -> Json {
 /// Sums the per-shard `cleaner.{shard}.*` counters into the report's
 /// cleaner block. Near-zero under this sweep's roomy log budget — the
 /// block exists so operators see cleaning activity (or its absence) next
-/// to the throughput it might explain; `cleaner_ablation` is the bench
-/// that forces real pressure.
+/// to the throughput it might explain; the `local_b` workload of
+/// `benchmark/` is the run that forces real pressure.
 fn cleaner_json(server: &StandaloneServer) -> Json {
     let m = server.metrics();
     let sum = |name: &str| m.sum("cleaner.", &format!(".{name}"));
@@ -348,20 +283,18 @@ fn cleaner_json(server: &StandaloneServer) -> Json {
     ])
 }
 
-/// The report's per-row `read_path` block: which read path served the run
-/// plus the engine's fast-path counters — so every throughput number says
-/// whether (and how often) reads actually took the lock-free path.
+/// The report's per-row `read_path` block: the engine's read-path counters
+/// — so every throughput number says how often reads actually took the
+/// lock-free path and how often they fell back to the shard lock.
 fn read_path_json(server: &StandaloneServer) -> Json {
     let stats = server.store().stats();
     Json::obj(vec![
-        ("mode", server.store().read_path().name().into()),
         ("lockfree", stats.read_lockfree.into()),
         ("fallback_locked", stats.read_fallback_locked.into()),
     ])
 }
 
 fn run_one(
-    dispatch: DispatchMode,
     workers: usize,
     mix: &'static str,
     read_fraction: f64,
@@ -377,8 +310,6 @@ fn run_one(
             ordered_index: false,
         },
         queue_capacity: 1024,
-        dispatch,
-        ..ServerConfig::default()
     });
     let spec = spec_for(mix, read_fraction, scale);
     let backend = Arc::new(StandaloneBackend {
@@ -405,8 +336,7 @@ fn run_one(
     let write_svc_p50 = p50_us("stage.write_service_ns");
     server.shutdown();
     println!(
-        "  {:<14} workers={workers} mix={mix:<8} batch={batch_size:<3} {:>9} ops/s  read p99 {:>8.1} us",
-        dispatch_name(dispatch),
+        "  standalone     workers={workers} mix={mix:<8} batch={batch_size:<3} {:>9} ops/s  read p99 {:>8.1} us",
         kops(summary.throughput_ops_per_sec),
         summary.reads.p99_us,
     );
@@ -419,7 +349,6 @@ fn run_one(
         summary.writes.p50_us,
     );
     Ok(Measurement {
-        dispatch,
         workers,
         mix,
         read_fraction,
@@ -437,7 +366,7 @@ fn run_one(
 const MINI_SERVERS: usize = 4;
 const MINI_REPLICATION: usize = 2;
 
-/// Runs the comparison mix through the replicated mini-cluster: real
+/// Runs [`MINI_MIX`] through the replicated mini-cluster: real
 /// coordinator/master/backup threads, every write acked only after its
 /// replicas are staged. Returns the report's `mini_cluster` section.
 fn run_mini(scale: Scale) -> Result<Json, String> {
@@ -449,7 +378,7 @@ fn run_mini(scale: Scale) -> Result<Json, String> {
     cfg.failure_timeout = SimDuration::from_millis(150);
     cfg.retry_timeout = SimDuration::from_millis(50);
 
-    let mut spec = spec_for(COMPARISON_MIX, 0.95, scale);
+    let mut spec = spec_for(MINI_MIX, 0.95, scale);
     // Every op is a cross-thread RPC (writes add a replication round
     // trip), so run a slice of the single-server volume.
     spec.record_count = (scale.record_count / 4).max(64);
@@ -483,7 +412,7 @@ fn run_mini(scale: Scale) -> Result<Json, String> {
             .unwrap_or(0)
     };
     println!(
-        "  {:<14} servers={MINI_SERVERS} r={MINI_REPLICATION} mix={COMPARISON_MIX:<8} {:>9} ops/s  write p99 {:>8.1} us",
+        "  {:<14} servers={MINI_SERVERS} r={MINI_REPLICATION} mix={MINI_MIX:<8} {:>9} ops/s  write p99 {:>8.1} us",
         "mini_cluster",
         kops(summary.throughput_ops_per_sec),
         summary.writes.p99_us,
@@ -508,7 +437,7 @@ fn run_mini(scale: Scale) -> Result<Json, String> {
         ("span_events", report.spans.len().into()),
         ("servers", MINI_SERVERS.into()),
         ("replication", MINI_REPLICATION.into()),
-        ("mix", COMPARISON_MIX.into()),
+        ("mix", MINI_MIX.into()),
         ("record_count", spec.record_count.into()),
         ("ops", summary.ops.into()),
         ("elapsed_secs", summary.elapsed_secs.into()),
@@ -758,31 +687,21 @@ fn run_net(scale: Scale) -> Result<Json, String> {
 
 fn sweep(scale: Scale) -> Result<Vec<Measurement>, String> {
     let mut all = Vec::new();
-    for &dispatch in &[DispatchMode::GlobalQueue, DispatchMode::ShardAffinity] {
-        for &workers in scale.worker_counts {
-            for &(mix, read_fraction) in MIXES {
-                for &batch_size in BATCH_SIZES {
-                    all.push(run_one(
-                        dispatch,
-                        workers,
-                        mix,
-                        read_fraction,
-                        batch_size,
-                        scale,
-                    )?);
-                }
+    for &workers in scale.worker_counts {
+        for &(mix, read_fraction) in MIXES {
+            for &batch_size in BATCH_SIZES {
+                all.push(run_one(workers, mix, read_fraction, batch_size, scale)?);
             }
         }
     }
     Ok(all)
 }
 
-fn report(measurements: &[Measurement], mini: Json, scale: Scale) -> Result<Json, String> {
+fn report(measurements: &[Measurement], mini: Json, scale: Scale) -> Json {
     let results: Vec<Json> = measurements
         .iter()
         .map(|m| {
             Json::obj(vec![
-                ("dispatch", dispatch_name(m.dispatch).into()),
                 ("workers", m.workers.into()),
                 ("mix", m.mix.into()),
                 ("read_fraction", m.read_fraction.into()),
@@ -803,32 +722,7 @@ fn report(measurements: &[Measurement], mini: Json, scale: Scale) -> Result<Json
         })
         .collect();
 
-    // The headline comparison: affinity vs the seed's global queue at the
-    // largest swept worker count, single ops, on the read-heavy mix.
-    let workers = *scale.worker_counts.iter().max().expect("non-empty sweep");
-    let pick = |dispatch: DispatchMode| {
-        measurements
-            .iter()
-            .find(|m| {
-                m.dispatch == dispatch
-                    && m.workers == workers
-                    && m.mix == COMPARISON_MIX
-                    && m.batch_size == 1
-            })
-            .map(|m| m.summary.throughput_ops_per_sec)
-            .ok_or_else(|| format!("missing {} comparison run", dispatch_name(dispatch)))
-    };
-    let baseline = pick(DispatchMode::GlobalQueue)?;
-    let affinity = pick(DispatchMode::ShardAffinity)?;
-    let speedup = affinity / baseline;
-    println!(
-        "\ncomparison ({COMPARISON_MIX}, {workers} workers, batch=1): \
-         {} -> {} ops/s = {speedup:.2}x",
-        kops(baseline),
-        kops(affinity),
-    );
-
-    Ok(Json::obj(vec![
+    Json::obj(vec![
         ("schema_version", SCHEMA_VERSION.into()),
         ("benchmark", "standalone_ycsb".into()),
         (
@@ -842,18 +736,8 @@ fn report(measurements: &[Measurement], mini: Json, scale: Scale) -> Result<Json
             ]),
         ),
         ("results", Json::Arr(results)),
-        (
-            "comparison",
-            Json::obj(vec![
-                ("workers", workers.into()),
-                ("mix", COMPARISON_MIX.into()),
-                ("baseline_ops_per_sec", baseline.into()),
-                ("affinity_ops_per_sec", affinity.into()),
-                ("speedup", speedup.into()),
-            ]),
-        ),
         ("mini_cluster", mini),
-    ]))
+    ])
 }
 
 fn check(path: &str) -> Result<(), String> {
@@ -949,7 +833,7 @@ fn main() -> ExitCode {
             );
             sweep(scale).and_then(|measurements| {
                 let mini = run_mini(scale)?;
-                let doc = report(&measurements, mini, scale)?;
+                let doc = report(&measurements, mini, scale);
                 // Never emit a report CI's validator would reject.
                 validate_standalone_report(&doc)?;
                 std::fs::write(&out, format!("{doc}\n"))

@@ -4,6 +4,7 @@
 //! in `src/bin/experiments.rs`; this library holds the run-context, CSV
 //! output, and table-formatting helpers they share.
 
+pub mod backend;
 pub mod chart;
 pub mod json;
 pub mod report;

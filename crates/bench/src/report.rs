@@ -71,10 +71,6 @@ pub fn validate_standalone_report(doc: &Json) -> Result<(), String> {
     }
     for (i, result) in results.iter().enumerate() {
         let ctx = format!("results[{i}]");
-        let dispatch = string(result, &ctx, "dispatch")?;
-        if !matches!(dispatch, "shard_affinity" | "global_queue") {
-            return Err(format!("{ctx}: unknown dispatch {dispatch:?}"));
-        }
         string(result, &ctx, "mix")?;
         let read_fraction = num(result, &ctx, "read_fraction")?;
         if !(0.0..=1.0).contains(&read_fraction) {
@@ -109,12 +105,10 @@ pub fn validate_standalone_report(doc: &Json) -> Result<(), String> {
                 }
             }
         }
-        // The read-path block is optional (older reports predate it), but
-        // when present its mode must be known and its counters coherent.
-        if let Some(read_path) = result.get("read_path") {
-            let rctx = format!("{ctx}.read_path");
-            validate_read_path_block(read_path, &rctx)?;
-        }
+        // The read-path block is mandatory: it is the proof the row's
+        // reads were served by the lock-free path.
+        let read_path = field(result, &ctx, "read_path")?;
+        validate_read_path_block(read_path, &format!("{ctx}.read_path"))?;
         // The per-stage latency decomposition is optional (older reports
         // predate it); when present every stage summary must be complete.
         if let Some(stages) = result.get("stages") {
@@ -142,19 +136,6 @@ pub fn validate_standalone_report(doc: &Json) -> Result<(), String> {
         if let Some(energy) = result.get("energy") {
             validate_energy_block(energy, &format!("{ctx}.energy"))?;
         }
-    }
-
-    let comparison = field(doc, "report", "comparison")?;
-    num(comparison, "comparison", "workers")?;
-    string(comparison, "comparison", "mix")?;
-    let baseline = num(comparison, "comparison", "baseline_ops_per_sec")?;
-    let affinity = num(comparison, "comparison", "affinity_ops_per_sec")?;
-    let speedup = num(comparison, "comparison", "speedup")?;
-    if baseline <= 0.0 || affinity <= 0.0 {
-        return Err("comparison: throughputs must be positive".into());
-    }
-    if (speedup - affinity / baseline).abs() > 1e-6 * speedup.max(1.0) {
-        return Err("comparison: speedup != affinity/baseline".into());
     }
 
     // The replicated mini-cluster section is optional (older reports
@@ -311,193 +292,16 @@ pub fn validate_wire_report(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// The read-path mode names the report schema accepts (stable values).
-pub const READ_PATHS: [&str; 3] = ["locked_copy", "lockfree_copy", "lockfree_zero_copy"];
-
-/// Validates a `read_path` block: `{mode, lockfree, fallback_locked}`,
-/// where a locked run must report zero lock-free reads and a lock-free
-/// run must report at least one.
+/// Validates a `read_path` block: `{lockfree, fallback_locked}`, where a
+/// run must actually have taken the lock-free path.
 fn validate_read_path_block(block: &Json, ctx: &str) -> Result<(), String> {
-    let mode = string(block, ctx, "mode")?;
-    if !READ_PATHS.contains(&mode) {
-        return Err(format!("{ctx}: unknown mode {mode:?}"));
-    }
     let lockfree = num(block, ctx, "lockfree")?;
     let fallback = num(block, ctx, "fallback_locked")?;
     if lockfree < 0.0 || fallback < 0.0 {
         return Err(format!("{ctx}: counters must be non-negative"));
     }
-    if mode == "locked_copy" && lockfree != 0.0 {
-        return Err(format!("{ctx}: locked run reports lock-free reads"));
-    }
-    if mode != "locked_copy" && lockfree == 0.0 {
-        return Err(format!("{ctx}: lock-free run never took the fast path"));
-    }
-    Ok(())
-}
-
-/// Validates a parsed `BENCH_read.json` document (the read-path ablation
-/// benchmark: locked+copy vs lock-free+copy vs lock-free+zero-copy).
-///
-/// # Errors
-///
-/// The first schema violation found, as a human-readable message.
-pub fn validate_read_report(doc: &Json) -> Result<(), String> {
-    let version = num(doc, "report", "schema_version")?;
-    if version != SCHEMA_VERSION as f64 {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    let benchmark = string(doc, "report", "benchmark")?;
-    if benchmark != "read_path_ablation" {
-        return Err(format!("unexpected benchmark {benchmark:?}"));
-    }
-
-    let config = field(doc, "report", "config")?;
-    for key in ["record_count", "ops_per_client", "value_bytes", "shards"] {
-        if num(config, "config", key)? <= 0.0 {
-            return Err(format!("config: \"{key}\" must be positive"));
-        }
-    }
-
-    let results = field(doc, "report", "results")?
-        .as_array()
-        .ok_or("report: \"results\" must be an array")?;
-    if results.is_empty() {
-        return Err("report: \"results\" must be non-empty".into());
-    }
-    let mut seen_paths = Vec::new();
-    for (i, result) in results.iter().enumerate() {
-        let ctx = format!("results[{i}]");
-        if num(result, &ctx, "clients")? < 1.0 || num(result, &ctx, "ops")? < 1.0 {
-            return Err(format!("{ctx}: \"clients\" and \"ops\" must be >= 1"));
-        }
-        for key in ["elapsed_secs", "throughput_ops_per_sec"] {
-            if num(result, &ctx, key)? <= 0.0 {
-                return Err(format!("{ctx}: \"{key}\" must be positive"));
-            }
-        }
-        latency(result, &ctx, "read_latency_us")?;
-        let block = field(result, &ctx, "read_path")?;
-        validate_read_path_block(block, &format!("{ctx}.read_path"))?;
-        seen_paths.push(string(block, &ctx, "mode")?.to_owned());
-    }
-    // The ablation is only meaningful with all three paths present.
-    for path in READ_PATHS {
-        if !seen_paths.iter().any(|p| p == path) {
-            return Err(format!("results: missing \"{path}\" run"));
-        }
-    }
-
-    let comparison = field(doc, "report", "comparison")?;
-    num(comparison, "comparison", "clients")?;
-    let locked = num(comparison, "comparison", "locked_ops_per_sec")?;
-    let zero_copy = num(comparison, "comparison", "zero_copy_ops_per_sec")?;
-    let speedup = num(comparison, "comparison", "speedup")?;
-    if locked <= 0.0 || zero_copy <= 0.0 {
-        return Err("comparison: throughputs must be positive".into());
-    }
-    if (speedup - zero_copy / locked).abs() > 1e-6 * speedup.max(1.0) {
-        return Err("comparison: speedup != zero_copy/locked".into());
-    }
-    Ok(())
-}
-
-/// Validates a parsed `BENCH_cleaner.json` document (the cleaner-ablation
-/// benchmark: inline vs concurrent vs concurrent-without-compaction).
-///
-/// # Errors
-///
-/// The first schema violation found, as a human-readable message.
-pub fn validate_cleaner_report(doc: &Json) -> Result<(), String> {
-    let version = num(doc, "report", "schema_version")?;
-    if version != SCHEMA_VERSION as f64 {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    let benchmark = string(doc, "report", "benchmark")?;
-    if benchmark != "cleaner_ablation" {
-        return Err(format!("unexpected benchmark {benchmark:?}"));
-    }
-
-    let config = field(doc, "report", "config")?;
-    for key in [
-        "record_count",
-        "ops_per_client",
-        "clients",
-        "value_bytes",
-        "shards",
-        "worker_threads",
-        "memory_budget_bytes",
-    ] {
-        if num(config, "config", key)? <= 0.0 {
-            return Err(format!("config: \"{key}\" must be positive"));
-        }
-    }
-    let live = num(config, "config", "live_fraction")?;
-    if !(0.0..=1.0).contains(&live) {
-        return Err("config: live_fraction out of range".into());
-    }
-
-    let results = field(doc, "report", "results")?
-        .as_array()
-        .ok_or("report: \"results\" must be an array")?;
-    if results.is_empty() {
-        return Err("report: \"results\" must be non-empty".into());
-    }
-    let mut seen_modes = Vec::new();
-    for (i, result) in results.iter().enumerate() {
-        let ctx = format!("results[{i}]");
-        let mode = string(result, &ctx, "mode")?;
-        if !matches!(mode, "inline" | "concurrent" | "concurrent_no_compaction") {
-            return Err(format!("{ctx}: unknown mode {mode:?}"));
-        }
-        seen_modes.push(mode.to_owned());
-        if num(result, &ctx, "ops")? < 1.0 {
-            return Err(format!("{ctx}: \"ops\" must be >= 1"));
-        }
-        for key in ["elapsed_secs", "throughput_ops_per_sec"] {
-            if num(result, &ctx, key)? <= 0.0 {
-                return Err(format!("{ctx}: \"{key}\" must be positive"));
-            }
-        }
-        latency(result, &ctx, "write_latency_us")?;
-        for key in [
-            "cleanings",
-            "segments_freed",
-            "segments_compacted",
-            "survivor_bytes",
-            "bytes_relocated",
-            "tombstones_dropped",
-            "cleaner_passes",
-            "cleaner_busy_ns",
-        ] {
-            if num(result, &ctx, key)? < 0.0 {
-                return Err(format!("{ctx}: \"{key}\" must be non-negative"));
-            }
-        }
-        // Memory pressure must actually have engaged the cleaner.
-        if num(result, &ctx, "segments_freed")? == 0.0 {
-            return Err(format!("{ctx}: run never cleaned — no memory pressure"));
-        }
-        // In inline mode there are no cleaner threads to run passes.
-        if mode == "inline" && num(result, &ctx, "cleaner_passes")? != 0.0 {
-            return Err(format!("{ctx}: inline run reports background passes"));
-        }
-    }
-    for mode in ["inline", "concurrent"] {
-        if !seen_modes.iter().any(|m| m == mode) {
-            return Err(format!("results: missing \"{mode}\" run"));
-        }
-    }
-
-    let comparison = field(doc, "report", "comparison")?;
-    let inline = num(comparison, "comparison", "inline_ops_per_sec")?;
-    let concurrent = num(comparison, "comparison", "concurrent_ops_per_sec")?;
-    let speedup = num(comparison, "comparison", "speedup")?;
-    if inline <= 0.0 || concurrent <= 0.0 {
-        return Err("comparison: throughputs must be positive".into());
-    }
-    if (speedup - concurrent / inline).abs() > 1e-6 * speedup.max(1.0) {
-        return Err("comparison: speedup != concurrent/inline".into());
+    if lockfree == 0.0 {
+        return Err(format!("{ctx}: run never took the lock-free path"));
     }
     Ok(())
 }
@@ -799,14 +603,13 @@ mod tests {
           "benchmark": "standalone_ycsb",
           "config": {"record_count": 100, "ops_per_client": 50, "clients": 2, "value_bytes": 64},
           "results": [{
-            "dispatch": "shard_affinity", "workers": 4, "mix": "read95",
+            "workers": 4, "mix": "read95",
             "read_fraction": 0.95, "batch_size": 1, "ops": 100,
             "elapsed_secs": 0.5, "throughput_ops_per_sec": 200.0,
+            "read_path": {"lockfree": 95, "fallback_locked": 0},
             "read_latency_us": {"count": 95, "mean": 2.0, "p50": 1.5, "p90": 3.0, "p99": 9.0, "max": 11.0},
             "write_latency_us": {"count": 5, "mean": 5.0, "p50": 4.0, "p90": 8.0, "p99": 9.0, "max": 9.5}
-          }],
-          "comparison": {"workers": 4, "mix": "read95",
-            "baseline_ops_per_sec": 100.0, "affinity_ops_per_sec": 200.0, "speedup": 2.0}
+          }]
         }"#
         .to_owned()
     }
@@ -818,8 +621,8 @@ mod tests {
 
     fn with_mini(mini: &str) -> String {
         minimal().replace(
-            "\"comparison\": {",
-            &format!("\"mini_cluster\": {mini}, \"comparison\": {{"),
+            "\"results\": [{",
+            &format!("\"mini_cluster\": {mini}, \"results\": [{{"),
         )
     }
 
@@ -843,80 +646,14 @@ mod tests {
         assert!(err.contains("replication"), "got {err}");
     }
 
-    fn minimal_read() -> String {
-        r#"{
-          "schema_version": 1,
-          "benchmark": "read_path_ablation",
-          "config": {"record_count": 512, "ops_per_client": 1000, "value_bytes": 64,
-            "shards": 4, "smoke": true},
-          "results": [
-            {"read_path": {"mode": "locked_copy", "lockfree": 0, "fallback_locked": 0},
-             "clients": 1, "ops": 1000, "elapsed_secs": 0.1,
-             "throughput_ops_per_sec": 10000.0,
-             "read_latency_us": {"count": 1000, "mean": 2.0, "p50": 1.5, "p90": 3.0, "p99": 5.0, "max": 9.0}},
-            {"read_path": {"mode": "lockfree_copy", "lockfree": 990, "fallback_locked": 10},
-             "clients": 1, "ops": 1000, "elapsed_secs": 0.08,
-             "throughput_ops_per_sec": 12500.0,
-             "read_latency_us": {"count": 1000, "mean": 1.6, "p50": 1.2, "p90": 2.4, "p99": 4.0, "max": 8.0}},
-            {"read_path": {"mode": "lockfree_zero_copy", "lockfree": 1000, "fallback_locked": 0},
-             "clients": 1, "ops": 1000, "elapsed_secs": 0.05,
-             "throughput_ops_per_sec": 20000.0,
-             "read_latency_us": {"count": 1000, "mean": 1.0, "p50": 0.8, "p90": 1.5, "p99": 1.9, "max": 5.0}}
-          ],
-          "comparison": {"clients": 1, "locked_ops_per_sec": 10000.0,
-            "zero_copy_ops_per_sec": 20000.0, "speedup": 2.0}
-        }"#
-        .to_owned()
-    }
-
     #[test]
-    fn accepts_minimal_read_report() {
-        validate_read_report(&parse(&minimal_read()).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn rejects_bad_read_reports() {
-        for (needle, replacement, expect) in [
-            ("read_path_ablation", "other_bench", "benchmark"),
-            (
-                "\"mode\": \"locked_copy\"",
-                "\"mode\": \"telepathy\"",
-                "mode",
-            ),
-            (
-                "\"mode\": \"lockfree_zero_copy\", \"lockfree\": 1000",
-                "\"mode\": \"lockfree_zero_copy\", \"lockfree\": 0",
-                "never took the fast path",
-            ),
-            (
-                "\"mode\": \"locked_copy\", \"lockfree\": 0",
-                "\"mode\": \"locked_copy\", \"lockfree\": 7",
-                "locked run reports lock-free reads",
-            ),
-            (
-                "\"mode\": \"lockfree_copy\"",
-                "\"mode\": \"lockfree_zero_copy\"",
-                "missing \"lockfree_copy\"",
-            ),
-            ("\"speedup\": 2.0", "\"speedup\": 9.0", "speedup"),
-        ] {
-            let doc = minimal_read().replace(needle, replacement);
-            let err = validate_read_report(&parse(&doc).unwrap()).unwrap_err();
-            assert!(err.contains(expect), "{expect}: got {err}");
-        }
-    }
-
-    #[test]
-    fn standalone_report_accepts_and_checks_read_path_block() {
-        let with_block = minimal().replace(
-            "\"read_latency_us\"",
-            "\"read_path\": {\"mode\": \"lockfree_zero_copy\", \"lockfree\": 95, \"fallback_locked\": 0},
-             \"read_latency_us\"",
-        );
-        validate_standalone_report(&parse(&with_block).unwrap()).unwrap();
-        let bad = with_block.replace("\"lockfree\": 95", "\"lockfree\": 0");
+    fn standalone_report_requires_and_checks_read_path_block() {
+        let bad = minimal().replace("\"lockfree\": 95", "\"lockfree\": 0");
         let err = validate_standalone_report(&parse(&bad).unwrap()).unwrap_err();
-        assert!(err.contains("fast path"), "got {err}");
+        assert!(err.contains("lock-free path"), "got {err}");
+        let missing = minimal().replace("\"read_path\"", "\"read_pathology\"");
+        let err = validate_standalone_report(&parse(&missing).unwrap()).unwrap_err();
+        assert!(err.contains("read_path"), "got {err}");
     }
 
     #[test]
@@ -939,71 +676,6 @@ mod tests {
         let missing = with_blocks.replace("\"write_service_ns\"", "\"write_service_zz\"");
         let err = validate_standalone_report(&parse(&missing).unwrap()).unwrap_err();
         assert!(err.contains("write_service_ns"), "got {err}");
-    }
-
-    fn minimal_cleaner() -> String {
-        r#"{
-          "schema_version": 1,
-          "benchmark": "cleaner_ablation",
-          "config": {"record_count": 2048, "ops_per_client": 2000, "clients": 2,
-            "value_bytes": 64, "shards": 2, "worker_threads": 2,
-            "memory_budget_bytes": 393216, "live_fraction": 0.58, "smoke": true},
-          "results": [
-            {"mode": "inline", "ops": 4000, "elapsed_secs": 0.8,
-             "throughput_ops_per_sec": 5000.0,
-             "write_latency_us": {"count": 4000, "mean": 10.0, "p50": 6.0, "p90": 20.0, "p99": 90.0, "max": 400.0},
-             "cleanings": 40, "segments_freed": 40, "segments_compacted": 0,
-             "survivor_bytes": 100000, "bytes_relocated": 100000,
-             "tombstones_dropped": 0, "cleaner_passes": 0, "cleaner_busy_ns": 0},
-            {"mode": "concurrent", "ops": 4000, "elapsed_secs": 0.4,
-             "throughput_ops_per_sec": 10000.0,
-             "write_latency_us": {"count": 4000, "mean": 6.0, "p50": 5.0, "p90": 12.0, "p99": 30.0, "max": 90.0},
-             "cleanings": 50, "segments_freed": 45, "segments_compacted": 12,
-             "survivor_bytes": 120000, "bytes_relocated": 120000,
-             "tombstones_dropped": 0, "cleaner_passes": 50, "cleaner_busy_ns": 9000000}
-          ],
-          "comparison": {"inline_ops_per_sec": 5000.0,
-            "concurrent_ops_per_sec": 10000.0, "speedup": 2.0}
-        }"#
-        .to_owned()
-    }
-
-    #[test]
-    fn accepts_minimal_cleaner_report() {
-        validate_cleaner_report(&parse(&minimal_cleaner()).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn rejects_bad_cleaner_reports() {
-        for (needle, replacement, expect) in [
-            ("cleaner_ablation", "other_bench", "benchmark"),
-            ("\"mode\": \"inline\"", "\"mode\": \"magic\"", "mode"),
-            (
-                "\"mode\": \"concurrent\"",
-                "\"mode\": \"concurrent_no_compaction\"",
-                "missing \"concurrent\"",
-            ),
-            ("\"speedup\": 2.0", "\"speedup\": 1.0", "speedup"),
-            (
-                "\"segments_freed\": 40",
-                "\"segments_freed\": 0",
-                "never cleaned",
-            ),
-            (
-                "\"cleaner_passes\": 0,",
-                "\"cleaner_passes\": 3,",
-                "background passes",
-            ),
-            (
-                "\"live_fraction\": 0.58",
-                "\"live_fraction\": 1.7",
-                "live_fraction",
-            ),
-        ] {
-            let doc = minimal_cleaner().replace(needle, replacement);
-            let err = validate_cleaner_report(&parse(&doc).unwrap()).unwrap_err();
-            assert!(err.contains(expect), "{expect}: got {err}");
-        }
     }
 
     fn minimal_obs() -> String {
@@ -1239,13 +911,11 @@ mod tests {
                 "\"results\": [], \"ignored\": [{",
                 "non-empty",
             ),
-            ("shard_affinity", "mystery_mode", "dispatch"),
             (
                 "\"read_fraction\": 0.95",
                 "\"read_fraction\": 1.5",
                 "read_fraction",
             ),
-            ("\"speedup\": 2.0", "\"speedup\": 3.0", "speedup"),
             ("\"p99\": 9.0, \"max\": 11.0", "\"max\": 11.0", "p99"),
         ] {
             let doc = minimal().replace(needle, replacement);

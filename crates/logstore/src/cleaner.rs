@@ -44,8 +44,8 @@
 //! deterministic driver used by the simulated engine and by tests.
 //!
 //! The paper's workloads were deliberately sized *not* to trigger the
-//! cleaner (Section III-C) — the cleaner-ablation benchmark measures
-//! exactly what the paper avoided.
+//! cleaner (Section III-C) — the cleaner comparison recorded in
+//! EXPERIMENTS.md measured exactly what the paper avoided.
 
 use std::collections::BTreeMap;
 
@@ -69,9 +69,6 @@ pub struct CleanerConfig {
     /// Do not clean segments with live fraction above this (cleaning them
     /// costs almost a full segment of writes for almost no gain).
     pub max_candidate_utilization: f64,
-    /// Enable the cheap in-memory compaction level. When off, every pass is
-    /// a combined clean.
-    pub compaction: bool,
     /// Most victims merged by one combined pass.
     pub max_victims: usize,
     /// Clean synchronously on the write path when free slots fall to
@@ -89,7 +86,6 @@ impl Default for CleanerConfig {
             min_free_slots: 2,
             target_free_slots: 4,
             max_candidate_utilization: 0.97,
-            compaction: true,
             max_victims: 8,
             proactive: true,
         }
@@ -372,7 +368,7 @@ impl Store {
         if free >= self.cleaner.target_free_slots {
             return None;
         }
-        if free <= self.cleaner.min_free_slots || !self.cleaner.compaction {
+        if free <= self.cleaner.min_free_slots {
             return Some(CleanKind::Combined);
         }
         Some(CleanKind::Compact)
@@ -1032,12 +1028,8 @@ mod tests {
             i += 1;
         }
         assert_eq!(s.clean_pressure(), Some(CleanKind::Combined));
-        // Compaction disabled: combined at any pressure level.
-        s.cleaner.compaction = false;
-        assert_eq!(s.clean_pressure(), Some(CleanKind::Combined));
         // The write rate widens the combined pass instead of moving the
         // trigger: a burst since the last pass plans more victims.
-        s.cleaner.compaction = true;
         s.last_clean_appended = s.log().total_appended_bytes();
         let quiet = s
             .prepare_clean(CleanKind::Combined)

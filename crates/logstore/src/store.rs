@@ -385,8 +385,8 @@ impl Store {
     }
 
     /// Reads a key into an [`ObjectView`] through the locked path (the
-    /// contended-read fallback and the `LockedCopy` ablation baseline). The
-    /// value is an owned copy, so the view pins no segment memory.
+    /// contended-read fallback of the lock-free [`ReadHandle`]). The value
+    /// is an owned copy, so the view pins no segment memory.
     pub fn read_view(&self, table: TableId, key: &[u8]) -> Option<ObjectView> {
         self.read(table, key).map(|o| ObjectView {
             table: o.table,

@@ -93,8 +93,8 @@ impl ReadCounters {
 
 /// How a [`ValueView`] holds its bytes.
 enum Repr {
-    /// An owned (copied) value — the `LockedCopy` baseline and the
-    /// contended-fallback representation. `Bytes` is refcounted, so clones
+    /// An owned (copied) value — what a locked read returns (the
+    /// contended-fallback representation). `Bytes` is refcounted, so clones
     /// of an owned view are still cheap.
     Owned(Bytes),
     /// A zero-copy window into a live segment buffer. The `Arc` keeps the
@@ -119,7 +119,7 @@ pub struct ValueView {
 }
 
 impl ValueView {
-    /// Wraps an owned, already-copied value (the non-zero-copy baseline).
+    /// Wraps an owned, already-copied value (a locked read's result).
     pub fn owned(bytes: Bytes) -> Self {
         ValueView {
             repr: Repr::Owned(bytes),

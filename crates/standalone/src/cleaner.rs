@@ -1,11 +1,11 @@
 //! Background cleaner threads: log cleaning off the write path.
 //!
 //! RAMCloud runs its log cleaner on dedicated cores so that service threads
-//! never stall on cleaning; the seed design here instead cleaned *inline*
-//! inside `Store::append` while holding the shard's write lock, stalling
-//! every writer behind a full cleaning pass. This module restores the
-//! RAMCloud shape at miniature scale: one `rmc-cleaner-{i}` thread per
-//! shard drives the engine's three-phase concurrent protocol —
+//! never stall on cleaning; cleaning *inline* inside `Store::append` holds
+//! the shard's write lock and stalls every writer behind a full cleaning
+//! pass. This module is the RAMCloud shape at miniature scale: one
+//! `rmc-cleaner-{i}` thread per shard drives the engine's three-phase
+//! concurrent protocol —
 //!
 //! 1. **prepare** under the shard *read* lock: pick victims by
 //!    cost-benefit, snapshot their live entries (service threads keep

@@ -5,12 +5,10 @@
 //! long before the worker pool does (§IV). This module holds the pieces the
 //! server uses to keep dispatch off the hot path:
 //!
-//! - [`DispatchMode`] selects between the seed architecture (one global
-//!   MPMC queue every operation crosses) and **shard affinity**, where each
-//!   worker owns a fixed subset of shards and receives only that subset's
-//!   writes over its own queue. With a single writer per shard, the
-//!   per-shard write lock is uncontended among workers, and reads can
-//!   bypass queues entirely.
+//! - [`worker_for_shard`] is **shard affinity**: each worker owns a fixed
+//!   subset of shards and receives only that subset's writes over its own
+//!   queue. With a single writer per shard, the per-shard write lock is
+//!   uncontended among workers, and reads bypass queues entirely.
 //! - [`BatchSlot`] / [`BatchGuard`] implement the pooled reply slot for
 //!   multi-operations: one allocation and one wakeup per *batch* instead of
 //!   one channel per *op*, with per-key results delivered in submission
@@ -22,23 +20,8 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-/// How client requests reach worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// The seed architecture: every operation (including reads) crosses one
-    /// global MPMC queue serviced by all workers. Kept as the measurable
-    /// baseline — this is what the paper's dispatch-limited curves look
-    /// like in miniature.
-    GlobalQueue,
-    /// Each worker owns the shards `s` with `s % workers == worker`, and
-    /// has a private request queue carrying only mutations of those shards.
-    /// Reads execute on the client thread directly against the shard (zero
-    /// queue crossings); writes are single-threaded per shard.
-    #[default]
-    ShardAffinity,
-}
-
-/// Maps shards to their owning worker under [`DispatchMode::ShardAffinity`].
+/// The worker that owns shard `shard`: the shards `s` with
+/// `s % workers == worker` share one private request queue.
 #[inline]
 pub(crate) fn worker_for_shard(shard: usize, workers: usize) -> usize {
     shard % workers

@@ -52,8 +52,7 @@ pub use cluster::{
     node_loop, ChannelFabric, Cluster, ClusterReport, Fabric, MiniClient, MiniCluster, NetClient,
     NetCluster, StorageFactory,
 };
-pub use dispatch::DispatchMode;
 pub use procs::{reserve_addrs, rmcd_sibling_path, FleetConfig, RmcdFleet};
 pub use repl::{parse_command, ParseCommandError, ReplCommand, HELP};
 pub use server::{Client, ClientError, ServerConfig, StandaloneServer, STAGE_SAMPLE};
-pub use shard::{ReadPath, ShardedStore};
+pub use shard::ShardedStore;

@@ -1,34 +1,38 @@
 //! A real multi-threaded single-node store.
 //!
 //! Mirrors the RAMCloud server architecture at miniature scale with actual
-//! threads, in either of two dispatch architectures (see [`DispatchMode`]):
+//! threads, built so that dispatch — the bottleneck the paper characterizes
+//! — stays off the hot path:
 //!
-//! - **Global queue** (the seed design, kept as the measurable baseline):
-//!   every operation crosses one MPMC channel and any worker executes it —
-//!   the dispatch-limited shape the paper characterizes.
-//! - **Shard affinity** (default): each worker owns a fixed subset of
-//!   shards and has a private queue carrying only mutations of those
-//!   shards, so writes to a shard are single-threaded and the per-shard
-//!   write lock is never contended by another worker. Reads skip dispatch
-//!   entirely: [`Client::read`] / [`Client::read_view`] execute on the
-//!   client thread against the shard — with the default
-//!   [`ReadPath::LockFreeZeroCopy`] engine mode they never even take the
-//!   shard lock (epoch-pinned lock-free index probe; `read_view` returns a
-//!   zero-copy view into the live segment).
+//! - **Shard-affinity dispatch.** Each worker owns a fixed subset of shards
+//!   and has a private queue carrying only mutations of those shards, so
+//!   writes to a shard are single-threaded and the per-shard write lock is
+//!   never contended by another worker.
+//! - **Zero-queue, lock-free, zero-copy reads.** [`Client::read`] /
+//!   [`Client::read_view`] execute on the client thread against the shard
+//!   through an epoch-pinned lock-free index probe; `read_view` returns a
+//!   zero-copy view into the live segment. Only a probe that keeps
+//!   colliding with the shard's writer falls back to the shard read lock.
+//! - **Background cleaning.** One cleaner thread per shard runs the
+//!   three-phase concurrent cleaner; the write path keeps only the
+//!   emergency inline clean for a log that is genuinely out of segments.
+//!
+//! Why this design and not one global MPMC queue, locked copying reads or
+//! inline cleaning: the measured comparisons are recorded in DESIGN.md
+//! §4c–§4e and EXPERIMENTS.md.
 //!
 //! Batched operations ([`Client::multiread`] / [`Client::multiwrite`])
-//! mirror RAMCloud's multi-ops: keys are grouped by destination worker and
-//! cross a queue once per worker per batch, replying through one pooled
-//! [`BatchSlot`](crate::dispatch) instead of a channel per key.
+//! mirror RAMCloud's multi-ops: written keys are grouped by destination
+//! worker and cross a queue once per worker per batch, replying through one
+//! pooled [`BatchSlot`](crate::dispatch) instead of a channel per key.
 //!
 //! ## Consistency
 //!
 //! Writes to one key are serialized by that shard's single writer and
 //! committed under the shard's write lock before the reply is sent, so a
 //! client that has seen a write acknowledged will observe it in subsequent
-//! fast-path reads (the read lock orders after the write-lock release). A
-//! read racing an *unacknowledged* write may return the older value — the
-//! same guarantee RAMCloud offers.
+//! reads. A read racing an *unacknowledged* write may return the older
+//! value — the same guarantee RAMCloud offers.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,17 +41,14 @@ use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use rmc_logstore::{
-    CleanerConfig, LogConfig, ObjectRecord, StoreError, TableId, Version, WriteOutcome,
+    CleanerConfig, LogConfig, ObjectRecord, ObjectView, StoreError, TableId, Version, WriteOutcome,
 };
-
 use rmc_obs::Sampler;
 use rmc_runtime::{HistogramHandle, MetricsRegistry, StripedCounter};
 
-use rmc_logstore::{ObjectView, ValueView};
-
 use crate::cleaner::CleanerPool;
-use crate::dispatch::{worker_for_shard, BatchGuard, BatchSlot, DispatchMode};
-use crate::shard::{ReadPath, ShardedStore};
+use crate::dispatch::{worker_for_shard, BatchGuard, BatchSlot};
+use crate::shard::ShardedStore;
 
 /// Configuration of a [`StandaloneServer`].
 #[derive(Debug, Clone)]
@@ -60,19 +61,6 @@ pub struct ServerConfig {
     pub log: LogConfig,
     /// Per-queue depth before submitters block.
     pub queue_capacity: usize,
-    /// How requests reach workers.
-    pub dispatch: DispatchMode,
-    /// How point reads are served by the engine (lock-free zero-copy by
-    /// default; see [`ReadPath`]).
-    pub read_path: ReadPath,
-    /// Per-shard cleaner policy (thresholds, compaction, victim limits).
-    pub cleaner: CleanerConfig,
-    /// Run the cleaner on background per-shard threads (the RAMCloud
-    /// shape) instead of inline on the write path. When set, proactive
-    /// inline cleaning is disabled — writers only clean as a last resort
-    /// when the log is genuinely out of segments and the background
-    /// thread has not caught up yet.
-    pub concurrent_cleaning: bool,
 }
 
 impl Default for ServerConfig {
@@ -86,10 +74,6 @@ impl Default for ServerConfig {
                 ordered_index: false,
             },
             queue_capacity: 1024,
-            dispatch: DispatchMode::ShardAffinity,
-            read_path: ReadPath::default(),
-            cleaner: CleanerConfig::default(),
-            concurrent_cleaning: true,
         }
     }
 }
@@ -128,31 +112,26 @@ impl StageObs {
     }
 }
 
+/// A queued mutation (or scan). Reads never enqueue: they run on the
+/// calling thread.
 enum Command {
     /// Tells one worker to exit (used by `shutdown`; outstanding `Client`
     /// handles keep the channel open, so closure alone cannot stop them).
     Shutdown,
-    Read {
-        table: TableId,
-        key: Vec<u8>,
-        reply: Sender<Option<ObjectRecord>>,
-        /// Enqueue stamp on sampled ops: the worker records the dispatch
-        /// queue wait and the in-store service time for this command.
-        queued: Option<Instant>,
-    },
     Write {
         table: TableId,
         key: Vec<u8>,
         value: Vec<u8>,
         reply: Sender<Result<WriteOutcome, StoreError>>,
-        /// Enqueue stamp on sampled ops (see `Command::Read`'s `queued`).
+        /// Enqueue stamp on sampled ops: the worker records the dispatch
+        /// queue wait and the in-store service time for this command.
         queued: Option<Instant>,
     },
     Delete {
         table: TableId,
         key: Vec<u8>,
         reply: Sender<Result<Option<Version>, StoreError>>,
-        /// Enqueue stamp on sampled ops (see `Command::Read`'s `queued`).
+        /// Enqueue stamp on sampled ops (see `Command::Write`'s `queued`).
         queued: Option<Instant>,
     },
     Scan {
@@ -161,15 +140,8 @@ enum Command {
         limit: usize,
         reply: Sender<Result<Vec<ObjectRecord>, StoreError>>,
     },
-    /// One worker's share of a `multiread` batch (global-queue mode; under
-    /// shard affinity reads never enqueue). Indices are the caller's
-    /// original key positions.
-    MultiRead {
-        table: TableId,
-        keys: Vec<(usize, Vec<u8>)>,
-        guard: BatchGuard<Option<ObjectRecord>>,
-    },
-    /// One worker's share of a `multiwrite` batch.
+    /// One worker's share of a `multiwrite` batch. Indices are the
+    /// caller's original key positions.
     MultiWrite {
         table: TableId,
         ops: Vec<(usize, Vec<u8>, Vec<u8>)>,
@@ -182,11 +154,7 @@ impl Command {
     fn op_count(&self) -> u64 {
         match self {
             Command::Shutdown => 0,
-            Command::Read { .. }
-            | Command::Write { .. }
-            | Command::Delete { .. }
-            | Command::Scan { .. } => 1,
-            Command::MultiRead { keys, .. } => keys.len() as u64,
+            Command::Write { .. } | Command::Delete { .. } | Command::Scan { .. } => 1,
             Command::MultiWrite { ops, .. } => ops.len() as u64,
         }
     }
@@ -196,11 +164,9 @@ impl std::fmt::Debug for Command {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             Command::Shutdown => "Shutdown",
-            Command::Read { .. } => "Read",
             Command::Write { .. } => "Write",
             Command::Delete { .. } => "Delete",
             Command::Scan { .. } => "Scan",
-            Command::MultiRead { .. } => "MultiRead",
             Command::MultiWrite { .. } => "MultiWrite",
         };
         write!(f, "Command::{name}")
@@ -239,12 +205,31 @@ pub struct Client {
     senders: Vec<Sender<Command>>,
     store: Arc<ShardedStore>,
     stopped: Arc<AtomicBool>,
-    mode: DispatchMode,
     fast_reads: Arc<StripedCounter>,
     obs: Arc<StageObs>,
 }
 
 impl Client {
+    /// Every call starts here: once the server was dropped or shut down,
+    /// nothing is served — whatever the queues still hold.
+    fn check_running(&self) -> Result<(), ClientError> {
+        if self.stopped.load(Ordering::Acquire) {
+            return Err(ClientError::ServerStopped);
+        }
+        Ok(())
+    }
+
+    /// The one place a command enters a worker queue. Checking the stop
+    /// flag here (not only the channel) matters after a non-blocking
+    /// `Drop`: a shutdown marker that found its queue full was lost, so the
+    /// worker is still draining and a bare `send` would still be served.
+    fn submit(&self, worker: usize, cmd: Command) -> Result<(), ClientError> {
+        self.check_running()?;
+        self.senders[worker]
+            .send(cmd)
+            .map_err(|_| ClientError::ServerStopped)
+    }
+
     /// Blocks for a reply. No timeout polling: when the server shuts down,
     /// unserviced commands are dropped with their reply senders, so the
     /// receiver disconnects and this wakes immediately.
@@ -252,90 +237,54 @@ impl Client {
         rx.recv().map_err(|_| ClientError::ServerStopped)
     }
 
-    /// The queue that owns mutations of `key` under the current mode.
-    fn sender_for(&self, table: TableId, key: &[u8]) -> &Sender<Command> {
-        match self.mode {
-            DispatchMode::GlobalQueue => &self.senders[0],
-            DispatchMode::ShardAffinity => {
-                let shard = self.store.shard_index(table, key);
-                &self.senders[worker_for_shard(shard, self.senders.len())]
-            }
-        }
+    /// The worker that owns mutations of `key`.
+    fn worker_for(&self, table: TableId, key: &[u8]) -> usize {
+        worker_for_shard(self.store.shard_index(table, key), self.senders.len())
     }
 
-    /// Reads a key.
-    ///
-    /// Under [`DispatchMode::ShardAffinity`] this is the zero-queue fast
-    /// path: it executes directly against the shard on the calling thread.
+    /// Reads a key into an owned record: no queue crossing, the read
+    /// executes directly against the shard on the calling thread.
     ///
     /// # Errors
     ///
     /// [`ClientError::ServerStopped`] if the server is gone.
     pub fn read(&self, table: TableId, key: &[u8]) -> Result<Option<ObjectRecord>, ClientError> {
-        match self.mode {
-            DispatchMode::ShardAffinity => {
-                if self.stopped.load(Ordering::Acquire) {
-                    return Err(ClientError::ServerStopped);
-                }
-                let t0 = self.obs.sample();
-                let shard = self.store.shard_index(table, key);
-                let got = self.store.read(table, key);
-                self.fast_reads.add(shard);
-                if let Some(t0) = t0 {
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    self.obs.read_service.record(ns);
-                    rmc_obs::tt_record!("fast-path read: {} ns (shard {})", ns, shard as u64);
-                }
-                Ok(got)
-            }
-            DispatchMode::GlobalQueue => {
-                let (reply, rx) = bounded(1);
-                self.senders[0]
-                    .send(Command::Read {
-                        table,
-                        key: key.to_vec(),
-                        reply,
-                        queued: self.obs.sample(),
-                    })
-                    .map_err(|_| ClientError::ServerStopped)?;
-                Self::await_reply(rx)
-            }
+        self.check_running()?;
+        let t0 = self.obs.sample();
+        let shard = self.store.shard_index(table, key);
+        let got = self.store.read(table, key);
+        self.fast_reads.add(shard);
+        if let Some(t0) = t0 {
+            let ns = t0.elapsed().as_nanos() as u64;
+            self.obs.read_service.record(ns);
+            rmc_obs::tt_record!("fast-path read: {} ns (shard {})", ns, shard as u64);
         }
+        Ok(got)
     }
 
-    /// Reads a key as an [`ObjectView`] — under the default
-    /// [`ReadPath::LockFreeZeroCopy`] engine mode and
-    /// [`DispatchMode::ShardAffinity`], a hit is served with **no queue, no
-    /// lock, and no copy**: the view points into the live segment and keeps
-    /// those bytes alive for as long as the caller holds it.
-    ///
-    /// Under [`DispatchMode::GlobalQueue`] the read crosses the worker
-    /// queue like any other op and the view owns a copy (the queue reply is
-    /// an owned record), so zero-copy is a fast-path property, not an API
-    /// guarantee — check [`ValueView::is_zero_copy`] when it matters.
+    /// Reads a key as an [`ObjectView`]: a hit is served with **no queue,
+    /// no lock, and no copy** — the view points into the live segment and
+    /// keeps those bytes alive for as long as the caller holds it. Only a
+    /// read that fell back to the shard lock (see
+    /// [`ShardedStore::read_view`]) owns a copy, so zero-copy is a
+    /// fast-path property, not an API guarantee — check
+    /// [`rmc_logstore::ValueView::is_zero_copy`] when it matters.
     ///
     /// # Errors
     ///
     /// [`ClientError::ServerStopped`] if the server is gone.
     pub fn read_view(&self, table: TableId, key: &[u8]) -> Result<Option<ObjectView>, ClientError> {
-        match self.mode {
-            DispatchMode::ShardAffinity => {
-                if self.stopped.load(Ordering::Acquire) {
-                    return Err(ClientError::ServerStopped);
-                }
-                let t0 = self.obs.sample();
-                let shard = self.store.shard_index(table, key);
-                let got = self.store.read_view(table, key);
-                self.fast_reads.add(shard);
-                if let Some(t0) = t0 {
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    self.obs.read_service.record(ns);
-                    rmc_obs::tt_record!("fast-path read_view: {} ns (shard {})", ns, shard as u64);
-                }
-                Ok(got)
-            }
-            DispatchMode::GlobalQueue => Ok(self.read(table, key)?.map(record_into_view)),
+        self.check_running()?;
+        let t0 = self.obs.sample();
+        let shard = self.store.shard_index(table, key);
+        let got = self.store.read_view(table, key);
+        self.fast_reads.add(shard);
+        if let Some(t0) = t0 {
+            let ns = t0.elapsed().as_nanos() as u64;
+            self.obs.read_service.record(ns);
+            rmc_obs::tt_record!("fast-path read_view: {} ns (shard {})", ns, shard as u64);
         }
+        Ok(got)
     }
 
     /// Reads many keys as [`ObjectView`]s (the zero-copy flavor of
@@ -350,30 +299,16 @@ impl Client {
         table: TableId,
         keys: &[&[u8]],
     ) -> Result<Vec<Option<ObjectView>>, ClientError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        match self.mode {
-            DispatchMode::ShardAffinity => {
-                if self.stopped.load(Ordering::Acquire) {
-                    return Err(ClientError::ServerStopped);
-                }
-                Ok(keys
-                    .iter()
-                    .map(|key| {
-                        let shard = self.store.shard_index(table, key);
-                        let got = self.store.read_view(table, key);
-                        self.fast_reads.add(shard);
-                        got
-                    })
-                    .collect())
-            }
-            DispatchMode::GlobalQueue => Ok(self
-                .multiread(table, keys)?
-                .into_iter()
-                .map(|got| got.map(record_into_view))
-                .collect()),
-        }
+        self.check_running()?;
+        Ok(keys
+            .iter()
+            .map(|key| {
+                let shard = self.store.shard_index(table, key);
+                let got = self.store.read_view(table, key);
+                self.fast_reads.add(shard);
+                got
+            })
+            .collect())
     }
 
     /// Writes a key.
@@ -388,15 +323,16 @@ impl Client {
         value: &[u8],
     ) -> Result<WriteOutcome, ClientError> {
         let (reply, rx) = bounded(1);
-        self.sender_for(table, key)
-            .send(Command::Write {
+        self.submit(
+            self.worker_for(table, key),
+            Command::Write {
                 table,
                 key: key.to_vec(),
                 value: value.to_vec(),
                 reply,
                 queued: self.obs.sample(),
-            })
-            .map_err(|_| ClientError::ServerStopped)?;
+            },
+        )?;
         Self::await_reply(rx)?.map_err(Into::into)
     }
 
@@ -407,14 +343,15 @@ impl Client {
     /// [`ClientError::ServerStopped`] or a propagated [`StoreError`].
     pub fn delete(&self, table: TableId, key: &[u8]) -> Result<Option<Version>, ClientError> {
         let (reply, rx) = bounded(1);
-        self.sender_for(table, key)
-            .send(Command::Delete {
+        self.submit(
+            self.worker_for(table, key),
+            Command::Delete {
                 table,
                 key: key.to_vec(),
                 reply,
                 queued: self.obs.sample(),
-            })
-            .map_err(|_| ClientError::ServerStopped)?;
+            },
+        )?;
         Self::await_reply(rx)?.map_err(Into::into)
     }
 
@@ -433,23 +370,21 @@ impl Client {
         limit: usize,
     ) -> Result<Vec<ObjectRecord>, ClientError> {
         let (reply, rx) = bounded(1);
-        self.senders[0]
-            .send(Command::Scan {
+        self.submit(
+            0,
+            Command::Scan {
                 table,
                 start_key: start_key.to_vec(),
                 limit,
                 reply,
-            })
-            .map_err(|_| ClientError::ServerStopped)?;
+            },
+        )?;
         Self::await_reply(rx)?.map_err(Into::into)
     }
 
-    /// Reads many keys at once (RAMCloud's multi-read). Results come back
-    /// in `keys` order.
-    ///
-    /// Under shard affinity this executes entirely on the calling thread
-    /// (reads never enqueue); under the global queue the whole batch
-    /// crosses the queue once instead of once per key.
+    /// Reads many keys at once (RAMCloud's multi-read), entirely on the
+    /// calling thread — reads never enqueue. Results come back in `keys`
+    /// order.
     ///
     /// # Errors
     ///
@@ -460,43 +395,16 @@ impl Client {
         table: TableId,
         keys: &[&[u8]],
     ) -> Result<Vec<Option<ObjectRecord>>, ClientError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        match self.mode {
-            DispatchMode::ShardAffinity => {
-                if self.stopped.load(Ordering::Acquire) {
-                    return Err(ClientError::ServerStopped);
-                }
-                Ok(keys
-                    .iter()
-                    .map(|key| {
-                        let shard = self.store.shard_index(table, key);
-                        let got = self.store.read(table, key);
-                        self.fast_reads.add(shard);
-                        got
-                    })
-                    .collect())
-            }
-            DispatchMode::GlobalQueue => {
-                let slot = BatchSlot::new(keys.len());
-                let guard = BatchGuard::new(Arc::clone(&slot), keys.len());
-                let cmd = Command::MultiRead {
-                    table,
-                    keys: keys
-                        .iter()
-                        .enumerate()
-                        .map(|(i, k)| (i, k.to_vec()))
-                        .collect(),
-                    guard,
-                };
-                // A failed send drops the command, whose guard aborts the
-                // slot — wait() below then reports the stop; same for a
-                // command dropped unexecuted during shutdown.
-                let _ = self.senders[0].send(cmd);
-                slot.wait().map_err(|()| ClientError::ServerStopped)
-            }
-        }
+        self.check_running()?;
+        Ok(keys
+            .iter()
+            .map(|key| {
+                let shard = self.store.shard_index(table, key);
+                let got = self.store.read(table, key);
+                self.fast_reads.add(shard);
+                got
+            })
+            .collect())
     }
 
     /// Writes many key/value pairs at once (RAMCloud's multi-write). Keys
@@ -514,6 +422,7 @@ impl Client {
         table: TableId,
         ops: &[(&[u8], &[u8])],
     ) -> Result<Vec<Result<WriteOutcome, StoreError>>, ClientError> {
+        self.check_running()?;
         if ops.is_empty() {
             return Ok(Vec::new());
         }
@@ -523,38 +432,26 @@ impl Client {
         let mut groups: Vec<Vec<IndexedWrite>> =
             (0..self.senders.len()).map(|_| Vec::new()).collect();
         for (i, (key, value)) in ops.iter().enumerate() {
-            let queue = match self.mode {
-                DispatchMode::GlobalQueue => 0,
-                DispatchMode::ShardAffinity => {
-                    worker_for_shard(self.store.shard_index(table, key), self.senders.len())
-                }
-            };
-            groups[queue].push((i, key.to_vec(), value.to_vec()));
+            groups[self.worker_for(table, key)].push((i, key.to_vec(), value.to_vec()));
         }
-        for (queue, group) in groups.into_iter().enumerate() {
+        for (worker, group) in groups.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
             let guard = BatchGuard::new(Arc::clone(&slot), group.len());
-            // On send failure the dropped command's guard aborts the slot;
-            // wait() reports the stop once every group resolves.
-            let _ = self.senders[queue].send(Command::MultiWrite {
-                table,
-                ops: group,
-                guard,
-            });
+            // A refused submit drops the command, whose guard aborts the
+            // slot — wait() below then reports the stop once every group
+            // resolves; same for a command dropped unexecuted by shutdown.
+            let _ = self.submit(
+                worker,
+                Command::MultiWrite {
+                    table,
+                    ops: group,
+                    guard,
+                },
+            );
         }
         slot.wait().map_err(|()| ClientError::ServerStopped)
-    }
-}
-
-/// Wraps an owned record as a view (the queue-crossing read paths, where
-/// the bytes were already copied to build the reply).
-fn record_into_view(record: ObjectRecord) -> ObjectView {
-    ObjectView {
-        table: record.table,
-        version: record.version,
-        value: ValueView::owned(record.value),
     }
 }
 
@@ -562,11 +459,10 @@ fn record_into_view(record: ObjectRecord) -> ObjectView {
 #[derive(Debug)]
 pub struct StandaloneServer {
     store: Arc<ShardedStore>,
-    senders: Option<Vec<Sender<Command>>>,
+    senders: Vec<Sender<Command>>,
     workers: Vec<JoinHandle<u64>>,
-    cleaners: Option<CleanerPool>,
+    cleaners: CleanerPool,
     metrics: MetricsRegistry,
-    mode: DispatchMode,
     queued_ops: Arc<AtomicU64>,
     fast_reads: Arc<StripedCounter>,
     stopped: Arc<AtomicBool>,
@@ -574,49 +470,36 @@ pub struct StandaloneServer {
 }
 
 impl StandaloneServer {
-    /// Starts the server with its worker threads.
+    /// Starts the server with its worker and cleaner threads.
     ///
     /// # Panics
     ///
     /// Panics if `config.worker_threads` or `config.shards` is zero.
     pub fn start(config: ServerConfig) -> Self {
         assert!(config.worker_threads > 0, "need at least one worker");
-        let mut cleaner = config.cleaner;
-        if config.concurrent_cleaning {
-            // The background threads do the proactive work; the write path
-            // keeps only the emergency inline clean for true out-of-memory.
-            cleaner.proactive = false;
-        }
-        let store = Arc::new(ShardedStore::with_read_path(
+        // The background threads do the proactive cleaning; the write path
+        // keeps only the emergency inline clean for true out-of-memory.
+        let cleaner = CleanerConfig {
+            proactive: false,
+            ..CleanerConfig::default()
+        };
+        let store = Arc::new(ShardedStore::with_cleaner(
             config.shards,
             config.log.clone(),
             cleaner,
-            config.read_path,
         ));
         let metrics = MetricsRegistry::new();
         store.attach_fallback_dwell(metrics.histogram("stage.fallback_locked_ns"));
-        let cleaners = (config.concurrent_cleaning && cleaner.enabled)
-            .then(|| CleanerPool::start(&store, &metrics));
+        let cleaners = CleanerPool::start(&store, &metrics);
         let queued_ops = Arc::new(AtomicU64::new(0));
         let fast_reads = Arc::new(StripedCounter::new(config.shards));
         let stopped = Arc::new(AtomicBool::new(false));
         let obs = Arc::new(StageObs::new(&metrics));
 
-        // Global mode: one shared MPMC queue. Affinity mode: a private
-        // queue per worker, so a shard's mutations form a single stream.
-        let (senders, receivers): (Vec<Sender<Command>>, Vec<Receiver<Command>>) =
-            match config.dispatch {
-                DispatchMode::GlobalQueue => {
-                    let (tx, rx) = bounded::<Command>(config.queue_capacity);
-                    (
-                        vec![tx],
-                        (0..config.worker_threads).map(|_| rx.clone()).collect(),
-                    )
-                }
-                DispatchMode::ShardAffinity => (0..config.worker_threads)
-                    .map(|_| bounded::<Command>(config.queue_capacity))
-                    .unzip(),
-            };
+        // A private queue per worker, so a shard's mutations form a single
+        // stream.
+        let queues = (0..config.worker_threads).map(|_| bounded(config.queue_capacity));
+        let (senders, receivers): (Vec<Sender<Command>>, Vec<Receiver<Command>>) = queues.unzip();
 
         let workers = receivers
             .into_iter()
@@ -634,11 +517,10 @@ impl StandaloneServer {
 
         StandaloneServer {
             store,
-            senders: Some(senders),
+            senders,
             workers,
             cleaners,
             metrics,
-            mode: config.dispatch,
             queued_ops,
             fast_reads,
             stopped,
@@ -647,16 +529,11 @@ impl StandaloneServer {
     }
 
     /// A new client handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`StandaloneServer::shutdown`].
     pub fn client(&self) -> Client {
         Client {
-            senders: self.senders.as_ref().expect("server not shut down").clone(),
+            senders: self.senders.clone(),
             store: Arc::clone(&self.store),
             stopped: Arc::clone(&self.stopped),
-            mode: self.mode,
             fast_reads: Arc::clone(&self.fast_reads),
             obs: Arc::clone(&self.obs),
         }
@@ -673,16 +550,10 @@ impl StandaloneServer {
     /// busy nanoseconds, and the reclamation epoch-lag gauge — and
     /// re-export the engine's read-path counters under `read.{shard}.*`
     /// (`lockfree`, `fallback_locked`, and the `value_views_live` /
-    /// `limbo_held_by_views` gauges). The read metrics are published by the
-    /// cleaner threads, so they are absent when `concurrent_cleaning` is
-    /// off; [`ShardedStore::stats`] is always authoritative.
+    /// `limbo_held_by_views` gauges); [`ShardedStore::stats`] is always
+    /// authoritative.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The dispatch architecture this server runs.
-    pub fn dispatch_mode(&self) -> DispatchMode {
-        self.mode
     }
 
     /// Operations executed so far (queued ops plus fast-path reads).
@@ -696,26 +567,16 @@ impl StandaloneServer {
     ///
     /// Outstanding [`Client`] handles keep working until the last worker
     /// consumes its shutdown marker. Afterwards their calls return
-    /// [`ClientError::ServerStopped`]: new sends fail, and requests that
-    /// were queued behind a marker are dropped when the worker's receiver
-    /// goes away — which disconnects their reply channels and wakes the
-    /// blocked callers (no timeout polling anywhere).
+    /// [`ClientError::ServerStopped`]: new submissions are refused, and
+    /// requests that were queued behind a marker are dropped when the
+    /// worker's receiver goes away — which disconnects their reply channels
+    /// and wakes the blocked callers (no timeout polling anywhere).
     pub fn shutdown(mut self) -> Vec<u64> {
-        if let Some(senders) = self.senders.take() {
-            // Blocking send: queued work drains first, then each worker
-            // consumes exactly one marker and exits.
-            match self.mode {
-                DispatchMode::GlobalQueue => {
-                    for _ in 0..self.workers.len() {
-                        let _ = senders[0].send(Command::Shutdown);
-                    }
-                }
-                DispatchMode::ShardAffinity => {
-                    for tx in &senders {
-                        let _ = tx.send(Command::Shutdown);
-                    }
-                }
-            }
+        // Blocking send: queued work drains first, then each worker
+        // consumes exactly one marker and exits. Taking the senders leaves
+        // `Drop` nothing to post.
+        for tx in std::mem::take(&mut self.senders) {
+            let _ = tx.send(Command::Shutdown);
         }
         let served: Vec<u64> = self
             .workers
@@ -724,12 +585,9 @@ impl StandaloneServer {
             .collect();
         // Workers are gone; no more writes can arrive, so the cleaners can
         // stop after at most one final pass.
-        if let Some(mut cleaners) = self.cleaners.take() {
-            cleaners.stop_and_join();
-        }
+        self.cleaners.stop_and_join();
         // Flag only after the join: requests queued ahead of the markers
-        // were still serviced; anything later now errors out promptly
-        // (including fast-path reads, which check this flag).
+        // were still serviced; anything later now errors out promptly.
         self.stopped.store(true, Ordering::Release);
         served
     }
@@ -738,22 +596,14 @@ impl StandaloneServer {
 impl Drop for StandaloneServer {
     fn drop(&mut self) {
         // Non-blocking teardown (C-DTOR-BLOCK): flag shutdown, post markers,
-        // and detach; workers drain and exit on their own. `shutdown` is the
-        // blocking, checked alternative.
+        // and detach. The flag is what stops service — every `Client` call
+        // checks it — so a marker that finds its queue full may be lost:
+        // that worker drains what was already queued and exits once the
+        // last `Client` clone is gone. `shutdown` is the blocking, checked
+        // alternative.
         self.stopped.store(true, Ordering::Release);
-        if let Some(senders) = self.senders.take() {
-            match self.mode {
-                DispatchMode::GlobalQueue => {
-                    for _ in 0..self.workers.len() {
-                        let _ = senders[0].try_send(Command::Shutdown);
-                    }
-                }
-                DispatchMode::ShardAffinity => {
-                    for tx in &senders {
-                        let _ = tx.try_send(Command::Shutdown);
-                    }
-                }
-            }
+        for tx in &self.senders {
+            let _ = tx.try_send(Command::Shutdown);
         }
     }
 }
@@ -776,10 +626,10 @@ fn worker_loop(
             Instant::now()
         })
     };
-    let finish = |hist: &HistogramHandle, start: Option<Instant>| {
+    let finish = |start: Option<Instant>| {
         if let Some(s) = start {
             let ns = s.elapsed().as_nanos() as u64;
-            hist.record(ns);
+            obs.write_service.record(ns);
             rmc_obs::tt_record!("store service: {} ns", ns);
         }
     };
@@ -792,17 +642,6 @@ fn worker_loop(
         counter.fetch_add(ops, Ordering::Relaxed);
         match cmd {
             Command::Shutdown => break,
-            Command::Read {
-                table,
-                key,
-                reply,
-                queued,
-            } => {
-                let start = dequeue(queued);
-                let got = store.read(table, &key);
-                finish(&obs.read_service, start);
-                let _ = reply.send(got);
-            }
             Command::Write {
                 table,
                 key,
@@ -812,7 +651,7 @@ fn worker_loop(
             } => {
                 let start = dequeue(queued);
                 let res = store.write(table, &key, &value);
-                finish(&obs.write_service, start);
+                finish(start);
                 let _ = reply.send(res);
             }
             Command::Delete {
@@ -823,7 +662,7 @@ fn worker_loop(
             } => {
                 let start = dequeue(queued);
                 let res = store.delete(table, &key);
-                finish(&obs.write_service, start);
+                finish(start);
                 let _ = reply.send(res);
             }
             Command::Scan {
@@ -833,15 +672,6 @@ fn worker_loop(
                 reply,
             } => {
                 let _ = reply.send(store.scan(table, &start_key, limit));
-            }
-            Command::MultiRead {
-                table,
-                keys,
-                mut guard,
-            } => {
-                for (index, key) in keys {
-                    guard.complete(index, store.read(table, &key));
-                }
             }
             Command::MultiWrite {
                 table,
@@ -867,13 +697,6 @@ mod tests {
         StandaloneServer::start(ServerConfig::default())
     }
 
-    fn server_with(dispatch: DispatchMode) -> StandaloneServer {
-        StandaloneServer::start(ServerConfig {
-            dispatch,
-            ..ServerConfig::default()
-        })
-    }
-
     #[test]
     fn roundtrip_through_worker_pool() {
         let srv = server();
@@ -891,45 +714,29 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_through_global_queue() {
-        let srv = server_with(DispatchMode::GlobalQueue);
-        let client = srv.client();
-        client.write(T, b"k", b"v").unwrap();
-        let got = client.read(T, b"k").unwrap().unwrap();
-        assert_eq!(&got.value[..], b"v");
-        assert_eq!(client.delete(T, b"k").unwrap(), Some(Version(1)));
-        assert_eq!(client.read(T, b"k").unwrap(), None);
-        // In the baseline every op crosses the queue.
-        let served: u64 = srv.shutdown().iter().sum();
-        assert_eq!(served, 4);
-    }
-
-    #[test]
     fn many_threads_many_clients() {
-        for mode in [DispatchMode::ShardAffinity, DispatchMode::GlobalQueue] {
-            let srv = server_with(mode);
-            let handles: Vec<_> = (0..8)
-                .map(|t| {
-                    let client = srv.client();
-                    std::thread::spawn(move || {
-                        for i in 0..200 {
-                            let key = format!("c{t}-{i}");
-                            client
-                                .write(T, key.as_bytes(), format!("{i}").as_bytes())
-                                .unwrap();
-                            let got = client.read(T, key.as_bytes()).unwrap().unwrap();
-                            assert_eq!(&got.value[..], format!("{i}").as_bytes());
-                        }
-                    })
+        let srv = server();
+        let handles: Vec<_> = (0..8)
+            .map(|t| {
+                let client = srv.client();
+                std::thread::spawn(move || {
+                    for i in 0..200 {
+                        let key = format!("c{t}-{i}");
+                        client
+                            .write(T, key.as_bytes(), format!("{i}").as_bytes())
+                            .unwrap();
+                        let got = client.read(T, key.as_bytes()).unwrap().unwrap();
+                        assert_eq!(&got.value[..], format!("{i}").as_bytes());
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(srv.store().object_count(), 1600);
-            assert_eq!(srv.ops_executed(), 8 * 200 * 2);
-            srv.shutdown();
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        assert_eq!(srv.store().object_count(), 1600);
+        assert_eq!(srv.ops_executed(), 8 * 200 * 2);
+        srv.shutdown();
     }
 
     #[test]
@@ -941,41 +748,12 @@ mod tests {
         assert_eq!(&view.value[..], b"view-bytes");
         assert!(
             view.value.is_zero_copy(),
-            "shard-affinity + zero-copy mode must not copy"
+            "an uncontended fast-path read must not copy"
         );
         assert_eq!(srv.store().stats().value_views_live, 1);
         drop(view);
         assert_eq!(srv.store().stats().value_views_live, 0);
         assert!(client.read_view(T, b"missing").unwrap().is_none());
-        srv.shutdown();
-    }
-
-    #[test]
-    fn read_view_through_global_queue_is_owned() {
-        let srv = server_with(DispatchMode::GlobalQueue);
-        let client = srv.client();
-        client.write(T, b"k", b"v").unwrap();
-        let view = client.read_view(T, b"k").unwrap().expect("present");
-        assert_eq!(&view.value[..], b"v");
-        assert!(!view.value.is_zero_copy(), "queue replies are owned copies");
-        srv.shutdown();
-    }
-
-    #[test]
-    fn read_respects_configured_read_path() {
-        let srv = StandaloneServer::start(ServerConfig {
-            read_path: ReadPath::LockedCopy,
-            ..ServerConfig::default()
-        });
-        let client = srv.client();
-        client.write(T, b"k", b"v").unwrap();
-        let view = client.read_view(T, b"k").unwrap().expect("present");
-        assert!(!view.value.is_zero_copy());
-        let stats = srv.store().stats();
-        assert_eq!(
-            stats.read_lockfree, 0,
-            "locked baseline must not go lock-free"
-        );
         srv.shutdown();
     }
 
@@ -1003,32 +781,30 @@ mod tests {
 
     #[test]
     fn multiread_views_preserves_order() {
-        for mode in [DispatchMode::ShardAffinity, DispatchMode::GlobalQueue] {
-            let srv = server_with(mode);
-            let client = srv.client();
-            for i in 0..16 {
-                client
-                    .write(T, format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
-                    .unwrap();
-            }
-            let keys: Vec<Vec<u8>> = (0..20)
-                .map(|i| format!("k{}", 19 - i).into_bytes())
-                .collect();
-            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            let got = client.multiread_views(T, &refs).unwrap();
-            assert_eq!(got.len(), 20);
-            for (i, entry) in got.iter().enumerate() {
-                let idx = 19 - i;
-                if idx < 16 {
-                    let view = entry.as_ref().expect("present key");
-                    assert_eq!(&view.value[..], format!("v{idx}").as_bytes());
-                } else {
-                    assert!(entry.is_none());
-                }
-            }
-            assert!(client.multiread_views(T, &[]).unwrap().is_empty());
-            srv.shutdown();
+        let srv = server();
+        let client = srv.client();
+        for i in 0..16 {
+            client
+                .write(T, format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
+                .unwrap();
         }
+        let keys: Vec<Vec<u8>> = (0..20)
+            .map(|i| format!("k{}", 19 - i).into_bytes())
+            .collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let got = client.multiread_views(T, &refs).unwrap();
+        assert_eq!(got.len(), 20);
+        for (i, entry) in got.iter().enumerate() {
+            let idx = 19 - i;
+            if idx < 16 {
+                let view = entry.as_ref().expect("present key");
+                assert_eq!(&view.value[..], format!("v{idx}").as_bytes());
+            } else {
+                assert!(entry.is_none());
+            }
+        }
+        assert!(client.multiread_views(T, &[]).unwrap().is_empty());
+        srv.shutdown();
     }
 
     #[test]
@@ -1061,22 +837,20 @@ mod tests {
 
     #[test]
     fn clients_error_after_shutdown() {
-        for mode in [DispatchMode::ShardAffinity, DispatchMode::GlobalQueue] {
-            let srv = server_with(mode);
-            let client = srv.client();
-            client.write(T, b"k", b"v").unwrap();
-            srv.shutdown();
-            assert_eq!(client.read(T, b"k"), Err(ClientError::ServerStopped));
-            assert_eq!(client.write(T, b"k", b"v"), Err(ClientError::ServerStopped));
-            assert_eq!(
-                client.multiread(T, &[b"k"]),
-                Err(ClientError::ServerStopped)
-            );
-            assert_eq!(
-                client.multiwrite(T, &[(b"k".as_slice(), b"v".as_slice())]),
-                Err(ClientError::ServerStopped)
-            );
-        }
+        let srv = server();
+        let client = srv.client();
+        client.write(T, b"k", b"v").unwrap();
+        srv.shutdown();
+        assert_eq!(client.read(T, b"k"), Err(ClientError::ServerStopped));
+        assert_eq!(client.write(T, b"k", b"v"), Err(ClientError::ServerStopped));
+        assert_eq!(
+            client.multiread(T, &[b"k"]),
+            Err(ClientError::ServerStopped)
+        );
+        assert_eq!(
+            client.multiwrite(T, &[(b"k".as_slice(), b"v".as_slice())]),
+            Err(ClientError::ServerStopped)
+        );
     }
 
     #[test]
@@ -1115,59 +889,55 @@ mod tests {
 
     #[test]
     fn multiread_returns_results_in_key_order() {
-        for mode in [DispatchMode::ShardAffinity, DispatchMode::GlobalQueue] {
-            let srv = server_with(mode);
-            let client = srv.client();
-            for i in 0..32 {
-                client
-                    .write(T, format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
-                    .unwrap();
-            }
-            // Present and missing keys interleaved, order must be preserved.
-            let keys: Vec<Vec<u8>> = (0..40)
-                .map(|i| format!("k{}", 39 - i).into_bytes())
-                .collect();
-            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            let got = client.multiread(T, &refs).unwrap();
-            assert_eq!(got.len(), 40);
-            for (i, entry) in got.iter().enumerate() {
-                let idx = 39 - i;
-                if idx < 32 {
-                    let rec = entry.as_ref().expect("present key");
-                    assert_eq!(&rec.value[..], format!("v{idx}").as_bytes());
-                } else {
-                    assert!(entry.is_none(), "key k{idx} must be a miss");
-                }
-            }
-            assert!(client.multiread(T, &[]).unwrap().is_empty());
-            srv.shutdown();
+        let srv = server();
+        let client = srv.client();
+        for i in 0..32 {
+            client
+                .write(T, format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
+                .unwrap();
         }
+        // Present and missing keys interleaved, order must be preserved.
+        let keys: Vec<Vec<u8>> = (0..40)
+            .map(|i| format!("k{}", 39 - i).into_bytes())
+            .collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let got = client.multiread(T, &refs).unwrap();
+        assert_eq!(got.len(), 40);
+        for (i, entry) in got.iter().enumerate() {
+            let idx = 39 - i;
+            if idx < 32 {
+                let rec = entry.as_ref().expect("present key");
+                assert_eq!(&rec.value[..], format!("v{idx}").as_bytes());
+            } else {
+                assert!(entry.is_none(), "key k{idx} must be a miss");
+            }
+        }
+        assert!(client.multiread(T, &[]).unwrap().is_empty());
+        srv.shutdown();
     }
 
     #[test]
     fn multiwrite_reports_per_key_outcomes_in_order() {
-        for mode in [DispatchMode::ShardAffinity, DispatchMode::GlobalQueue] {
-            let srv = server_with(mode);
-            let client = srv.client();
-            let huge = vec![0u8; rmc_logstore::MAX_VALUE_BYTES + 1];
-            let ops: Vec<(&[u8], &[u8])> = vec![
-                (b"a", b"1"),
-                (b"b", &huge), // per-key failure, not a batch failure
-                (b"c", b"3"),
-                (b"a", b"4"), // overwrite in the same batch
-            ];
-            let got = client.multiwrite(T, &ops).unwrap();
-            assert_eq!(got.len(), 4);
-            assert!(got[0].is_ok());
-            assert_eq!(got[1], Err(StoreError::ValueTooLarge));
-            assert!(got[2].is_ok());
-            // Same key twice in one batch: versions must be monotone and
-            // the final value must be the later op's.
-            assert_eq!(got[3].as_ref().unwrap().version, Version(2));
-            assert_eq!(&client.read(T, b"a").unwrap().unwrap().value[..], b"4");
-            assert!(client.multiwrite(T, &[]).unwrap().is_empty());
-            srv.shutdown();
-        }
+        let srv = server();
+        let client = srv.client();
+        let huge = vec![0u8; rmc_logstore::MAX_VALUE_BYTES + 1];
+        let ops: Vec<(&[u8], &[u8])> = vec![
+            (b"a", b"1"),
+            (b"b", &huge), // per-key failure, not a batch failure
+            (b"c", b"3"),
+            (b"a", b"4"), // overwrite in the same batch
+        ];
+        let got = client.multiwrite(T, &ops).unwrap();
+        assert_eq!(got.len(), 4);
+        assert!(got[0].is_ok());
+        assert_eq!(got[1], Err(StoreError::ValueTooLarge));
+        assert!(got[2].is_ok());
+        // Same key twice in one batch: versions must be monotone and
+        // the final value must be the later op's.
+        assert_eq!(got[3].as_ref().unwrap().version, Version(2));
+        assert_eq!(&client.read(T, b"a").unwrap().unwrap().value[..], b"4");
+        assert!(client.multiwrite(T, &[]).unwrap().is_empty());
+        srv.shutdown();
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! RAMCloud shards its hash table across threads; here the whole engine is
 //! sharded by key hash, each shard its own [`rmc_logstore::Store`] behind a
 //! `parking_lot::RwLock`. Writes, deletes, and cleaning take the write
-//! lock. Reads are governed by [`ReadPath`]: the default serves them
-//! through a per-shard lock-free [`ReadHandle`] (epoch-pinned seqlock
-//! probe, zero-copy [`ObjectView`] result), falling back to the shard read
-//! lock only when a probe keeps colliding with the writer. Shards are
-//! independent, so operations on different shards run fully in parallel.
+//! lock. Reads are served through a per-shard lock-free [`ReadHandle`]
+//! (epoch-pinned seqlock probe, zero-copy [`ObjectView`] result), falling
+//! back to the shard read lock only when a probe keeps colliding with the
+//! writer. Shards are independent, so operations on different shards run
+//! fully in parallel.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -16,38 +16,9 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use rmc_logstore::{
     key_hash, CleanerConfig, LogConfig, ObjectRecord, ObjectView, ReadHandle, Store, StoreError,
-    StoreStats, TableId, ValueView, Version, WriteOutcome,
+    StoreStats, TableId, Version, WriteOutcome,
 };
 use rmc_runtime::HistogramHandle;
-
-/// Which machinery serves point reads ([`ShardedStore::read`] /
-/// [`ShardedStore::read_view`]).
-///
-/// The three variants form the ablation axis of the `read_path` benchmark:
-/// each one removes a cost from the previous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// The seed baseline: take the shard read lock, copy the value out.
-    LockedCopy,
-    /// Lock-free epoch-pinned index probe, but still copy the value into an
-    /// owned buffer before returning (isolates locking cost from copy cost).
-    LockFreeCopy,
-    /// Lock-free probe returning a [`ValueView`] directly into the live
-    /// segment — no lock, no copy.
-    #[default]
-    LockFreeZeroCopy,
-}
-
-impl ReadPath {
-    /// Stable snake_case name, as emitted in benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReadPath::LockedCopy => "locked_copy",
-            ReadPath::LockFreeCopy => "lockfree_copy",
-            ReadPath::LockFreeZeroCopy => "lockfree_zero_copy",
-        }
-    }
-}
 
 /// A thread-safe key-value store sharded over independent log-structured
 /// stores.
@@ -71,7 +42,6 @@ pub struct ShardedStore {
     /// One lock-free reader per shard, built before the stores go behind
     /// their locks. Cloning a handle is cheap; these are the originals.
     handles: Vec<ReadHandle>,
-    read_path: ReadPath,
     /// Dwell-time histogram for reads that fell back to the shard lock
     /// (cleaner interference on the read path). Attached once by whoever
     /// owns a [`rmc_runtime::MetricsRegistry`]; untimed until then.
@@ -95,20 +65,6 @@ impl ShardedStore {
     ///
     /// Panics if `shards` is zero.
     pub fn with_cleaner(shards: usize, config: LogConfig, cleaner: CleanerConfig) -> Self {
-        Self::with_read_path(shards, config, cleaner, ReadPath::default())
-    }
-
-    /// Creates a store with an explicit cleaner policy and read path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_read_path(
-        shards: usize,
-        config: LogConfig,
-        cleaner: CleanerConfig,
-        read_path: ReadPath,
-    ) -> Self {
         assert!(shards > 0, "need at least one shard");
         let stores: Vec<Store> = (0..shards)
             .map(|_| Store::with_cleaner(config.clone(), cleaner))
@@ -117,7 +73,6 @@ impl ShardedStore {
         ShardedStore {
             shards: stores.into_iter().map(RwLock::new).collect(),
             handles,
-            read_path,
             fallback_dwell: OnceLock::new(),
         }
     }
@@ -127,11 +82,6 @@ impl ShardedStore {
     /// later calls are no-ops.
     pub fn attach_fallback_dwell(&self, histogram: HistogramHandle) {
         let _ = self.fallback_dwell.set(histogram);
-    }
-
-    /// The read path this store serves point reads through.
-    pub fn read_path(&self) -> ReadPath {
-        self.read_path
     }
 
     /// Number of shards.
@@ -175,78 +125,55 @@ impl ShardedStore {
 
     /// Reads the current value of a key into an owned record.
     ///
-    /// Honors the configured [`ReadPath`]: under the lock-free modes the
-    /// probe never touches the shard lock, and the bytes are copied out at
-    /// this boundary because `ObjectRecord` owns its buffers. Callers that
-    /// want to keep the zero-copy window should use
-    /// [`ShardedStore::read_view`] instead.
+    /// The probe is the lock-free one of [`ShardedStore::read_view`]; the
+    /// bytes are copied out at this boundary because `ObjectRecord` owns
+    /// its buffers. Callers that want to keep the zero-copy window should
+    /// use `read_view` instead.
     pub fn read(&self, table: TableId, key: &[u8]) -> Option<ObjectRecord> {
-        match self.read_path {
-            // `Store::read` takes `&self` (atomic hit/miss counters), so the
-            // shared read lock suffices and reads on one shard run in
-            // parallel.
-            ReadPath::LockedCopy => self.shard_for(table, key).read().read(table, key),
-            ReadPath::LockFreeCopy | ReadPath::LockFreeZeroCopy => {
-                let view = self.read_view(table, key)?;
-                Some(ObjectRecord {
-                    table,
-                    key: Bytes::from(key.to_vec()),
-                    value: Bytes::from(view.value.to_vec()),
-                    version: view.version,
-                    // The view carries no completion id; standalone writes
-                    // never record one (exactly-once tracking belongs to the
-                    // replicated protocol deployments, which read through
-                    // `Store` directly).
-                    completion: None,
-                })
-            }
-        }
+        let view = self.read_view(table, key)?;
+        Some(ObjectRecord {
+            table,
+            key: Bytes::from(key.to_vec()),
+            value: Bytes::from(view.value.to_vec()),
+            version: view.version,
+            // The view carries no completion id; standalone writes never
+            // record one (exactly-once tracking belongs to the replicated
+            // protocol deployments, which read through `Store` directly).
+            completion: None,
+        })
     }
 
     /// Reads the current value of a key as an [`ObjectView`].
     ///
-    /// Under [`ReadPath::LockFreeZeroCopy`] a hit returns a view directly
-    /// into the live segment (no lock, no copy); the view keeps those bytes
-    /// alive even across cleaning, so callers may hold it as long as they
-    /// like — at the cost of delaying reclamation of that segment.
-    /// [`ReadPath::LockFreeCopy`] probes the same way but copies the value
-    /// into an owned view; [`ReadPath::LockedCopy`] serves the read under
-    /// the shard read lock.
+    /// A hit returns a view directly into the live segment (no lock, no
+    /// copy); the view keeps those bytes alive even across cleaning, so
+    /// callers may hold it as long as they like — at the cost of delaying
+    /// reclamation of that segment.
     ///
     /// A lock-free probe that keeps colliding with the shard's writer falls
-    /// back to the locked path (counted in the `read_fallback_locked`
-    /// statistic) — correctness never depends on the lock-free path
-    /// succeeding.
+    /// back to the shard read lock and an owned copy (counted in the
+    /// `read_fallback_locked` statistic) — correctness never depends on the
+    /// lock-free path succeeding.
     pub fn read_view(&self, table: TableId, key: &[u8]) -> Option<ObjectView> {
         let index = self.shard_index(table, key);
-        match self.read_path {
-            ReadPath::LockedCopy => self.shards[index].read().read_view(table, key),
-            mode => match self.handles[index].try_read(table, key) {
-                Ok(got) => got.map(|view| match mode {
-                    ReadPath::LockFreeZeroCopy => view,
-                    _ => ObjectView {
-                        table: view.table,
-                        version: view.version,
-                        value: ValueView::owned(Bytes::from(view.value.to_vec())),
-                    },
-                }),
-                Err(_contended) => {
-                    self.handles[index].counters().record_fallback_locked();
-                    // Fallbacks are contention events (writer or cleaner in
-                    // the way), so time every one — the dwell is the
-                    // interference the decomposition wants to see.
-                    let t0 = self
-                        .fallback_dwell
-                        .get()
-                        .filter(|_| rmc_obs::enabled())
-                        .map(|h| (h, Instant::now()));
-                    let got = self.shards[index].read().read_view(table, key);
-                    if let Some((h, t0)) = t0 {
-                        h.record(t0.elapsed().as_nanos() as u64);
-                    }
-                    got
+        match self.handles[index].try_read(table, key) {
+            Ok(got) => got,
+            Err(_contended) => {
+                self.handles[index].counters().record_fallback_locked();
+                // Fallbacks are contention events (writer or cleaner in
+                // the way), so time every one — the dwell is the
+                // interference the decomposition wants to see.
+                let t0 = self
+                    .fallback_dwell
+                    .get()
+                    .filter(|_| rmc_obs::enabled())
+                    .map(|h| (h, Instant::now()));
+                let got = self.shards[index].read().read_view(table, key);
+                if let Some((h, t0)) = t0 {
+                    h.record(t0.elapsed().as_nanos() as u64);
                 }
-            },
+                got
+            }
         }
     }
 
@@ -345,90 +272,42 @@ mod tests {
     }
 
     #[test]
-    fn all_read_paths_agree() {
-        let stores: Vec<ShardedStore> = [
-            ReadPath::LockedCopy,
-            ReadPath::LockFreeCopy,
-            ReadPath::LockFreeZeroCopy,
-        ]
-        .into_iter()
-        .map(|path| {
-            ShardedStore::with_read_path(
-                4,
-                LogConfig {
-                    segment_bytes: 1024,
-                    max_segments: 64,
-                    ordered_index: false,
-                },
-                CleanerConfig::default(),
-                path,
-            )
-        })
-        .collect();
-        for s in &stores {
-            for i in 0..60 {
-                let k = format!("k{}", i % 20);
-                s.write(T, k.as_bytes(), format!("v{i}").as_bytes())
-                    .unwrap();
-                if i % 7 == 0 {
-                    s.delete(T, k.as_bytes()).unwrap();
-                }
+    fn record_and_view_reads_agree() {
+        let s = small();
+        for i in 0..60 {
+            let k = format!("k{}", i % 20);
+            s.write(T, k.as_bytes(), format!("v{i}").as_bytes())
+                .unwrap();
+            if i % 7 == 0 {
+                s.delete(T, k.as_bytes()).unwrap();
             }
         }
         for i in 0..20 {
             let k = format!("k{i}");
-            let got: Vec<Option<(Version, Vec<u8>)>> = stores
-                .iter()
-                .map(|s| {
-                    let rec = s.read(T, k.as_bytes());
-                    let view = s.read_view(T, k.as_bytes());
-                    match (rec, view) {
-                        (Some(r), Some(v)) => {
-                            assert_eq!(r.version, v.version);
-                            assert_eq!(&r.value[..], &v.value[..]);
-                            Some((r.version, r.value.to_vec()))
-                        }
-                        (None, None) => None,
-                        (r, v) => panic!("record/view disagree for {k}: {r:?} vs {v:?}"),
-                    }
-                })
-                .collect();
-            assert_eq!(got[0], got[1], "LockedCopy vs LockFreeCopy on {k}");
-            assert_eq!(got[0], got[2], "LockedCopy vs LockFreeZeroCopy on {k}");
+            match (s.read(T, k.as_bytes()), s.read_view(T, k.as_bytes())) {
+                (Some(r), Some(v)) => {
+                    assert_eq!(r.version, v.version);
+                    assert_eq!(&r.value[..], &v.value[..]);
+                }
+                (None, None) => {}
+                (r, v) => panic!("record/view disagree for {k}: {r:?} vs {v:?}"),
+            }
         }
     }
 
     #[test]
-    fn read_path_controls_view_representation() {
-        for (path, zero_copy) in [
-            (ReadPath::LockedCopy, false),
-            (ReadPath::LockFreeCopy, false),
-            (ReadPath::LockFreeZeroCopy, true),
-        ] {
-            let s = ShardedStore::with_read_path(
-                2,
-                LogConfig {
-                    segment_bytes: 1024,
-                    max_segments: 64,
-                    ordered_index: false,
-                },
-                CleanerConfig::default(),
-                path,
-            );
-            assert_eq!(s.read_path(), path);
-            s.write(T, b"k", b"v").unwrap();
-            let view = s.read_view(T, b"k").expect("present");
-            assert_eq!(view.value.is_zero_copy(), zero_copy, "{path:?}");
-            drop(view);
-            let st = s.stats();
-            // Uncontended single-threaded reads never fall back.
-            assert_eq!(st.read_fallback_locked, 0);
-            assert_eq!(st.value_views_live, 0, "gauge must return to zero");
-            match path {
-                ReadPath::LockedCopy => assert_eq!(st.read_lockfree, 0),
-                _ => assert!(st.read_lockfree > 0, "{path:?} must count lock-free reads"),
-            }
-        }
+    fn uncontended_view_is_zero_copy_and_lock_free() {
+        let s = small();
+        s.write(T, b"k", b"v").unwrap();
+        let view = s.read_view(T, b"k").expect("present");
+        assert!(view.value.is_zero_copy());
+        assert_eq!(s.stats().value_views_live, 1);
+        drop(view);
+        let st = s.stats();
+        // Uncontended single-threaded reads never fall back.
+        assert_eq!(st.read_fallback_locked, 0);
+        assert_eq!(st.value_views_live, 0, "gauge must return to zero");
+        assert!(st.read_lockfree > 0, "the read must count as lock-free");
     }
 
     #[test]
