@@ -2,19 +2,19 @@
 //! regressions — the guard between a freshly generated `BENCH_*.json` and
 //! the committed baseline.
 //!
-//! Rows are matched by identity key: every string field of the row (e.g.
-//! `mix`, `mode`, `backend`, `engine`, `case`) and the sweep-axis integers
-//! (`workers`, `clients`, `batch_size`). That covers `BENCH_standalone.json`,
-//! `BENCH_obs.json`, `BENCH_wire.json` and `BENCH_recovery.json` without
-//! per-schema code. `throughput_ops_per_sec` is then diffed per matched
-//! pair.
+//! Both files go through `rmc_bench::report::load`, so a report the
+//! schema rejects is never diffed. Rows are matched by the identity fields
+//! the report table names for the kind (`workers`/`mix`/`batch_size`,
+//! `mode`/`round`, `case`), and the kind's gated metric
+//! (`throughput_ops_per_sec`, `recovery_bytes_per_sec`) is diffed per
+//! matched pair — no per-schema code here.
 //!
 //! By default regressions are warnings (benchmarks on shared CI hardware
 //! are noisy) and the exit code stays 0; `--strict` turns any regression
 //! beyond the threshold into a failure.
 //!
 //! With `--history FILE`, each comparison also appends one compact JSONL
-//! record (timestamp, benchmark, per-row throughputs, regression count) to
+//! record (timestamp, benchmark, metric, per-row values, regression count) to
 //! `FILE` — a durable trend log (`results/bench_history.jsonl`) that
 //! accumulates across runs where individual `BENCH_*.json` files only hold
 //! the latest.
@@ -27,70 +27,41 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use rmc_bench::json::{self, Json};
+use rmc_bench::json::Json;
 use rmc_bench::kops;
+use rmc_bench::report::{self, ReportKind};
 
-/// Default allowed throughput drop, percent.
+/// Default allowed drop of the gated metric, percent.
 const DEFAULT_THRESHOLD: f64 = 15.0;
 
-/// The sweep-axis integer fields that identify a row (alongside every
-/// string field); other numbers are measurements, not identity.
-const KEY_NUMBERS: [&str; 3] = ["workers", "clients", "batch_size"];
-
-/// Builds the stable identity key of a result row.
-fn row_key(row: &Json) -> String {
-    let Json::Obj(fields) = row else {
-        return String::from("<non-object row>");
-    };
-    let mut parts = Vec::new();
-    for (name, value) in fields {
-        match value {
-            Json::Str(s) => parts.push(format!("{name}={s}")),
-            Json::Num(n) if KEY_NUMBERS.contains(&name.as_str()) => {
-                parts.push(format!("{name}={n}"));
-            }
-            _ => {}
-        }
-    }
-    parts.join(" ")
-}
-
-fn rows(doc: &Json) -> Vec<(String, f64)> {
+/// `(identity key, gated metric)` of every result row.
+fn rows(doc: &Json, kind: &ReportKind) -> Vec<(String, f64)> {
     doc.get("results")
         .and_then(Json::as_array)
-        .map(|results| {
-            results
-                .iter()
-                .filter_map(|row| {
-                    let throughput = row.get("throughput_ops_per_sec")?.as_f64()?;
-                    Some((row_key(row), throughput))
-                })
-                .collect()
-        })
         .unwrap_or_default()
+        .iter()
+        .filter_map(|row| Some((kind.row_key(row), row.get(kind.metric)?.as_f64()?)))
+        .collect()
 }
 
-fn load(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    json::parse(&text).map_err(|e| format!("parse {path}: {e}"))
-}
-
-fn compare(baseline: &Json, current: &Json, threshold: f64) -> (Vec<String>, Vec<String>) {
-    let base_rows = rows(baseline);
-    let cur_rows = rows(current);
+fn compare(
+    base_rows: &[(String, f64)],
+    cur_rows: &[(String, f64)],
+    threshold: f64,
+) -> (Vec<String>, Vec<String>) {
     let mut regressions = Vec::new();
     let mut notes = Vec::new();
 
-    for (key, base) in &base_rows {
+    for (key, base) in base_rows {
         let Some((_, cur)) = cur_rows.iter().find(|(k, _)| k == key) else {
             regressions.push(format!("row dropped from current report: [{key}]"));
             continue;
         };
         let delta_pct = (cur - base) / base * 100.0;
         let line = format!(
-            "[{key}] {} -> {} ops/s ({delta_pct:+.1}%)",
+            "[{key}] {} -> {} ({delta_pct:+.1}%)",
             kops(*base),
-            kops(*cur),
+            kops(*cur)
         );
         if -delta_pct > threshold {
             regressions.push(line);
@@ -98,7 +69,7 @@ fn compare(baseline: &Json, current: &Json, threshold: f64) -> (Vec<String>, Vec
             notes.push(line);
         }
     }
-    for (key, _) in &cur_rows {
+    for (key, _) in cur_rows {
         if !base_rows.iter().any(|(k, _)| k == key) {
             notes.push(format!("[{key}] new row (no baseline)"));
         }
@@ -109,21 +80,22 @@ fn compare(baseline: &Json, current: &Json, threshold: f64) -> (Vec<String>, Vec
 /// Appends one compact JSONL record of this comparison to `path`.
 fn append_history(
     path: &str,
-    benchmark: &str,
-    current: &Json,
+    kind: &ReportKind,
+    cur_rows: Vec<(String, f64)>,
     regressions: usize,
 ) -> Result<(), String> {
     let unix_secs = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let row_entries: Vec<Json> = rows(current)
+    let row_entries: Vec<Json> = cur_rows
         .into_iter()
-        .map(|(key, ops)| Json::obj(vec![("key", key.into()), ("ops_per_sec", ops.into())]))
+        .map(|(key, value)| Json::obj(vec![("key", key.into()), ("value", value.into())]))
         .collect();
     let record = Json::obj(vec![
         ("unix_secs", unix_secs.into()),
-        ("benchmark", benchmark.into()),
+        ("benchmark", kind.benchmark.into()),
+        ("metric", kind.metric.into()),
         ("rows", Json::Arr(row_entries)),
         ("regressions", regressions.into()),
     ]);
@@ -187,18 +159,17 @@ fn main() -> ExitCode {
     };
 
     let outcome: Result<bool, String> = (|| {
-        let baseline = load(&baseline_path)?;
-        let current = load(&current_path)?;
-        if baseline.get("benchmark").and_then(Json::as_str)
-            != current.get("benchmark").and_then(Json::as_str)
-        {
+        let (baseline, kind) = report::load(&baseline_path)?;
+        let (current, current_kind) = report::load(&current_path)?;
+        if kind.benchmark != current_kind.benchmark {
             return Err("reports are from different benchmarks".into());
         }
-        let (regressions, notes) = compare(&baseline, &current, threshold);
-        if rows(&baseline).is_empty() {
-            return Err(format!("{baseline_path}: no comparable rows"));
-        }
-        println!("{current_path} vs {baseline_path} (threshold {threshold}%):");
+        let (base_rows, cur_rows) = (rows(&baseline, kind), rows(&current, kind));
+        let (regressions, notes) = compare(&base_rows, &cur_rows, threshold);
+        println!(
+            "{current_path} vs {baseline_path} ({}, threshold {threshold}%):",
+            kind.metric
+        );
         for line in &notes {
             println!("  ok   {line}");
         }
@@ -211,11 +182,7 @@ fn main() -> ExitCode {
             regressions.len()
         );
         if let Some(path) = &history_path {
-            let benchmark = current
-                .get("benchmark")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown");
-            append_history(path, benchmark, &current, regressions.len())?;
+            append_history(path, kind, cur_rows, regressions.len())?;
         }
         Ok(!regressions.is_empty())
     })();

@@ -30,9 +30,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use rmc_bench::backend::{latency_json, StandaloneBackend};
-use rmc_bench::json::{self, Json};
+use rmc_bench::json::Json;
 use rmc_bench::kops;
-use rmc_bench::report::{paired_overhead_percent, validate_obs_report, SCHEMA_VERSION};
+use rmc_bench::report::{self, paired_overhead_percent, SCHEMA_VERSION};
 use rmc_logstore::LogConfig;
 use rmc_standalone::{ServerConfig, StandaloneServer};
 use rmc_ycsb::runner::{self, RunSummary, RunnerConfig};
@@ -251,14 +251,6 @@ fn report(measurements: &[Measurement], scale: Scale) -> Result<Json, String> {
     ]))
 }
 
-fn check(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let doc = json::parse(&text)?;
-    validate_obs_report(&doc)?;
-    println!("{path}: valid obs-overhead report (within budget)");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = FULL;
@@ -285,34 +277,24 @@ fn main() -> ExitCode {
         i += 1;
     }
 
-    if let Some(path) = check_path {
-        return match check(&path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    println!(
-        "observability ablation ({}): {} records x {} B, read-only, {} ops x {} interleaved rounds",
-        if scale.smoke { "smoke" } else { "full" },
-        scale.record_count,
-        scale.value_bytes,
-        scale.ops_per_client,
-        scale.rounds,
-    );
-    let outcome: Result<(), String> = (|| {
-        let measurements = run_ablation(scale)?;
-        let doc = report(&measurements, scale)?;
-        // The validator enforces the overhead budget — never emit a report
-        // CI's `--check` would reject.
-        validate_obs_report(&doc)?;
-        std::fs::write(&out, format!("{doc}\n")).map_err(|e| format!("write {out}: {e}"))?;
-        println!("-> {out}");
-        Ok(())
-    })();
+    let outcome = match check_path {
+        Some(path) => report::check_file(&path),
+        None => {
+            println!(
+                "observability ablation ({}): {} records x {} B, read-only, {} ops x {} interleaved rounds",
+                if scale.smoke { "smoke" } else { "full" },
+                scale.record_count,
+                scale.value_bytes,
+                scale.ops_per_client,
+                scale.rounds,
+            );
+            // The validator behind `emit` enforces the overhead budget, so a
+            // run over budget fails here as it would under `--check`.
+            run_ablation(scale)
+                .and_then(|measurements| report(&measurements, scale))
+                .and_then(|doc| report::emit(&doc, &out))
+        }
+    };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -1,14 +1,248 @@
-//! Schema of the machine-readable standalone benchmark report
-//! (`BENCH_standalone.json`) and its validator.
+//! The reports `rmc-bench` emits (`BENCH_standalone.json`, `BENCH_obs.json`,
+//! `BENCH_recovery.json`) and the one validator for all of them.
 //!
-//! The emitter (`src/bin/standalone_ycsb.rs`) and CI's smoke check share
-//! this validator, so the schema can't silently drift from what downstream
-//! tooling parses.
+//! Every report is the same envelope — `schema_version`, a `benchmark` tag,
+//! a `config` block, a non-empty `results` array, for some kinds a
+//! `comparison` block — so what differs between kinds is data: [`KINDS`]
+//! holds, per kind, the required fields with their bounds, the fields that
+//! identify a row, the metric `bench_compare` gates on, and one function
+//! for the invariants that relate fields to each other. [`validate`] looks
+//! the kind up by the document's own tag; the emitters ([`emit`]), every
+//! bin's `--check` ([`check_file`]) and `bench_compare` ([`load`]) all go
+//! through it, so the schema can't drift from what any of them reads.
 
-use crate::json::Json;
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::json::{self, Json};
 
 /// Current schema version emitted and accepted.
 pub const SCHEMA_VERSION: u64 = 1;
+
+/// What a field must hold.
+#[derive(Debug)]
+enum Is {
+    /// Any number.
+    Num,
+    /// A number `>=` the bound.
+    Min(f64),
+    /// A number `> 0`.
+    Positive,
+    /// A number in `[0, 1]`.
+    Fraction,
+    /// A non-empty string.
+    Str,
+    /// One of the listed strings.
+    OneOf(&'static [&'static str]),
+    /// An object holding these fields.
+    Block(&'static [Field]),
+    /// An array of objects each holding these fields.
+    Rows(&'static [Field]),
+}
+use Is::{Block, Fraction, Min, Num, OneOf, Positive, Rows, Str};
+
+#[derive(Debug)]
+struct Field {
+    name: &'static str,
+    is: Is,
+    /// Absent is fine (reports older than the field); present is checked.
+    optional: bool,
+}
+
+const fn req(name: &'static str, is: Is) -> Field {
+    Field {
+        name,
+        is,
+        optional: false,
+    }
+}
+
+const fn opt(name: &'static str, is: Is) -> Field {
+    Field {
+        name,
+        is,
+        optional: true,
+    }
+}
+
+/// One kind of report: everything that differs from the shared envelope.
+#[derive(Debug)]
+pub struct ReportKind {
+    /// The document's `benchmark` tag.
+    pub benchmark: &'static str,
+    config: &'static [Field],
+    row: &'static [Field],
+    /// Fields of the top-level `comparison` block; empty when the kind has
+    /// none.
+    comparison: &'static [Field],
+    /// The row fields that name a row; unique within a report, and what
+    /// `bench_compare` matches baseline and current rows by.
+    pub identity: &'static [&'static str],
+    /// The row field `bench_compare` diffs (higher is better).
+    pub metric: &'static str,
+    /// Checks relating fields to each other, run once the table's bounds
+    /// hold.
+    invariants: fn(&Json) -> Result<(), String>,
+}
+
+/// A `*_latency_us` block as `backend::latency_json` renders it.
+const LATENCY: Is = Block(&[
+    req("count", Min(0.0)),
+    req("mean", Min(0.0)),
+    req("p50", Min(0.0)),
+    req("p90", Min(0.0)),
+    req("p99", Min(0.0)),
+    req("max", Min(0.0)),
+]);
+
+/// One `stage.*` histogram summary.
+const STAGE: Is = Block(&[
+    req("count", Min(0.0)),
+    req("mean_ns", Min(0.0)),
+    req("p50_ns", Min(0.0)),
+    req("p99_ns", Min(0.0)),
+    req("max_ns", Min(0.0)),
+]);
+
+/// The backup staging engines the recovery ablation compares.
+const RECOVERY_ENGINES: [&str; 2] = ["memory", "file"];
+
+/// Every report kind this crate emits.
+pub static KINDS: [ReportKind; 3] = [
+    // The standalone worker x mix x batch sweep (`standalone_ycsb`).
+    ReportKind {
+        benchmark: "standalone_ycsb",
+        config: &[
+            req("record_count", Positive),
+            req("ops_per_client", Positive),
+            req("clients", Positive),
+            req("value_bytes", Positive),
+        ],
+        row: &[
+            req("workers", Min(1.0)),
+            req("mix", Str),
+            req("read_fraction", Fraction),
+            req("batch_size", Min(1.0)),
+            req("ops", Min(1.0)),
+            req("elapsed_secs", Positive),
+            req("throughput_ops_per_sec", Positive),
+            req("read_latency_us", LATENCY),
+            req("write_latency_us", LATENCY),
+            opt(
+                "cleaner",
+                Block(&[
+                    req("passes", Min(0.0)),
+                    req("segments_freed", Min(0.0)),
+                    req("segments_compacted", Min(0.0)),
+                    req("bytes_relocated", Min(0.0)),
+                    req("tombstones_dropped", Min(0.0)),
+                    req("busy_ns", Min(0.0)),
+                ]),
+            ),
+            // Mandatory: the proof of which path served the row's reads.
+            req(
+                "read_path",
+                Block(&[req("lockfree", Min(0.0)), req("fallback_locked", Min(0.0))]),
+            ),
+            opt(
+                "stages",
+                Block(&[
+                    req("queue_wait_ns", STAGE),
+                    req("read_service_ns", STAGE),
+                    req("write_service_ns", STAGE),
+                    req("fallback_locked_ns", STAGE),
+                ]),
+            ),
+            opt(
+                "energy",
+                Block(&[
+                    req("total_joules", Num),
+                    req(
+                        "classes",
+                        Rows(&[
+                            req("name", Str),
+                            req("ops", Min(0.0)),
+                            req("joules", Min(0.0)),
+                            req("micro_joules_per_op", Min(0.0)),
+                            req("ops_per_joule", Min(0.0)),
+                        ]),
+                    ),
+                ]),
+            ),
+        ],
+        comparison: &[],
+        identity: &["workers", "mix", "batch_size"],
+        metric: "throughput_ops_per_sec",
+        invariants: reads_took_the_lockfree_path,
+    },
+    // The observability ablation (`obs_overhead`): instrumentation enabled
+    // vs the kill-switch baseline on the read-path hot loop.
+    ReportKind {
+        benchmark: "obs_overhead",
+        config: &[
+            req("record_count", Positive),
+            req("ops_per_client", Positive),
+            req("value_bytes", Positive),
+            req("shards", Positive),
+            req("rounds", Positive),
+        ],
+        row: &[
+            req("mode", OneOf(&["enabled", "disabled"])),
+            req("round", Min(0.0)),
+            req("ops", Min(1.0)),
+            req("elapsed_secs", Positive),
+            req("throughput_ops_per_sec", Positive),
+            req("stage_samples", Num),
+            req("read_latency_us", LATENCY),
+        ],
+        comparison: &[
+            req("disabled_ops_per_sec", Positive),
+            req("enabled_ops_per_sec", Positive),
+            req("overhead_percent", Num),
+            req("budget_percent", Positive),
+        ],
+        identity: &["mode", "round"],
+        metric: "throughput_ops_per_sec",
+        invariants: obs_switch_flipped_and_overhead_within_budget,
+    },
+    // The recovery ablation (`recovery_ablation`): crash-recovery time vs
+    // data size vs recovery-master count, backups in memory vs on files.
+    ReportKind {
+        benchmark: "recovery_ablation",
+        config: &[
+            req("replication", Min(1.0)),
+            req("value_bytes", Min(1.0)),
+            req("fsync", Str),
+        ],
+        row: &[
+            req("engine", OneOf(&RECOVERY_ENGINES)),
+            req("case", Str),
+            req("servers", Min(2.0)),
+            req("recovery_masters", Min(1.0)),
+            req("records", Min(1.0)),
+            req("data_bytes", Min(1.0)),
+            req("victim_bytes", Min(1.0)),
+            req("detection_secs", Min(0.0)),
+            req("recovery_secs", Positive),
+            req("recovery_bytes_per_sec", Positive),
+            opt(
+                "disk",
+                Block(&[
+                    req("write_bytes", Min(0.0)),
+                    req("fsyncs", Min(0.0)),
+                    req("crc_mismatch", Min(0.0)),
+                ]),
+            ),
+        ],
+        comparison: &[
+            req("memory_bytes_per_sec", Positive),
+            req("file_bytes_per_sec", Positive),
+            req("file_over_memory", Num),
+        ],
+        identity: &["case"],
+        metric: "recovery_bytes_per_sec",
+        invariants: recovery_sweep_is_covered_and_consistent,
+    },
+];
 
 fn field<'a>(obj: &'a Json, ctx: &str, key: &str) -> Result<&'a Json, String> {
     obj.get(key)
@@ -27,281 +261,161 @@ fn string<'a>(obj: &'a Json, ctx: &str, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("{ctx}: \"{key}\" must be a string"))
 }
 
-fn latency(obj: &Json, ctx: &str, key: &str) -> Result<(), String> {
-    let lat = field(obj, ctx, key)?;
-    let ctx = format!("{ctx}.{key}");
-    let count = num(lat, &ctx, "count")?;
-    for stat in ["mean", "p50", "p90", "p99", "max"] {
-        let v = num(lat, &ctx, stat)?;
-        if count > 0.0 && v < 0.0 {
-            return Err(format!("{ctx}: \"{stat}\" must be non-negative"));
+fn rows(doc: &Json) -> Result<&[Json], String> {
+    field(doc, "report", "results")?
+        .as_array()
+        .ok_or_else(|| "report: \"results\" must be an array".into())
+}
+
+/// Checks `obj` against `fields`; the first violation is the error.
+fn check_block(obj: &Json, ctx: &str, fields: &[Field]) -> Result<(), String> {
+    for f in fields {
+        let key = f.name;
+        if f.optional && obj.get(key).is_none() {
+            continue;
+        }
+        match &f.is {
+            Num | Min(_) | Positive | Fraction => {
+                let v = num(obj, ctx, key)?;
+                let must = match &f.is {
+                    Min(b) if v < *b && *b == 0.0 => "non-negative".to_owned(),
+                    Min(b) if v < *b => format!(">= {b}"),
+                    Positive if v <= 0.0 => "positive".to_owned(),
+                    Fraction if !(0.0..=1.0).contains(&v) => "in [0, 1]".to_owned(),
+                    _ => continue,
+                };
+                return Err(format!("{ctx}: \"{key}\" must be {must}"));
+            }
+            Str => {
+                if string(obj, ctx, key)?.is_empty() {
+                    return Err(format!("{ctx}: \"{key}\" must be non-empty"));
+                }
+            }
+            OneOf(allowed) => {
+                let v = string(obj, ctx, key)?;
+                if !allowed.contains(&v) {
+                    return Err(format!("{ctx}: unknown {key} {v:?}"));
+                }
+            }
+            Block(inner) => check_block(field(obj, ctx, key)?, &format!("{ctx}.{key}"), inner)?,
+            Rows(inner) => {
+                let items = field(obj, ctx, key)?
+                    .as_array()
+                    .ok_or_else(|| format!("{ctx}: \"{key}\" must be an array"))?;
+                for (i, item) in items.iter().enumerate() {
+                    check_block(item, &format!("{ctx}.{key}[{i}]"), inner)?;
+                }
+            }
         }
     }
     Ok(())
 }
 
-/// Validates a parsed `BENCH_standalone.json` document.
+impl ReportKind {
+    /// The identity of a result row, e.g. `workers=2 mix=read95
+    /// batch_size=1`.
+    pub fn row_key(&self, row: &Json) -> String {
+        let parts: Vec<String> = self
+            .identity
+            .iter()
+            .map(|&name| match row.get(name) {
+                Some(Json::Str(s)) => format!("{name}={s}"),
+                Some(Json::Num(n)) => format!("{name}={n}"),
+                _ => format!("{name}=?"),
+            })
+            .collect();
+        parts.join(" ")
+    }
+}
+
+/// Validates a parsed report of any kind and returns its table entry.
 ///
 /// # Errors
 ///
 /// The first schema violation found, as a human-readable message.
-pub fn validate_standalone_report(doc: &Json) -> Result<(), String> {
+pub fn validate(doc: &Json) -> Result<&'static ReportKind, String> {
     let version = num(doc, "report", "schema_version")?;
     if version != SCHEMA_VERSION as f64 {
         return Err(format!("unsupported schema_version {version}"));
     }
     let benchmark = string(doc, "report", "benchmark")?;
-    if benchmark != "standalone_ycsb" {
-        return Err(format!("unexpected benchmark {benchmark:?}"));
-    }
+    let kind = KINDS
+        .iter()
+        .find(|k| k.benchmark == benchmark)
+        .ok_or_else(|| format!("unexpected benchmark {benchmark:?}"))?;
 
-    let config = field(doc, "report", "config")?;
-    for key in ["record_count", "ops_per_client", "clients", "value_bytes"] {
-        let v = num(config, "config", key)?;
-        if v <= 0.0 {
-            return Err(format!("config: \"{key}\" must be positive"));
-        }
-    }
-
-    let results = field(doc, "report", "results")?
-        .as_array()
-        .ok_or("report: \"results\" must be an array")?;
+    check_block(field(doc, "report", "config")?, "config", kind.config)?;
+    let results = rows(doc)?;
     if results.is_empty() {
         return Err("report: \"results\" must be non-empty".into());
     }
-    for (i, result) in results.iter().enumerate() {
-        let ctx = format!("results[{i}]");
-        string(result, &ctx, "mix")?;
-        let read_fraction = num(result, &ctx, "read_fraction")?;
-        if !(0.0..=1.0).contains(&read_fraction) {
-            return Err(format!("{ctx}: read_fraction out of range"));
-        }
-        for key in ["workers", "batch_size", "ops"] {
-            if num(result, &ctx, key)? < 1.0 {
-                return Err(format!("{ctx}: \"{key}\" must be >= 1"));
-            }
-        }
-        for key in ["elapsed_secs", "throughput_ops_per_sec"] {
-            if num(result, &ctx, key)? <= 0.0 {
-                return Err(format!("{ctx}: \"{key}\" must be positive"));
-            }
-        }
-        latency(result, &ctx, "read_latency_us")?;
-        latency(result, &ctx, "write_latency_us")?;
-        // The background-cleaner block is optional (older reports predate
-        // it), but when present its counters must be non-negative.
-        if let Some(cleaner) = result.get("cleaner") {
-            let cctx = format!("{ctx}.cleaner");
-            for key in [
-                "passes",
-                "segments_freed",
-                "segments_compacted",
-                "bytes_relocated",
-                "tombstones_dropped",
-                "busy_ns",
-            ] {
-                if num(cleaner, &cctx, key)? < 0.0 {
-                    return Err(format!("{cctx}: \"{key}\" must be non-negative"));
-                }
-            }
-        }
-        // The read-path block is mandatory: it is the proof the row's
-        // reads were served by the lock-free path.
-        let read_path = field(result, &ctx, "read_path")?;
-        validate_read_path_block(read_path, &format!("{ctx}.read_path"))?;
-        // The per-stage latency decomposition is optional (older reports
-        // predate it); when present every stage summary must be complete.
-        if let Some(stages) = result.get("stages") {
-            let sctx = format!("{ctx}.stages");
-            for key in [
-                "queue_wait_ns",
-                "read_service_ns",
-                "write_service_ns",
-                "fallback_locked_ns",
-            ] {
-                let stage = field(stages, &sctx, key)?;
-                let kctx = format!("{sctx}.{key}");
-                if num(stage, &kctx, "count")? < 0.0 {
-                    return Err(format!("{kctx}: \"count\" must be non-negative"));
-                }
-                for stat in ["mean_ns", "p50_ns", "p99_ns", "max_ns"] {
-                    if num(stage, &kctx, stat)? < 0.0 {
-                        return Err(format!("{kctx}: \"{stat}\" must be non-negative"));
-                    }
-                }
-            }
-        }
-        // The per-op-class energy attribution is optional; when present the
-        // class splits must carry non-negative joules.
-        if let Some(energy) = result.get("energy") {
-            validate_energy_block(energy, &format!("{ctx}.energy"))?;
+    for (i, row) in results.iter().enumerate() {
+        check_block(row, &format!("results[{i}]"), kind.row)?;
+    }
+    if !kind.comparison.is_empty() {
+        let comparison = field(doc, "report", "comparison")?;
+        check_block(comparison, "comparison", kind.comparison)?;
+    }
+    (kind.invariants)(doc)?;
+    let mut seen = BTreeSet::new();
+    for (i, row) in results.iter().enumerate() {
+        let key = kind.row_key(row);
+        if !seen.insert(key.clone()) {
+            return Err(format!(
+                "results[{i}]: duplicate {} [{key}]",
+                kind.identity.join("/")
+            ));
         }
     }
-
-    // The replicated mini-cluster section is optional (older reports
-    // predate it), but when present it must be coherent.
-    if let Some(mini) = doc.get("mini_cluster") {
-        for key in ["servers", "replication", "record_count", "ops"] {
-            if num(mini, "mini_cluster", key)? < 1.0 {
-                return Err(format!("mini_cluster: \"{key}\" must be >= 1"));
-            }
-        }
-        if num(mini, "mini_cluster", "replication")? >= num(mini, "mini_cluster", "servers")? {
-            return Err("mini_cluster: replication must be < servers".into());
-        }
-        string(mini, "mini_cluster", "mix")?;
-        for key in ["elapsed_secs", "throughput_ops_per_sec"] {
-            if num(mini, "mini_cluster", key)? <= 0.0 {
-                return Err(format!("mini_cluster: \"{key}\" must be positive"));
-            }
-        }
-        latency(mini, "mini_cluster", "read_latency_us")?;
-        latency(mini, "mini_cluster", "write_latency_us")?;
-    }
-    Ok(())
+    Ok(kind)
 }
 
-/// Validates an `energy` block: a modelled total plus per-op-class splits
-/// carrying non-negative joules.
-fn validate_energy_block(energy: &Json, ectx: &str) -> Result<(), String> {
-    num(energy, ectx, "total_joules")?;
-    let classes = field(energy, ectx, "classes")?
-        .as_array()
-        .ok_or_else(|| format!("{ectx}: \"classes\" must be an array"))?;
-    for (j, class) in classes.iter().enumerate() {
-        let cctx = format!("{ectx}.classes[{j}]");
-        string(class, &cctx, "name")?;
-        for key in ["ops", "joules", "micro_joules_per_op", "ops_per_joule"] {
-            if num(class, &cctx, key)? < 0.0 {
-                return Err(format!("{cctx}: \"{key}\" must be non-negative"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates a parsed `BENCH_wire.json` document (the socket-engine YCSB
-/// benchmark: real `rmcd` processes over loopback TCP, driven through
-/// `rmc-wire` framed connections).
-///
-/// Beyond shape, the validator enforces wire health: every row must have
-/// actually moved frames, and a clean loopback run must decode every frame
-/// it received — a non-zero `decode_errors` means framing corruption, not
-/// load.
+/// Reads, parses and validates the report at `path`.
 ///
 /// # Errors
 ///
-/// The first schema violation found, as a human-readable message.
-pub fn validate_wire_report(doc: &Json) -> Result<(), String> {
-    let version = num(doc, "report", "schema_version")?;
-    if version != SCHEMA_VERSION as f64 {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    let benchmark = string(doc, "report", "benchmark")?;
-    if benchmark != "wire_ycsb" {
-        return Err(format!("unexpected benchmark {benchmark:?}"));
-    }
+/// An unreadable file, malformed JSON, or the first schema violation.
+pub fn load(path: &str) -> Result<(Json, &'static ReportKind), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    let kind = validate(&doc).map_err(|e| format!("{path}: {e}"))?;
+    Ok((doc, kind))
+}
 
-    let config = field(doc, "report", "config")?;
-    for key in [
-        "servers",
-        "replication",
-        "clients",
-        "record_count",
-        "ops_per_client",
-        "value_bytes",
-    ] {
-        if num(config, "config", key)? <= 0.0 {
-            return Err(format!("config: \"{key}\" must be positive"));
-        }
-    }
-    if num(config, "config", "replication")? >= num(config, "config", "servers")? {
-        return Err("config: replication must be < servers".into());
-    }
-
-    let results = field(doc, "report", "results")?
-        .as_array()
-        .ok_or("report: \"results\" must be an array")?;
-    if results.is_empty() {
-        return Err("report: \"results\" must be non-empty".into());
-    }
-    for (i, result) in results.iter().enumerate() {
-        let ctx = format!("results[{i}]");
-        let backend = string(result, &ctx, "backend")?;
-        if backend != "net_cluster" {
-            return Err(format!("{ctx}: unknown backend {backend:?}"));
-        }
-        string(result, &ctx, "mix")?;
-        let read_fraction = num(result, &ctx, "read_fraction")?;
-        if !(0.0..=1.0).contains(&read_fraction) {
-            return Err(format!("{ctx}: read_fraction out of range"));
-        }
-        for key in ["clients", "batch_size", "ops"] {
-            if num(result, &ctx, key)? < 1.0 {
-                return Err(format!("{ctx}: \"{key}\" must be >= 1"));
-            }
-        }
-        for key in ["elapsed_secs", "throughput_ops_per_sec"] {
-            if num(result, &ctx, key)? <= 0.0 {
-                return Err(format!("{ctx}: \"{key}\" must be positive"));
-            }
-        }
-        latency(result, &ctx, "read_latency_us")?;
-        latency(result, &ctx, "write_latency_us")?;
-        // The wire-health block is mandatory — it is the proof the row ran
-        // over sockets at all.
-        let wire = field(result, &ctx, "wire")?;
-        let wctx = format!("{ctx}.wire");
-        for key in ["connects", "reconnects", "frames_tx", "frames_rx"] {
-            if num(wire, &wctx, key)? < 0.0 {
-                return Err(format!("{wctx}: \"{key}\" must be non-negative"));
-            }
-        }
-        if num(wire, &wctx, "frames_tx")? < 1.0 || num(wire, &wctx, "frames_rx")? < 1.0 {
-            return Err(format!("{wctx}: run moved no frames — not a wire run"));
-        }
-        if num(wire, &wctx, "decode_errors")? != 0.0 {
-            return Err(format!("{wctx}: clean loopback run decoded errors"));
-        }
-        // The replication ack-wait decomposition from the servers' live
-        // Stats RPC (counts sum over servers; quantiles quote the worst).
-        let stages = field(result, &ctx, "stages")?;
-        let stage = field(stages, &format!("{ctx}.stages"), "replication_ack_wait")?;
-        let sctx = format!("{ctx}.stages.replication_ack_wait");
-        for key in ["count", "worst_p50_ns", "worst_p99_ns", "max_ns"] {
-            if num(stage, &sctx, key)? < 0.0 {
-                return Err(format!("{sctx}: \"{key}\" must be non-negative"));
-            }
-        }
-        if let Some(energy) = result.get("energy") {
-            validate_energy_block(energy, &format!("{ctx}.energy"))?;
-        }
-    }
-
-    let comparison = field(doc, "report", "comparison")?;
-    num(comparison, "comparison", "clients")?;
-    let read50 = num(comparison, "comparison", "read50_ops_per_sec")?;
-    let read100 = num(comparison, "comparison", "read100_ops_per_sec")?;
-    let speedup = num(comparison, "comparison", "speedup")?;
-    if read50 <= 0.0 || read100 <= 0.0 {
-        return Err("comparison: throughputs must be positive".into());
-    }
-    if (speedup - read100 / read50).abs() > 1e-6 * speedup.max(1.0) {
-        return Err("comparison: speedup != read100/read50".into());
-    }
+/// What every bin's `--check PATH` runs.
+///
+/// # Errors
+///
+/// As [`load`].
+pub fn check_file(path: &str) -> Result<(), String> {
+    let (_, kind) = load(path)?;
+    println!("{path}: valid {} report", kind.benchmark);
     Ok(())
 }
 
-/// Validates a `read_path` block: `{lockfree, fallback_locked}`, where a
-/// run must actually have taken the lock-free path.
-fn validate_read_path_block(block: &Json, ctx: &str) -> Result<(), String> {
-    let lockfree = num(block, ctx, "lockfree")?;
-    let fallback = num(block, ctx, "fallback_locked")?;
-    if lockfree < 0.0 || fallback < 0.0 {
-        return Err(format!("{ctx}: counters must be non-negative"));
-    }
-    if lockfree == 0.0 {
-        return Err(format!("{ctx}: run never took the lock-free path"));
+/// Writes `doc` to `path` — unless it is a report `--check` would reject.
+///
+/// # Errors
+///
+/// A schema violation, or the write failing.
+pub fn emit(doc: &Json, path: &str) -> Result<(), String> {
+    validate(doc)?;
+    std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("write {path}: {e}"))?;
+    println!("-> {path}");
+    Ok(())
+}
+
+/// Standalone: a row whose reads never took the lock-free path did not
+/// measure this design.
+fn reads_took_the_lockfree_path(doc: &Json) -> Result<(), String> {
+    for (i, row) in rows(doc)?.iter().enumerate() {
+        let ctx = format!("results[{i}]");
+        let read_path = field(row, &ctx, "read_path")?;
+        if num(read_path, &format!("{ctx}.read_path"), "lockfree")? == 0.0 {
+            return Err(format!(
+                "{ctx}.read_path: run never took the lock-free path"
+            ));
+        }
     }
     Ok(())
 }
@@ -312,8 +426,8 @@ fn validate_read_path_block(block: &Json, ctx: &str) -> Result<(), String> {
 /// each round's pair back to back with alternating order, so this
 /// statistic cancels both slow drift and run-order effects that would
 /// otherwise swamp a ~1 % signal on shared hardware. Shared between the
-/// emitter and [`validate_obs_report`], which recomputes it from the
-/// report's own rows.
+/// emitter and the validator, which recomputes it from the report's own
+/// rows.
 ///
 /// # Errors
 ///
@@ -335,99 +449,36 @@ pub fn paired_overhead_percent(rounds: &[(f64, f64)]) -> Result<f64, String> {
     Ok(kept.iter().sum::<f64>() / kept.len() as f64)
 }
 
-/// Validates a parsed `BENCH_obs.json` document (the observability
-/// ablation: instrumentation enabled vs the kill-switch baseline on the
-/// read-path hot loop). The validator enforces the overhead budget, so
-/// CI's `--check` pass doubles as the acceptance gate.
-///
-/// # Errors
-///
-/// The first schema violation found, as a human-readable message.
-pub fn validate_obs_report(doc: &Json) -> Result<(), String> {
-    let version = num(doc, "report", "schema_version")?;
-    if version != SCHEMA_VERSION as f64 {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    let benchmark = string(doc, "report", "benchmark")?;
-    if benchmark != "obs_overhead" {
-        return Err(format!("unexpected benchmark {benchmark:?}"));
-    }
-
-    let config = field(doc, "report", "config")?;
-    for key in [
-        "record_count",
-        "ops_per_client",
-        "value_bytes",
-        "shards",
-        "rounds",
-    ] {
-        if num(config, "config", key)? <= 0.0 {
-            return Err(format!("config: \"{key}\" must be positive"));
-        }
-    }
-
-    let results = field(doc, "report", "results")?
-        .as_array()
-        .ok_or("report: \"results\" must be an array")?;
-    if results.is_empty() {
-        return Err("report: \"results\" must be non-empty".into());
-    }
-    let mut seen_modes = Vec::new();
-    for (i, result) in results.iter().enumerate() {
+/// Obs: the stage histograms prove the switch was where each row claims
+/// (an enabled run sampled some reads, a disabled run none), every round
+/// has both modes, the headline overhead is the paired statistic of the
+/// report's own rows, and it is within the budget — so `--check` doubles as
+/// the acceptance gate.
+fn obs_switch_flipped_and_overhead_within_budget(doc: &Json) -> Result<(), String> {
+    // round -> (disabled, enabled) throughput
+    let mut per_round: BTreeMap<i64, (Option<f64>, Option<f64>)> = BTreeMap::new();
+    for (i, row) in rows(doc)?.iter().enumerate() {
         let ctx = format!("results[{i}]");
-        let mode = string(result, &ctx, "mode")?;
-        if !matches!(mode, "enabled" | "disabled") {
-            return Err(format!("{ctx}: unknown mode {mode:?}"));
-        }
-        seen_modes.push(mode.to_owned());
-        if num(result, &ctx, "round")? < 0.0 || num(result, &ctx, "ops")? < 1.0 {
-            return Err(format!("{ctx}: \"round\"/\"ops\" out of range"));
-        }
-        for key in ["elapsed_secs", "throughput_ops_per_sec"] {
-            if num(result, &ctx, key)? <= 0.0 {
-                return Err(format!("{ctx}: \"{key}\" must be positive"));
-            }
-        }
-        latency(result, &ctx, "read_latency_us")?;
-        // The stage histograms are the proof the switch actually flipped:
-        // an enabled run must have sampled some reads, a disabled run none.
-        let samples = num(result, &ctx, "stage_samples")?;
-        if mode == "enabled" && samples < 1.0 {
+        let enabled = string(row, &ctx, "mode")? == "enabled";
+        let samples = num(row, &ctx, "stage_samples")?;
+        if enabled && samples < 1.0 {
             return Err(format!("{ctx}: enabled run recorded no stage samples"));
         }
-        if mode == "disabled" && samples != 0.0 {
+        if !enabled && samples != 0.0 {
             return Err(format!("{ctx}: disabled run recorded stage samples"));
         }
+        let ops = num(row, &ctx, "throughput_ops_per_sec")?;
+        let slot = per_round
+            .entry(num(row, &ctx, "round")? as i64)
+            .or_default();
+        *(if enabled { &mut slot.1 } else { &mut slot.0 }) = Some(ops);
     }
-    for mode in ["enabled", "disabled"] {
-        if !seen_modes.iter().any(|m| m == mode) {
+    for (mode, present) in [
+        ("enabled", per_round.values().any(|p| p.1.is_some())),
+        ("disabled", per_round.values().any(|p| p.0.is_some())),
+    ] {
+        if !present {
             return Err(format!("results: missing \"{mode}\" run"));
-        }
-    }
-
-    let comparison = field(doc, "report", "comparison")?;
-    let disabled = num(comparison, "comparison", "disabled_ops_per_sec")?;
-    let enabled = num(comparison, "comparison", "enabled_ops_per_sec")?;
-    let overhead = num(comparison, "comparison", "overhead_percent")?;
-    let budget = num(comparison, "comparison", "budget_percent")?;
-    if disabled <= 0.0 || enabled <= 0.0 {
-        return Err("comparison: throughputs must be positive".into());
-    }
-    if budget <= 0.0 {
-        return Err("comparison: budget_percent must be positive".into());
-    }
-    // Recompute the paired statistic from the report's own rows so the
-    // headline number can't drift from the data behind it.
-    let mut per_round: std::collections::BTreeMap<i64, (Option<f64>, Option<f64>)> =
-        std::collections::BTreeMap::new();
-    for (i, result) in results.iter().enumerate() {
-        let ctx = format!("results[{i}]");
-        let round = num(result, &ctx, "round")? as i64;
-        let ops = num(result, &ctx, "throughput_ops_per_sec")?;
-        let slot = per_round.entry(round).or_default();
-        match string(result, &ctx, "mode")? {
-            "disabled" => slot.0 = Some(ops),
-            _ => slot.1 = Some(ops),
         }
     }
     let mut pairs = Vec::new();
@@ -437,6 +488,9 @@ pub fn validate_obs_report(doc: &Json) -> Result<(), String> {
         };
         pairs.push((d, e));
     }
+    let comparison = field(doc, "report", "comparison")?;
+    let overhead = num(comparison, "comparison", "overhead_percent")?;
+    let budget = num(comparison, "comparison", "budget_percent")?;
     let expected = paired_overhead_percent(&pairs)?;
     if (overhead - expected).abs() > 1e-6 * expected.abs().max(1.0) {
         return Err("comparison: overhead_percent inconsistent with results".into());
@@ -449,143 +503,62 @@ pub fn validate_obs_report(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// The backup staging engines the recovery ablation compares.
-pub const RECOVERY_ENGINES: [&str; 2] = ["memory", "file"];
-
-/// Validates a parsed `BENCH_recovery.json` document (the recovery
-/// ablation: crash-recovery time vs. data size vs. recovery-master count,
-/// with backups staged in memory vs. on checksummed segment files).
-///
-/// Beyond shape, the validator enforces the sweep the ablation exists for:
-/// each engine must cover at least 3 distinct data sizes and 2 distinct
-/// recovery-master counts, every row's recovery bandwidth must match its
-/// own numbers, file rows must prove they actually wrote files (and read
-/// them back corruption-free), and `case` strings must be unique — they
-/// are the row identity `bench_compare` diffs.
-///
-/// # Errors
-///
-/// The first schema violation found, as a human-readable message.
-pub fn validate_recovery_report(doc: &Json) -> Result<(), String> {
-    let version = num(doc, "report", "schema_version")?;
-    if version != SCHEMA_VERSION as f64 {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    let benchmark = string(doc, "report", "benchmark")?;
-    if benchmark != "recovery_ablation" {
-        return Err(format!("unexpected benchmark {benchmark:?}"));
-    }
-
-    let config = field(doc, "report", "config")?;
-    for key in ["replication", "value_bytes"] {
-        if num(config, "config", key)? < 1.0 {
-            return Err(format!("config: \"{key}\" must be >= 1"));
-        }
-    }
-    string(config, "config", "fsync")?;
-
-    let results = field(doc, "report", "results")?
-        .as_array()
-        .ok_or("report: \"results\" must be an array")?;
-    if results.is_empty() {
-        return Err("report: \"results\" must be non-empty".into());
-    }
-    let mut cases = Vec::new();
-    let mut sizes: std::collections::BTreeMap<String, std::collections::BTreeSet<u64>> =
-        std::collections::BTreeMap::new();
-    let mut masters: std::collections::BTreeMap<String, std::collections::BTreeSet<u64>> =
-        std::collections::BTreeMap::new();
-    for (i, result) in results.iter().enumerate() {
+/// Recovery: the sweep the ablation exists for is there (each engine
+/// covers at least 3 data sizes and 2 recovery-master counts), every row's
+/// recovery bandwidth is its own bytes over its own seconds (so a
+/// regression in either shows in the diffed number), file rows prove they
+/// wrote files and read them back corruption-free, and the headline ratio
+/// matches its operands.
+fn recovery_sweep_is_covered_and_consistent(doc: &Json) -> Result<(), String> {
+    // engine -> (data sizes, recovery-master counts)
+    let mut covered: BTreeMap<&str, (BTreeSet<u64>, BTreeSet<u64>)> = BTreeMap::new();
+    for (i, row) in rows(doc)?.iter().enumerate() {
         let ctx = format!("results[{i}]");
-        let engine = string(result, &ctx, "engine")?;
-        if !RECOVERY_ENGINES.contains(&engine) {
-            return Err(format!("{ctx}: unknown engine {engine:?}"));
-        }
-        let case = string(result, &ctx, "case")?;
-        if case.is_empty() {
-            return Err(format!("{ctx}: \"case\" must be non-empty"));
-        }
-        if cases.contains(&case.to_owned()) {
-            return Err(format!("{ctx}: duplicate case {case:?}"));
-        }
-        cases.push(case.to_owned());
-        let servers = num(result, &ctx, "servers")?;
-        if servers < 2.0 {
-            return Err(format!("{ctx}: \"servers\" must be >= 2"));
-        }
-        let rec_masters = num(result, &ctx, "recovery_masters")?;
-        if rec_masters < 1.0 || rec_masters >= servers {
+        let engine = string(row, &ctx, "engine")?;
+        let masters = num(row, &ctx, "recovery_masters")?;
+        if masters >= num(row, &ctx, "servers")? {
             return Err(format!("{ctx}: \"recovery_masters\" must be in 1..servers"));
         }
-        for key in ["records", "data_bytes", "victim_bytes"] {
-            if num(result, &ctx, key)? < 1.0 {
-                return Err(format!("{ctx}: \"{key}\" must be >= 1"));
-            }
-        }
-        if num(result, &ctx, "detection_secs")? < 0.0 {
-            return Err(format!("{ctx}: \"detection_secs\" must be non-negative"));
-        }
-        let recovery_secs = num(result, &ctx, "recovery_secs")?;
-        let throughput = num(result, &ctx, "throughput_ops_per_sec")?;
-        if recovery_secs <= 0.0 || throughput <= 0.0 {
+        let expected = num(row, &ctx, "victim_bytes")? / num(row, &ctx, "recovery_secs")?;
+        let bandwidth = num(row, &ctx, "recovery_bytes_per_sec")?;
+        if (bandwidth - expected).abs() > 1e-6 * expected.max(1.0) {
             return Err(format!(
-                "{ctx}: \"recovery_secs\" and \"throughput_ops_per_sec\" must be positive"
-            ));
-        }
-        // The headline bandwidth must be the row's own bytes over its own
-        // seconds, so a regression in either is visible in the diffed number.
-        let expected = num(result, &ctx, "victim_bytes")? / recovery_secs;
-        if (throughput - expected).abs() > 1e-6 * expected.max(1.0) {
-            return Err(format!(
-                "{ctx}: throughput_ops_per_sec inconsistent with victim_bytes/recovery_secs"
+                "{ctx}: recovery_bytes_per_sec inconsistent with victim_bytes/recovery_secs"
             ));
         }
         if engine == "file" {
-            // A file row that moved no bytes through the disk engine (or
-            // saw corruption on a healthy disk) is not a valid measurement.
-            let disk = field(result, &ctx, "disk")?;
+            let disk = field(row, &ctx, "disk")?;
             let dctx = format!("{ctx}.disk");
             if num(disk, &dctx, "write_bytes")? < 1.0 {
                 return Err(format!("{dctx}: file engine row wrote no bytes"));
-            }
-            if num(disk, &dctx, "fsyncs")? < 0.0 {
-                return Err(format!("{dctx}: \"fsyncs\" must be non-negative"));
             }
             if num(disk, &dctx, "crc_mismatch")? != 0.0 {
                 return Err(format!("{dctx}: healthy-disk run detected corruption"));
             }
         }
-        sizes
-            .entry(engine.to_owned())
-            .or_default()
-            .insert(num(result, &ctx, "data_bytes")? as u64);
-        masters
-            .entry(engine.to_owned())
-            .or_default()
-            .insert(rec_masters as u64);
+        let slot = covered.entry(engine).or_default();
+        slot.0.insert(num(row, &ctx, "data_bytes")? as u64);
+        slot.1.insert(masters as u64);
     }
     for engine in RECOVERY_ENGINES {
-        let s = sizes.get(engine).map_or(0, |s| s.len());
-        let m = masters.get(engine).map_or(0, |m| m.len());
-        if s < 3 {
+        let (sizes, masters) = covered.remove(engine).unwrap_or_default();
+        if sizes.len() < 3 {
             return Err(format!(
-                "results: engine \"{engine}\" covers {s} data sizes, needs >= 3"
+                "results: engine \"{engine}\" covers {} data sizes, needs >= 3",
+                sizes.len()
             ));
         }
-        if m < 2 {
+        if masters.len() < 2 {
             return Err(format!(
-                "results: engine \"{engine}\" covers {m} recovery-master counts, needs >= 2"
+                "results: engine \"{engine}\" covers {} recovery-master counts, needs >= 2",
+                masters.len()
             ));
         }
     }
-
     let comparison = field(doc, "report", "comparison")?;
     let memory = num(comparison, "comparison", "memory_bytes_per_sec")?;
     let file = num(comparison, "comparison", "file_bytes_per_sec")?;
     let ratio = num(comparison, "comparison", "file_over_memory")?;
-    if memory <= 0.0 || file <= 0.0 {
-        return Err("comparison: recovery bandwidths must be positive".into());
-    }
     if (ratio - file / memory).abs() > 1e-6 * ratio.abs().max(1.0) {
         return Err("comparison: file_over_memory != file/memory".into());
     }
@@ -616,43 +589,16 @@ mod tests {
 
     #[test]
     fn accepts_minimal_valid_report() {
-        validate_standalone_report(&parse(&minimal()).unwrap()).unwrap();
-    }
-
-    fn with_mini(mini: &str) -> String {
-        minimal().replace(
-            "\"results\": [{",
-            &format!("\"mini_cluster\": {mini}, \"results\": [{{"),
-        )
-    }
-
-    const MINI_OK: &str = r#"{
-        "servers": 4, "replication": 2, "mix": "read95",
-        "record_count": 128, "ops": 400,
-        "elapsed_secs": 0.2, "throughput_ops_per_sec": 2000.0,
-        "read_latency_us": {"count": 380, "mean": 40.0, "p50": 35.0, "p90": 60.0, "p99": 90.0, "max": 120.0},
-        "write_latency_us": {"count": 20, "mean": 80.0, "p50": 70.0, "p90": 110.0, "p99": 150.0, "max": 180.0}
-    }"#;
-
-    #[test]
-    fn accepts_report_with_mini_cluster_section() {
-        validate_standalone_report(&parse(&with_mini(MINI_OK)).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn rejects_incoherent_mini_cluster_section() {
-        let bad = MINI_OK.replace("\"replication\": 2", "\"replication\": 4");
-        let err = validate_standalone_report(&parse(&with_mini(&bad)).unwrap()).unwrap_err();
-        assert!(err.contains("replication"), "got {err}");
+        validate(&parse(&minimal()).unwrap()).unwrap();
     }
 
     #[test]
     fn standalone_report_requires_and_checks_read_path_block() {
         let bad = minimal().replace("\"lockfree\": 95", "\"lockfree\": 0");
-        let err = validate_standalone_report(&parse(&bad).unwrap()).unwrap_err();
+        let err = validate(&parse(&bad).unwrap()).unwrap_err();
         assert!(err.contains("lock-free path"), "got {err}");
         let missing = minimal().replace("\"read_path\"", "\"read_pathology\"");
-        let err = validate_standalone_report(&parse(&missing).unwrap()).unwrap_err();
+        let err = validate(&parse(&missing).unwrap()).unwrap_err();
         assert!(err.contains("read_path"), "got {err}");
     }
 
@@ -669,12 +615,12 @@ mod tests {
                {\"name\": \"read\", \"ops\": 95, \"joules\": 9.0, \"micro_joules_per_op\": 94736.8, \"ops_per_joule\": 10.6}]},
              \"read_latency_us\"",
         );
-        validate_standalone_report(&parse(&with_blocks).unwrap()).unwrap();
+        validate(&parse(&with_blocks).unwrap()).unwrap();
         let bad = with_blocks.replace("\"joules\": 9.0", "\"joules\": -1.0");
-        let err = validate_standalone_report(&parse(&bad).unwrap()).unwrap_err();
+        let err = validate(&parse(&bad).unwrap()).unwrap_err();
         assert!(err.contains("joules"), "got {err}");
         let missing = with_blocks.replace("\"write_service_ns\"", "\"write_service_zz\"");
-        let err = validate_standalone_report(&parse(&missing).unwrap()).unwrap_err();
+        let err = validate(&parse(&missing).unwrap()).unwrap_err();
         assert!(err.contains("write_service_ns"), "got {err}");
     }
 
@@ -700,7 +646,7 @@ mod tests {
 
     #[test]
     fn accepts_minimal_obs_report() {
-        validate_obs_report(&parse(&minimal_obs()).unwrap()).unwrap();
+        validate(&parse(&minimal_obs()).unwrap()).unwrap();
     }
 
     #[test]
@@ -730,7 +676,7 @@ mod tests {
             ),
         ] {
             let doc = minimal_obs().replace(needle, replacement);
-            let err = validate_obs_report(&parse(&doc).unwrap()).unwrap_err();
+            let err = validate(&parse(&doc).unwrap()).unwrap_err();
             assert!(err.contains(expect), "{expect}: got {err}");
         }
         // Both arms of the ablation must be present: turn the disabled row
@@ -739,74 +685,8 @@ mod tests {
         let doc = minimal_obs()
             .replace("\"mode\": \"disabled\"", "\"mode\": \"enabled\"")
             .replace("\"stage_samples\": 0,", "\"stage_samples\": 7,");
-        let err = validate_obs_report(&parse(&doc).unwrap()).unwrap_err();
+        let err = validate(&parse(&doc).unwrap()).unwrap_err();
         assert!(err.contains("missing \"disabled\""), "got {err}");
-    }
-
-    fn minimal_wire() -> String {
-        r#"{
-          "schema_version": 1,
-          "benchmark": "wire_ycsb",
-          "config": {"servers": 3, "replication": 2, "clients": 2,
-            "record_count": 128, "ops_per_client": 50, "value_bytes": 64, "smoke": true},
-          "results": [
-            {"backend": "net_cluster", "mix": "read50", "read_fraction": 0.5,
-             "clients": 2, "batch_size": 1, "ops": 100,
-             "elapsed_secs": 0.2, "throughput_ops_per_sec": 500.0,
-             "read_latency_us": {"count": 50, "mean": 90.0, "p50": 80.0, "p90": 120.0, "p99": 200.0, "max": 400.0},
-             "write_latency_us": {"count": 50, "mean": 150.0, "p50": 130.0, "p90": 220.0, "p99": 380.0, "max": 900.0},
-             "wire": {"connects": 8, "reconnects": 0, "frames_tx": 220, "frames_rx": 220, "decode_errors": 0},
-             "stages": {"replication_ack_wait": {"count": 50, "worst_p50_ns": 40000, "worst_p99_ns": 90000, "max_ns": 200000}}},
-            {"backend": "net_cluster", "mix": "read100", "read_fraction": 1.0,
-             "clients": 2, "batch_size": 1, "ops": 100,
-             "elapsed_secs": 0.1, "throughput_ops_per_sec": 1000.0,
-             "read_latency_us": {"count": 100, "mean": 85.0, "p50": 78.0, "p90": 110.0, "p99": 160.0, "max": 300.0},
-             "write_latency_us": {"count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0},
-             "wire": {"connects": 8, "reconnects": 0, "frames_tx": 210, "frames_rx": 210, "decode_errors": 0},
-             "stages": {"replication_ack_wait": {"count": 0, "worst_p50_ns": 0, "worst_p99_ns": 0, "max_ns": 0}}}
-          ],
-          "comparison": {"clients": 2, "read50_ops_per_sec": 500.0,
-            "read100_ops_per_sec": 1000.0, "speedup": 2.0}
-        }"#
-        .to_owned()
-    }
-
-    #[test]
-    fn accepts_minimal_wire_report() {
-        validate_wire_report(&parse(&minimal_wire()).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn rejects_bad_wire_reports() {
-        for (needle, replacement, expect) in [
-            ("wire_ycsb", "other_bench", "benchmark"),
-            ("\"replication\": 2", "\"replication\": 3", "replication"),
-            (
-                "\"backend\": \"net_cluster\", \"mix\": \"read50\"",
-                "\"backend\": \"carrier_pigeon\", \"mix\": \"read50\"",
-                "backend",
-            ),
-            ("\"frames_tx\": 220", "\"frames_tx\": 0", "moved no frames"),
-            (
-                "\"decode_errors\": 0}",
-                "\"decode_errors\": 3}",
-                "decoded errors",
-            ),
-            (
-                "\"worst_p99_ns\": 90000",
-                "\"worst_p99_ns\": -1",
-                "worst_p99_ns",
-            ),
-            ("\"speedup\": 2.0", "\"speedup\": 5.0", "speedup"),
-        ] {
-            let doc = minimal_wire().replacen(needle, replacement, 1);
-            let err = validate_wire_report(&parse(&doc).unwrap()).unwrap_err();
-            assert!(err.contains(expect), "{expect}: got {err}");
-        }
-        // A row without its wire block is not a wire row at all.
-        let doc = minimal_wire().replacen("\"wire\":", "\"unwired\":", 1);
-        let err = validate_wire_report(&parse(&doc).unwrap()).unwrap_err();
-        assert!(err.contains("wire"), "got {err}");
     }
 
     fn recovery_row(engine: &str, case: &str, servers: u64, data: u64) -> String {
@@ -817,7 +697,7 @@ mod tests {
             r#"{{"engine": "{engine}", "case": "{case}", "servers": {servers},
                "recovery_masters": {masters}, "records": 1024, "data_bytes": {data},
                "victim_bytes": {victim}, "detection_secs": 0.15, "recovery_secs": {secs},
-               "throughput_ops_per_sec": {tp},
+               "recovery_bytes_per_sec": {tp},
                "disk": {{"write_bytes": 9000, "fsyncs": 4, "crc_mismatch": 0}}}}"#,
             tp = victim as f64 / secs,
         )
@@ -846,7 +726,7 @@ mod tests {
 
     #[test]
     fn accepts_minimal_recovery_report() {
-        validate_recovery_report(&parse(&minimal_recovery()).unwrap()).unwrap();
+        validate(&parse(&minimal_recovery()).unwrap()).unwrap();
     }
 
     #[test]
@@ -864,8 +744,8 @@ mod tests {
                 "duplicate case",
             ),
             (
-                "\"throughput_ops_per_sec\": 524288,",
-                "\"throughput_ops_per_sec\": 999,",
+                "\"recovery_bytes_per_sec\": 524288,",
+                "\"recovery_bytes_per_sec\": 999,",
                 "inconsistent",
             ),
             (
@@ -875,13 +755,13 @@ mod tests {
             ),
         ] {
             let doc = minimal_recovery().replacen(needle, replacement, 1);
-            let err = validate_recovery_report(&parse(&doc).unwrap()).unwrap_err();
+            let err = validate(&parse(&doc).unwrap()).unwrap_err();
             assert!(err.contains(expect), "{expect}: got {err}");
         }
         // Corrupt every disk block: only the file rows' blocks are checked,
         // but at least one file row must trip the corruption gate.
         let doc = minimal_recovery().replace("\"crc_mismatch\": 0", "\"crc_mismatch\": 2");
-        let err = validate_recovery_report(&parse(&doc).unwrap()).unwrap_err();
+        let err = validate(&parse(&doc).unwrap()).unwrap_err();
         assert!(err.contains("corruption"), "got {err}");
         // Coverage gates: dropping the 8-server file row leaves one master
         // count; collapsing a size leaves two sizes.
@@ -890,10 +770,10 @@ mod tests {
             "\"engine\": \"memory\", \"case\": \"m8",
             1,
         );
-        let err = validate_recovery_report(&parse(&doc).unwrap()).unwrap_err();
+        let err = validate(&parse(&doc).unwrap()).unwrap_err();
         assert!(err.contains("recovery-master counts"), "got {err}");
         let doc = minimal_recovery().replace("\"data_bytes\": 2097152", "\"data_bytes\": 1048576");
-        let err = validate_recovery_report(&parse(&doc).unwrap()).unwrap_err();
+        let err = validate(&parse(&doc).unwrap()).unwrap_err();
         assert!(err.contains("data sizes"), "got {err}");
     }
 
@@ -919,8 +799,29 @@ mod tests {
             ("\"p99\": 9.0, \"max\": 11.0", "\"max\": 11.0", "p99"),
         ] {
             let doc = minimal().replace(needle, replacement);
-            let err = validate_standalone_report(&parse(&doc).unwrap()).unwrap_err();
+            let err = validate(&parse(&doc).unwrap()).unwrap_err();
             assert!(err.contains(expect), "{expect}: got {err}");
+        }
+    }
+
+    /// Every report committed to the repo — the full-scale ones at the
+    /// root, the smoke baselines in `results/` — is one `validate` accepts.
+    #[test]
+    fn committed_artefacts_validate() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut paths = Vec::new();
+        for dir in [root.clone(), root.join("results")] {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                if name.starts_with("BENCH_") && name.ends_with(".json") {
+                    paths.push(path);
+                }
+            }
+        }
+        assert!(paths.len() >= 5, "found only {paths:?}");
+        for path in paths {
+            load(path.to_str().unwrap()).unwrap();
         }
     }
 }

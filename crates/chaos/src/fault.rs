@@ -5,7 +5,7 @@
 //! under a deterministic engine (same message stream) the decisions — and
 //! the [`FaultEvent`] trace recording them — replay bit-for-bit.
 
-use rmc_runtime::{NodeId, SimDuration, SimRng, SimTime};
+use rmc_runtime::{MetricsRegistry, NodeId, SimDuration, SimRng, SimTime};
 
 use crate::plan::FaultPlan;
 
@@ -87,6 +87,22 @@ pub struct FaultStats {
     pub delayed: u64,
     /// Duplicated deliveries.
     pub duplicated: u64,
+}
+
+impl FaultStats {
+    /// Adds these totals to `reg` as `faults.<name>` counters.
+    pub fn export(&self, reg: &MetricsRegistry) {
+        for (name, value) in [
+            ("judged", self.judged),
+            ("partition_drops", self.partition_drops),
+            ("random_drops", self.random_drops),
+            ("backup_write_drops", self.backup_write_drops),
+            ("delayed", self.delayed),
+            ("duplicated", self.duplicated),
+        ] {
+            reg.counter(&format!("faults.{name}")).add(value);
+        }
+    }
 }
 
 /// Interprets a [`FaultPlan`] against a message stream.

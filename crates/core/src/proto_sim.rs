@@ -205,73 +205,18 @@ impl SimNet {
             .collect()
     }
 
-    /// Exports every protocol counter — coordinator, per-server, per-client,
-    /// the epoch-mismatch drop count, and the fault interpreter's stats —
-    /// into a fresh [`MetricsRegistry`] under dotted-path names.
+    /// Exports every stat the nodes report ([`AnyNode::export_stats`]), the
+    /// epoch-mismatch drop count, and the fault interpreter's stats into a
+    /// fresh [`MetricsRegistry`] under dotted-path names.
     pub fn metrics(&self) -> MetricsRegistry {
         let reg = MetricsRegistry::new();
         reg.counter("net.epoch_mismatch")
             .add(self.epoch_mismatch_drops);
         if let Some(f) = &self.faults {
-            let s = f.stats;
-            reg.counter("faults.judged").add(s.judged);
-            reg.counter("faults.partition_drops").add(s.partition_drops);
-            reg.counter("faults.random_drops").add(s.random_drops);
-            reg.counter("faults.backup_write_drops")
-                .add(s.backup_write_drops);
-            reg.counter("faults.delayed").add(s.delayed);
-            reg.counter("faults.duplicated").add(s.duplicated);
+            f.stats.export(&reg);
         }
         for node in self.nodes.iter().flatten() {
-            match node {
-                AnyNode::Coordinator(c) => {
-                    let k = c.counters;
-                    reg.counter("coord.stale_heartbeats")
-                        .add(k.stale_heartbeats);
-                    reg.counter("coord.restarts_detected")
-                        .add(k.restarts_detected);
-                    reg.counter("coord.readmissions").add(k.readmissions);
-                    reg.counter("coord.recovery_retries")
-                        .add(k.recovery_retries);
-                    reg.counter("coord.map_requests").add(k.map_requests);
-                }
-                AnyNode::Server(s) => {
-                    let (i, k) = (s.index, s.counters);
-                    reg.counter(&format!("server.{i}.fenced_drops"))
-                        .add(k.fenced_drops);
-                    reg.counter(&format!("server.{i}.stale_rifl_drops"))
-                        .add(k.stale_rifl_drops);
-                    reg.counter(&format!("server.{i}.rifl_replays"))
-                        .add(k.rifl_replays);
-                    reg.counter(&format!("server.{i}.wrong_owner"))
-                        .add(k.wrong_owner);
-                    reg.counter(&format!("server.{i}.reseeds")).add(k.reseeds);
-                    reg.counter(&format!("server.{i}.pending_dropped"))
-                        .add(k.pending_dropped);
-                    reg.counter(&format!("server.{i}.pending_resends"))
-                        .add(k.pending_resends);
-                    // Replication ack-wait stage: count is a counter,
-                    // quantiles are levels (gauges) of the distribution.
-                    reg.counter(&format!("server.{i}.ack_wait_count"))
-                        .add(s.ack_wait.count());
-                    reg.gauge(&format!("server.{i}.ack_wait_p50_ns"))
-                        .set(s.ack_wait.quantile(0.5));
-                    reg.gauge(&format!("server.{i}.ack_wait_p99_ns"))
-                        .set(s.ack_wait.quantile(0.99));
-                    reg.gauge(&format!("server.{i}.ack_wait_max_ns"))
-                        .set(s.ack_wait.max());
-                }
-                AnyNode::Client(c) => {
-                    let (i, k) = (c.index, c.counters);
-                    reg.counter(&format!("client.{i}.retries")).add(k.retries);
-                    reg.counter(&format!("client.{i}.backoffs")).add(k.backoffs);
-                    reg.counter(&format!("client.{i}.giveups")).add(k.giveups);
-                    reg.counter(&format!("client.{i}.map_requests"))
-                        .add(k.map_requests);
-                    reg.counter(&format!("client.{i}.wrong_owner"))
-                        .add(k.wrong_owner);
-                }
-            }
+            node.export_stats(&reg);
         }
         reg
     }
@@ -612,7 +557,17 @@ mod tests {
         // And the masters recorded the replication ack-wait stage.
         let acked: u64 = a.servers().map(|s| s.ack_wait.count()).sum();
         assert!(acked > 0, "ack-wait histogram populated");
-        assert!(a.metrics().sum("server.", ".ack_wait_count") > 0);
+        // The registry export walks the Stats RPC's own enumeration, so no
+        // stat a server lists can be missing from it.
+        let reg = a.metrics();
+        assert!(reg.sum("server.", ".ack_wait_count") > 0);
+        let metrics = reg.snapshot();
+        for server in a.servers() {
+            for (name, _) in server.stats() {
+                let key = format!("server.{}.{name}", server.index);
+                assert!(metrics.contains_key(&key), "metrics() lacks {key}");
+            }
+        }
     }
 
     #[test]

@@ -84,7 +84,8 @@ use rmc_logstore::{
     CompletionId, LogConfig, LogEntry, ObjectRecord, SegmentId, Store, TableId, TombstoneRecord,
 };
 use rmc_obs::span::{SpanKind, SpanRecorder};
-use rmc_runtime::{Histogram, NodeId, Runtime, SimDuration, SimTime};
+use rmc_runtime::MetricKind::{self, Counter, Gauge};
+use rmc_runtime::{Histogram, MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
 
 use crate::coordinator::{bucket_for, Coordinator};
 
@@ -431,6 +432,21 @@ pub fn msg_class(msg: &Msg) -> MsgClass {
 }
 
 // ---------------------------------------------------------------------
+// Stats plane
+// ---------------------------------------------------------------------
+
+/// One stat a node reports: its name, whether two readings are meant to be
+/// diffed ([`Counter`]) or read as a level ([`Gauge`]), and its value. Each
+/// role lists its rows once (`stat_rows`); the Stats RPC
+/// ([`Msg::StatsReply`]) sends the names and values, and
+/// [`AnyNode::export_stats`] files them in a [`MetricsRegistry`] by kind.
+type StatRow = (&'static str, MetricKind, u64);
+
+fn stat_pairs(rows: Vec<StatRow>) -> Vec<(String, u64)> {
+    rows.into_iter().map(|(n, _, v)| (n.into(), v)).collect()
+}
+
+// ---------------------------------------------------------------------
 // Coordinator node
 // ---------------------------------------------------------------------
 
@@ -593,17 +609,22 @@ impl CoordinatorNode {
     /// The stats-plane dump the coordinator answers [`Msg::StatsRequest`]
     /// with.
     pub fn stats(&self) -> Vec<(String, u64)> {
+        stat_pairs(self.stat_rows())
+    }
+
+    fn stat_rows(&self) -> Vec<StatRow> {
         let c = &self.counters;
         vec![
-            ("stale_heartbeats".into(), c.stale_heartbeats),
-            ("restarts_detected".into(), c.restarts_detected),
-            ("readmissions".into(), c.readmissions),
-            ("recovery_retries".into(), c.recovery_retries),
-            ("restarts_deferred".into(), c.restarts_deferred),
-            ("map_requests".into(), c.map_requests),
-            ("map_version".into(), self.map_version),
+            ("stale_heartbeats", Counter, c.stale_heartbeats),
+            ("restarts_detected", Counter, c.restarts_detected),
+            ("readmissions", Counter, c.readmissions),
+            ("recovery_retries", Counter, c.recovery_retries),
+            ("restarts_deferred", Counter, c.restarts_deferred),
+            ("map_requests", Counter, c.map_requests),
+            ("map_version", Gauge, self.map_version),
             (
-                "recoveries_pending".into(),
+                "recoveries_pending",
+                Gauge,
                 (self.pending.len() + self.deferred_restarts.len()) as u64,
             ),
         ]
@@ -1086,25 +1107,31 @@ impl Server {
     /// The stats-plane dump this server answers [`Msg::StatsRequest`] with:
     /// event counters plus the replication ack-wait stage summary.
     pub fn stats(&self) -> Vec<(String, u64)> {
+        stat_pairs(self.stat_rows())
+    }
+
+    fn stat_rows(&self) -> Vec<StatRow> {
         let c = &self.counters;
         vec![
-            ("fenced_drops".into(), c.fenced_drops),
-            ("stale_rifl_drops".into(), c.stale_rifl_drops),
-            ("rifl_replays".into(), c.rifl_replays),
-            ("wrong_owner".into(), c.wrong_owner),
-            ("reseeds".into(), c.reseeds),
-            ("pending_dropped".into(), c.pending_dropped),
-            ("pending_resends".into(), c.pending_resends),
-            ("backup_append_errors".into(), c.backup_append_errors),
-            ("replay_truncations".into(), c.replay_truncations),
-            ("staged_segments".into(), self.staged.segment_count() as u64),
-            ("staged_bytes".into(), self.staged.staged_bytes()),
-            ("pending_now".into(), self.pending.len() as u64),
-            ("ack_wait_count".into(), self.ack_wait.count()),
-            ("ack_wait_mean_ns".into(), self.ack_wait.mean() as u64),
-            ("ack_wait_p50_ns".into(), self.ack_wait.quantile(0.5)),
-            ("ack_wait_p99_ns".into(), self.ack_wait.quantile(0.99)),
-            ("ack_wait_max_ns".into(), self.ack_wait.max()),
+            ("fenced_drops", Counter, c.fenced_drops),
+            ("stale_rifl_drops", Counter, c.stale_rifl_drops),
+            ("rifl_replays", Counter, c.rifl_replays),
+            ("wrong_owner", Counter, c.wrong_owner),
+            ("reseeds", Counter, c.reseeds),
+            ("pending_dropped", Counter, c.pending_dropped),
+            ("pending_resends", Counter, c.pending_resends),
+            ("backup_append_errors", Counter, c.backup_append_errors),
+            ("replay_truncations", Counter, c.replay_truncations),
+            ("staged_segments", Gauge, self.staged.segment_count() as u64),
+            ("staged_bytes", Gauge, self.staged.staged_bytes()),
+            ("pending_now", Gauge, self.pending.len() as u64),
+            // The ack-wait count diffs like a counter; its quantiles are
+            // levels of the distribution.
+            ("ack_wait_count", Counter, self.ack_wait.count()),
+            ("ack_wait_mean_ns", Gauge, self.ack_wait.mean() as u64),
+            ("ack_wait_p50_ns", Gauge, self.ack_wait.quantile(0.5)),
+            ("ack_wait_p99_ns", Gauge, self.ack_wait.quantile(0.99)),
+            ("ack_wait_max_ns", Gauge, self.ack_wait.max()),
         ]
     }
 
@@ -1667,6 +1694,23 @@ impl ScriptClient {
         }
     }
 
+    /// This client's event counters, in the shape of the servers' and the
+    /// coordinator's stats-plane dumps.
+    pub fn stats(&self) -> Vec<(String, u64)> {
+        stat_pairs(self.stat_rows())
+    }
+
+    fn stat_rows(&self) -> Vec<StatRow> {
+        let c = &self.counters;
+        vec![
+            ("retries", Counter, c.retries),
+            ("backoffs", Counter, c.backoffs),
+            ("giveups", Counter, c.giveups),
+            ("map_requests", Counter, c.map_requests),
+            ("wrong_owner", Counter, c.wrong_owner),
+        ]
+    }
+
     /// The recorded history plus, if an op is still in flight, a trailing
     /// unacked record for it — the exact shape
     /// [`check_histories`](rmc_chaos::check_histories) expects.
@@ -1885,6 +1929,24 @@ impl AnyNode {
             AnyNode::Coordinator(n) => n.on_timer(rt),
             AnyNode::Server(n) => n.on_timer(rt),
             AnyNode::Client(n) => n.on_timer(rt),
+        }
+    }
+
+    /// Files every stat the node reports over the Stats RPC in `reg`, under
+    /// `coord.<name>`, `server.<index>.<name>` or `client.<index>.<name>`.
+    /// Counters are added (a restarted node keeps counting where its last
+    /// incarnation's report stopped), gauges are set.
+    pub fn export_stats(&self, reg: &MetricsRegistry) {
+        let (family, rows) = match self {
+            AnyNode::Coordinator(n) => (reg.family_at("coord."), n.stat_rows()),
+            AnyNode::Server(n) => (reg.family("server", n.index), n.stat_rows()),
+            AnyNode::Client(n) => (reg.family("client", n.index), n.stat_rows()),
+        };
+        for (name, kind, value) in rows {
+            match kind {
+                Counter => family.counter(name).add(value),
+                Gauge => family.gauge(name).set(value),
+            }
         }
     }
 

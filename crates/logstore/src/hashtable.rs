@@ -280,35 +280,6 @@ impl Default for HashTable {
     }
 }
 
-impl Clone for HashTable {
-    /// Deep copy with a fresh, detached `IndexShared`: the slot layout —
-    /// including tombstones and probe distances — is preserved bit for bit,
-    /// so a clone benchmarks identically to the original. Readers of the
-    /// original never observe the clone.
-    fn clone(&self) -> Self {
-        let src = self.shared.array();
-        let dst = SlotArray::new(src.slots.len());
-        for (s, d) in src.slots.iter().zip(dst.slots.iter()) {
-            d.meta
-                .store(s.meta.load(Ordering::Relaxed), Ordering::Relaxed);
-            d.hash
-                .store(s.hash.load(Ordering::Relaxed), Ordering::Relaxed);
-            d.segment
-                .store(s.segment.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        HashTable {
-            shared: Arc::new(IndexShared {
-                current: AtomicPtr::new(Box::into_raw(Box::new(dst))),
-                seq: AtomicU64::new(0),
-                retired: Mutex::new(Vec::new()),
-            }),
-            len: self.len,
-            used: self.used,
-            stats: self.stats,
-        }
-    }
-}
-
 impl HashTable {
     /// Creates an empty table.
     pub fn new() -> Self {

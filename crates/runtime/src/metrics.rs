@@ -9,6 +9,8 @@
 //! - [`RateMeter`] — events-per-second over fixed windows (throughput
 //!   timelines, disk MB/s in Fig 12).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use serde::Serialize;
 
 use crate::time::{SimDuration, SimTime};
@@ -186,18 +188,24 @@ impl TimeSeries {
 ///
 /// Buckets grow geometrically (16 sub-buckets per octave), giving ~4.4 %
 /// relative quantile error — plenty for reproducing µs-scale latency figures.
-#[derive(Debug, Clone, Serialize)]
+///
+/// Every cell is an atomic and [`Histogram::record`] takes `&self`, so one
+/// type serves both a node's private histogram and the shared, lock-free
+/// ones a [`crate::MetricsRegistry`] hands out ([`crate::HistogramHandle`]
+/// is an `Arc` of this). All accesses are `Relaxed`: the cells are
+/// statistics and publish no other data.
+#[derive(Debug)]
 pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    max: u64,
+    buckets: Box<[AtomicU64]>,
+    count: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
 }
 
-pub(crate) const SUB_BUCKETS: u64 = 16;
+const SUB_BUCKETS: u64 = 16;
 const SUB_BITS: u32 = 4;
 
-pub(crate) fn bucket_index(value: u64) -> usize {
+fn bucket_index(value: u64) -> usize {
     if value < SUB_BUCKETS {
         return value as usize;
     }
@@ -207,7 +215,11 @@ pub(crate) fn bucket_index(value: u64) -> usize {
     (SUB_BUCKETS as u32 + octave * SUB_BUCKETS as u32 - SUB_BUCKETS as u32 + sub as u32) as usize
 }
 
-pub(crate) fn bucket_low(index: usize) -> u64 {
+fn load(cell: &AtomicU64) -> u64 {
+    cell.load(Ordering::Relaxed)
+}
+
+fn bucket_low(index: usize) -> u64 {
     let index = index as u64;
     if index < SUB_BUCKETS {
         return index;
@@ -223,61 +235,65 @@ impl Default for Histogram {
     }
 }
 
+/// A point-in-time copy. Recorders running concurrently may land between
+/// the cell reads, so the copy is coherent only up to in-flight records —
+/// fine for reporting.
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        let counts: Vec<u64> = self.buckets.iter().map(load).collect();
+        Histogram {
+            // Derive the count from the copied buckets so the two agree.
+            count: AtomicU64::new(counts.iter().sum()),
+            buckets: counts.into_iter().map(AtomicU64::new).collect(),
+            sum: AtomicU64::new(load(&self.sum)),
+            max: AtomicU64::new(load(&self.max)),
+        }
+    }
+}
+
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; 64 * SUB_BUCKETS as usize],
-            count: 0,
-            sum: 0,
-            max: 0,
+            buckets: (0..64 * SUB_BUCKETS as usize)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
-    /// Rebuilds a histogram from raw parts — the bridge from the atomic
-    /// [`crate::HistogramHandle`] snapshot back into this type so quantile
-    /// and mean logic live in one place.
-    pub(crate) fn from_parts(buckets: Vec<u64>, count: u64, sum: u128, max: u64) -> Self {
-        debug_assert_eq!(buckets.len(), 64 * SUB_BUCKETS as usize);
-        Histogram {
-            buckets,
-            count,
-            sum,
-            max,
-        }
-    }
-
-    /// Records one value (e.g. a latency in nanoseconds).
-    pub fn record(&mut self, value: u64) {
-        let idx = bucket_index(value);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value as u128;
-        self.max = self.max.max(value);
+    /// Records one value (e.g. a latency in nanoseconds). Lock-free, safe
+    /// from any thread.
+    pub fn record(&self, value: u64) {
+        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Records a duration as nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
+    pub fn record_duration(&self, d: SimDuration) {
         self.record(d.as_nanos());
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count
+        load(&self.count)
     }
 
     /// Mean of recorded values, `0.0` when empty.
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+        match self.count() {
+            0 => 0.0,
+            n => load(&self.sum) as f64 / n as f64,
         }
     }
 
     /// Exact maximum recorded value.
     pub fn max(&self) -> u64 {
-        self.max
+        load(&self.max)
     }
 
     /// The value at quantile `q` in `[0, 1]` (lower bucket bound, so the
@@ -291,28 +307,32 @@ impl Histogram {
             (0.0..=1.0).contains(&q),
             "quantile must be in [0,1], got {q}"
         );
-        if self.count == 0 {
+        // The target comes from the buckets' own total, not `count`: cells
+        // only grow, so the walk below sees at least this many values even
+        // while other threads record.
+        let count: u64 = self.buckets.iter().map(load).sum();
+        if count == 0 {
             return 0;
         }
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
+        let target = ((q * count as f64).ceil() as u64).max(1);
         let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        for (i, c) in self.buckets.iter().map(load).enumerate() {
             seen += c;
             if seen >= target {
                 return bucket_low(i);
             }
         }
-        self.max
+        self.max()
     }
 
     /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+    pub fn merge(&self, other: &Histogram) {
+        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
+            a.fetch_add(load(b), Ordering::Relaxed);
         }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
+        self.count.fetch_add(other.count(), Ordering::Relaxed);
+        self.sum.fetch_add(load(&other.sum), Ordering::Relaxed);
+        self.max.fetch_max(other.max(), Ordering::Relaxed);
     }
 }
 
@@ -567,7 +587,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_reasonable() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         for v in 1..=10_000u64 {
             h.record(v);
         }
@@ -582,7 +602,7 @@ mod tests {
 
     #[test]
     fn histogram_small_values_exact() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         for v in 0..16u64 {
             h.record(v);
         }
@@ -593,8 +613,8 @@ mod tests {
 
     #[test]
     fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
+        let a = Histogram::new();
+        let b = Histogram::new();
         a.record(10);
         b.record(1_000);
         a.merge(&b);

@@ -18,10 +18,8 @@
 //!   levels written with [`CounterHandle::set`] (queue depth, reclamation
 //!   lag); diffing them is meaningless, so the stats plane reports the
 //!   latest value instead;
-//! - **histograms** ([`HistogramHandle`]) — lock-free log-bucketed latency
-//!   distributions (same bucket layout as [`crate::Histogram`]), recorded
-//!   from any thread and snapshot into a regular [`Histogram`] for
-//!   quantiles.
+//! - **histograms** ([`HistogramHandle`]) — a shared [`Histogram`]:
+//!   lock-free log-bucketed latency distributions recorded from any thread.
 //!
 //! Registration takes a `Mutex` and allocates the name; the *handles* are
 //! lock-free. Hot paths must resolve handles once (see
@@ -32,7 +30,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::metrics::{bucket_index, Histogram, SUB_BUCKETS};
+use crate::metrics::Histogram;
 
 /// One named counter (or gauge). Cheap to clone; updates are lock-free.
 #[derive(Debug, Clone, Default)]
@@ -72,40 +70,9 @@ pub enum MetricKind {
     Gauge,
 }
 
-struct AtomicHistogram {
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl AtomicHistogram {
-    fn new() -> Self {
-        AtomicHistogram {
-            buckets: (0..64 * SUB_BUCKETS as usize)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for AtomicHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicHistogram")
-            .field("count", &self.count.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-/// One named lock-free histogram. Cheap to clone; records are a handful of
-/// relaxed atomic ops, safe from any thread.
-///
-/// Values use the same log-bucket layout as [`Histogram`] (16 sub-buckets
-/// per octave, ~4.4 % relative quantile error); snapshotting yields a plain
-/// [`Histogram`] so quantile/mean logic is shared.
+/// One named lock-free histogram: a shared [`Histogram`]. Cheap to clone;
+/// [`Histogram::record`] (reached through `Deref`) is a handful of relaxed
+/// atomic ops, safe from any thread.
 ///
 /// # Examples
 ///
@@ -120,50 +87,21 @@ impl std::fmt::Debug for AtomicHistogram {
 /// assert_eq!(snap.count(), 2);
 /// assert!(snap.mean() > 0.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct HistogramHandle(Arc<AtomicHistogram>);
+#[derive(Debug, Clone, Default)]
+pub struct HistogramHandle(Arc<Histogram>);
 
-impl Default for HistogramHandle {
-    fn default() -> Self {
-        HistogramHandle(Arc::new(AtomicHistogram::new()))
+impl std::ops::Deref for HistogramHandle {
+    type Target = Histogram;
+
+    fn deref(&self) -> &Histogram {
+        &self.0
     }
 }
 
 impl HistogramHandle {
-    /// Records one value (e.g. a latency in nanoseconds). Lock-free.
-    pub fn record(&self, value: u64) {
-        let h = &*self.0;
-        h.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum.fetch_add(value, Ordering::Relaxed);
-        h.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy as a regular [`Histogram`] (for quantiles).
-    ///
-    /// Concurrent recorders may land between the field reads, so the copy
-    /// is coherent only up to in-flight records — fine for reporting.
+    /// A point-in-time copy that later records no longer reach.
     pub fn snapshot(&self) -> Histogram {
-        let h = &*self.0;
-        let buckets: Vec<u64> = h
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        // Derive the count from the copied buckets so count and buckets
-        // always agree (quantile walks the buckets against the count).
-        let count = buckets.iter().sum();
-        Histogram::from_parts(
-            buckets,
-            count,
-            h.sum.load(Ordering::Relaxed) as u128,
-            h.max.load(Ordering::Relaxed),
-        )
+        Histogram::clone(&self.0)
     }
 }
 

@@ -4,7 +4,7 @@
 //! protocol as a standalone process on `rmc-wire`'s socket engine. Launch
 //! one coordinator and N servers (any order — connections are dialed
 //! lazily and retried under backoff), then drive the cluster with
-//! `kvshell --connect` or `standalone_ycsb --backend net_cluster`.
+//! `kvshell --connect`, or load it with `bash benchmark/run.sh --workload wire_a`.
 //!
 //! ```sh
 //! rmcd --role coordinator --addrs 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 \

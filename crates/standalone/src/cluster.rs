@@ -199,9 +199,9 @@ pub struct NodeReport {
     pub client: Option<(Vec<Reply>, bool, Vec<OpRecord>)>,
 }
 
-/// Builds the shutdown report and exports the node's protocol counters
-/// (and, under chaos, its fault-judge stats) into the shared registry —
-/// under the same dotted-path names `proto_sim::SimNet::metrics` uses.
+/// Builds the shutdown report and exports the node's stats (and, under
+/// chaos, its fault-judge stats) into the shared registry — under the same
+/// dotted-path names `proto_sim::SimNet::metrics` uses.
 fn report(
     node: AnyNode,
     id: NodeId,
@@ -209,88 +209,31 @@ fn report(
     reg: &MetricsRegistry,
 ) -> NodeReport {
     if let Some(f) = faults {
-        let s = f.stats;
-        reg.counter("faults.judged").add(s.judged);
-        reg.counter("faults.partition_drops").add(s.partition_drops);
-        reg.counter("faults.random_drops").add(s.random_drops);
-        reg.counter("faults.backup_write_drops")
-            .add(s.backup_write_drops);
-        reg.counter("faults.delayed").add(s.delayed);
-        reg.counter("faults.duplicated").add(s.duplicated);
+        f.stats.export(reg);
     }
+    node.export_stats(reg);
+    let mut report = NodeReport {
+        node: id,
+        server: None,
+        owners: None,
+        client: None,
+    };
     match node {
-        AnyNode::Coordinator(c) => {
-            let k = c.counters;
-            reg.counter("coord.stale_heartbeats")
-                .add(k.stale_heartbeats);
-            reg.counter("coord.restarts_detected")
-                .add(k.restarts_detected);
-            reg.counter("coord.readmissions").add(k.readmissions);
-            reg.counter("coord.recovery_retries")
-                .add(k.recovery_retries);
-            reg.counter("coord.map_requests").add(k.map_requests);
-            NodeReport {
-                node: id,
-                server: None,
-                owners: Some(c.coord.owners_snapshot()),
-                client: None,
-            }
-        }
+        AnyNode::Coordinator(c) => report.owners = Some(c.coord.owners_snapshot()),
         AnyNode::Server(s) => {
-            let (i, k) = (s.index, s.counters);
-            reg.counter(&format!("server.{i}.fenced_drops"))
-                .add(k.fenced_drops);
-            reg.counter(&format!("server.{i}.stale_rifl_drops"))
-                .add(k.stale_rifl_drops);
-            reg.counter(&format!("server.{i}.rifl_replays"))
-                .add(k.rifl_replays);
-            reg.counter(&format!("server.{i}.wrong_owner"))
-                .add(k.wrong_owner);
-            reg.counter(&format!("server.{i}.reseeds")).add(k.reseeds);
-            reg.counter(&format!("server.{i}.pending_dropped"))
-                .add(k.pending_dropped);
-            reg.counter(&format!("server.{i}.pending_resends"))
-                .add(k.pending_resends);
-            // Replication ack-wait decomposition: the count diffs like a
-            // counter; the quantiles are levels and must stay gauges.
-            reg.counter(&format!("server.{i}.ack_wait_count"))
-                .add(s.ack_wait.count());
-            reg.gauge(&format!("server.{i}.ack_wait_p50_ns"))
-                .set(s.ack_wait.quantile(0.5));
-            reg.gauge(&format!("server.{i}.ack_wait_p99_ns"))
-                .set(s.ack_wait.quantile(0.99));
-            reg.gauge(&format!("server.{i}.ack_wait_max_ns"))
-                .set(s.ack_wait.max());
             let live = s
                 .store
                 .live_objects()
                 .map(|o| (o.key.to_vec(), o.value.to_vec(), o.version.0))
                 .collect();
-            NodeReport {
-                node: id,
-                server: Some((s.index, live)),
-                owners: None,
-                client: None,
-            }
+            report.server = Some((s.index, live));
         }
         AnyNode::Client(c) => {
-            let (i, k) = (c.index, c.counters);
-            reg.counter(&format!("client.{i}.retries")).add(k.retries);
-            reg.counter(&format!("client.{i}.backoffs")).add(k.backoffs);
-            reg.counter(&format!("client.{i}.giveups")).add(k.giveups);
-            reg.counter(&format!("client.{i}.map_requests"))
-                .add(k.map_requests);
-            reg.counter(&format!("client.{i}.wrong_owner"))
-                .add(k.wrong_owner);
             let history = c.full_history();
-            NodeReport {
-                node: id,
-                server: None,
-                owners: None,
-                client: Some((c.results, c.done, history)),
-            }
+            report.client = Some((c.results, c.done, history));
         }
     }
+    report
 }
 
 /// One protocol node's event loop, on either fabric: [`Cluster`] runs it on

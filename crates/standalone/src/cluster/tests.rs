@@ -30,6 +30,7 @@ fn kv(i: usize) -> (Vec<u8>, Vec<u8>) {
 on_both_fabrics!(
     put_get_del_roundtrip,
     spans_and_stats_flow_over_the_fabric,
+    shutdown_report_holds_every_stat_the_stats_rpc_lists,
     one_send_and_one_deliver_per_unretried_message,
     node_stats_ignores_a_reply_from_another_node,
     kill_and_recover_preserves_live_set,
@@ -86,6 +87,22 @@ fn spans_and_stats_flow_over_the_fabric<F: Fabric>() {
     assert!(tl.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
     let report = cluster.shutdown();
     assert!(report.metrics.sum("server.", ".ack_wait_count") > 0);
+}
+
+/// The shutdown report and the Stats RPC read one enumeration: a stat a
+/// server lists live cannot be missing from `ClusterReport.metrics`.
+fn shutdown_report_holds_every_stat_the_stats_rpc_lists<F: Fabric>() {
+    let cfg = small_cfg(SERVERS, 1, REPLICATION);
+    let names = rmc_core::protocol::Server::new(0, cfg.clone()).stats();
+    let (cluster, mut clients) = Cluster::<F>::start(cfg);
+    clients[0].put(b"k", b"v").unwrap();
+    let metrics = cluster.shutdown().metrics.snapshot();
+    for i in 0..SERVERS {
+        for (name, _) in &names {
+            let key = format!("server.{i}.{name}");
+            assert!(metrics.contains_key(&key), "report lacks {key}");
+        }
+    }
 }
 
 /// The span invariant consumers of the timelines rely on (the benchmark's

@@ -334,7 +334,7 @@ mod tests {
         // The same latencies through both paths must agree to within the
         // histogram's bucket resolution.
         let latencies_us = [10.0_f64, 20.0, 40.0, 80.0, 160.0];
-        let mut hist = Histogram::new();
+        let hist = Histogram::new();
         for &us in &latencies_us {
             hist.record_duration(SimDuration::from_nanos((us * 1e3) as u64));
         }
