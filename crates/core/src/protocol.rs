@@ -446,6 +446,14 @@ fn stat_pairs(rows: Vec<StatRow>) -> Vec<(String, u64)> {
     rows.into_iter().map(|(n, _, v)| (n.into(), v)).collect()
 }
 
+/// The replica form of an entry the master's log does not hold byte for
+/// byte (a tombstone, a re-driven duplicate's record).
+fn serialized(entry: &LogEntry) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(entry.serialized_len());
+    entry.serialize_into(&mut bytes);
+    bytes
+}
+
 // ---------------------------------------------------------------------
 // Coordinator node
 // ---------------------------------------------------------------------
@@ -1212,8 +1220,8 @@ impl Server {
         self.rifl_last.insert(client.0 as u64, (seq, None));
         match op {
             ClientOp::Get { key } => {
-                // Serve through the view API (the engine's read path); the
-                // bytes are copied out only here, at the wire boundary.
+                // The view points into the segment; the value is copied
+                // once, here, at the wire boundary.
                 let value = self
                     .store
                     .read_view(PROTO_TABLE, &key)
@@ -1229,17 +1237,25 @@ impl Server {
                     .store
                     .write_with(PROTO_TABLE, &key, &value, Some(completion))
                     .expect("mini-cluster write fits in log");
-                let entry = LogEntry::Object(ObjectRecord {
-                    table: PROTO_TABLE,
-                    key: key.into(),
-                    value: value.into(),
-                    version: outcome.version,
-                    completion: Some(completion),
-                });
+                // Replicas get the very bytes the log now holds: the record
+                // is serialized, and checksummed, once.
+                let bytes = match self.store.appended_bytes(&outcome) {
+                    Some(appended) => appended.to_vec(),
+                    // A re-driven duplicate appended nothing, and what sits
+                    // at the key by now may be another client's newer
+                    // version: re-create this op's own record.
+                    None => serialized(&LogEntry::Object(ObjectRecord {
+                        table: PROTO_TABLE,
+                        key: key.into(),
+                        value: value.into(),
+                        version: outcome.version,
+                        completion: Some(completion),
+                    })),
+                };
                 let reply = Reply::Done {
                     version: outcome.version.0,
                 };
-                self.replicate_entry(&entry, client, seq, bucket, reply, rt);
+                self.replicate(bytes, client, seq, bucket, reply, rt);
             }
             ClientOp::Del { key } => {
                 match self
@@ -1261,7 +1277,7 @@ impl Server {
                             dead_segment: SegmentId(0),
                         });
                         let reply = Reply::Done { version: version.0 };
-                        self.replicate_entry(&entry, client, seq, bucket, reply, rt);
+                        self.replicate(serialized(&entry), client, seq, bucket, reply, rt);
                     }
                 }
             }
@@ -1311,21 +1327,19 @@ impl Server {
         }
     }
 
-    /// Serializes `entry`, stages it on `R` ring backups, and registers the
-    /// client response to fire when every ack is in. A duplicate of a
-    /// pending write re-replicates to the still-waiting targets, so a lost
-    /// `Replicate` or ack cannot wedge the op.
-    fn replicate_entry<R: Runtime<Msg = Msg>>(
+    /// Stages `bytes` (one serialized entry) on `R` ring backups, and
+    /// registers the client response to fire when every ack is in. A
+    /// duplicate of a pending write re-replicates to the still-waiting
+    /// targets, so a lost `Replicate` or ack cannot wedge the op.
+    fn replicate<R: Runtime<Msg = Msg>>(
         &mut self,
-        entry: &LogEntry,
+        bytes: Vec<u8>,
         client: NodeId,
         seq: u64,
         bucket: usize,
         reply: Reply,
         rt: &mut R,
     ) {
-        let mut bytes = Vec::new();
-        entry.serialize_into(&mut bytes);
         if self.cur_segment_bytes + bytes.len() > self.cfg.log.segment_bytes {
             self.cur_segment += 1;
             self.cur_segment_bytes = 0;
@@ -1544,7 +1558,7 @@ impl Server {
             .remove(&crashed)
             .expect("takeover in progress");
         let bucket_set: BTreeSet<usize> = fetch.buckets.iter().copied().collect();
-        let mut reseed = Vec::new();
+        let mut reseed: Vec<u8> = Vec::new();
         for (_seg, bytes) in &fetch.collected {
             let mut off = 0;
             while off < bytes.len() {
@@ -1577,8 +1591,10 @@ impl Server {
                 if applied {
                     // Tombstones must travel with the objects they kill:
                     // reseeding only the object would resurrect deleted
-                    // keys in the *next* recovery of this server.
-                    reseed.push(entry.clone());
+                    // keys in the *next* recovery of this server. The
+                    // entry's bytes just passed their checksum; they go on
+                    // as they are.
+                    reseed.extend_from_slice(&bytes[off - len..off]);
                 }
             }
         }
@@ -1593,22 +1609,18 @@ impl Server {
         );
         if !reseed.is_empty() {
             self.cur_segment += 1;
-            let mut bytes = Vec::new();
-            for entry in &reseed {
-                entry.serialize_into(&mut bytes);
-            }
-            self.cur_segment_bytes = bytes.len();
-            self.sent_log.insert(self.cur_segment, bytes.clone());
+            self.cur_segment_bytes = reseed.len();
             for b in targets {
                 rt.send(
                     server_id(b),
                     Msg::Replicate {
                         segment: self.cur_segment,
-                        bytes: bytes.clone(),
+                        bytes: reseed.clone(),
                         token: REPLICA_RESEED,
                     },
                 );
             }
+            self.sent_log.insert(self.cur_segment, reseed);
         }
         rt.send(
             coordinator_id(),
@@ -2158,6 +2170,126 @@ mod tests {
         assert_eq!(server.store.live_objects().count(), 1);
         let obj = server.store.read(PROTO_TABLE, &key).expect("live");
         assert_eq!(obj.version.0, first_version);
+    }
+
+    /// The `Replicate` payloads in `out` that carry `token`.
+    fn replicated(out: &[(NodeId, Msg)], token: (u64, u64)) -> Vec<&[u8]> {
+        out.iter()
+            .filter_map(|(_, m)| match m {
+                Msg::Replicate {
+                    bytes, token: t, ..
+                } if *t == token => Some(&bytes[..]),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_put_replicates_the_bytes_its_log_holds() {
+        let cfg = ProtocolConfig::new(3, 1, 2);
+        let client = client_id(3, 0);
+        let key = key_owned_by_zero(&cfg);
+        let mut server = Server::new(0, cfg);
+        let mut rt = TestRt::new(server_id(0));
+        let mut logged = 0;
+        for (seq, value) in [(1, &b"first"[..]), (2, &b"second, longer"[..])] {
+            let op = ClientOp::Put {
+                key: key.clone(),
+                value: value.to_vec(),
+            };
+            server.on_message(client, Msg::Request { seq, op }, &mut rt);
+            let token = (client.0 as u64, seq);
+            let out = rt.drain();
+            let sent = replicated(&out, token);
+            assert_eq!(sent.len(), 2, "one replicate per backup");
+            // Both writes sit back to back in the head segment: the
+            // replica is that record, byte for byte — serialized once.
+            let log = server.store.log();
+            let head = log.segment(log.head()).expect("head").as_bytes();
+            for bytes in sent {
+                assert_eq!(bytes, &head[logged..]);
+                let (entry, len) = LogEntry::parse(bytes).expect("a whole entry");
+                assert_eq!(len, bytes.len());
+                let LogEntry::Object(o) = entry else {
+                    panic!("{entry:?}")
+                };
+                assert_eq!((&o.value[..], o.version.0), (value, seq));
+                assert_eq!(
+                    o.completion,
+                    Some(CompletionId {
+                        client: token.0,
+                        seq
+                    })
+                );
+            }
+            logged = head.len();
+            server.on_message(server_id(1), Msg::ReplicateAck { token }, &mut rt);
+            server.on_message(server_id(2), Msg::ReplicateAck { token }, &mut rt);
+            rt.drain();
+        }
+    }
+
+    #[test]
+    fn a_redriven_shed_duplicate_replicates_its_own_record_not_the_newer_one() {
+        let cfg = ProtocolConfig::new(3, 2, 2);
+        let (a, b) = (client_id(3, 0), client_id(3, 1));
+        let key = key_owned_by_zero(&cfg);
+        let bucket = bucket_for(PROTO_TABLE, &key, cfg.buckets);
+        let home: Vec<usize> = (0..cfg.buckets).map(|b| b % cfg.servers).collect();
+        let mut away = home.clone();
+        away[bucket] = 1;
+        let mut server = Server::new(0, cfg);
+        let mut rt = TestRt::new(server_id(0));
+        let put = |value: &[u8]| Msg::Request {
+            seq: 1,
+            op: ClientOp::Put {
+                key: key.clone(),
+                value: value.to_vec(),
+            },
+        };
+        // A's write is applied and waits for its backups…
+        server.on_message(a, put(b"from a"), &mut rt);
+        // …when the bucket moves away (the pending write is shed without an
+        // answer) and back again.
+        for (version, owners) in [(1, away), (2, home)] {
+            let alive = vec![true; 3];
+            let update = Msg::MapUpdate {
+                version,
+                owners,
+                alive,
+            };
+            server.on_message(coordinator_id(), update, &mut rt);
+        }
+        assert_eq!(server.counters.pending_dropped, 1);
+        // B overwrites the key.
+        server.on_message(b, put(b"from b"), &mut rt);
+        rt.drain();
+        // A retries: its write is not applied twice, and appends nothing —
+        // the log position of the key holds B's version 2 by now. What goes
+        // to the backups must still be A's own version 1.
+        server.on_message(a, put(b"from a"), &mut rt);
+        let token = (a.0 as u64, 1);
+        let out = rt.drain();
+        let sent = replicated(&out, token);
+        assert_eq!(sent.len(), 2);
+        for bytes in sent {
+            let (entry, _) = LogEntry::parse(bytes).expect("a whole entry");
+            assert_eq!(
+                entry,
+                LogEntry::Object(ObjectRecord {
+                    table: PROTO_TABLE,
+                    key: key.clone().into(),
+                    value: b"from a".to_vec().into(),
+                    version: rmc_logstore::Version(1),
+                    completion: Some(CompletionId {
+                        client: token.0,
+                        seq: 1
+                    }),
+                })
+            );
+        }
+        let live = server.store.read(PROTO_TABLE, &key).expect("live");
+        assert_eq!((&live.value[..], live.version.0), (&b"from b"[..], 2));
     }
 
     #[test]

@@ -26,6 +26,17 @@
 //! from an in-memory mirror of the staged payloads, maintained on append
 //! and rebuilt once at open — the RAMCloud discipline of serving recovery
 //! from buffered copies while the disk takes writes.
+//!
+//! ## Descriptors
+//!
+//! A master appends to one segment at a time, so the store keeps one open
+//! descriptor per master: appending to another segment of that master (the
+//! next one, or an older one a late retry still addresses) closes the file
+//! appended to before and opens the other with `O_APPEND`. Closing is not
+//! syncing. A file the policy has not synced yet stays in the dirty set,
+//! and the sync that is due — `Batched`'s threshold, an explicit
+//! [`flush`](BackupStorage::flush) — reopens it: `fsync` works on the
+//! file, whichever descriptor wrote it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
@@ -95,9 +106,9 @@ pub struct FileStorage {
     injector: Option<Box<dyn FaultInjector>>,
     /// In-memory mirror of each slot's staged payload bytes.
     cache: BTreeMap<(usize, u64), Vec<u8>>,
-    /// Open append handles.
-    files: BTreeMap<(usize, u64), File>,
-    /// Slots with bytes written since the last fsync.
+    /// The one open append handle per master: master → (segment, file).
+    open: BTreeMap<usize, (u64, File)>,
+    /// Slots with bytes written since their last fsync.
     dirty: BTreeSet<(usize, u64)>,
     dirty_bytes: usize,
     last_sync: Instant,
@@ -137,7 +148,7 @@ impl FileStorage {
             epoch,
             injector: None,
             cache: BTreeMap::new(),
-            files: BTreeMap::new(),
+            open: BTreeMap::new(),
             dirty: BTreeSet::new(),
             dirty_bytes: 0,
             last_sync: Instant::now(),
@@ -240,24 +251,32 @@ impl FileStorage {
         Ok(())
     }
 
+    fn path_of(&self, (master, segment): (usize, u64)) -> PathBuf {
+        self.dir.join(seg_name(master, segment))
+    }
+
+    /// The append handle of `(master, segment)`, which becomes `master`'s
+    /// one open file.
     fn file_for(&mut self, master: usize, segment: u64) -> Result<&mut File, StorageError> {
-        let key = (master, segment);
-        if !self.files.contains_key(&key) {
-            let path = self.dir.join(seg_name(master, segment));
+        if self.open.get(&master).map(|(open, _)| *open) != Some(segment) {
+            let path = self.path_of((master, segment));
             let f = OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(&path)
                 .map_err(|e| StorageError::Io(format!("open {path:?}: {e}")))?;
-            self.files.insert(key, f);
+            // Replacing the entry closes the file `master` appended to
+            // before.
+            self.open.insert(master, (segment, f));
         }
-        Ok(self.files.get_mut(&key).expect("just inserted"))
+        Ok(&mut self.open.get_mut(&master).expect("just opened").1)
     }
 
     /// Runs the policy after `written` new bytes landed on `key`'s file.
     fn after_write(&mut self, key: (usize, u64), written: usize) -> Result<(), StorageError> {
         match self.policy {
             FsyncPolicy::PerWrite => {
+                self.injected_fsync()?;
                 self.sync_one(key)?;
             }
             FsyncPolicy::Batched { bytes, interval } => {
@@ -268,23 +287,36 @@ impl FileStorage {
                     self.flush()?;
                 }
             }
-            FsyncPolicy::Off => {}
+            // Synced only if somebody calls `flush`.
+            FsyncPolicy::Off => {
+                self.dirty.insert(key);
+            }
         }
         Ok(())
     }
 
-    fn sync_one(&mut self, key: (usize, u64)) -> Result<(), StorageError> {
+    /// Lets the injector fail the fsync about to run.
+    fn injected_fsync(&mut self) -> Result<(), StorageError> {
         if let Some(injector) = self.injector.as_mut() {
             if !injector.on_fsync() {
                 self.metrics.fsync_errors.incr();
                 return Err(StorageError::Io("injected fsync EIO".into()));
             }
         }
-        if let Some(f) = self.files.get(&key) {
-            f.sync_all()
-                .map_err(|e| StorageError::Io(format!("fsync {key:?}: {e}")))?;
-            self.metrics.fsyncs.incr();
+        Ok(())
+    }
+
+    fn sync_one(&self, key: (usize, u64)) -> Result<(), StorageError> {
+        match self.open.get(&key.0) {
+            Some((segment, f)) if *segment == key.1 => f.sync_all(),
+            // Closed since it was written.
+            _ => OpenOptions::new()
+                .append(true)
+                .open(self.path_of(key))
+                .and_then(|f| f.sync_all()),
         }
+        .map_err(|e| StorageError::Io(format!("fsync {key:?}: {e}")))?;
+        self.metrics.fsyncs.incr();
         Ok(())
     }
 }
@@ -344,13 +376,19 @@ impl BackupStorage for FileStorage {
         if bytes.len() <= current {
             return Ok(());
         }
-        // Rewrite the file as a single frame holding the whole image. The
-        // open append handle is dropped first; a crash mid-rewrite leaves a
-        // torn tail, which recovery truncates — and reseeds are fire-and-
-        // forget re-replication, so the master will send the image again.
-        self.files.remove(&key);
-        self.dirty.remove(&key);
-        let path = self.dir.join(seg_name(master, segment));
+        // Rewrite the file as a single frame holding the whole image. An
+        // open append handle on it is dropped first; a crash mid-rewrite
+        // leaves a torn tail, which recovery truncates — and reseeds are
+        // fire-and-forget re-replication, so the master will send the
+        // image again.
+        if self
+            .open
+            .get(&master)
+            .is_some_and(|(open, _)| *open == segment)
+        {
+            self.open.remove(&master);
+        }
+        let path = self.path_of(key);
         let frame = encode_frame(master, segment, self.epoch, bytes);
         let mut f = File::create(&path).map_err(|e| StorageError::Io(format!("{path:?}: {e}")))?;
         f.write_all(&frame).map_err(|e| {
@@ -359,13 +397,6 @@ impl BackupStorage for FileStorage {
         })?;
         self.metrics.write_bytes.add(frame.len() as u64);
         drop(f);
-        self.files.insert(
-            key,
-            OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .map_err(|e| StorageError::Io(format!("reopen {path:?}: {e}")))?,
-        );
         self.after_write(key, frame.len())?;
         self.cache.insert(key, bytes.to_vec());
         Ok(())
@@ -388,25 +419,9 @@ impl BackupStorage for FileStorage {
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
-        if let Some(injector) = self.injector.as_mut() {
-            if !injector.on_fsync() {
-                self.metrics.fsync_errors.incr();
-                return Err(StorageError::Io("injected fsync EIO".into()));
-            }
-        }
-        let keys: Vec<(usize, u64)> = self.dirty.iter().copied().collect();
-        let syncing = match self.policy {
-            // Per-write keeps nothing dirty; off flushes everything open
-            // (the shutdown path's best effort).
-            FsyncPolicy::Off => self.files.keys().copied().collect(),
-            _ => keys,
-        };
-        for key in syncing {
-            if let Some(f) = self.files.get(&key) {
-                f.sync_all()
-                    .map_err(|e| StorageError::Io(format!("fsync {key:?}: {e}")))?;
-                self.metrics.fsyncs.incr();
-            }
+        self.injected_fsync()?;
+        for &key in &self.dirty {
+            self.sync_one(key)?;
         }
         self.dirty.clear();
         self.dirty_bytes = 0;
@@ -420,7 +435,10 @@ impl Drop for FileStorage {
     fn drop(&mut self) {
         // Graceful exits flush whatever the policy left unsynced; a real
         // crash never runs this, which is the whole point of the policies.
-        let _ = self.flush();
+        // `Off` promised no sync, and nobody is asking for one here.
+        if self.policy != FsyncPolicy::Off {
+            let _ = self.flush();
+        }
     }
 }
 
@@ -574,6 +592,99 @@ mod tests {
         // Threshold exceeded: the dirty queue drained inside append.
         assert_eq!(s.dirty.len(), 0);
         assert_eq!(s.dirty_bytes, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Descriptors of this process that point into `dir`.
+    fn descriptors_under(dir: &Path) -> usize {
+        fs::read_dir("/proc/self/fd")
+            .expect("procfs")
+            .filter_map(|fd| fs::read_link(fd.ok()?.path()).ok())
+            .filter(|target| target.starts_with(dir))
+            .count()
+    }
+
+    #[test]
+    fn one_descriptor_per_master_however_many_segments() {
+        let dir = tmpdir("descriptors");
+        let payload = |master: usize, segment: u64, n: u8| vec![n; 10 + master + segment as usize];
+        {
+            let mut s = open(&dir, FsyncPolicy::Off);
+            for segment in 0..100 {
+                for master in [0, 1] {
+                    s.append(master, segment, &payload(master, segment, 1))
+                        .unwrap();
+                    s.append(master, segment, &payload(master, segment, 2))
+                        .unwrap();
+                    assert!(s.open.len() <= 2);
+                    assert!(descriptors_under(&dir) <= 2);
+                }
+            }
+            // A late retry for a segment its master left long ago.
+            s.append(0, 3, &payload(0, 3, 9)).unwrap();
+            assert_eq!(descriptors_under(&dir), 2, "one per master, and counted");
+            assert_eq!(s.segment_count(), 200);
+        }
+        let s = open(&dir, FsyncPolicy::Off);
+        assert_eq!(s.recovery.segments, 200);
+        assert_eq!((s.recovery.torn_tails, s.recovery.quarantined), (0, 0));
+        for master in [0, 1] {
+            let recovered = s.segments_of(master);
+            assert_eq!(recovered.len(), 100);
+            for (segment, bytes) in recovered {
+                let mut want = payload(master, segment, 1);
+                want.extend(payload(master, segment, 2));
+                if (master, segment) == (0, 3) {
+                    // Reopened with `O_APPEND`: after the earlier frames.
+                    want.extend(payload(0, 3, 9));
+                }
+                assert_eq!(bytes, want, "master {master} segment {segment}");
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn counted(dir: &Path, policy: FsyncPolicy) -> (FileStorage, rmc_runtime::MetricsRegistry) {
+        let registry = rmc_runtime::MetricsRegistry::new();
+        let metrics = DiskMetrics::new(&registry.family_at("disk."));
+        let s = FileStorage::open(dir, policy, 0, metrics).unwrap();
+        (s, registry)
+    }
+
+    #[test]
+    fn a_batched_flush_reaches_segments_closed_since_they_were_written() {
+        let dir = tmpdir("batched-closed");
+        let policy = FsyncPolicy::Batched {
+            bytes: 1 << 20,
+            interval: std::time::Duration::from_secs(3600),
+        };
+        let (mut s, registry) = counted(&dir, policy);
+        s.append(0, 1, b"left behind").unwrap();
+        s.append(0, 2, b"current").unwrap();
+        // Moving on closed segment 1's file; closing is not syncing.
+        assert_eq!(registry.get("disk.fsyncs"), 0);
+        assert_eq!(s.dirty.len(), 2);
+        s.flush().unwrap();
+        assert_eq!(registry.get("disk.fsyncs"), 2);
+        assert!(s.dirty.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn off_syncs_on_request_only() {
+        let dir = tmpdir("off");
+        let (mut s, registry) = counted(&dir, FsyncPolicy::Off);
+        s.append(0, 1, b"one").unwrap();
+        s.append(0, 2, b"two").unwrap();
+        s.flush().unwrap();
+        assert_eq!(
+            registry.get("disk.fsyncs"),
+            2,
+            "an explicit flush is a request"
+        );
+        s.append(0, 2, b"three").unwrap();
+        drop(s);
+        assert_eq!(registry.get("disk.fsyncs"), 2, "dropping the store is not");
         let _ = fs::remove_dir_all(&dir);
     }
 

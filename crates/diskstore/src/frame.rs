@@ -20,13 +20,15 @@
 //! a structurally complete frame carries impossible fields or a bad
 //! checksum (the disk lied — quarantine, never trust what follows).
 
-use rmc_logstore::crc32c;
+use rmc_logstore::Crc32c;
 
 /// `"RMCS"` as the first four bytes of every frame (little-endian u32).
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"RMCS");
 
 /// Fixed header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 4 + 8 + 8 + 8 + 4 + 4;
+/// Offset of the crc, the header's last field.
+const CRC_AT: usize = FRAME_HEADER_BYTES - 4;
 
 /// Sanity bound on a single frame's payload (far above any real segment;
 /// a declared length past this is corruption, not a huge write).
@@ -70,6 +72,14 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Checksum of one whole frame: everything but the crc field.
+fn frame_crc(frame: &[u8]) -> u32 {
+    let mut crc = Crc32c::new();
+    crc.update(&frame[..CRC_AT]);
+    crc.update(&frame[FRAME_HEADER_BYTES..]);
+    crc.finish()
+}
+
 /// Encodes one frame: header + payload, checksummed.
 pub fn encode_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_FRAME_PAYLOAD, "payload too large");
@@ -79,16 +89,10 @@ pub fn encode_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> 
     out.extend_from_slice(&segment.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc_at = out.len();
     out.extend_from_slice(&[0u8; 4]);
     out.extend_from_slice(payload);
-    let crc = {
-        let mut tmp = Vec::with_capacity(out.len() - 4);
-        tmp.extend_from_slice(&out[..crc_at]);
-        tmp.extend_from_slice(&out[crc_at + 4..]);
-        crc32c(&tmp)
-    };
-    out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    let crc = frame_crc(&out);
+    out[CRC_AT..FRAME_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -120,12 +124,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameHeader, &[u8], usize), FrameErro
     if buf.len() < total {
         return Err(FrameError::TornTail);
     }
-    let computed = {
-        let mut tmp = Vec::with_capacity(total - 4);
-        tmp.extend_from_slice(&buf[..32]);
-        tmp.extend_from_slice(&buf[36..total]);
-        crc32c(&tmp)
-    };
+    let computed = frame_crc(&buf[..total]);
     if computed != crc {
         return Err(FrameError::Corrupt(format!(
             "checksum mismatch: stored {crc:#010x}, computed {computed:#010x}"
@@ -191,6 +190,36 @@ mod tests {
                 Ok(_) => panic!("bit flip at byte {byte} went undetected"),
             }
         }
+    }
+
+    /// The disk format is frozen: this is the frame the commit before the
+    /// table-driven checksum (8ee9d25) wrote for a tombstone entry, so a
+    /// data dir staged by an older build opens under this one.
+    #[test]
+    fn a_frame_written_before_the_table_kernel_decodes_and_reencodes_identically() {
+        let golden: Vec<u8> = [
+            "524d4353", // magic
+            "0300000000000000",
+            "1100000000000000",
+            "0200000000000000",
+            "2b000000",
+            "aae565aa", // crc
+            "0107000000000000000800080000000400000000000000332e4218",
+            "7573657234333132",
+            "0c00000000000000",
+        ]
+        .concat()
+        .as_bytes()
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect();
+        let (h, payload, total) = decode_frame(&golden).unwrap();
+        assert_eq!(
+            (h.master, h.segment, h.epoch, h.len, h.crc),
+            (3, 17, 2, 43, 0xAA65_E5AA)
+        );
+        assert_eq!(total, golden.len());
+        assert_eq!(encode_frame(3, 17, 2, payload), golden);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cleaner;
+mod crc;
 mod entry;
 pub mod epoch;
 mod hashtable;
@@ -45,8 +46,9 @@ mod view;
 pub use cleaner::{
     CleanKind, CleanOutcome, CleanPlan, CleanerConfig, CleanerConfigError, PreparedClean,
 };
+pub use crc::{crc32c, Crc32c};
 pub use entry::{
-    crc32c, CompletionId, LogEntry, ObjectRecord, ParseEntryError, TombstoneRecord, HEADER_BYTES,
+    CompletionId, LogEntry, ObjectRecord, ParseEntryError, TombstoneRecord, HEADER_BYTES,
     MAX_KEY_BYTES, MAX_VALUE_BYTES,
 };
 pub use epoch::{EpochGuard, EpochTracker};

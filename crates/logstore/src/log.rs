@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::entry::LogEntry;
+use crate::entry::{EntryView, LogEntry};
 use crate::segbuf::SegmentMap;
 use crate::segment::{Segment, DEFAULT_SEGMENT_BYTES};
 use crate::types::{LogPosition, SegmentId};
@@ -264,7 +264,14 @@ impl Log {
     /// Reads the entry at `pos`, or `None` if the segment was cleaned or the
     /// offset is invalid.
     pub fn read(&self, pos: LogPosition) -> Option<LogEntry> {
-        self.segments.get(&pos.segment)?.read_at(pos.offset).ok()
+        self.view(pos).map(|view| view.to_owned())
+    }
+
+    /// Borrows the entry at `pos` in place, checksum verified: what
+    /// [`Log::read`] copies out of. The store's own lookups need a key
+    /// compare, a version and a size, not copies.
+    pub(crate) fn view(&self, pos: LogPosition) -> Option<EntryView<'_>> {
+        self.segments.get(&pos.segment)?.view_at(pos.offset).ok()
     }
 
     /// Whether `id` is still allocated.

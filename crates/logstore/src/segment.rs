@@ -14,7 +14,7 @@
 
 use bytes::Bytes;
 
-use crate::entry::{LogEntry, ParseEntryError};
+use crate::entry::{EntryView, LogEntry, ParseEntryError};
 use crate::segbuf::SegmentBuf;
 use crate::types::SegmentId;
 use std::sync::Arc;
@@ -171,12 +171,18 @@ impl Segment {
     /// Returns a [`ParseEntryError`] if `offset` does not point at a valid
     /// entry (truncated, corrupt, or out of range).
     pub fn read_at(&self, offset: u32) -> Result<LogEntry, ParseEntryError> {
+        self.view_at(offset).map(|view| view.to_owned())
+    }
+
+    /// Borrows the entry at `offset` in place, checksum verified: what
+    /// [`Segment::read_at`] copies out of.
+    pub(crate) fn view_at(&self, offset: u32) -> Result<EntryView<'_>, ParseEntryError> {
         let committed = self.buf.committed();
         let start = offset as usize;
         if start >= committed.len() {
             return Err(ParseEntryError::Truncated);
         }
-        LogEntry::parse(&committed[start..]).map(|(e, _)| e)
+        EntryView::parse(&committed[start..])
     }
 
     /// Iterates over `(offset, entry)` pairs from the beginning.
@@ -209,8 +215,7 @@ impl Segment {
         // time rather than mid-replay.
         let mut off = 0usize;
         while off < bytes.len() {
-            let (_, len) = LogEntry::parse(&bytes[off..])?;
-            off += len;
+            off += EntryView::parse(&bytes[off..])?.len;
         }
         let mut seg = Segment::new(id, capacity.max(bytes.len()));
         seg.buf.append(&bytes);

@@ -14,12 +14,13 @@ use std::sync::Arc;
 
 use crate::cleaner::CleanerConfig;
 use crate::entry::{
-    CompletionId, LogEntry, ObjectRecord, TombstoneRecord, MAX_KEY_BYTES, MAX_VALUE_BYTES,
+    BodyView, CompletionId, EntryView, LogEntry, ObjectRecord, TombstoneRecord, HEADER_BYTES,
+    MAX_KEY_BYTES, MAX_VALUE_BYTES,
 };
 use crate::epoch::EpochTracker;
 use crate::hashtable::HashTable;
 use crate::log::{Log, LogConfig};
-use crate::types::{key_hash, LogPosition, SegmentId, TableId, Version};
+use crate::types::{key_hash, KeyHash, LogPosition, SegmentId, TableId, Version};
 use crate::view::{ObjectView, ReadCounters, ReadHandle, ValueView};
 
 /// Errors returned by store mutations.
@@ -60,6 +61,11 @@ pub struct WriteOutcome {
     pub position: LogPosition,
     /// Segment sealed by this append, if the head rolled.
     pub sealed: Option<SegmentId>,
+    /// Serialized length of the record this call appended at `position`
+    /// (see [`Store::appended_bytes`]). 0 when nothing was appended: a
+    /// suppressed RIFL duplicate, whose `position` is whatever sits at the
+    /// key now — possibly another client's newer version.
+    pub len: usize,
 }
 
 /// Running counters exposed for tests and benchmarks.
@@ -327,18 +333,34 @@ impl Store {
         self.index.len()
     }
 
+    /// The first indexed position (other than `skip`) holding the object
+    /// stored under `(table, key)`, with a checksum-verified view of it.
+    /// `hash` is `key_hash(table, key)`.
+    fn locate(
+        &self,
+        hash: KeyHash,
+        table: TableId,
+        key: &[u8],
+        skip: Option<LogPosition>,
+    ) -> Option<(LogPosition, EntryView<'_>)> {
+        self.index
+            .candidates(hash)
+            .filter(|&pos| Some(pos) != skip)
+            .find_map(|pos| {
+                let view = self.log.view(pos)?;
+                view.is_object(table, key).then_some((pos, view))
+            })
+    }
+
     /// Finds the current position, record size, and version of a key.
-    fn find(&self, table: TableId, key: &[u8]) -> Option<(LogPosition, usize, Version)> {
-        let hash = key_hash(table, key);
-        for pos in self.index.candidates(hash) {
-            if let Some(LogEntry::Object(o)) = self.log.read(pos) {
-                if o.table == table && o.key.as_ref() == key {
-                    let size = LogEntry::Object(o.clone()).serialized_len();
-                    return Some((pos, size, o.version));
-                }
-            }
-        }
-        None
+    fn find(
+        &self,
+        hash: KeyHash,
+        table: TableId,
+        key: &[u8],
+    ) -> Option<(LogPosition, usize, Version)> {
+        self.locate(hash, table, key, None)
+            .map(|(pos, view)| (pos, view.len, view.version))
     }
 
     /// Index + log lookup shared by [`Store::read`] and [`Store::peek`].
@@ -352,15 +374,20 @@ impl Store {
             self.epoch.pinned_readers() > 0,
             "lookup without an epoch pin races segment reclamation"
         );
-        let hash = key_hash(table, key);
-        for pos in self.index.candidates(hash) {
-            if let Some(LogEntry::Object(o)) = self.log.read(pos) {
-                if o.table == table && o.key.as_ref() == key {
-                    return Some(o);
-                }
-            }
+        let (_, view) = self.locate(key_hash(table, key), table, key, None)?;
+        match view.to_owned() {
+            LogEntry::Object(o) => Some(o),
+            LogEntry::Tombstone(_) => None,
         }
-        None
+    }
+
+    fn count_read(&self, hit: bool) {
+        let counter = if hit {
+            &self.read_counters.read_hits
+        } else {
+            &self.read_counters.read_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reads the current value of a key.
@@ -374,25 +401,38 @@ impl Store {
     pub fn read(&self, table: TableId, key: &[u8]) -> Option<ObjectRecord> {
         let _pin = self.epoch.pin();
         let got = self.lookup(table, key);
-        match got {
-            Some(_) => self.read_counters.read_hits.fetch_add(1, Ordering::Relaxed),
-            None => self
-                .read_counters
-                .read_misses
-                .fetch_add(1, Ordering::Relaxed),
-        };
+        self.count_read(got.is_some());
         got
     }
 
     /// Reads a key into an [`ObjectView`] through the locked path (the
-    /// contended-read fallback of the lock-free [`ReadHandle`]). The value
-    /// is an owned copy, so the view pins no segment memory.
+    /// contended-read fallback of the lock-free [`ReadHandle`], and the
+    /// protocol server's read path). Unlike the lock-free probe it verifies
+    /// the entry's checksum; like it, the view points into the segment (no
+    /// copy) and keeps those bytes alive for as long as it is held.
     pub fn read_view(&self, table: TableId, key: &[u8]) -> Option<ObjectView> {
-        self.read(table, key).map(|o| ObjectView {
-            table: o.table,
-            version: o.version,
-            value: ValueView::owned(o.value),
-        })
+        let _pin = self.epoch.pin();
+        let got = self
+            .locate(key_hash(table, key), table, key, None)
+            .and_then(|(pos, view)| {
+                let BodyView::Object { value, .. } = view.body else {
+                    return None;
+                };
+                let buf = self.log.segment(pos.segment)?.shared_buf();
+                let start = pos.offset as usize + HEADER_BYTES + view.key.len();
+                Some(ObjectView {
+                    table,
+                    version: view.version,
+                    value: ValueView::segment(
+                        Arc::clone(buf),
+                        start,
+                        start + value.len(),
+                        Arc::clone(&self.read_counters),
+                    ),
+                })
+            });
+        self.count_read(got.is_some());
+        got
     }
 
     /// Reads without touching statistics (for internal/verification use).
@@ -475,11 +515,12 @@ impl Store {
         if value.len() > MAX_VALUE_BYTES {
             return Err(StoreError::ValueTooLarge);
         }
+        let hash = key_hash(table, key);
         if let Some(c) = completion {
             if let Some(&(seq, version)) = self.completions.get(&c.client) {
                 if seq == c.seq {
                     // Duplicate of the client's last completed write.
-                    let position = self.find(table, key).map(|(p, _, _)| p).unwrap_or(
+                    let position = self.find(hash, table, key).map(|(p, _, _)| p).unwrap_or(
                         crate::types::LogPosition {
                             segment: self.log.head(),
                             offset: 0,
@@ -489,13 +530,13 @@ impl Store {
                         version,
                         position,
                         sealed: None,
+                        len: 0,
                     });
                 }
             }
         }
-        let existing = self.find(table, key);
-        let hash_for_floor = key_hash(table, key).0;
-        let floor = self.dead_versions.get(&hash_for_floor).copied();
+        let existing = self.find(hash, table, key);
+        let floor = self.dead_versions.get(&hash.0).copied();
         let version = match (existing.map(|(_, _, v)| v), floor) {
             (Some(v), Some(f)) => v.max(f).next(),
             (Some(v), None) => v.next(),
@@ -510,25 +551,27 @@ impl Store {
             completion,
         });
         let out = self.append_with_cleaning(&entry)?;
-        let hash = key_hash(table, key);
         match existing {
             Some((old_pos, old_size, _)) => {
                 // The cleaner may have relocated the old entry during
                 // `append_with_cleaning`; re-resolve before updating.
                 let updated = self.index.update(hash, old_pos, out.position) || {
-                    if let Some((cur_pos, _, _)) = self.find_excluding(table, key, out.position) {
-                        self.index.update(hash, cur_pos, out.position)
-                    } else {
-                        false
+                    // (Skipping the record just appended.)
+                    match self.locate(hash, table, key, Some(out.position)) {
+                        Some((cur_pos, _)) => self.index.update(hash, cur_pos, out.position),
+                        None => false,
                     }
                 };
                 if updated {
-                    // Old entry is now dead.
-                    if let Some((dead_pos, dead_size)) =
-                        self.resolve_dead(old_pos, old_size, table, key, out.position)
-                    {
-                        self.log
-                            .adjust_live(dead_pos.segment, -(dead_size as isize));
+                    // Old entry is now dead. Un-count it where it was found,
+                    // unless a cleaning pass that ran between lookup and
+                    // append has moved it since.
+                    let still_there = self
+                        .log
+                        .view(old_pos)
+                        .is_some_and(|view| view.is_object(table, key));
+                    if still_there {
+                        self.log.adjust_live(old_pos.segment, -(old_size as isize));
                     }
                 } else {
                     self.index.insert(hash, out.position);
@@ -544,56 +587,29 @@ impl Store {
             self.completions.insert(c.client, (c.seq, version));
         }
         // The new object outversions any tombstone floor; drop the entry.
-        self.dead_versions.remove(&hash_for_floor);
+        self.dead_versions.remove(&hash.0);
         self.stats.writes += 1;
         Ok(WriteOutcome {
             version,
             position: out.position,
             sealed: out.sealed,
+            len: entry.serialized_len(),
         })
     }
 
-    /// Like `find` but skips a specific position (the just-appended one).
-    fn find_excluding(
-        &self,
-        table: TableId,
-        key: &[u8],
-        skip: LogPosition,
-    ) -> Option<(LogPosition, usize, Version)> {
-        let hash = key_hash(table, key);
-        for pos in self.index.candidates(hash) {
-            if pos == skip {
-                continue;
-            }
-            if let Some(LogEntry::Object(o)) = self.log.read(pos) {
-                if o.table == table && o.key.as_ref() == key {
-                    let size = LogEntry::Object(o.clone()).serialized_len();
-                    return Some((pos, size, o.version));
-                }
-            }
+    /// The serialized record a write appended, borrowed from the log: the
+    /// bytes a master replicates, so an update is serialized (and
+    /// checksummed) once. `None` when `outcome` appended nothing
+    /// ([`WriteOutcome::len`] is 0) or its segment has since been cleaned.
+    pub fn appended_bytes(&self, outcome: &WriteOutcome) -> Option<&[u8]> {
+        if outcome.len == 0 {
+            return None;
         }
-        None
-    }
-
-    /// Figures out where the dead copy of an overwritten object actually
-    /// lives (it may have been relocated by a cleaning pass that ran between
-    /// lookup and append).
-    fn resolve_dead(
-        &self,
-        old_pos: LogPosition,
-        old_size: usize,
-        table: TableId,
-        key: &[u8],
-        _new_pos: LogPosition,
-    ) -> Option<(LogPosition, usize)> {
-        if self.log.contains_segment(old_pos.segment) {
-            if let Some(LogEntry::Object(o)) = self.log.read(old_pos) {
-                if o.table == table && o.key.as_ref() == key {
-                    return Some((old_pos, old_size));
-                }
-            }
-        }
-        None
+        let start = outcome.position.offset as usize;
+        self.log
+            .segment(outcome.position.segment)?
+            .as_bytes()
+            .get(start..start + outcome.len)
     }
 
     /// Deletes a key by appending a tombstone. Returns the deleted version,
@@ -603,7 +619,8 @@ impl Store {
     ///
     /// [`StoreError::OutOfMemory`] when the tombstone cannot be appended.
     pub fn delete(&mut self, table: TableId, key: &[u8]) -> Result<Option<Version>, StoreError> {
-        let Some((old_pos, old_size, old_version)) = self.find(table, key) else {
+        let hash = key_hash(table, key);
+        let Some((old_pos, old_size, old_version)) = self.find(hash, table, key) else {
             return Ok(None);
         };
         let entry = LogEntry::Tombstone(TombstoneRecord {
@@ -613,9 +630,8 @@ impl Store {
             dead_segment: old_pos.segment,
         });
         self.append_with_cleaning(&entry)?;
-        let hash = key_hash(table, key);
         // Re-resolve in case the cleaner moved the object meanwhile.
-        let (cur_pos, cur_size) = match self.find(table, key) {
+        let (cur_pos, cur_size) = match self.find(hash, table, key) {
             Some((p, s, _)) => (p, s),
             None => (old_pos, old_size),
         };
@@ -640,13 +656,13 @@ impl Store {
     ///
     /// [`StoreError::OutOfMemory`] when the log cannot hold the record.
     pub fn replay_object(&mut self, rec: &ObjectRecord) -> Result<bool, StoreError> {
-        let existing = self.find(rec.table, &rec.key);
+        let hash = key_hash(rec.table, &rec.key);
+        let existing = self.find(hash, rec.table, &rec.key);
         if let Some((_, _, v)) = existing {
             if v >= rec.version {
                 return Ok(false);
             }
         }
-        let hash = key_hash(rec.table, &rec.key);
         // A tombstone replayed earlier (possibly from a different segment)
         // may already have killed this version; replay order must not matter.
         if let Some(&floor) = self.dead_versions.get(&hash.0) {
@@ -692,7 +708,8 @@ impl Store {
     ///
     /// [`StoreError::OutOfMemory`] when the tombstone cannot be appended.
     pub fn replay_tombstone(&mut self, t: &TombstoneRecord) -> Result<bool, StoreError> {
-        let applied = match self.find(t.table, &t.key) {
+        let hash = key_hash(t.table, &t.key);
+        let applied = match self.find(hash, t.table, &t.key) {
             Some((_, _, v)) if v <= t.version => {
                 self.delete(t.table, &t.key)?;
                 true
@@ -702,8 +719,7 @@ impl Store {
         // Even when nothing was deleted (the object may simply not have been
         // replayed yet), record the floor so a later replay of the killed
         // version is rejected — replay order across segments must not matter.
-        let hash = key_hash(t.table, &t.key).0;
-        let floor = self.dead_versions.entry(hash).or_insert(t.version);
+        let floor = self.dead_versions.entry(hash.0).or_insert(t.version);
         *floor = (*floor).max(t.version);
         Ok(applied)
     }

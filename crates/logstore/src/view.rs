@@ -19,13 +19,11 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
-
-use crate::entry::parse_object_view;
+use crate::entry::{BodyView, EntryView, HEADER_BYTES};
 use crate::epoch::EpochTracker;
 use crate::hashtable::{CandidateBuf, IndexShared};
 use crate::segbuf::{SegmentBuf, SegmentMap};
-use crate::types::{key_hash, TableId, Version};
+use crate::types::{key_hash, KeyHash, TableId, Version};
 
 /// Error: the lock-free probe kept colliding with the writer (or the index
 /// churned under it) for the entire retry budget. The caller should fall
@@ -91,42 +89,23 @@ impl ReadCounters {
     }
 }
 
-/// How a [`ValueView`] holds its bytes.
-enum Repr {
-    /// An owned (copied) value — what a locked read returns (the
-    /// contended-fallback representation). `Bytes` is refcounted, so clones
-    /// of an owned view are still cheap.
-    Owned(Bytes),
-    /// A zero-copy window into a live segment buffer. The `Arc` keeps the
-    /// buffer allocated past retirement; the counters entry maintains the
-    /// `value_views_live` gauge.
-    Segment {
-        buf: Arc<SegmentBuf>,
-        start: usize,
-        end: usize,
-        counters: Arc<ReadCounters>,
-    },
-}
-
-/// A cheaply clonable handle on one object's value bytes.
+/// A cheaply clonable handle on one object's value bytes: a window into
+/// the segment that holds them, never a copy.
 ///
-/// Dereferences to `&[u8]`. Zero-copy views (the normal case on the
-/// lock-free path) pin their segment's memory — holding one for a long time
-/// delays reclamation of that segment, which the
-/// `limbo_held_by_views` statistic makes visible.
+/// Dereferences to `&[u8]`. The view's `Arc` keeps the segment buffer
+/// allocated past retirement — holding one for a long time delays
+/// reclamation of that segment, which the `limbo_held_by_views` statistic
+/// makes visible.
 pub struct ValueView {
-    repr: Repr,
+    buf: Arc<SegmentBuf>,
+    start: usize,
+    end: usize,
+    /// Maintains the `value_views_live` gauge.
+    counters: Arc<ReadCounters>,
 }
 
 impl ValueView {
-    /// Wraps an owned, already-copied value (a locked read's result).
-    pub fn owned(bytes: Bytes) -> Self {
-        ValueView {
-            repr: Repr::Owned(bytes),
-        }
-    }
-
-    /// A zero-copy window `[start, end)` into `buf`'s committed prefix.
+    /// A window `[start, end)` into `buf`'s committed prefix.
     pub(crate) fn segment(
         buf: Arc<SegmentBuf>,
         start: usize,
@@ -136,23 +115,16 @@ impl ValueView {
         debug_assert!(start <= end && end <= buf.len());
         counters.value_views_live.fetch_add(1, Ordering::Relaxed);
         ValueView {
-            repr: Repr::Segment {
-                buf,
-                start,
-                end,
-                counters,
-            },
+            buf,
+            start,
+            end,
+            counters,
         }
     }
 
     /// The value bytes.
     pub fn as_slice(&self) -> &[u8] {
-        match &self.repr {
-            Repr::Owned(b) => b,
-            Repr::Segment {
-                buf, start, end, ..
-            } => &buf.committed()[*start..*end],
-        }
+        &self.buf.committed()[self.start..self.end]
     }
 
     /// Copies the bytes out (the boundary between zero-copy internals and
@@ -160,33 +132,24 @@ impl ValueView {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
-
-    /// True when this view points into segment memory rather than an owned
-    /// copy — i.e. it is pinning a segment buffer alive.
-    pub fn is_zero_copy(&self) -> bool {
-        matches!(self.repr, Repr::Segment { .. })
-    }
 }
 
 impl Clone for ValueView {
     fn clone(&self) -> Self {
-        match &self.repr {
-            Repr::Owned(b) => ValueView::owned(b.clone()),
-            Repr::Segment {
-                buf,
-                start,
-                end,
-                counters,
-            } => ValueView::segment(Arc::clone(buf), *start, *end, Arc::clone(counters)),
-        }
+        ValueView::segment(
+            Arc::clone(&self.buf),
+            self.start,
+            self.end,
+            Arc::clone(&self.counters),
+        )
     }
 }
 
 impl Drop for ValueView {
     fn drop(&mut self) {
-        if let Repr::Segment { counters, .. } = &self.repr {
-            counters.value_views_live.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.counters
+            .value_views_live
+            .fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -215,7 +178,6 @@ impl std::fmt::Debug for ValueView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ValueView")
             .field("len", &self.as_slice().len())
-            .field("zero_copy", &self.is_zero_copy())
             .finish()
     }
 }
@@ -288,7 +250,23 @@ impl ReadHandle {
         table: TableId,
         key: &[u8],
     ) -> Result<Option<ObjectView>, ReadContended> {
-        let hash = key_hash(table, key);
+        self.try_read_hashed(key_hash(table, key), table, key)
+    }
+
+    /// [`ReadHandle::try_read`] for a caller that already computed
+    /// `hash = key_hash(table, key)` (to pick a shard, say), so the key is
+    /// hashed once per read.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReadHandle::try_read`].
+    pub fn try_read_hashed(
+        &self,
+        hash: KeyHash,
+        table: TableId,
+        key: &[u8],
+    ) -> Result<Option<ObjectView>, ReadContended> {
+        debug_assert_eq!(hash, key_hash(table, key));
         let _pin = self.epoch.pin();
         let mut candidates = CandidateBuf::new();
         let mut attempts = 0;
@@ -318,35 +296,33 @@ impl ReadHandle {
                     continue 'retry;
                 }
                 // No per-read CRC here: entries were checksummed at append,
-                // committed bytes are immutable, and `parse_object_view`
+                // committed bytes are immutable, and the unverified parse
                 // bounds-checks every length it trusts.
-                match parse_object_view(&committed[start..]) {
-                    Ok(Some(raw)) if raw.table == table && raw.key == key => {
-                        let version = raw.version;
-                        let (value_start, value_end) =
-                            (start + raw.value_start, start + raw.value_end);
-                        let value = ValueView::segment(
-                            seg,
-                            value_start,
-                            value_end,
-                            Arc::clone(&self.counters),
-                        );
-                        self.counters.read_lockfree.fetch_add(1, Ordering::Relaxed);
-                        self.counters.read_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Some(ObjectView {
-                            table,
-                            version,
-                            value,
-                        }));
-                    }
-                    // A different key colliding on the 64-bit hash: keep
-                    // scanning the remaining candidates.
-                    Ok(Some(_)) => {}
-                    // A tombstone or unparsable bytes behind a validated
-                    // candidate means the slot went stale between the probe
-                    // and the parse. Re-probe.
-                    Ok(None) | Err(_) => continue 'retry,
+                let Ok(entry) = EntryView::parse_unverified(&committed[start..]) else {
+                    // Unparsable bytes behind a validated candidate: the
+                    // slot went stale between the probe and the parse.
+                    continue 'retry;
+                };
+                let BodyView::Object { value, .. } = entry.body else {
+                    // A tombstone: stale in the same way. Re-probe.
+                    continue 'retry;
+                };
+                if entry.table == table && entry.key == key {
+                    let version = entry.version;
+                    let value_start = start + HEADER_BYTES + entry.key.len();
+                    let value_end = value_start + value.len();
+                    let value =
+                        ValueView::segment(seg, value_start, value_end, Arc::clone(&self.counters));
+                    self.counters.read_lockfree.fetch_add(1, Ordering::Relaxed);
+                    self.counters.read_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Some(ObjectView {
+                        table,
+                        version,
+                        value,
+                    }));
                 }
+                // A different key colliding on the 64-bit hash: keep
+                // scanning the remaining candidates.
             }
             self.counters.read_lockfree.fetch_add(1, Ordering::Relaxed);
             self.counters.read_misses.fetch_add(1, Ordering::Relaxed);
@@ -379,7 +355,6 @@ mod tests {
         let view = h.try_read(T, b"k").unwrap().expect("present");
         assert_eq!(&view.value[..], b"value-bytes");
         assert_eq!(view.version, Version::FIRST);
-        assert!(view.value.is_zero_copy());
         // The view's bytes are literally the segment's bytes.
         let seg = s.log().segment(crate::types::SegmentId(0)).unwrap();
         let seg_range = seg.as_bytes().as_ptr_range();
@@ -399,10 +374,6 @@ mod tests {
         assert_eq!(h.counters().value_views_live(), 2);
         drop(a);
         drop(b);
-        assert_eq!(h.counters().value_views_live(), 0);
-        // Owned views don't touch the gauge.
-        let o = ValueView::owned(Bytes::from_static(b"x"));
-        assert!(!o.is_zero_copy());
         assert_eq!(h.counters().value_views_live(), 0);
     }
 

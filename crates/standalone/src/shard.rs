@@ -15,8 +15,8 @@ use std::time::Instant;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use rmc_logstore::{
-    key_hash, CleanerConfig, LogConfig, ObjectRecord, ObjectView, ReadHandle, Store, StoreError,
-    StoreStats, TableId, Version, WriteOutcome,
+    key_hash, CleanerConfig, KeyHash, LogConfig, ObjectRecord, ObjectView, ReadHandle, Store,
+    StoreError, StoreStats, TableId, Version, WriteOutcome,
 };
 use rmc_runtime::HistogramHandle;
 
@@ -92,14 +92,21 @@ impl ShardedStore {
     /// The shard a key hashes to — the unit of dispatch affinity: the
     /// standalone server routes all writes for one shard to one worker.
     pub fn shard_index(&self, table: TableId, key: &[u8]) -> usize {
+        self.locate(table, key).0
+    }
+
+    /// The shard a key hashes to, and the key hash that chose it — handed
+    /// on to the `*_at` reads so a read hashes its key once.
+    pub(crate) fn locate(&self, table: TableId, key: &[u8]) -> (usize, KeyHash) {
+        let hash = key_hash(table, key);
         // FNV's raw bits are weak for short keys; run an avalanche mix
         // before picking the shard so the in-shard index (which uses the
         // raw low bits) and the shard choice stay decorrelated.
-        let mut h = key_hash(table, key).0;
+        let mut h = hash.0;
         h = (h ^ (h >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         h = (h ^ (h >> 27)).wrapping_mul(0x94D049BB133111EB);
         h ^= h >> 31;
-        (h as usize) % self.shards.len()
+        ((h as usize) % self.shards.len(), hash)
     }
 
     fn shard_for(&self, table: TableId, key: &[u8]) -> &RwLock<Store> {
@@ -130,7 +137,19 @@ impl ShardedStore {
     /// its buffers. Callers that want to keep the zero-copy window should
     /// use `read_view` instead.
     pub fn read(&self, table: TableId, key: &[u8]) -> Option<ObjectRecord> {
-        let view = self.read_view(table, key)?;
+        let (shard, hash) = self.locate(table, key);
+        self.read_at(shard, hash, table, key)
+    }
+
+    /// [`ShardedStore::read`] with the key already [located](Self::locate).
+    pub(crate) fn read_at(
+        &self,
+        shard: usize,
+        hash: KeyHash,
+        table: TableId,
+        key: &[u8],
+    ) -> Option<ObjectRecord> {
+        let view = self.read_view_at(shard, hash, table, key)?;
         Some(ObjectRecord {
             table,
             key: Bytes::from(key.to_vec()),
@@ -151,15 +170,27 @@ impl ShardedStore {
     /// reclamation of that segment.
     ///
     /// A lock-free probe that keeps colliding with the shard's writer falls
-    /// back to the shard read lock and an owned copy (counted in the
-    /// `read_fallback_locked` statistic) — correctness never depends on the
-    /// lock-free path succeeding.
+    /// back to the shard read lock (counted in the `read_fallback_locked`
+    /// statistic), where the lookup also verifies the entry's checksum —
+    /// correctness never depends on the lock-free path succeeding.
     pub fn read_view(&self, table: TableId, key: &[u8]) -> Option<ObjectView> {
-        let index = self.shard_index(table, key);
-        match self.handles[index].try_read(table, key) {
+        let (shard, hash) = self.locate(table, key);
+        self.read_view_at(shard, hash, table, key)
+    }
+
+    /// [`ShardedStore::read_view`] with the key already
+    /// [located](Self::locate).
+    pub(crate) fn read_view_at(
+        &self,
+        shard: usize,
+        hash: KeyHash,
+        table: TableId,
+        key: &[u8],
+    ) -> Option<ObjectView> {
+        match self.handles[shard].try_read_hashed(hash, table, key) {
             Ok(got) => got,
             Err(_contended) => {
-                self.handles[index].counters().record_fallback_locked();
+                self.handles[shard].counters().record_fallback_locked();
                 // Fallbacks are contention events (writer or cleaner in
                 // the way), so time every one — the dwell is the
                 // interference the decomposition wants to see.
@@ -168,7 +199,7 @@ impl ShardedStore {
                     .get()
                     .filter(|_| rmc_obs::enabled())
                     .map(|h| (h, Instant::now()));
-                let got = self.shards[index].read().read_view(table, key);
+                let got = self.shards[shard].read().read_view(table, key);
                 if let Some((h, t0)) = t0 {
                     h.record(t0.elapsed().as_nanos() as u64);
                 }
@@ -300,7 +331,6 @@ mod tests {
         let s = small();
         s.write(T, b"k", b"v").unwrap();
         let view = s.read_view(T, b"k").expect("present");
-        assert!(view.value.is_zero_copy());
         assert_eq!(s.stats().value_views_live, 1);
         drop(view);
         let st = s.stats();

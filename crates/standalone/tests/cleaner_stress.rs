@@ -72,9 +72,8 @@ fn reader_loop(client: &Client, stop: &AtomicBool) -> u64 {
 /// safety contract: a view pins its segment buffer, so relocation and
 /// even log-side retirement of the victim must not mutate or reclaim the
 /// memory a live handle points into.
-fn holder_loop(client: &Client, metrics: &MetricsRegistry, stop: &AtomicBool) -> (u64, u64) {
+fn holder_loop(client: &Client, metrics: &MetricsRegistry, stop: &AtomicBool) -> u64 {
     let mut held_checks = 0u64;
-    let mut zero_copy_views = 0u64;
     while !stop.load(Ordering::Acquire) {
         // Acquire a view + byte snapshot of every key.
         let mut held = Vec::with_capacity(WRITERS * KEYS_PER_WRITER);
@@ -84,11 +83,6 @@ fn holder_loop(client: &Client, metrics: &MetricsRegistry, stop: &AtomicBool) ->
                     .read_view(T, &key_for(w, i))
                     .expect("server alive")
                     .expect("preloaded key can never be absent");
-                // A contended probe falls back to the locked path and
-                // returns an owned copy — zero-copy is a fast-path
-                // property, not an API guarantee — so count rather than
-                // require it; the end of the test asserts it dominates.
-                zero_copy_views += u64::from(view.value.is_zero_copy());
                 let snapshot = view.value.to_vec();
                 assert_eq!(
                     snapshot,
@@ -118,7 +112,7 @@ fn holder_loop(client: &Client, metrics: &MetricsRegistry, stop: &AtomicBool) ->
             held_checks += 1;
         }
     }
-    (held_checks, zero_copy_views)
+    held_checks
 }
 
 #[test]
@@ -199,14 +193,10 @@ fn readers_never_see_stale_data_while_cleaner_runs() {
         .map(|h| h.join().expect("reader panicked"))
         .sum();
     assert!(reads > 0, "readers must have observed the store");
-    let (held_checks, zero_copy_views) = holder.join().expect("view holder panicked");
+    let held_checks = holder.join().expect("view holder panicked");
     assert!(
         held_checks > 0,
         "the holder must have re-verified views held across cleaner passes"
-    );
-    assert!(
-        zero_copy_views > held_checks / 2,
-        "the lock-free zero-copy path must dominate: {zero_copy_views} of {held_checks}"
     );
 
     // Fold the preload into a history of its own so the checker sees every
@@ -262,6 +252,14 @@ fn readers_never_see_stale_data_while_cleaner_runs() {
     assert!(
         stats.segments_freed > 0,
         "cleaning must have freed segments"
+    );
+    // A contended probe falls back to the shard lock; that must stay the
+    // exception.
+    assert!(
+        stats.read_lockfree > 2 * stats.read_fallback_locked,
+        "the lock-free path must dominate: {} lock-free, {} fell back",
+        stats.read_lockfree,
+        stats.read_fallback_locked
     );
     srv.shutdown();
 }
