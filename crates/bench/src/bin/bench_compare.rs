@@ -27,8 +27,8 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use rmc_bench::chart::format_quantity as kops;
 use rmc_bench::json::Json;
-use rmc_bench::kops;
 use rmc_bench::report::{self, ReportKind};
 
 /// Default allowed drop of the gated metric, percent.

@@ -1,587 +1,130 @@
 //! Regenerates every table and figure of *"Characterizing Performance and
 //! Energy-Efficiency of the RAMCloud Storage System"* (ICDCS 2017) on the
-//! simulated cluster.
+//! simulated cluster, and checks each against the paper's claim.
 //!
 //! ```text
-//! cargo run --release -p rmc-bench --bin experiments -- <exp> [--scale N] [--seed S] [--runs R]
-//!
-//! <exp>: fig1 table1 fig2 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
-//!        fig11 fig12 fig13 ablation-segment ablation-consistency
-//!        ablation-cleaner ablation-copyset ablation-elastic
-//!        extra-workloads all
+//! cargo run --release -p rmc-bench --bin experiments -- [<artefact>... | all] [--scale N] [--seed S] [--runs R]
 //! ```
 //!
-//! `--scale N` divides the paper's per-client request counts (default 10;
-//! `--scale 1` is paper-scale). Each driver prints the same rows/series the
-//! paper reports and writes a CSV under `results/`.
+//! [`ARTEFACTS`] is the only list of what can be run (an unknown name prints
+//! it). `--scale N` divides the paper's per-client request counts (default
+//! 10; `--full` is paper scale), `--runs R` makes every grid cell the mean
+//! over `R` derived seeds. Each artefact prints its rows, writes its CSV(s)
+//! under `results/` and evaluates its findings; at the documented scale
+//! (1/10, where every threshold was read) a failed finding exits 1.
 
-use rmc_bench::chart::{bar_chart, line_chart, Series};
-use rmc_bench::{kops, mean_err, ExpCtx};
+use std::process::ExitCode;
+
+use rmc_bench::chart::{format_quantity as kops, line_chart, Series};
+use rmc_bench::Verdict::{Diverges, Reproduces};
+use rmc_bench::{
+    col, falling, rising, within, Artefact, ExpCtx, Finding, Rows, Sim, Table, DOCUMENTED_SCALE,
+};
 use rmc_core::{
-    ClientAffinity, Cluster, ClusterConfig, Consistency, ElasticPolicy, Placement, RunReport,
+    ClientAffinity, ClusterConfig, Consistency, ElasticPolicy, Placement, RecoveryReport, RunReport,
 };
 use rmc_sim::{SimDuration, SimTime};
-use rmc_ycsb::{StandardWorkload, WorkloadSpec};
+use rmc_ycsb::StandardWorkload::{self, A, B, C, D, F};
+use rmc_ycsb::WorkloadSpec;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn main() -> ExitCode {
     let mut ctx = ExpCtx::default();
-    let mut exp = String::from("all");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                ctx.scale = args[i].parse().expect("--scale N");
-            }
-            "--seed" => {
-                i += 1;
-                ctx.seed = args[i].parse().expect("--seed S");
-            }
-            "--runs" => {
-                i += 1;
-                ctx.runs = args[i].parse().expect("--runs R");
-            }
+    let mut names: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut number = || args.next().and_then(|v| v.parse().ok());
+        match arg.as_str() {
+            "--scale" => ctx.scale = number().expect("--scale N"),
+            "--seed" => ctx.seed = number().expect("--seed S"),
+            "--runs" => ctx.runs = number().expect("--runs R"),
             "--full" => ctx.scale = 1,
-            other => exp = other.to_owned(),
+            _ => names.push(arg),
         }
-        i += 1;
+    }
+    let all = names.is_empty() || names.iter().any(|n| n == "all");
+    let known = |n: &String| n == "all" || ARTEFACTS.iter().any(|a| a.name == n);
+    if let Some(unknown) = names.iter().find(|n| !known(n)) {
+        eprintln!("unknown artefact `{unknown}`; `all`, or any of:");
+        for a in &ARTEFACTS {
+            eprintln!("  {:<21} {}", a.name, a.title);
+        }
+        return ExitCode::from(2);
     }
     println!(
-        "# RAMCloud characterization reproduction — experiment `{exp}` (scale 1/{}, seed {}, {} run(s))",
+        "# RAMCloud characterization reproduction — scale 1/{}, seed {}, {} run(s) per grid cell",
         ctx.scale, ctx.seed, ctx.runs
     );
-    let all = exp == "all";
-    let mut ran = false;
-    macro_rules! run {
-        ($name:literal, $f:ident) => {
-            if all || exp == $name {
-                println!("\n=== {} ===", $name);
-                $f(&ctx);
-                ran = true;
-            }
-        };
-    }
-    run!("fig1", fig1);
-    run!("table1", table1);
-    run!("fig2", fig2);
-    run!("table2", table2);
-    run!("fig3", fig3);
-    run!("fig4", fig4);
-    run!("fig5", fig5);
-    run!("fig6", fig6);
-    run!("fig7", fig7);
-    run!("fig8", fig8);
-    run!("fig9", fig9);
-    run!("fig10", fig10);
-    run!("fig11", fig11);
-    run!("fig12", fig12);
-    run!("fig13", fig13);
-    run!("ablation-segment", ablation_segment);
-    run!("ablation-consistency", ablation_consistency);
-    run!("ablation-cleaner", ablation_cleaner);
-    run!("ablation-copyset", ablation_copyset);
-    run!("ablation-elastic", ablation_elastic);
-    run!("extra-workloads", extra_workloads);
-    if !ran {
-        eprintln!("unknown experiment `{exp}`");
-        std::process::exit(2);
-    }
-}
-
-/// Section IV peak-performance workload: read-only, 5 M × 1 KB records,
-/// 10 M requests per client (scaled). At reduced scale the record count is
-/// also trimmed so load stays proportionate, never below Section V's 100 K.
-fn peak_workload(ctx: &ExpCtx) -> WorkloadSpec {
-    let records = (5_000_000 / ctx.scale).max(100_000);
-    WorkloadSpec::peak_read_only()
-        .with_record_count(records)
-        .with_ops_per_client(ctx.ops(10_000_000) / 20) // 10M/client is ~4300s; /20 keeps minutes-scale runs at scale 1
-}
-
-/// Section V/VI workload: 100 K × 1 KB records, 100 K requests per client
-/// (scaled).
-fn section_v_workload(ctx: &ExpCtx, w: StandardWorkload) -> WorkloadSpec {
-    WorkloadSpec::standard(w).with_ops_per_client(ctx.ops(100_000))
-}
-
-fn averaged<F: Fn(u64) -> RunReport>(ctx: &ExpCtx, f: F) -> Vec<RunReport> {
-    (0..ctx.runs).map(|r| f(ctx.seed + r * 1000)).collect()
-}
-
-// ---------------------------------------------------------------------
-// Fig 1: aggregated throughput (a) and average power per server (b) as a
-// factor of cluster size; read-only, replication disabled.
-// ---------------------------------------------------------------------
-fn fig1(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>8} {:>8} | {:>12} | {:>10}",
-        "servers", "clients", "throughput", "power/node"
-    );
-    for servers in [1usize, 5, 10] {
-        for clients in [1usize, 10, 30] {
-            let reports = averaged(ctx, |seed| {
-                let cfg = ClusterConfig::new(servers, clients, peak_workload(ctx)).with_seed(seed);
-                Cluster::new(cfg).run()
-            });
-            let (thr, thr_e) =
-                mean_err(&reports.iter().map(|r| r.throughput_ops).collect::<Vec<_>>());
-            let (pw, _) = mean_err(
-                &reports
-                    .iter()
-                    .map(|r| r.avg_node_watts())
-                    .collect::<Vec<_>>(),
-            );
-            println!(
-                "{servers:>8} {clients:>8} | {:>9} ±{:>4.0}K | {pw:>8.1} W",
-                kops(thr),
-                thr_e / 1e3
-            );
-            rows.push(vec![
-                servers.to_string(),
-                clients.to_string(),
-                format!("{thr:.0}"),
-                format!("{pw:.2}"),
-            ]);
-        }
-    }
-    ctx.write_csv(
-        "fig1",
-        "servers,clients,throughput_ops,avg_node_watts",
-        &rows,
-    );
-    let series: Vec<Series> = [1usize, 5, 10]
+    let chosen = ARTEFACTS
         .iter()
-        .map(|&srv| {
-            Series::new(
-                &format!("{srv} servers"),
-                rows.iter()
-                    .filter(|r| r[0] == srv.to_string())
-                    .map(|r| (r[1].parse().unwrap(), r[2].parse().unwrap()))
-                    .collect(),
-            )
-        })
-        .collect();
-    println!(
-        "{}",
-        line_chart("Fig 1a — throughput vs clients", &series, 48, 12)
-    );
-    println!("paper: 1 srv saturates ~372K at 30 clients; 5 and 10 srv plateau together (client-limited); power ~92 W at 1 client vs 122-127 W loaded at every size");
+        .filter(|a| all || names.iter().any(|n| n == a.name));
+    let failed: usize = chosen.map(|a| a.run(&ctx)).sum();
+    println!("\n{}; {failed} finding(s) failed", ctx.memo_summary());
+    let enforced = ctx.scale == DOCUMENTED_SCALE;
+    if failed > 0 && !enforced {
+        println!("(informational: the thresholds were read at scale 1/{DOCUMENTED_SCALE})");
+    }
+    ExitCode::from(u8::from(failed > 0 && enforced))
 }
 
-// ---------------------------------------------------------------------
-// Table I: min—max of per-node average CPU usage.
-// ---------------------------------------------------------------------
-fn table1(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>8} | {:>16} {:>16} {:>16}",
-        "clients", "1 server", "5 servers", "10 servers"
-    );
-    for clients in [0usize, 1, 2, 3, 4, 5, 10, 30] {
-        let mut cells = Vec::new();
-        let mut csv = vec![clients.to_string()];
-        for servers in [1usize, 5, 10] {
-            let workload = if clients == 0 {
-                peak_workload(ctx).with_ops_per_client(0)
-            } else {
-                peak_workload(ctx)
-            };
-            let cfg = ClusterConfig::new(servers, clients.max(1), workload).with_seed(ctx.seed);
-            let report = Cluster::new(cfg)
-                .run_with_min_duration(SimDuration::from_secs(if clients == 0 { 5 } else { 0 }));
-            let (lo, hi) = report.cpu_min_max_pct();
-            cells.push(format!("{lo:>6.2}—{hi:<6.2}"));
-            csv.push(format!("{lo:.2}"));
-            csv.push(format!("{hi:.2}"));
-        }
-        println!(
-            "{clients:>8} | {:>16} {:>16} {:>16}",
-            cells[0], cells[1], cells[2]
-        );
-        rows.push(csv);
-    }
-    ctx.write_csv(
-        "table1",
-        "clients,cpu1_min,cpu1_max,cpu5_min,cpu5_max,cpu10_min,cpu10_max",
-        &rows,
-    );
-    println!("paper: 25% idle floor (polling); 49.8% at 1 client; 74% at 2; ≳95% from 10 clients");
+const SERVERS: [u32; 3] = [1, 5, 10];
+const CLIENTS: [u32; 5] = [10, 20, 30, 60, 90];
+const R14: [u32; 4] = [1, 2, 3, 4];
+
+/// Section IV peak-performance run: read-only, 5 M × 1 KB records, 10 M
+/// requests per client (scaled, and /20: 10 M a client is ~4300 s). At
+/// reduced scale the record count is trimmed too, never below Section V's
+/// 100 K, so load stays proportionate.
+fn peak(ctx: &ExpCtx, servers: u32, clients: u32) -> ClusterConfig {
+    let workload = WorkloadSpec::peak_read_only()
+        .with_record_count((5_000_000 / ctx.scale).max(100_000))
+        .with_ops_per_client(ctx.ops(10_000_000) / 20);
+    ClusterConfig::new(servers as usize, clients as usize, workload).with_seed(ctx.seed)
 }
 
-// ---------------------------------------------------------------------
-// Fig 2: energy efficiency (ops/joule) for the Fig 1 sweep.
-// ---------------------------------------------------------------------
-fn fig2(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!("{:>8} {:>8} | {:>12}", "servers", "clients", "ops/joule");
-    for servers in [1usize, 5, 10] {
-        for clients in [1usize, 10, 30] {
-            let cfg = ClusterConfig::new(servers, clients, peak_workload(ctx)).with_seed(ctx.seed);
-            let report = Cluster::new(cfg).run();
-            println!("{servers:>8} {clients:>8} | {:>10.0}", report.ops_per_joule);
-            rows.push(vec![
-                servers.to_string(),
-                clients.to_string(),
-                format!("{:.1}", report.ops_per_joule),
-            ]);
-        }
-    }
-    ctx.write_csv("fig2", "servers,clients,ops_per_joule", &rows);
-    println!("paper: best ~3000 op/J at 1 server / 30 clients; ~2x lower at 5 servers; ~7.6x lower at 10");
+/// Section V/VI run: 100 K × 1 KB records, 100 K requests per client (scaled).
+fn sec_v(ctx: &ExpCtx, servers: u32, clients: u32, w: StandardWorkload) -> ClusterConfig {
+    let workload = WorkloadSpec::standard(w).with_ops_per_client(ctx.ops(100_000));
+    ClusterConfig::new(servers as usize, clients as usize, workload).with_seed(ctx.seed)
 }
 
-// ---------------------------------------------------------------------
-// Table II: throughput of 10 servers for workloads A, B, C.
-// ---------------------------------------------------------------------
-fn table2(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>8} | {:>14} {:>14} {:>14}",
-        "clients", "A (50/50)", "B (95/5)", "C (read)"
-    );
-    for clients in [10usize, 20, 30, 60, 90] {
-        let mut cells = Vec::new();
-        let mut csv = vec![clients.to_string()];
-        for w in [
-            StandardWorkload::A,
-            StandardWorkload::B,
-            StandardWorkload::C,
-        ] {
-            let reports = averaged(ctx, |seed| {
-                let cfg =
-                    ClusterConfig::new(10, clients, section_v_workload(ctx, w)).with_seed(seed);
-                Cluster::new(cfg).run()
-            });
-            let (thr, err) =
-                mean_err(&reports.iter().map(|r| r.throughput_ops).collect::<Vec<_>>());
-            cells.push(format!("{} ±{}", kops(thr), kops(err)));
-            csv.push(format!("{thr:.0}"));
-        }
-        println!(
-            "{clients:>8} | {:>14} {:>14} {:>14}",
-            cells[0], cells[1], cells[2]
-        );
-        rows.push(csv);
-    }
-    ctx.write_csv("table2", "clients,A_ops,B_ops,C_ops", &rows);
-    let series: Vec<Series> = ["A", "B", "C"]
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            Series::new(
-                name,
-                rows.iter()
-                    .map(|r| (r[0].parse().unwrap(), r[i + 1].parse().unwrap()))
-                    .collect(),
-            )
-        })
-        .collect();
-    println!(
-        "{}",
-        line_chart(
-            "Table II — throughput vs clients (10 servers)",
-            &series,
-            48,
-            12
-        )
-    );
-    println!("paper: A peaks 106K @20 then falls to 64K; B saturates ~844K; C scales to 2004K");
-}
-
-// ---------------------------------------------------------------------
-// Fig 3: scalability factor (baseline = 10 clients).
-// ---------------------------------------------------------------------
-fn fig3(ctx: &ExpCtx) {
-    let mut base: Vec<f64> = Vec::new();
-    let mut rows = Vec::new();
-    println!(
-        "{:>8} | {:>12} {:>12} {:>12} {:>10}",
-        "clients", "read-only", "read-heavy", "update-heavy", "perfect"
-    );
-    for (ci, clients) in [10usize, 20, 30, 60, 90].iter().enumerate() {
-        let mut factors = Vec::new();
-        let mut csv = vec![clients.to_string()];
-        for (wi, w) in [
-            StandardWorkload::C,
-            StandardWorkload::B,
-            StandardWorkload::A,
-        ]
-        .iter()
-        .enumerate()
-        {
-            let cfg =
-                ClusterConfig::new(10, *clients, section_v_workload(ctx, *w)).with_seed(ctx.seed);
-            let thr = Cluster::new(cfg).run().throughput_ops;
-            if ci == 0 {
-                base.push(thr);
-            }
-            let f = thr / base[wi];
-            factors.push(f);
-            csv.push(format!("{f:.2}"));
-        }
-        let perfect = *clients as f64 / 10.0;
-        csv.push(format!("{perfect:.1}"));
-        println!(
-            "{clients:>8} | {:>12.2} {:>12.2} {:>12.2} {perfect:>10.1}",
-            factors[0], factors[1], factors[2]
-        );
-        rows.push(csv);
-    }
-    ctx.write_csv(
-        "fig3",
-        "clients,read_only_factor,read_heavy_factor,update_heavy_factor,perfect",
-        &rows,
-    );
-    println!("paper: read-only tracks perfect; read-heavy collapses between 30 and 60; update-heavy degrades below 1");
-}
-
-// ---------------------------------------------------------------------
-// Fig 4: (a) avg power/node of 20 servers vs clients per workload;
-//        (b) total energy at 90 clients per workload.
-// ---------------------------------------------------------------------
-fn fig4(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>8} | {:>12} {:>12} {:>12}   (avg W/node, 20 servers)",
-        "clients", "read-only", "read-heavy", "update-heavy"
-    );
-    let mut energy90 = Vec::new();
-    for clients in [10usize, 20, 30, 60, 90] {
-        let mut cells = Vec::new();
-        let mut csv = vec![clients.to_string()];
-        for w in [
-            StandardWorkload::C,
-            StandardWorkload::B,
-            StandardWorkload::A,
-        ] {
-            let cfg =
-                ClusterConfig::new(20, clients, section_v_workload(ctx, w)).with_seed(ctx.seed);
-            let report = Cluster::new(cfg).run();
-            cells.push(report.avg_node_watts());
-            csv.push(format!("{:.2}", report.avg_node_watts()));
-            if clients == 90 {
-                energy90.push((w, report.total_energy_kj() * ctx.scale as f64));
-            }
-        }
-        println!(
-            "{clients:>8} | {:>10.1} W {:>10.1} W {:>10.1} W",
-            cells[0], cells[1], cells[2]
-        );
-        rows.push(csv);
-    }
-    ctx.write_csv("fig4a", "clients,C_watts,B_watts,A_watts", &rows);
-    println!(
-        "\nFig 4b — total energy at 90 clients (KJ, rescaled ×{} to paper request counts):",
-        ctx.scale
-    );
-    let mut rows_b = Vec::new();
-    for (w, kj) in &energy90 {
-        println!("  workload {w}: {kj:>8.1} KJ");
-        rows_b.push(vec![w.to_string(), format!("{kj:.2}")]);
-    }
-    if energy90.len() == 3 {
-        let c = energy90[2].1 / energy90[0].1;
-        println!("  A / C energy ratio: {c:.2}x (paper: 4.92x)");
-    }
-    ctx.write_csv("fig4b", "workload,total_energy_kj", &rows_b);
-    println!("paper: C ~82→93 W, B ~92→100 W, A ~90→110 W; A consumes 4.92x C's total energy at 90 clients");
-}
-
-// ---------------------------------------------------------------------
-// Fig 5: throughput of 20 servers vs replication factor (workload A).
-// ---------------------------------------------------------------------
-fn fig5(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>6} | {:>12} {:>12} {:>12}",
-        "R", "10 clients", "30 clients", "60 clients"
-    );
-    for r in 1u32..=4 {
-        let mut cells = Vec::new();
-        let mut csv = vec![r.to_string()];
-        for clients in [10usize, 30, 60] {
-            let cfg = ClusterConfig::new(20, clients, section_v_workload(ctx, StandardWorkload::A))
-                .with_replication(r)
-                .with_seed(ctx.seed);
-            let thr = Cluster::new(cfg).run().throughput_ops;
-            cells.push(thr);
-            csv.push(format!("{thr:.0}"));
-        }
-        println!(
-            "{r:>6} | {:>12} {:>12} {:>12}",
-            kops(cells[0]),
-            kops(cells[1]),
-            kops(cells[2])
-        );
-        rows.push(csv);
-    }
-    ctx.write_csv(
-        "fig5",
-        "replication,clients10_ops,clients30_ops,clients60_ops",
-        &rows,
-    );
-    let series: Vec<Series> = ["10 clients", "30 clients", "60 clients"]
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            Series::new(
-                name,
-                rows.iter()
-                    .map(|r| (r[0].parse().unwrap(), r[i + 1].parse().unwrap()))
-                    .collect(),
-            )
-        })
-        .collect();
-    println!(
-        "{}",
-        line_chart(
-            "Fig 5 — throughput vs replication factor (20 servers)",
-            &series,
-            44,
-            10
-        )
-    );
-    println!("paper: 10 clients: 78K@R1 → 43K@R4 (−45%); saturation at higher client counts");
-}
-
-// ---------------------------------------------------------------------
-// Fig 6: (a) throughput and (b) total energy vs replication factor for
-// 10-40 servers at 60 clients (workload A).
-// ---------------------------------------------------------------------
-fn fig6(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>6} | {:>14} {:>14} {:>14} {:>14}",
-        "R", "10 srv", "20 srv", "30 srv", "40 srv"
-    );
-    for r in 1u32..=4 {
-        let mut line = Vec::new();
-        let mut csv = vec![r.to_string()];
-        for servers in [10usize, 20, 30, 40] {
-            let cfg = ClusterConfig::new(servers, 60, section_v_workload(ctx, StandardWorkload::A))
-                .with_replication(r)
-                .with_seed(ctx.seed);
-            let report = Cluster::new(cfg).run();
-            let crashed = report.crashed;
-            line.push(format!(
-                "{}{}",
-                kops(report.throughput_ops),
-                if crashed { "*" } else { "" }
-            ));
-            csv.push(format!("{:.0}", report.throughput_ops));
-            csv.push(format!(
-                "{:.2}",
-                report.total_energy_kj() * ctx.scale as f64
-            ));
-        }
-        println!(
-            "{r:>6} | {:>14} {:>14} {:>14} {:>14}   (* = timeout-crashed)",
-            line[0], line[1], line[2], line[3]
-        );
-        rows.push(csv);
-    }
-    ctx.write_csv(
-        "fig6",
-        "replication,srv10_ops,srv10_kj,srv20_ops,srv20_kj,srv30_ops,srv30_kj,srv40_ops,srv40_kj",
-        &rows,
-    );
-    println!("paper (6a): R1 128K→237K from 10→40 servers; 10-server runs crash for R>2");
-    println!("paper (6b): 20 servers 81 KJ@R1 → 285 KJ@R4 (+351%)");
-}
-
-// ---------------------------------------------------------------------
-// Fig 7: average power per node of 40 servers vs replication factor.
-// ---------------------------------------------------------------------
-fn fig7(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!("{:>6} | {:>12}", "R", "avg W/node");
-    for r in 1u32..=4 {
-        let cfg = ClusterConfig::new(40, 60, section_v_workload(ctx, StandardWorkload::A))
-            .with_replication(r)
-            .with_seed(ctx.seed);
-        let report = Cluster::new(cfg).run();
-        println!("{r:>6} | {:>10.1} W", report.avg_node_watts());
-        rows.push(vec![
-            r.to_string(),
-            format!("{:.2}", report.avg_node_watts()),
-        ]);
-    }
-    ctx.write_csv("fig7", "replication,avg_node_watts", &rows);
-    println!("paper: 103 W at R1 rising to ~115 W at R4");
-}
-
-// ---------------------------------------------------------------------
-// Fig 8: energy efficiency vs replication factor for 20/30/40 servers.
-// ---------------------------------------------------------------------
-fn fig8(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>6} | {:>12} {:>12} {:>12}   (Kop/joule)",
-        "R", "20 srv", "30 srv", "40 srv"
-    );
-    for r in 1u32..=4 {
-        let mut cells = Vec::new();
-        let mut csv = vec![r.to_string()];
-        for servers in [20usize, 30, 40] {
-            let cfg = ClusterConfig::new(servers, 60, section_v_workload(ctx, StandardWorkload::A))
-                .with_replication(r)
-                .with_seed(ctx.seed);
-            let report = Cluster::new(cfg).run();
-            cells.push(report.ops_per_joule / 1e3);
-            csv.push(format!("{:.4}", report.ops_per_joule / 1e3));
-        }
-        println!(
-            "{r:>6} | {:>12.2} {:>12.2} {:>12.2}",
-            cells[0], cells[1], cells[2]
-        );
-        rows.push(csv);
-    }
-    ctx.write_csv(
-        "fig8",
-        "replication,srv20_kop_per_j,srv30_kop_per_j,srv40_kop_per_j",
-        &rows,
-    );
-    println!("paper: with replication, MORE servers are more efficient: 1.5/1.9/2.3 Kop/J at R1 for 20/30/40; gap narrows as R grows");
-}
-
-/// The Fig 9/10/11/12 recovery substrate: `servers` nodes pre-loaded with
-/// ~`gb_total` of data (10 KB nominal values keep entry counts tractable),
-/// a victim killed at 60 s.
-fn recovery_cluster(
-    ctx: &ExpCtx,
-    servers: usize,
-    gb_total: f64,
-    replication: u32,
-    clients: usize,
-    ops_per_client: u64,
-) -> Cluster {
-    // 10 KB nominal values keep entry counts tractable at full data volume;
-    // the compact payload keeps real memory modest. Entry size is NOT
-    // scaled: chunk cadence and disk request sizes drive recovery timing.
+/// The Fig 9–12 recovery substrate: `servers` nodes pre-loaded with
+/// ~`gb_total` of data, the middle one killed at 60 s. 10 KB nominal values
+/// keep entry counts tractable at full data volume (the compact payload
+/// keeps real memory modest); entry size is NOT scaled — chunk cadence and
+/// disk request sizes drive recovery timing.
+fn recovery(ctx: &ExpCtx, servers: u32, gb_total: f64, r: u32, clients: usize, ops: u64) -> Sim {
     let value_bytes = 10 * 1024;
-    let records = (gb_total * 1e9 / value_bytes as f64) as u64;
-    let mut workload = WorkloadSpec::standard(StandardWorkload::C)
-        .with_record_count(records)
-        .with_ops_per_client(ops_per_client);
+    let mut workload = WorkloadSpec::standard(C)
+        .with_record_count((gb_total * 1e9 / value_bytes as f64) as u64)
+        .with_ops_per_client(ops);
     workload.value_bytes = value_bytes;
-    let cfg = ClusterConfig::new(servers, clients.max(1), workload)
-        .with_replication(replication)
+    let cfg = ClusterConfig::new(servers as usize, clients, workload)
+        .with_replication(r)
         .with_seed(ctx.seed);
-    let mut cluster = Cluster::new(cfg);
-    cluster.plan_kill(SimTime::from_secs(60), Some(servers / 2));
-    cluster
+    let kill = Some((SimTime::from_secs(60), servers as usize / 2));
+    let min = SimDuration::ZERO;
+    Sim { cfg, kill, min }
 }
 
-// ---------------------------------------------------------------------
-// Fig 9: CPU and power timelines of 10 idle servers across a crash.
-// ---------------------------------------------------------------------
-fn fig9(ctx: &ExpCtx) {
-    // 10 servers, 10 M × 1 KB = 9.7 GB, R4, idle, kill at 60 s.
-    let cluster = recovery_cluster(ctx, 10, 9.7, 4, 1, 0);
-    let report = cluster.run_with_min_duration(SimDuration::from_secs(140));
-    let rec = report.recovery.as_ref().expect("recovery must run");
+const THR: fn(&RunReport) -> f64 = |r| r.throughput_ops;
+const WATTS: fn(&RunReport) -> f64 = |r| r.avg_node_watts();
+const OP_PER_J: fn(&RunReport) -> f64 = |r| r.ops_per_joule;
+fn recovered(r: &RunReport) -> &RecoveryReport {
+    r.recovery.as_ref().expect("recovery must run")
+}
+fn recovery_secs(r: &RunReport) -> f64 {
+    recovered(r).duration_secs
+}
+/// Mean node power over the recovery window.
+fn recovery_watts(r: &RunReport) -> f64 {
+    let window = recovered(r).detected_at_secs..recovered(r).finished_at_secs;
+    let inside = r.power_timeline.iter().filter(|(t, _)| window.contains(t));
+    let watts: Vec<f64> = inside.map(|&(_, w)| w).collect();
+    watts.iter().sum::<f64>() / watts.len().max(1) as f64
+}
+
+fn print_recovery(report: &RunReport) {
+    let rec = recovered(report);
     println!(
         "killed at {:.0}s, detected {:.2}s, finished {:.1}s (recovery {:.1}s, {:.2} GB replayed)",
         rec.killed_at_secs,
@@ -590,477 +133,552 @@ fn fig9(ctx: &ExpCtx) {
         rec.duration_secs,
         rec.replayed_gb
     );
-    println!("{:>6} | {:>8} {:>10}", "t(s)", "cpu %", "W/node");
-    let mut rows = Vec::new();
-    for (t, cpu) in &report.cpu_timeline {
-        let watts = report
-            .power_timeline
-            .iter()
-            .find(|(pt, _)| pt == t)
-            .map(|(_, w)| *w)
-            .unwrap_or(0.0);
-        if (*t as u64).is_multiple_of(10) || (*t > 55.0 && *t < rec.finished_at_secs + 10.0) {
-            println!("{t:>6.0} | {:>7.1}% {watts:>9.1}", cpu * 100.0);
-        }
-        rows.push(vec![
-            format!("{t}"),
-            format!("{:.4}", cpu * 100.0),
-            format!("{watts:.2}"),
-        ]);
-    }
-    ctx.write_csv("fig9", "t_s,cpu_pct,watts_per_node", &rows);
-    let cpu_series = Series::new(
-        "cpu %",
-        report
-            .cpu_timeline
-            .iter()
-            .map(|&(t, c)| (t, c * 100.0))
-            .collect(),
-    );
-    println!(
-        "{}",
-        line_chart("Fig 9a — cluster CPU % over time", &[cpu_series], 64, 10)
-    );
-    println!("paper: 25% CPU idle → 92% spike at crash, decaying over recovery; power ~→119 W");
 }
 
-// ---------------------------------------------------------------------
-// Fig 10: per-op latency timelines of two clients across recovery; client 1
-// targets exactly the victim's data.
-// ---------------------------------------------------------------------
-fn fig10(ctx: &ExpCtx) {
-    let victim = 10usize / 2;
-    // Two closed-loop read clients with enough ops to span the recovery
-    // window (~160 s); client 0 requests only the victim's data.
-    let ops = 4_000_000;
-    let template = recovery_cluster(ctx, 10, 9.7, 4, 2, ops);
-    let mut cfg = template.config().clone();
-    cfg.client_affinity = Some(vec![
+/// Fig 9: 10 servers, 10 M × 1 KB = 9.7 GB, R4, idle.
+fn fig9(ctx: &ExpCtx) -> Vec<Rows> {
+    let report = ctx.run(recovery(ctx, 10, 9.7, 4, 1, 0).lasting(140));
+    print_recovery(&report);
+    let cpu = report.cpu_timeline.iter().map(|&(t, c)| (t, c * 100.0));
+    let cpu = Series::new("cpu %", cpu.collect());
+    let title = "Fig 9a — cluster CPU % over time";
+    println!("{}", line_chart(title, &[cpu], 64, 10));
+    let points = report.cpu_timeline.iter().zip(&report.power_timeline);
+    let row = |(&(t, cpu), &(_, w)): (&(f64, f64), &(f64, f64))| {
+        vec![
+            format!("{t}"),
+            format!("{:.4}", cpu * 100.0),
+            format!("{w:.2}"),
+        ]
+    };
+    vec![points.map(row).collect()]
+}
+
+/// Fig 10: two closed-loop read clients with enough requests to span the
+/// recovery; client 0 asks only for the victim's data, client 1 never.
+fn fig10(ctx: &ExpCtx) -> Vec<Rows> {
+    let mut sim = recovery(ctx, 10, 9.7, 4, 2, 4_000_000).lasting(140);
+    let victim = sim.kill.expect("planned").1;
+    sim.cfg.client_affinity = Some(vec![
         ClientAffinity::On(victim),
         ClientAffinity::NotOn(victim),
     ]);
-    let mut cluster = Cluster::new(cfg);
-    cluster.plan_kill(SimTime::from_secs(60), Some(victim));
-    let report = cluster.run_with_min_duration(SimDuration::from_secs(140));
-    let rec = report.recovery.as_ref().expect("recovery must run");
-    println!(
-        "recovery {:.1}s (detected {:.1}s → finished {:.1}s)",
-        rec.duration_secs, rec.detected_at_secs, rec.finished_at_secs
-    );
-    let mut rows = Vec::new();
-    for (c, tl) in report.per_client_latency_timelines.iter().enumerate() {
-        let label = if c == 0 {
-            "client 1 (lost data)"
-        } else {
-            "client 2 (live data)"
-        };
-        println!("{label}: {} timeline points", tl.len());
-        // Print the interesting region.
-        for (t, us) in tl.iter().filter(|(t, _)| (50.0..130.0).contains(t)) {
-            if (*t as u64).is_multiple_of(5) {
-                println!("  t={t:>5.0}s  {us:>8.1} µs");
-            }
-            rows.push(vec![c.to_string(), format!("{t}"), format!("{us:.2}")]);
-        }
-        // Gap check: client 0 should have no completions during recovery.
-        let gap: Vec<f64> = tl
-            .iter()
-            .map(|(t, _)| *t)
-            .filter(|t| (rec.detected_at_secs + 1.0..rec.finished_at_secs - 1.0).contains(t))
-            .collect();
-        if c == 0 {
-            println!(
-                "  completions during recovery window: {} (paper: blocked, 0)",
-                gap.len()
-            );
-        }
-    }
-    ctx.write_csv("fig10", "client,t_s,mean_latency_us", &rows);
-    println!(
-        "paper: lost-data client blocked ~40 s; live-data client latency 15 → 35 µs (1.4-2.4x)"
-    );
+    let report = ctx.run(sim);
+    print_recovery(&report);
+    let clients = report.per_client_latency_timelines.iter().enumerate();
+    let rows = clients.flat_map(|(c, timeline)| {
+        let around = timeline.iter().filter(|(t, _)| (50.0..130.0).contains(t));
+        around.map(move |(t, us)| vec![c.to_string(), format!("{t}"), format!("{us:.2}")])
+    });
+    vec![rows.collect()]
 }
 
-// ---------------------------------------------------------------------
-// Fig 11: recovery time (a) and single-node energy (b) vs replication
-// factor; 9 nodes, 1.085 GB to recover.
-// ---------------------------------------------------------------------
-fn fig11(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>6} | {:>12} | {:>14} | {:>10}",
-        "R", "recovery s", "node energy KJ", "GB"
-    );
-    for r in 1u32..=5 {
-        let cluster = recovery_cluster(ctx, 9, 9.765, r, 1, 0);
-        let report = cluster.run_with_min_duration(SimDuration::from_secs(150));
-        let rec = report.recovery.as_ref().expect("recovery must run");
-        // Single-node energy during recovery: average node power over the
-        // recovery window × duration.
-        let (from, to) = (rec.detected_at_secs, rec.finished_at_secs);
-        let window: Vec<f64> = report
-            .power_timeline
-            .iter()
-            .filter(|(t, _)| (from..to).contains(t))
-            .map(|(_, w)| *w)
-            .collect();
-        let (avg_w, _) = mean_err(&window);
-        let node_kj = avg_w * rec.duration_secs / 1e3;
-        println!(
-            "{r:>6} | {:>10.1} s | {node_kj:>12.2} KJ | {:>8.2}",
-            rec.duration_secs, rec.replayed_gb
-        );
-        rows.push(vec![
-            r.to_string(),
-            format!("{:.2}", rec.duration_secs),
-            format!("{node_kj:.3}"),
-            format!("{avg_w:.1}"),
-        ]);
-    }
-    ctx.write_csv(
-        "fig11",
-        "replication,recovery_s,node_energy_kj,avg_node_watts",
-        &rows,
-    );
-    let bars: Vec<(String, f64)> = rows
-        .iter()
-        .map(|r| (format!("R={}", r[0]), r[1].parse().unwrap()))
-        .collect();
-    println!("{}", bar_chart("Fig 11a — recovery time (s)", &bars, 36));
-    println!("paper: 10 s at R1 growing ~linearly to 55 s at R5; node energy grows linearly; 114-117 W during recovery");
+/// Fig 12: the disks of Fig 11's R4 run.
+fn fig12(ctx: &ExpCtx) -> Vec<Rows> {
+    let report = ctx.run(recovery(ctx, 9, 9.765, 4, 1, 0).lasting(150));
+    print_recovery(&report);
+    let row =
+        |&(t, r, w): &(f64, f64, f64)| vec![format!("{t}"), format!("{r:.2}"), format!("{w:.2}")];
+    vec![report.disk_timeline.iter().map(row).collect()]
 }
 
-// ---------------------------------------------------------------------
-// Fig 12: aggregated disk read/write activity during recovery (9 nodes).
-// ---------------------------------------------------------------------
-fn fig12(ctx: &ExpCtx) {
-    let cluster = recovery_cluster(ctx, 9, 9.765, 4, 1, 0);
-    let report = cluster.run_with_min_duration(SimDuration::from_secs(150));
-    let rec = report.recovery.as_ref().expect("recovery must run");
-    println!(
-        "recovery window: {:.1}s → {:.1}s",
-        rec.detected_at_secs, rec.finished_at_secs
-    );
-    println!("{:>6} | {:>10} {:>10}", "t(s)", "read MB/s", "write MB/s");
-    let mut rows = Vec::new();
-    for (t, r, w) in &report.disk_timeline {
-        if *t >= 55.0 && *t <= rec.finished_at_secs + 5.0 {
-            println!("{t:>6.0} | {r:>10.1} {w:>10.1}");
-        }
-        rows.push(vec![format!("{t}"), format!("{r:.2}"), format!("{w:.2}")]);
-    }
-    ctx.write_csv("fig12", "t_s,read_mbps,write_mbps", &rows);
-    println!("paper: small read bump after the crash, large write peak (~350 MB/s aggregate), reads and writes overlapping until the end");
-}
-
-// ---------------------------------------------------------------------
-// Fig 13: throughput with client-side throttling; 10 servers, R2.
-// ---------------------------------------------------------------------
-fn fig13(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>8} | {:>14} {:>14}",
-        "clients", "rate 200 r/s", "rate 500 r/s"
-    );
-    for clients in [10usize, 30, 60] {
-        let mut cells = Vec::new();
-        let mut csv = vec![clients.to_string()];
-        for rate in [200.0f64, 500.0] {
-            // Bound ops so each run covers ~20 s of paced traffic.
-            let ops = (rate as u64) * 20;
-            let workload = WorkloadSpec::standard(StandardWorkload::A).with_ops_per_client(ops);
-            let cfg = ClusterConfig::new(10, clients, workload)
-                .with_replication(2)
-                .with_throttle(rate)
-                .with_seed(ctx.seed);
-            let report = Cluster::new(cfg).run();
-            cells.push(report.throughput_ops);
-            csv.push(format!("{:.0}", report.throughput_ops));
-        }
-        println!("{clients:>8} | {:>12.0} {:>14.0}", cells[0], cells[1]);
-        rows.push(csv);
-    }
-    ctx.write_csv("fig13", "clients,rate200_ops,rate500_ops", &rows);
-    println!(
-        "paper: linear scaling (clients × rate), no crashes, even at 10 servers with replication"
-    );
-}
-
-// ---------------------------------------------------------------------
-// §IX ablation: segment size vs recovery time (8 MB best on HDD; SSD
-// favours smaller segments).
-// ---------------------------------------------------------------------
-fn ablation_segment(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>10} | {:>12} {:>12}   (recovery seconds, R3)",
-        "segment", "HDD", "SSD"
-    );
-    for mb in [1usize, 2, 4, 8, 16, 32] {
-        let mut cells = Vec::new();
-        let mut csv = vec![format!("{mb}")];
-        for ssd in [false, true] {
-            let mut cluster = recovery_cluster(ctx, 9, 4.0, 3, 1, 0);
-            let mut cfg = cluster.config().clone();
-            cfg.segment_bytes = mb << 20;
-            if ssd {
-                cfg.disk = rmc_disk::DiskProfile::commodity_ssd();
-            }
-            cluster = Cluster::new(cfg);
-            cluster.plan_kill(SimTime::from_secs(60), Some(4));
-            let report = cluster.run_with_min_duration(SimDuration::from_secs(120));
-            let secs = report.recovery.map(|r| r.duration_secs).unwrap_or(f64::NAN);
-            cells.push(secs);
-            csv.push(format!("{secs:.2}"));
-        }
-        println!("{:>8}MB | {:>10.1} s {:>10.1} s", mb, cells[0], cells[1]);
-        rows.push(csv);
-    }
-    ctx.write_csv(
-        "ablation_segment",
-        "segment_mb,hdd_recovery_s,ssd_recovery_s",
-        &rows,
-    );
-    println!("paper (§IX): 8 MB gave the best recovery times on their HDDs; smaller segments pay off only with SSDs");
-}
-
-// ---------------------------------------------------------------------
-// §IX-B ablation: strong vs relaxed write consistency.
-// ---------------------------------------------------------------------
-fn ablation_consistency(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>6} | {:>12} {:>12} | {:>10} {:>10}  (20 servers, 10 clients, A)",
-        "R", "strong", "relaxed", "str W/node", "rlx W/node"
-    );
-    for r in 1u32..=4 {
-        let mut thr = Vec::new();
-        let mut pw = Vec::new();
-        for consistency in [Consistency::Strong, Consistency::Relaxed] {
-            let mut cfg = ClusterConfig::new(20, 10, section_v_workload(ctx, StandardWorkload::A))
-                .with_replication(r)
-                .with_seed(ctx.seed);
-            cfg.consistency = consistency;
-            let report = Cluster::new(cfg).run();
-            thr.push(report.throughput_ops);
-            pw.push(report.avg_node_watts());
-        }
-        println!(
-            "{r:>6} | {:>12} {:>12} | {:>9.1}W {:>9.1}W",
-            kops(thr[0]),
-            kops(thr[1]),
-            pw[0],
-            pw[1]
-        );
-        rows.push(vec![
-            r.to_string(),
-            format!("{:.0}", thr[0]),
-            format!("{:.0}", thr[1]),
-            format!("{:.2}", pw[0]),
-            format!("{:.2}", pw[1]),
-        ]);
-    }
-    ctx.write_csv(
-        "ablation_consistency",
-        "replication,strong_ops,relaxed_ops,strong_watts,relaxed_watts",
-        &rows,
-    );
-    println!(
-        "§IX-B hypothesis: answering before backup acks removes most of the replication penalty"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Extra ablation: the log cleaner's cost (the paper sized workloads to
-// avoid it; this measures what they avoided).
-// ---------------------------------------------------------------------
-fn ablation_cleaner(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>14} | {:>12} | {:>16}",
-        "memory budget", "throughput", "cleanings/node"
-    );
-    // Per-node volume here is tiny (≈25 MB appended nominal), so "tight"
-    // budgets are a few segments — enough to force cleaning into the write
-    // path without changing the workload.
-    for (label, memory_gb) in [
-        ("ample (10GB)", 10.0f64),
-        ("tight (40MB)", 0.040),
-        ("very tight (32MB)", 0.032),
-    ] {
-        let workload = WorkloadSpec::standard(StandardWorkload::A)
-            .with_record_count(100_000)
-            .with_ops_per_client(ctx.ops(100_000));
-        let mut cfg = ClusterConfig::new(10, 30, workload).with_seed(ctx.seed);
-        cfg.memory_bytes = (memory_gb * (1u64 << 30) as f64) as u64;
-        let mut cluster = Cluster::new(cfg);
-        cluster.preload();
-        let cleanings_before: u64 = (0..10)
-            .map(|n| cluster.node(n).store.stats().cleanings)
-            .sum();
-        let report = cluster.run();
-        println!(
-            "{label:>14} | {:>12} | (pre-run: {cleanings_before})",
-            kops(report.throughput_ops)
-        );
-        rows.push(vec![
-            label.to_owned(),
-            format!("{:.0}", report.throughput_ops),
-        ]);
-    }
-    ctx.write_csv("ablation_cleaner", "memory,throughput_ops", &rows);
-    println!("note: per-node data is ~10MB of 100K records over 10 servers; the tight budgets force the cleaner into the write path");
-}
-
-// ---------------------------------------------------------------------
-// Extra ablation: random vs copyset backup placement — probability of data
-// loss under simultaneous failures (the Copysets trade-off the paper cites
-// alongside its replication findings).
-// ---------------------------------------------------------------------
-fn ablation_copyset(ctx: &ExpCtx) {
-    let servers = 20;
-    let r = 3u32;
-    let trials = 200u64;
-    let mut rows = Vec::new();
-    println!(
-        "{:>10} | {:>14} {:>14}   ({} servers, R={r}, {} trials)",
-        "dead", "random", "copyset", servers, trials
-    );
-    for dead_count in [3usize, 4, 5] {
-        let mut csv = vec![dead_count.to_string()];
-        let mut cells = Vec::new();
-        for placement in [Placement::Random, Placement::Copyset] {
-            let mut losses = 0u64;
-            for t in 0..trials {
-                let workload = WorkloadSpec::standard(StandardWorkload::C)
-                    .with_record_count(2_000)
-                    .with_ops_per_client(0);
-                let mut cfg = ClusterConfig::new(servers, 1, workload)
-                    .with_replication(r)
-                    .with_seed(ctx.seed + t);
-                cfg.placement = placement;
-                let mut cluster = Cluster::new(cfg);
-                cluster.preload();
-                // Deterministic pseudo-random victim set per trial.
-                let mut dead = Vec::new();
-                let mut x = t.wrapping_mul(0x9E3779B97F4A7C15);
-                while dead.len() < dead_count {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let v = (x >> 33) as usize % servers;
-                    if !dead.contains(&v) {
-                        dead.push(v);
-                    }
-                }
-                if cluster.would_lose_data(&dead) {
-                    losses += 1;
+/// Random vs copyset placement: in how many of 200 trials 3, 4 and 5
+/// simultaneous failures lose some segment's master and all its backups
+/// (20 servers, R3).
+fn ablation_copyset(ctx: &ExpCtx) -> Vec<Rows> {
+    let (servers, trials) = (20usize, 200u64);
+    let losses = |placement: Placement| {
+        let mut losses = [0u32; 3];
+        for trial in 0..trials {
+            let workload = WorkloadSpec::standard(C)
+                .with_record_count(2_000)
+                .with_ops_per_client(0);
+            let mut cfg = ClusterConfig::new(servers, 1, workload)
+                .with_replication(3)
+                .with_seed(ctx.seed + trial);
+            cfg.placement = placement;
+            let cluster = ExpCtx::preloaded(cfg);
+            // Deterministic pseudo-random victims per trial; the first n
+            // of them are the n simultaneous failures.
+            let mut dead = Vec::new();
+            let mut x = trial.wrapping_mul(0x9E3779B97F4A7C15);
+            while dead.len() < 5 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let v = (x >> 33) as usize % servers;
+                if !dead.contains(&v) {
+                    dead.push(v);
                 }
             }
-            cells.push(losses as f64 / trials as f64);
-            csv.push(format!("{:.4}", losses as f64 / trials as f64));
+            for (i, lost) in losses.iter_mut().enumerate() {
+                *lost += u32::from(cluster.would_lose_data(&dead[..i + 3]));
+            }
         }
-        println!(
-            "{dead_count:>10} | {:>13.1}% {:>13.1}%",
-            cells[0] * 100.0,
-            cells[1] * 100.0
-        );
-        rows.push(csv);
-    }
-    ctx.write_csv(
-        "ablation_copyset",
-        "simultaneous_failures,random_loss_prob,copyset_loss_prob",
-        &rows,
-    );
-    println!("expected: copyset placement loses data in far fewer failure combinations (Cidon et al., cited as [28])");
+        losses.map(|lost| format!("{:.4}", f64::from(lost) / trials as f64))
+    };
+    let (random, copyset) = (losses(Placement::Random), losses(Placement::Copyset));
+    let row = |i: usize| vec![(i + 3).to_string(), random[i].clone(), copyset[i].clone()];
+    vec![(0..3).map(row).collect()]
 }
 
-// ---------------------------------------------------------------------
-// Extra ablation: §IX-A elastic cluster sizing — energy saved by draining
-// idle servers under light load.
-// ---------------------------------------------------------------------
-fn ablation_elastic(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>10} | {:>12} {:>12} | {:>12} {:>12} | {:>9}",
-        "clients", "static op/s", "elast op/s", "static KJ", "elast KJ", "saved"
-    );
-    for clients in [1usize, 2, 6] {
-        // Sustained light load: throttled clients for a ~60 s window (the
-        // Sierra-style "low I/O activity period" the paper's §IX-A cites).
-        let run = |elastic: Option<ElasticPolicy>| {
-            let workload = WorkloadSpec::standard(StandardWorkload::C)
-                .with_record_count(20_000)
-                .with_ops_per_client(ctx.ops(300_000));
-            let mut cfg = ClusterConfig::new(10, clients, workload)
-                .with_seed(ctx.seed)
-                .with_throttle(500.0);
-            cfg.elastic = elastic;
-            Cluster::new(cfg).run()
-        };
-        let st = run(None);
-        let el = run(Some(ElasticPolicy::default()));
-        let saved = 1.0 - el.energy.total_energy_joules / st.energy.total_energy_joules;
-        println!(
-            "{clients:>10} | {:>12} {:>12} | {:>10.2}KJ {:>10.2}KJ | {:>8.1}%",
-            kops(st.throughput_ops),
-            kops(el.throughput_ops),
-            st.total_energy_kj(),
-            el.total_energy_kj(),
-            saved * 100.0
-        );
-        rows.push(vec![
-            clients.to_string(),
-            format!("{:.0}", st.throughput_ops),
-            format!("{:.0}", el.throughput_ops),
-            format!("{:.3}", st.total_energy_kj()),
-            format!("{:.3}", el.total_energy_kj()),
-            format!("{:.4}", saved),
-        ]);
-    }
-    ctx.write_csv(
-        "ablation_elastic",
-        "clients,static_ops,elastic_ops,static_kj,elastic_kj,energy_saved_frac",
-        &rows,
-    );
-    println!("§IX-A hypothesis: adapting the number of servers to the workload recovers the energy-proportionality lost to polling");
+/// In Fig 10's rows, the seconds in which the lost-data client (client 0)
+/// completed nothing: `(last completion before, first completion after)`.
+fn blocked_window(t: &Table) -> (f64, f64) {
+    let at: Vec<f64> = (t.iter().filter(|r| r[0] == 0.0).map(|r| r[1])).collect();
+    let gap = at
+        .windows(2)
+        .max_by(|a, b| (a[1] - a[0]).total_cmp(&(b[1] - b[0])));
+    gap.map_or((f64::NAN, f64::NAN), |w| (w[0], w[1]))
 }
 
-// ---------------------------------------------------------------------
-// Extra coverage the paper names as future work: YCSB workloads D (read
-// latest, 5 % inserts) and F (read-modify-write) next to A/B/C.
-// ---------------------------------------------------------------------
-fn extra_workloads(ctx: &ExpCtx) {
-    let mut rows = Vec::new();
-    println!(
-        "{:>10} | {:>12} | {:>10} | {:>10}   (10 servers, 30 clients)",
-        "workload", "throughput", "W/node", "op/J"
-    );
-    for w in [
-        StandardWorkload::A,
-        StandardWorkload::B,
-        StandardWorkload::C,
-        StandardWorkload::D,
-        StandardWorkload::F,
-    ] {
-        let cfg = ClusterConfig::new(10, 30, section_v_workload(ctx, w)).with_seed(ctx.seed);
-        let report = Cluster::new(cfg).run();
-        println!(
-            "{:>10} | {:>12} | {:>8.1} W | {:>10.0}",
-            w.to_string(),
-            kops(report.throughput_ops),
-            report.avg_node_watts(),
-            report.ops_per_joule
-        );
-        rows.push(vec![
-            w.to_string(),
-            format!("{:.0}", report.throughput_ops),
-            format!("{:.2}", report.avg_node_watts()),
-            format!("{:.1}", report.ops_per_joule),
-        ]);
-    }
-    ctx.write_csv(
-        "extra_workloads",
-        "workload,throughput_ops,avg_node_watts,ops_per_joule",
-        &rows,
-    );
-    println!("expectation: D behaves like B (reads dominate; inserts are writes); F behaves like A (RMW pays the update path)");
+/// Longest run of consecutive rows satisfying `hot`.
+fn longest_run(t: &Table, hot: impl Fn(&Vec<f64>) -> bool) -> usize {
+    let runs = t.split(|row| !hot(row));
+    runs.map(<[_]>::len).max().unwrap_or(0)
 }
+
+/// Least-squares `(slope, R²)` of `y` over `x`.
+fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let (mx, my) = (mean(x), mean(y));
+    let cov = |a: &[f64], ma: f64, b: &[f64], mb: f64| -> f64 {
+        a.iter().zip(b).map(|(p, q)| (p - ma) * (q - mb)).sum()
+    };
+    let (sxy, sxx, syy) = (cov(x, mx, y, my), cov(x, mx, x, mx), cov(y, my, y, my));
+    (sxy / sxx, sxy * sxy / (sxx * syy))
+}
+
+/// Percent change from `old` to `new`.
+fn pct(new: f64, old: f64) -> f64 {
+    (new / old - 1.0) * 100.0
+}
+
+/// Every table and figure of the paper's evaluation, then the §IX
+/// ablations: the only enumeration of the artefacts. `all` runs it in
+/// order; EXPERIMENTS.md cites the findings by `id`. (Laid out by hand, one
+/// claim a line: rustfmt leaves an item alone once a string in it cannot be
+/// wrapped.)
+static ARTEFACTS: [Artefact; 20] = [
+    Artefact {
+        name: "fig1",
+        title: "Fig 1: read-only throughput (a) and power per server (b), servers {1,5,10} × clients {1,10,30}, no replication",
+        csv: &[("fig1", "servers,clients,throughput_ops,avg_node_watts")],
+        build: |ctx| {
+            vec![ctx.grid(&SERVERS, &[1, 10, 30], |s, c| peak(ctx, s, c), &[(&THR, 0), (&WATTS, 2)]).long()]
+        },
+        paper: "1 srv saturates ~372K at 30 clients; 5 and 10 srv plateau together (client-limited); power ~92 W at 1 client vs 122-127 W loaded at every size",
+        findings: &[
+            Finding::new("fig1.ceiling", Reproduces, "Fig 1a: one server saturates at its dispatch ceiling; 5 and 10 servers plateau together, client-limited", |t| {
+                let x = col(&t[0], 2);
+                let together = (x[5] / x[8] - 1.0).abs() <= 0.02 && x[5].min(x[8]) >= 1.7 * x[2];
+                let measured = format!("1×30 {}, 5×30 {}, 10×30 {}", kops(x[2]), kops(x[5]), kops(x[8]));
+                (within(x[2], 350e3, 420e3) && together, measured + "; paper 372K, ~900K, ~950K")
+            }),
+            Finding::new("fig1.power", Reproduces, "Finding 1: power is not proportional to load — one server draws the same at 10 and at 30 clients", |t| {
+                let (x, w) = (col(&t[0], 2), col(&t[0], 3));
+                let loaded = within(w[1], 120.0, 127.0) && within(w[2], 120.0, 127.0) && x[2] >= 1.5 * x[1];
+                let measured = format!("1×1 {:.1} W; 1×10 {:.1} W at {} vs 1×30 {:.1} W at {}", w[0], w[1], kops(x[1]), w[2], kops(x[2]));
+                (within(w[0], 90.0, 94.0) && loaded, measured + "; paper 92 W, 122-127 W")
+            }),
+        ],
+    },
+    Artefact {
+        name: "table1",
+        title: "Table I: min—max of per-node average CPU %, clients {0..5,10,30} × servers {1,5,10}",
+        csv: &[("table1", "clients,cpu1_min,cpu1_max,cpu5_min,cpu5_max,cpu10_min,cpu10_max")],
+        build: |ctx| {
+            let (lo, hi) = (|r: &RunReport| r.cpu_min_max_pct().0, |r: &RunReport| r.cpu_min_max_pct().1);
+            // 0 clients: one client that issues nothing, sampled for 5 s.
+            let sim = |clients: u32, servers| {
+                let mut cfg = peak(ctx, servers, clients.max(1));
+                if clients == 0 {
+                    cfg.workload.ops_per_client = 0;
+                }
+                Sim::from(cfg).lasting(if clients == 0 { 5 } else { 0 })
+            };
+            vec![ctx.grid(&[0, 1, 2, 3, 4, 5, 10, 30], &SERVERS, sim, &[(&lo, 2), (&hi, 2)]).wide(&[0, 1], false)]
+        },
+        paper: "25% idle floor (polling); 49.8% at 1 client; 74% at 2; ≳95% from 10 clients",
+        findings: &[
+            Finding::new("table1.floor", Reproduces, "Finding 1: a polling core pins 25 % CPU on an idle server, and one spinning worker per client adds 25 % each", |t| {
+                let (idle, one, two) = (&t[0][0][1..], t[0][1][1], t[0][2][1]);
+                let holds = idle.iter().all(|&v| v == 25.0) && within(one, 49.5, 50.5) && within(two, 74.5, 75.5);
+                (holds, format!("idle {:.2} %; 1 server {one:.1} % at 1 client, {two:.1} % at 2; paper 25, 49.8, 74.2", idle[0]))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig2",
+        title: "Fig 2: energy efficiency (op/J) of the Fig 1 sweep",
+        csv: &[("fig2", "servers,clients,ops_per_joule")],
+        build: |ctx| vec![ctx.grid(&SERVERS, &[1, 10, 30], |s, c| peak(ctx, s, c), &[(&OP_PER_J, 1)]).long()],
+        paper: "best ~3000 op/J at 1 server / 30 clients; ~2x lower at 5 servers; ~7.6x lower at 10",
+        findings: &[
+            Finding::new("fig2.smallest", Reproduces, "Fig 2: the smallest cluster that sustains the load is the most efficient", |t| {
+                let e = col(&t[0], 2);
+                let holds = within(e[2], 2700.0, 3300.0) && within(e[2] / e[8], 6.0, 9.0);
+                (holds, format!("1×30 {:.0} op/J, {:.1}× the 10×30 figure; paper ~3000, 7.6×", e[2], e[2] / e[8]))
+            }),
+        ],
+    },
+    Artefact {
+        name: "table2",
+        title: "Table II: throughput of 10 servers, clients {10..90} × workloads A/B/C",
+        csv: &[("table2", "clients,A_ops,B_ops,C_ops")],
+        build: |ctx| {
+            let g = ctx.grid(&CLIENTS, &[A, B, C], |c, w| sec_v(ctx, 10, c, w), &[(&THR, 0)]);
+            g.chart("Table II — throughput vs clients (10 servers)", "");
+            vec![g.wide(&[0], false)]
+        },
+        paper: "A peaks 106K @20 then falls to 64K; B saturates ~844K; C scales to 2004K",
+        findings: &[
+            Finding::new("table2.collapse", Reproduces, "Finding 2: update-heavy A peaks at 20 clients and collapses while read-only C scales linearly", |t| {
+                let (a, c) = (col(&t[0], 1), col(&t[0], 3));
+                let holds = a[1] > a[0] && a[2..].iter().all(|&v| v <= 0.85 * a[1]) && c[4] / c[0] >= 8.5;
+                let measured = format!("A {} @20 → {} @60; C ×{:.2} from 10 to 90 clients", kops(a[1]), kops(a[3]), c[4] / c[0]);
+                (holds, measured + "; paper 106K → 64K, ×8.5")
+            }),
+            Finding::new("table2.b-scales", Diverges("the concurrent-writer contention input under-penalises B's rare writes at 60-90 clients"), "read-heavy B keeps scaling past 30 clients", |t| {
+                let b = col(&t[0], 2);
+                (b[4] / b[2] > 2.0, format!("B {} @30 → {} @90; paper 622K → 844K", kops(b[2]), kops(b[4])))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig3",
+        title: "Fig 3: scalability factor of Table II (baseline = 10 clients)",
+        csv: &[("fig3", "clients,read_only_factor,read_heavy_factor,update_heavy_factor,perfect")],
+        build: |ctx| {
+            let mut g = ctx.grid(&CLIENTS, &[C, B, A], |c, w| sec_v(ctx, 10, c, w), &[(&THR, 2)]);
+            let base = g.cells[0].clone();
+            for (cell, base) in g.cells.iter_mut().flat_map(|row| row.iter_mut().zip(&base)) {
+                cell[0] /= base[0];
+            }
+            let mut rows = g.wide(&[0], false);
+            for (row, clients) in rows.iter_mut().zip(CLIENTS) {
+                row.push(format!("{:.1}", f64::from(clients) / 10.0));
+            }
+            vec![rows]
+        },
+        paper: "read-only tracks perfect; read-heavy collapses between 30 and 60; update-heavy degrades below 1",
+        findings: &[
+            Finding::new("fig3.degrades", Reproduces, "Finding 2: adding clients to the update-heavy workload makes it slower than at 10", |t| {
+                let (c, a) = (col(&t[0], 1), col(&t[0], 3));
+                let measured = format!("update-heavy ×{:.2}/{:.2}/{:.2} at 30/60/90 clients", a[2], a[3], a[4]);
+                (a[2..].iter().all(|&f| f < 1.0), format!("{measured}, read-only ×{:.2} of a perfect 9", c[4]))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig4",
+        title: "Fig 4: power per node of 20 servers vs clients (a), total energy at 90 clients (b), workloads C/B/A",
+        csv: &[("fig4a", "clients,C_watts,B_watts,A_watts"), ("fig4b", "workload,total_energy_kj")],
+        build: |ctx| {
+            let kj = |r: &RunReport| r.total_energy_kj() * ctx.scale as f64;
+            let g = ctx.grid(&CLIENTS, &[C, B, A], |c, w| sec_v(ctx, 20, c, w), &[(&WATTS, 2), (&kj, 2)]);
+            println!("Fig 4b: total energy at 90 clients, KJ, rescaled ×{} to paper request counts", ctx.scale);
+            let at90 = g.cols.iter().zip(&g.cells[4]);
+            vec![g.wide(&[0], false), at90.map(|(w, cell)| vec![w.to_string(), format!("{:.2}", cell[1])]).collect()]
+        },
+        paper: "C ~82→93 W, B ~92→100 W, A ~90→110 W; A consumes 4.92x C's total energy at 90 clients",
+        findings: &[
+            Finding::new("fig4.rises", Reproduces, "Fig 4a: power per node rises with the number of clients", |t| {
+                let (c, b) = (col(&t[0], 1), col(&t[0], 2));
+                let measured = format!("C {:.0} → {:.0} W, B {:.0} → {:.0} W", c[0], c[4], b[0], b[4]);
+                (rising(&c) && rising(&b), measured + "; paper 82 → 93, 92 → 100")
+            }),
+            Finding::new("fig4.energy", Reproduces, "Fig 4b: the collapsed update-heavy run costs several times read-only's energy for the same requests", |t| {
+                let ratio = t[1][2][1] / t[1][0][1];
+                (within(ratio, 4.0, 6.5), format!("A/C {ratio:.2}×; paper 4.92×"))
+            }),
+            Finding::new("fig4.a-below-c", Diverges("the collapsed update path leaves cores in lock convoys, not busy; the paper's A stays hottest (110 W vs 93 W)"), "update-heavy draws less than read-only at 60 and 90 clients", |t| {
+                let (c, a) = (col(&t[0], 1), col(&t[0], 3));
+                (a[3] < c[3] && a[4] < c[4], format!("A {:.1}/{:.1} W vs C {:.1}/{:.1} W", a[3], a[4], c[3], c[4]))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig5",
+        title: "Fig 5: throughput of 20 servers vs replication factor, clients {10,30,60}, workload A",
+        csv: &[("fig5", "replication,clients10_ops,clients30_ops,clients60_ops")],
+        build: |ctx| {
+            let g = ctx.grid(&R14, &[10, 30, 60], |r, c| sec_v(ctx, 20, c, A).with_replication(r), &[(&THR, 0)]);
+            g.chart("Fig 5 — throughput vs replication factor (20 servers)", " clients");
+            vec![g.wide(&[0], false)]
+        },
+        paper: "10 clients: 78K@R1 → 43K@R4 (−45%); saturation at higher client counts",
+        findings: &[
+            Finding::new("fig5.falls", Reproduces, "Finding 3: every Fig 5 column falls with R", |t| {
+                let drop = pct(t[0][3][1], t[0][0][1]);
+                let holds = (1..4).all(|c| falling(&col(&t[0], c))) && within(drop, -50.0, -35.0);
+                (holds, format!("10 clients {drop:.1} %; paper −45 %"))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig6",
+        title: "Fig 6: throughput (a) and total energy (b) vs replication factor, servers {10..40}, 60 clients, workload A",
+        csv: &[("fig6", "replication,srv10_ops,srv10_kj,srv20_ops,srv20_kj,srv30_ops,srv30_kj,srv40_ops,srv40_kj")],
+        build: |ctx| {
+            let kj = |r: &RunReport| r.total_energy_kj() * ctx.scale as f64;
+            let sim = |r, s| sec_v(ctx, s, 60, A).with_replication(r);
+            vec![ctx.grid(&R14, &[10, 20, 30, 40], sim, &[(&THR, 0), (&kj, 2)]).wide(&[0, 1], false)]
+        },
+        paper: "(6a) R1 128K→237K from 10→40 servers, 10-server runs crash for R>2; (6b) 20 servers 81 KJ@R1 → 285 KJ@R4 (+351%)",
+        findings: &[
+            Finding::new("fig6.monotone", Reproduces, "Finding 3: throughput falls with R at every size and rises with servers at every R; energy rises with R", |t| {
+                let by_r = |c: usize| if c % 2 == 1 { falling(&col(&t[0], c)) } else { rising(&col(&t[0], c)) };
+                let by_size = |row: &Vec<f64>| rising(&[row[1], row[3], row[5], row[7]]);
+                let (r1, r4) = (&t[0][0], &t[0][3]);
+                let measured = format!("R1 {} → {} from 10 to 40 servers; 20 servers {:.0} → {:.0} KJ", kops(r1[1]), kops(r1[7]), r1[4], r4[4]);
+                ((1..9).all(by_r) && t[0].iter().all(by_size), measured + "; paper 128K → 237K, 81 → 285 KJ")
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig7",
+        title: "Fig 7: power per node of 40 servers vs replication factor, 60 clients, workload A",
+        csv: &[("fig7", "replication,avg_node_watts")],
+        build: |ctx| vec![ctx.grid(&R14, &[40], |r, s| sec_v(ctx, s, 60, A).with_replication(r), &[(&WATTS, 2)]).wide(&[0], false)],
+        paper: "103 W at R1 rising to ~115 W at R4",
+        findings: &[
+            Finding::new("fig7.falls", Diverges("the Fig 4a mechanism: replication slows the update path into lock convoys, so cores idle where the paper's spin"), "power per node falls as R grows", |t| {
+                let w = col(&t[0], 1);
+                (falling(&w), format!("{:.1} → {:.1} W; paper 103 → 115 W", w[0], w[3]))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig8",
+        title: "Fig 8: energy efficiency (Kop/J) vs replication factor, servers {20,30,40}, 60 clients, workload A",
+        csv: &[("fig8", "replication,srv20_kop_per_j,srv30_kop_per_j,srv40_kop_per_j")],
+        build: |ctx| {
+            let kop_per_j = |r: &RunReport| r.ops_per_joule / 1e3;
+            let sim = |r, s| sec_v(ctx, s, 60, A).with_replication(r);
+            vec![ctx.grid(&R14, &[20, 30, 40], sim, &[(&kop_per_j, 4)]).wide(&[0], false)]
+        },
+        paper: "with replication, MORE servers are more efficient: 1.5/1.9/2.3 Kop/J at R1 for 20/30/40; gap narrows as R grows",
+        findings: &[
+            Finding::new("fig8.more-servers", Reproduces, "Finding 4: with replicated updates more servers are more efficient, and the gap closes as R grows", |t| {
+                let (r1, r4) = (&t[0][0], &t[0][3]);
+                let gap = pct(r4[3], r4[1]);
+                let measured = format!("R1 {:.3}/{:.3}/{:.3} Kop/J for 20/30/40 servers", r1[1], r1[2], r1[3]);
+                (r1[3] > r1[2] && r1[2] > r1[1] && gap < 15.0, format!("{measured}; at R4 40 leads 20 by {gap:.0} %"))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig9",
+        title: "Fig 9: CPU and power timelines of 10 idle servers across a crash at 60 s (R4, 9.7 GB)",
+        csv: &[("fig9", "t_s,cpu_pct,watts_per_node")],
+        build: fig9,
+        paper: "25% CPU idle → 92% spike at crash, decaying over recovery; power ~→119 W",
+        findings: &[
+            Finding::new("fig9.baseline", Reproduces, "Fig 9: the idle cluster sits at the polling floor before the kill and returns to it after recovery", |t| {
+                let idle = |row: &Vec<f64>| within(row[1], 24.95, 25.05) && within(row[2], 75.45, 75.55);
+                let (before, end) = (t[0].iter().filter(|row| row[0] < 60.0), t[0].iter().rev().take(30));
+                (before.chain(end).all(idle), format!("{:.1} % CPU, {:.1} W until t = 59 and over the last 30 s", t[0][0][1], t[0][0][2]))
+            }),
+            Finding::new("fig9.spike", Reproduces, "Fig 9: recovery pins every survivor's CPU", |t| {
+                let hot = longest_run(&t[0], |row| row[1] >= 99.0 && row[2] >= 125.0);
+                let peak = col(&t[0], 2).into_iter().fold(0.0, f64::max);
+                (hot >= 20, format!("≥ 99 % CPU and ≥ 125 W for {hot} s, peak {peak:.0} W; paper 92 %, 119 W — hotter, pinned as measured"))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig10",
+        title: "Fig 10: per-second mean latency of a lost-data client (0) and a live-data client (1) across the Fig 9 recovery",
+        csv: &[("fig10", "client,t_s,mean_latency_us")],
+        build: fig10,
+        paper: "lost-data client blocked ~40 s; live-data client latency 15 → 35 µs (1.4-2.4x)",
+        findings: &[
+            Finding::new("fig10.blocked", Reproduces, "Finding 5: the lost data is unavailable for the whole recovery — its client completes nothing from the kill on", |t| {
+                let (last, next) = blocked_window(&t[0]);
+                let measured = format!("no completion in t = {}…{} s; paper ~40 s", last + 1.0, next - 1.0);
+                (within(last, 58.0, 60.0) && next - last > 20.0, measured)
+            }),
+            Finding::new("fig10.live", Reproduces, "Finding 5: the live-data client is slowed during recovery and back at baseline within 5 s of its end", |t| {
+                let (last, next) = blocked_window(&t[0]);
+                let live: Vec<&Vec<f64>> = t[0].iter().filter(|row| row[0] == 1.0).collect();
+                let base = live[0][2];
+                let during = live.iter().filter(|row| row[1] > last && row[1] < next);
+                let peak = during.map(|row| row[2]).fold(0.0, f64::max);
+                let mut after = live.iter().filter(|row| row[1] >= next + 5.0);
+                let holds = within(peak / base, 1.1, 2.4) && after.all(|row| (row[2] / base - 1.0).abs() < 0.01);
+                (holds, format!("{base:.1} → {peak:.1} µs, {:.2}×; paper 1.4-2.4×", peak / base))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig11",
+        title: "Fig 11: recovery time (a) and single-node energy (b) vs replication factor, 9 nodes, 1.085 GB to recover",
+        csv: &[("fig11", "replication,recovery_s,node_energy_kj,avg_node_watts")],
+        build: |ctx| {
+            let kj = |r: &RunReport| recovery_watts(r) * recovery_secs(r) / 1e3;
+            let sim = |r, servers| recovery(ctx, servers, 9.765, r, 1, 0).lasting(150);
+            let g = ctx.grid(&[1, 2, 3, 4, 5], &[9], sim, &[(&recovery_secs, 2), (&kj, 3), (&recovery_watts, 1)]);
+            g.chart("Fig 11a — recovery time (s) vs replication factor", " nodes");
+            vec![g.wide(&[0, 1, 2], false)]
+        },
+        paper: "10 s at R1 growing ~linearly to 55 s at R5; node energy grows linearly; 114-117 W during recovery",
+        findings: &[
+            Finding::new("fig11.linear", Reproduces, "Finding 6: recovery time, and the energy a node spends on it, grow linearly with the replication factor", |t| {
+                let (r, secs) = (col(&t[0], 0), col(&t[0], 1));
+                let (slope, r2) = linear_fit(&r, &secs);
+                let holds = rising(&secs) && rising(&col(&t[0], 2)) && r2 >= 0.99 && within(slope, 6.5, 11.0);
+                (holds, format!("{:.1} → {:.1} s, {slope:.1} s per replica, R² {r2:.3}; paper 10 → 55 s", secs[0], secs[4]))
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig12",
+        title: "Fig 12: aggregated disk read/write MB/s during the Fig 11 R4 recovery",
+        csv: &[("fig12", "t_s,read_mbps,write_mbps")],
+        build: fig12,
+        paper: "small read bump after the crash, large write peak (~350 MB/s aggregate), reads and writes overlapping until the end",
+        findings: &[
+            Finding::new("fig12.overlap", Reproduces, "Fig 12: segment reads and re-replication writes overlap from the crash, under a sustained write plateau", |t| {
+                let both = longest_run(&t[0], |row| row[1] > 0.0 && row[2] > 0.0);
+                let plateau = longest_run(&t[0], |row| row[2] >= 120.0);
+                let measured = format!("both active for {both} s from t = 60; writes ≥ 120 MB/s for {plateau} s");
+                (both >= 15 && plateau >= 20 && t[0][60][1] > 0.0, measured + "; paper ~350 MB/s peak")
+            }),
+            Finding::new("fig12.reads-end-early", Diverges("a backup starts its next segment read when the previous read ends, not when its replay does, so reads run ahead of the re-replication writes"), "reads finish well before the recovery window does", |t| {
+                let last = |c: usize| t[0].iter().rposition(|row| row[c] > 0.0).unwrap_or(0);
+                let measured = format!("last read at t = {}, last write at t = {}", last(1), last(2));
+                (last(1) + 10 < last(2), measured + "; paper: overlap to the end")
+            }),
+        ],
+    },
+    Artefact {
+        name: "fig13",
+        title: "Fig 13: throughput under client-side throttling {200,500} req/s, 10 servers, R2, clients {10,30,60}, workload A",
+        csv: &[("fig13", "clients,rate200_ops,rate500_ops")],
+        build: |ctx| {
+            // Each run covers ~20 s of paced traffic.
+            let sim = |clients: u32, rate: u32| {
+                let workload = WorkloadSpec::standard(A).with_ops_per_client(u64::from(rate) * 20);
+                let cfg = ClusterConfig::new(10, clients as usize, workload).with_replication(2);
+                cfg.with_throttle(f64::from(rate)).with_seed(ctx.seed)
+            };
+            vec![ctx.grid(&[10, 30, 60], &[200, 500], sim, &[(&THR, 0)]).wide(&[0], false)]
+        },
+        paper: "linear scaling (clients × rate), no crashes, even at 10 servers with replication",
+        findings: &[
+            Finding::new("fig13.linear", Reproduces, "Fig 13: throttled clients scale linearly, clients × rate, with replication on", |t| {
+                let off = |row: &Vec<f64>, c: usize, rate: f64| (row[c] / (row[0] * rate) - 1.0).abs();
+                let worst = t[0].iter().map(|row| off(row, 1, 200.0).max(off(row, 2, 500.0))).fold(0.0, f64::max);
+                (worst <= 0.01, format!("every cell within {:.2} % of clients × rate", worst * 100.0))
+            }),
+        ],
+    },
+    Artefact {
+        name: "ablation-segment",
+        title: "§IX: recovery time vs segment size {1..32 MB} on the HDD and an SSD profile (9 nodes, R3, 4 GB)",
+        csv: &[("ablation_segment", "segment_mb,hdd_recovery_s,ssd_recovery_s")],
+        build: |ctx| {
+            let sim = |mb: usize, ssd: bool| {
+                let mut sim = recovery(ctx, 9, 4.0, 3, 1, 0).lasting(120);
+                sim.cfg.segment_bytes = mb << 20;
+                if ssd {
+                    sim.cfg.disk = rmc_disk::DiskProfile::commodity_ssd();
+                }
+                sim
+            };
+            vec![ctx.grid(&[1, 2, 4, 8, 16, 32], &[false, true], sim, &[(&recovery_secs, 2)]).wide(&[0], false)]
+        },
+        paper: "8 MB gave the best recovery times on their HDDs; smaller segments pay off only with SSDs",
+        findings: &[
+            Finding::new("segment.hdd-ssd", Reproduces, "§IX: small segments cost recovery time on HDDs (per-request seeks) and stop mattering on SSDs", |t| {
+                let (hdd, ssd) = (col(&t[0], 1), col(&t[0], 2));
+                let spread = ssd.iter().copied().fold(0.0, f64::max) - ssd.iter().copied().fold(f64::MAX, f64::min);
+                let measured = format!("HDD {:.1} s at 1 MB vs {:.1} s at 8 MB; SSD within {spread:.2} s", hdd[0], hdd[3]);
+                (hdd[0] / hdd[3] >= 1.3 && spread <= 0.2, measured)
+            }),
+        ],
+    },
+    Artefact {
+        name: "ablation-consistency",
+        title: "§IX-B: strong vs relaxed write consistency vs replication factor (20 servers, 10 clients, workload A)",
+        csv: &[("ablation_consistency", "replication,strong_ops,relaxed_ops,strong_watts,relaxed_watts")],
+        build: |ctx| {
+            let sim = |r, consistency| {
+                let mut cfg = sec_v(ctx, 20, 10, A).with_replication(r);
+                cfg.consistency = consistency;
+                cfg
+            };
+            let modes = [Consistency::Strong, Consistency::Relaxed];
+            vec![ctx.grid(&R14, &modes, sim, &[(&THR, 0), (&WATTS, 2)]).wide(&[0, 1], true)]
+        },
+        paper: "§IX-B hypothesis: answering before backup acks removes most of the replication penalty",
+        findings: &[
+            Finding::new("consistency.relaxed-flat", Reproduces, "§IX-B: answering before the backup acks holds throughput flat in R where strong consistency falls", |t| {
+                let (strong, relaxed) = (col(&t[0], 1), col(&t[0], 2));
+                let measured = format!("relaxed {} → {}, strong {} → {}", kops(relaxed[0]), kops(relaxed[3]), kops(strong[0]), kops(strong[3]));
+                (falling(&strong) && pct(relaxed[3], relaxed[0]).abs() <= 1.0, measured + " from R1 to R4")
+            }),
+        ],
+    },
+    Artefact {
+        name: "ablation-copyset",
+        title: "Random vs copyset backup placement: probability that {3,4,5} simultaneous failures lose data (20 servers, R3, 200 trials)",
+        csv: &[("ablation_copyset", "simultaneous_failures,random_loss_prob,copyset_loss_prob")],
+        build: ablation_copyset,
+        paper: "Cidon et al. (cited as [28]): copyset placement loses data in far fewer failure combinations",
+        findings: &[
+            Finding::new("copyset.fewer-losses", Reproduces, "[28]: copysets never lose data more often than random placement, and less often at 5 failures", |t| {
+                let holds = t[0].iter().all(|row| row[2] <= row[1]) && t[0][2][2] < t[0][2][1];
+                (holds, format!("at 5 failures random {:.1} %, copyset {:.1} %", t[0][2][1] * 100.0, t[0][2][2] * 100.0))
+            }),
+        ],
+    },
+    Artefact {
+        name: "ablation-elastic",
+        title: "§IX-A: static vs elastic cluster sizing under sustained light load (10 servers, clients {1,2,6} throttled to 500 req/s)",
+        csv: &[("ablation_elastic", "clients,static_ops,elastic_ops,static_kj,elastic_kj,energy_saved_frac")],
+        build: |ctx| {
+            let sim = |clients: u32, elastic: bool| {
+                let workload = WorkloadSpec::standard(C).with_record_count(20_000);
+                let workload = workload.with_ops_per_client(ctx.ops(300_000));
+                let mut cfg = ClusterConfig::new(10, clients as usize, workload).with_throttle(500.0);
+                cfg.elastic = elastic.then(ElasticPolicy::default);
+                cfg.with_seed(ctx.seed)
+            };
+            let (kj, joules) = (|r: &RunReport| r.total_energy_kj(), |r: &RunReport| r.energy.total_energy_joules);
+            let g = ctx.grid(&[1, 2, 6], &[false, true], sim, &[(&THR, 0), (&kj, 3), (&joules, 0)]);
+            let mut rows = g.wide(&[0, 1], true);
+            for (row, cells) in rows.iter_mut().zip(&g.cells) {
+                row.push(format!("{:.4}", 1.0 - cells[1][2] / cells[0][2]));
+            }
+            vec![rows]
+        },
+        paper: "§IX-A hypothesis: adapting the number of servers to the workload recovers the energy-proportionality lost to polling",
+        findings: &[
+            Finding::new("elastic.saves", Reproduces, "§IX-A: draining idle servers saves most of the energy at unchanged throughput", |t| {
+                let holds = t[0].iter().all(|row| (row[2] / row[1] - 1.0).abs() <= 0.01 && within(row[5], 0.55, 0.65));
+                (holds, format!("{:.1}-{:.1} % saved at equal op/s", t[0][2][5] * 100.0, t[0][0][5] * 100.0))
+            }),
+        ],
+    },
+    Artefact {
+        name: "extra-workloads",
+        title: "YCSB D (read latest, 5 % inserts) and F (read-modify-write) beside A/B/C (10 servers, 30 clients)",
+        csv: &[("extra_workloads", "workload,throughput_ops,avg_node_watts,ops_per_joule")],
+        build: |ctx| {
+            let g = ctx.grid(&[A, B, C, D, F], &[30], |w, c| sec_v(ctx, 10, c, w), &[(&THR, 0), (&WATTS, 2), (&OP_PER_J, 1)]);
+            vec![g.wide(&[0, 1, 2], false)]
+        },
+        paper: "named as future work; expectation: D behaves like B (reads dominate; inserts are writes), F like A (RMW pays the update path)",
+        findings: &[
+            Finding::new("extra.d-like-b", Reproduces, "D performs like B and F exactly like A", |t| {
+                let x = col(&t[0], 1);
+                let measured = format!("D {} vs B {}; F {} vs A {}", kops(x[3]), kops(x[1]), kops(x[4]), kops(x[0]));
+                ((x[3] / x[1] - 1.0).abs() <= 0.02 && x[4] == x[0], measured)
+            }),
+        ],
+    },
+];
+
+#[cfg(test)]
+#[path = "experiments/tests.rs"]
+mod tests;

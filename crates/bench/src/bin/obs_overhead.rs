@@ -30,8 +30,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use rmc_bench::backend::{latency_json, StandaloneBackend};
+use rmc_bench::chart::format_quantity as kops;
 use rmc_bench::json::Json;
-use rmc_bench::kops;
 use rmc_bench::report::{self, paired_overhead_percent, SCHEMA_VERSION};
 use rmc_logstore::LogConfig;
 use rmc_standalone::{ServerConfig, StandaloneServer};
@@ -252,54 +252,20 @@ fn report(measurements: &[Measurement], scale: Scale) -> Result<Json, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = FULL;
-    let mut out = String::from("BENCH_obs.json");
-    let mut check_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => scale = SMOKE,
-            "--out" if i + 1 < args.len() => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--check" if i + 1 < args.len() => {
-                i += 1;
-                check_path = Some(args[i].clone());
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!("usage: obs_overhead [--smoke] [--out PATH] | --check PATH");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    let outcome = match check_path {
-        Some(path) => report::check_file(&path),
-        None => {
-            println!(
-                "observability ablation ({}): {} records x {} B, read-only, {} ops x {} interleaved rounds",
-                if scale.smoke { "smoke" } else { "full" },
-                scale.record_count,
-                scale.value_bytes,
-                scale.ops_per_client,
-                scale.rounds,
-            );
-            // The validator behind `emit` enforces the overhead budget, so a
-            // run over budget fails here as it would under `--check`.
-            run_ablation(scale)
-                .and_then(|measurements| report(&measurements, scale))
-                .and_then(|doc| report::emit(&doc, &out))
-        }
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    report::run_bin("obs_overhead", "BENCH_obs.json", &[], |cli| {
+        let scale = if cli.smoke { SMOKE } else { FULL };
+        println!(
+            "observability ablation ({}): {} records x {} B, read-only, {} ops x {} interleaved rounds",
+            if scale.smoke { "smoke" } else { "full" },
+            scale.record_count,
+            scale.value_bytes,
+            scale.ops_per_client,
+            scale.rounds,
+        );
+        // The validator behind `emit` enforces the overhead budget, so a
+        // run over budget fails here as it would under `--check`.
+        run_ablation(scale)
+            .and_then(|measurements| report(&measurements, scale))
+            .and_then(|doc| report::emit(&doc, &cli.out))
+    })
 }

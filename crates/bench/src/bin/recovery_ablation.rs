@@ -325,71 +325,28 @@ fn report(measurements: &[Measurement], scale: &Scale, fsync: &str) -> Result<Js
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = full_scale();
-    let mut fsync = String::from("batched");
-    let mut out = String::from("BENCH_recovery.json");
-    let mut check_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => scale = smoke_scale(),
-            "--fsync" if i + 1 < args.len() => {
-                i += 1;
-                fsync = args[i].clone();
-            }
-            "--out" if i + 1 < args.len() => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--check" if i + 1 < args.len() => {
-                i += 1;
-                check_path = Some(args[i].clone());
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: recovery_ablation [--smoke] [--fsync POLICY] [--out PATH] | --check PATH"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    let outcome = match check_path {
-        Some(path) => report::check_file(&path),
-        None => {
-            println!(
-                "recovery ablation ({}): sizes {:?} KiB x servers {:?} x engines [memory, file], R{REPLICATION}, fsync={fsync}",
-                if scale.smoke { "smoke" } else { "full" },
-                scale.data_sizes.iter().map(|d| d >> 10).collect::<Vec<_>>(),
-                scale.server_counts,
-            );
-            (|| {
-                let mut measurements = Vec::new();
-                for engine in ["memory", "file"] {
-                    for &servers in &scale.server_counts {
-                        for &data in &scale.data_sizes {
-                            measurements.push(run_case(
-                                engine,
-                                data,
-                                servers,
-                                scale.value_bytes,
-                                &fsync,
-                            )?);
-                        }
-                    }
+    let own = [("--fsync", "POLICY")];
+    report::run_bin("recovery_ablation", "BENCH_recovery.json", &own, |cli| {
+        let scale = if cli.smoke {
+            smoke_scale()
+        } else {
+            full_scale()
+        };
+        let fsync = cli.extra[0].as_deref().unwrap_or("batched");
+        println!(
+            "recovery ablation ({}): sizes {:?} KiB x servers {:?} x engines [memory, file], R{REPLICATION}, fsync={fsync}",
+            if scale.smoke { "smoke" } else { "full" },
+            scale.data_sizes.iter().map(|d| d >> 10).collect::<Vec<_>>(),
+            scale.server_counts,
+        );
+        let mut measurements = Vec::new();
+        for engine in ["memory", "file"] {
+            for &servers in &scale.server_counts {
+                for &data in &scale.data_sizes {
+                    measurements.push(run_case(engine, data, servers, scale.value_bytes, fsync)?);
                 }
-                report::emit(&report(&measurements, &scale, &fsync)?, &out)
-            })()
+            }
         }
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+        report::emit(&report(&measurements, &scale, fsync)?, &cli.out)
+    })
 }

@@ -17,8 +17,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use rmc_bench::backend::{latency_json, StandaloneBackend};
+use rmc_bench::chart::format_quantity as kops;
 use rmc_bench::json::Json;
-use rmc_bench::kops;
 use rmc_bench::report::{self, SCHEMA_VERSION};
 use rmc_energy::{attribute_energy, EnergyAttribution, NodeActivity, OpClassUsage, PowerProfile};
 use rmc_logstore::LogConfig;
@@ -329,50 +329,16 @@ fn report(measurements: &[Measurement], scale: Scale) -> Json {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = FULL;
-    let mut out = String::from("BENCH_standalone.json");
-    let mut check_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => scale = SMOKE,
-            "--out" if i + 1 < args.len() => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--check" if i + 1 < args.len() => {
-                i += 1;
-                check_path = Some(args[i].clone());
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!("usage: standalone_ycsb [--smoke] [--out PATH] | --check PATH");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    let outcome = match check_path {
-        Some(path) => report::check_file(&path),
-        None => {
-            println!(
-                "standalone YCSB sweep ({}): {} records x {} B, {} clients x {} ops",
-                if scale.smoke { "smoke" } else { "full" },
-                scale.record_count,
-                scale.value_bytes,
-                scale.clients,
-                scale.ops_per_client,
-            );
-            sweep(scale).and_then(|measurements| report::emit(&report(&measurements, scale), &out))
-        }
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    report::run_bin("standalone_ycsb", "BENCH_standalone.json", &[], |cli| {
+        let scale = if cli.smoke { SMOKE } else { FULL };
+        println!(
+            "standalone YCSB sweep ({}): {} records x {} B, {} clients x {} ops",
+            if scale.smoke { "smoke" } else { "full" },
+            scale.record_count,
+            scale.value_bytes,
+            scale.clients,
+            scale.ops_per_client,
+        );
+        sweep(scale).and_then(|measurements| report::emit(&report(&measurements, scale), &cli.out))
+    })
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's artifacts are mostly *figures*; printing rows regenerates the
 //! data, but a quick visual check of the shape matters too. This module
-//! renders line charts and grouped bars as Unicode text — no plotting
+//! renders line charts as Unicode text — no plotting
 //! dependency, works in any terminal, and is deterministic (testable).
 
 /// A named series of `(x, y)` points.
@@ -101,34 +101,12 @@ pub fn line_chart(title: &str, series: &[Series], width: usize, height: usize) -
     out
 }
 
-/// Renders labelled value groups as horizontal bars (for the paper's bar
-/// figures, e.g. Fig 4b / Fig 11a).
-pub fn bar_chart(title: &str, bars: &[(String, f64)], width: usize) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let max = bars.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
-    if max <= 0.0 {
-        out.push_str("  (no data)\n");
-        return out;
-    }
-    let label_w = bars.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    for (label, v) in bars {
-        let n = ((v / max) * width as f64).round() as usize;
-        out.push_str(&format!(
-            "  {label:>label_w$} | {} {}\n",
-            "█".repeat(n.max(if *v > 0.0 { 1 } else { 0 })),
-            format_quantity(*v)
-        ));
-    }
-    out
-}
-
-/// Human-readable magnitude: 372000 → "372K", 2.0e6 → "2.0M", 0.5 → "0.50".
+/// Human-readable magnitude, as the paper prints it: 372000 → "372K",
+/// 2.0e6 → "2.00M", 0.5 → "0.50".
 pub fn format_quantity(v: f64) -> String {
     let a = v.abs();
     if a >= 1e6 {
-        format!("{:.1}M", v / 1e6)
+        format!("{:.2}M", v / 1e6)
     } else if a >= 1e3 {
         format!("{:.0}K", v / 1e3)
     } else if a >= 10.0 {
@@ -186,33 +164,9 @@ mod tests {
     }
 
     #[test]
-    fn bar_chart_proportional() {
-        let bars = vec![
-            ("C".to_owned(), 30.0),
-            ("B".to_owned(), 38.0),
-            ("A".to_owned(), 148.0),
-        ];
-        let chart = bar_chart("Fig 4b", &bars, 30);
-        let a_len = chart
-            .lines()
-            .find(|l| l.contains("A |"))
-            .unwrap()
-            .matches('█')
-            .count();
-        let c_len = chart
-            .lines()
-            .find(|l| l.contains("C |"))
-            .unwrap()
-            .matches('█')
-            .count();
-        assert!(a_len > c_len * 3, "{chart}");
-        assert_eq!(a_len, 30);
-    }
-
-    #[test]
     fn quantities_format() {
         assert_eq!(format_quantity(372_000.0), "372K");
-        assert_eq!(format_quantity(2_000_000.0), "2.0M");
+        assert_eq!(format_quantity(2_004_000.0), "2.00M");
         assert_eq!(format_quantity(92.4), "92");
         assert_eq!(format_quantity(0.5), "0.50");
     }

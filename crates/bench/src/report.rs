@@ -405,6 +405,80 @@ pub fn emit(doc: &Json, path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The command line every report bin shares:
+/// `[--smoke] [--out PATH] | --check PATH`, plus the bin's own value flags.
+#[derive(Debug, PartialEq)]
+pub struct Cli {
+    /// `--smoke`: the CI-scale sweep.
+    pub smoke: bool,
+    /// `--out PATH`, or the bin's default.
+    pub out: String,
+    /// `--check PATH`: validate that file instead of measuring.
+    pub check: Option<String>,
+    /// Values of the bin's own flags, in the order `extra` named them.
+    pub extra: Vec<Option<String>>,
+}
+
+/// Parses a report bin's arguments; `extra` names its own value flags with
+/// their usage placeholder, e.g. `("--fsync", "POLICY")`.
+///
+/// # Errors
+///
+/// The unknown (or value-less) argument, named, with the usage line.
+pub fn parse_cli(
+    bin: &str,
+    default_out: &str,
+    extra: &[(&str, &str)],
+    args: &[String],
+) -> Result<Cli, String> {
+    let mut cli = Cli {
+        smoke: false,
+        out: default_out.to_owned(),
+        check: None,
+        extra: vec![None; extra.len()],
+    };
+    let usage = |arg: &str| {
+        let own: String = extra.iter().map(|(f, v)| format!(" [{f} {v}]")).collect();
+        format!("unknown argument {arg:?}\nusage: {bin} [--smoke]{own} [--out PATH] | --check PATH")
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().cloned().ok_or_else(|| usage(arg));
+        match (arg.as_str(), extra.iter().position(|(flag, _)| flag == arg)) {
+            ("--smoke", _) => cli.smoke = true,
+            ("--out", _) => cli.out = value()?,
+            ("--check", _) => cli.check = Some(value()?),
+            (_, Some(own)) => cli.extra[own] = Some(value()?),
+            _ => return Err(usage(arg)),
+        }
+    }
+    Ok(cli)
+}
+
+/// A report bin's `main`: parses the process arguments ([`parse_cli`]),
+/// runs `--check` through [`check_file`] or hands the parsed line to
+/// `measure` (which ends in [`emit`]), and maps the outcome to the exit
+/// code — 1 on a bad argument, a schema violation or a failed run.
+pub fn run_bin(
+    bin: &str,
+    default_out: &str,
+    extra: &[(&str, &str)],
+    measure: impl FnOnce(&Cli) -> Result<(), String>,
+) -> std::process::ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = parse_cli(bin, default_out, extra, &args).and_then(|cli| match &cli.check {
+        Some(path) => check_file(path),
+        None => measure(&cli),
+    });
+    match outcome {
+        Ok(()) => std::process::ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::ExitCode::FAILURE
+        }
+    }
+}
+
 /// Standalone: a row whose reads never took the lock-free path did not
 /// measure this design.
 fn reads_took_the_lockfree_path(doc: &Json) -> Result<(), String> {
@@ -804,17 +878,42 @@ mod tests {
         }
     }
 
-    /// Every report committed to the repo — the full-scale ones at the
-    /// root, the smoke baselines in `results/` — is one `validate` accepts.
+    #[test]
+    fn one_command_line_for_every_report_bin() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let parse = |s: &str| parse_cli("b", "B.json", &[("--fsync", "POLICY")], &args(s));
+        let cli = parse("--smoke --fsync per_write --out x.json").unwrap();
+        assert!(cli.smoke && cli.out == "x.json" && cli.check.is_none());
+        assert_eq!(cli.extra, vec![Some("per_write".to_owned())]);
+        let cli = parse("--check y.json").unwrap();
+        assert_eq!(
+            (cli.out.as_str(), cli.check.as_deref()),
+            ("B.json", Some("y.json"))
+        );
+        for bad in ["--backend x", "--out", "--fsync"] {
+            let err = parse(bad).unwrap_err();
+            let flag = bad.split(' ').next().unwrap();
+            assert!(
+                err.starts_with(&format!("unknown argument {flag:?}")),
+                "{err}"
+            );
+            assert!(err.ends_with("b [--smoke] [--fsync POLICY] [--out PATH] | --check PATH"));
+        }
+    }
+
+    /// Every report committed to the repo is one `validate` accepts, and
+    /// sits where ROADMAP 6(c) puts it: full-scale at the root, the smoke
+    /// baselines CI diffs against in `results/`.
     #[test]
     fn committed_artefacts_validate() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut paths = Vec::new();
-        for dir in [root.clone(), root.join("results")] {
+        for (dir, smoke) in [(root.clone(), false), (root.join("results"), true)] {
             for entry in std::fs::read_dir(dir).unwrap() {
                 let path = entry.unwrap().path();
                 let name = path.file_name().unwrap().to_string_lossy().into_owned();
                 if name.starts_with("BENCH_") && name.ends_with(".json") {
+                    assert_eq!(name.ends_with("_smoke.json"), smoke, "{path:?} misplaced");
                     paths.push(path);
                 }
             }

@@ -1,14 +1,12 @@
 //! The simulated RAMCloud cluster: clients, masters, backups, coordinator,
 //! network, disks, and the experiment driver.
 //!
-//! One [`Cluster`] value is the state `S` of a discrete-event run driven
-//! through [`crate::sim_runtime::SimRuntime`] (the only module that touches
-//! the engine); events are closures calling back into `Cluster` methods.
-//! The data plane
-//! is real (`rmc_logstore`): every write stores actual bytes, every
-//! replication message carries the serialized entry, and crash recovery
-//! replays real segment replicas — so correctness is testable end to end
-//! while time, CPU, network, disk, and power are modelled.
+//! One [`Cluster`] value is the state `S` of a discrete-event run on the
+//! `rmc_sim` engine; events are closures calling back into `Cluster`
+//! methods. The data plane is real (`rmc_logstore`): every write stores
+//! actual bytes, every replication message carries the serialized entry, and
+//! crash recovery replays real segment replicas — so correctness is testable
+//! end to end while time, CPU, network, disk, and power are modelled.
 
 use std::collections::BTreeMap;
 
@@ -19,6 +17,7 @@ use rmc_logstore::{
 };
 use rmc_net::Network;
 use rmc_runtime::{MetricsRegistry, SimDuration, SimRng, SimTime};
+use rmc_sim::{Scheduler, Simulation};
 use rmc_ycsb::{ClientStats, OpKind, RequestGenerator, Throttle};
 
 use crate::config::{ClientAffinity, ClusterConfig, Consistency, Placement};
@@ -26,12 +25,11 @@ use crate::coordinator::{Coordinator, RecoveryState};
 use crate::ids::OpId;
 use crate::node::{QueuedWork, SegMeta, ServerNode};
 use crate::report::{RecoveryReport, RunReport};
-use crate::sim_runtime::{self, SimRuntime};
 
 /// The single table used by the benchmark (the paper loads one YCSB table).
 pub const BENCH_TABLE: TableId = TableId(1);
 
-type Sched<'a, 'b> = &'a mut SimRuntime<'b, Cluster>;
+type Sched<'a> = &'a mut Scheduler<Cluster>;
 
 /// A client machine running one closed-loop YCSB client.
 #[derive(Debug)]
@@ -1016,8 +1014,8 @@ impl Cluster {
     }
 
     /// Starts client `c`'s closed loop (for tests and custom drivers that
-    /// drive their own event loop via [`crate::sim_runtime`] instead of
-    /// using [`Cluster::run`]).
+    /// drive their own `rmc_sim::Simulation` instead of using
+    /// [`Cluster::run`]).
     pub fn start_client(&mut self, c: usize, sched: Sched) {
         self.client_issue(c, sched);
     }
@@ -1702,20 +1700,22 @@ impl Cluster {
         self.preload();
         let kill = self.kill_plan;
         let elastic = self.cfg.elastic;
-        let (cluster, sim_end) = sim_runtime::drive(self, |rt| {
-            rt.schedule_at(SimTime::ZERO, move |cl: &mut Cluster, s| {
-                for c in 0..cl.clients.len() {
-                    cl.client_issue(c, s);
-                }
-            });
-            if let Some((at, victim)) = kill {
-                rt.schedule_at(at, move |cl: &mut Cluster, s| cl.kill_server(victim, s));
-            }
-            if let Some(policy) = elastic {
-                let interval = SimDuration::from_secs_f64(policy.check_interval_secs);
-                rt.schedule_after(interval, move |cl: &mut Cluster, s| cl.elastic_check(s));
+        let mut sim = Simulation::new(self);
+        let rt = sim.scheduler_mut();
+        rt.schedule_at(SimTime::ZERO, move |cl: &mut Cluster, s| {
+            for c in 0..cl.clients.len() {
+                cl.client_issue(c, s);
             }
         });
+        if let Some((at, victim)) = kill {
+            rt.schedule_at(at, move |cl: &mut Cluster, s| cl.kill_server(victim, s));
+        }
+        if let Some(policy) = elastic {
+            let interval = SimDuration::from_secs_f64(policy.check_interval_secs);
+            rt.schedule_after(interval, move |cl: &mut Cluster, s| cl.elastic_check(s));
+        }
+        let sim_end = sim.run();
+        let cluster = sim.into_state();
         // Measure to the end of *useful* activity: the last client
         // completion or recovery finish. Housekeeping events (elastic
         // checks, trailing disk flushes) must not pad the energy window.

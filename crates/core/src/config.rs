@@ -154,8 +154,6 @@ pub struct ClusterConfig {
     pub throttle_rate: Option<f64>,
     /// Master log segment size (nominal bytes); RAMCloud hard-codes 8 MB.
     pub segment_bytes: usize,
-    /// Master memory budget (nominal bytes) — 10 GB in the paper's config.
-    pub memory_bytes: u64,
     /// Backup placement scheme.
     pub placement: Placement,
     /// Coordinator-driven elastic sizing; `None` keeps the cluster static
@@ -188,7 +186,6 @@ impl ClusterConfig {
             hash_buckets: 1024,
             throttle_rate: None,
             segment_bytes: 8 << 20,
-            memory_bytes: 10 << 30,
             placement: Placement::Random,
             elastic: None,
             client_affinity: None,
@@ -230,9 +227,15 @@ impl ClusterConfig {
         ((self.segment_bytes as f64) * scale).ceil() as usize
     }
 
+    /// Master memory budget (nominal bytes): the paper's 10 GB per server.
+    /// Not a setting: the paper sized every workload to stay far below it
+    /// (§III-C), and the model charges cleaning to memory-write power, never
+    /// to the write path, so a tighter budget cannot move a throughput number.
+    pub const MEMORY_BYTES: u64 = 10 << 30;
+
     /// Stored-size memory budget in segments.
     pub fn max_segments(&self) -> usize {
-        (self.memory_bytes / self.segment_bytes as u64).max(2) as usize
+        (Self::MEMORY_BYTES / self.segment_bytes as u64).max(2) as usize
     }
 
     /// Validates internal consistency.
@@ -255,7 +258,7 @@ impl ClusterConfig {
             self.hash_buckets >= self.servers,
             "need ≥1 bucket per server"
         );
-        assert!(self.segment_bytes > 0 && self.memory_bytes > 0);
+        assert!(self.segment_bytes > 0);
         assert!(
             self.elastic.is_none() || self.replication == 0,
             "elastic sizing currently requires replication to be disabled \
@@ -277,7 +280,7 @@ mod tests {
     fn defaults_match_paper_platform() {
         let c = cfg();
         assert_eq!(c.segment_bytes, 8 << 20);
-        assert_eq!(c.memory_bytes, 10 << 30);
+        assert_eq!(c.max_segments(), 1280, "10 GB of 8 MB segments");
         assert_eq!(c.net.name, "infiniband-20g");
         assert_eq!(c.replication, 0);
         assert_eq!(c.consistency, Consistency::Strong);
@@ -312,6 +315,17 @@ mod tests {
         let c = ClusterConfig::new(2, 1, WorkloadSpec::standard(StandardWorkload::A))
             .with_replication(2);
         c.validate();
+    }
+
+    /// The budget is a constant, so no reachable config hands
+    /// `Cluster::new` a log too small for the cleaner's free-slot targets.
+    #[test]
+    fn every_segment_size_leaves_the_cleaner_room() {
+        for mb in [1usize, 2, 4, 8, 16, 32, 256] {
+            let mut c = cfg();
+            c.segment_bytes = mb << 20;
+            let _ = crate::Cluster::new(c); // panics on a cleaner config it cannot build
+        }
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod node;
 pub mod proto_sim;
 pub mod protocol;
 pub mod report;
-pub mod sim_runtime;
 
 pub use calib::Calibration;
 pub use cluster::{Cluster, BENCH_TABLE};
@@ -59,4 +58,3 @@ pub use coordinator::{Coordinator, RecoveryState};
 pub use ids::{ClientId, OpId};
 pub use node::{BackupService, ByteBins, SegMeta, ServerNode};
 pub use report::{RecoveryReport, RunReport};
-pub use sim_runtime::SimRuntime;

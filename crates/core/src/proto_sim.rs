@@ -1,6 +1,6 @@
 //! The simulated engine for the shared protocol: runs
 //! [`crate::protocol`]'s node state machines on the deterministic
-//! `rmc_sim` event queue (through [`crate::sim_runtime`], never directly).
+//! `rmc_sim` event queue.
 //!
 //! Each `send` becomes a delivery event after a fixed latency; each
 //! `set_timer` becomes a timer event. Handlers execute against a
@@ -31,12 +31,11 @@ use std::collections::BTreeMap;
 use rmc_chaos::{Crash, FaultPlan, FaultRuntime, FaultState, OpRecord};
 use rmc_obs::span::{SpanKind, SpanRecorder};
 use rmc_runtime::{MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
-use rmc_sim::Simulation;
+use rmc_sim::{Scheduler, Simulation};
 
 use crate::protocol::{
     msg_class, AnyNode, ClientOp, CoordinatorNode, Msg, ProtocolConfig, ScriptClient, Server,
 };
-use crate::sim_runtime::SimRuntime;
 
 /// Buffered effects of one handler invocation under the simulated engine.
 /// The outbox sits behind a `RefCell` because [`Runtime::send`] takes
@@ -227,7 +226,7 @@ impl SimNet {
 /// delay) later; each armed timer becomes a timer event. Both are stamped
 /// with the destination's current incarnation. Scheduling in emission order
 /// inherits the engine's `(time, seq)` ordering, so runs are deterministic.
-fn dispatch(net: &SimNet, rt: &mut SimRuntime<'_, SimNet>, node: NodeId, q: QueuedRuntime) {
+fn dispatch(net: &SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, q: QueuedRuntime) {
     let latency = net.latency;
     for (to, msg, extra) in q.out.into_inner() {
         let from = node;
@@ -244,7 +243,7 @@ fn dispatch(net: &SimNet, rt: &mut SimRuntime<'_, SimNet>, node: NodeId, q: Queu
 
 fn deliver(
     net: &mut SimNet,
-    rt: &mut SimRuntime<'_, SimNet>,
+    rt: &mut Scheduler<SimNet>,
     from: NodeId,
     to: NodeId,
     inc: u64,
@@ -271,7 +270,7 @@ fn deliver(
     dispatch(net, rt, to, q);
 }
 
-fn fire_timer(net: &mut SimNet, rt: &mut SimRuntime<'_, SimNet>, node: NodeId, inc: u64) {
+fn fire_timer(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, inc: u64) {
     if net.incarnations.get(node.0).copied().unwrap_or(0) != inc {
         return; // the timer died with the incarnation that armed it
     }
@@ -288,7 +287,7 @@ fn fire_timer(net: &mut SimNet, rt: &mut SimRuntime<'_, SimNet>, node: NodeId, i
     dispatch(net, rt, node, q);
 }
 
-fn start_node(net: &mut SimNet, rt: &mut SimRuntime<'_, SimNet>, node: NodeId) {
+fn start_node(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId) {
     let mut q = QueuedRuntime::new(node, rt.now());
     {
         let Some(n) = net.nodes.get_mut(node.0).and_then(|n| n.as_mut()) else {
@@ -313,7 +312,7 @@ fn crash_server(net: &mut SimNet, victim: usize) {
 /// incarnation (orphaning the previous life's in-flight messages and
 /// timers) and starts a [`Server::restarted`] with an empty store that
 /// stays unsynced until the coordinator readmits it.
-fn restart_server(net: &mut SimNet, rt: &mut SimRuntime<'_, SimNet>, victim: usize) {
+fn restart_server(net: &mut SimNet, rt: &mut Scheduler<SimNet>, victim: usize) {
     let id = crate::protocol::server_id(victim);
     if net.nodes[id.0].is_some() {
         return; // already alive: stale restart event
@@ -345,20 +344,18 @@ pub fn run_plan(
     net.faults = Some(FaultState::new(plan.clone()));
     let total = 1 + cfg.servers + cfg.clients;
     let mut sim = Simulation::new(net);
-    {
-        let mut rt = SimRuntime::new(sim.scheduler_mut());
-        for i in 0..total {
-            rt.schedule_at(SimTime::ZERO, move |net, rt| start_node(net, rt, NodeId(i)));
-        }
-        for crash in plan.crashes.iter().copied() {
-            rt.schedule_at(crash.at, move |net: &mut SimNet, _| {
-                crash_server(net, crash.server);
+    let rt = sim.scheduler_mut();
+    for i in 0..total {
+        rt.schedule_at(SimTime::ZERO, move |net, rt| start_node(net, rt, NodeId(i)));
+    }
+    for crash in plan.crashes.iter().copied() {
+        rt.schedule_at(crash.at, move |net: &mut SimNet, _| {
+            crash_server(net, crash.server);
+        });
+        if let Some(after) = crash.restart_after {
+            rt.schedule_at(crash.at.saturating_add(after), move |net, rt| {
+                restart_server(net, rt, crash.server);
             });
-            if let Some(after) = crash.restart_after {
-                rt.schedule_at(crash.at.saturating_add(after), move |net, rt| {
-                    restart_server(net, rt, crash.server);
-                });
-            }
         }
     }
     // Chunked run with an early exit: heartbeats re-arm forever, so the

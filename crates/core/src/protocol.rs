@@ -12,7 +12,7 @@
 //! Two engines run them:
 //!
 //! - [`crate::proto_sim`] delivers messages through the deterministic
-//!   `rmc_sim` event queue (via [`crate::sim_runtime::SimRuntime`]), and
+//!   `rmc_sim` event queue, and
 //! - `rmc_standalone::cluster` delivers them between real threads on the
 //!   wall clock, over crossbeam channels (the *mini-cluster*) or TCP
 //!   sockets (`rmcd` processes).
@@ -205,6 +205,19 @@ pub fn retry_jitter(client: usize, seq: u64, attempt: u32, max_nanos: u64) -> u6
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
     x % max_nanos
+}
+
+/// The capped exponential backoff window (plus [`retry_jitter`]) a client
+/// waits before retry number `attempt` of `seq` — one schedule for the
+/// scripted client here and the synchronous wall-clock client.
+pub fn retry_backoff(cfg: &ProtocolConfig, client: usize, seq: u64, attempt: u32) -> SimDuration {
+    let base = cfg.retry_timeout;
+    let raw = base.mul_f64(f64::from(1u32 << attempt.min(6)));
+    let capped = raw.min(cfg.retry_backoff_cap);
+    let jitter = retry_jitter(client, seq, attempt, base.as_nanos() / 2);
+    capped
+        .checked_add(SimDuration::from_nanos(jitter))
+        .unwrap_or(SimDuration::MAX)
 }
 
 // ---------------------------------------------------------------------
@@ -1752,22 +1765,6 @@ impl ScriptClient {
         self.issue(rt);
     }
 
-    /// The capped exponential backoff delay (plus deterministic jitter)
-    /// used before retry number `attempt` of `seq`.
-    fn backoff_delay(&self, seq: u64, attempt: u32) -> SimDuration {
-        let base = self.cfg.retry_timeout;
-        let raw = base.mul_f64(f64::from(1u32 << attempt.min(6)));
-        let capped = if raw > self.cfg.retry_backoff_cap {
-            self.cfg.retry_backoff_cap
-        } else {
-            raw
-        };
-        let jitter = retry_jitter(self.index, seq, attempt, base.as_nanos() / 2);
-        capped
-            .checked_add(SimDuration::from_nanos(jitter))
-            .unwrap_or(SimDuration::MAX)
-    }
-
     fn issue<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
         if self.next >= self.script.len() {
             self.done = true;
@@ -1777,7 +1774,7 @@ impl ScriptClient {
         let seq = self.next as u64 + 1;
         self.in_flight = Some(seq);
         self.attempt = 0;
-        self.retry_delay = self.backoff_delay(seq, 0);
+        self.retry_delay = retry_backoff(&self.cfg, self.index, seq, 0);
         self.send_current(rt);
         rt.set_timer(self.retry_delay);
     }
@@ -1886,7 +1883,7 @@ impl ScriptClient {
             if self.attempt > 1 {
                 self.counters.backoffs += 1;
             }
-            self.retry_delay = self.backoff_delay(seq, self.attempt);
+            self.retry_delay = retry_backoff(&self.cfg, self.index, seq, self.attempt);
             // The map may be why we're stuck; refresh it alongside the
             // retry.
             self.counters.map_requests += 1;
@@ -2363,23 +2360,23 @@ mod tests {
     #[test]
     fn client_backoff_grows_and_caps() {
         let cfg = ProtocolConfig::new(3, 1, 2);
-        let client = ScriptClient::new(0, cfg.clone(), vec![]);
         let base = cfg.retry_timeout;
         let mut prev = SimDuration::ZERO;
         for attempt in 0..6 {
-            let d = client.backoff_delay(1, attempt);
+            let d = retry_backoff(&cfg, 0, 1, attempt);
             assert!(d >= base, "attempt {attempt} below base");
             // Strictly growing until the cap region (jitter < base/2 can
             // never cancel a doubling).
             assert!(d > prev, "attempt {attempt} did not grow");
             prev = d;
         }
-        let capped = client.backoff_delay(1, 20);
-        let bound = cfg
-            .retry_backoff_cap
-            .checked_add(base)
-            .expect("no overflow");
-        assert!(capped <= bound);
+        let capped = retry_backoff(&cfg, 0, 1, 20);
+        let cap = cfg.retry_backoff_cap;
+        assert!(capped >= cap && capped <= cap + base, "{capped}");
+        // Jitter is deterministic: the same (client, seq, attempt) always
+        // waits the same window, and distinct clients de-synchronize.
+        assert_eq!(retry_backoff(&cfg, 1, 7, 3), retry_backoff(&cfg, 1, 7, 3));
+        assert_ne!(retry_backoff(&cfg, 0, 7, 3), retry_backoff(&cfg, 1, 7, 3));
     }
 
     #[test]

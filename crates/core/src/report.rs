@@ -1,7 +1,6 @@
 //! Results of one simulated experiment run.
 
 use rmc_energy::EnergyReport;
-use rmc_runtime::SimTime;
 use rmc_ycsb::ClientStats;
 use serde::Serialize;
 
@@ -94,17 +93,4 @@ impl RunReport {
             (min * 100.0, max * 100.0)
         }
     }
-}
-
-/// Internal builder state passed around while assembling the report.
-#[derive(Debug)]
-pub struct ReportInputs {
-    /// End of activity.
-    pub end: SimTime,
-    /// Merged client stats.
-    pub clients: ClientStats,
-    /// Per-client timelines.
-    pub per_client_timelines: Vec<Vec<(f64, f64)>>,
-    /// Ops that exceeded the RPC timeout.
-    pub timeout_ops: u64,
 }

@@ -2,7 +2,7 @@
 //! replication and recovery invariants, determinism, and the qualitative
 //! behaviours the paper's findings rest on.
 
-use rmc_core::{Cluster, ClusterConfig, Consistency, SimRuntime};
+use rmc_core::{Cluster, ClusterConfig, Consistency};
 use rmc_sim::{SimDuration, SimTime};
 use rmc_ycsb::{StandardWorkload, WorkloadSpec};
 
@@ -193,7 +193,7 @@ fn recovery_leaves_cluster_readable() {
     let mut sim = rmc_sim::Simulation::new(cluster);
     sim.scheduler_mut()
         .schedule_at(kill, move |cl: &mut Cluster, s| {
-            cl.kill_server_now(0, &mut SimRuntime::new(s));
+            cl.kill_server_now(0, s);
         });
     sim.run();
     let cluster = sim.into_state();

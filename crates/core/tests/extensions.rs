@@ -1,7 +1,7 @@
 //! Tests for the beyond-the-paper extensions: sequential multi-crash
 //! recovery, copyset placement, and elastic cluster sizing.
 
-use rmc_core::{Cluster, ClusterConfig, ElasticPolicy, Placement, SimRuntime};
+use rmc_core::{Cluster, ClusterConfig, ElasticPolicy, Placement};
 use rmc_sim::{SimDuration, SimTime, Simulation};
 use rmc_ycsb::{StandardWorkload, WorkloadSpec};
 
@@ -27,14 +27,14 @@ fn sequential_double_crash_loses_nothing() {
     let mut sim = Simulation::new(cluster);
     sim.scheduler_mut()
         .schedule_at(SimTime::from_millis(10), |cl: &mut Cluster, s| {
-            cl.kill_server_now(0, &mut SimRuntime::new(s));
+            cl.kill_server_now(0, s);
         });
     sim.run(); // first recovery completes (queue drains)
     let first_done = sim.now();
     sim.scheduler_mut().schedule_at(
         first_done + SimDuration::from_secs(1),
         |cl: &mut Cluster, s| {
-            cl.kill_server_now(1, &mut SimRuntime::new(s));
+            cl.kill_server_now(1, s);
         },
     );
     sim.run();
@@ -169,12 +169,12 @@ fn elastic_migration_preserves_data() {
         sim.scheduler_mut()
             .schedule_at(SimTime::ZERO, |cl: &mut Cluster, s| {
                 for c in 0..1 {
-                    cl.start_client(c, &mut SimRuntime::new(s));
+                    cl.start_client(c, s);
                 }
             });
         sim.scheduler_mut()
             .schedule_after(policy_interval, |cl: &mut Cluster, s| {
-                cl.elastic_check_now(&mut SimRuntime::new(s))
+                cl.elastic_check_now(s)
             });
     }
     sim.run();
@@ -226,7 +226,7 @@ fn crash_retry_is_exactly_once() {
             // and replicates; then the master dies before acking the client.
             cl.test_apply_write(0, &key2, 7);
             cl.test_block_retry(0, &key2, 7);
-            cl.kill_server_now(0, &mut SimRuntime::new(s));
+            cl.kill_server_now(0, s);
         });
     sim.run();
     let cluster = sim.into_state();
@@ -248,9 +248,7 @@ fn not_on_affinity_avoids_target_server() {
     cluster.preload();
     let mut sim = Simulation::new(cluster);
     sim.scheduler_mut()
-        .schedule_at(SimTime::ZERO, |cl: &mut Cluster, s| {
-            cl.start_client(0, &mut SimRuntime::new(s))
-        });
+        .schedule_at(SimTime::ZERO, |cl: &mut Cluster, s| cl.start_client(0, s));
     sim.run();
     let cluster = sim.into_state();
     // Server 2's store must have seen zero read traffic.

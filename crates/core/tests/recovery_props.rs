@@ -3,7 +3,7 @@
 //! data and always ends with the victim owning nothing.
 
 use proptest::prelude::*;
-use rmc_core::{Cluster, ClusterConfig, SimRuntime};
+use rmc_core::{Cluster, ClusterConfig};
 use rmc_sim::{SimTime, Simulation};
 use rmc_ycsb::{StandardWorkload, WorkloadSpec};
 
@@ -32,7 +32,7 @@ proptest! {
         let mut sim = Simulation::new(cluster);
         sim.scheduler_mut()
             .schedule_at(SimTime::from_millis(5), move |cl: &mut Cluster, s| {
-                cl.kill_server_now(victim, &mut SimRuntime::new(s));
+                cl.kill_server_now(victim, s);
             });
         sim.run();
         let cluster = sim.into_state();

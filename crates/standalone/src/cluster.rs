@@ -52,7 +52,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rmc_chaos::{FaultPlan, FaultRuntime, FaultState, OpRecord};
 use rmc_core::coordinator::bucket_for;
 use rmc_core::protocol::{
-    coordinator_id, msg_class, retry_jitter, server_id, AnyNode, ClientOp, Msg, ProtocolConfig,
+    coordinator_id, msg_class, retry_backoff, server_id, AnyNode, ClientOp, Msg, ProtocolConfig,
     Reply, Server, PROTO_TABLE,
 };
 use rmc_obs::span::SpanRecorder;
@@ -677,21 +677,6 @@ fn aggregate_reports(
     }
 }
 
-/// The capped exponential backoff window (plus deterministic jitter) a
-/// [`Client`] waits before retry number `attempt` of `seq` — the same
-/// schedule `ScriptClient` uses, on wall-clock durations.
-fn client_backoff(cfg: &ProtocolConfig, index: usize, seq: u64, attempt: u32) -> Duration {
-    let base = cfg.retry_timeout;
-    let raw = base.mul_f64(f64::from(1u32 << attempt.min(6)));
-    let capped = if raw > cfg.retry_backoff_cap {
-        cfg.retry_backoff_cap
-    } else {
-        raw
-    };
-    let jitter = retry_jitter(index, seq, attempt, base.as_nanos() / 2);
-    Duration::from_nanos(capped.as_nanos().saturating_add(jitter))
-}
-
 /// A synchronous client handle: `put`/`get`/`del` follow the wire protocol
 /// (route by bucket, retry unanswered requests with the *same* RIFL
 /// sequence number under capped exponential backoff with deterministic
@@ -908,7 +893,8 @@ impl<F: Fabric> Client<F> {
             self.fabric
                 .post(server_id(owner), request, SimDuration::ZERO);
             // Past this window: re-send, same seq, grown backoff.
-            let attempt_ends = Instant::now() + client_backoff(&self.cfg, self.index, seq, attempt);
+            let backoff = retry_backoff(&self.cfg, self.index, seq, attempt);
+            let attempt_ends = Instant::now() + Duration::from_nanos(backoff.as_nanos());
             let reply = Self::wait_for(&self.inbox, attempt_ends, |event| match event {
                 // A response to another seq is a stale duplicate from an
                 // earlier retry.

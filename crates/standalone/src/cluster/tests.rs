@@ -281,28 +281,6 @@ fn seeded_chaos_plan_replays<F: Fabric>() {
     );
 }
 
-#[test]
-fn backoff_schedule_grows_and_caps() {
-    let cfg = small_cfg(3, 1, 1);
-    let base = Duration::from_nanos(cfg.retry_timeout.as_nanos());
-    let cap = Duration::from_nanos(cfg.retry_backoff_cap.as_nanos());
-    // Strict doubling dominates jitter until the cap binds
-    // (50ms · 2^3 = 400ms > 320ms).
-    let mut prev = Duration::ZERO;
-    for attempt in 0..3 {
-        let d = client_backoff(&cfg, 0, 1, attempt);
-        assert!(d > prev, "attempt {attempt} did not grow: {d:?}");
-        prev = d;
-    }
-    let capped = client_backoff(&cfg, 0, 1, 20);
-    assert!(capped >= cap && capped <= cap + base, "{capped:?}");
-    // Jitter is deterministic: the same (client, seq, attempt) always
-    // waits the same window…
-    assert_eq!(client_backoff(&cfg, 1, 7, 3), client_backoff(&cfg, 1, 7, 3));
-    // …and distinct clients de-synchronize.
-    assert_ne!(client_backoff(&cfg, 0, 7, 3), client_backoff(&cfg, 1, 7, 3));
-}
-
 /// Channel fabric: traffic queued for a dead incarnation is dropped by its
 /// epoch stamp, never delivered to the restarted one.
 #[test]
