@@ -1,6 +1,6 @@
 //! Recovery ablation: crash-recovery time vs. data size vs. number of
 //! recovery masters, with backup replicas staged in memory vs. on
-//! CRC-framed segment files.
+//! CRC-framed per-master log files.
 //!
 //! Each case boots a threaded [`MiniCluster`] (real coordinator, master,
 //! and backup threads over crossbeam channels), loads a known data volume

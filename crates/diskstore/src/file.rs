@@ -1,64 +1,118 @@
-//! [`FileStorage`]: the file-backed engine. One file per
-//! `(master, segment)` replica, each a sequence of checksummed
-//! [frames](crate::frame); appends go straight to the file under the
-//! configured [`FsyncPolicy`], and [`FileStorage::open`] rebuilds the
-//! staged map from whatever survived a crash.
+//! [`FileStorage`]: the file-backed engine. One append-only log per
+//! master, a sequence of checksummed [frames](crate::frame) in the order
+//! they were staged; appends go straight to the file under the configured
+//! [`FsyncPolicy`], and [`FileStorage::open`] rebuilds the staged map from
+//! whatever survived a crash.
+//!
+//! ## Layout
+//!
+//! `DIR/m{master}_{n}.log`, `n` = 0, 1, 2, …: master `master`'s log, in the
+//! order its files were written. A frame names its `(master, segment)` in
+//! its checksummed header, so one file holds the frames of every segment
+//! the master replicated while it was open — the one being filled, and an
+//! older one a late retry still addresses, alike. A file is *retired* —
+//! closed for good, its successor `n + 1` created by the next write — when
+//! the next frame would take it past [`LOG_ROLL_BYTES`] (a frame is never
+//! split: one larger than the bound has a file to itself), when a write to
+//! it fails (below), and when the store is dropped: an incarnation creates
+//! its own files and never appends to one it found.
+//!
+//! [`supersede`](BackupStorage::supersede) appends one **image frame**
+//! (the same header under a second magic) holding the segment's whole
+//! image. One rule, live and at recovery: an image replaces what the log
+//! holds for that segment iff it is longer.
+//!
+//! ## A file is appended to only while every write to it succeeded
+//!
+//! The first failed or short write retires the file. The torn bytes are
+//! therefore always some file's *tail*, the one kind of damage recovery
+//! cuts without believing anything, and the master's retry lands whole in
+//! file `n + 1`. (Were the retry appended behind the torn frame, its bytes
+//! would complete the torn frame's declared length, fail its checksum, and
+//! be thrown away as corruption with everything after them.)
 //!
 //! ## Crash recovery rules
 //!
-//! Walking a segment file frame by frame, the first undecodable position
-//! ends the trusted prefix:
+//! [`FileStorage::open`] walks each master's files in `n` order, frame by
+//! frame, and groups payloads by the header's segment. The first
+//! undecodable position ends that file's trusted prefix:
 //!
 //! - **Torn tail** (file ends mid-frame): the signature of dying between
 //!   `write` and completion. The tail is truncated away; since the
-//!   interrupted append was never acked, nothing durable is lost.
+//!   interrupted write was never acked, nothing durable is lost.
 //! - **Corruption** (complete frame, bad magic / impossible length / CRC
-//!   mismatch): the disk lied. The whole file is copied into
-//!   `quarantine/` for forensics, then truncated to the trusted prefix.
-//!   Nothing past the first corrupt frame is believed — a corrupted length
-//!   field makes every later frame boundary untrustworthy.
+//!   mismatch / a header naming another master): the disk lied. The whole
+//!   file is copied into `quarantine/` for forensics, then truncated to the
+//!   trusted prefix. Nothing past the first corrupt frame of a file is
+//!   believed — a corrupted length field makes every later frame boundary
+//!   untrustworthy. The damage ends with the file: the next one starts at a
+//!   frame boundary by construction, so one lying frame costs at most the
+//!   rest of one file — [`LOG_ROLL_BYTES`], RAMCloud's own unit of replica
+//!   loss — and that bound is also the size of a quarantine copy.
 //!
-//! Either way recovery loads the longest valid prefix and **never
-//! panics**; the consequences are counted in the `disk.*` family
-//! ([`DiskMetrics`]).
+//! Either way recovery loads the longest valid prefix of every file and
+//! **never panics**; the consequences are counted in the `disk.*` family
+//! ([`DiskMetrics`]). A directory that still holds `m*_s*.seg` files (the
+//! layout before this one: a file per segment) is refused, not read and
+//! not ignored.
 //!
 //! Served reads (`segments_of`, the recovery `FetchSegments` path) come
 //! from an in-memory mirror of the staged payloads, maintained on append
 //! and rebuilt once at open — the RAMCloud discipline of serving recovery
 //! from buffered copies while the disk takes writes.
 //!
-//! ## Descriptors
+//! ## What is synced, and when
 //!
-//! A master appends to one segment at a time, so the store keeps one open
-//! descriptor per master: appending to another segment of that master (the
-//! next one, or an older one a late retry still addresses) closes the file
-//! appended to before and opens the other with `O_APPEND`. Closing is not
-//! syncing. A file the policy has not synced yet stays in the dirty set,
-//! and the sync that is due — `Batched`'s threshold, an explicit
-//! [`flush`](BackupStorage::flush) — reopens it: `fsync` works on the
-//! file, whichever descriptor wrote it.
+//! The store holds one descriptor per master and one dirty flag with it.
+//! `per_write` syncs the file before every ack; `batched` and an explicit
+//! [`flush`](BackupStorage::flush) sync every file written since its last
+//! sync; a file retired with a sync owed gets it as it is retired, so
+//! nothing ever has to be reopened to be synced. Under `off` nothing is
+//! owed: `flush` reaches the open files, and a retired one was left to the
+//! page cache when it was closed. Unless the policy is `off`, creating a
+//! file also syncs the directory, before the first write that depends on
+//! the new name.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::frame::{decode_frame, encode_frame, FrameError};
+use crate::frame::{
+    decode_frame, encode_frame, encode_image_frame, FrameError, FrameHeader, FrameKind,
+};
 use crate::storage::{
-    AppendOutcome, BackupStorage, DiskMetrics, FaultInjector, FsyncPolicy, StorageError,
+    AppendFault, AppendOutcome, BackupStorage, DiskMetrics, FaultInjector, FsyncPolicy,
+    StorageError,
 };
 
-/// File name for the replica of `(master, segment)`.
-fn seg_name(master: usize, segment: u64) -> String {
-    format!("m{master}_s{segment}.seg")
+/// A log file is retired before the frame that would take it past this.
+/// RAMCloud's segment size: the unit a backup there loses to one bad
+/// replica, and here the most one corrupt frame can cost.
+const LOG_ROLL_BYTES: u64 = 8 << 20;
+
+/// File name of the `n`th file of `master`'s log.
+fn log_name(master: usize, n: u64) -> String {
+    format!("m{master}_{n}.log")
 }
 
-/// Inverse of [`seg_name`]; `None` for foreign files.
-fn parse_seg_name(name: &str) -> Option<(usize, u64)> {
-    let rest = name.strip_prefix('m')?.strip_suffix(".seg")?;
-    let (master, segment) = rest.split_once("_s")?;
-    Some((master.parse().ok()?, segment.parse().ok()?))
+/// Inverse of [`log_name`]; `None` for foreign files.
+fn parse_log_name(name: &str) -> Option<(usize, u64)> {
+    let (master, n) = name
+        .strip_prefix('m')?
+        .strip_suffix(".log")?
+        .split_once('_')?;
+    let parsed = (master.parse().ok()?, n.parse().ok()?);
+    // Only the spelling `log_name` writes: no `+7`, no leading zeros.
+    (log_name(parsed.0, parsed.1) == name).then_some(parsed)
+}
+
+/// Makes a name just created in `dir` durable.
+fn sync_dir(dir: &Path) -> Result<(), StorageError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| StorageError::Io(format!("fsync directory {dir:?}: {e}")))
 }
 
 /// Reads the node's incarnation epoch from `dir/epoch`, bumps it, persists
@@ -82,6 +136,8 @@ pub fn bump_epoch(dir: &Path) -> Result<u64, StorageError> {
     f.write_all(epoch.to_string().as_bytes())
         .and_then(|_| f.sync_all())
         .map_err(|e| StorageError::Io(format!("persist {path:?}: {e}")))?;
+    // On the first boot the name itself is new.
+    sync_dir(dir)?;
     Ok(epoch)
 }
 
@@ -98,6 +154,35 @@ pub struct RecoveryStats {
     pub quarantined: u64,
 }
 
+/// One master's log: the file being appended to, and where the next goes.
+#[derive(Debug, Default)]
+struct MasterLog {
+    /// Index of the next file to create: past every one on disk.
+    next: u64,
+    /// The file appended to and its length; `None` before this
+    /// incarnation's first write and after a retirement.
+    tail: Option<(File, u64)>,
+    /// `tail` holds bytes written since its last fsync.
+    dirty: bool,
+}
+
+impl MasterLog {
+    /// Syncs the tail if it is dirty.
+    fn sync(&mut self, master: usize, metrics: &DiskMetrics) -> Result<(), StorageError> {
+        if let (true, Some((file, _))) = (self.dirty, &self.tail) {
+            file.sync_all()
+                .map_err(|e| StorageError::Io(format!("fsync log of master {master}: {e}")))?;
+            metrics.fsyncs.incr();
+            self.dirty = false;
+        }
+        Ok(())
+    }
+}
+
+/// The segment recovery is extending, held out of the mirror: a master
+/// fills one segment at a time, so a run of frames costs no map lookups.
+type Cursor = Option<(u64, Vec<u8>)>;
+
 /// The file-backed [`BackupStorage`] engine.
 pub struct FileStorage {
     dir: PathBuf,
@@ -106,10 +191,8 @@ pub struct FileStorage {
     injector: Option<Box<dyn FaultInjector>>,
     /// In-memory mirror of each slot's staged payload bytes.
     cache: BTreeMap<(usize, u64), Vec<u8>>,
-    /// The one open append handle per master: master → (segment, file).
-    open: BTreeMap<usize, (u64, File)>,
-    /// Slots with bytes written since their last fsync.
-    dirty: BTreeSet<(usize, u64)>,
+    logs: BTreeMap<usize, MasterLog>,
+    /// Bytes written since the last flush (what `batched` counts).
     dirty_bytes: usize,
     last_sync: Instant,
     metrics: DiskMetrics,
@@ -124,7 +207,7 @@ impl std::fmt::Debug for FileStorage {
             .field("policy", &self.policy)
             .field("epoch", &self.epoch)
             .field("segments", &self.cache.len())
-            .field("dirty", &self.dirty.len())
+            .field("dirty", &self.dirty_logs())
             .field("recovery", &self.recovery)
             .finish()
     }
@@ -148,23 +231,35 @@ impl FileStorage {
             epoch,
             injector: None,
             cache: BTreeMap::new(),
-            open: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            logs: BTreeMap::new(),
             dirty_bytes: 0,
             last_sync: Instant::now(),
             metrics,
             recovery: RecoveryStats::default(),
         };
+        let mut files: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+        let mut legacy: Option<String> = None;
         let entries =
             fs::read_dir(&dir).map_err(|e| StorageError::Io(format!("scan {dir:?}: {e}")))?;
         for entry in entries {
             let entry = entry.map_err(|e| StorageError::Io(format!("scan {dir:?}: {e}")))?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some((master, segment)) = parse_seg_name(name) else {
-                continue;
-            };
-            store.recover_file(&entry.path(), master, segment)?;
+            if let Some((master, n)) = parse_log_name(name) {
+                files.entry(master).or_default().push(n);
+            } else if name.ends_with(".seg") && legacy.as_deref().is_none_or(|l| name < l) {
+                legacy = Some(name.to_owned());
+            }
+        }
+        if let Some(name) = legacy {
+            return Err(StorageError::Corrupt(format!(
+                "{dir:?} holds {name}: a file per segment is the layout before \
+                 one log per master, which this build does not read"
+            )));
+        }
+        for (master, mut ns) in files {
+            ns.sort_unstable();
+            store.recover_master(master, &ns)?;
         }
         store.recovery.segments = store.cache.len();
         store.recovery.bytes = store.cache.values().map(|b| b.len() as u64).sum();
@@ -187,53 +282,98 @@ impl FileStorage {
         self.epoch
     }
 
-    /// Loads the longest valid frame prefix of one segment file, applying
-    /// the torn-tail truncation and corruption-quarantine rules.
+    /// Replays `master`'s files, oldest first, into the mirror.
+    fn recover_master(&mut self, master: usize, files: &[u64]) -> Result<(), StorageError> {
+        let mut cursor: Cursor = None;
+        for &n in files {
+            self.recover_file(master, n, &mut cursor)?;
+        }
+        if let Some((segment, payload)) = cursor {
+            self.cache.insert((master, segment), payload);
+        }
+        // Past every file found (a name at `u64::MAX` leaves no index to
+        // create: appends for that master then fail, they never overwrite).
+        let log = MasterLog {
+            next: files.last().map_or(0, |n| n.saturating_add(1)),
+            ..MasterLog::default()
+        };
+        self.logs.insert(master, log);
+        Ok(())
+    }
+
+    /// Loads the longest valid frame prefix of one log file, applying the
+    /// torn-tail truncation and corruption-quarantine rules.
     fn recover_file(
         &mut self,
-        path: &Path,
         master: usize,
-        segment: u64,
+        n: u64,
+        cursor: &mut Cursor,
     ) -> Result<(), StorageError> {
-        let mut bytes = Vec::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| StorageError::Io(format!("read {path:?}: {e}")))?;
+        let path = self.dir.join(log_name(master, n));
+        // `fs::read` sizes its buffer from the file's length.
+        let bytes = fs::read(&path).map_err(|e| StorageError::Io(format!("read {path:?}: {e}")))?;
         self.metrics.read_bytes.add(bytes.len() as u64);
-        let mut payload = Vec::new();
         let mut off = 0;
-        let mut verdict: Option<FrameError> = None;
-        while off < bytes.len() {
+        let verdict = loop {
+            if off == bytes.len() {
+                break None;
+            }
             match decode_frame(&bytes[off..]) {
-                Ok((_, frame_payload, total)) => {
-                    payload.extend_from_slice(frame_payload);
+                Ok((header, _, _)) if header.master != master as u64 => {
+                    break Some(FrameError::Corrupt(format!(
+                        "a frame of master {} in a log of master {master}",
+                        header.master
+                    )));
+                }
+                Ok((header, payload, total)) => {
+                    self.stage_recovered(master, &header, payload, cursor);
                     off += total;
                 }
-                Err(e) => {
-                    verdict = Some(e);
-                    break;
-                }
+                Err(e) => break Some(e),
             }
-        }
+        };
         match verdict {
             None => {}
             Some(FrameError::TornTail) => {
                 self.metrics.torn_tails.incr();
                 self.recovery.torn_tails += 1;
-                truncate_to(path, off as u64)?;
+                truncate_to(&path, off as u64)?;
             }
             Some(FrameError::Corrupt(_)) => {
                 self.metrics.crc_mismatch.incr();
                 self.metrics.quarantined.incr();
                 self.recovery.quarantined += 1;
-                self.quarantine(path, off)?;
-                truncate_to(path, off as u64)?;
+                self.quarantine(&path, off)?;
+                truncate_to(&path, off as u64)?;
             }
         }
-        if !payload.is_empty() {
-            self.cache.insert((master, segment), payload);
-        }
         Ok(())
+    }
+
+    /// Applies one recovered frame to its segment's slot.
+    fn stage_recovered(
+        &mut self,
+        master: usize,
+        header: &FrameHeader,
+        payload: &[u8],
+        cursor: &mut Cursor,
+    ) {
+        if cursor.as_ref().map(|(segment, _)| *segment) != Some(header.segment) {
+            if let Some((segment, held)) = cursor.take() {
+                self.cache.insert((master, segment), held);
+            }
+            let held = self.cache.remove(&(master, header.segment));
+            *cursor = Some((header.segment, held.unwrap_or_default()));
+        }
+        let held = &mut cursor.as_mut().expect("just set").1;
+        match header.kind {
+            FrameKind::Append => held.extend_from_slice(payload),
+            FrameKind::Image if payload.len() > held.len() => {
+                held.clear();
+                held.extend_from_slice(payload);
+            }
+            FrameKind::Image => {}
+        }
     }
 
     /// Copies a corrupt file into `quarantine/` (named after the offset of
@@ -251,46 +391,137 @@ impl FileStorage {
         Ok(())
     }
 
-    fn path_of(&self, (master, segment): (usize, u64)) -> PathBuf {
-        self.dir.join(seg_name(master, segment))
+    /// Logs with bytes written since their last fsync.
+    fn dirty_logs(&self) -> usize {
+        self.logs.values().filter(|log| log.dirty).count()
     }
 
-    /// The append handle of `(master, segment)`, which becomes `master`'s
-    /// one open file.
-    fn file_for(&mut self, master: usize, segment: u64) -> Result<&mut File, StorageError> {
-        if self.open.get(&master).map(|(open, _)| *open) != Some(segment) {
-            let path = self.path_of((master, segment));
-            let f = OpenOptions::new()
-                .create(true)
+    /// `master`'s log with the tail a frame of `frame_len` bytes goes to:
+    /// the one it has, or a new file when it has none or the frame would
+    /// take it past [`LOG_ROLL_BYTES`].
+    fn tail_for(&mut self, master: usize, frame_len: u64) -> Result<&mut MasterLog, StorageError> {
+        let full = self
+            .logs
+            .get(&master)
+            .and_then(|log| log.tail.as_ref())
+            .is_some_and(|(_, len)| *len > 0 && len + frame_len > LOG_ROLL_BYTES);
+        if full {
+            self.sync_owed(master)?;
+            self.retire(master);
+        }
+        let log = self.logs.entry(master).or_default();
+        if log.tail.is_none() {
+            let path = self.dir.join(log_name(master, log.next));
+            // Taken even if what follows fails: a retry starts clean.
+            log.next = log.next.saturating_add(1);
+            let file = OpenOptions::new()
+                .create_new(true)
                 .append(true)
                 .open(&path)
-                .map_err(|e| StorageError::Io(format!("open {path:?}: {e}")))?;
-            // Replacing the entry closes the file `master` appended to
-            // before.
-            self.open.insert(master, (segment, f));
+                .map_err(|e| StorageError::Io(format!("create {path:?}: {e}")))?;
+            if self.policy != FsyncPolicy::Off {
+                sync_dir(&self.dir)?;
+            }
+            log.tail = Some((file, 0));
         }
-        Ok(&mut self.open.get_mut(&master).expect("just opened").1)
+        Ok(log)
     }
 
-    /// Runs the policy after `written` new bytes landed on `key`'s file.
-    fn after_write(&mut self, key: (usize, u64), written: usize) -> Result<(), StorageError> {
-        match self.policy {
-            FsyncPolicy::PerWrite => {
-                self.injected_fsync()?;
-                self.sync_one(key)?;
+    /// Closes `master`'s tail for good; the next write creates file
+    /// `n + 1`.
+    fn retire(&mut self, master: usize) {
+        if let Some(log) = self.logs.get_mut(&master) {
+            log.tail = None;
+            log.dirty = false;
+        }
+    }
+
+    /// Syncs `master`'s tail if the policy owes it a sync — what a file
+    /// gets before it is retired, since nothing reaches it afterwards.
+    fn sync_owed(&mut self, master: usize) -> Result<(), StorageError> {
+        let owed =
+            self.policy != FsyncPolicy::Off && self.logs.get(&master).is_some_and(|log| log.dirty);
+        if owed {
+            self.sync_log(master)?;
+        }
+        Ok(())
+    }
+
+    /// One fsync of `master`'s tail, judged by the injector.
+    fn sync_log(&mut self, master: usize) -> Result<(), StorageError> {
+        self.injected_fsync()?;
+        match self.logs.get_mut(&master) {
+            Some(log) => log.sync(master, &self.metrics),
+            None => Ok(()),
+        }
+    }
+
+    /// Writes one encoded frame to `master`'s log under the injector and
+    /// the fsync policy. `Ok` means the frame is whole in the file and the
+    /// policy is satisfied; the caller then updates the served mirror.
+    fn write_frame(
+        &mut self,
+        master: usize,
+        segment: u64,
+        mut frame: Vec<u8>,
+    ) -> Result<(), StorageError> {
+        let fault = match self.injector.as_mut() {
+            Some(injector) => injector.on_append(master, segment, &mut frame),
+            None => AppendFault::clean(),
+        };
+        if let Some(stall) = fault.stall {
+            // Stuck-slow I/O: the append blocks the backup's event loop,
+            // exactly like a device hiccup under a synchronous write path.
+            self.metrics.stalls.incr();
+            std::thread::sleep(stall);
+        }
+        let len = frame.len();
+        let (keep, injected) = match fault.outcome {
+            AppendOutcome::Commit => (len, None),
+            AppendOutcome::Short { keep } => (keep.min(len), Some("injected short write")),
+            AppendOutcome::Error => (0, Some("injected write EIO")),
+        };
+        let log = self.tail_for(master, len as u64)?;
+        let (file, file_len) = log.tail.as_mut().expect("`tail_for` leaves one");
+        let failure = match (file.write_all(&frame[..keep]), injected) {
+            (Ok(()), None) => {
+                *file_len += len as u64;
+                log.dirty = true;
+                self.metrics.write_bytes.add(len as u64);
+                return self.after_write(master, len);
             }
+            (Err(e), _) => e.to_string(),
+            (Ok(()), Some(what)) => {
+                self.metrics.write_bytes.add(keep as u64);
+                format!("{what} ({keep}/{len} bytes)")
+            }
+        };
+        self.metrics.write_errors.incr();
+        // How much of the frame reached the file is unknown. Whatever did
+        // is this file's tail, and stays it: recovery cuts a torn tail
+        // without believing it, and the retry lands whole in file `n + 1`.
+        // No ack, so no durability was promised for these bytes — but the
+        // acked ones before them are owed what the policy owes them.
+        let _ = self.sync_owed(master);
+        self.retire(master);
+        Err(StorageError::Io(format!(
+            "write to the log of master {master} (segment {segment}): {failure}"
+        )))
+    }
+
+    /// Runs the policy after `written` new bytes landed on `master`'s log.
+    fn after_write(&mut self, master: usize, written: usize) -> Result<(), StorageError> {
+        match self.policy {
+            FsyncPolicy::PerWrite => self.sync_log(master)?,
             FsyncPolicy::Batched { bytes, interval } => {
-                self.dirty.insert(key);
                 self.dirty_bytes += written;
-                self.metrics.queue_depth.set(self.dirty.len() as u64);
+                self.metrics.queue_depth.set(self.dirty_logs() as u64);
                 if self.dirty_bytes >= bytes || self.last_sync.elapsed() >= interval {
                     self.flush()?;
                 }
             }
             // Synced only if somebody calls `flush`.
-            FsyncPolicy::Off => {
-                self.dirty.insert(key);
-            }
+            FsyncPolicy::Off => {}
         }
         Ok(())
     }
@@ -305,99 +536,31 @@ impl FileStorage {
         }
         Ok(())
     }
-
-    fn sync_one(&self, key: (usize, u64)) -> Result<(), StorageError> {
-        match self.open.get(&key.0) {
-            Some((segment, f)) if *segment == key.1 => f.sync_all(),
-            // Closed since it was written.
-            _ => OpenOptions::new()
-                .append(true)
-                .open(self.path_of(key))
-                .and_then(|f| f.sync_all()),
-        }
-        .map_err(|e| StorageError::Io(format!("fsync {key:?}: {e}")))?;
-        self.metrics.fsyncs.incr();
-        Ok(())
-    }
 }
 
 impl BackupStorage for FileStorage {
     fn append(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        let mut frame = encode_frame(master, segment, self.epoch, bytes);
-        let fault = match self.injector.as_mut() {
-            Some(injector) => injector.on_append(master, segment, &mut frame),
-            None => crate::AppendFault::clean(),
-        };
-        if let Some(stall) = fault.stall {
-            // Stuck-slow I/O: the append blocks the backup's event loop,
-            // exactly like a device hiccup under a synchronous write path.
-            self.metrics.stalls.incr();
-            std::thread::sleep(stall);
-        }
-        let key = (master, segment);
-        match fault.outcome {
-            AppendOutcome::Commit => {
-                let len = frame.len();
-                self.file_for(master, segment)?
-                    .write_all(&frame)
-                    .map_err(|e| {
-                        self.metrics.write_errors.incr();
-                        StorageError::Io(format!("append {key:?}: {e}"))
-                    })?;
-                self.metrics.write_bytes.add(len as u64);
-                self.after_write(key, len)?;
-                // Only an append that survived its policy joins the served
-                // mirror; a failed one is redriven by the master's retry.
-                self.cache.entry(key).or_default().extend_from_slice(bytes);
-                Ok(())
-            }
-            AppendOutcome::Short { keep } => {
-                let keep = keep.min(frame.len());
-                let _ = self.file_for(master, segment)?.write_all(&frame[..keep]);
-                self.metrics.write_bytes.add(keep as u64);
-                self.metrics.write_errors.incr();
-                // The torn frame sits at the file's tail; recovery will
-                // truncate it. No ack, so no durability was promised.
-                Err(StorageError::Io(format!(
-                    "injected short write ({keep}/{} bytes) on {key:?}",
-                    frame.len()
-                )))
-            }
-            AppendOutcome::Error => {
-                self.metrics.write_errors.incr();
-                Err(StorageError::Io(format!("injected write EIO on {key:?}")))
-            }
-        }
+        let frame = encode_frame(master, segment, self.epoch, bytes);
+        self.write_frame(master, segment, frame)?;
+        // Only an append that survived its policy joins the served
+        // mirror; a failed one is redriven by the master's retry.
+        self.cache
+            .entry((master, segment))
+            .or_default()
+            .extend_from_slice(bytes);
+        Ok(())
     }
 
     fn supersede(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
         let key = (master, segment);
-        let current = self.cache.get(&key).map_or(0, |b| b.len());
-        if bytes.len() <= current {
+        if bytes.len() <= self.cache.get(&key).map_or(0, |held| held.len()) {
             return Ok(());
         }
-        // Rewrite the file as a single frame holding the whole image. An
-        // open append handle on it is dropped first; a crash mid-rewrite
-        // leaves a torn tail, which recovery truncates — and reseeds are
-        // fire-and-forget re-replication, so the master will send the
-        // image again.
-        if self
-            .open
-            .get(&master)
-            .is_some_and(|(open, _)| *open == segment)
-        {
-            self.open.remove(&master);
-        }
-        let path = self.path_of(key);
-        let frame = encode_frame(master, segment, self.epoch, bytes);
-        let mut f = File::create(&path).map_err(|e| StorageError::Io(format!("{path:?}: {e}")))?;
-        f.write_all(&frame).map_err(|e| {
-            self.metrics.write_errors.incr();
-            StorageError::Io(format!("supersede {key:?}: {e}"))
-        })?;
-        self.metrics.write_bytes.add(frame.len() as u64);
-        drop(f);
-        self.after_write(key, frame.len())?;
+        // A crash mid-write leaves a torn tail, which recovery truncates —
+        // and reseeds are fire-and-forget re-replication, so the master
+        // will send the image again.
+        let frame = encode_image_frame(master, segment, self.epoch, bytes);
+        self.write_frame(master, segment, frame)?;
         self.cache.insert(key, bytes.to_vec());
         Ok(())
     }
@@ -420,10 +583,9 @@ impl BackupStorage for FileStorage {
 
     fn flush(&mut self) -> Result<(), StorageError> {
         self.injected_fsync()?;
-        for &key in &self.dirty {
-            self.sync_one(key)?;
+        for (&master, log) in &mut self.logs {
+            log.sync(master, &self.metrics)?;
         }
-        self.dirty.clear();
         self.dirty_bytes = 0;
         self.last_sync = Instant::now();
         self.metrics.queue_depth.set(0);
@@ -457,7 +619,7 @@ fn truncate_to(path: &Path, len: u64) -> Result<(), StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AppendFault;
+    use crate::frame::FRAME_HEADER_BYTES;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -472,6 +634,21 @@ mod tests {
 
     fn open(dir: &Path, policy: FsyncPolicy) -> FileStorage {
         FileStorage::open(dir, policy, 0, DiskMetrics::detached()).unwrap()
+    }
+
+    /// The log files under `dir`, sorted, with their lengths.
+    fn log_files(dir: &Path) -> Vec<(String, u64)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".log"))
+            .map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, e.metadata().unwrap().len())
+            })
+            .collect();
+        files.sort();
+        files
     }
 
     #[test]
@@ -492,6 +669,19 @@ mod tests {
     }
 
     #[test]
+    fn an_incarnation_never_appends_to_a_file_it_found() {
+        let dir = tmpdir("incarnations");
+        for boot in 0..3 {
+            let mut s = open(&dir, FsyncPolicy::Off);
+            assert_eq!(s.staged_bytes(), boot, "one byte a boot so far");
+            s.append(4, 9, &[7]).unwrap();
+        }
+        let names: Vec<_> = log_files(&dir).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["m4_0.log", "m4_1.log", "m4_2.log"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_tail_is_truncated_cleanly() {
         let dir = tmpdir("torn");
         {
@@ -499,7 +689,7 @@ mod tests {
             s.append(1, 3, b"kept payload").unwrap();
         }
         // Simulate a crash mid-append: a second frame cut short.
-        let path = dir.join(seg_name(1, 3));
+        let path = dir.join(log_name(1, 0));
         let torn = encode_frame(1, 3, 0, b"lost payload");
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&torn[..torn.len() - 5]).unwrap();
@@ -522,11 +712,11 @@ mod tests {
             s.append(0, 0, b"good frame").unwrap();
             s.append(0, 0, b"will be flipped").unwrap();
         }
-        let path = dir.join(seg_name(0, 0));
+        let path = dir.join(log_name(0, 0));
         let mut bytes = fs::read(&path).unwrap();
         let first = encode_frame(0, 0, 0, b"good frame").len();
         // Flip a payload bit inside the *second* frame.
-        let idx = first + FRAME_HEADER_FOR_TEST + 3;
+        let idx = first + FRAME_HEADER_BYTES + 3;
         bytes[idx] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         let s = open(&dir, FsyncPolicy::PerWrite);
@@ -537,19 +727,53 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(quarantined.len(), 1);
-        assert!(quarantined[0].starts_with("m0_s0.seg."), "{quarantined:?}");
+        assert!(quarantined[0].starts_with("m0_0.log."), "{quarantined:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 
-    const FRAME_HEADER_FOR_TEST: usize = crate::frame::FRAME_HEADER_BYTES;
+    #[test]
+    fn a_frame_of_another_master_is_corruption() {
+        let dir = tmpdir("foreign-master");
+        let mut log = encode_frame(0, 1, 0, b"mine");
+        // Whole, checksummed, and in the wrong master's log.
+        log.extend(encode_frame(1, 1, 0, b"spliced"));
+        log.extend(encode_frame(0, 1, 0, b"behind it"));
+        fs::write(dir.join(log_name(0, 0)), &log).unwrap();
+        let (s, registry) = counted(&dir, FsyncPolicy::PerWrite);
+        assert_eq!(s.segments_of(0), vec![(1, b"mine".to_vec())]);
+        assert_eq!(s.segments_of(1), Vec::new(), "believed for neither master");
+        assert_eq!((s.recovery.torn_tails, s.recovery.quarantined), (0, 1));
+        assert_eq!(registry.get("disk.crc_mismatch"), 1);
+        let first = encode_frame(0, 1, 0, b"mine").len() as u64;
+        assert_eq!(log_files(&dir), [("m0_0.log".to_owned(), first)]);
+        let copy = dir.join("quarantine").join(format!("m0_0.log.{first}.bad"));
+        assert_eq!(fs::read(copy).unwrap(), log);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     #[test]
-    fn supersede_rewrites_only_when_longer() {
+    fn a_data_dir_of_segment_files_is_refused() {
+        let dir = tmpdir("legacy");
+        fs::write(dir.join("m0_0.log"), encode_frame(0, 1, 0, b"new")).unwrap();
+        fs::write(dir.join("m1_s7.seg"), encode_frame(1, 7, 0, b"old")).unwrap();
+        fs::write(dir.join("m0_s3.seg"), encode_frame(0, 3, 0, b"old")).unwrap();
+        let refused = FileStorage::open(&dir, FsyncPolicy::Off, 0, DiskMetrics::detached());
+        match refused {
+            Err(StorageError::Corrupt(why)) => assert!(why.contains("m0_s3.seg"), "{why}"),
+            other => panic!("opened a legacy dir: {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn supersede_replaces_only_when_longer() {
         let dir = tmpdir("supersede");
         let mut s = open(&dir, FsyncPolicy::PerWrite);
         s.append(0, 5, b"0123456789").unwrap();
+        let before = log_files(&dir);
         s.supersede(0, 5, b"short").unwrap();
         assert_eq!(s.segments_of(0), vec![(5, b"0123456789".to_vec())]);
+        assert_eq!(log_files(&dir), before, "a stale image is not even written");
         s.supersede(0, 5, b"0123456789AB").unwrap();
         assert_eq!(s.segments_of(0), vec![(5, b"0123456789AB".to_vec())]);
         // Appends continue after a supersede, and everything reopens.
@@ -557,6 +781,28 @@ mod tests {
         drop(s);
         let s = open(&dir, FsyncPolicy::PerWrite);
         assert_eq!(s.segments_of(0), vec![(5, b"0123456789AB+tail".to_vec())]);
+        assert_eq!(log_files(&dir).len(), 1, "an image is one more frame");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_applies_the_image_rule_too() {
+        let dir = tmpdir("image-rule");
+        // What a backup writes whose append hit an fsync EIO (in the file,
+        // not in the mirror) before a reseed no longer than it arrived.
+        let mut log = encode_frame(0, 5, 0, b"0123456789");
+        log.extend(encode_image_frame(0, 5, 0, b"stale"));
+        log.extend(encode_frame(0, 6, 0, b"other segment"));
+        log.extend(encode_image_frame(0, 5, 0, b"0123456789AB"));
+        fs::write(dir.join(log_name(0, 0)), &log).unwrap();
+        let s = open(&dir, FsyncPolicy::PerWrite);
+        assert_eq!(
+            s.segments_of(0),
+            vec![
+                (5, b"0123456789AB".to_vec()),
+                (6, b"other segment".to_vec())
+            ]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -590,7 +836,7 @@ mod tests {
         );
         s.append(0, 1, &[7u8; 100]).unwrap();
         // Threshold exceeded: the dirty queue drained inside append.
-        assert_eq!(s.dirty.len(), 0);
+        assert_eq!(s.dirty_logs(), 0);
         assert_eq!(s.dirty_bytes, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -616,7 +862,6 @@ mod tests {
                         .unwrap();
                     s.append(master, segment, &payload(master, segment, 2))
                         .unwrap();
-                    assert!(s.open.len() <= 2);
                     assert!(descriptors_under(&dir) <= 2);
                 }
             }
@@ -624,6 +869,7 @@ mod tests {
             s.append(0, 3, &payload(0, 3, 9)).unwrap();
             assert_eq!(descriptors_under(&dir), 2, "one per master, and counted");
             assert_eq!(s.segment_count(), 200);
+            assert_eq!(log_files(&dir).len(), 2, "and one file per master");
         }
         let s = open(&dir, FsyncPolicy::Off);
         assert_eq!(s.recovery.segments, 200);
@@ -635,12 +881,80 @@ mod tests {
                 let mut want = payload(master, segment, 1);
                 want.extend(payload(master, segment, 2));
                 if (master, segment) == (0, 3) {
-                    // Reopened with `O_APPEND`: after the earlier frames.
+                    // 197 segments later in the log: after the earlier
+                    // frames of its own segment.
                     want.extend(payload(0, 3, 9));
                 }
                 assert_eq!(bytes, want, "master {master} segment {segment}");
             }
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_log_rolls_at_the_bound_and_never_splits_a_frame() {
+        let dir = tmpdir("roll");
+        let frame = (FRAME_HEADER_BYTES + 1_000_000) as u64;
+        let payload = vec![0xA5u8; 1_000_000];
+        let image = vec![0x5Au8; LOG_ROLL_BYTES as usize + 1];
+        {
+            let mut s = open(&dir, FsyncPolicy::Off);
+            // Eight fit under 8 MiB; the ninth would cross it.
+            for _ in 0..9 {
+                s.append(0, 1, &payload).unwrap();
+            }
+            assert_eq!(
+                log_files(&dir),
+                [("m0_0.log".into(), 8 * frame), ("m0_1.log".into(), frame)]
+            );
+            // Larger than any file may grow: one frame, a file to itself.
+            s.supersede(0, 2, &image).unwrap();
+            s.append(0, 1, b"next").unwrap();
+            assert_eq!(descriptors_under(&dir), 1);
+        }
+        let lens: Vec<u64> = log_files(&dir).into_iter().map(|(_, len)| len).collect();
+        let tail = (FRAME_HEADER_BYTES + 4) as u64;
+        assert_eq!(
+            lens,
+            [
+                8 * frame,
+                frame,
+                FRAME_HEADER_BYTES as u64 + image.len() as u64,
+                tail
+            ]
+        );
+        let s = open(&dir, FsyncPolicy::Off);
+        assert_eq!((s.recovery.torn_tails, s.recovery.quarantined), (0, 0));
+        let recovered = s.segments_of(0);
+        assert_eq!(recovered.len(), 2);
+        assert_eq!(recovered[0].1.len(), 9 * payload.len() + 4);
+        assert!(recovered[1].1 == image);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_path_a_load_phase_leaves_three_files() {
+        // What one backup stages for one master while `path_a` loads: 20 000
+        // records of 1 087 B in 64 KiB segments. A file per segment was 334.
+        let dir = tmpdir("load-phase");
+        let record = [0x11u8; 1087];
+        let per_segment = (64 << 10) / record.len();
+        {
+            let mut s = open(&dir, FsyncPolicy::Off);
+            for i in 0..20_000 {
+                s.append(0, (i / per_segment) as u64, &record).unwrap();
+            }
+            assert_eq!(s.segment_count(), 334);
+        }
+        let per_file = LOG_ROLL_BYTES / (FRAME_HEADER_BYTES + record.len()) as u64;
+        let frames: Vec<u64> = log_files(&dir)
+            .into_iter()
+            .map(|(_, len)| len / (FRAME_HEADER_BYTES + record.len()) as u64)
+            .collect();
+        assert_eq!(frames, [per_file, per_file, 20_000 - 2 * per_file]);
+        let s = open(&dir, FsyncPolicy::Off);
+        assert_eq!(s.recovery.segments, 334);
+        assert_eq!(s.recovery.bytes, 20_000 * record.len() as u64);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -651,22 +965,24 @@ mod tests {
         (s, registry)
     }
 
+    const HOURLY: FsyncPolicy = FsyncPolicy::Batched {
+        bytes: 1 << 20,
+        interval: std::time::Duration::from_secs(3600),
+    };
+
     #[test]
-    fn a_batched_flush_reaches_segments_closed_since_they_were_written() {
-        let dir = tmpdir("batched-closed");
-        let policy = FsyncPolicy::Batched {
-            bytes: 1 << 20,
-            interval: std::time::Duration::from_secs(3600),
-        };
-        let (mut s, registry) = counted(&dir, policy);
+    fn a_batched_flush_syncs_every_dirty_log_once() {
+        let dir = tmpdir("batched-logs");
+        let (mut s, registry) = counted(&dir, HOURLY);
         s.append(0, 1, b"left behind").unwrap();
         s.append(0, 2, b"current").unwrap();
-        // Moving on closed segment 1's file; closing is not syncing.
+        s.append(1, 1, b"another master").unwrap();
+        // Moving on to segment 2 left nothing behind: same file.
         assert_eq!(registry.get("disk.fsyncs"), 0);
-        assert_eq!(s.dirty.len(), 2);
+        assert_eq!(s.dirty_logs(), 2);
         s.flush().unwrap();
         assert_eq!(registry.get("disk.fsyncs"), 2);
-        assert!(s.dirty.is_empty());
+        assert_eq!(s.dirty_logs(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -675,17 +991,39 @@ mod tests {
         let dir = tmpdir("off");
         let (mut s, registry) = counted(&dir, FsyncPolicy::Off);
         s.append(0, 1, b"one").unwrap();
-        s.append(0, 2, b"two").unwrap();
+        s.append(1, 2, b"two").unwrap();
         s.flush().unwrap();
         assert_eq!(
             registry.get("disk.fsyncs"),
             2,
             "an explicit flush is a request"
         );
-        s.append(0, 2, b"three").unwrap();
+        s.append(1, 2, b"three").unwrap();
         drop(s);
         assert_eq!(registry.get("disk.fsyncs"), 2, "dropping the store is not");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_retired_file_is_synced_as_it_is_retired_if_the_policy_owes_it() {
+        for (policy, owed) in [(HOURLY, 1), (FsyncPolicy::Off, 0)] {
+            let dir = tmpdir("retire-sync");
+            let (s, registry) = counted(&dir, policy);
+            let mut s = s.with_injector(Box::new(Scripted {
+                appends: [AppendFault::clean(), SHORT].into(),
+                ..Default::default()
+            }));
+            s.append(0, 1, b"acked, not yet synced").unwrap();
+            assert!(s.append(0, 1, b"torn").is_err());
+            // Nothing will reach the retired file again: it was synced on
+            // the way out (unless nothing was promised), and is not dirty.
+            assert_eq!(registry.get("disk.fsyncs"), owed);
+            assert_eq!((s.dirty_logs(), descriptors_under(&dir)), (0, 0));
+            s.flush().unwrap();
+            assert_eq!(registry.get("disk.fsyncs"), owed);
+            s.injector = None;
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     /// An injector scripted by a queue of fates.
@@ -710,19 +1048,21 @@ mod tests {
         }
     }
 
+    const SHORT: AppendFault = AppendFault {
+        stall: None,
+        outcome: AppendOutcome::Short { keep: 10 },
+    };
+    const EIO: AppendFault = AppendFault {
+        stall: None,
+        outcome: AppendOutcome::Error,
+    };
+
     #[test]
     fn short_write_fails_the_append_and_recovery_truncates() {
         let dir = tmpdir("short");
         {
             let mut s = open(&dir, FsyncPolicy::PerWrite).with_injector(Box::new(Scripted {
-                appends: [
-                    AppendFault::clean(),
-                    AppendFault {
-                        stall: None,
-                        outcome: AppendOutcome::Short { keep: 10 },
-                    },
-                ]
-                .into(),
+                appends: [AppendFault::clean(), SHORT].into(),
                 ..Default::default()
             }));
             s.append(0, 1, b"acked bytes").unwrap();
@@ -733,6 +1073,64 @@ mod tests {
         let s = open(&dir, FsyncPolicy::PerWrite);
         assert_eq!(s.segments_of(0), vec![(1, b"acked bytes".to_vec())]);
         assert_eq!(s.recovery.torn_tails, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A write acked after one that failed must be there at the next open,
+    /// whatever the failed one left in the file.
+    fn retry_survives_reopen(tag: &str, failed: AppendFault, torn_tails: u64) {
+        let dir = tmpdir(tag);
+        {
+            let mut s = open(&dir, FsyncPolicy::PerWrite).with_injector(Box::new(Scripted {
+                appends: [AppendFault::clean(), failed].into(),
+                ..Default::default()
+            }));
+            s.append(0, 1, b"acked bytes").unwrap();
+            assert!(s.append(0, 1, b"retried bytes").is_err());
+            s.append(0, 1, b"retried bytes").unwrap();
+            // The failed write retired its file; the retry opened the next.
+            assert_eq!(log_files(&dir).len(), 2);
+        }
+        let s = open(&dir, FsyncPolicy::PerWrite);
+        assert_eq!(
+            s.segments_of(0),
+            vec![(1, b"acked bytesretried bytes".to_vec())]
+        );
+        assert_eq!(s.recovery.torn_tails, torn_tails);
+        assert_eq!(s.recovery.quarantined, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_retry_after_a_short_write_survives_reopen() {
+        retry_survives_reopen("retry-short", SHORT, 1);
+    }
+
+    #[test]
+    fn a_retry_after_a_write_error_survives_reopen() {
+        retry_survives_reopen("retry-eio", EIO, 0);
+    }
+
+    #[test]
+    fn a_retried_image_after_a_short_one_survives_reopen() {
+        let dir = tmpdir("retry-image");
+        {
+            let mut s = open(&dir, FsyncPolicy::PerWrite).with_injector(Box::new(Scripted {
+                appends: [AppendFault::clean(), SHORT].into(),
+                ..Default::default()
+            }));
+            s.append(0, 1, b"acked").unwrap();
+            assert!(s.supersede(0, 1, b"acked and reseeded").is_err());
+            assert_eq!(s.segments_of(0), vec![(1, b"acked".to_vec())]);
+            s.supersede(0, 1, b"acked and reseeded").unwrap();
+            s.append(0, 1, b", then more").unwrap();
+        }
+        let s = open(&dir, FsyncPolicy::PerWrite);
+        assert_eq!(
+            s.segments_of(0),
+            vec![(1, b"acked and reseeded, then more".to_vec())]
+        );
+        assert_eq!((s.recovery.torn_tails, s.recovery.quarantined), (1, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -782,10 +1180,14 @@ mod tests {
     }
 
     #[test]
-    fn seg_names_roundtrip() {
-        assert_eq!(parse_seg_name(&seg_name(4, 99)), Some((4, 99)));
-        assert_eq!(parse_seg_name("epoch"), None);
-        assert_eq!(parse_seg_name("m1_s.seg"), None);
-        assert_eq!(parse_seg_name("mx_s2.seg"), None);
+    fn log_names_roundtrip() {
+        assert_eq!(parse_log_name(&log_name(4, 99)), Some((4, 99)));
+        assert_eq!(parse_log_name("epoch"), None);
+        assert_eq!(parse_log_name("m1_.log"), None);
+        assert_eq!(parse_log_name("mx_2.log"), None);
+        assert_eq!(parse_log_name("m1_s2.seg"), None);
+        // Names `log_name` would never write alias ones it would.
+        assert_eq!(parse_log_name("m1_+2.log"), None);
+        assert_eq!(parse_log_name("m01_2.log"), None);
     }
 }

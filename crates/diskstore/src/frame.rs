@@ -1,4 +1,4 @@
-//! The on-disk frame: one checksummed record per replica append.
+//! The on-disk frame: one checksummed record per replica write.
 //!
 //! Every write a backup stages is wrapped in a fixed 36-byte header plus
 //! the payload bytes, little-endian throughout:
@@ -9,6 +9,11 @@
 //! |  4 B  |  8 B   |   8 B   |  8 B  | 4 B | 4 B |  len B  |
 //! +-------+--------+---------+-------+-----+-----+---------+
 //! ```
+//!
+//! The magic is the frame's [kind](FrameKind): `"RMCS"` for bytes appended
+//! to the segment, `"RMCI"` for a whole image of it (a reseed). A frame
+//! names its `(master, segment)` itself, so a file may hold the frames of
+//! many segments in the order they were written.
 //!
 //! The CRC (CRC-32C, the same `crc32c` the log entries use) covers the
 //! header minus the crc field itself, then the payload — so a bit flip
@@ -22,8 +27,12 @@
 
 use rmc_logstore::Crc32c;
 
-/// `"RMCS"` as the first four bytes of every frame (little-endian u32).
+/// `"RMCS"` as the first four bytes of an append frame (little-endian u32).
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"RMCS");
+/// `"RMCI"` as the first four bytes of an image frame. Three bits from
+/// [`FRAME_MAGIC`], so no single flip turns one kind into the other (and
+/// the checksum covers the magic besides).
+pub const IMAGE_MAGIC: u32 = u32::from_le_bytes(*b"RMCI");
 
 /// Fixed header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 4 + 8 + 8 + 8 + 4 + 4;
@@ -34,9 +43,20 @@ const CRC_AT: usize = FRAME_HEADER_BYTES - 4;
 /// a declared length past this is corruption, not a huge write).
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 28;
 
+/// What a frame's payload is to its segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// Bytes that extend the segment.
+    Append,
+    /// The segment's whole image: replaces what is held if it is longer.
+    Image,
+}
+
 /// Decoded header fields of one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
+    /// What the payload is to its segment (the magic).
+    pub kind: FrameKind,
     /// Master whose segment this replica belongs to (server index).
     pub master: u64,
     /// Segment id within that master's log.
@@ -80,11 +100,20 @@ fn frame_crc(frame: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Encodes one frame: header + payload, checksummed.
+/// Encodes one append frame: header + payload, checksummed.
 pub fn encode_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
+    encode(FRAME_MAGIC, master, segment, epoch, payload)
+}
+
+/// Encodes one image frame: the same header under [`IMAGE_MAGIC`].
+pub fn encode_image_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
+    encode(IMAGE_MAGIC, master, segment, epoch, payload)
+}
+
+fn encode(magic: u32, master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_FRAME_PAYLOAD, "payload too large");
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+    out.extend_from_slice(&magic.to_le_bytes());
     out.extend_from_slice(&(master as u64).to_le_bytes());
     out.extend_from_slice(&segment.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
@@ -108,10 +137,11 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameHeader, &[u8], usize), FrameErro
     if buf.len() < FRAME_HEADER_BYTES {
         return Err(FrameError::TornTail);
     }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    if magic != FRAME_MAGIC {
-        return Err(FrameError::Corrupt(format!("bad magic {magic:#010x}")));
-    }
+    let kind = match u32::from_le_bytes(buf[0..4].try_into().unwrap()) {
+        FRAME_MAGIC => FrameKind::Append,
+        IMAGE_MAGIC => FrameKind::Image,
+        magic => return Err(FrameError::Corrupt(format!("bad magic {magic:#010x}"))),
+    };
     let master = u64::from_le_bytes(buf[4..12].try_into().unwrap());
     let segment = u64::from_le_bytes(buf[12..20].try_into().unwrap());
     let epoch = u64::from_le_bytes(buf[20..28].try_into().unwrap());
@@ -131,6 +161,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameHeader, &[u8], usize), FrameErro
         )));
     }
     let header = FrameHeader {
+        kind,
         master,
         segment,
         epoch,
@@ -151,6 +182,26 @@ mod tests {
         assert_eq!((h.master, h.segment, h.epoch, h.len), (3, 17, 2, 13),);
         assert_eq!(payload, b"replica bytes");
         assert_eq!(total, frame.len());
+    }
+
+    #[test]
+    fn an_image_frame_differs_from_an_append_frame_in_magic_and_crc_only() {
+        let append = encode_frame(3, 17, 2, b"replica bytes");
+        let image = encode_image_frame(3, 17, 2, b"replica bytes");
+        let (h, payload, total) = decode_frame(&image).unwrap();
+        assert_eq!(h.kind, FrameKind::Image);
+        assert_eq!((h.master, h.segment, h.epoch, h.len), (3, 17, 2, 13));
+        assert_eq!((payload, total), (&b"replica bytes"[..], append.len()));
+        assert_eq!(decode_frame(&append).unwrap().0.kind, FrameKind::Append);
+        let differing: Vec<usize> = (0..total).filter(|&i| append[i] != image[i]).collect();
+        assert!(differing
+            .iter()
+            .all(|&i| i < 4 || (CRC_AT..FRAME_HEADER_BYTES).contains(&i)));
+        // Swapping the magic alone is caught: the checksum covers it.
+        let mut forged = append.clone();
+        forged[..4].copy_from_slice(&IMAGE_MAGIC.to_le_bytes());
+        assert!(matches!(decode_frame(&forged), Err(FrameError::Corrupt(_))));
+        assert!((FRAME_MAGIC ^ IMAGE_MAGIC).count_ones() > 1);
     }
 
     #[test]

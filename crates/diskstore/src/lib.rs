@@ -9,14 +9,16 @@
 //!
 //! - [`MemStorage`]: the in-memory staging the cluster always had; keeps
 //!   the deterministic simulation byte-identical and allocation-cheap.
-//! - [`FileStorage`]: real files, one per `(master, segment)` replica, each
-//!   a sequence of CRC32C-checksummed [frames](frame). An fsync policy axis
-//!   ([`FsyncPolicy`]: `per_write` / `batched{bytes,interval}` / `off`)
-//!   trades durability against write latency exactly the way RAMCloud's
-//!   buffered logging does, and [`FileStorage::open`] recovers staged
-//!   segments after a crash by loading the longest valid frame prefix of
-//!   every file — a torn tail is clean truncation, a mid-file checksum
-//!   mismatch quarantines the file's remainder rather than panicking.
+//! - [`FileStorage`]: real files, one append-only log per master rolled at
+//!   8 MiB, each a sequence of CRC32C-checksummed [frames](frame) that name
+//!   their own `(master, segment)`. An fsync policy axis ([`FsyncPolicy`]:
+//!   `per_write` / `batched{bytes,interval}` / `off`) trades durability
+//!   against write latency exactly the way RAMCloud's buffered logging
+//!   does, and [`FileStorage::open`] recovers staged segments after a crash
+//!   by loading the longest valid frame prefix of every file — a torn tail
+//!   is clean truncation, a mid-file checksum mismatch quarantines the
+//!   file's remainder rather than panicking. A file whose write failed is
+//!   never appended to again, so torn bytes are always a tail.
 //!
 //! The storage boundary is also the disk fault-injection surface: a
 //! [`FaultInjector`] interposes on every append and fsync (short writes,

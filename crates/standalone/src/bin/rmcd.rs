@@ -32,7 +32,7 @@
 //! Two ways to stop: kill the process (a crash; the protocol's recovery
 //! machinery is the cleanup, and with `--fsync per_write` every acked
 //! write survives on disk), or close its stdin (graceful: the node flushes
-//! and fsyncs open segment files, then exits 0).
+//! and fsyncs its open log files, then exits 0).
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener};

@@ -12,7 +12,7 @@
 //!
 //! - [`RmcdFleet::shutdown`] — graceful: close each child's stdin (the
 //!   `rmcd` shutdown signal), and *join* the processes — wait for every
-//!   node to flush and fsync its open segment files and exit — rather than
+//!   node to flush and fsync its open log files and exit — rather than
 //!   abandoning or killing them.
 //! - [`RmcdFleet::kill`] / [`RmcdFleet::kill_all`] — SIGKILL: the crash the
 //!   durability layer exists for. Nothing is flushed; what survives is
@@ -252,7 +252,7 @@ impl RmcdFleet {
     }
 
     /// Graceful shutdown: closes every child's stdin (the `rmcd` shutdown
-    /// signal — each node flushes and fsyncs its open segment files) and
+    /// signal — each node flushes and fsyncs its open log files) and
     /// joins the processes, escalating to SIGKILL only past `timeout`.
     /// Returns an error naming any node that had to be killed.
     pub fn shutdown(mut self, timeout: Duration) -> Result<(), String> {

@@ -6,17 +6,19 @@
 //!
 //! A wall-clock engine cannot replay a plan bit-for-bit — scheduling is
 //! the OS's business — so these tests check *graceful degradation*: under
-//! drops, duplicates, delays, partitions, backup-write failures, and
-//! crash/restart schedules, every acked write survives, versions stay
-//! monotone, RIFL never double-applies, and the cluster converges.
+//! drops, duplicates, delays, partitions, backup-write failures, lying
+//! disks, and crash/restart schedules, every acked write survives, versions
+//! stay monotone, RIFL never double-applies, and the cluster converges.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use rmc_chaos::{check_histories, Crash, FaultPlan, PlanShape};
+use rmc_chaos::{check_histories, Crash, DiskFaults, FaultPlan, PlanShape};
 use rmc_core::protocol::{server_id, ClientOp, ProtocolConfig, Reply};
-use rmc_runtime::{SimDuration, SimTime};
-use rmc_standalone::{on_both_fabrics, Cluster, Fabric};
+use rmc_diskstore::{DiskMetrics, FileStorage, FsyncPolicy};
+use rmc_runtime::{MetricsRegistry, SimDuration, SimTime};
+use rmc_standalone::{on_both_fabrics, Cluster, Fabric, StorageFactory};
 
 const SERVERS: usize = 4;
 const CLIENTS: usize = 2;
@@ -36,11 +38,15 @@ fn chaos_cfg() -> ProtocolConfig {
 /// Per-client scripts over disjoint key namespaces (the checker treats
 /// each key as single-writer): puts, overwrites, deletes, and reads.
 fn scripts() -> Vec<Vec<ClientOp>> {
+    scripts_of(OPS_PER_CLIENT)
+}
+
+fn scripts_of(ops_per_client: usize) -> Vec<Vec<ClientOp>> {
     (0..CLIENTS)
         .map(|c| {
             let key = |i: usize| format!("c{c}k{i:03}").into_bytes();
             let mut s = Vec::new();
-            for i in 0..OPS_PER_CLIENT {
+            for i in 0..ops_per_client {
                 s.push(ClientOp::Put {
                     key: key(i),
                     value: format!("c{c}v{i}").into_bytes(),
@@ -67,6 +73,7 @@ on_both_fabrics!(
     duplicated_write_returns_original_version,
     backup_death_re_replicates_then_master_crash_recovers,
     pinned_plans_degrade_gracefully,
+    lying_disks_under_file_backed_backups_lose_no_acked_write,
 );
 
 /// Satellite: a *duplicated* (not merely retried) write returns the
@@ -218,4 +225,99 @@ fn pinned_plans_degrade_gracefully<F: Fabric>() {
         let judged = report.metrics.get("faults.judged");
         assert!(judged > 0, "seed {seed:#018x}: fault layer never engaged");
     }
+}
+
+/// Sleeps until `done()` holds; panics with `what` after 30 s.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The storage boundary as a chaos surface, from above the crate: every
+/// backup stages replicas in a `FileStorage` under `per_write` whose disk
+/// cuts writes short, fails fsyncs and stalls (`DiskFaults`, seeded per
+/// node), and server 2's also flips bits on their way to the platter.
+/// Scripted clients write through it while server 2 is killed and
+/// cold-restarted — its `open` runs on the dir its own disk damaged — and
+/// then master 1, whose replicas server 2 holds, is crashed for good: its
+/// data must come back from whatever the backups recovered.
+fn lying_disks_under_file_backed_backups_lose_no_acked_write<F: Fabric>() {
+    const FLIPPED: usize = 2;
+    let fabric = std::any::type_name::<F>().replace(|c: char| !c.is_alphanumeric(), "_");
+    let base = std::env::temp_dir().join(format!("rmc-disk-chaos-{}-{fabric}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+
+    let mut plan = FaultPlan::quiet();
+    plan.seed = 0x0d15_c0ba_d5ec_7025;
+    plan.disk_short_write_prob = 0.08;
+    plan.disk_fsync_eio_prob = 0.05;
+    plan.disk_stall_prob = 0.10;
+    plan.disk_max_stall = SimDuration::from_millis(2);
+    let disk = MetricsRegistry::new();
+    let factory: StorageFactory = {
+        let (base, plan, disk) = (base.clone(), plan.clone(), disk.clone());
+        Arc::new(move |index, epoch| {
+            let mut plan = plan.clone();
+            // A restarted server's disk is the same disk, not the same draws.
+            plan.seed ^= epoch;
+            if index == FLIPPED {
+                plan.disk_bit_flip_prob = 0.10;
+            }
+            let storage = FileStorage::open(
+                base.join(format!("s{index}")),
+                FsyncPolicy::PerWrite,
+                epoch,
+                DiskMetrics::new(&disk.family("disk", index)),
+            )
+            .expect("a damaged dir must open: recovery cuts and quarantines");
+            let faults = DiskFaults::from_plan(&plan, index).expect("the plan has disk faults");
+            Box::new(storage.with_injector(Box::new(faults)))
+        })
+    };
+    let mut cluster =
+        Cluster::<F>::start_chaos_with_storage(chaos_cfg(), scripts_of(120), &plan, factory);
+
+    // Not before its disk has cut a few writes short: each retired a file
+    // with a torn tail, so the restart below has damage to find even if no
+    // flipped frame is on disk yet.
+    wait_until("server 2's disk cut three writes short", || {
+        disk.get(&format!("disk.{FLIPPED}.write_errors")) >= 3
+    });
+    cluster.kill_server(FLIPPED);
+    std::thread::sleep(Duration::from_millis(600));
+    cluster.restart_server(FLIPPED);
+    wait_until("server 2 reopened its data dir", || {
+        disk.get(&format!("disk.{FLIPPED}.read_bytes")) > 0
+    });
+    // Readmission and re-replication, then the master it backs up dies.
+    std::thread::sleep(Duration::from_millis(700));
+    cluster.kill_server(1);
+
+    cluster.wait_for_scripted_clients(Duration::from_secs(120));
+    std::thread::sleep(Duration::from_millis(1100));
+    let report = cluster.shutdown();
+    assert!(
+        report.clients.iter().all(|(_, _, done)| *done),
+        "scripts unfinished"
+    );
+    let violations = check_histories(&report.histories, &report.live_versioned, true);
+    assert!(
+        violations.is_empty(),
+        "{violations:?}\ndisk: {:?}\nmetrics: {:?}",
+        disk.snapshot(),
+        report.metrics.snapshot()
+    );
+    // The plan is known to have bitten: every kind of fault was served,
+    // and the reopen found damage to cut or quarantine.
+    for counter in ["write_errors", "fsync_errors", "stalls"] {
+        let served = disk.sum("disk.", &format!(".{counter}"));
+        assert!(served > 0, "no {counter} injected");
+    }
+    let found = disk.sum("disk.", ".torn_tails") + disk.sum("disk.", ".quarantined");
+    eprintln!("{fabric}: disk {:?}", disk.snapshot());
+    assert!(found > 0, "the restart found no damage");
+    let _ = std::fs::remove_dir_all(&base);
 }
