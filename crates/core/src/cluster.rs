@@ -12,9 +12,7 @@ use std::collections::BTreeMap;
 
 use rmc_disk::{DiskModel, IoKind};
 use rmc_energy::{NodeActivity, PduSampler};
-use rmc_logstore::{
-    CleanerConfig, CompletionId, LogConfig, LogEntry, ObjectRecord, Store, TableId,
-};
+use rmc_logstore::{CompletionId, LogConfig, LogEntry, ObjectRecord, Store, TableId};
 use rmc_net::Network;
 use rmc_runtime::{MetricsRegistry, SimDuration, SimRng, SimTime};
 use rmc_sim::{Scheduler, Simulation};
@@ -141,20 +139,13 @@ impl Cluster {
         let net = Network::new(cfg.servers + cfg.clients, cfg.net.clone());
         let nodes: Vec<ServerNode> = (0..cfg.servers)
             .map(|id| {
-                let store = Store::with_cleaner(
-                    LogConfig {
-                        segment_bytes: cfg.stored_segment_bytes(),
-                        max_segments: cfg.max_segments(),
-                        ordered_index: false,
-                    },
-                    // The simulator plays the background cleaner thread
-                    // itself: one bounded clean_step per committed write
-                    // (below), never a full inline pass on the write path.
-                    CleanerConfig {
-                        proactive: false,
-                        ..CleanerConfig::default()
-                    },
-                );
+                // The simulator plays the background cleaner thread itself:
+                // one bounded clean_step per committed write (below).
+                let store = Store::new(LogConfig {
+                    segment_bytes: cfg.stored_segment_bytes(),
+                    max_segments: cfg.max_segments(),
+                    ordered_index: false,
+                });
                 let mut disk = DiskModel::new(cfg.disk.clone());
                 disk.attach_metrics(&metrics.family("disk", id));
                 ServerNode::new(id, store, disk, &cfg.calib)

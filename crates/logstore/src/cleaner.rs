@@ -40,14 +40,21 @@
 //!    the victims into an epoch-stamped limbo list, and reclaim whatever
 //!    the epoch scheme (see [`crate::epoch`]) already allows.
 //!
-//! [`Store::clean_step`] runs all three back-to-back under one borrow — the
-//! deterministic driver used by the simulated engine and by tests.
+//! The phases are the only cleaner there is; what differs is who drives
+//! them. A background thread takes the locks phase by phase;
+//! [`Store::clean_step`] runs all three back-to-back under one borrow (the
+//! deterministic driver of the simulated engine); and a store nobody drives
+//! cleans when it is full: the write path, finding no room for an append,
+//! runs combined passes under its own borrow until `target_free_slots` is
+//! met. Survivors are built outside the log, so a pass needs no free slot
+//! to start from.
 //!
 //! The paper's workloads were deliberately sized *not* to trigger the
 //! cleaner (Section III-C) — the cleaner comparison recorded in
 //! EXPERIMENTS.md measured exactly what the paper avoided.
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 use crate::entry::LogEntry;
 use crate::segment::Segment;
@@ -60,8 +67,8 @@ pub struct CleanerConfig {
     /// Master switch; when off, a full log surfaces as
     /// [`crate::StoreError::OutOfMemory`].
     pub enabled: bool,
-    /// Start cleaning when free segment slots drop to this reserve. The
-    /// reserve guarantees the cleaner has room to relocate into.
+    /// The hard reserve: at or below this many free segment slots the
+    /// balancer asks for combined cleaning (above it, for compaction).
     pub min_free_slots: usize,
     /// Keep cleaning until this many slots are free (or no candidates
     /// remain).
@@ -71,12 +78,6 @@ pub struct CleanerConfig {
     pub max_candidate_utilization: f64,
     /// Most victims merged by one combined pass.
     pub max_victims: usize,
-    /// Clean synchronously on the write path when free slots fall to
-    /// `min_free_slots`. Turned off when a background cleaner thread (or
-    /// the simulator's per-event [`Store::clean_step`] hook) owns cleaning;
-    /// the write path then cleans inline only as a last resort before
-    /// reporting out-of-memory.
-    pub proactive: bool,
 }
 
 impl Default for CleanerConfig {
@@ -87,7 +88,6 @@ impl Default for CleanerConfig {
             target_free_slots: 4,
             max_candidate_utilization: 0.97,
             max_victims: 8,
-            proactive: true,
         }
     }
 }
@@ -192,8 +192,7 @@ pub enum CleanKind {
 pub struct CleanOutcome {
     /// Segments whose memory was actually reclaimed (epoch-safe).
     pub segments_freed: u64,
-    /// Live bytes copied into survivors (or, for the inline cleaner, to the
-    /// log head).
+    /// Live bytes copied into survivors.
     pub bytes_relocated: u64,
     /// Tombstones found safe to drop.
     pub tombstones_dropped: u64,
@@ -524,8 +523,8 @@ impl Store {
     /// here.
     ///
     /// Returns `None` (a clean no-op) when a victim vanished between
-    /// prepare and apply — an inline emergency clean on the write path beat
-    /// this pass to it and already relocated the victim's live entries.
+    /// prepare and apply — a full log made the write path clean for itself,
+    /// and its pass already relocated the victim's live entries.
     pub fn apply_clean(&mut self, prepared: PreparedClean) -> Option<CleanOutcome> {
         if prepared
             .victims
@@ -614,8 +613,8 @@ impl Store {
     }
 
     /// Advances the reclamation epoch as far as pinned readers allow and
-    /// reclaims every limbo segment that became safe. The write path calls
-    /// this as a last-ditch measure before declaring out-of-memory.
+    /// reclaims every limbo segment that became safe, without waiting for
+    /// pinned readers.
     pub fn reclaim_now(&mut self) -> usize {
         self.epoch.try_advance();
         self.epoch.try_advance();
@@ -656,127 +655,30 @@ impl Store {
         }
     }
 
-    /// Runs the synchronous inline cleaner until the free-slot target is
-    /// met or no candidate remains. Returns what was accomplished (possibly
-    /// nothing). This is the legacy single-threaded path, still used by the
-    /// write path as an emergency backstop and by stores configured with
-    /// `proactive: true`.
-    ///
-    /// Invariants: live data is never lost, deleted data is never
-    /// resurrected, and versions are preserved — the property tests in
-    /// `tests/props.rs` pin all three.
-    pub fn clean(&mut self) -> CleanOutcome {
-        let mut outcome = CleanOutcome::default();
-        if !self.cleaner.enabled {
-            return outcome;
-        }
-        self.stats.cleanings += 1;
-        while self.log.free_segment_slots() < self.cleaner.target_free_slots {
-            // Pick the best candidate by cost-benefit.
-            let best = self
-                .log
-                .closed_segment_ids()
-                .into_iter()
-                .filter_map(|id| self.cost_benefit(id).map(|score| (id, score)))
-                .max_by(|a, b| a.1.total_cmp(&b.1));
-            let Some((victim, _)) = best else { break };
-            if !self.clean_segment(victim, &mut outcome) {
-                break;
-            }
-        }
-        self.stats.segments_freed += outcome.segments_freed;
-        self.stats.bytes_relocated += outcome.bytes_relocated;
-        self.stats.tombstones_dropped += outcome.tombstones_dropped;
-        self.last_clean_appended = self.log.total_appended_bytes();
-        outcome
-    }
-
-    /// Relocates the live contents of `victim` to the log head and frees
-    /// it. Returns `false` if relocation ran out of space (the victim is
-    /// left intact).
-    fn clean_segment(&mut self, victim: SegmentId, outcome: &mut CleanOutcome) -> bool {
-        let Some(segment) = self.log.segment(victim) else {
-            return false;
-        };
-        // Gather entries first: we cannot append while iterating the log.
-        let entries: Vec<(u32, LogEntry)> = segment.iter().collect();
-        for (offset, entry) in entries {
-            let pos = crate::types::LogPosition {
-                segment: victim,
-                offset,
-            };
-            match entry {
-                LogEntry::Object(ref o) => {
-                    let hash = crate::types::key_hash(o.table, &o.key);
-                    let is_live = self.index.candidates(hash).any(|p| p == pos);
-                    if !is_live {
-                        continue;
-                    }
-                    let size = entry.serialized_len() as u64;
-                    match self.log.append(&entry) {
-                        Ok(out) => {
-                            let moved = self.index.update(hash, pos, out.position);
-                            debug_assert!(moved, "live entry must be indexed");
-                            outcome.bytes_relocated += size;
-                        }
-                        Err(_) => return false,
-                    }
-                }
-                LogEntry::Tombstone(ref t) => {
-                    // A tombstone is droppable once the segment that held the
-                    // object it killed no longer exists (including when that
-                    // segment is the victim itself, freed below).
-                    let droppable =
-                        t.dead_segment == victim || !self.log.contains_segment(t.dead_segment);
-                    if droppable {
-                        outcome.tombstones_dropped += 1;
-                        continue;
-                    }
-                    let size = entry.serialized_len() as u64;
-                    match self.log.append(&entry) {
-                        Ok(_) => outcome.bytes_relocated += size,
-                        Err(_) => return false,
-                    }
-                }
-            }
-        }
-        // Even the inline cleaner must route frees through limbo: `&mut
-        // self` no longer excludes lock-free readers, which may be mid-parse
-        // inside the victim. With no pinned readers (the common
-        // single-threaded case) the reclaim frees the slot before the
-        // caller's retry append; under concurrent read load it waits out
-        // the in-flight epoch pins.
-        self.log.free_segment(victim, self.epoch.current());
-        outcome.segments_freed += self.reclaim_waiting() as u64;
-        true
-    }
-
     /// Reclaims limbo segments like [`Store::reclaim_now`], but waits out
     /// concurrently pinned lock-free readers instead of giving up when the
-    /// epoch cannot flip yet. A pin lasts microseconds (one validated probe
-    /// plus one parse), so the wait is short and bounded; the alternative —
-    /// on the emergency write path — is failing a write whose memory is
-    /// moments from being free. Only outstanding [`crate::ValueView`]s can
-    /// legitimately outlast this loop: then the memory truly is pinned and
-    /// the out-of-memory error stands.
-    ///
-    /// Does not touch statistics; callers attribute the freed count.
-    pub(crate) fn reclaim_waiting(&mut self) -> usize {
-        const MAX_SPINS: u32 = 10_000;
-        let mut total = 0;
-        for _ in 0..MAX_SPINS {
-            self.epoch.try_advance();
-            self.epoch.try_advance();
-            total += self.log.reclaim_retired(self.epoch.safe_epoch());
-            let safe = self.epoch.safe_epoch();
+    /// epoch cannot flip yet. A pin lasts microseconds of CPU (one validated
+    /// probe plus one parse) but as long as the scheduler likes when its
+    /// reader is preempted mid-probe, so the wait is bounded by time, not by
+    /// spins; the alternative — this runs on a write that found the log
+    /// full — is failing a write whose memory is moments from being free.
+    /// Only outstanding [`crate::ValueView`]s can legitimately outlast the
+    /// wait: then the memory truly is pinned, the loop sees that and stops
+    /// at once, and the out-of-memory error stands.
+    pub(crate) fn reclaim_waiting(&mut self) {
+        /// Longer than a preempted reader waits for a CPU on a loaded host.
+        const MAX_WAIT: Duration = Duration::from_millis(500);
+        let start = Instant::now();
+        loop {
+            self.reclaim_now();
             // Whatever remains in limbo past its epoch is view-held;
             // waiting longer cannot free it.
-            if self.log.limbo_segments() <= self.log.limbo_held_by_views(safe) {
+            let view_held = self.log.limbo_held_by_views(self.epoch.safe_epoch());
+            if self.log.limbo_segments() <= view_held || start.elapsed() >= MAX_WAIT {
                 break;
             }
             std::thread::yield_now();
         }
-        total
     }
 }
 
@@ -803,27 +705,73 @@ mod tests {
         )
     }
 
-    #[test]
-    fn overwrite_churn_survives_in_bounded_memory() {
-        // 16 segments × 512 B ≈ 8 KB of log; churn 20× that volume over a
-        // small key set. Without the cleaner this would be OutOfMemory.
+    /// 16 segments × 512 B ≈ 8 KB of log, 40× that volume churned over a
+    /// small key set. `step_driven` plays an external driver (the simulator,
+    /// a background thread) with one `clean_step` a round; without it the
+    /// write path alone makes room, when the log is full.
+    fn churn_in_bounded_memory(step_driven: bool) {
         let mut s = churn_store(16);
-        for round in 0..200 {
-            for k in 0..10 {
+        for round in 0..400 {
+            for k in 0..8 {
                 s.write(
                     T,
                     format!("key{k}").as_bytes(),
                     format!("value-{round}").as_bytes(),
                 )
                 .unwrap();
+                assert!(
+                    s.log().charged_bytes() <= s.log().budget_bytes(),
+                    "memory stays within budget"
+                );
+            }
+            if step_driven {
+                let _ = s.clean_step();
             }
         }
-        for k in 0..10 {
+        for k in 0..8 {
             let got = s.read(T, format!("key{k}").as_bytes()).unwrap();
-            assert_eq!(&got.value[..], b"value-199");
+            assert_eq!(&got.value[..], b"value-399");
         }
-        assert!(s.stats().cleanings > 0, "cleaner must have run");
-        assert!(s.stats().segments_freed > 0);
+        let stats = s.stats();
+        assert!(stats.cleanings > 0, "cleaner must have run");
+        assert!(stats.segments_freed > 0);
+        assert_eq!(
+            s.log().limbo_segments(),
+            0,
+            "with no pinned readers every pass reclaims its own victims"
+        );
+    }
+
+    #[test]
+    fn overwrite_churn_survives_in_bounded_memory() {
+        churn_in_bounded_memory(false);
+    }
+
+    #[test]
+    fn step_cleaning_bounds_memory_under_churn() {
+        churn_in_bounded_memory(true);
+    }
+
+    #[test]
+    fn a_half_dead_log_makes_room_for_the_next_write() {
+        // 30 cold keys interleaved with 30 versions of one hot key leave
+        // every closed segment half dead: 48 % of the budget is live when
+        // the log fills. Relocating survivors into the log head had nowhere
+        // to copy to at that point and failed the write; a pass that builds
+        // its survivors outside the log does not need a free slot.
+        let mut s = churn_store(12);
+        for round in 0..400 {
+            if round < 30 {
+                s.write(T, format!("cold{round}").as_bytes(), &[7u8; 60])
+                    .unwrap();
+            }
+            s.write(T, b"hot", &[round as u8; 60])
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        }
+        for i in 0..30 {
+            assert!(s.read(T, format!("cold{i}").as_bytes()).is_some());
+        }
+        assert_eq!(&s.read(T, b"hot").unwrap().value[..], &[143u8; 60]);
     }
 
     #[test]
@@ -894,8 +842,7 @@ mod tests {
                 ..CleanerConfig::default()
             },
         );
-        let out = s.clean();
-        assert_eq!(out, CleanOutcome::default());
+        assert_eq!(s.clean_step(), None);
         assert_eq!(s.stats().cleanings, 0);
         assert_eq!(s.clean_pressure(), None);
         assert!(s.prepare_clean(CleanKind::Combined).is_none());
@@ -1005,13 +952,7 @@ mod tests {
 
     #[test]
     fn balancer_levels_track_pressure_and_write_rate() {
-        let mut s = churn_store_with(
-            16,
-            CleanerConfig {
-                proactive: false,
-                ..CleanerConfig::default()
-            },
-        );
+        let mut s = churn_store(16);
         assert_eq!(s.clean_pressure(), None, "fresh store: no pressure");
         // Fill until free slots dip just below the target (4): modest
         // pressure picks the cheap compaction level.
@@ -1046,13 +987,7 @@ mod tests {
 
     #[test]
     fn compaction_step_frees_bytes_but_not_slots() {
-        let mut s = churn_store_with(
-            16,
-            CleanerConfig {
-                proactive: false,
-                ..CleanerConfig::default()
-            },
-        );
+        let mut s = churn_store(16);
         for i in 0..40 {
             s.write(T, format!("k{i}").as_bytes(), &[0u8; 64]).unwrap();
         }
@@ -1085,55 +1020,8 @@ mod tests {
     }
 
     #[test]
-    fn step_cleaning_bounds_memory_under_churn() {
-        // Drive cleaning exclusively through clean_step (as the simulator
-        // and the background threads do): memory must stay bounded and all
-        // live data intact.
-        let mut s = churn_store_with(
-            16,
-            CleanerConfig {
-                proactive: false,
-                ..CleanerConfig::default()
-            },
-        );
-        for round in 0..400 {
-            for k in 0..8 {
-                s.write(
-                    T,
-                    format!("key{k}").as_bytes(),
-                    format!("value-{round}").as_bytes(),
-                )
-                .unwrap();
-            }
-            let _ = s.clean_step();
-        }
-        for k in 0..8 {
-            let got = s.read(T, format!("key{k}").as_bytes()).unwrap();
-            assert_eq!(&got.value[..], b"value-399");
-        }
-        let stats = s.stats();
-        assert!(stats.cleanings > 0);
-        assert!(stats.segments_freed > 0);
-        assert!(
-            s.log().charged_bytes() <= s.log().budget_bytes(),
-            "memory stays within budget"
-        );
-        assert_eq!(
-            s.log().limbo_segments(),
-            0,
-            "with no pinned readers every pass reclaims its own victims"
-        );
-    }
-
-    #[test]
     fn apply_aborts_when_a_victim_vanished() {
-        let mut s = churn_store_with(
-            16,
-            CleanerConfig {
-                proactive: false,
-                ..CleanerConfig::default()
-            },
-        );
+        let mut s = churn_store(16);
         for round in 0..40 {
             for k in 0..8 {
                 s.write(
@@ -1146,8 +1034,8 @@ mod tests {
         }
         let plan = s.prepare_clean(CleanKind::Combined).expect("candidates");
         let victim = plan.victims()[0];
-        // Simulate an inline emergency clean winning the race.
-        s.log.free_segment(victim, 0);
+        // Simulate a writer that found the log full winning the race.
+        s.log.retire_segment(victim, 0);
         let cleanings_before = s.stats().cleanings;
         assert!(
             s.apply_clean(plan.build()).is_none(),
@@ -1158,13 +1046,7 @@ mod tests {
 
     #[test]
     fn pinned_readers_delay_segment_reclamation() {
-        let mut s = churn_store_with(
-            16,
-            CleanerConfig {
-                proactive: false,
-                ..CleanerConfig::default()
-            },
-        );
+        let mut s = churn_store(16);
         for round in 0..100 {
             for k in 0..8 {
                 s.write(

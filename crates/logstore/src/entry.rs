@@ -134,6 +134,17 @@ fn entry_checksum(record: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// Serialized size of an object record from its field sizes (`rifl`: it
+/// carries a completion record) — known before the record is built.
+pub(crate) fn object_len(key: usize, value: usize, rifl: bool) -> usize {
+    HEADER_BYTES + key + value + if rifl { COMPLETION_BYTES } else { 0 }
+}
+
+/// Serialized size of a tombstone for a `key`-byte key.
+pub(crate) fn tombstone_len(key: usize) -> usize {
+    HEADER_BYTES + key + 8
+}
+
 impl LogEntry {
     /// The owning table.
     pub fn table(&self) -> TableId {
@@ -161,11 +172,10 @@ impl LogEntry {
 
     /// Serialized size in bytes.
     pub fn serialized_len(&self) -> usize {
-        let value_len = match self {
-            LogEntry::Object(o) => o.value.len() + o.completion.map_or(0, |_| COMPLETION_BYTES),
-            LogEntry::Tombstone(_) => 8,
-        };
-        HEADER_BYTES + self.key().len() + value_len
+        match self {
+            LogEntry::Object(o) => object_len(o.key.len(), o.value.len(), o.completion.is_some()),
+            LogEntry::Tombstone(t) => tombstone_len(t.key.len()),
+        }
     }
 
     /// Serializes the entry, appending to `out`: one pass to lay the record

@@ -202,12 +202,21 @@ impl Log {
         self.total_appended_bytes
     }
 
+    /// Whether an entry of `len` serialized bytes can be appended as things
+    /// stand: the budget has a whole segment left to roll into, or the head
+    /// has the room.
+    pub fn has_room(&self, len: usize) -> bool {
+        self.charged_total + self.config.segment_bytes <= self.budget_bytes()
+            || self.segments[&self.head].free() >= len
+    }
+
     /// Appends an entry, rolling the head if necessary.
     ///
     /// # Errors
     ///
     /// Returns [`LogFullError`] when the head is full and no segment slot is
-    /// free. The caller (the store) is expected to run the cleaner and retry.
+    /// free ([`Log::has_room`] is false); the store cleans before it gets
+    /// here.
     pub fn append(&mut self, entry: &LogEntry) -> Result<AppendOutcome, LogFullError> {
         debug_assert!(
             entry.serialized_len() <= self.config.segment_bytes,
@@ -334,20 +343,6 @@ impl Log {
     /// unknown segments.
     pub fn segment_age(&self, id: SegmentId) -> Option<u64> {
         self.stats.get(&id).map(|s| self.append_seq - s.created_seq)
-    }
-
-    /// Frees a segment after inline cleaning (the write path's synchronous
-    /// cleaner). Even though inline cleaning runs under `&mut self`, the
-    /// exclusive borrow no longer excludes readers — the lock-free read
-    /// path may be mid-parse in this very segment — so "free" means retire
-    /// into limbo at `epoch` and wait for [`Log::reclaim_retired`], exactly
-    /// like the concurrent cleaner's victims.
-    ///
-    /// # Panics
-    ///
-    /// Panics if asked to free the head — the head is never cleanable.
-    pub fn free_segment(&mut self, id: SegmentId, epoch: u64) {
-        self.retire_segment(id, epoch);
     }
 
     /// Retires a cleaned victim into the limbo list, stamped with `epoch`.
@@ -538,9 +533,11 @@ mod tests {
         let e = obj("key", 100);
         log.append(&e).unwrap();
         log.append(&e).unwrap(); // rolls to segment 2/2
+        assert!(!log.has_room(e.serialized_len()));
         let err = log.append(&e).unwrap_err();
         assert_eq!(err, LogFullError);
         assert_eq!(log.free_segment_slots(), 0);
+        assert!(log.has_room(log.segment(log.head()).unwrap().free()));
     }
 
     #[test]
@@ -576,7 +573,7 @@ mod tests {
         assert!(log.append(&e).is_err());
         // Freeing routes through limbo: unreachable at once, but the slot
         // comes back only after the epoch-safe reclaim.
-        log.free_segment(first.position.segment, 3);
+        log.retire_segment(first.position.segment, 3);
         assert_eq!(log.read(first.position), None);
         assert!(log.append(&e).is_err(), "charge held until reclaim");
         assert_eq!(log.reclaim_retired(3), 1);
@@ -588,7 +585,7 @@ mod tests {
     fn freeing_head_panics() {
         let mut log = small_log(2);
         log.append(&obj("k", 10)).unwrap();
-        log.free_segment(log.head(), 0);
+        log.retire_segment(log.head(), 0);
     }
 
     #[test]
@@ -714,7 +711,7 @@ mod tests {
         let e = obj("key", 100);
         let a = log.append(&e).unwrap();
         log.append(&e).unwrap();
-        log.free_segment(a.position.segment, 0);
+        log.retire_segment(a.position.segment, 0);
         assert_eq!(log.reclaim_retired(0), 1);
         let c = log.append(&e).unwrap();
         assert!(c.position.segment.0 > 1, "freed id must not be recycled");

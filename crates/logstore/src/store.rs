@@ -12,14 +12,14 @@ use std::ops::AddAssign;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::cleaner::CleanerConfig;
+use crate::cleaner::{CleanKind, CleanerConfig};
 use crate::entry::{
-    BodyView, CompletionId, EntryView, LogEntry, ObjectRecord, TombstoneRecord, HEADER_BYTES,
-    MAX_KEY_BYTES, MAX_VALUE_BYTES,
+    object_len, tombstone_len, BodyView, CompletionId, EntryView, LogEntry, ObjectRecord,
+    TombstoneRecord, HEADER_BYTES, MAX_KEY_BYTES, MAX_VALUE_BYTES,
 };
 use crate::epoch::EpochTracker;
 use crate::hashtable::HashTable;
-use crate::log::{Log, LogConfig};
+use crate::log::{Log, LogConfig, LogFullError};
 use crate::types::{key_hash, KeyHash, LogPosition, SegmentId, TableId, Version};
 use crate::view::{ObjectView, ReadCounters, ReadHandle, ValueView};
 
@@ -51,6 +51,13 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+impl From<LogFullError> for StoreError {
+    /// The log was full, and cleaning found no room.
+    fn from(_: LogFullError) -> Self {
+        StoreError::OutOfMemory
+    }
+}
 
 /// Result of a successful write or delete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,23 +340,18 @@ impl Store {
         self.index.len()
     }
 
-    /// The first indexed position (other than `skip`) holding the object
-    /// stored under `(table, key)`, with a checksum-verified view of it.
-    /// `hash` is `key_hash(table, key)`.
+    /// The indexed position holding the object stored under `(table, key)`,
+    /// with a checksum-verified view of it. `hash` is `key_hash(table, key)`.
     fn locate(
         &self,
         hash: KeyHash,
         table: TableId,
         key: &[u8],
-        skip: Option<LogPosition>,
     ) -> Option<(LogPosition, EntryView<'_>)> {
-        self.index
-            .candidates(hash)
-            .filter(|&pos| Some(pos) != skip)
-            .find_map(|pos| {
-                let view = self.log.view(pos)?;
-                view.is_object(table, key).then_some((pos, view))
-            })
+        self.index.candidates(hash).find_map(|pos| {
+            let view = self.log.view(pos)?;
+            view.is_object(table, key).then_some((pos, view))
+        })
     }
 
     /// Finds the current position, record size, and version of a key.
@@ -359,7 +361,7 @@ impl Store {
         table: TableId,
         key: &[u8],
     ) -> Option<(LogPosition, usize, Version)> {
-        self.locate(hash, table, key, None)
+        self.locate(hash, table, key)
             .map(|(pos, view)| (pos, view.len, view.version))
     }
 
@@ -374,7 +376,7 @@ impl Store {
             self.epoch.pinned_readers() > 0,
             "lookup without an epoch pin races segment reclamation"
         );
-        let (_, view) = self.locate(key_hash(table, key), table, key, None)?;
+        let (_, view) = self.locate(key_hash(table, key), table, key)?;
         match view.to_owned() {
             LogEntry::Object(o) => Some(o),
             LogEntry::Tombstone(_) => None,
@@ -413,7 +415,7 @@ impl Store {
     pub fn read_view(&self, table: TableId, key: &[u8]) -> Option<ObjectView> {
         let _pin = self.epoch.pin();
         let got = self
-            .locate(key_hash(table, key), table, key, None)
+            .locate(key_hash(table, key), table, key)
             .and_then(|(pos, view)| {
                 let BodyView::Object { value, .. } = view.body else {
                     return None;
@@ -445,36 +447,49 @@ impl Store {
         self.lookup(table, key)
     }
 
-    /// Appends through the log, running the cleaner and retrying once when
-    /// the log reports full.
-    fn append_with_cleaning(
-        &mut self,
-        entry: &LogEntry,
-    ) -> Result<crate::log::AppendOutcome, StoreError> {
-        // Proactive cleaning keeps a reserve of free slots so the cleaner
-        // itself always has room to relocate. Stores whose cleaning is
-        // driven externally (background threads, the simulator's clean_step
-        // hook) set `proactive: false` and only fall through to the
-        // emergency path below.
-        if self.cleaner.enabled
-            && self.cleaner.proactive
-            && self.log.free_segment_slots() <= self.cleaner.min_free_slots
-        {
-            let _ = self.clean();
+    /// Makes room for an append of `len` bytes when the log has none: the
+    /// one place the write path cleans. Harvests what earlier passes left in
+    /// limbo, then runs combined passes — the same three phases a background
+    /// cleaner drives, here back to back under the writer's borrow — until
+    /// the free-slot target is met or no victim qualifies.
+    ///
+    /// Mutations call this *before* they look their key up: a pass moves
+    /// live entries, so a position resolved before it would be stale after.
+    fn make_room(&mut self, len: usize) {
+        if self.log.has_room(len) || !self.cleaner.enabled {
+            return;
         }
-        match self.log.append(entry) {
-            Ok(out) => Ok(out),
-            Err(_) if self.cleaner.enabled => {
-                // Emergency: first harvest everything the concurrent cleaner
-                // already retired — waiting out in-flight lock-free readers
-                // whose epoch pins block the flip — then clean inline, then
-                // retry once.
-                let freed = self.reclaim_waiting();
-                self.stats.segments_freed += freed as u64;
-                let _ = self.clean();
-                self.log.append(entry).map_err(|_| StoreError::OutOfMemory)
+        loop {
+            // Victims a pinned reader kept in limbo still charge the budget.
+            self.reclaim_waiting();
+            if self.log.free_segment_slots() >= self.cleaner.target_free_slots {
+                break;
             }
-            Err(_) => Err(StoreError::OutOfMemory),
+            let Some(plan) = self.prepare_clean(CleanKind::Combined) else {
+                break;
+            };
+            if self.apply_clean(plan.build()).is_none() {
+                break;
+            }
+        }
+    }
+
+    /// Points the index at the object just appended at `new`, replacing
+    /// (and un-counting in its segment) the `existing` record the caller
+    /// looked up, if there was one.
+    fn index_object(
+        &mut self,
+        hash: KeyHash,
+        existing: Option<(LogPosition, usize, Version)>,
+        new: LogPosition,
+    ) {
+        match existing {
+            Some((old_pos, old_size, _)) => {
+                let swung = self.index.update(hash, old_pos, new);
+                debug_assert!(swung, "the entry just looked up is indexed");
+                self.log.adjust_live(old_pos.segment, -(old_size as isize));
+            }
+            None => self.index.insert(hash, new),
         }
     }
 
@@ -535,6 +550,7 @@ impl Store {
                 }
             }
         }
+        self.make_room(object_len(key.len(), value.len(), completion.is_some()));
         let existing = self.find(hash, table, key);
         let floor = self.dead_versions.get(&hash.0).copied();
         let version = match (existing.map(|(_, _, v)| v), floor) {
@@ -550,35 +566,10 @@ impl Store {
             version,
             completion,
         });
-        let out = self.append_with_cleaning(&entry)?;
-        match existing {
-            Some((old_pos, old_size, _)) => {
-                // The cleaner may have relocated the old entry during
-                // `append_with_cleaning`; re-resolve before updating.
-                let updated = self.index.update(hash, old_pos, out.position) || {
-                    // (Skipping the record just appended.)
-                    match self.locate(hash, table, key, Some(out.position)) {
-                        Some((cur_pos, _)) => self.index.update(hash, cur_pos, out.position),
-                        None => false,
-                    }
-                };
-                if updated {
-                    // Old entry is now dead. Un-count it where it was found,
-                    // unless a cleaning pass that ran between lookup and
-                    // append has moved it since.
-                    let still_there = self
-                        .log
-                        .view(old_pos)
-                        .is_some_and(|view| view.is_object(table, key));
-                    if still_there {
-                        self.log.adjust_live(old_pos.segment, -(old_size as isize));
-                    }
-                } else {
-                    self.index.insert(hash, out.position);
-                }
-                self.stats.overwrites += 1;
-            }
-            None => self.index.insert(hash, out.position),
+        let out = self.log.append(&entry)?;
+        self.index_object(hash, existing, out.position);
+        if existing.is_some() {
+            self.stats.overwrites += 1;
         }
         if let Some(ordered) = self.ordered.as_mut() {
             ordered.insert((table.0, key.to_vec()), ());
@@ -620,6 +611,7 @@ impl Store {
     /// [`StoreError::OutOfMemory`] when the tombstone cannot be appended.
     pub fn delete(&mut self, table: TableId, key: &[u8]) -> Result<Option<Version>, StoreError> {
         let hash = key_hash(table, key);
+        self.make_room(tombstone_len(key.len()));
         let Some((old_pos, old_size, old_version)) = self.find(hash, table, key) else {
             return Ok(None);
         };
@@ -629,15 +621,10 @@ impl Store {
             version: old_version,
             dead_segment: old_pos.segment,
         });
-        self.append_with_cleaning(&entry)?;
-        // Re-resolve in case the cleaner moved the object meanwhile.
-        let (cur_pos, cur_size) = match self.find(hash, table, key) {
-            Some((p, s, _)) => (p, s),
-            None => (old_pos, old_size),
-        };
-        if self.index.remove(hash, cur_pos) {
-            self.log.adjust_live(cur_pos.segment, -(cur_size as isize));
-        }
+        self.log.append(&entry)?;
+        let removed = self.index.remove(hash, old_pos);
+        debug_assert!(removed, "the entry just looked up is indexed");
+        self.log.adjust_live(old_pos.segment, -(old_size as isize));
         if let Some(ordered) = self.ordered.as_mut() {
             ordered.remove(&(table.0, key.to_vec()));
         }
@@ -657,6 +644,11 @@ impl Store {
     /// [`StoreError::OutOfMemory`] when the log cannot hold the record.
     pub fn replay_object(&mut self, rec: &ObjectRecord) -> Result<bool, StoreError> {
         let hash = key_hash(rec.table, &rec.key);
+        self.make_room(object_len(
+            rec.key.len(),
+            rec.value.len(),
+            rec.completion.is_some(),
+        ));
         let existing = self.find(hash, rec.table, &rec.key);
         if let Some((_, _, v)) = existing {
             if v >= rec.version {
@@ -670,18 +662,8 @@ impl Store {
                 return Ok(false);
             }
         }
-        let entry = LogEntry::Object(rec.clone());
-        let out = self.append_with_cleaning(&entry)?;
-        match existing {
-            Some((old_pos, old_size, _)) => {
-                if self.index.update(hash, old_pos, out.position) {
-                    self.log.adjust_live(old_pos.segment, -(old_size as isize));
-                } else {
-                    self.index.insert(hash, out.position);
-                }
-            }
-            None => self.index.insert(hash, out.position),
-        }
+        let out = self.log.append(&LogEntry::Object(rec.clone()))?;
+        self.index_object(hash, existing, out.position);
         if let Some(ordered) = self.ordered.as_mut() {
             ordered.insert((rec.table.0, rec.key.to_vec()), ());
         }
@@ -1004,6 +986,44 @@ mod tests {
         assert!(!s.replay_object(&rec_v1).unwrap());
         assert_eq!(&s.read(T, b"k").unwrap().value[..], b"new");
         assert_eq!(s.read(T, b"k").unwrap().version, Version(2));
+    }
+
+    #[test]
+    fn replay_into_a_full_log_replaces_the_record_the_cleaner_moved() {
+        // A recovery master under memory pressure: an 8 × 512 B log holds
+        // 12 cold keys, each replayed at ever newer versions between
+        // overwrites of one hot key. Every closed segment is a mix of dead
+        // hot versions and live cold records, so when a replay finds the
+        // log full, the pass that makes room relocates the very record the
+        // replay supersedes. The replay must swing that record's index
+        // entry, not add a second one for the key beside it.
+        let mut s = Store::new(LogConfig {
+            segment_bytes: 512,
+            max_segments: 8,
+            ordered_index: false,
+        });
+        let key = |i: u64| Bytes::from(format!("cold{i:02}"));
+        for i in 0..12 {
+            s.write(T, &key(i), &[0u8; 60]).unwrap();
+        }
+        let mut replays_that_cleaned = 0;
+        for fill in 0..60u64 {
+            s.write(T, b"hot", &[1u8; 60]).unwrap();
+            s.write(T, b"hot", &[2u8; 60]).unwrap();
+            let cleanings = s.stats().cleanings;
+            let rec = ObjectRecord {
+                table: T,
+                key: key(fill % 12),
+                value: Bytes::from(vec![fill as u8; 60]),
+                version: Version(fill / 12 + 2),
+                completion: None,
+            };
+            assert!(s.replay_object(&rec).unwrap(), "fill {fill}");
+            assert_eq!(s.read(T, &rec.key), Some(rec), "fill {fill}");
+            assert_eq!(s.object_count(), 13, "fill {fill}");
+            replays_that_cleaned += usize::from(s.stats().cleanings > cleanings);
+        }
+        assert!(replays_that_cleaned > 0, "no replay found the log full");
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //!
 //! 1. a seeded, never-deleted key is **always** readable through the
 //!    lock-free path (a validated probe must never report a false miss);
-//! 2. writes keep succeeding: the emergency reclaim path must wait out
+//! 2. writes keep succeeding: a write that finds the log full must wait out
 //!    in-flight reader epoch pins rather than reporting out-of-memory for
 //!    limbo segments that are moments from being free.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
-use rmc_logstore::{CleanerConfig, LogConfig, Store, TableId};
+use rmc_logstore::{LogConfig, Store, TableId};
 
 const T: TableId = TableId(3);
 const KEYS: usize = 32;
@@ -23,21 +23,14 @@ fn keys() -> Vec<Vec<u8>> {
     (0..KEYS).map(|i| format!("k{i}").into_bytes()).collect()
 }
 
+/// The standalone server's shape: a background thread cleans ahead of the
+/// writers, and a write that still finds the log full makes room itself.
 fn tiny_store() -> Store {
-    Store::with_cleaner(
-        LogConfig {
-            segment_bytes: 512,
-            max_segments: 16,
-            ordered_index: false,
-        },
-        CleanerConfig {
-            // Background thread owns proactive cleaning; the write path
-            // keeps only the emergency inline clean — the standalone
-            // server's configuration.
-            proactive: false,
-            ..CleanerConfig::default()
-        },
-    )
+    Store::new(LogConfig {
+        segment_bytes: 512,
+        max_segments: 16,
+        ordered_index: false,
+    })
 }
 
 /// The standalone server's background cleaner loop (prepare under the read
@@ -79,9 +72,9 @@ fn lockfree_reads_and_writes_survive_cleaner_churn() {
             std::thread::spawn(move || {
                 for round in 1..=ROUNDS {
                     for k in &keys {
-                        // Invariant 2: the emergency path waits out reader
-                        // epoch pins, so writes never see out-of-memory
-                        // while readers only pin transiently.
+                        // Invariant 2: making room waits out reader epoch
+                        // pins, so writes never see out-of-memory while
+                        // readers only pin transiently.
                         store
                             .write()
                             .unwrap()

@@ -7,8 +7,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use bytes::Bytes;
 use proptest::prelude::*;
 use rmc_logstore::{
-    key_hash, CleanerConfig, CompletionId, HashTable, KeyHash, LogConfig, LogEntry, LogPosition,
-    ObjectRecord, SegmentId, Store, TableId, TombstoneRecord, Version,
+    key_hash, CompletionId, HashTable, KeyHash, LogConfig, LogEntry, LogPosition, ObjectRecord,
+    SegmentId, Store, TableId, TombstoneRecord, Version,
 };
 
 const T: TableId = TableId(1);
@@ -17,6 +17,9 @@ const T: TableId = TableId(1);
 enum Op {
     Write(u8, Vec<u8>),
     Delete(u8),
+    /// Recovery replay of the key's next version.
+    Replay(u8, Vec<u8>),
+    /// One externally driven `clean_step`.
     Clean,
 }
 
@@ -25,12 +28,24 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..64))
             .prop_map(|(k, v)| Op::Write(k % 24, v)),
         2 => any::<u8>().prop_map(|k| Op::Delete(k % 24)),
+        1 => (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..64))
+            .prop_map(|(k, v)| Op::Replay(k % 24, v)),
         1 => Just(Op::Clean),
     ]
 }
 
 fn key_bytes(k: u8) -> Vec<u8> {
     format!("key-{k:03}").into_bytes()
+}
+
+/// A log small enough that a 200-op case fills it several times over: the
+/// write path makes room for itself in between the `Op::Clean` steps.
+fn small_store() -> Store {
+    Store::new(LogConfig {
+        segment_bytes: 512,
+        max_segments: 12,
+        ordered_index: false,
+    })
 }
 
 /// The full live state — key → (value, version) — as cleaning must
@@ -46,13 +61,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The store agrees with a HashMap model after every operation, under
-    /// bounded memory with the cleaner enabled.
+    /// bounded memory: writes, deletes and recovery replays that clean when
+    /// they find the log full, and cleaner steps an external driver adds in
+    /// between, each of which must leave the live key/value/version map
+    /// exactly as it found it.
     #[test]
     fn store_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut store = Store::with_cleaner(
-            LogConfig { segment_bytes: 512, max_segments: 64, ordered_index: false },
-            CleanerConfig::default(),
-        );
+        let mut store = small_store();
         let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
         let mut versions: HashMap<Vec<u8>, u64> = HashMap::new();
 
@@ -78,53 +93,48 @@ proptest! {
                     // `versions` is deliberately NOT cleared: it models the
                     // per-key version floor surviving the delete.
                 }
-                Op::Clean => {
-                    store.clean();
+                Op::Replay(k, v) => {
+                    let key = key_bytes(k);
+                    let version = versions.entry(key.clone()).or_insert(0);
+                    *version += 1;
+                    let rec = ObjectRecord {
+                        table: T,
+                        key: Bytes::from(key.clone()),
+                        value: Bytes::from(v.clone()),
+                        version: Version(*version),
+                        completion: None,
+                    };
+                    prop_assert!(store.replay_object(&rec).unwrap());
+                    prop_assert_eq!(store.read(T, &key), Some(rec));
+                    model.insert(key, v);
                 }
-            }
-            prop_assert_eq!(store.object_count(), model.len());
-        }
-
-        // Full final-state equality.
-        for (key, val) in &model {
-            let got = store.read(T, key);
-            prop_assert!(got.is_some(), "missing key {:?}", key);
-            prop_assert_eq!(&got.unwrap().value[..], &val[..]);
-        }
-        let live: usize = store.live_objects().count();
-        prop_assert_eq!(live, model.len());
-    }
-
-    /// A bounded cleaner step (the unit the background threads and the
-    /// simulator drive) preserves the exact live key/value/version map, at
-    /// every point of an arbitrary write/delete interleaving.
-    #[test]
-    fn clean_step_preserves_live_map(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut store = Store::with_cleaner(
-            LogConfig { segment_bytes: 512, max_segments: 64, ordered_index: false },
-            // proactive=false: cleaning happens only where the test calls
-            // clean_step, so each step's effect is observed in isolation.
-            CleanerConfig { proactive: false, ..CleanerConfig::default() },
-        );
-        for op in ops {
-            match op {
-                Op::Write(k, v) => { store.write(T, &key_bytes(k), &v).unwrap(); }
-                Op::Delete(k) => { store.delete(T, &key_bytes(k)).unwrap(); }
                 Op::Clean => {
                     let before = live_map(&store);
                     store.clean_step();
                     prop_assert_eq!(before, live_map(&store));
                 }
             }
+            prop_assert_eq!(store.object_count(), model.len());
+            prop_assert!(store.log().charged_bytes() <= store.log().budget_bytes());
         }
-        // Drain the cleaner completely; the map must still be untouched.
-        let before = live_map(&store);
+
+        // Drain the cleaner completely, then check full final-state
+        // equality, versions included.
         for _ in 0..64 {
             if store.clean_step().is_none() {
                 break;
             }
         }
-        prop_assert_eq!(before, live_map(&store));
+        let want: BTreeMap<_, _> = model
+            .iter()
+            .map(|(k, v)| (k.clone(), (v.clone(), versions[k])))
+            .collect();
+        prop_assert_eq!(live_map(&store), want);
+        for (key, val) in &model {
+            let got = store.read(T, key);
+            prop_assert!(got.is_some(), "missing key {:?}", key);
+            prop_assert_eq!(&got.unwrap().value[..], &val[..]);
+        }
     }
 
     /// The lock-free read handle agrees with the locked store — value,
@@ -134,16 +144,16 @@ proptest! {
     /// they shadow.
     #[test]
     fn lockfree_reads_match_locked_store(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut store = Store::with_cleaner(
-            LogConfig { segment_bytes: 512, max_segments: 64, ordered_index: false },
-            CleanerConfig::default(),
-        );
+        let mut store = small_store();
         let handle = store.read_handle();
         for op in ops {
             match op {
-                Op::Write(k, v) => { store.write(T, &key_bytes(k), &v).unwrap(); }
+                // (No version model here: a replay is just another write.)
+                Op::Write(k, v) | Op::Replay(k, v) => {
+                    store.write(T, &key_bytes(k), &v).unwrap();
+                }
                 Op::Delete(k) => { store.delete(T, &key_bytes(k)).unwrap(); }
-                Op::Clean => { store.clean(); }
+                Op::Clean => { store.clean_step(); }
             }
             // With no writer active mid-probe the lock-free path must never
             // report contention, and must agree with the locked read exactly.

@@ -1,11 +1,10 @@
 //! Background cleaner threads: log cleaning off the write path.
 //!
 //! RAMCloud runs its log cleaner on dedicated cores so that service threads
-//! never stall on cleaning; cleaning *inline* inside `Store::append` holds
-//! the shard's write lock and stalls every writer behind a full cleaning
-//! pass. This module is the RAMCloud shape at miniature scale: one
-//! `rmc-cleaner-{i}` thread per shard drives the engine's three-phase
-//! concurrent protocol —
+//! never stall on cleaning; a pass run from the write path holds the
+//! shard's write lock and stalls every writer behind it. This module is
+//! the RAMCloud shape at miniature scale: one `rmc-cleaner-{i}` thread per
+//! shard drives the engine's three-phase concurrent protocol —
 //!
 //! 1. **prepare** under the shard *read* lock: pick victims by
 //!    cost-benefit, snapshot their live entries (service threads keep
@@ -40,8 +39,8 @@ use crate::shard::ShardedStore;
 /// polling too fast taxes the service threads it is supposed to relieve
 /// (acute on machines with few cores). Pressure builds at segment-fill
 /// granularity — milliseconds under any realistic write rate — and the
-/// write path keeps its own emergency inline clean for bursts that outrun
-/// the poll.
+/// write path makes room for itself when a burst outruns the poll and
+/// fills the log.
 const IDLE_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Per-shard cleaner counters, registered once at thread start.
@@ -204,8 +203,8 @@ fn cleaner_loop(
         let prepared = plan.build();
 
         // Phase 3 — apply under the write lock: cheap re-verified pointer
-        // swings. Returns None if an inline emergency clean raced us and
-        // already freed a victim; the pass is simply discarded.
+        // swings. Returns None if a writer that found the log full raced us
+        // and already cleaned a victim; the pass is simply discarded.
         let outcome = shard.write().apply_clean(prepared);
         metrics.busy_ns.add(t0.elapsed().as_nanos() as u64);
 

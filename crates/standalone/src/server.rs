@@ -14,8 +14,8 @@
 //!   zero-copy view into the live segment. Only a probe that keeps
 //!   colliding with the shard's writer falls back to the shard read lock.
 //! - **Background cleaning.** One cleaner thread per shard runs the
-//!   three-phase concurrent cleaner; the write path keeps only the
-//!   emergency inline clean for a log that is genuinely out of segments.
+//!   three-phase concurrent cleaner; a write runs the same phases itself
+//!   only when it finds its shard's log full.
 //!
 //! Why this design and not one global MPMC queue, locked copying reads or
 //! inline cleaning: the measured comparisons are recorded in DESIGN.md
@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use rmc_logstore::{
-    CleanerConfig, LogConfig, ObjectRecord, ObjectView, StoreError, TableId, Version, WriteOutcome,
+    LogConfig, ObjectRecord, ObjectView, StoreError, TableId, Version, WriteOutcome,
 };
 use rmc_obs::Sampler;
 use rmc_runtime::{HistogramHandle, MetricsRegistry, StripedCounter};
@@ -475,17 +475,9 @@ impl StandaloneServer {
     /// Panics if `config.worker_threads` or `config.shards` is zero.
     pub fn start(config: ServerConfig) -> Self {
         assert!(config.worker_threads > 0, "need at least one worker");
-        // The background threads do the proactive cleaning; the write path
-        // keeps only the emergency inline clean for true out-of-memory.
-        let cleaner = CleanerConfig {
-            proactive: false,
-            ..CleanerConfig::default()
-        };
-        let store = Arc::new(ShardedStore::with_cleaner(
-            config.shards,
-            config.log.clone(),
-            cleaner,
-        ));
+        // The background threads clean ahead of the writers; a write that
+        // still finds its shard's log full makes room for itself.
+        let store = Arc::new(ShardedStore::new(config.shards, config.log.clone()));
         let metrics = MetricsRegistry::new();
         store.attach_fallback_dwell(metrics.histogram("stage.fallback_locked_ns"));
         let cleaners = CleanerPool::start(&store, &metrics);

@@ -15,8 +15,8 @@ use std::time::Instant;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use rmc_logstore::{
-    key_hash, CleanerConfig, KeyHash, LogConfig, ObjectRecord, ObjectView, ReadHandle, Store,
-    StoreError, StoreStats, TableId, Version, WriteOutcome,
+    key_hash, KeyHash, LogConfig, ObjectRecord, ObjectView, ReadHandle, Store, StoreError,
+    StoreStats, TableId, Version, WriteOutcome,
 };
 use rmc_runtime::HistogramHandle;
 
@@ -56,19 +56,8 @@ impl ShardedStore {
     ///
     /// Panics if `shards` is zero.
     pub fn new(shards: usize, config: LogConfig) -> Self {
-        Self::with_cleaner(shards, config, CleanerConfig::default())
-    }
-
-    /// Creates a store with an explicit cleaner policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_cleaner(shards: usize, config: LogConfig, cleaner: CleanerConfig) -> Self {
         assert!(shards > 0, "need at least one shard");
-        let stores: Vec<Store> = (0..shards)
-            .map(|_| Store::with_cleaner(config.clone(), cleaner))
-            .collect();
+        let stores: Vec<Store> = (0..shards).map(|_| Store::new(config.clone())).collect();
         let handles = stores.iter().map(Store::read_handle).collect();
         ShardedStore {
             shards: stores.into_iter().map(RwLock::new).collect(),
