@@ -1,11 +1,12 @@
 //! [`Event`]: what a wall-clock node's inbox carries.
 //!
 //! Every wall-clock engine — nodes as threads over channels, nodes as
-//! threads or processes over TCP — ends in the same place: one channel per
-//! node, drained by one event loop. This is the item type of that channel,
-//! defined once below every transport so a socket reader thread, a
-//! channel-fabric sender, and a test harness's kill switch all push the
-//! same thing and no thread exists only to re-wrap one envelope as another.
+//! threads or processes over TCP — ends in the same place: one inbox per
+//! node, drained by one event loop. This is the item that inbox yields,
+//! defined once below every transport: the channel fabric's inbox is a
+//! channel of these, the TCP fabric's is the node's sockets, decoded into
+//! these by the loop that handles them, and a test harness's kill switch
+//! pushes the same thing into either.
 
 use crate::runtime::NodeId;
 

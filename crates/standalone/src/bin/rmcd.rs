@@ -245,8 +245,8 @@ fn main() {
         }
         watched.deliver(Event::Shutdown);
     });
-    // The node loop is this process's main thread, fed directly by the
-    // fabric's socket readers.
+    // The node loop is this process's main thread, and the only one that
+    // touches a socket: the inbox it polls is the listener and connections.
     node_loop(node, Arc::clone(&fabric), inbox, None, None);
     fabric.shutdown();
 }

@@ -18,11 +18,16 @@
 //!   stamped with the destination's incarnation and a mismatch is dropped
 //!   behind the inbox, counted as `net.epoch_mismatch`.
 //! - `rmc_wire::WireFabric` ([`NetCluster`]/[`NetClient`]): a loopback TCP
-//!   listener per coordinator/server; socket reader threads decode frames
-//!   straight into the node's inbox. Killing a node closes its sockets, so
-//!   traffic toward the dead incarnation dies with its connections and the
-//!   next one starts from fresh ones. The `rmcd` binary runs the same
-//!   [`node_loop`] over the same fabric, one node per OS process.
+//!   listener per coordinator/server, and **no thread but the node's own**:
+//!   the inbox *is* the node's sockets, and [`Fabric::recv`] is one turn of
+//!   a `poll(2)` loop that writes what the node posted since the last
+//!   turn, accepts, reads, decodes and stamps `Deliver` — on the thread
+//!   that will handle the message. A synchronous [`Client`] drives its
+//!   sockets the same way, from whichever thread calls it. Killing a node
+//!   closes its sockets, so traffic toward the dead incarnation dies with
+//!   its connections and the next one starts from fresh ones. The `rmcd`
+//!   binary runs the same [`node_loop`] over the same fabric, one node per
+//!   OS process.
 //!
 //! Messages that are merely *logically* stale — sent before the sender
 //! learned of a restart — are fenced by the protocol itself (heartbeat
@@ -80,7 +85,11 @@ pub type NetClient = Client<WireFabric>;
 /// shared clock, registry and span recorder.
 ///
 /// Each fabric stamps `SpanKind::Send` in `post` and `SpanKind::Deliver`
-/// at its own delivery chokepoint, exactly once per message.
+/// inside `recv`, exactly once per message.
+///
+/// `post` is the inbox owner's call: a fabric may hold what was posted
+/// until the owner's next `recv` (the TCP fabric does — one `write` per
+/// peer per loop turn). `deliver` is the one call made from other threads.
 pub trait Fabric: Debug + Send + Sync + Sized + 'static {
     /// Cluster-wide transport state the per-node fabrics are cut from.
     type Net: Debug;
@@ -109,8 +118,10 @@ pub trait Fabric: Debug + Send + Sync + Sized + 'static {
     /// delivers [`Event::Kill`] and [`Event::Shutdown`].
     fn deliver(&self, event: Event<Msg>);
 
-    /// Takes the next event off `inbox`, waiting at most `timeout`.
-    fn recv(inbox: &Self::Inbox, timeout: Duration) -> Result<Event<Msg>, RecvTimeoutError>;
+    /// Takes the next event off `inbox`, waiting at most `timeout`. The
+    /// inbox is its owner's alone (`&mut`): on the TCP fabric it *is* the
+    /// node's sockets, and this call is where they are read and written.
+    fn recv(inbox: &mut Self::Inbox, timeout: Duration) -> Result<Event<Msg>, RecvTimeoutError>;
 
     /// Answers an [`Event::TraceRequest`] from `to`. Only a fabric that
     /// crosses process boundaries can be asked.
@@ -242,7 +253,7 @@ fn report(
 pub fn node_loop<F: Fabric>(
     mut node: AnyNode,
     fabric: Arc<F>,
-    inbox: F::Inbox,
+    mut inbox: F::Inbox,
     done_tx: Option<Sender<usize>>,
     mut faults: Option<FaultState>,
 ) -> Option<NodeReport> {
@@ -266,7 +277,7 @@ pub fn node_loop<F: Fabric>(
             Some(d) => Duration::from_nanos(d.saturating_since(rt.now()).as_nanos()),
             None => IDLE_POLL,
         };
-        match F::recv(&inbox, timeout) {
+        match F::recv(&mut inbox, timeout) {
             Ok(Event::Msg { from, msg }) => match faults.as_mut() {
                 Some(f) => {
                     node.on_message(from, msg, &mut FaultRuntime::new(&mut rt, f, msg_class))
@@ -818,7 +829,7 @@ impl<F: Fabric> Client<F> {
     /// Takes events off `inbox` until `pick` accepts one (`Ok(Some)`) or
     /// `until` passes (`Ok(None)`).
     fn wait_for<T>(
-        inbox: &F::Inbox,
+        inbox: &mut F::Inbox,
         until: Instant,
         mut pick: impl FnMut(Event<Msg>) -> Option<T>,
     ) -> Result<Option<T>, String> {
@@ -855,7 +866,7 @@ impl<F: Fabric> Client<F> {
             send(&self.fabric);
             let attempt_ends =
                 Instant::now() + Duration::from_nanos(self.cfg.retry_timeout.as_nanos());
-            if let Some(answer) = Self::wait_for(&self.inbox, attempt_ends, &mut pick)? {
+            if let Some(answer) = Self::wait_for(&mut self.inbox, attempt_ends, &mut pick)? {
                 return Ok(answer);
             }
         }
@@ -895,7 +906,7 @@ impl<F: Fabric> Client<F> {
             // Past this window: re-send, same seq, grown backoff.
             let backoff = retry_backoff(&self.cfg, self.index, seq, attempt);
             let attempt_ends = Instant::now() + Duration::from_nanos(backoff.as_nanos());
-            let reply = Self::wait_for(&self.inbox, attempt_ends, |event| match event {
+            let reply = Self::wait_for(&mut self.inbox, attempt_ends, |event| match event {
                 // A response to another seq is a stale duplicate from an
                 // earlier retry.
                 Event::Msg {

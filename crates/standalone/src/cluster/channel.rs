@@ -125,7 +125,7 @@ impl Fabric for ChannelFabric {
         let _ = self.net.peers[self.me.0].send((self.epoch, event));
     }
 
-    fn recv(inbox: &ChannelInbox, timeout: Duration) -> Result<Event<Msg>, RecvTimeoutError> {
+    fn recv(inbox: &mut ChannelInbox, timeout: Duration) -> Result<Event<Msg>, RecvTimeoutError> {
         let (me, until) = (&inbox.fabric, Instant::now() + timeout);
         let mut left = timeout;
         loop {

@@ -2,8 +2,9 @@
 //! server owns a loopback TCP listener, and every message crosses a real
 //! socket.
 //!
-//! No epoch stamps here. Killing a node shuts its fabric down — listener
-//! closed, every connection severed — so traffic in flight toward the dead
+//! No epoch stamps here. Killing a node shuts its fabric down — its loop
+//! closes the listener and every connection on its way out — so traffic in
+//! flight toward the dead
 //! incarnation dies with its sockets, peers' later sends fail into
 //! reconnect backoff exactly as against a killed process, and a restarted
 //! incarnation listens on the *same* port (peers' address books still
@@ -14,12 +15,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::RecvTimeoutError;
 use rmc_core::protocol::{client_id, Msg, ProtocolConfig};
 use rmc_obs::span::SpanRecorder;
 use rmc_obs::timetrace;
 use rmc_runtime::{Event, MetricsRegistry, NodeId, SimDuration, SimTime, WallClock};
-use rmc_wire::{AddressBook, FabricConfig, WireFabric};
+use rmc_wire::{AddressBook, FabricConfig, WireFabric, WireInbox};
 
 use super::{Client, Fabric};
 
@@ -52,7 +53,7 @@ fn rebind(addr: SocketAddr) -> TcpListener {
 
 impl Fabric for WireFabric {
     type Net = WireNet;
-    type Inbox = Receiver<Event<Msg>>;
+    type Inbox = WireInbox;
 
     fn build(total: usize, listening: usize) -> WireNet {
         let listeners: Vec<Option<TcpListener>> = (0..total)
@@ -104,8 +105,8 @@ impl Fabric for WireFabric {
         WireFabric::deliver(self, event);
     }
 
-    fn recv(inbox: &Self::Inbox, timeout: Duration) -> Result<Event<Msg>, RecvTimeoutError> {
-        inbox.recv_timeout(timeout)
+    fn recv(inbox: &mut WireInbox, timeout: Duration) -> Result<Event<Msg>, RecvTimeoutError> {
+        inbox.recv(timeout)
     }
 
     /// Sends back this process's rendered TimeTrace, so a remote `kvshell`

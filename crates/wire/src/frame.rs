@@ -121,7 +121,9 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, FrameErr
 /// identically.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Bytes fed so far; `buf[head..]` is not yet consumed as frames.
     buf: Vec<u8>,
+    head: usize,
 }
 
 impl FrameReader {
@@ -130,14 +132,20 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Appends freshly read bytes to the pending buffer.
+    /// Appends freshly read bytes to the pending buffer. Frames popped
+    /// since the last feed are dropped from its front here, in one move,
+    /// not one move per frame.
     pub fn feed(&mut self, bytes: &[u8]) {
+        if self.head > 0 {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed as frames.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     /// Pops the next complete frame, `Ok(None)` when more bytes are
@@ -150,33 +158,38 @@ impl FrameReader {
     /// complete, so a bad magic is detected after four bytes, not after a
     /// bogus length prefix has been waited on.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.buf.len() >= 4 {
-            let magic: [u8; 4] = self.buf[..4].try_into().expect("4 bytes");
+        let buf = &self.buf[self.head..];
+        if buf.len() >= 4 {
+            let magic: [u8; 4] = buf[..4].try_into().expect("4 bytes");
             if magic != MAGIC {
                 return Err(FrameError::BadMagic(magic));
             }
         }
-        if self.buf.len() >= 5 && self.buf[4] != VERSION {
-            return Err(FrameError::BadVersion(self.buf[4]));
+        if buf.len() >= 5 && buf[4] != VERSION {
+            return Err(FrameError::BadVersion(buf[4]));
         }
-        let kind = if self.buf.len() >= 6 {
-            Some(FrameKind::from_u8(self.buf[5]).ok_or(FrameError::BadKind(self.buf[5]))?)
+        let kind = if buf.len() >= 6 {
+            Some(FrameKind::from_u8(buf[5]).ok_or(FrameError::BadKind(buf[5]))?)
         } else {
             None
         };
-        if self.buf.len() < HEADER_LEN {
+        if buf.len() < HEADER_LEN {
             return Ok(None);
         }
-        let len_bytes: [u8; 4] = self.buf[6..HEADER_LEN].try_into().expect("4 bytes");
+        let len_bytes: [u8; 4] = buf[6..HEADER_LEN].try_into().expect("4 bytes");
         let len = u32::from_le_bytes(len_bytes) as usize;
         if len > MAX_PAYLOAD {
             return Err(FrameError::Oversize(len));
         }
-        if self.buf.len() < HEADER_LEN + len {
+        if buf.len() < HEADER_LEN + len {
             return Ok(None);
         }
-        let payload = self.buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-        self.buf.drain(..HEADER_LEN + len);
+        let payload = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
+        self.head += HEADER_LEN + len;
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+        }
         Ok(Some(Frame {
             kind: kind.expect("header complete"),
             payload,
@@ -218,6 +231,38 @@ mod tests {
         assert_eq!(frames[0].kind, FrameKind::Hello);
         assert_eq!(frames[1].payload.len(), 300);
         assert_eq!(frames[2].kind, FrameKind::TraceRequest);
+    }
+
+    /// One read can hold dozens of frames (the readiness loop reads up to
+    /// 64 KiB at a time): they pop in order, `pending` counts down frame by
+    /// frame, and bytes fed between pops land behind what is still pending.
+    #[test]
+    fn many_frames_in_one_feed_pop_in_order() {
+        let payload = |i: usize| vec![i as u8; 1 + (i * 37) % 1500];
+        let frames: Vec<Vec<u8>> = (0..60)
+            .map(|i| encode_frame(FrameKind::Msg, &payload(i)).unwrap())
+            .collect();
+        let (last, head) = frames.split_last().unwrap();
+        let (last_a, last_b) = last.split_at(HEADER_LEN + 3);
+        let mut r = FrameReader::new();
+        r.feed(&[head.concat().as_slice(), last_a].concat());
+        let mut pending = r.pending();
+        for (i, bytes) in head.iter().enumerate() {
+            let f = r.next_frame().unwrap().expect("a whole frame is buffered");
+            assert_eq!(f.payload, payload(i), "frame {i}");
+            pending -= bytes.len();
+            assert_eq!(r.pending(), pending);
+            if i == 30 {
+                // Mid-drain feed: compaction must keep frames 31.. intact.
+                r.feed(&last_b[..2]);
+                pending += 2;
+            }
+        }
+        assert_eq!(r.next_frame().unwrap(), None, "the last frame is torn");
+        r.feed(&last_b[2..]);
+        assert_eq!(r.next_frame().unwrap().unwrap().payload, payload(59));
+        assert_eq!(r.next_frame().unwrap(), None);
+        assert_eq!(r.pending(), 0);
     }
 
     #[test]

@@ -16,15 +16,19 @@
 //!   `rmc_core::protocol::Msg` — one-byte enum tags in declaration order,
 //!   u64 LE integers, length-prefixed byte strings — with proptests
 //!   pinning the round-trip and torn-frame properties.
-//! - [`pool`]: one lazily dialed, automatically re-dialed connection per
-//!   peer, with exponential backoff on dead peers and bidirectional
-//!   adoption (replies multiplex back over the socket requests arrived
-//!   on). Health surfaces as `wire.*` counters in the shared
-//!   [`MetricsRegistry`](rmc_runtime::MetricsRegistry).
-//! - [`fabric`]: the [`WireFabric`] NIC (listener, readers decoding
-//!   straight into the node's inbox of `rmc_runtime::Event`s, delay line,
-//!   span stamping at send/deliver). `rmc-standalone`'s cluster harness
-//!   plugs it in as one of its two fabrics.
+//! - [`fabric`]: the [`WireFabric`] NIC. One lazily dialed, automatically
+//!   re-dialed connection per peer, with exponential backoff on dead peers
+//!   and bidirectional adoption (replies multiplex back over the socket
+//!   requests arrived on), all driven by **one readiness loop on the
+//!   thread that owns the node's [`WireInbox`]**: it writes what was
+//!   posted, `poll(2)`s the listener and every connection, reads,
+//!   reassembles, decodes, stamps spans and hands out
+//!   `rmc_runtime::Event`s. No thread per connection, none per listener;
+//!   the only thread a fabric ever owns is the delay line's, once a chaos
+//!   plan has delayed something. Health surfaces as `wire.*` counters in
+//!   the shared [`MetricsRegistry`](rmc_runtime::MetricsRegistry).
+//!   `rmc-standalone`'s cluster harness plugs it in as one of its two
+//!   fabrics.
 //!
 //! Delivery semantics match the other engines: `send` may silently drop
 //! (connection died, peer backing off, peer has no route) and the
@@ -38,9 +42,7 @@
 pub mod codec;
 pub mod fabric;
 pub mod frame;
-pub mod pool;
 
 pub use codec::{decode_msg, encode_msg, CodecError};
-pub use fabric::{FabricConfig, WireFabric};
+pub use fabric::{AddressBook, FabricConfig, WireFabric, WireInbox, WireMetrics};
 pub use frame::{encode_frame, Frame, FrameError, FrameKind, FrameReader};
-pub use pool::{AddressBook, ConnectionPool, WireMetrics};
