@@ -1,7 +1,8 @@
 //! One replication/recovery protocol, two engines.
 //!
 //! The node state machines in this module — [`CoordinatorNode`],
-//! [`Server`], [`ScriptClient`] — implement RAMCloud's client/master/backup
+//! [`Server`], [`ClientCore`] (under a [`ScriptClient`] or the wall-clock
+//! engines' synchronous handle) — implement RAMCloud's client/master/backup
 //! protocol (bucket routing, primary-backup replication with ack-gated
 //! responses, RIFL exactly-once retries, heartbeat failure detection, and
 //! will-based crash recovery) as message handlers that are generic over
@@ -208,8 +209,8 @@ pub fn retry_jitter(client: usize, seq: u64, attempt: u32, max_nanos: u64) -> u6
 }
 
 /// The capped exponential backoff window (plus [`retry_jitter`]) a client
-/// waits before retry number `attempt` of `seq` — one schedule for the
-/// scripted client here and the synchronous wall-clock client.
+/// waits before retry number `attempt` of `seq`. [`ClientCore`] is its one
+/// caller.
 pub fn retry_backoff(cfg: &ProtocolConfig, client: usize, seq: u64, attempt: u32) -> SimDuration {
     let base = cfg.retry_timeout;
     let raw = base.mul_f64(f64::from(1u32 << attempt.min(6)));
@@ -1647,7 +1648,7 @@ impl Server {
 }
 
 // ---------------------------------------------------------------------
-// Scripted client
+// The client half: one core, a script over it
 // ---------------------------------------------------------------------
 
 /// Observable event counters on a client (exported into the metrics
@@ -1658,8 +1659,9 @@ pub struct ClientCounters {
     pub retries: u64,
     /// Retries issued with a grown (above-base) backoff delay.
     pub backoffs: u64,
-    /// Ops abandoned entirely (never incremented by [`ScriptClient`],
-    /// which retries forever; the threaded `MiniClient` counts here).
+    /// Ops abandoned entirely. [`ClientCore`] itself retries forever;
+    /// whoever drives it under a budget (the wall-clock `Client` handle)
+    /// counts the op it stops waiting for here.
     pub giveups: u64,
     /// Tablet-map refreshes requested from the coordinator.
     pub map_requests: u64,
@@ -1667,59 +1669,75 @@ pub struct ClientCounters {
     pub wrong_owner: u64,
 }
 
-/// A client that executes a fixed op script with RIFL retries: each op is
-/// re-sent with the *same* sequence number until a usable response arrives,
-/// backing off exponentially (capped, jittered) between attempts. Used by
-/// both engines for the cross-engine equivalence test and the chaos suite;
-/// the threaded engine's synchronous `MiniClient` handle follows the same
-/// wire protocol.
+/// The client half of the protocol, written once: routes an op to the
+/// owner of its key's bucket, re-sends it with the *same* RIFL sequence
+/// number until a usable response arrives — under capped, jittered
+/// exponential backoff ([`retry_backoff`]), refreshing the tablet map
+/// alongside every retry — and absorbs `WrongOwner` and `MapUpdate`.
+///
+/// One op is in flight at a time. [`ScriptClient`] feeds it a script on
+/// every engine; the wall-clock engines' synchronous `Client` handle feeds
+/// it the caller's ops and pumps its inbox until [`ClientCore::on_message`]
+/// yields the reply.
 #[derive(Debug)]
-pub struct ScriptClient {
-    /// Client index (node id is `client_id(servers, index)`).
-    pub index: usize,
+pub struct ClientCore {
+    index: usize,
     cfg: ProtocolConfig,
-    script: Vec<ClientOp>,
-    next: usize,
     owners: Vec<usize>,
     map_version: u64,
-    in_flight: Option<u64>,
+    seq: u64,
+    /// The op last begun, kept once answered: what a verbatim duplicate
+    /// re-sends.
+    op: Option<ClientOp>,
+    /// Is `op` still waiting for its reply?
+    waiting: bool,
     last_sent: SimTime,
     attempt: u32,
     retry_delay: SimDuration,
-    /// Replies recorded per completed op, in script order.
-    pub results: Vec<Reply>,
-    /// Acked operations in program order, for the invariant checker.
-    pub history: Vec<OpRecord>,
     /// Event counters.
     pub counters: ClientCounters,
-    /// True once every scripted op has completed.
-    pub done: bool,
 }
 
-impl ScriptClient {
-    /// Creates client `index` over `script`.
-    pub fn new(index: usize, cfg: ProtocolConfig, script: Vec<ClientOp>) -> Self {
-        let owners: Vec<usize> = (0..cfg.buckets).map(|b| b % cfg.servers).collect();
-        let retry_delay = cfg.retry_timeout;
-        ScriptClient {
+impl ClientCore {
+    /// Creates the core of client `index`, routing by the initial
+    /// round-robin map.
+    pub fn new(index: usize, cfg: ProtocolConfig) -> Self {
+        ClientCore {
             index,
-            cfg,
-            script,
-            next: 0,
-            owners,
+            owners: (0..cfg.buckets).map(|b| b % cfg.servers).collect(),
             map_version: 0,
-            in_flight: None,
+            seq: 0,
+            op: None,
+            waiting: false,
             last_sent: SimTime::ZERO,
             attempt: 0,
-            retry_delay,
-            results: Vec::new(),
-            history: Vec::new(),
+            retry_delay: cfg.retry_timeout,
             counters: ClientCounters::default(),
-            done: false,
+            cfg,
         }
     }
 
-    /// This client's event counters, in the shape of the servers' and the
+    /// The client's index (its node id is `client_id(servers, index)`).
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// The configuration the client routes and retries by.
+    pub fn config(&self) -> &ProtocolConfig {
+        &self.cfg
+    }
+
+    /// The RIFL sequence number of the op last begun.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Is an op still waiting for its reply?
+    pub fn waiting(&self) -> bool {
+        self.waiting
+    }
+
+    /// The event counters in the shape of the servers' and the
     /// coordinator's stats-plane dumps.
     pub fn stats(&self) -> Vec<(String, u64)> {
         stat_pairs(self.stat_rows())
@@ -1736,26 +1754,157 @@ impl ScriptClient {
         ]
     }
 
+    /// Starts `op` under the next sequence number: sends it and arms the
+    /// retry timer. The previous op must have been answered or abandoned.
+    pub fn begin<R: Runtime<Msg = Msg>>(&mut self, op: ClientOp, rt: &mut R) {
+        self.seq += 1;
+        self.op = Some(op);
+        self.start(rt);
+    }
+
+    /// Starts the last op over, verbatim — same sequence number, first
+    /// attempt — as a network-duplicated delivery would. `false` if
+    /// nothing was ever begun.
+    pub fn begin_again<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) -> bool {
+        if self.op.is_some() {
+            self.start(rt);
+        }
+        self.op.is_some()
+    }
+
+    fn start<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
+        self.waiting = true;
+        self.attempt = 0;
+        self.retry_delay = retry_backoff(&self.cfg, self.index, self.seq, 0);
+        self.send(rt);
+        rt.set_timer(self.retry_delay);
+    }
+
+    fn send<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
+        let op = self.op.clone().expect("an op was begun");
+        let owner = self.owners[bucket_for(PROTO_TABLE, op.key(), self.cfg.buckets)];
+        self.last_sent = rt.now();
+        rt.send(server_id(owner), Msg::Request { seq: self.seq, op });
+    }
+
+    /// Handles a response or a map update; returns the reply that
+    /// completes the op in flight.
+    pub fn on_message<R: Runtime<Msg = Msg>>(&mut self, msg: Msg, rt: &mut R) -> Option<Reply> {
+        match msg {
+            // A response to another seq is a stale duplicate from an
+            // earlier retry.
+            Msg::Response { seq, reply } if self.waiting && seq == self.seq => {
+                if reply == Reply::WrongOwner {
+                    // Routing raced a recovery: ask for a fresh map; the
+                    // timer will retry after it lands.
+                    self.counters.wrong_owner += 1;
+                    self.counters.map_requests += 1;
+                    rt.send(coordinator_id(), Msg::MapRequest);
+                    return None;
+                }
+                self.waiting = false;
+                Some(reply)
+            }
+            Msg::MapUpdate {
+                version, owners, ..
+            } if version > self.map_version => {
+                self.map_version = version;
+                self.owners = owners;
+                None
+            }
+            _ => None,
+        }
+    }
+
+    /// Retry tick: re-sends the op in flight (same sequence) once it has
+    /// been outstanding for the current backoff delay, then grows the
+    /// delay. Re-arms itself while an op is in flight.
+    pub fn on_timer<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
+        if !self.waiting {
+            return;
+        }
+        if rt.now().saturating_since(self.last_sent) >= self.retry_delay {
+            self.attempt = self.attempt.saturating_add(1);
+            self.counters.retries += 1;
+            if self.attempt > 1 {
+                self.counters.backoffs += 1;
+            }
+            self.retry_delay = retry_backoff(&self.cfg, self.index, self.seq, self.attempt);
+            // The map may be why we're stuck; refresh it alongside the
+            // retry.
+            self.counters.map_requests += 1;
+            rt.send(coordinator_id(), Msg::MapRequest);
+            self.send(rt);
+        }
+        rt.set_timer(self.retry_delay);
+    }
+
+    /// The history record of the op last begun: acked with `reply`, or —
+    /// `None` — not yet.
+    pub fn record(&self, reply: Option<&Reply>) -> OpRecord {
+        let op = self.op.as_ref().expect("an op was begun");
+        let kind = match op {
+            ClientOp::Put { value, .. } => OpKind::Put(value.clone()),
+            ClientOp::Del { .. } => OpKind::Del,
+            ClientOp::Get { .. } => OpKind::Get,
+        };
+        // A reply of the wrong shape is a protocol bug; it records version
+        // 0 so the checker flags it.
+        let (version, read) = match (&kind, reply) {
+            (OpKind::Put(_) | OpKind::Del, Some(Reply::Done { version })) => (*version, None),
+            (OpKind::Get, Some(Reply::Value(v))) => (0, Some(v.clone())),
+            _ => (0, None),
+        };
+        OpRecord {
+            key: op.key().to_vec(),
+            kind,
+            acked: reply.is_some(),
+            version,
+            read,
+            retries: u64::from(self.attempt),
+        }
+    }
+}
+
+/// A client that executes a fixed op script, one op at a time, over a
+/// [`ClientCore`], recording each reply and the history the invariant
+/// checker judges. Used by every engine for the cross-engine equivalence
+/// test and the chaos suite.
+#[derive(Debug)]
+pub struct ScriptClient {
+    /// Client index (node id is `client_id(servers, index)`).
+    pub index: usize,
+    core: ClientCore,
+    /// The ops not yet issued.
+    script: std::vec::IntoIter<ClientOp>,
+    /// Replies recorded per completed op, in script order.
+    pub results: Vec<Reply>,
+    /// Acked operations in program order, for the invariant checker.
+    pub history: Vec<OpRecord>,
+    /// True once every scripted op has completed.
+    pub done: bool,
+}
+
+impl ScriptClient {
+    /// Creates client `index` over `script`.
+    pub fn new(index: usize, cfg: ProtocolConfig, script: Vec<ClientOp>) -> Self {
+        ScriptClient {
+            index,
+            core: ClientCore::new(index, cfg),
+            script: script.into_iter(),
+            results: Vec::new(),
+            history: Vec::new(),
+            done: false,
+        }
+    }
+
     /// The recorded history plus, if an op is still in flight, a trailing
     /// unacked record for it — the exact shape
     /// [`check_histories`](rmc_chaos::check_histories) expects.
     pub fn full_history(&self) -> Vec<OpRecord> {
         let mut h = self.history.clone();
-        if !self.done && self.in_flight.is_some() {
-            if let Some(op) = self.script.get(self.next) {
-                h.push(OpRecord {
-                    key: op.key().to_vec(),
-                    kind: match op {
-                        ClientOp::Put { value, .. } => OpKind::Put(value.clone()),
-                        ClientOp::Del { .. } => OpKind::Del,
-                        ClientOp::Get { .. } => OpKind::Get,
-                    },
-                    acked: false,
-                    version: 0,
-                    read: None,
-                    retries: u64::from(self.attempt),
-                });
-            }
+        if self.core.waiting() {
+            h.push(self.core.record(None));
         }
         h
     }
@@ -1766,131 +1915,24 @@ impl ScriptClient {
     }
 
     fn issue<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
-        if self.next >= self.script.len() {
-            self.done = true;
-            self.in_flight = None;
-            return;
+        match self.script.next() {
+            Some(op) => self.core.begin(op, rt),
+            None => self.done = true,
         }
-        let seq = self.next as u64 + 1;
-        self.in_flight = Some(seq);
-        self.attempt = 0;
-        self.retry_delay = retry_backoff(&self.cfg, self.index, seq, 0);
-        self.send_current(rt);
-        rt.set_timer(self.retry_delay);
     }
 
-    fn send_current<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
-        let op = self.script[self.next].clone();
-        let bucket = bucket_for(PROTO_TABLE, op.key(), self.cfg.buckets);
-        let owner = self.owners[bucket];
-        self.last_sent = rt.now();
-        rt.send(
-            server_id(owner),
-            Msg::Request {
-                seq: self.next as u64 + 1,
-                op,
-            },
-        );
-    }
-
-    fn record_ack(&mut self, reply: &Reply) {
-        let op = &self.script[self.next];
-        let retries = u64::from(self.attempt);
-        let rec = match (op, reply) {
-            (ClientOp::Put { key, value }, Reply::Done { version }) => OpRecord {
-                key: key.clone(),
-                kind: OpKind::Put(value.clone()),
-                acked: true,
-                version: *version,
-                read: None,
-                retries,
-            },
-            (ClientOp::Del { key }, Reply::Done { version }) => OpRecord {
-                key: key.clone(),
-                kind: OpKind::Del,
-                acked: true,
-                version: *version,
-                read: None,
-                retries,
-            },
-            (ClientOp::Get { key }, Reply::Value(v)) => OpRecord {
-                key: key.clone(),
-                kind: OpKind::Get,
-                acked: true,
-                version: 0,
-                read: Some(v.clone()),
-                retries,
-            },
-            // A reply of the wrong shape is a protocol bug; record the op
-            // with version 0 so the checker flags it.
-            (op, _) => OpRecord {
-                key: op.key().to_vec(),
-                kind: match op {
-                    ClientOp::Put { value, .. } => OpKind::Put(value.clone()),
-                    ClientOp::Del { .. } => OpKind::Del,
-                    ClientOp::Get { .. } => OpKind::Get,
-                },
-                acked: true,
-                version: 0,
-                read: None,
-                retries,
-            },
-        };
-        self.history.push(rec);
-    }
-
-    /// Handles responses and map updates.
+    /// Feeds the core; a completed op is recorded and the next one issued.
     pub fn on_message<R: Runtime<Msg = Msg>>(&mut self, _from: NodeId, msg: Msg, rt: &mut R) {
-        match msg {
-            Msg::Response { seq, reply } => {
-                if self.in_flight != Some(seq) {
-                    return; // stale duplicate from an earlier retry
-                }
-                if reply == Reply::WrongOwner {
-                    // Routing raced a recovery: ask for a fresh map; the
-                    // timer will retry after it lands.
-                    self.counters.wrong_owner += 1;
-                    self.counters.map_requests += 1;
-                    rt.send(coordinator_id(), Msg::MapRequest);
-                    return;
-                }
-                self.record_ack(&reply);
-                self.results.push(reply);
-                self.next += 1;
-                self.issue(rt);
-            }
-            Msg::MapUpdate {
-                version, owners, ..
-            } if version > self.map_version => {
-                self.map_version = version;
-                self.owners = owners;
-            }
-            _ => {}
+        if let Some(reply) = self.core.on_message(msg, rt) {
+            self.history.push(self.core.record(Some(&reply)));
+            self.results.push(reply);
+            self.issue(rt);
         }
     }
 
-    /// Retry tick: re-sends the in-flight op (same sequence) once it has
-    /// been outstanding for the current backoff delay, then grows the
-    /// delay.
+    /// The core's retry tick.
     pub fn on_timer<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
-        if self.done || self.in_flight.is_none() {
-            return;
-        }
-        if rt.now().saturating_since(self.last_sent) >= self.retry_delay {
-            let seq = self.in_flight.expect("in flight");
-            self.attempt = self.attempt.saturating_add(1);
-            self.counters.retries += 1;
-            if self.attempt > 1 {
-                self.counters.backoffs += 1;
-            }
-            self.retry_delay = retry_backoff(&self.cfg, self.index, seq, self.attempt);
-            // The map may be why we're stuck; refresh it alongside the
-            // retry.
-            self.counters.map_requests += 1;
-            rt.send(coordinator_id(), Msg::MapRequest);
-            self.send_current(rt);
-        }
-        rt.set_timer(self.retry_delay);
+        self.core.on_timer(rt);
     }
 }
 
@@ -1949,7 +1991,7 @@ impl AnyNode {
         let (family, rows) = match self {
             AnyNode::Coordinator(n) => (reg.family_at("coord."), n.stat_rows()),
             AnyNode::Server(n) => (reg.family("server", n.index), n.stat_rows()),
-            AnyNode::Client(n) => (reg.family("client", n.index), n.stat_rows()),
+            AnyNode::Client(n) => (reg.family("client", n.index), n.core.stat_rows()),
         };
         for (name, kind, value) in rows {
             match kind {
@@ -2377,6 +2419,83 @@ mod tests {
         // waits the same window, and distinct clients de-synchronize.
         assert_eq!(retry_backoff(&cfg, 1, 7, 3), retry_backoff(&cfg, 1, 7, 3));
         assert_ne!(retry_backoff(&cfg, 0, 7, 3), retry_backoff(&cfg, 1, 7, 3));
+    }
+
+    /// The client half, driven directly: what every engine's client does
+    /// about a lost response, a `WrongOwner` and a map update.
+    #[test]
+    fn client_core_retries_with_a_stable_seq_and_follows_the_map() {
+        let cfg = ProtocolConfig::new(3, 1, 2);
+        let key = key_owned_by_zero(&cfg);
+        let mut rt = TestRt::new(client_id(3, 0));
+        let mut core = ClientCore::new(0, cfg.clone());
+        let op = ClientOp::Get { key: key.clone() };
+        let request = Msg::Request {
+            seq: 1,
+            op: op.clone(),
+        };
+        core.begin(op, &mut rt);
+        assert_eq!(rt.drain(), vec![(server_id(0), request.clone())]);
+        let first = retry_backoff(&cfg, 0, 1, 0);
+        assert_eq!(rt.timers, vec![first]);
+
+        // A tick before the window ends re-arms and re-sends nothing.
+        core.on_timer(&mut rt);
+        assert!(rt.drain().is_empty());
+        // The response was dropped: once the window has passed the same
+        // seq goes out again, with a map refresh beside it.
+        rt.now += first;
+        core.on_timer(&mut rt);
+        assert_eq!(
+            rt.drain(),
+            vec![
+                (coordinator_id(), Msg::MapRequest),
+                (server_id(0), request.clone())
+            ]
+        );
+        // The second miss waits a grown window.
+        let second = retry_backoff(&cfg, 0, 1, 1);
+        assert!(second > first);
+        assert_eq!(rt.timers.last(), Some(&second));
+        rt.now += second;
+        core.on_timer(&mut rt);
+        assert_eq!(rt.drain().len(), 2);
+        assert_eq!((core.counters.retries, core.counters.backoffs), (2, 1));
+
+        // `WrongOwner` asks for one fresh map and completes nothing.
+        let wrong = Msg::Response {
+            seq: 1,
+            reply: Reply::WrongOwner,
+        };
+        assert_eq!(core.on_message(wrong, &mut rt), None);
+        assert_eq!(rt.drain(), vec![(coordinator_id(), Msg::MapRequest)]);
+        assert_eq!(core.counters.wrong_owner, 1);
+        assert!(core.waiting());
+
+        // A newer map re-routes the next send; an older one does not.
+        let map = |version, owner| Msg::MapUpdate {
+            version,
+            owners: vec![owner; cfg.buckets],
+            alive: vec![true; 3],
+        };
+        assert_eq!(core.on_message(map(2, 2), &mut rt), None);
+        assert_eq!(core.on_message(map(1, 1), &mut rt), None);
+        rt.now += retry_backoff(&cfg, 0, 1, 2);
+        core.on_timer(&mut rt);
+        assert_eq!(rt.drain()[1], (server_id(2), request));
+
+        // A response to another seq is stale; the op's own completes it,
+        // once.
+        let reply = |seq| Msg::Response {
+            seq,
+            reply: Reply::Value(None),
+        };
+        assert_eq!(core.on_message(reply(7), &mut rt), None);
+        assert_eq!(core.on_message(reply(1), &mut rt), Some(Reply::Value(None)));
+        assert_eq!(core.on_message(reply(1), &mut rt), None);
+        assert!(!core.waiting());
+        assert_eq!(core.counters.map_requests, 4);
+        assert_eq!(core.counters.giveups, 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The wall-clock cluster harness: **one harness, two fabrics**.
+//! The wall-clock cluster harness: **one harness, two fabrics, one pump**.
 //!
 //! [`Cluster`] runs `rmc-core`'s coordinator/master/backup state machines
 //! as real threads — one coordinator, N servers, and scripted clients or
@@ -7,9 +7,9 @@
 //! only engine-specific code:
 //!
 //! ```text
-//!   Client<F> ──post──▶ ┌──────── Fabric ────────┐ ──Event──▶ inbox ─▶ node_loop
-//!   node_loop ──post──▶ │ ChannelFabric: channel │            (one per node:
-//!                       │ WireFabric: TCP socket │             AnyNode + timer)
+//!   Client<F> ──post──▶ ┌──────── Fabric ────────┐ ──Event──▶ inbox ─▶ pump ─▶ node_loop: AnyNode
+//!   node_loop ──post──▶ │ ChannelFabric: channel │            (one per    └──▶ Client<F>: ClientCore
+//!                       │ WireFabric: TCP socket │             node)
 //!   kill/shutdown ─────▶└─ deliver ──────────────┘
 //! ```
 //!
@@ -28,6 +28,23 @@
 //!   its connections and the next one starts from fresh ones. The `rmcd`
 //!   binary runs the same [`node_loop`] over the same fabric, one node per
 //!   OS process.
+//!
+//! ## One pump, one client half
+//!
+//! Everything that waits on an inbox does so through one private loop,
+//! `pump`: each turn fires the node's timer if it is due and otherwise
+//! takes the inbox's next event, waiting until the timer's deadline at the
+//! latest — or, with no timer armed, until an event arrives (there is no
+//! idle poll; [`Fabric::deliver`] wakes a blocked loop). The timer is
+//! checked **before** the inbox: a server whose inbox never runs dry still
+//! sends its heartbeats on time, exactly as the simulated engine fires a
+//! timer at its time whatever is queued behind it. [`node_loop`] hands the
+//! pump's turns to an `AnyNode`; a [`Client`] handle hands them to the
+//! protocol's one client state machine, `rmc_core::protocol::ClientCore` —
+//! the same core a scripted client runs under all three engines — until
+//! the core yields the op's reply, so routing, RIFL retry, backoff and map
+//! refresh exist once. The handle adds only what a blocking caller needs:
+//! a give-up budget, checked at each retry tick.
 //!
 //! Messages that are merely *logically* stale — sent before the sender
 //! learned of a restart — are fenced by the protocol itself (heartbeat
@@ -57,11 +74,11 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rmc_chaos::{FaultPlan, FaultRuntime, FaultState, OpRecord};
 use rmc_core::coordinator::bucket_for;
 use rmc_core::protocol::{
-    coordinator_id, msg_class, retry_backoff, server_id, AnyNode, ClientOp, Msg, ProtocolConfig,
-    Reply, Server, PROTO_TABLE,
+    msg_class, server_id, AnyNode, ClientCore, ClientOp, Msg, ProtocolConfig, Reply, Server,
+    PROTO_TABLE,
 };
 use rmc_obs::span::SpanRecorder;
-use rmc_runtime::{CounterHandle, Event, MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
+use rmc_runtime::{Event, MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
 
 mod channel;
 mod wire;
@@ -118,9 +135,10 @@ pub trait Fabric: Debug + Send + Sync + Sized + 'static {
     /// delivers [`Event::Kill`] and [`Event::Shutdown`].
     fn deliver(&self, event: Event<Msg>);
 
-    /// Takes the next event off `inbox`, waiting at most `timeout`. The
-    /// inbox is its owner's alone (`&mut`): on the TCP fabric it *is* the
-    /// node's sockets, and this call is where they are read and written.
+    /// Takes the next event off `inbox`, waiting at most `timeout` — for
+    /// as long as it takes when that is `Duration::MAX`. The inbox is its
+    /// owner's alone (`&mut`): on the TCP fabric it *is* the node's
+    /// sockets, and this call is where they are read and written.
     fn recv(inbox: &mut Self::Inbox, timeout: Duration) -> Result<Event<Msg>, RecvTimeoutError>;
 
     /// Answers an [`Event::TraceRequest`] from `to`. Only a fabric that
@@ -154,13 +172,11 @@ macro_rules! on_both_fabrics {
     };
 }
 
-/// Idle poll granularity when no timer is armed.
-const IDLE_POLL: Duration = Duration::from_millis(25);
-
 /// The wall-clock [`Runtime`]: `send` posts on the node's fabric, `now`
-/// reads its clock, `set_timer` keeps the earliest deadline for the node
-/// loop to bound its `recv` by, and `send_after` parks the message on the
-/// fabric's delay line (fault-injected delays).
+/// reads its clock, `set_timer` keeps the earliest deadline for [`pump`]
+/// to fire, and `send_after` parks the message on the fabric's delay line
+/// (fault-injected delays).
+#[derive(Debug)]
 struct NodeRuntime<F> {
     fabric: Arc<F>,
     deadline: Option<SimTime>,
@@ -191,6 +207,52 @@ impl<F: Fabric> Runtime for NodeRuntime<F> {
 
     fn send_after(&self, delay: SimDuration, to: NodeId, msg: Msg) {
         self.fabric.post(to, msg, delay);
+    }
+}
+
+/// What [`pump`] hands the state machine it drives.
+enum Turn {
+    /// The armed timer came due.
+    Timer,
+    /// The inbox yielded an event.
+    Event(Event<Msg>),
+}
+
+/// The wall-clock engines' one event pump — under every node loop and
+/// every synchronous [`Client`] handle. Each turn is the timer if it is
+/// due, otherwise the inbox's next event, awaited until the deadline at
+/// the latest; with no timer armed it blocks until an event arrives
+/// ([`Fabric::deliver`] wakes it). The timer is looked at *first*: a node
+/// whose inbox never runs dry still ticks on time — a backlogged server
+/// keeps heartbeating — as under the simulated engine, where a timer fires
+/// at its time whatever is queued behind it. Runs until `turn` yields
+/// (`Some`) or the inbox is cut off (`None`).
+fn pump<F: Fabric, T>(
+    rt: &mut NodeRuntime<F>,
+    inbox: &mut F::Inbox,
+    mut turn: impl FnMut(&mut NodeRuntime<F>, Turn) -> Option<T>,
+) -> Option<T> {
+    loop {
+        let now = rt.now();
+        let next = match rt.deadline {
+            Some(due) if due <= now => {
+                rt.deadline = None;
+                Turn::Timer
+            }
+            deadline => {
+                let wait = deadline.map_or(Duration::MAX, |due| {
+                    Duration::from_nanos(due.saturating_since(now).as_nanos())
+                });
+                match F::recv(inbox, wait) {
+                    Ok(event) => Turn::Event(event),
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return None,
+                }
+            }
+        };
+        if let Some(out) = turn(rt, next) {
+            return Some(out);
+        }
     }
 }
 
@@ -254,62 +316,58 @@ pub fn node_loop<F: Fabric>(
     mut node: AnyNode,
     fabric: Arc<F>,
     mut inbox: F::Inbox,
-    done_tx: Option<Sender<usize>>,
+    mut done_tx: Option<Sender<usize>>,
     mut faults: Option<FaultState>,
 ) -> Option<NodeReport> {
     let mut rt = NodeRuntime {
         fabric,
         deadline: None,
     };
-    let mut notified = false;
+    // A scripted client reports, once, that its script is through.
+    let mut notify_done = |node: &AnyNode| {
+        if let AnyNode::Client(c) = node {
+            if c.done {
+                if let Some(tx) = done_tx.take() {
+                    let _ = tx.send(c.index);
+                }
+            }
+        }
+    };
     match faults.as_mut() {
         Some(f) => node.on_start(&mut FaultRuntime::new(&mut rt, f, msg_class)),
         None => node.on_start(&mut rt),
     }
-    loop {
-        if let (Some(tx), AnyNode::Client(c)) = (&done_tx, &node) {
-            if c.done && !notified {
-                notified = true;
-                let _ = tx.send(c.index);
-            }
-        }
-        let timeout = match rt.deadline {
-            Some(d) => Duration::from_nanos(d.saturating_since(rt.now()).as_nanos()),
-            None => IDLE_POLL,
-        };
-        match F::recv(&mut inbox, timeout) {
-            Ok(Event::Msg { from, msg }) => match faults.as_mut() {
-                Some(f) => {
-                    node.on_message(from, msg, &mut FaultRuntime::new(&mut rt, f, msg_class))
-                }
-                None => node.on_message(from, msg, &mut rt),
+    notify_done(&node);
+    let graceful = pump(&mut rt, &mut inbox, |rt, turn| {
+        match turn {
+            Turn::Timer => match faults.as_mut() {
+                Some(f) => node.on_timer(&mut FaultRuntime::new(rt, f, msg_class)),
+                None => node.on_timer(rt),
             },
-            Ok(Event::TraceRequest { from }) => rt.fabric.answer_trace(from),
+            Turn::Event(Event::Msg { from, msg }) => match faults.as_mut() {
+                Some(f) => node.on_message(from, msg, &mut FaultRuntime::new(rt, f, msg_class)),
+                None => node.on_message(from, msg, rt),
+            },
+            Turn::Event(Event::TraceRequest { from }) => rt.fabric.answer_trace(from),
             // Cluster nodes never ask for traces.
-            Ok(Event::TraceReply { .. }) => {}
-            Ok(Event::Kill) => return None,
-            Ok(Event::Shutdown) => {
-                // Staged replicas go durable before the final report: a
-                // graceful exit must leave a file-backed data dir as
-                // complete as a per-write-fsync crash would.
-                if let AnyNode::Server(s) = &mut node {
-                    let _ = s.flush_storage();
-                }
-                let id = rt.node();
-                return Some(report(node, id, faults.as_ref(), rt.fabric.registry()));
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if rt.deadline.is_some_and(|d| rt.now() >= d) {
-                    rt.deadline = None;
-                    match faults.as_mut() {
-                        Some(f) => node.on_timer(&mut FaultRuntime::new(&mut rt, f, msg_class)),
-                        None => node.on_timer(&mut rt),
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return None,
+            Turn::Event(Event::TraceReply { .. }) => {}
+            Turn::Event(Event::Kill) => return Some(false),
+            Turn::Event(Event::Shutdown) => return Some(true),
         }
+        notify_done(&node);
+        None
+    });
+    if graceful != Some(true) {
+        return None;
     }
+    // Staged replicas go durable before the final report: a graceful exit
+    // must leave a file-backed data dir as complete as a per-write-fsync
+    // crash would.
+    if let AnyNode::Server(s) = &mut node {
+        let _ = s.flush_storage();
+    }
+    let id = rt.node();
+    Some(report(node, id, faults.as_ref(), rt.fabric.registry()))
 }
 
 /// Derives the per-node fault interpreter for a chaos run. Each node (and
@@ -617,23 +675,38 @@ impl<F: Fabric> Cluster<F> {
 
     /// Gracefully stops every surviving node, severs every fabric, and
     /// aggregates the final state.
-    pub fn shutdown(self) -> ClusterReport {
+    pub fn shutdown(mut self) -> ClusterReport {
         for (id, _) in &self.handles {
             self.fabrics[id.0].deliver(Event::Shutdown);
         }
         let reports = self
             .handles
-            .into_iter()
+            .drain(..)
             .map(|(id, handle)| (id, handle.join().expect("cluster node panicked")))
             .collect();
-        for fabric in &self.fabrics {
-            fabric.sever();
-        }
         aggregate_reports(
             reports,
             self.fabrics[0].registry().clone(),
             self.fabrics[0].spans(),
         )
+    }
+}
+
+/// Crashes and joins whatever node threads are left, then severs every
+/// fabric: all of them after a [`Cluster::shutdown`]'s joins; the threads
+/// too when the cluster is dropped without one (a test that panicked
+/// mid-scenario), which would otherwise leak them.
+impl<F: Fabric> Drop for Cluster<F> {
+    fn drop(&mut self) {
+        for (id, _) in &self.handles {
+            self.fabrics[id.0].deliver(Event::Kill);
+        }
+        for (_, handle) in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+        for fabric in &self.fabrics {
+            fabric.sever();
+        }
     }
 }
 
@@ -688,75 +761,56 @@ fn aggregate_reports(
     }
 }
 
-/// A synchronous client handle: `put`/`get`/`del` follow the wire protocol
-/// (route by bucket, retry unanswered requests with the *same* RIFL
-/// sequence number under capped exponential backoff with deterministic
-/// jitter, absorb map updates), blocking the calling thread until the op
-/// completes. Retry, backoff, map-request, and give-up events are counted
-/// in the fabric's [`MetricsRegistry`] under `client.<i>.*`.
+/// A synchronous client handle: the protocol's client half
+/// ([`ClientCore`] — routing, stable-seq RIFL retries under backoff, map
+/// refresh) on the wall-clock [`Runtime`], pumped by the calling thread
+/// until the op's reply arrives or its give-up budget runs out. The core's
+/// event counters are live in the fabric's [`MetricsRegistry`] under
+/// `client.<i>.*`, current whenever a call returns.
 #[derive(Debug)]
 pub struct Client<F: Fabric> {
-    index: usize,
-    cfg: ProtocolConfig,
-    fabric: Arc<F>,
+    core: ClientCore,
+    rt: NodeRuntime<F>,
     inbox: F::Inbox,
     /// A `connect`ed client's fabric is its own to tear down; a
     /// cluster-issued handle's is severed by [`Cluster::shutdown`].
     owns_fabric: bool,
-    owners: Vec<usize>,
-    map_version: u64,
-    seq: u64,
-    last: Option<(u64, ClientOp)>,
     op_budget: Duration,
-    retries: CounterHandle,
-    backoffs: CounterHandle,
-    giveups: CounterHandle,
-    map_requests: CounterHandle,
-    wrong_owner: CounterHandle,
 }
 
 impl<F: Fabric> Client<F> {
     fn new(cfg: ProtocolConfig, fabric: Arc<F>, inbox: F::Inbox) -> Self {
-        let owners = (0..cfg.buckets).map(|b| b % cfg.servers).collect();
         let index = fabric.me().0 - 1 - cfg.servers;
         // Liveness bound: a healthy cluster answers in microseconds; even
         // a crash only blocks until recovery. Far beyond that, fail loudly
         // instead of hanging the caller.
         let op_budget = Duration::from_nanos(cfg.retry_timeout.as_nanos()).saturating_mul(200);
-        let fam = fabric.registry().family("client", index);
         Client {
-            index,
-            cfg,
+            core: ClientCore::new(index, cfg),
+            rt: NodeRuntime {
+                fabric,
+                deadline: None,
+            },
             inbox,
             owns_fabric: false,
-            owners,
-            map_version: 0,
-            seq: 0,
-            last: None,
             op_budget,
-            retries: fam.counter("retries"),
-            backoffs: fam.counter("backoffs"),
-            giveups: fam.counter("giveups"),
-            map_requests: fam.counter("map_requests"),
-            wrong_owner: fam.counter("wrong_owner"),
-            fabric,
         }
     }
 
     /// This client's node id.
     pub fn node(&self) -> NodeId {
-        self.fabric.me()
+        self.rt.node()
     }
 
     /// The client's fabric (its registry carries the `client.<i>.*`
     /// counters and, over TCP, this connection's `wire.*` health).
     pub fn fabric(&self) -> &Arc<F> {
-        &self.fabric
+        &self.rt.fabric
     }
 
     /// Overrides the per-op give-up budget (default: 200 × the base retry
-    /// timeout). Past the budget an op returns an error and counts a
-    /// `client.<i>.giveups`.
+    /// timeout). At the first retry tick past the budget an op returns an
+    /// error and counts a `client.<i>.giveups`.
     pub fn set_op_budget(&mut self, budget: Duration) {
         self.op_budget = budget;
     }
@@ -800,11 +854,10 @@ impl<F: Fabric> Client<F> {
     /// server's answer. RIFL must replay the originally recorded reply
     /// without re-applying the op.
     pub fn duplicate_last(&mut self) -> Result<Reply, String> {
-        let (seq, op) = self
-            .last
-            .clone()
-            .ok_or_else(|| "no prior request to duplicate".to_owned())?;
-        self.do_request(seq, op)
+        if !self.core.begin_again(&mut self.rt) {
+            return Err("no prior request to duplicate".to_owned());
+        }
+        self.await_reply()
     }
 
     /// Fetches a node's live protocol stats over the fabric (the `Stats`
@@ -826,31 +879,6 @@ impl<F: Fabric> Client<F> {
         )
     }
 
-    /// Takes events off `inbox` until `pick` accepts one (`Ok(Some)`) or
-    /// `until` passes (`Ok(None)`).
-    fn wait_for<T>(
-        inbox: &mut F::Inbox,
-        until: Instant,
-        mut pick: impl FnMut(Event<Msg>) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        loop {
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Ok(None);
-            }
-            match F::recv(inbox, left) {
-                Ok(Event::Kill | Event::Shutdown) => return Err("client handle terminated".into()),
-                Ok(event) => {
-                    if let Some(picked) = pick(event) {
-                        return Ok(Some(picked));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err("cluster is gone".into()),
-            }
-        }
-    }
-
     /// A control-plane RPC: `send`s the question to `target`, re-asking
     /// every retry timeout until `pick` accepts an answer or the op budget
     /// runs out.
@@ -861,96 +889,77 @@ impl<F: Fabric> Client<F> {
         send: impl Fn(&F),
         mut pick: impl FnMut(Event<Msg>) -> Option<T>,
     ) -> Result<T, String> {
-        let give_up = Instant::now() + self.op_budget;
-        while Instant::now() < give_up {
-            send(&self.fabric);
-            let attempt_ends =
-                Instant::now() + Duration::from_nanos(self.cfg.retry_timeout.as_nanos());
-            if let Some(answer) = Self::wait_for(&mut self.inbox, attempt_ends, &mut pick)? {
-                return Ok(answer);
-            }
-        }
-        self.giveups.incr();
-        Err(format!("{what} request to {target} exhausted its budget"))
+        let every = self.core.config().retry_timeout;
+        send(&self.rt.fabric);
+        self.rt.set_timer(every);
+        self.drive(
+            format_args!("{what} request to {target}"),
+            |_, rt, turn| match turn {
+                Turn::Timer => {
+                    send(&rt.fabric);
+                    rt.set_timer(every);
+                    None
+                }
+                Turn::Event(event) => pick(event),
+            },
+        )
     }
 
     fn request(&mut self, op: ClientOp) -> Result<Reply, String> {
-        self.seq += 1;
-        let seq = self.seq;
-        self.last = Some((seq, op.clone()));
-        self.do_request(seq, op)
+        self.core.begin(op, &mut self.rt);
+        self.await_reply()
     }
 
-    fn do_request(&mut self, seq: u64, op: ClientOp) -> Result<Reply, String> {
+    /// Feeds the core until it yields the reply to the op in flight.
+    fn await_reply(&mut self) -> Result<Reply, String> {
+        let seq = self.core.seq();
+        self.drive(format_args!("request {seq}"), |core, rt, turn| match turn {
+            Turn::Timer => {
+                core.on_timer(rt);
+                None
+            }
+            Turn::Event(Event::Msg { msg, .. }) => core.on_message(msg, rt),
+            Turn::Event(_) => None,
+        })
+    }
+
+    /// Pumps the inbox, handing each turn to `turn` until it yields. Gives
+    /// up — counting a `giveups` — at the first timer tick past the op
+    /// budget; the timer armed for the call dies with it.
+    fn drive<T>(
+        &mut self,
+        what: std::fmt::Arguments<'_>,
+        mut turn: impl FnMut(&mut ClientCore, &mut NodeRuntime<F>, Turn) -> Option<T>,
+    ) -> Result<T, String> {
+        let before = self.core.counters;
         let give_up = Instant::now() + self.op_budget;
-        let mut attempt: u32 = 0;
-        while Instant::now() < give_up {
-            if attempt > 0 {
-                self.retries.incr();
-                if attempt > 1 {
-                    self.backoffs.incr();
-                }
-                // The map may be why we're stuck; refresh it alongside the
-                // retry.
-                self.map_requests.incr();
-                self.fabric
-                    .post(coordinator_id(), Msg::MapRequest, SimDuration::ZERO);
+        let core = &mut self.core;
+        let outcome = pump(&mut self.rt, &mut self.inbox, |rt, next| match next {
+            Turn::Event(Event::Kill | Event::Shutdown) => {
+                Some(Err("client handle terminated".to_owned()))
             }
-            let owner = self.owners[bucket_for(PROTO_TABLE, op.key(), self.cfg.buckets)];
-            let request = Msg::Request {
-                seq,
-                op: op.clone(),
-            };
-            self.fabric
-                .post(server_id(owner), request, SimDuration::ZERO);
-            // Past this window: re-send, same seq, grown backoff.
-            let backoff = retry_backoff(&self.cfg, self.index, seq, attempt);
-            let attempt_ends = Instant::now() + Duration::from_nanos(backoff.as_nanos());
-            let reply = Self::wait_for(&mut self.inbox, attempt_ends, |event| match event {
-                // A response to another seq is a stale duplicate from an
-                // earlier retry.
-                Event::Msg {
-                    msg: Msg::Response { seq: s, reply },
-                    ..
-                } if s == seq => match reply {
-                    Reply::WrongOwner => {
-                        // Routing raced a recovery: ask for a fresh map and
-                        // wait out the window for the update to land.
-                        self.wrong_owner.incr();
-                        self.map_requests.incr();
-                        self.fabric
-                            .post(coordinator_id(), Msg::MapRequest, SimDuration::ZERO);
-                        None
-                    }
-                    other => Some(other),
-                },
-                Event::Msg {
-                    msg:
-                        Msg::MapUpdate {
-                            version, owners, ..
-                        },
-                    ..
-                } if version > self.map_version => {
-                    self.map_version = version;
-                    self.owners = owners;
-                    None
-                }
-                _ => None,
-            })?;
-            if let Some(reply) = reply {
-                return Ok(reply);
+            Turn::Timer if Instant::now() >= give_up => {
+                core.counters.giveups += 1;
+                Some(Err(format!("{what} exhausted its retry budget")))
             }
-            attempt = attempt.saturating_add(1);
+            next => turn(core, rt, next).map(Ok),
+        })
+        .unwrap_or_else(|| Err("cluster is gone".to_owned()));
+        self.rt.deadline = None;
+        if self.core.counters != before {
+            let family = self.fabric().registry().family("client", self.core.index());
+            for (name, value) in self.core.stats() {
+                family.counter(&name).set(value);
+            }
         }
-        self.giveups.incr();
-        Err(format!("request {seq} exhausted its retry budget"))
+        outcome
     }
 }
 
 impl<F: Fabric> Drop for Client<F> {
     fn drop(&mut self) {
         if self.owns_fabric {
-            self.fabric.sever();
+            self.fabric().sever();
         }
     }
 }

@@ -126,7 +126,8 @@ impl Fabric for ChannelFabric {
     }
 
     fn recv(inbox: &mut ChannelInbox, timeout: Duration) -> Result<Event<Msg>, RecvTimeoutError> {
-        let (me, until) = (&inbox.fabric, Instant::now() + timeout);
+        // `None`: `timeout` is past what the clock can express — no limit.
+        let (me, until) = (&inbox.fabric, Instant::now().checked_add(timeout));
         let mut left = timeout;
         loop {
             let (epoch, event) = inbox.rx.recv_timeout(left)?;
@@ -134,7 +135,7 @@ impl Fabric for ChannelFabric {
                 // In flight across a restart: it belongs to a previous
                 // incarnation and must never reach this one.
                 inbox.stale.incr();
-                left = until.saturating_duration_since(Instant::now());
+                left = until.map_or(timeout, |t| t.saturating_duration_since(Instant::now()));
                 continue;
             }
             if let Event::Msg { from, msg } = &event {

@@ -5,6 +5,7 @@
 
 use super::*;
 use rmc_chaos::{check_histories, Crash, Partition};
+use rmc_core::protocol::coordinator_id;
 use rmc_obs::span::SpanKind;
 
 const SERVERS: usize = 3;
@@ -279,6 +280,78 @@ fn seeded_chaos_plan_replays<F: Fabric>() {
         report.metrics.get("faults.judged") > 0,
         "fault layer never engaged"
     );
+}
+
+/// The channel fabric with server 0's inbox never empty: whenever nothing
+/// real is waiting it yields one more message the server ignores.
+#[derive(Debug)]
+struct Backlogged(Arc<ChannelFabric>);
+
+impl Fabric for Backlogged {
+    type Net = <ChannelFabric as Fabric>::Net;
+    type Inbox = (<ChannelFabric as Fabric>::Inbox, NodeId);
+
+    fn build(total: usize, listening: usize) -> Self::Net {
+        ChannelFabric::build(total, listening)
+    }
+    fn attach(net: &mut Self::Net, id: NodeId, epoch: u64) -> (Arc<Self>, Self::Inbox) {
+        let (fabric, inbox) = ChannelFabric::attach(net, id, epoch);
+        (Arc::new(Backlogged(fabric)), (inbox, id))
+    }
+    fn sever(&self) {
+        self.0.sever();
+    }
+    fn me(&self) -> NodeId {
+        self.0.me()
+    }
+    fn post(&self, to: NodeId, msg: Msg, extra: SimDuration) {
+        self.0.post(to, msg, extra);
+    }
+    fn deliver(&self, event: Event<Msg>) {
+        self.0.deliver(event);
+    }
+    fn recv(
+        (inbox, me): &mut Self::Inbox,
+        timeout: Duration,
+    ) -> Result<Event<Msg>, RecvTimeoutError> {
+        if *me != server_id(0) {
+            return ChannelFabric::recv(inbox, timeout);
+        }
+        match ChannelFabric::recv(inbox, Duration::ZERO) {
+            Err(RecvTimeoutError::Timeout) => Ok(Event::Msg {
+                from: *me,
+                msg: Msg::MapRequest,
+            }),
+            other => other,
+        }
+    }
+    fn now(&self) -> SimTime {
+        self.0.now()
+    }
+    fn registry(&self) -> &MetricsRegistry {
+        self.0.registry()
+    }
+    fn spans(&self) -> SpanRecorder {
+        self.0.spans()
+    }
+}
+
+/// Timer starvation: a healthy server that always finds a message ready
+/// must still tick — its heartbeats keep leaving, and the coordinator,
+/// several failure timeouts on, has suspected nobody.
+#[test]
+fn a_backlogged_server_keeps_heartbeating() {
+    let cfg = small_cfg(SERVERS, 1, REPLICATION);
+    let wait = Duration::from_nanos(cfg.failure_timeout.as_nanos()) * 4;
+    let (cluster, mut clients) = Cluster::<Backlogged>::start(cfg);
+    thread::sleep(wait);
+    let coord = clients[0].node_stats(coordinator_id()).unwrap();
+    let stat = |name: &str| coord.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+    assert_eq!(stat("map_version"), Some(0), "a server was declared dead");
+    assert_eq!(stat("readmissions"), Some(0));
+    // The backlogged server still serves, behind its backlog.
+    clients[0].put(b"k", b"v").unwrap();
+    assert_eq!(cluster.shutdown().live.len(), 1);
 }
 
 /// Channel fabric: traffic queued for a dead incarnation is dropped by its

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use rmc_core::proto_sim;
-use rmc_core::protocol::{ClientOp, ProtocolConfig};
+use rmc_core::protocol::{ClientOp, ProtocolConfig, Reply};
 use rmc_runtime::{SimDuration, SimTime};
 use rmc_standalone::{on_both_fabrics, Cluster, Fabric};
 
@@ -79,7 +79,59 @@ fn cfg(clients: usize) -> ProtocolConfig {
 on_both_fabrics!(
     same_script_same_crash_same_live_set_as_the_simulation,
     master_kill_restores_exact_pre_crash_live_set,
+    handles_and_scripted_clients_answer_alike,
 );
+
+/// One client body on three engines: the same op list through a
+/// synchronous handle, through a scripted client on the same fabric, and
+/// through a scripted client under the simulation draws the same replies —
+/// values and versions — and leaves the same versioned live set.
+fn handles_and_scripted_clients_answer_alike<F: Fabric>() {
+    let mut ops = script(0, 30);
+    for i in [0, 1, 5, 29, 30] {
+        ops.push(ClientOp::Get { key: key(0, i) });
+    }
+    // `Client::del` does not return the tombstone's version.
+    let comparable = |replies: &[Reply]| -> Vec<Reply> {
+        let blank = |(op, reply): (&ClientOp, &Reply)| match op {
+            ClientOp::Del { .. } => Reply::Done { version: 0 },
+            _ => reply.clone(),
+        };
+        ops.iter().zip(replies).map(blank).collect()
+    };
+
+    let net = proto_sim::run_script(&cfg(1), vec![ops.clone()], vec![], SimTime::from_secs(30));
+    let sim_replies = comparable(&net.client(&cfg(1), 0).results);
+    assert_eq!(sim_replies.len(), ops.len(), "sim client finished");
+
+    let cluster = Cluster::<F>::start_scripted(cfg(1), vec![ops.clone()]);
+    cluster.wait_for_scripted_clients(Duration::from_secs(60));
+    let scripted = cluster.shutdown();
+
+    let (cluster, mut clients) = Cluster::<F>::start(cfg(1));
+    let c = &mut clients[0];
+    let handle_replies: Vec<Reply> = ops
+        .iter()
+        .map(|op| match op {
+            ClientOp::Put { key, value } => Reply::Done {
+                version: c.put_versioned(key, value).expect("put"),
+            },
+            ClientOp::Get { key } => Reply::Value(c.get(key).expect("get")),
+            ClientOp::Del { key } => {
+                c.del(key).expect("del");
+                Reply::Done { version: 0 }
+            }
+        })
+        .collect();
+    let by_handle = cluster.shutdown();
+
+    assert_eq!(comparable(&scripted.clients[0].1), sim_replies);
+    assert_eq!(handle_replies, sim_replies);
+    let sim_live = net.live_map_versioned();
+    assert_eq!(scripted.live_versioned, sim_live);
+    assert_eq!(by_handle.live_versioned, sim_live);
+    assert_eq!(net.live_map(), expected(1, 30));
+}
 
 fn same_script_same_crash_same_live_set_as_the_simulation<F: Fabric>() {
     let clients = 2;

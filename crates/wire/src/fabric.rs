@@ -392,8 +392,9 @@ const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
 
 /// Waits until one of `fds` is ready or `deadline` passes (at once when it
-/// already has), filling in each `revents`.
-fn poll_until(fds: &mut [PollFd], deadline: Instant) {
+/// already has; for as long as it takes when there is none), filling in
+/// each `revents`.
+fn poll_until(fds: &mut [PollFd], deadline: Option<Instant>) {
     #[cfg(target_os = "linux")]
     type Nfds = std::ffi::c_ulong;
     #[cfg(not(target_os = "linux"))]
@@ -405,8 +406,10 @@ fn poll_until(fds: &mut [PollFd], deadline: Instant) {
     loop {
         // Rounded *up*: rounding a sub-millisecond wait down to 0 would
         // spin until the deadline.
-        let left = deadline.saturating_duration_since(Instant::now());
-        let ms = i32::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX);
+        let ms = deadline.map_or(-1, |deadline| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            i32::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+        });
         // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
         // `PollFd`s laid out as `struct pollfd` (int, short, short), and the
         // call reads and writes exactly `fds.len()` of them, for the
@@ -451,15 +454,16 @@ pub struct WireInbox {
 
 impl WireInbox {
     /// Takes the next event, driving the node's sockets for at most
-    /// `timeout` while there is none: everything posted so far is written
-    /// out before the wait begins.
+    /// `timeout` while there is none — without limit when `timeout` is
+    /// beyond what the clock can express (`Duration::MAX`): everything
+    /// posted so far is written out before the wait begins.
     ///
     /// # Errors
     ///
     /// `Timeout` when nothing arrived in time; `Disconnected` once the
     /// fabric was shut down and its last events were handed out.
     pub fn recv(&mut self, timeout: Duration) -> Result<Event<Msg>, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if let Some(event) = self.ready.pop_front() {
                 return Ok(event);
@@ -468,15 +472,15 @@ impl WireInbox {
                 return Err(RecvTimeoutError::Disconnected);
             }
             self.turn(deadline);
-            if self.ready.is_empty() && Instant::now() >= deadline {
+            if self.ready.is_empty() && deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(RecvTimeoutError::Timeout);
             }
         }
     }
 
     /// One turn of the readiness loop, waiting for readiness until
-    /// `deadline` at the latest.
-    fn turn(&mut self, deadline: Instant) {
+    /// `deadline` at the latest (`None`: until something is ready).
+    fn turn(&mut self, deadline: Option<Instant>) {
         self.take_mailbox();
         if self.closed {
             return;
@@ -502,7 +506,7 @@ impl WireInbox {
         let deadline = if self.ready.is_empty() {
             deadline
         } else {
-            Instant::now()
+            Some(Instant::now())
         };
         poll_until(&mut self.pollfds, deadline);
 
@@ -815,7 +819,7 @@ mod tests {
     fn recv_from(inbox: &mut WireInbox, other: &mut WireInbox) -> Event<Msg> {
         let until = Instant::now() + SOON;
         loop {
-            other.turn(Instant::now());
+            other.turn(Some(Instant::now()));
             match inbox.recv(Duration::from_millis(1)) {
                 Ok(event) => return event,
                 Err(e) => assert!(Instant::now() < until, "nothing arrived: {e:?}"),
@@ -832,8 +836,8 @@ mod tests {
         let until = Instant::now() + SOON;
         while !done(a, b) {
             assert!(Instant::now() < until, "never got there");
-            a.turn(Instant::now());
-            b.turn(Instant::now() + Duration::from_millis(1));
+            a.turn(Some(Instant::now()));
+            b.turn(Some(Instant::now() + Duration::from_millis(1)));
         }
     }
 
@@ -842,7 +846,7 @@ mod tests {
         let until = Instant::now() + SOON;
         while !done(inbox) {
             assert!(Instant::now() < until, "never got there");
-            inbox.turn(Instant::now() + Duration::from_millis(1));
+            inbox.turn(Some(Instant::now() + Duration::from_millis(1)));
         }
     }
 
@@ -1131,11 +1135,11 @@ mod tests {
             // Each side's first turn dials; the kernel completes both
             // handshakes against the listen queues before anyone accepts.
             if round % 2 == 0 {
-                a_rx.turn(Instant::now());
-                b_rx.turn(Instant::now());
+                a_rx.turn(Some(Instant::now()));
+                b_rx.turn(Some(Instant::now()));
             } else {
-                b_rx.turn(Instant::now());
-                a_rx.turn(Instant::now());
+                b_rx.turn(Some(Instant::now()));
+                a_rx.turn(Some(Instant::now()));
             }
             assert_eq!(registry.get("wire.connects"), 2, "both sides dialed");
             pump_until(&mut a_rx, &mut b_rx, |a, b| {
@@ -1149,8 +1153,8 @@ mod tests {
                 a.ready.len() >= 2 && b.ready.len() >= 2
             });
             for _ in 0..3 {
-                a_rx.turn(Instant::now());
-                b_rx.turn(Instant::now());
+                a_rx.turn(Some(Instant::now()));
+                b_rx.turn(Some(Instant::now()));
             }
             assert_eq!(heard(&mut a_rx), [round, round + 1]);
             assert_eq!(heard(&mut b_rx), [round, round + 1]);
@@ -1247,7 +1251,7 @@ mod tests {
         assert_eq!(client_rx.peers[&0].route, None);
         // The next post starts over on a fresh connection.
         client.post(NodeId(0), Msg::MapRequest, SimDuration::ZERO);
-        client_rx.turn(Instant::now());
+        client_rx.turn(Some(Instant::now()));
         assert_eq!(metrics.get("wire.reconnects"), 1);
         assert_eq!(client_rx.conns.len(), 1);
     }
@@ -1262,7 +1266,7 @@ mod tests {
         let mut attempts = 0;
         while start.elapsed() < Duration::from_millis(60) {
             client.post(NodeId(0), Msg::MapRequest, SimDuration::ZERO);
-            client_rx.turn(Instant::now());
+            client_rx.turn(Some(Instant::now()));
             attempts += 1;
         }
         assert!(attempts > 10, "sends should not block");
@@ -1280,7 +1284,7 @@ mod tests {
         let (_listeners, book) = listeners(1);
         let (client, mut client_rx) = nic(NodeId(1), &book, None, &MetricsRegistry::new());
         client.post(NodeId(5), Msg::MapRequest, SimDuration::ZERO);
-        client_rx.turn(Instant::now());
+        client_rx.turn(Some(Instant::now()));
         assert_eq!(client.registry().get("wire.frames_tx"), 0);
         assert!(client_rx.conns.is_empty());
     }

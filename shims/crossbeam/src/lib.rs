@@ -178,7 +178,11 @@ pub mod channel {
         /// [`RecvTimeoutError::Timeout`] on expiry,
         /// [`RecvTimeoutError::Disconnected`] when empty with no senders.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            // As the published crate: a timeout past what the clock can
+            // express is no timeout.
+            let Some(deadline) = Instant::now().checked_add(timeout) else {
+                return self.recv().map_err(|_| RecvTimeoutError::Disconnected);
+            };
             let mut st = self.shared.state.lock().unwrap();
             loop {
                 if let Some(v) = st.queue.pop_front() {
@@ -401,6 +405,18 @@ pub mod channel {
             assert_eq!(
                 rx.recv_timeout(Duration::from_millis(5)),
                 Err(RecvTimeoutError::Timeout)
+            );
+        }
+
+        #[test]
+        fn an_inexpressible_timeout_waits_without_limit() {
+            let (tx, rx) = bounded::<u32>(1);
+            tx.send(7).unwrap();
+            assert_eq!(rx.recv_timeout(Duration::MAX), Ok(7));
+            drop(tx);
+            assert_eq!(
+                rx.recv_timeout(Duration::MAX),
+                Err(RecvTimeoutError::Disconnected)
             );
         }
     }
