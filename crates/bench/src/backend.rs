@@ -12,8 +12,8 @@ const TABLE: TableId = TableId(1);
 
 /// Adapts a standalone-server client to the runner's backend trait.
 ///
-/// Reads go through `read_view` — the server's zero-queue, lock-free,
-/// zero-copy path, which is what a YCSB read of this design costs (and
+/// Reads go through `read_view` — the server's lock-free, zero-copy
+/// path, which is what a YCSB read of this design costs (and
 /// where instrumentation overhead is proportionally largest).
 #[derive(Debug)]
 pub struct StandaloneBackend {

@@ -4,7 +4,7 @@
 //!
 //! Both files go through `rmc_bench::report::load`, so a report the
 //! schema rejects is never diffed. Rows are matched by the identity fields
-//! the report table names for the kind (`workers`/`mix`/`batch_size`,
+//! the report table names for the kind (`mix`/`batch_size`,
 //! `mode`/`round`, `case`), and the kind's gated metric
 //! (`throughput_ops_per_sec`, `recovery_bytes_per_sec`) is diffed per
 //! matched pair — no per-schema code here.

@@ -127,7 +127,6 @@ fn run_measured(
 /// Runs the full interleaved ablation against one shared server instance.
 fn run_ablation(scale: Scale) -> Result<Vec<Measurement>, String> {
     let server = StandaloneServer::start(ServerConfig {
-        worker_threads: 1,
         shards: SHARDS,
         log: LogConfig {
             segment_bytes: 1 << 20,

@@ -1,7 +1,7 @@
 //! YCSB-driven throughput harness for the standalone server.
 //!
 //! Binds the wall-clock YCSB runner (`rmc_ycsb::runner`) to
-//! `rmc_standalone` and sweeps worker counts × read/write mixes × batch sizes,
+//! `rmc_standalone` and sweeps read/write mixes × batch sizes,
 //! emitting a machine-readable `BENCH_standalone.json` (schema validated by
 //! `rmc_bench::report`, which CI's smoke run re-checks).
 //!
@@ -33,7 +33,6 @@ struct Scale {
     ops_per_client: u64,
     clients: usize,
     value_bytes: usize,
-    worker_counts: &'static [usize],
     smoke: bool,
 }
 
@@ -42,16 +41,14 @@ const FULL: Scale = Scale {
     ops_per_client: 25_000,
     clients: 4,
     value_bytes: 256,
-    worker_counts: &[1, 2, 4],
     smoke: false,
 };
 
 const SMOKE: Scale = Scale {
     record_count: 512,
-    ops_per_client: 500,
+    ops_per_client: 20_000,
     clients: 2,
     value_bytes: 64,
-    worker_counts: &[2],
     smoke: true,
 };
 
@@ -77,7 +74,6 @@ fn spec_for(name: &str, read_fraction: f64, scale: Scale) -> WorkloadSpec {
 }
 
 struct Measurement {
-    workers: usize,
     mix: &'static str,
     read_fraction: f64,
     batch_size: usize,
@@ -105,13 +101,12 @@ fn stage_summary(m: &MetricsRegistry, name: &str) -> Json {
 }
 
 /// The per-stage latency decomposition block: where a sampled op's time
-/// went — dispatch-queue wait, shard service, and (for reads that lost the
-/// lock-free race) fallback-lock dwell.
+/// went — shard service, and (for reads that lost the lock-free race)
+/// fallback-lock dwell.
 fn stages_json(server: &StandaloneServer) -> Json {
     let m = server.metrics();
     Json::obj(vec![
         ("sample_period", STAGE_SAMPLE.into()),
-        ("queue_wait_ns", stage_summary(m, "stage.queue_wait_ns")),
         ("read_service_ns", stage_summary(m, "stage.read_service_ns")),
         (
             "write_service_ns",
@@ -208,21 +203,19 @@ fn read_path_json(server: &StandaloneServer) -> Json {
 }
 
 fn run_one(
-    workers: usize,
     mix: &'static str,
     read_fraction: f64,
     batch_size: usize,
     scale: Scale,
 ) -> Result<Measurement, String> {
     let server = StandaloneServer::start(ServerConfig {
-        worker_threads: workers,
         shards: 16,
         log: LogConfig {
             segment_bytes: 1 << 20,
             max_segments: 256,
             ordered_index: false,
         },
-        queue_capacity: 1024,
+        ..ServerConfig::default()
     });
     let spec = spec_for(mix, read_fraction, scale);
     let backend = Arc::new(StandaloneBackend {
@@ -244,12 +237,11 @@ fn run_one(
     let energy = energy_json(&server, &summary);
     let p50_us =
         |name: &str| server.metrics().histogram(name).snapshot().quantile(0.5) as f64 / 1000.0;
-    let queue_p50 = p50_us("stage.queue_wait_ns");
     let read_svc_p50 = p50_us("stage.read_service_ns");
     let write_svc_p50 = p50_us("stage.write_service_ns");
     server.shutdown();
     println!(
-        "  standalone     workers={workers} mix={mix:<8} batch={batch_size:<3} {:>9} ops/s  read p99 {:>8.1} us",
+        "  standalone     mix={mix:<8} batch={batch_size:<3} {:>9} ops/s  read p99 {:>8.1} us",
         kops(summary.throughput_ops_per_sec),
         summary.reads.p99_us,
     );
@@ -257,12 +249,11 @@ fn run_one(
     // stay consistent with: each stage p50 can only be a part of — never
     // exceed by much — the matching op class's end-to-end p50.
     println!(
-        "      stages (1/{STAGE_SAMPLE} sampled): queue p50 {queue_p50:.1} us | read svc p50 {read_svc_p50:.1} us (e2e {:.1}) | write svc p50 {write_svc_p50:.1} us (e2e {:.1})",
+        "      stages (1/{STAGE_SAMPLE} sampled): read svc p50 {read_svc_p50:.1} us (e2e {:.1}) | write svc p50 {write_svc_p50:.1} us (e2e {:.1})",
         summary.reads.p50_us,
         summary.writes.p50_us,
     );
     Ok(Measurement {
-        workers,
         mix,
         read_fraction,
         batch_size,
@@ -276,11 +267,9 @@ fn run_one(
 
 fn sweep(scale: Scale) -> Result<Vec<Measurement>, String> {
     let mut all = Vec::new();
-    for &workers in scale.worker_counts {
-        for &(mix, read_fraction) in MIXES {
-            for &batch_size in BATCH_SIZES {
-                all.push(run_one(workers, mix, read_fraction, batch_size, scale)?);
-            }
+    for &(mix, read_fraction) in MIXES {
+        for &batch_size in BATCH_SIZES {
+            all.push(run_one(mix, read_fraction, batch_size, scale)?);
         }
     }
     Ok(all)
@@ -291,7 +280,6 @@ fn report(measurements: &[Measurement], scale: Scale) -> Json {
         .iter()
         .map(|m| {
             Json::obj(vec![
-                ("workers", m.workers.into()),
                 ("mix", m.mix.into()),
                 ("read_fraction", m.read_fraction.into()),
                 ("batch_size", m.batch_size.into()),

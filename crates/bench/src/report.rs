@@ -108,7 +108,7 @@ const RECOVERY_ENGINES: [&str; 2] = ["memory", "file"];
 
 /// Every report kind this crate emits.
 pub static KINDS: [ReportKind; 3] = [
-    // The standalone worker x mix x batch sweep (`standalone_ycsb`).
+    // The standalone mix x batch sweep (`standalone_ycsb`).
     ReportKind {
         benchmark: "standalone_ycsb",
         config: &[
@@ -118,7 +118,6 @@ pub static KINDS: [ReportKind; 3] = [
             req("value_bytes", Positive),
         ],
         row: &[
-            req("workers", Min(1.0)),
             req("mix", Str),
             req("read_fraction", Fraction),
             req("batch_size", Min(1.0)),
@@ -146,7 +145,6 @@ pub static KINDS: [ReportKind; 3] = [
             opt(
                 "stages",
                 Block(&[
-                    req("queue_wait_ns", STAGE),
                     req("read_service_ns", STAGE),
                     req("write_service_ns", STAGE),
                     req("fallback_locked_ns", STAGE),
@@ -170,7 +168,7 @@ pub static KINDS: [ReportKind; 3] = [
             ),
         ],
         comparison: &[],
-        identity: &["workers", "mix", "batch_size"],
+        identity: &["mix", "batch_size"],
         metric: "throughput_ops_per_sec",
         invariants: reads_took_the_lockfree_path,
     },
@@ -312,8 +310,7 @@ fn check_block(obj: &Json, ctx: &str, fields: &[Field]) -> Result<(), String> {
 }
 
 impl ReportKind {
-    /// The identity of a result row, e.g. `workers=2 mix=read95
-    /// batch_size=1`.
+    /// The identity of a result row, e.g. `mix=read95 batch_size=1`.
     pub fn row_key(&self, row: &Json) -> String {
         let parts: Vec<String> = self
             .identity
@@ -650,7 +647,7 @@ mod tests {
           "benchmark": "standalone_ycsb",
           "config": {"record_count": 100, "ops_per_client": 50, "clients": 2, "value_bytes": 64},
           "results": [{
-            "workers": 4, "mix": "read95",
+            "mix": "read95",
             "read_fraction": 0.95, "batch_size": 1, "ops": 100,
             "elapsed_secs": 0.5, "throughput_ops_per_sec": 200.0,
             "read_path": {"lockfree": 95, "fallback_locked": 0},
@@ -681,7 +678,6 @@ mod tests {
         let with_blocks = minimal().replace(
             "\"read_latency_us\"",
             "\"stages\": {
-               \"queue_wait_ns\": {\"count\": 3, \"mean_ns\": 900.0, \"p50_ns\": 800, \"p99_ns\": 1500, \"max_ns\": 1600},
                \"read_service_ns\": {\"count\": 3, \"mean_ns\": 700.0, \"p50_ns\": 650, \"p99_ns\": 900, \"max_ns\": 950},
                \"write_service_ns\": {\"count\": 1, \"mean_ns\": 1200.0, \"p50_ns\": 1200, \"p99_ns\": 1200, \"max_ns\": 1200},
                \"fallback_locked_ns\": {\"count\": 0, \"mean_ns\": 0.0, \"p50_ns\": 0, \"p99_ns\": 0, \"max_ns\": 0}},

@@ -23,7 +23,7 @@
 use std::alloc::{alloc, dealloc, Layout};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 
 use crate::types::SegmentId;
 
@@ -145,6 +145,11 @@ fn map_index(id: u64) -> (usize, usize) {
 /// until both the epoch has passed and all reader views have dropped.
 pub(crate) struct SegmentMap {
     chunks: [AtomicPtr<AtomicPtr<SegmentBuf>>; MAP_CHUNKS],
+    /// Every published buffer, live or retired, by the id it was published
+    /// under: what [`SegmentMap::outside_refs`] counts references to.
+    /// `publish` appends (once per segment, never per read) and drops the
+    /// entries of buffers since freed.
+    known: Mutex<Vec<(SegmentId, Weak<SegmentBuf>)>>,
 }
 
 impl std::fmt::Debug for SegmentMap {
@@ -163,6 +168,7 @@ impl SegmentMap {
     pub(crate) fn new() -> Self {
         SegmentMap {
             chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
+            known: Mutex::new(Vec::new()),
         }
     }
 
@@ -210,6 +216,30 @@ impl SegmentMap {
         let raw = Arc::into_raw(Arc::clone(buf)) as *mut SegmentBuf;
         let prev = chunk[off].swap(raw, Ordering::AcqRel);
         assert!(prev.is_null(), "segment {id} published twice");
+        let mut known = self.known.lock().expect("known-buffer list poisoned");
+        known.retain(|(_, b)| b.strong_count() > 0);
+        known.push((id, Arc::downgrade(buf)));
+    }
+
+    /// References to published buffers held outside the log — one per live
+    /// zero-copy view, plus one per read or cleaning pass in flight. The log
+    /// itself holds one per buffer (its `Segment`, live or in limbo) and
+    /// this map one more while the buffer is published.
+    pub(crate) fn outside_refs(&self) -> u64 {
+        let known = self.known.lock().expect("known-buffer list poisoned");
+        known
+            .iter()
+            .map(|(id, buf)| {
+                let owners = 1 + usize::from(self.is_published(*id));
+                buf.strong_count().saturating_sub(owners) as u64
+            })
+            .sum()
+    }
+
+    fn is_published(&self, id: SegmentId) -> bool {
+        let (c, off) = map_index(id.0);
+        self.chunk(c, false)
+            .is_some_and(|chunk| !chunk[off].load(Ordering::Acquire).is_null())
     }
 
     /// Removes `id` from the map, returning the registry's `Arc` so the

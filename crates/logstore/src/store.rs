@@ -9,7 +9,6 @@ use bytes::Bytes;
 
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::cleaner::{CleanKind, CleanerConfig};
@@ -272,8 +271,10 @@ impl Store {
             panic!("invalid cleaner config: {e}");
         }
         let ordered = config.ordered_index.then(BTreeMap::new);
+        let log = Log::new(config);
+        let read_counters = Arc::new(ReadCounters::new(log.segment_map()));
         Store {
-            log: Log::new(config),
+            log,
             index: HashTable::new(),
             cleaner,
             stats: Counters::default(),
@@ -281,7 +282,7 @@ impl Store {
             completions: BTreeMap::new(),
             dead_versions: BTreeMap::new(),
             epoch: std::sync::Arc::new(EpochTracker::new()),
-            read_counters: Arc::new(ReadCounters::default()),
+            read_counters,
             last_clean_appended: 0,
         }
     }
@@ -383,27 +384,17 @@ impl Store {
         }
     }
 
-    fn count_read(&self, hit: bool) {
-        let counter = if hit {
-            &self.read_counters.read_hits
-        } else {
-            &self.read_counters.read_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Reads the current value of a key.
     ///
     /// Takes `&self`: the hit/miss counters are atomics, so concurrent
-    /// readers can share the store under a read lock — the basis of the
-    /// standalone server's zero-queue read fast path. The epoch pin (two
+    /// readers can share the store under a read lock. The epoch pin (two
     /// uncontended atomic ops, no lock) keeps the concurrent cleaner from
     /// recycling a victim segment's memory while this lookup may still be
     /// chasing a position into it.
     pub fn read(&self, table: TableId, key: &[u8]) -> Option<ObjectRecord> {
         let _pin = self.epoch.pin();
         let got = self.lookup(table, key);
-        self.count_read(got.is_some());
+        self.read_counters.record_locked(got.is_some());
         got
     }
 
@@ -425,15 +416,10 @@ impl Store {
                 Some(ObjectView {
                     table,
                     version: view.version,
-                    value: ValueView::segment(
-                        Arc::clone(buf),
-                        start,
-                        start + value.len(),
-                        Arc::clone(&self.read_counters),
-                    ),
+                    value: ValueView::segment(Arc::clone(buf), start, start + value.len()),
                 })
             });
-        self.count_read(got.is_some());
+        self.read_counters.record_locked(got.is_some());
         got
     }
 

@@ -4,8 +4,9 @@
 //! A [`ReadHandle`] bundles everything one read needs without the store
 //! lock: the index's seqlock-protected slot array, the lock-free
 //! segment-id → buffer map, the epoch tracker, and the read counters. The
-//! handle is `Clone + Send + Sync`; the standalone server hands one to every
-//! dispatch thread so `read` RPCs never touch the shard `RwLock`.
+//! handle is `Clone + Send + Sync`; each standalone shard keeps one that
+//! every client thread reads through, so a read never touches the shard
+//! `RwLock`.
 //!
 //! A successful read returns an [`ObjectView`] whose [`ValueView`] indexes
 //! straight into the segment's committed bytes — no copy. The view clones
@@ -14,9 +15,14 @@
 //! while the view is alive; the limbo list refuses to reclaim a buffer whose
 //! strong count shows outstanding views. See `DESIGN.md` §4e for the full
 //! memory-safety argument.
+//!
+//! A read writes no cache line another reader writes, apart from the epoch
+//! pin and the buffer `Arc` — both carry correctness. Its tallies go to the
+//! calling thread's own lane of [`ReadCounters`], and the live-view gauge is
+//! not tallied at all: it is read off the buffers' reference counts.
 
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::entry::{BodyView, EntryView, HEADER_BYTES};
@@ -40,52 +46,130 @@ impl std::fmt::Display for ReadContended {
 
 impl std::error::Error for ReadContended {}
 
+/// Lanes per [`ReadCounters`]: more than the threads that read one store at
+/// once here, so two concurrent readers seldom share one.
+const LANES: usize = 16;
+
+/// One thread's tallies, alone on its cache line. A read counts one event:
+/// the totals [`ReadCounters`] reports are sums of these.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+struct Lane {
+    lockfree_hits: AtomicU64,
+    lockfree_misses: AtomicU64,
+    locked_hits: AtomicU64,
+    locked_misses: AtomicU64,
+    fallback_locked: AtomicU64,
+}
+
+/// The calling thread's lane index: handed out once per thread, in order.
+fn lane_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static LANE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % LANES;
+    }
+    LANE.with(|lane| *lane)
+}
+
 /// Shared read-path counters: hit/miss totals, how many reads completed
 /// lock-free vs. fell back to the lock, and the live value-view gauge.
 ///
 /// One instance per [`Store`](crate::Store), shared by the store's locked
 /// read path and every [`ReadHandle`] cloned from it, so the totals are a
-/// single source of truth regardless of which path served a read.
-#[derive(Debug, Default)]
+/// single source of truth regardless of which path served a read. Each
+/// thread counts on its own lane, so the totals are exact without readers
+/// contending for a line.
 pub struct ReadCounters {
-    pub(crate) read_hits: AtomicU64,
-    pub(crate) read_misses: AtomicU64,
-    pub(crate) read_lockfree: AtomicU64,
-    pub(crate) read_fallback_locked: AtomicU64,
-    pub(crate) value_views_live: AtomicU64,
+    lanes: [Lane; LANES],
+    /// The store's buffers, whose reference counts are the view gauge.
+    segments: Arc<SegmentMap>,
 }
 
 impl ReadCounters {
+    pub(crate) fn new(segments: Arc<SegmentMap>) -> Self {
+        ReadCounters {
+            lanes: Default::default(),
+            segments,
+        }
+    }
+
+    fn lane(&self) -> &Lane {
+        &self.lanes[lane_index()]
+    }
+
+    fn sum(&self, field: impl Fn(&Lane) -> &AtomicU64) -> u64 {
+        self.lanes
+            .iter()
+            .map(|lane| field(lane).load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Reads that found the key (either path).
     pub fn hits(&self) -> u64 {
-        self.read_hits.load(Ordering::Relaxed)
+        self.sum(|l| &l.lockfree_hits) + self.sum(|l| &l.locked_hits)
     }
 
     /// Reads that missed (either path).
     pub fn misses(&self) -> u64 {
-        self.read_misses.load(Ordering::Relaxed)
+        self.sum(|l| &l.lockfree_misses) + self.sum(|l| &l.locked_misses)
     }
 
     /// Reads completed on the lock-free path.
     pub fn lockfree(&self) -> u64 {
-        self.read_lockfree.load(Ordering::Relaxed)
+        self.sum(|l| &l.lockfree_hits) + self.sum(|l| &l.lockfree_misses)
     }
 
     /// Reads that hit [`ReadContended`] and were served under the lock.
     pub fn fallback_locked(&self) -> u64 {
-        self.read_fallback_locked.load(Ordering::Relaxed)
+        self.sum(|l| &l.fallback_locked)
     }
 
-    /// Zero-copy value views currently alive (a gauge, not a counter).
+    /// Zero-copy value views currently alive (a gauge, not a counter):
+    /// references to the store's segment buffers beyond the log's own.
+    /// Exact whenever no read or cleaning pass is in flight; one that is
+    /// holds a buffer reference of its own for its duration.
     pub fn value_views_live(&self) -> u64 {
-        self.value_views_live.load(Ordering::Relaxed)
+        self.segments.outside_refs()
     }
 
     /// Records one contended read served by the locked fallback. Called by
     /// the layer that owns the lock (e.g. the sharded store), since the
     /// handle itself never takes it.
     pub fn record_fallback_locked(&self) {
-        self.read_fallback_locked.fetch_add(1, Ordering::Relaxed);
+        self.lane().fallback_locked.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one read served without the store lock.
+    fn record_lockfree(&self, hit: bool) {
+        let lane = self.lane();
+        let counter = if hit {
+            &lane.lockfree_hits
+        } else {
+            &lane.lockfree_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one read served under the store lock.
+    pub(crate) fn record_locked(&self, hit: bool) {
+        let lane = self.lane();
+        let counter = if hit {
+            &lane.locked_hits
+        } else {
+            &lane.locked_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl std::fmt::Debug for ReadCounters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReadCounters")
+            .field("hits", &self.hits())
+            .field("misses", &self.misses())
+            .field("lockfree", &self.lockfree())
+            .field("fallback_locked", &self.fallback_locked())
+            .finish()
     }
 }
 
@@ -95,31 +179,20 @@ impl ReadCounters {
 /// Dereferences to `&[u8]`. The view's `Arc` keeps the segment buffer
 /// allocated past retirement — holding one for a long time delays
 /// reclamation of that segment, which the `limbo_held_by_views` statistic
-/// makes visible.
+/// makes visible. The same `Arc` is what the `value_views_live` gauge
+/// counts, so a view costs no bookkeeping of its own.
+#[derive(Clone)]
 pub struct ValueView {
     buf: Arc<SegmentBuf>,
     start: usize,
     end: usize,
-    /// Maintains the `value_views_live` gauge.
-    counters: Arc<ReadCounters>,
 }
 
 impl ValueView {
     /// A window `[start, end)` into `buf`'s committed prefix.
-    pub(crate) fn segment(
-        buf: Arc<SegmentBuf>,
-        start: usize,
-        end: usize,
-        counters: Arc<ReadCounters>,
-    ) -> Self {
+    pub(crate) fn segment(buf: Arc<SegmentBuf>, start: usize, end: usize) -> Self {
         debug_assert!(start <= end && end <= buf.len());
-        counters.value_views_live.fetch_add(1, Ordering::Relaxed);
-        ValueView {
-            buf,
-            start,
-            end,
-            counters,
-        }
+        ValueView { buf, start, end }
     }
 
     /// The value bytes.
@@ -131,25 +204,6 @@ impl ValueView {
     /// owning callers).
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
-    }
-}
-
-impl Clone for ValueView {
-    fn clone(&self) -> Self {
-        ValueView::segment(
-            Arc::clone(&self.buf),
-            self.start,
-            self.end,
-            Arc::clone(&self.counters),
-        )
-    }
-}
-
-impl Drop for ValueView {
-    fn drop(&mut self) {
-        self.counters
-            .value_views_live
-            .fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -311,21 +365,17 @@ impl ReadHandle {
                     let version = entry.version;
                     let value_start = start + HEADER_BYTES + entry.key.len();
                     let value_end = value_start + value.len();
-                    let value =
-                        ValueView::segment(seg, value_start, value_end, Arc::clone(&self.counters));
-                    self.counters.read_lockfree.fetch_add(1, Ordering::Relaxed);
-                    self.counters.read_hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.record_lockfree(true);
                     return Ok(Some(ObjectView {
                         table,
                         version,
-                        value,
+                        value: ValueView::segment(seg, value_start, value_end),
                     }));
                 }
                 // A different key colliding on the 64-bit hash: keep
                 // scanning the remaining candidates.
             }
-            self.counters.read_lockfree.fetch_add(1, Ordering::Relaxed);
-            self.counters.read_misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.record_lockfree(false);
             return Ok(None);
         }
     }

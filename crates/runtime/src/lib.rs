@@ -19,8 +19,7 @@
 //!   one place a message held by `Runtime::send_after` is parked.
 //! - [`SimRng`]: deterministic seedable randomness.
 //! - Measurement primitives: [`Summary`], [`Histogram`], [`TimeSeries`],
-//!   [`RateMeter`], [`BinnedUsage`], and the [`StripedCounter`] used where
-//!   many real threads count events concurrently.
+//!   [`RateMeter`] and [`BinnedUsage`].
 //!
 //! `rmc-sim` re-exports the time/rng/metric types, so simulator-facing code
 //! may import them from either crate.
@@ -29,7 +28,6 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
-mod counter;
 mod delay;
 mod event;
 mod metrics;
@@ -39,7 +37,6 @@ mod runtime;
 mod time;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use counter::StripedCounter;
 pub use delay::DelayLine;
 pub use event::Event;
 pub use metrics::{BinnedUsage, Histogram, RateMeter, Summary, TimeSeries};

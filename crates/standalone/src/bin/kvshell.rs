@@ -187,13 +187,13 @@ fn main() {
     }
     let mut config = ServerConfig::default();
     config.log.ordered_index = true; // scans on
+    let shards = config.shards;
     let server = StandaloneServer::start(config);
     let client = server.client();
     let table = TableId(1);
 
     println!(
-        "rmc kvshell — log-structured in-memory store ({} workers). `help` for commands.",
-        3
+        "rmc kvshell — log-structured in-memory store ({shards} shards). `help` for commands."
     );
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();

@@ -18,7 +18,8 @@
 //!
 //! Which level runs (in-memory compaction vs combined cleaning) is the
 //! engine balancer's decision ([`rmc_logstore::Store::clean_pressure`]);
-//! the thread just supplies idle cycles. Per-shard counters (passes,
+//! the thread just supplies idle cycles, and sleeps until a write rolls its
+//! shard's head segment (see `IDLE_BACKOFF`). Per-shard counters (passes,
 //! segments freed/compacted, survivor bytes, busy time, reclamation epoch
 //! lag) surface through [`rmc_runtime::MetricsRegistry`] under
 //! `cleaner.{shard}.*`.
@@ -34,14 +35,17 @@ use rmc_runtime::{CounterHandle, MetricsRegistry};
 
 use crate::shard::ShardedStore;
 
-/// How long an idle cleaner thread sleeps before re-checking pressure.
-/// Each poll takes the shard's read lock and a scheduler timeslice, so
-/// polling too fast taxes the service threads it is supposed to relieve
-/// (acute on machines with few cores). Pressure builds at segment-fill
-/// granularity — milliseconds under any realistic write rate — and the
-/// write path makes room for itself when a burst outruns the poll and
-/// fills the log.
-const IDLE_BACKOFF: Duration = Duration::from_millis(1);
+/// The longest an idle cleaner thread sleeps. It is woken sooner by the
+/// write that rolls its shard's head segment — the only event that raises
+/// pressure — so this only bounds how late it harvests limbo segments a
+/// reader had pinned, refreshes its gauges and sees the stop flag.
+///
+/// Not a poll: polled every 1 ms, the cleaners of `local_b`'s four shards
+/// woke ≈ 3 750 times a second, each wake-up preempting a client thread
+/// that writes inline and never sleeps, and the scheduler then stacked
+/// both client threads on one vCPU for up to two seconds at a time, at
+/// half the throughput, in most runs (EXPERIMENTS.md "Write hand-off").
+const IDLE_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Per-shard cleaner counters, registered once at thread start.
 struct ShardCleanerMetrics {
@@ -108,8 +112,9 @@ impl ShardReadMetrics {
 }
 
 /// One background cleaner thread per shard. Stopped and joined by
-/// [`CleanerPool::stop_and_join`] (or detached by `Drop`; threads observe
-/// the stop flag within one idle backoff).
+/// [`CleanerPool::stop_and_join`]; dropped unjoined, the threads run until
+/// someone sets the stop flag (the server's `Drop` does) and exit within one
+/// idle backoff of it.
 pub(crate) struct CleanerPool {
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -124,13 +129,17 @@ impl std::fmt::Debug for CleanerPool {
 }
 
 impl CleanerPool {
-    /// Spawns one cleaner thread per shard of `store`.
-    pub(crate) fn start(store: &Arc<ShardedStore>, registry: &MetricsRegistry) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let threads = (0..store.shard_count())
+    /// Spawns one cleaner thread per shard of `store`, each running until
+    /// `stop` is set.
+    pub(crate) fn start(
+        store: &Arc<ShardedStore>,
+        registry: &MetricsRegistry,
+        stop: &Arc<AtomicBool>,
+    ) -> Self {
+        let threads: Vec<JoinHandle<()>> = (0..store.shard_count())
             .map(|i| {
                 let store = Arc::clone(store);
-                let stop = Arc::clone(&stop);
+                let stop = Arc::clone(stop);
                 let metrics = ShardCleanerMetrics::new(registry, i);
                 let read_metrics = ShardReadMetrics::new(registry, i);
                 std::thread::Builder::new()
@@ -139,23 +148,22 @@ impl CleanerPool {
                     .expect("spawn cleaner")
             })
             .collect();
-        CleanerPool { stop, threads }
+        store.attach_cleaners(threads.iter().map(|t| t.thread().clone()).collect());
+        CleanerPool {
+            stop: Arc::clone(stop),
+            threads,
+        }
     }
 
-    /// Signals every thread to stop and joins them.
+    /// Sets the stop flag and joins every thread.
     pub(crate) fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Release);
+        for t in &self.threads {
+            t.thread().unpark();
+        }
         for t in self.threads.drain(..) {
             t.join().expect("cleaner panicked");
         }
-    }
-}
-
-impl Drop for CleanerPool {
-    fn drop(&mut self) {
-        // Non-blocking teardown: flag and detach. Threads hold their own
-        // Arc to the store and exit within one idle backoff.
-        self.stop.store(true, Ordering::Release);
     }
 }
 
@@ -180,7 +188,7 @@ fn cleaner_loop(
             }
             metrics.reclamation_lag.set(shard.read().reclamation_lag());
             read_metrics.publish(shard);
-            std::thread::sleep(IDLE_BACKOFF);
+            std::thread::park_timeout(IDLE_BACKOFF);
             continue;
         };
 
@@ -194,7 +202,7 @@ fn cleaner_loop(
         let plan = { shard.read().prepare_clean(kind) };
         let Some(plan) = plan else {
             metrics.busy_ns.add(t0.elapsed().as_nanos() as u64);
-            std::thread::sleep(IDLE_BACKOFF);
+            std::thread::park_timeout(IDLE_BACKOFF);
             continue;
         };
 

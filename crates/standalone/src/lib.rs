@@ -2,11 +2,11 @@
 //!
 //! The other deployments in this workspace run the log-structured engine
 //! inside a deterministic simulator. This crate runs it for real: a
-//! [`StandaloneServer`] owns a pool of worker threads (crossbeam channels)
-//! over a [`ShardedStore`] (per-shard `parking_lot` locks around
-//! `rmc_logstore::Store`), giving an embeddable in-memory KV store with the
-//! same data-plane semantics the paper's system has — append-only log,
-//! versions, tombstones, cleaning.
+//! [`StandaloneServer`] is a [`ShardedStore`] (per-shard `parking_lot` locks
+//! around `rmc_logstore::Store`) with a cleaner thread per shard, served on
+//! the threads that call its [`Client`] handles — an embeddable in-memory KV
+//! store with the same data-plane semantics the paper's system has —
+//! append-only log, versions, tombstones, cleaning.
 //!
 //! It also hosts the **wall-clock cluster harness** for `rmc-core`'s
 //! shared replication/recovery protocol — one harness, two fabrics (see
@@ -42,7 +42,6 @@
 
 mod cleaner;
 pub mod cluster;
-mod dispatch;
 pub mod procs;
 mod repl;
 mod server;

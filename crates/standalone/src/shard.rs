@@ -3,13 +3,16 @@
 //! RAMCloud shards its hash table across threads; here the whole engine is
 //! sharded by key hash, each shard its own [`rmc_logstore::Store`] behind a
 //! `parking_lot::RwLock`. Writes, deletes, and cleaning take the write
-//! lock. Reads are served through a per-shard lock-free [`ReadHandle`]
-//! (epoch-pinned seqlock probe, zero-copy [`ObjectView`] result), falling
-//! back to the shard read lock only when a probe keeps colliding with the
-//! writer. Shards are independent, so operations on different shards run
-//! fully in parallel.
+//! lock; a mutation that rolls a shard's head segment wakes that shard's
+//! background cleaner, if the server attached one. Reads are served
+//! through a per-shard lock-free [`ReadHandle`] (epoch-pinned seqlock
+//! probe, zero-copy [`ObjectView`] result), falling back to the shard read
+//! lock only when a probe keeps colliding with the writer. Shards are
+//! independent, so operations on different shards run fully in parallel;
+//! the writers of one shard queue on its lock, on their own threads.
 
 use std::sync::OnceLock;
+use std::thread::Thread;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -46,6 +49,10 @@ pub struct ShardedStore {
     /// (cleaner interference on the read path). Attached once by whoever
     /// owns a [`rmc_runtime::MetricsRegistry`]; untimed until then.
     fallback_dwell: OnceLock<HistogramHandle>,
+    /// Each shard's background cleaner, unparked when a mutation rolls the
+    /// shard's head segment. Attached once by the server; a bare store has
+    /// none and cleans only when full.
+    cleaners: OnceLock<Vec<Thread>>,
 }
 
 impl ShardedStore {
@@ -63,7 +70,32 @@ impl ShardedStore {
             shards: stores.into_iter().map(RwLock::new).collect(),
             handles,
             fallback_dwell: OnceLock::new(),
+            cleaners: OnceLock::new(),
         }
+    }
+
+    /// Attaches one cleaner thread per shard, in shard order, to be woken
+    /// when a write rolls that shard's head. First caller wins.
+    pub(crate) fn attach_cleaners(&self, threads: Vec<Thread>) {
+        debug_assert_eq!(threads.len(), self.shards.len());
+        let _ = self.cleaners.set(threads);
+    }
+
+    /// Runs `op` under shard `shard`'s write lock. A roll of the head
+    /// segment is the only event that raises cleaning pressure, so that is
+    /// when the shard's cleaner is woken — after the lock is released.
+    fn mutate<T>(&self, shard: usize, op: impl FnOnce(&mut Store) -> T) -> T {
+        let mut store = self.shards[shard].write();
+        let head = store.log().head();
+        let out = op(&mut store);
+        let rolled = store.log().head() != head;
+        drop(store);
+        if rolled {
+            if let Some(cleaners) = self.cleaners.get() {
+                cleaners[shard].unpark();
+            }
+        }
+        out
     }
 
     /// Attaches the histogram that times locked-fallback reads (typically
@@ -78,12 +110,6 @@ impl ShardedStore {
         self.shards.len()
     }
 
-    /// The shard a key hashes to — the unit of dispatch affinity: the
-    /// standalone server routes all writes for one shard to one worker.
-    pub fn shard_index(&self, table: TableId, key: &[u8]) -> usize {
-        self.locate(table, key).0
-    }
-
     /// The shard a key hashes to, and the key hash that chose it — handed
     /// on to the `*_at` reads so a read hashes its key once.
     pub(crate) fn locate(&self, table: TableId, key: &[u8]) -> (usize, KeyHash) {
@@ -96,10 +122,6 @@ impl ShardedStore {
         h = (h ^ (h >> 27)).wrapping_mul(0x94D049BB133111EB);
         h ^= h >> 31;
         ((h as usize) % self.shards.len(), hash)
-    }
-
-    fn shard_for(&self, table: TableId, key: &[u8]) -> &RwLock<Store> {
-        &self.shards[self.shard_index(table, key)]
     }
 
     /// Direct access to one shard's lock. The background cleaner drives the
@@ -197,7 +219,9 @@ impl ShardedStore {
         }
     }
 
-    /// Writes (inserts or overwrites) a key.
+    /// Writes (inserts or overwrites) a key, committed under the shard's
+    /// write lock before it returns. A write that finds the shard's log full
+    /// cleans it first, on the calling thread.
     ///
     /// # Errors
     ///
@@ -209,7 +233,37 @@ impl ShardedStore {
         key: &[u8],
         value: &[u8],
     ) -> Result<WriteOutcome, StoreError> {
-        self.shard_for(table, key).write().write(table, key, value)
+        let (shard, _) = self.locate(table, key);
+        self.mutate(shard, |store| store.write(table, key, value))
+    }
+
+    /// Writes many key/value pairs, taking each touched shard's write lock
+    /// once. A shard's pairs are written in `ops` order (so a key written
+    /// twice ends with the later value), and the per-pair outcomes come
+    /// back in `ops` order.
+    pub fn multiwrite(
+        &self,
+        table: TableId,
+        ops: &[(&[u8], &[u8])],
+    ) -> Vec<Result<WriteOutcome, StoreError>> {
+        let shard_of: Vec<usize> = ops.iter().map(|(k, _)| self.locate(table, k).0).collect();
+        let mut outcomes = vec![None; ops.len()];
+        for shard in 0..self.shards.len() {
+            let mut mine = (0..ops.len()).filter(|&i| shard_of[i] == shard).peekable();
+            if mine.peek().is_none() {
+                continue;
+            }
+            self.mutate(shard, |store| {
+                for i in mine {
+                    let (key, value) = ops[i];
+                    outcomes[i] = Some(store.write(table, key, value));
+                }
+            });
+        }
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every pair has a shard"))
+            .collect()
     }
 
     /// Deletes a key; returns the deleted version if it existed.
@@ -218,7 +272,8 @@ impl ShardedStore {
     ///
     /// Propagates [`StoreError`] from the shard.
     pub fn delete(&self, table: TableId, key: &[u8]) -> Result<Option<Version>, StoreError> {
-        self.shard_for(table, key).write().delete(table, key)
+        let (shard, _) = self.locate(table, key);
+        self.mutate(shard, |store| store.delete(table, key))
     }
 
     /// Scans up to `limit` objects of `table` with keys ≥ `start_key` in

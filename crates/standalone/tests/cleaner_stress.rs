@@ -1,9 +1,11 @@
-//! Readers hammer the zero-queue fast path while background cleaner
-//! threads relocate live data under real memory pressure.
+//! Readers hammer the lock-free fast path while background cleaner
+//! threads — and writers that find the log full, on their own threads —
+//! relocate live data under real memory pressure.
 //!
 //! The live set is a small fraction of the per-shard budget but the write
-//! volume is many times it, so the run only survives if the concurrent
-//! cleaner keeps reclaiming dead segments. Readers assert on every single
+//! volume is many times it, so the run only survives if cleaning keeps
+//! reclaiming dead segments. There are more writers than shards, and half
+//! of them write each round as one `multiwrite`. Readers assert on every single
 //! read that the value matches the version (no torn or stale reads through
 //! a relocation) and that versions never move backwards; at the end the
 //! full write histories are checked against the final live map with the
@@ -16,7 +18,7 @@ use std::sync::Arc;
 use rmc_chaos::{check_histories, OpKind, OpRecord};
 use rmc_logstore::{LogConfig, TableId};
 use rmc_runtime::MetricsRegistry;
-use rmc_standalone::{Client, ServerConfig, StandaloneServer};
+use rmc_standalone::{Client, ClientError, ServerConfig, StandaloneServer};
 
 const T: TableId = TableId(7);
 const WRITERS: usize = 4;
@@ -118,10 +120,9 @@ fn holder_loop(client: &Client, metrics: &MetricsRegistry, stop: &AtomicBool) ->
 #[test]
 fn readers_never_see_stale_data_while_cleaner_runs() {
     // Per-shard budget 24 segments × 4 KiB = 96 KiB; the run appends
-    // ~2.5 MiB across 4 shards, so cleaning must reclaim ~6× the budget.
+    // ~2.5 MiB across 2 shards, so cleaning must reclaim ~13× the budget.
     let srv = StandaloneServer::start(ServerConfig {
-        worker_threads: 4,
-        shards: 4,
+        shards: 2,
         log: LogConfig {
             segment_bytes: 4096,
             max_segments: 24,
@@ -155,21 +156,41 @@ fn readers_never_see_stale_data_while_cleaner_runs() {
         std::thread::spawn(move || holder_loop(&client, &metrics, &stop))
     };
 
-    // Each writer owns a disjoint key space and writes sequentially —
-    // the discipline the chaos history checker assumes.
+    // Each writer owns a disjoint key space and writes it in order — the
+    // discipline the chaos history checker assumes; odd writers batch a
+    // round into one `multiwrite`, which keeps that order per shard.
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let client = srv.client();
             std::thread::spawn(move || {
                 let mut history = Vec::new();
                 for round in 1..ROUNDS {
-                    for i in 0..KEYS_PER_WRITER {
-                        let value = value_for(w, i, round);
-                        let out = client
-                            .write(T, &key_for(w, i), &value)
-                            .expect("cleaner must keep the log from filling up");
+                    let keys: Vec<Vec<u8>> = (0..KEYS_PER_WRITER).map(|i| key_for(w, i)).collect();
+                    let values: Vec<Vec<u8>> = (0..KEYS_PER_WRITER)
+                        .map(|i| value_for(w, i, round))
+                        .collect();
+                    let outcomes = if w % 2 == 1 {
+                        let ops: Vec<(&[u8], &[u8])> = keys
+                            .iter()
+                            .zip(&values)
+                            .map(|(k, v)| (k.as_slice(), v.as_slice()))
+                            .collect();
+                        client.multiwrite(T, &ops).expect("server alive")
+                    } else {
+                        keys.iter()
+                            .zip(&values)
+                            .map(|(k, v)| {
+                                client.write(T, k, v).map_err(|e| match e {
+                                    ClientError::Store(e) => e,
+                                    ClientError::ServerStopped => panic!("server stopped"),
+                                })
+                            })
+                            .collect()
+                    };
+                    for ((key, value), out) in keys.into_iter().zip(values).zip(outcomes) {
+                        let out = out.expect("cleaning must keep the log from filling up");
                         history.push(OpRecord {
-                            key: key_for(w, i),
+                            key,
                             kind: OpKind::Put(value),
                             acked: true,
                             version: out.version.0,
@@ -241,7 +262,7 @@ fn readers_never_see_stale_data_while_cleaner_runs() {
     let violations = check_histories(&merged, &live, true);
     assert!(violations.is_empty(), "invariants violated: {violations:?}");
 
-    // The background threads — not the write path — did the cleaning.
+    // The background threads cleaned, not only the writers.
     let metrics = srv.metrics();
     assert!(
         metrics.sum("cleaner.", ".passes") > 0,
