@@ -9,6 +9,8 @@
 //! renderer ([`ExpCtx::grid`]), and the [`Artefact`] / [`Finding`] types
 //! with the loop that builds, prints, writes and checks one artefact.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod chart;
 pub mod json;

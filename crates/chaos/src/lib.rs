@@ -28,6 +28,7 @@
 //! - [`minimize`] — greedy domain-level shrinking of a failing plan (the
 //!   vendored proptest shim does not shrink).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

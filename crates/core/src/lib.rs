@@ -36,6 +36,7 @@
 //! assert!(report.energy.total_energy_joules > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -26,6 +26,7 @@
 //! assert!(done2 > done);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -25,6 +25,7 @@
 //! EIO, bit flips, stuck-slow I/O), with every detected consequence counted
 //! in the `disk.*` metric family ([`DiskMetrics`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -16,6 +16,7 @@
 //!   node's joules across reads/writes/cleaning from the decomposed
 //!   stage-time histograms, conserving total energy.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

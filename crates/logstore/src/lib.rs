@@ -28,6 +28,7 @@
 //! # }
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -25,6 +25,7 @@
 //! assert!(arrival > SimTime::ZERO);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

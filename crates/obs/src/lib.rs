@@ -25,6 +25,7 @@
 //! single relaxed load — that disabled configuration is the baseline the
 //! `obs_overhead` bench compares against to prove the ≤ 3 % overhead budget.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -24,6 +24,7 @@
 //! `rmc-sim` re-exports the time/rng/metric types, so simulator-facing code
 //! may import them from either crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

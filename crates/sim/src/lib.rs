@@ -32,6 +32,7 @@
 //! assert_eq!(sim.state().arrivals, 100);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

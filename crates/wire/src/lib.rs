@@ -36,6 +36,7 @@
 //! Request/response multiplexing needs no wire-level correlation ids —
 //! the protocol's RIFL `(client, seq)` pairs already key every exchange.
 
+#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

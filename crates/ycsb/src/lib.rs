@@ -24,6 +24,7 @@
 //! assert_eq!(ops, 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
