@@ -63,11 +63,17 @@
 //!   ignores completions from superseded rounds. A completed recovery whose
 //!   target owner has meanwhile died is re-run rather than reassigning
 //!   buckets to a corpse.
-//! - **Replica re-targeting.** Masters remember every byte they replicated
-//!   (`sent_log`); when the replica target set changes (a backup died or
-//!   was readmitted) they re-seed full segments to the new targets and
-//!   re-point pending ack-gated writes at the survivors, so a backup death
-//!   mid-replication neither wedges the write nor silently drops a copy.
+//! - **Replica re-targeting.** A backup's replica of segment S is the
+//!   master's log segment S. When the replica target set changes (a backup
+//!   died or was readmitted) the master seals its head, images every log
+//!   segment onto the new targets (after a takeover: the segments the replay
+//!   wrote) and re-points pending ack-gated writes at the survivors, so a
+//!   backup death mid-replication neither wedges the write nor silently
+//!   drops a copy. Only sealed segments are imaged, so an image cannot erase
+//!   an append that overtook it (a log with no segment left to roll into is
+//!   imaged open, and counted). A backup adopted later holds only the live
+//!   log, so the cleaner keeps what a retry or a replay needs from it: each
+//!   client's latest completion record and each deleted key's tombstone.
 //! - **RIFL duplicate suppression.** Masters remember the last sequence
 //!   number and reply per client: older duplicates are dropped, a duplicate
 //!   of the last op is answered with the recorded reply (same version, no
@@ -81,9 +87,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rmc_chaos::{MsgClass, OpKind, OpRecord};
 use rmc_diskstore::{BackupStorage, MemStorage};
-use rmc_logstore::{
-    CompletionId, LogConfig, LogEntry, ObjectRecord, SegmentId, Store, TableId, TombstoneRecord,
-};
+use rmc_logstore::{CompletionId, LogConfig, LogEntry, SegmentId, Store, TableId, WriteOutcome};
 use rmc_obs::span::{SpanKind, SpanRecorder};
 use rmc_runtime::MetricKind::{self, Counter, Gauge};
 use rmc_runtime::{Histogram, MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
@@ -458,14 +462,6 @@ type StatRow = (&'static str, MetricKind, u64);
 
 fn stat_pairs(rows: Vec<StatRow>) -> Vec<(String, u64)> {
     rows.into_iter().map(|(n, _, v)| (n.into(), v)).collect()
-}
-
-/// The replica form of an entry the master's log does not hold byte for
-/// byte (a tombstone, a re-driven duplicate's record).
-fn serialized(entry: &LogEntry) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(entry.serialized_len());
-    entry.serialize_into(&mut bytes);
-    bytes
 }
 
 // ---------------------------------------------------------------------
@@ -883,6 +879,10 @@ pub struct ServerCounters {
     /// Recoveries that stopped replaying a collected replica early because
     /// its bytes stopped parsing (torn/corrupt replica tail).
     pub replay_truncations: u64,
+    /// Head seals a re-replication skipped because the log had no free
+    /// segment to roll into. The open head is imaged all the same, and an
+    /// append that overtakes that image can then be erased on a backup.
+    pub unsealed_heads: u64,
 }
 
 /// A write applied locally, waiting on backup acks before answering.
@@ -927,8 +927,6 @@ pub struct Server {
     owners: Vec<usize>,
     alive: Vec<bool>,
     map_version: u64,
-    cur_segment: u64,
-    cur_segment_bytes: usize,
     pending: BTreeMap<(u64, u64), PendingWrite>,
     /// Backup role: where replica bytes are staged. [`MemStorage`] by
     /// default (the deterministic engines); a file-backed engine when the
@@ -937,9 +935,6 @@ pub struct Server {
     /// Backup role: masters whose `Replicate` traffic is rejected (known
     /// dead, or fetched from for recovery).
     fenced: BTreeSet<usize>,
-    /// Master role: every byte replicated out, per segment, for re-seeding
-    /// when the target set changes.
-    sent_log: BTreeMap<u64, Vec<u8>>,
     /// RIFL: last sequence and recorded reply per client.
     rifl_last: BTreeMap<u64, (u64, Option<Reply>)>,
     /// Replica targets the last time we looked (to detect changes).
@@ -1023,12 +1018,9 @@ impl Server {
             owners,
             alive,
             map_version: 0,
-            cur_segment: 0,
-            cur_segment_bytes: 0,
             pending: BTreeMap::new(),
             staged: Box::new(MemStorage::new()),
             fenced: BTreeSet::new(),
-            sent_log: BTreeMap::new(),
             rifl_last: BTreeMap::new(),
             last_targets,
             recovery: BTreeMap::new(),
@@ -1209,21 +1201,9 @@ impl Server {
                     return;
                 }
                 let token = (client.0 as u64, seq);
-                if let Some(p) = self.pending.get(&token) {
+                if self.pending.contains_key(&token) {
                     self.counters.pending_resends += 1;
-                    let segment = p.segment;
-                    let bytes = p.bytes.clone();
-                    let waiting: Vec<usize> = p.waiting.iter().copied().collect();
-                    for b in waiting {
-                        rt.send(
-                            server_id(b),
-                            Msg::Replicate {
-                                segment,
-                                bytes: bytes.clone(),
-                                token,
-                            },
-                        );
-                    }
+                    self.send_replicas(token, rt);
                     return;
                 }
                 // No recorded reply and nothing pending: the op was shed
@@ -1247,29 +1227,13 @@ impl Server {
                     client: client.0 as u64,
                     seq,
                 };
+                // A re-driven duplicate appends nothing: its outcome names
+                // the op's own record, not whatever sits at the key by now.
                 let outcome = self
                     .store
                     .write_with(PROTO_TABLE, &key, &value, Some(completion))
                     .expect("mini-cluster write fits in log");
-                // Replicas get the very bytes the log now holds: the record
-                // is serialized, and checksummed, once.
-                let bytes = match self.store.appended_bytes(&outcome) {
-                    Some(appended) => appended.to_vec(),
-                    // A re-driven duplicate appended nothing, and what sits
-                    // at the key by now may be another client's newer
-                    // version: re-create this op's own record.
-                    None => serialized(&LogEntry::Object(ObjectRecord {
-                        table: PROTO_TABLE,
-                        key: key.into(),
-                        value: value.into(),
-                        version: outcome.version,
-                        completion: Some(completion),
-                    })),
-                };
-                let reply = Reply::Done {
-                    version: outcome.version.0,
-                };
-                self.replicate(bytes, client, seq, bucket, reply, rt);
+                self.replicate(outcome, client, seq, bucket, rt);
             }
             ClientOp::Del { key } => {
                 match self
@@ -1277,22 +1241,9 @@ impl Server {
                     .delete(PROTO_TABLE, &key)
                     .expect("tombstone fits in log")
                 {
-                    None => {
-                        // Nothing to delete: answer immediately.
-                        self.respond(client, seq, Reply::Done { version: 0 }, rt);
-                    }
-                    Some(version) => {
-                        let entry = LogEntry::Tombstone(TombstoneRecord {
-                            table: PROTO_TABLE,
-                            key: key.into(),
-                            version,
-                            // Replicas replay tombstones by (key, version);
-                            // the dead segment is a local-cleaner detail.
-                            dead_segment: SegmentId(0),
-                        });
-                        let reply = Reply::Done { version: version.0 };
-                        self.replicate(serialized(&entry), client, seq, bucket, reply, rt);
-                    }
+                    // Nothing to delete: answer immediately.
+                    None => self.respond(client, seq, Reply::Done { version: 0 }, rt),
+                    Some(outcome) => self.replicate(outcome, client, seq, bucket, rt),
                 }
             }
         }
@@ -1341,29 +1292,22 @@ impl Server {
         }
     }
 
-    /// Stages `bytes` (one serialized entry) on `R` ring backups, and
+    /// Stages the record `outcome` stands for on `R` ring backups — the
+    /// bytes the log holds, under the segment that holds them — and
     /// registers the client response to fire when every ack is in. A
     /// duplicate of a pending write re-replicates to the still-waiting
     /// targets, so a lost `Replicate` or ack cannot wedge the op.
     fn replicate<R: Runtime<Msg = Msg>>(
         &mut self,
-        bytes: Vec<u8>,
+        outcome: WriteOutcome,
         client: NodeId,
         seq: u64,
         bucket: usize,
-        reply: Reply,
         rt: &mut R,
     ) {
-        if self.cur_segment_bytes + bytes.len() > self.cfg.log.segment_bytes {
-            self.cur_segment += 1;
-            self.cur_segment_bytes = 0;
-        }
-        self.cur_segment_bytes += bytes.len();
-        // Mirror what the backups will hold, for later re-seeding.
-        self.sent_log
-            .entry(self.cur_segment)
-            .or_default()
-            .extend_from_slice(&bytes);
+        let reply = Reply::Done {
+            version: outcome.version.0,
+        };
         let targets = replica_targets(
             self.index,
             self.cfg.servers,
@@ -1374,6 +1318,11 @@ impl Server {
             self.respond(client, seq, reply, rt);
             return;
         }
+        let bytes = self
+            .store
+            .appended_bytes(&outcome)
+            .expect("a record just written is in the log")
+            .to_vec();
         let token = (client.0 as u64, seq);
         self.pending.insert(
             token,
@@ -1381,23 +1330,81 @@ impl Server {
                 client,
                 seq,
                 bucket,
-                segment: self.cur_segment,
-                bytes: bytes.clone(),
+                segment: self.replica_segment(outcome.position.segment),
+                bytes,
                 reply,
-                waiting: targets.iter().copied().collect(),
+                waiting: targets.into_iter().collect(),
                 acked: BTreeSet::new(),
                 started: rt.now(),
             },
         );
-        for b in targets {
+        self.send_replicas(token, rt);
+    }
+
+    /// The id backups stage log segment `segment` under, tagged with this
+    /// incarnation's epoch: a restarted master's log numbers its segments
+    /// from 0 again while its backups still hold the last incarnation's.
+    fn replica_segment(&self, segment: SegmentId) -> u64 {
+        self.epoch << 32 | segment.0
+    }
+
+    /// Sends pending write `token`'s record to every backup still waiting
+    /// for it.
+    fn send_replicas<R: Runtime<Msg = Msg>>(&self, token: (u64, u64), rt: &mut R) {
+        let p = &self.pending[&token];
+        for &b in &p.waiting {
             rt.send(
                 server_id(b),
                 Msg::Replicate {
-                    segment: self.cur_segment,
-                    bytes: bytes.clone(),
+                    segment: p.segment,
+                    bytes: p.bytes.clone(),
                     token,
                 },
             );
+        }
+    }
+
+    /// Re-replicates the log from segment `from` on, fire-and-forget: seals
+    /// the head first, so that every image is of a segment nothing will
+    /// append to again, then sends each segment's bytes to every current
+    /// target. An append that overtakes an image lands in a later segment,
+    /// so the image cannot erase it — unless the log was too full to seal
+    /// (see [`ServerCounters::unsealed_heads`]).
+    fn reseed<R: Runtime<Msg = Msg>>(&mut self, from: SegmentId, rt: &mut R) {
+        let targets = replica_targets(
+            self.index,
+            self.cfg.servers,
+            self.cfg.replication,
+            &self.alive,
+        );
+        if targets.is_empty() {
+            return;
+        }
+        self.seal_head();
+        let log = self.store.log();
+        for id in log.segment_ids().into_iter().filter(|&id| id >= from) {
+            let bytes = log.segment(id).expect("listed").as_bytes();
+            if bytes.is_empty() {
+                continue;
+            }
+            for &b in &targets {
+                rt.send(
+                    server_id(b),
+                    Msg::Replicate {
+                        segment: self.replica_segment(id),
+                        bytes: bytes.to_vec(),
+                        token: REPLICA_RESEED,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Seals the log's head before it is imaged; counts the seal instead
+    /// when the log has no segment left to roll into.
+    fn seal_head(&mut self) {
+        if self.store.seal_head().is_err() {
+            self.counters.unsealed_heads += 1;
         }
     }
 
@@ -1455,25 +1462,10 @@ impl Server {
         if targets == self.last_targets {
             return;
         }
-        self.last_targets = targets.clone();
         self.counters.reseeds += 1;
         // Backfill the whole log onto the current target set so a freshly
         // adopted backup holds everything, not just future writes.
-        for (&segment, bytes) in &self.sent_log {
-            if bytes.is_empty() {
-                continue;
-            }
-            for &b in &targets {
-                rt.send(
-                    server_id(b),
-                    Msg::Replicate {
-                        segment,
-                        bytes: bytes.clone(),
-                        token: REPLICA_RESEED,
-                    },
-                );
-            }
-        }
+        self.reseed(SegmentId(0), rt);
         // Re-point pending ack-gated writes at the new targets.
         let tokens: Vec<(u64, u64)> = self.pending.keys().copied().collect();
         for token in tokens {
@@ -1487,21 +1479,10 @@ impl Server {
                 let p = self.pending.remove(&token).expect("present");
                 self.respond(p.client, p.seq, p.reply, rt);
             } else {
-                let segment = p.segment;
-                let bytes = p.bytes.clone();
-                let waiting: Vec<usize> = p.waiting.iter().copied().collect();
-                for b in waiting {
-                    rt.send(
-                        server_id(b),
-                        Msg::Replicate {
-                            segment,
-                            bytes: bytes.clone(),
-                            token,
-                        },
-                    );
-                }
+                self.send_replicas(token, rt);
             }
         }
+        self.last_targets = targets;
     }
 
     fn begin_takeover<R: Runtime<Msg = Msg>>(
@@ -1572,7 +1553,11 @@ impl Server {
             .remove(&crashed)
             .expect("takeover in progress");
         let bucket_set: BTreeSet<usize> = fetch.buckets.iter().copied().collect();
-        let mut reseed: Vec<u8> = Vec::new();
+        // Replay into fresh segments only: a duplicated `Replicate` can leave
+        // a backup holding more bytes of the head than the log does, and it
+        // would then refuse the head's image.
+        self.seal_head();
+        let from = self.store.log().head();
         for (_seg, bytes) in &fetch.collected {
             let mut off = 0;
             while off < bytes.len() {
@@ -1593,49 +1578,17 @@ impl Server {
                 if !bucket_set.contains(&bucket_for(PROTO_TABLE, key, self.cfg.buckets)) {
                     continue;
                 }
-                let applied = match &entry {
-                    LogEntry::Object(o) => {
-                        self.store.replay_object(o).expect("replayed object fits")
-                    }
-                    LogEntry::Tombstone(t) => self
-                        .store
-                        .replay_tombstone(t)
-                        .expect("replayed tombstone fits"),
-                };
-                if applied {
-                    // Tombstones must travel with the objects they kill:
-                    // reseeding only the object would resurrect deleted
-                    // keys in the *next* recovery of this server. The
-                    // entry's bytes just passed their checksum; they go on
-                    // as they are.
-                    reseed.extend_from_slice(&bytes[off - len..off]);
+                match &entry {
+                    LogEntry::Object(o) => self.store.replay_object(o),
+                    LogEntry::Tombstone(t) => self.store.replay_tombstone(t),
                 }
+                .expect("replayed entry fits");
             }
         }
-        // Restore durability of the recovered data: stream the surviving
-        // entries to this server's own backups, fire-and-forget. The bytes
-        // also join `sent_log` so later target changes re-seed them too.
-        let targets = replica_targets(
-            self.index,
-            self.cfg.servers,
-            self.cfg.replication,
-            &self.alive,
-        );
-        if !reseed.is_empty() {
-            self.cur_segment += 1;
-            self.cur_segment_bytes = reseed.len();
-            for b in targets {
-                rt.send(
-                    server_id(b),
-                    Msg::Replicate {
-                        segment: self.cur_segment,
-                        bytes: reseed.clone(),
-                        token: REPLICA_RESEED,
-                    },
-                );
-            }
-            self.sent_log.insert(self.cur_segment, reseed);
-        }
+        // Restore durability of the recovered data: image every segment the
+        // replay wrote — objects, the tombstones that must travel with them,
+        // and completion records — onto this server's own backups.
+        self.reseed(from, rt);
         rt.send(
             coordinator_id(),
             Msg::TakeOverDone {
@@ -2052,6 +2005,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmc_logstore::ObjectRecord;
 
     #[test]
     fn replica_ring_skips_dead_and_self() {
@@ -2132,16 +2086,51 @@ mod tests {
         }
     }
 
-    /// Finds a key that hashes to a bucket owned by server 0 under the
-    /// initial round-robin map.
+    /// Keys that hash to buckets owned by server 0 under the initial
+    /// round-robin map.
+    fn keys_owned_by_zero(cfg: &ProtocolConfig) -> impl Iterator<Item = Vec<u8>> + '_ {
+        (0..10_000u32)
+            .map(|i| format!("k{i}").into_bytes())
+            .filter(|key| bucket_for(PROTO_TABLE, key, cfg.buckets).is_multiple_of(cfg.servers))
+    }
+
     fn key_owned_by_zero(cfg: &ProtocolConfig) -> Vec<u8> {
-        for i in 0..10_000u32 {
-            let key = format!("k{i}").into_bytes();
-            if bucket_for(PROTO_TABLE, &key, cfg.buckets).is_multiple_of(cfg.servers) {
-                return key;
-            }
+        keys_owned_by_zero(cfg)
+            .next()
+            .expect("a key owned by server 0")
+    }
+
+    /// Delivers `out`, sent by `from`, and everything it sets off among
+    /// `servers`, in send order; messages for other nodes are dropped.
+    fn deliver(servers: &mut [Server], from: NodeId, out: Vec<(NodeId, Msg)>) {
+        let mut queue: std::collections::VecDeque<_> =
+            out.into_iter().map(|(to, msg)| (from, to, msg)).collect();
+        while let Some((from, to, msg)) = queue.pop_front() {
+            let Some(server) = to.0.checked_sub(1).and_then(|i| servers.get_mut(i)) else {
+                continue;
+            };
+            let mut rt = TestRt::new(to);
+            server.on_message(from, msg, &mut rt);
+            queue.extend(rt.drain().into_iter().map(|(next, msg)| (to, next, msg)));
         }
-        panic!("no key found");
+    }
+
+    /// Does `out` answer `seq` with `Done`?
+    fn answered(out: &[(NodeId, Msg)], seq: u64) -> bool {
+        out.iter().any(
+            |(_, m)| matches!(m, Msg::Response { seq: s, reply: Reply::Done { .. } } if *s == seq),
+        )
+    }
+
+    /// The first map update: server `dead` is dead, ownership unchanged.
+    fn without(cfg: &ProtocolConfig, dead: usize) -> Msg {
+        let mut alive = vec![true; cfg.servers];
+        alive[dead] = false;
+        Msg::MapUpdate {
+            version: 1,
+            owners: (0..cfg.buckets).map(|b| b % cfg.servers).collect(),
+            alive,
+        }
     }
 
     #[test]
@@ -2266,6 +2255,235 @@ mod tests {
             server.on_message(server_id(2), Msg::ReplicateAck { token }, &mut rt);
             rt.drain();
         }
+    }
+
+    #[test]
+    fn replicas_are_the_masters_log_segments() {
+        // Four servers, R = 2: master 0 replicates to 1 and 2, then to 1 and
+        // 3 once 2 is dead. Small segments, so the head rolls.
+        let mut cfg = ProtocolConfig::new(4, 1, 2);
+        cfg.log.segment_bytes = 1024;
+        let client = client_id(4, 0);
+        let keys: Vec<Vec<u8>> = keys_owned_by_zero(&cfg).take(6).collect();
+        let mut servers: Vec<Server> = (0..4).map(|i| Server::new(i, cfg.clone())).collect();
+        let mut seq = 0;
+        let mut run = |servers: &mut Vec<Server>, op: ClientOp| {
+            seq += 1;
+            let mut rt = TestRt::new(server_id(0));
+            servers[0].on_message(client, Msg::Request { seq, op }, &mut rt);
+            deliver(servers, server_id(0), rt.drain());
+        };
+        let put = |key: &[u8], value: &str| ClientOp::Put {
+            key: key.to_vec(),
+            value: format!("{value:-<200}").into_bytes(),
+        };
+        let del = |key: &[u8]| ClientOp::Del { key: key.to_vec() };
+        for key in &keys[..4] {
+            run(&mut servers, put(key, "first"));
+        }
+        run(&mut servers, put(&keys[0], "overwritten"));
+        run(&mut servers, del(&keys[1]));
+        assert!(
+            servers[0].store.log().head() > SegmentId(0),
+            "the head rolled"
+        );
+        // Server 2 dies: server 3 is adopted and gets images of the log.
+        let mut rt = TestRt::new(server_id(0));
+        servers[0].on_message(coordinator_id(), without(&cfg, 2), &mut rt);
+        deliver(&mut servers, server_id(0), rt.drain());
+        assert_eq!(servers[0].counters.reseeds, 1);
+        for key in &keys[4..] {
+            run(&mut servers, put(key, "after"));
+        }
+        run(&mut servers, del(&keys[4]));
+        run(&mut servers, put(&keys[2], "overwritten, after"));
+
+        let log = servers[0].store.log();
+        let held: Vec<SegmentId> = log
+            .segment_ids()
+            .into_iter()
+            .filter(|&id| !log.segment(id).expect("listed").is_empty())
+            .collect();
+        for backup in [1, 3] {
+            let staged = servers[backup].storage().segments_of(0);
+            let ids: Vec<SegmentId> = staged.iter().map(|&(s, _)| SegmentId(s)).collect();
+            assert_eq!(ids, held, "backup {backup} stages every log segment");
+            for (segment, bytes) in &staged {
+                let segment = log.segment(SegmentId(*segment)).expect("held");
+                assert_eq!(&bytes[..], segment.as_bytes(), "backup {backup}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_image_does_not_erase_a_put_that_overtook_it() {
+        let cfg = ProtocolConfig::new(4, 1, 2);
+        let client = client_id(4, 0);
+        let keys: Vec<Vec<u8>> = keys_owned_by_zero(&cfg).take(4).collect();
+        let mut servers: Vec<Server> = (0..4).map(|i| Server::new(i, cfg.clone())).collect();
+        let put = |seq: u64, key: &[u8]| Msg::Request {
+            seq,
+            op: ClientOp::Put {
+                key: key.to_vec(),
+                value: format!("value {seq}").into_bytes(),
+            },
+        };
+        let mut rt = TestRt::new(server_id(0));
+        for (seq, key) in (1..).zip(&keys[..3]) {
+            servers[0].on_message(client, put(seq, key), &mut rt);
+            deliver(&mut servers, server_id(0), rt.drain());
+        }
+        // Server 2 dies; the images for server 3 are delayed…
+        servers[0].on_message(coordinator_id(), without(&cfg, 2), &mut rt);
+        let images = rt.drain();
+        assert!(images.iter().any(|(to, _)| *to == server_id(3)));
+        // …behind the next put, which both backups ack.
+        servers[0].on_message(client, put(4, &keys[3]), &mut rt);
+        let token = (client.0 as u64, 4);
+        let out = rt.drain();
+        let record = replicated(&out, token)[0].to_vec();
+        let mut acks = Vec::new();
+        for (to, msg) in out {
+            let mut backup_rt = TestRt::new(to);
+            servers[to.0 - 1].on_message(server_id(0), msg, &mut backup_rt);
+            acks.extend(backup_rt.drain().into_iter().map(|(_, ack)| (to, ack)));
+        }
+        for (from, ack) in acks {
+            servers[0].on_message(from, ack, &mut rt);
+        }
+        assert!(answered(&rt.drain(), 4), "the put is acked");
+        deliver(&mut servers, server_id(0), images);
+        let staged = servers[3].storage().segments_of(0);
+        assert!(
+            staged
+                .iter()
+                .any(|(_, bytes)| bytes.windows(record.len()).any(|w| w == record)),
+            "the acked put is still staged on its new backup"
+        );
+    }
+
+    #[test]
+    fn a_target_change_with_no_segment_to_roll_into_images_the_open_head() {
+        let mut cfg = ProtocolConfig::new(4, 1, 2);
+        cfg.log.segment_bytes = 1024;
+        cfg.log.max_segments = 8;
+        let client = client_id(4, 0);
+        let mut servers: Vec<Server> = (0..4).map(|i| Server::new(i, cfg.clone())).collect();
+        let mut rt = TestRt::new(server_id(0));
+        let mut keys = keys_owned_by_zero(&cfg);
+        let mut seq = 0;
+        let mut put = |servers: &mut Vec<Server>, rt: &mut TestRt| {
+            seq += 1;
+            let op = ClientOp::Put {
+                key: keys.next().expect("a key owned by server 0"),
+                value: vec![b'v'; 200],
+            };
+            servers[0].on_message(client, Msg::Request { seq, op }, rt);
+            let out = rt.drain();
+            deliver(servers, server_id(0), out.clone());
+            answered(&rt.drain(), seq)
+                || out.iter().any(|(_, m)| matches!(m, Msg::Replicate { .. }))
+        };
+        // Distinct keys, all live, until the last free segment is the head.
+        while servers[0].store.log().free_segment_slots() > 0 {
+            assert!(put(&mut servers, &mut rt));
+        }
+        // Server 2 dies: the head cannot be sealed, and is imaged open.
+        servers[0].on_message(coordinator_id(), without(&cfg, 2), &mut rt);
+        deliver(&mut servers, server_id(0), rt.drain());
+        assert_eq!(servers[0].counters.reseeds, 1);
+        assert_eq!(servers[0].counters.unsealed_heads, 1);
+        let log = servers[0].store.log();
+        let staged = servers[3].storage().segments_of(0);
+        assert_eq!(staged.len(), log.segment_ids().len());
+        for (segment, bytes) in &staged {
+            let held = log.segment(SegmentId(*segment)).expect("held");
+            assert_eq!(&bytes[..], held.as_bytes());
+        }
+        // Writes go on into the head's remaining room.
+        assert!(put(&mut servers, &mut rt));
+    }
+
+    #[test]
+    fn a_takeover_images_what_it_replayed_past_what_backups_already_hold() {
+        // Backup 1 holds more of master 0's segment 0 than master 0's log
+        // does now — after a duplicated `Replicate`, or a restart (the new
+        // life numbers its log from segment 0 again). Master 0 then recovers
+        // server 3's bucket from backup 1: its own backups must end up with
+        // the replayed record all the same.
+        let cfg = ProtocolConfig::new(4, 1, 2);
+        let client = client_id(4, 0);
+        let owned_by = |owner: usize| {
+            (0..10_000u32)
+                .map(|i| format!("k{i}").into_bytes())
+                .filter(move |key| bucket_for(PROTO_TABLE, key, cfg.buckets) % 4 == owner)
+        };
+        for restart in [false, true] {
+            let mut servers: Vec<Server> = (0..4).map(|i| Server::new(i, cfg.clone())).collect();
+            let mut rt = TestRt::new(server_id(0));
+            for (seq, key) in (1..).zip(owned_by(0).take(3)) {
+                let op = ClientOp::Put {
+                    key,
+                    value: vec![b'v'; 100],
+                };
+                servers[0].on_message(client, Msg::Request { seq, op }, &mut rt);
+                let out = rt.drain();
+                if !restart {
+                    deliver(&mut servers, server_id(0), out.clone());
+                }
+                deliver(&mut servers, server_id(0), out);
+            }
+            let key = owned_by(3).next().expect("a key owned by server 3");
+            let bucket = bucket_for(PROTO_TABLE, &key, cfg.buckets);
+            let op = ClientOp::Put {
+                key,
+                value: b"recovered".to_vec(),
+            };
+            let mut rt = TestRt::new(server_id(3));
+            servers[3].on_message(client, Msg::Request { seq: 1, op }, &mut rt);
+            let record = replicated(&rt.drain(), (client.0 as u64, 1))[0].to_vec();
+            let replica = Msg::Replicate {
+                segment: 0,
+                bytes: record.clone(),
+                token: (client.0 as u64, 1),
+            };
+            servers[1].on_message(server_id(3), replica, &mut TestRt::new(server_id(1)));
+            if restart {
+                servers[0] = Server::restarted(0, cfg.clone(), 1);
+            }
+            let takeover = Msg::TakeOver {
+                crashed: 3,
+                buckets: vec![bucket],
+                survivors: vec![1],
+                round: 1,
+            };
+            deliver(
+                &mut servers,
+                coordinator_id(),
+                vec![(server_id(0), takeover)],
+            );
+            assert!(servers[0]
+                .store
+                .read(PROTO_TABLE, &record_key(&record))
+                .is_some());
+            for backup in [1, 2] {
+                let staged = servers[backup].storage().segments_of(0);
+                assert!(
+                    staged
+                        .iter()
+                        .any(|(_, bytes)| bytes.windows(record.len()).any(|w| w == record)),
+                    "restart {restart}: backup {backup} holds the replayed record"
+                );
+            }
+        }
+    }
+
+    /// The key of the serialized object record `bytes`.
+    fn record_key(bytes: &[u8]) -> Vec<u8> {
+        let (LogEntry::Object(o), _) = LogEntry::parse(bytes).expect("a whole entry") else {
+            panic!("not an object")
+        };
+        o.key.to_vec()
     }
 
     #[test]

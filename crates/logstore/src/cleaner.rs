@@ -209,7 +209,7 @@ struct PlannedItem {
     offset: u32,
     len: usize,
     /// Index entry to swing for a live object; `None` for a kept tombstone
-    /// (tombstones have no index entry).
+    /// or completion record (neither has an index entry).
     swing: Option<KeyHash>,
 }
 
@@ -250,7 +250,7 @@ impl CleanPlan {
         let mut survivors: Vec<Segment> = Vec::new();
         let mut current: Option<Segment> = None;
         let mut relocations = Vec::new();
-        let mut kept_tombstones = Vec::new();
+        let mut kept = Vec::new();
         let mut bytes_relocated = 0u64;
         for item in items {
             let src = victim_segments[item.victim_idx].as_bytes();
@@ -279,7 +279,7 @@ impl CleanPlan {
                                 new,
                                 size: item.len,
                             }),
-                            None => kept_tombstones.push((new, item.len)),
+                            None => kept.push((new, item.len)),
                         }
                         bytes_relocated += item.len as u64;
                         break;
@@ -303,7 +303,7 @@ impl CleanPlan {
             victims,
             survivors,
             relocations,
-            kept_tombstones,
+            kept,
             tombstones_dropped: tombstones_droppable,
             bytes_relocated,
         }
@@ -328,7 +328,9 @@ pub struct PreparedClean {
     victims: Vec<SegmentId>,
     survivors: Vec<Segment>,
     relocations: Vec<Relocation>,
-    kept_tombstones: Vec<(LogPosition, usize)>,
+    /// Copied entries with no index entry: needed tombstones and kept
+    /// completion records.
+    kept: Vec<(LogPosition, usize)>,
     tombstones_dropped: u64,
     bytes_relocated: u64,
 }
@@ -377,10 +379,20 @@ impl Store {
     /// pre-filter liveness, reserve survivor ids. Runs under `&self` — a
     /// shared lock suffices. Returns `None` when no victim qualifies.
     ///
-    /// Tombstone droppability is decided here, which is safe even though
-    /// the store keeps mutating: segment ids are never reused, so "the dead
-    /// object's segment is gone (or is a victim of this very pass)" can
-    /// only become *more* true by apply time.
+    /// A tombstone is kept while its key stays deleted: older versions of
+    /// the key — overwritten records the cleaner has not reached yet, and
+    /// completion records it keeps — may sit anywhere in the log, and an
+    /// image of the log must not hand them to a replay without it. Once the
+    /// key is written again, the tombstone is kept only while the dead
+    /// object's segment is. Droppability is decided here, which is safe
+    /// even though the store keeps mutating: segment ids are never reused,
+    /// so "the dead object's segment is gone (or is a victim of this very
+    /// pass)" can only become *more* true by apply time, and a key deleted
+    /// again by then has a newer tombstone of its own.
+    ///
+    /// A pass also keeps each overwritten object record that is still its
+    /// client's latest RIFL completion: a replica of the log must still
+    /// answer that client's retry.
     pub fn prepare_clean(&self, kind: CleanKind) -> Option<CleanPlan> {
         if !self.cleaner.enabled {
             return None;
@@ -469,35 +481,42 @@ impl Store {
                     segment: victim,
                     offset,
                 };
-                let len = entry.serialized_len();
-                match entry {
+                // What to copy, and the index entry to swing for it (none for
+                // a tombstone, nor for an overwritten object that is still its
+                // client's latest completion).
+                let keep = match entry {
                     LogEntry::Object(ref o) => {
                         let hash = key_hash(o.table, &o.key);
                         if self.index.candidates(hash).any(|p| p == pos) {
-                            items.push(PlannedItem {
-                                victim_idx: vi,
-                                offset,
-                                len,
-                                swing: Some(hash),
+                            Some(Some(hash))
+                        } else {
+                            let latest = o.completion.is_some_and(|c| {
+                                self.completions.get(&c.client) == Some(&(c.seq, o.version))
                             });
-                            copy_bytes += len;
+                            latest.then_some(None)
                         }
                     }
                     LogEntry::Tombstone(ref t) => {
-                        let droppable = victims.contains(&t.dead_segment)
-                            || !self.log.contains_segment(t.dead_segment);
-                        if droppable {
-                            tombstones_droppable += 1;
-                        } else {
-                            items.push(PlannedItem {
-                                victim_idx: vi,
-                                offset,
-                                len,
-                                swing: None,
-                            });
-                            copy_bytes += len;
-                        }
+                        let key_deleted = self
+                            .dead_versions
+                            .get(&key_hash(t.table, &t.key).0)
+                            .is_some_and(|&floor| floor >= t.version);
+                        let droppable = !key_deleted
+                            && (victims.contains(&t.dead_segment)
+                                || !self.log.contains_segment(t.dead_segment));
+                        tombstones_droppable += u64::from(droppable);
+                        (!droppable).then_some(None)
                     }
+                };
+                if let Some(swing) = keep {
+                    let len = entry.serialized_len();
+                    items.push(PlannedItem {
+                        victim_idx: vi,
+                        offset,
+                        len,
+                        swing,
+                    });
+                    copy_bytes += len;
                 }
             }
         }
@@ -538,7 +557,7 @@ impl Store {
             victims,
             survivors,
             relocations,
-            kept_tombstones,
+            kept,
             tombstones_dropped,
             bytes_relocated,
         } = prepared;
@@ -553,7 +572,7 @@ impl Store {
                 *live.entry(r.new.segment).or_default() += r.size;
             }
         }
-        for &(pos, size) in &kept_tombstones {
+        for &(pos, size) in &kept {
             *live.entry(pos.segment).or_default() += size;
         }
         // Install (and thereby publish in the lock-free segment map) every
@@ -705,6 +724,30 @@ mod tests {
         )
     }
 
+    /// A store rebuilt by replaying every segment image of `s`'s log: what
+    /// recovery finds on a backup adopted after `s` cleaned.
+    fn replayed(s: &Store) -> Store {
+        let mut fresh = churn_store(s.log().config().max_segments);
+        for id in s.log().segment_ids() {
+            for (_, entry) in s.log().segment(id).unwrap().iter() {
+                match entry {
+                    LogEntry::Object(o) => fresh.replay_object(&o).map(drop),
+                    LogEntry::Tombstone(t) => fresh.replay_tombstone(&t).map(drop),
+                }
+                .unwrap();
+            }
+        }
+        fresh
+    }
+
+    /// Runs combined passes until the log no longer holds `segment`.
+    fn clean_away(s: &mut Store, segment: SegmentId) {
+        while s.log().contains_segment(segment) {
+            let plan = s.prepare_clean(CleanKind::Combined).expect("a victim");
+            s.apply_clean(plan.build());
+        }
+    }
+
     /// 16 segments × 512 B ≈ 8 KB of log, 40× that volume churned over a
     /// small key set. `step_driven` plays an external driver (the simulator,
     /// a background thread) with one `clean_step` a round; without it the
@@ -795,6 +838,108 @@ mod tests {
     }
 
     #[test]
+    fn cleaning_keeps_each_clients_latest_completion_in_the_log() {
+        use crate::entry::CompletionId;
+        let mut s = churn_store(32);
+        let c = CompletionId { client: 1, seq: 7 };
+        let d = CompletionId { client: 2, seq: 3 };
+        let v1 = s.write_with(T, b"k", b"from c", Some(c)).unwrap();
+        let v2 = s.write_with(T, b"k", b"from d", Some(d)).unwrap();
+        for round in 0..40 {
+            s.write(T, b"filler", format!("value-{round:080}").as_bytes())
+                .unwrap();
+        }
+        clean_away(&mut s, v1.position.segment);
+        // C's record is dead (D overwrote the key) but is C's latest
+        // completion: a retry is still answered, with C's own record.
+        let appended = s.log().total_appended_bytes();
+        let dup = s.write_with(T, b"k", b"from c", Some(c)).unwrap();
+        assert_eq!(s.log().total_appended_bytes(), appended);
+        assert_eq!(dup.version, v1.version);
+        assert_ne!(dup.position.segment, v1.position.segment, "relocated");
+        // A store rebuilt from images of the cleaned log — all a backup
+        // adopted after the cleaning holds — answers the retry too.
+        let fresh = replayed(&s);
+        assert_eq!(fresh.last_completion(1), Some((7, v1.version)));
+        assert_eq!(fresh.last_completion(2), Some((3, v2.version)));
+        assert_eq!(&fresh.read(T, b"k").unwrap().value[..], b"from d");
+        // Once C moves on, its old record is dropped like any dead one (a
+        // kept record counts as live where it lands, like a kept tombstone:
+        // here it goes when D's version beside it dies too).
+        let c2 = CompletionId { client: 1, seq: 8 };
+        s.write_with(T, b"other", b"x", Some(c2)).unwrap();
+        s.write(T, b"k", b"from d, again").unwrap();
+        let kept = dup.position.segment;
+        for round in 0..40 {
+            s.write(T, b"filler", format!("again-{round:080}").as_bytes())
+                .unwrap();
+        }
+        clean_away(&mut s, kept);
+        let carried = |s: &Store| {
+            s.log().segment_ids().into_iter().any(|id| {
+                s.log()
+                    .segment(id)
+                    .unwrap()
+                    .iter()
+                    .any(|(_, e)| matches!(e, LogEntry::Object(o) if o.completion == Some(c)))
+            })
+        };
+        assert!(!carried(&s), "a superseded completion is not kept");
+    }
+
+    #[test]
+    fn cleaning_keeps_the_tombstone_of_a_completion_it_keeps() {
+        use crate::entry::CompletionId;
+        let mut s = churn_store(32);
+        let c = CompletionId { client: 1, seq: 7 };
+        let v1 = s.write_with(T, b"k", b"from c", Some(c)).unwrap();
+        s.delete(T, b"k").unwrap();
+        for round in 0..40 {
+            s.write(T, b"filler", format!("value-{round:080}").as_bytes())
+                .unwrap();
+        }
+        clean_away(&mut s, v1.position.segment);
+        // C's record is kept for its completion; its tombstone goes with it.
+        let fresh = replayed(&s);
+        assert!(fresh.read(T, b"k").is_none(), "k stays deleted");
+        assert_eq!(fresh.last_completion(1), Some((7, v1.version)));
+    }
+
+    #[test]
+    fn an_image_of_the_cleaned_log_keeps_a_deleted_key_deleted() {
+        let mut s = churn_store(32);
+        // v1 shares its segment with records that stay live, so the cleaner
+        // leaves that segment alone; v2 and its tombstone land in the next.
+        let v1 = s.write(T, b"k", b"first").unwrap();
+        let mut cold = 0;
+        loop {
+            let key = format!("cold{cold}");
+            cold += 1;
+            let out = s.write(T, key.as_bytes(), &[b'c'; 40]).unwrap();
+            if out.position.segment != v1.position.segment {
+                break;
+            }
+        }
+        let v2 = s.write(T, b"k", b"second").unwrap();
+        s.delete(T, b"k").unwrap();
+        assert_ne!(v2.position.segment, v1.position.segment);
+        for round in 0..40 {
+            s.write(T, b"filler", format!("value-{round:080}").as_bytes())
+                .unwrap();
+        }
+        clean_away(&mut s, v2.position.segment);
+        assert!(
+            s.log().contains_segment(v1.position.segment),
+            "the overwritten v1 is still in the log"
+        );
+        let fresh = replayed(&s);
+        assert!(fresh.read(T, b"k").is_none(), "k stays deleted");
+        for i in 0..cold {
+            assert!(fresh.read(T, format!("cold{i}").as_bytes()).is_some());
+        }
+    }
+
+    #[test]
     fn cleaning_does_not_resurrect_deleted_keys() {
         let mut s = churn_store(16);
         for i in 0..30 {
@@ -824,6 +969,11 @@ mod tests {
             s.write(T, format!("k{i}").as_bytes(), b"v").unwrap();
             s.delete(T, format!("k{i}").as_bytes()).unwrap();
         }
+        // Half the keys are written again: their tombstones may expire. The
+        // rest stay deleted, and their tombstones stay in the log.
+        for i in 0..25 {
+            s.write(T, format!("k{i}").as_bytes(), b"again").unwrap();
+        }
         for round in 0..400 {
             s.write(T, b"churn", format!("{round}").as_bytes()).unwrap();
         }
@@ -831,6 +981,11 @@ mod tests {
             s.stats().tombstones_dropped > 0,
             "churn must let some tombstones expire"
         );
+        let fresh = replayed(&s);
+        for i in 0..50 {
+            let live = fresh.read(T, format!("k{i}").as_bytes()).is_some();
+            assert_eq!(live, i < 25, "k{i}");
+        }
     }
 
     #[test]

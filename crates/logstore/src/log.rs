@@ -223,38 +223,14 @@ impl Log {
             "entry larger than a segment"
         );
         let mut sealed = None;
-        let head_id = self.head;
-        // A roll needs a whole segment's worth of unclaimed budget.
-        let at_capacity = self.charged_total + self.config.segment_bytes > self.budget_bytes();
-        let head = self.segments.get_mut(&head_id).expect("head exists");
+        let head = self.segments.get_mut(&self.head).expect("head exists");
         let offset = match head.append(entry) {
             Ok(off) => off,
             Err(_) => {
-                // Roll over to a new head.
-                if at_capacity {
-                    return Err(LogFullError);
-                }
-                head.close();
-                sealed = Some(head_id);
-                let new_id = self.reserve_segment_id();
-                self.append_seq += 1;
-                let mut seg = Segment::new(new_id, self.config.segment_bytes);
-                let off = seg
-                    .append(entry)
-                    .expect("entry must fit in an empty segment");
-                self.segment_map.publish(new_id, seg.shared_buf());
-                self.segments.insert(new_id, seg);
-                self.stats.insert(
-                    new_id,
-                    SegmentStats {
-                        live_bytes: 0,
-                        created_seq: self.append_seq,
-                        charged_bytes: self.config.segment_bytes,
-                    },
-                );
-                self.charged_total += self.config.segment_bytes;
-                self.head = new_id;
-                off
+                sealed = Some(self.roll()?);
+                let head = self.segments.get_mut(&self.head).expect("head exists");
+                head.append(entry)
+                    .expect("entry must fit in an empty segment")
             }
         };
         let seg = self.head;
@@ -268,6 +244,32 @@ impl Log {
             },
             sealed,
         })
+    }
+
+    /// Seals the head and opens an empty segment as the new one; returns the
+    /// sealed id. Fails when the budget has no whole segment left.
+    pub(crate) fn roll(&mut self) -> Result<SegmentId, LogFullError> {
+        if self.charged_total + self.config.segment_bytes > self.budget_bytes() {
+            return Err(LogFullError);
+        }
+        let sealed = self.head;
+        self.segments.get_mut(&sealed).expect("head exists").close();
+        let new_id = self.reserve_segment_id();
+        self.append_seq += 1;
+        let seg = Segment::new(new_id, self.config.segment_bytes);
+        self.segment_map.publish(new_id, seg.shared_buf());
+        self.segments.insert(new_id, seg);
+        self.stats.insert(
+            new_id,
+            SegmentStats {
+                live_bytes: 0,
+                created_seq: self.append_seq,
+                charged_bytes: self.config.segment_bytes,
+            },
+        );
+        self.charged_total += self.config.segment_bytes;
+        self.head = new_id;
+        Ok(sealed)
     }
 
     /// Reads the entry at `pos`, or `None` if the segment was cleaned or the

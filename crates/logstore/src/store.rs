@@ -67,10 +67,10 @@ pub struct WriteOutcome {
     pub position: LogPosition,
     /// Segment sealed by this append, if the head rolled.
     pub sealed: Option<SegmentId>,
-    /// Serialized length of the record this call appended at `position`
-    /// (see [`Store::appended_bytes`]). 0 when nothing was appended: a
-    /// suppressed RIFL duplicate, whose `position` is whatever sits at the
-    /// key now — possibly another client's newer version.
+    /// Serialized length of the record at `position` that this call stands
+    /// for (see [`Store::appended_bytes`]): the one it appended, or, for a
+    /// suppressed RIFL duplicate, the original write's record, wherever the
+    /// cleaner has moved it since.
     pub len: usize,
 }
 
@@ -497,8 +497,8 @@ impl Store {
 
     /// Writes a key carrying a RIFL completion record for exactly-once
     /// retry semantics. If the same `(client, seq)` was already applied,
-    /// nothing is written and the recorded outcome's version is returned
-    /// with `position`/`sealed` of the *current* state (idempotent hit).
+    /// nothing is written: the outcome names the original record — its
+    /// version, position and length (idempotent hit).
     ///
     /// # Errors
     ///
@@ -521,17 +521,14 @@ impl Store {
             if let Some(&(seq, version)) = self.completions.get(&c.client) {
                 if seq == c.seq {
                     // Duplicate of the client's last completed write.
-                    let position = self.find(hash, table, key).map(|(p, _, _)| p).unwrap_or(
-                        crate::types::LogPosition {
-                            segment: self.log.head(),
-                            offset: 0,
-                        },
-                    );
+                    let (position, len) = self
+                        .completion_record(hash, table, key, c, version)
+                        .expect("the log holds every client's latest completion");
                     return Ok(WriteOutcome {
                         version,
                         position,
                         sealed: None,
-                        len: 0,
+                        len,
                     });
                 }
             }
@@ -552,7 +549,7 @@ impl Store {
             version,
             completion,
         });
-        let out = self.log.append(&entry)?;
+        let out = self.append(&entry)?;
         self.index_object(hash, existing, out.position);
         if existing.is_some() {
             self.stats.overwrites += 1;
@@ -566,22 +563,55 @@ impl Store {
         // The new object outversions any tombstone floor; drop the entry.
         self.dead_versions.remove(&hash.0);
         self.stats.writes += 1;
+        Ok(out)
+    }
+
+    /// Appends `entry` to the log; the outcome every mutation reports.
+    fn append(&mut self, entry: &LogEntry) -> Result<WriteOutcome, LogFullError> {
+        let out = self.log.append(entry)?;
         Ok(WriteOutcome {
-            version,
+            version: entry.version(),
             position: out.position,
             sealed: out.sealed,
             len: entry.serialized_len(),
         })
     }
 
-    /// The serialized record a write appended, borrowed from the log: the
-    /// bytes a master replicates, so an update is serialized (and
-    /// checksummed) once. `None` when `outcome` appended nothing
-    /// ([`WriteOutcome::len`] is 0) or its segment has since been cleaned.
-    pub fn appended_bytes(&self, outcome: &WriteOutcome) -> Option<&[u8]> {
-        if outcome.len == 0 {
-            return None;
+    /// Where the record carrying completion `c` at `version` sits, and its
+    /// length. Usually that is the key's live record; once another write has
+    /// overwritten or deleted it, the cleaner still keeps it (see
+    /// [`Store::prepare_clean`]), and the log is searched newest segment
+    /// first.
+    fn completion_record(
+        &self,
+        hash: KeyHash,
+        table: TableId,
+        key: &[u8],
+        c: CompletionId,
+        version: Version,
+    ) -> Option<(LogPosition, usize)> {
+        if let Some((pos, view)) = self.locate(hash, table, key) {
+            if view.version == version
+                && matches!(view.body, BodyView::Object { completion: Some(got), .. } if got == c)
+            {
+                return Some((pos, view.len));
+            }
         }
+        let carries = |o: &ObjectRecord| o.version == version && o.completion == Some(c);
+        for segment in self.log.segment_ids().into_iter().rev() {
+            for (offset, e) in self.log.segment(segment)?.iter() {
+                if matches!(&e, LogEntry::Object(o) if carries(o)) {
+                    return Some((LogPosition { segment, offset }, e.serialized_len()));
+                }
+            }
+        }
+        None
+    }
+
+    /// The serialized record a write or delete stands for, borrowed from the
+    /// log: the bytes a master replicates, so an update is serialized (and
+    /// checksummed) once. `None` when its segment has since been cleaned.
+    pub fn appended_bytes(&self, outcome: &WriteOutcome) -> Option<&[u8]> {
         let start = outcome.position.offset as usize;
         self.log
             .segment(outcome.position.segment)?
@@ -589,13 +619,18 @@ impl Store {
             .get(start..start + outcome.len)
     }
 
-    /// Deletes a key by appending a tombstone. Returns the deleted version,
-    /// or `Ok(None)` when the key did not exist.
+    /// Deletes a key by appending a tombstone. Returns where the tombstone
+    /// landed, carrying the deleted version, or `Ok(None)` when the key did
+    /// not exist.
     ///
     /// # Errors
     ///
     /// [`StoreError::OutOfMemory`] when the tombstone cannot be appended.
-    pub fn delete(&mut self, table: TableId, key: &[u8]) -> Result<Option<Version>, StoreError> {
+    pub fn delete(
+        &mut self,
+        table: TableId,
+        key: &[u8],
+    ) -> Result<Option<WriteOutcome>, StoreError> {
         let hash = key_hash(table, key);
         self.make_room(tombstone_len(key.len()));
         let Some((old_pos, old_size, old_version)) = self.find(hash, table, key) else {
@@ -607,7 +642,7 @@ impl Store {
             version: old_version,
             dead_segment: old_pos.segment,
         });
-        self.log.append(&entry)?;
+        let out = self.append(&entry)?;
         let removed = self.index.remove(hash, old_pos);
         debug_assert!(removed, "the entry just looked up is indexed");
         self.log.adjust_live(old_pos.segment, -(old_size as isize));
@@ -619,50 +654,66 @@ impl Store {
         let floor = self.dead_versions.entry(hash.0).or_insert(old_version);
         *floor = (*floor).max(old_version);
         self.stats.deletes += 1;
-        Ok(Some(old_version))
+        Ok(Some(out))
     }
 
     /// Replays an object record during crash recovery: applies it only if it
-    /// is newer than what the store already holds.
+    /// is newer than what the store already holds, and says whether it did.
+    /// Its completion counts either way, as replay order must not matter: a
+    /// record too old to apply that carries its client's newest completion
+    /// is appended dead, so the log holds every completion a retry is
+    /// answered from — with a tombstone beside it when a replayed tombstone
+    /// is what killed it.
     ///
     /// # Errors
     ///
     /// [`StoreError::OutOfMemory`] when the log cannot hold the record.
     pub fn replay_object(&mut self, rec: &ObjectRecord) -> Result<bool, StoreError> {
         let hash = key_hash(rec.table, &rec.key);
-        self.make_room(object_len(
-            rec.key.len(),
-            rec.value.len(),
-            rec.completion.is_some(),
-        ));
-        let existing = self.find(hash, rec.table, &rec.key);
-        if let Some((_, _, v)) = existing {
-            if v >= rec.version {
-                return Ok(false);
-            }
-        }
         // A tombstone replayed earlier (possibly from a different segment)
         // may already have killed this version; replay order must not matter.
-        if let Some(&floor) = self.dead_versions.get(&hash.0) {
-            if rec.version <= floor {
-                return Ok(false);
-            }
+        let floor = self
+            .dead_versions
+            .get(&hash.0)
+            .copied()
+            .filter(|&f| rec.version <= f);
+        let newer_completion = rec.completion.filter(|c| {
+            self.completions
+                .get(&c.client)
+                .is_none_or(|&(seq, _)| c.seq > seq)
+        });
+        let beside = floor.map_or(0, |_| tombstone_len(rec.key.len()));
+        self.make_room(
+            object_len(rec.key.len(), rec.value.len(), rec.completion.is_some()) + beside,
+        );
+        let existing = self.find(hash, rec.table, &rec.key);
+        let stale = existing.is_some_and(|(_, _, v)| v >= rec.version) || floor.is_some();
+        if stale && newer_completion.is_none() {
+            return Ok(false);
         }
-        let out = self.log.append(&LogEntry::Object(rec.clone()))?;
+        let out = self.append(&LogEntry::Object(rec.clone()))?;
+        if let Some(c) = newer_completion {
+            self.completions.insert(c.client, (c.seq, rec.version));
+        }
+        if stale {
+            // Appended for its completion only: dead on arrival. When a
+            // replayed tombstone is what killed it, the tombstone goes in
+            // beside it, so no image of this log holds the record alone.
+            self.log
+                .adjust_live(out.position.segment, -(out.len as isize));
+            if let Some(version) = floor {
+                self.append(&LogEntry::Tombstone(TombstoneRecord {
+                    table: rec.table,
+                    key: rec.key.clone(),
+                    version,
+                    dead_segment: out.position.segment,
+                }))?;
+            }
+            return Ok(false);
+        }
         self.index_object(hash, existing, out.position);
         if let Some(ordered) = self.ordered.as_mut() {
             ordered.insert((rec.table.0, rec.key.to_vec()), ());
-        }
-        if let Some(c) = rec.completion {
-            // Rebuild the duplicate-suppression table from the log.
-            let newer = self
-                .completions
-                .get(&c.client)
-                .map(|&(seq, _)| c.seq > seq)
-                .unwrap_or(true);
-            if newer {
-                self.completions.insert(c.client, (c.seq, rec.version));
-            }
         }
         // The replayed object outversions any recorded floor.
         self.dead_versions.remove(&hash.0);
@@ -733,6 +784,25 @@ impl Store {
             }
         }
         Ok(out)
+    }
+
+    /// Seals the head segment if it holds anything, so that nothing appends
+    /// to it again; cleans first, as a write does, when the budget has no
+    /// slot for the new head.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::OutOfMemory`] when cleaning finds no slot to roll into.
+    pub fn seal_head(&mut self) -> Result<(), StoreError> {
+        if self
+            .log
+            .segment(self.log.head())
+            .is_some_and(|s| !s.is_empty())
+        {
+            self.make_room(self.log.config().segment_bytes);
+            self.log.roll()?;
+        }
+        Ok(())
     }
 
     /// The last completed `(seq, version)` for `client`, if any (the
@@ -807,8 +877,14 @@ mod tests {
         let mut s = tiny_store();
         s.write(T, b"k", b"v").unwrap();
         s.write(T, b"k", b"v2").unwrap();
-        let deleted = s.delete(T, b"k").unwrap();
-        assert_eq!(deleted, Some(Version(2)));
+        let deleted = s.delete(T, b"k").unwrap().expect("present");
+        assert_eq!(deleted.version, Version(2));
+        // The outcome names the tombstone the log holds.
+        let (entry, _) = LogEntry::parse(s.appended_bytes(&deleted).unwrap()).unwrap();
+        let LogEntry::Tombstone(t) = entry else {
+            panic!("{entry:?}")
+        };
+        assert_eq!((t.version, t.dead_segment), (Version(2), SegmentId(0)));
         assert!(s.read(T, b"k").is_none());
         assert_eq!(s.object_count(), 0);
     }
@@ -1049,6 +1125,7 @@ mod tests {
         // Retrying the same (client, seq) must not re-apply.
         let dup = s.write_with(T, b"k", b"v-retry", Some(c)).unwrap();
         assert_eq!(dup.version, Version(1));
+        assert_eq!((dup.position, dup.len), (first.position, first.len));
         assert_eq!(&s.read(T, b"k").unwrap().value[..], b"v1");
         assert_eq!(s.read(T, b"k").unwrap().version, Version(1));
         // A later seq applies normally.
@@ -1075,6 +1152,90 @@ mod tests {
         let dup = b.write_with(T, b"k", b"retry", Some(c)).unwrap();
         assert_eq!(dup.version, Version(1));
         assert_eq!(&b.read(T, b"k").unwrap().value[..], b"v");
+    }
+
+    #[test]
+    fn replay_keeps_a_completion_whose_object_arrives_after_a_newer_version() {
+        let obj = |value: &[u8], version, client| ObjectRecord {
+            table: T,
+            key: Bytes::from_static(b"k"),
+            value: Bytes::copy_from_slice(value),
+            version: Version(version),
+            completion: Some(CompletionId { client, seq: 5 }),
+        };
+        let (c_v1, d_v2) = (obj(b"from c", 1, 1), obj(b"from d", 2, 2));
+        let mut s = tiny_store();
+        assert!(s.replay_object(&d_v2).unwrap());
+        assert!(!s.replay_object(&c_v1).unwrap(), "v1 is older than v2");
+        assert_eq!(s.last_completion(1), Some((5, Version(1))));
+        // C's retry is answered with its own version, not applied again.
+        let appended = s.log().total_appended_bytes();
+        let c = CompletionId { client: 1, seq: 5 };
+        let dup = s.write_with(T, b"k", b"from c", Some(c)).unwrap();
+        assert_eq!(s.log().total_appended_bytes(), appended);
+        assert_eq!(dup.version, Version(1));
+        // The outcome names C's record, which the log keeps (dead) for it.
+        let (entry, _) = LogEntry::parse(s.appended_bytes(&dup).unwrap()).unwrap();
+        assert_eq!(entry, LogEntry::Object(c_v1));
+        let live = s.read(T, b"k").unwrap();
+        assert_eq!(
+            (&live.value[..], live.version),
+            (&b"from d"[..], Version(2))
+        );
+    }
+
+    #[test]
+    fn replay_keeps_the_tombstone_that_killed_a_record_kept_for_its_completion() {
+        let c = CompletionId { client: 1, seq: 5 };
+        let rec = ObjectRecord {
+            table: T,
+            key: Bytes::from_static(b"k"),
+            value: Bytes::from_static(b"from c"),
+            version: Version(1),
+            completion: Some(c),
+        };
+        let tombstone = TombstoneRecord {
+            table: T,
+            key: Bytes::from_static(b"k"),
+            version: Version(1),
+            dead_segment: SegmentId(0),
+        };
+        let mut s = tiny_store();
+        assert!(
+            !s.replay_tombstone(&tombstone).unwrap(),
+            "nothing to delete yet"
+        );
+        assert!(!s.replay_object(&rec).unwrap(), "the tombstone killed v1");
+        assert_eq!(s.last_completion(1), Some((5, Version(1))));
+        assert!(s.read(T, b"k").is_none());
+        // The log holds the record for its completion, and the tombstone
+        // with it: a store replayed from the log's images keeps k deleted.
+        let mut fresh = tiny_store();
+        for id in s.log().segment_ids() {
+            for (_, entry) in s.log().segment(id).unwrap().iter() {
+                match entry {
+                    LogEntry::Object(o) => fresh.replay_object(&o).map(drop),
+                    LogEntry::Tombstone(t) => fresh.replay_tombstone(&t).map(drop),
+                }
+                .unwrap();
+            }
+        }
+        assert!(fresh.read(T, b"k").is_none(), "k stays deleted");
+        assert_eq!(fresh.last_completion(1), Some((5, Version(1))));
+    }
+
+    #[test]
+    fn sealing_the_head_rolls_only_a_head_that_holds_something() {
+        let mut s = tiny_store();
+        s.seal_head().unwrap();
+        assert_eq!(s.log().head(), SegmentId(0), "an empty head stays");
+        s.write(T, b"k", b"v").unwrap();
+        s.seal_head().unwrap();
+        assert_ne!(s.log().head(), SegmentId(0));
+        assert!(s.log().segment(SegmentId(0)).unwrap().is_closed());
+        // Writes go on in the new head.
+        let out = s.write(T, b"k", b"v2").unwrap();
+        assert_eq!(out.position.segment, s.log().head());
     }
 
     #[test]

@@ -273,7 +273,8 @@ impl ShardedStore {
     /// Propagates [`StoreError`] from the shard.
     pub fn delete(&self, table: TableId, key: &[u8]) -> Result<Option<Version>, StoreError> {
         let (shard, _) = self.locate(table, key);
-        self.mutate(shard, |store| store.delete(table, key))
+        let deleted = self.mutate(shard, |store| store.delete(table, key))?;
+        Ok(deleted.map(|d| d.version))
     }
 
     /// Scans up to `limit` objects of `table` with keys ≥ `start_key` in
