@@ -1,15 +1,14 @@
 //! Observability ablation: what does always-on instrumentation cost?
 //!
 //! The `rmc-obs` design brief is "cheap enough to leave on": sampled stage
-//! timing, lock-free TimeTrace records, one relaxed load on every
-//! unsampled op. This bench proves the budget on the worst case — the
+//! timing, one relaxed load on every unsampled op. This bench proves the budget on the worst case — the
 //! zero-copy read-path hot loop, where a single extra clock read would
 //! already cost ~10 %:
 //!
 //! - `disabled` — the kill switch ([`rmc_obs::set_enabled`]) off: every
 //!   record point reduces to a relaxed load + branch;
 //! - `enabled` — the default shipping configuration: 1-in-32 stage
-//!   sampling, TimeTrace on.
+//!   sampling into the `stage.*` histograms.
 //!
 //! Both modes run against the **same server instance** (memory layout,
 //! allocator state, and cache geometry are per-instance and vary by

@@ -385,7 +385,7 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// Message-variant label for span timelines and TimeTrace dumps.
+    /// Message-variant label for span timelines and span dumps.
     pub fn span_label(&self) -> &'static str {
         match self {
             Msg::Request { .. } => "request",

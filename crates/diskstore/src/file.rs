@@ -57,9 +57,10 @@
 //! not ignored.
 //!
 //! Served reads (`segments_of`, the recovery `FetchSegments` path) come
-//! from an in-memory mirror of the staged payloads, maintained on append
-//! and rebuilt once at open — the RAMCloud discipline of serving recovery
-//! from buffered copies while the disk takes writes.
+//! from an in-memory mirror of the staged payloads — a [`MemStorage`],
+//! maintained on append and rebuilt once at open by replaying each frame
+//! into it — the RAMCloud discipline of serving recovery from buffered
+//! copies while the disk takes writes.
 //!
 //! ## What is synced, and when
 //!
@@ -79,11 +80,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::frame::{
-    decode_frame, encode_frame, encode_image_frame, FrameError, FrameHeader, FrameKind,
-};
+use crate::frame::{decode_frame, encode_frame, encode_image_frame, FrameError, FrameKind};
 use crate::storage::{
-    AppendFault, AppendOutcome, BackupStorage, DiskMetrics, FaultInjector, FsyncPolicy,
+    AppendFault, AppendOutcome, BackupStorage, DiskMetrics, FaultInjector, FsyncPolicy, MemStorage,
     StorageError,
 };
 
@@ -179,10 +178,6 @@ impl MasterLog {
     }
 }
 
-/// The segment recovery is extending, held out of the mirror: a master
-/// fills one segment at a time, so a run of frames costs no map lookups.
-type Cursor = Option<(u64, Vec<u8>)>;
-
 /// The file-backed [`BackupStorage`] engine.
 pub struct FileStorage {
     dir: PathBuf,
@@ -190,7 +185,7 @@ pub struct FileStorage {
     epoch: u64,
     injector: Option<Box<dyn FaultInjector>>,
     /// In-memory mirror of each slot's staged payload bytes.
-    cache: BTreeMap<(usize, u64), Vec<u8>>,
+    mirror: MemStorage,
     logs: BTreeMap<usize, MasterLog>,
     /// Bytes written since the last flush (what `batched` counts).
     dirty_bytes: usize,
@@ -206,7 +201,7 @@ impl std::fmt::Debug for FileStorage {
             .field("dir", &self.dir)
             .field("policy", &self.policy)
             .field("epoch", &self.epoch)
-            .field("segments", &self.cache.len())
+            .field("segments", &self.mirror.segment_count())
             .field("dirty", &self.dirty_logs())
             .field("recovery", &self.recovery)
             .finish()
@@ -230,7 +225,7 @@ impl FileStorage {
             policy,
             epoch,
             injector: None,
-            cache: BTreeMap::new(),
+            mirror: MemStorage::new(),
             logs: BTreeMap::new(),
             dirty_bytes: 0,
             last_sync: Instant::now(),
@@ -261,8 +256,8 @@ impl FileStorage {
             ns.sort_unstable();
             store.recover_master(master, &ns)?;
         }
-        store.recovery.segments = store.cache.len();
-        store.recovery.bytes = store.cache.values().map(|b| b.len() as u64).sum();
+        store.recovery.segments = store.mirror.segment_count();
+        store.recovery.bytes = store.mirror.staged_bytes();
         Ok(store)
     }
 
@@ -284,12 +279,8 @@ impl FileStorage {
 
     /// Replays `master`'s files, oldest first, into the mirror.
     fn recover_master(&mut self, master: usize, files: &[u64]) -> Result<(), StorageError> {
-        let mut cursor: Cursor = None;
         for &n in files {
-            self.recover_file(master, n, &mut cursor)?;
-        }
-        if let Some((segment, payload)) = cursor {
-            self.cache.insert((master, segment), payload);
+            self.recover_file(master, n)?;
         }
         // Past every file found (a name at `u64::MAX` leaves no index to
         // create: appends for that master then fail, they never overwrite).
@@ -303,12 +294,7 @@ impl FileStorage {
 
     /// Loads the longest valid frame prefix of one log file, applying the
     /// torn-tail truncation and corruption-quarantine rules.
-    fn recover_file(
-        &mut self,
-        master: usize,
-        n: u64,
-        cursor: &mut Cursor,
-    ) -> Result<(), StorageError> {
+    fn recover_file(&mut self, master: usize, n: u64) -> Result<(), StorageError> {
         let path = self.dir.join(log_name(master, n));
         // `fs::read` sizes its buffer from the file's length.
         let bytes = fs::read(&path).map_err(|e| StorageError::Io(format!("read {path:?}: {e}")))?;
@@ -326,7 +312,12 @@ impl FileStorage {
                     )));
                 }
                 Ok((header, payload, total)) => {
-                    self.stage_recovered(master, &header, payload, cursor);
+                    // A frame is applied exactly as its live call was (the
+                    // memory mirror cannot fail).
+                    let _ = match header.kind {
+                        FrameKind::Append => self.mirror.append(master, header.segment, payload),
+                        FrameKind::Image => self.mirror.supersede(master, header.segment, payload),
+                    };
                     off += total;
                 }
                 Err(e) => break Some(e),
@@ -348,32 +339,6 @@ impl FileStorage {
             }
         }
         Ok(())
-    }
-
-    /// Applies one recovered frame to its segment's slot.
-    fn stage_recovered(
-        &mut self,
-        master: usize,
-        header: &FrameHeader,
-        payload: &[u8],
-        cursor: &mut Cursor,
-    ) {
-        if cursor.as_ref().map(|(segment, _)| *segment) != Some(header.segment) {
-            if let Some((segment, held)) = cursor.take() {
-                self.cache.insert((master, segment), held);
-            }
-            let held = self.cache.remove(&(master, header.segment));
-            *cursor = Some((header.segment, held.unwrap_or_default()));
-        }
-        let held = &mut cursor.as_mut().expect("just set").1;
-        match header.kind {
-            FrameKind::Append => held.extend_from_slice(payload),
-            FrameKind::Image if payload.len() > held.len() => {
-                held.clear();
-                held.extend_from_slice(payload);
-            }
-            FrameKind::Image => {}
-        }
     }
 
     /// Copies a corrupt file into `quarantine/` (named after the offset of
@@ -544,16 +509,11 @@ impl BackupStorage for FileStorage {
         self.write_frame(master, segment, frame)?;
         // Only an append that survived its policy joins the served
         // mirror; a failed one is redriven by the master's retry.
-        self.cache
-            .entry((master, segment))
-            .or_default()
-            .extend_from_slice(bytes);
-        Ok(())
+        self.mirror.append(master, segment, bytes)
     }
 
     fn supersede(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        let key = (master, segment);
-        if bytes.len() <= self.cache.get(&key).map_or(0, |held| held.len()) {
+        if !self.mirror.image_wins(master, segment, bytes.len()) {
             return Ok(());
         }
         // A crash mid-write leaves a torn tail, which recovery truncates —
@@ -561,24 +521,19 @@ impl BackupStorage for FileStorage {
         // will send the image again.
         let frame = encode_image_frame(master, segment, self.epoch, bytes);
         self.write_frame(master, segment, frame)?;
-        self.cache.insert(key, bytes.to_vec());
-        Ok(())
+        self.mirror.supersede(master, segment, bytes)
     }
 
     fn segments_of(&self, master: usize) -> Vec<(u64, Vec<u8>)> {
-        self.cache
-            .iter()
-            .filter(|((m, _), _)| *m == master)
-            .map(|((_, seg), bytes)| (*seg, bytes.clone()))
-            .collect()
+        self.mirror.segments_of(master)
     }
 
     fn segment_count(&self) -> usize {
-        self.cache.len()
+        self.mirror.segment_count()
     }
 
     fn staged_bytes(&self) -> u64 {
-        self.cache.values().map(|b| b.len() as u64).sum()
+        self.mirror.staged_bytes()
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {

@@ -239,6 +239,13 @@ impl MemStorage {
     pub fn new() -> MemStorage {
         MemStorage::default()
     }
+
+    /// The one image rule, live and at recovery: an image of `len` bytes
+    /// replaces the staged slot of `(master, segment)` iff it is strictly
+    /// longer than what the slot holds.
+    pub(crate) fn image_wins(&self, master: usize, segment: u64, len: usize) -> bool {
+        len > self.staged.get(&(master, segment)).map_or(0, Vec::len)
+    }
 }
 
 impl BackupStorage for MemStorage {
@@ -251,9 +258,8 @@ impl BackupStorage for MemStorage {
     }
 
     fn supersede(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        let slot = self.staged.entry((master, segment)).or_default();
-        if bytes.len() > slot.len() {
-            *slot = bytes.to_vec();
+        if self.image_wins(master, segment, bytes.len()) {
+            self.staged.insert((master, segment), bytes.to_vec());
         }
         Ok(())
     }

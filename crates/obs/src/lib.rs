@@ -4,20 +4,16 @@
 //! where time and energy go. This crate is the instrumentation layer that
 //! makes such attribution possible on a live system without distorting it:
 //!
-//! - [`timetrace`] — RAMCloud's TimeTrace: per-thread fixed-capacity ring
-//!   buffers of nanosecond-stamped events, recorded lock-free, frozen on
-//!   demand and merged across threads into one chronological dump. Cheap
-//!   enough to leave on in production builds.
-//! - [`span`] — RPC span propagation: the existing RIFL `(client, seq)` ids
-//!   double as trace ids, and both engines stamp send/deliver events at the
-//!   `Runtime` boundary, so one client operation yields a cross-node
-//!   timeline (client → master dispatch → store append → backup ack →
-//!   reply). Deterministic under the simulator, wall-clock under threads.
+//! - [`span`] — the one trace instrument, RPC span propagation: the
+//!   existing RIFL `(client, seq)` ids double as trace ids, and every
+//!   engine stamps send/deliver events at the `Runtime` boundary, so one
+//!   client operation yields a cross-node timeline (client → master
+//!   dispatch → store append → backup ack → reply). Deterministic under the
+//!   simulator, wall-clock under threads; a live `rmcd` serves its spans
+//!   over the Trace RPC.
 //! - [`stats`] — the stats plane: snapshot a
-//!   [`rmc_runtime::MetricsRegistry`], diff two snapshots with counters and
-//!   gauges treated correctly (counters diff, gauges report their level),
-//!   and render text or JSON for the `kvshell` `stats` command and bench
-//!   reports.
+//!   [`rmc_runtime::MetricsRegistry`] and render it as text for the
+//!   `kvshell` `stats` command.
 //! - [`Sampler`] — 1-in-N gate for hot-path timing so sub-microsecond
 //!   operations pay a branch, not two clock reads, on the common path.
 //!
@@ -31,7 +27,6 @@
 
 pub mod span;
 pub mod stats;
-pub mod timetrace;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,9 +42,9 @@ pub fn enabled() -> bool {
 
 /// Turns all instrumentation on or off process-wide.
 ///
-/// Disabling reduces every TimeTrace record and every [`Sampler::tick`] to
-/// one relaxed load + branch; the `obs_overhead` ablation measures exactly
-/// this configuration as its baseline.
+/// Disabling reduces every span record and every [`Sampler::tick`] to one
+/// relaxed load + branch; the `obs_overhead` ablation measures exactly this
+/// configuration as its baseline.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

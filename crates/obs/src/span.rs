@@ -10,10 +10,13 @@
 //! stamps are virtual time, making timelines bit-identical across replays
 //! of the same seed.
 //!
-//! The recorder is owned by the engine instance (a `SimNet` or a
-//! `MiniCluster` fabric), not global state, so concurrent tests never see
-//! each other's spans.
+//! The recorder is owned by the engine instance (a `SimNet`, a cluster's
+//! fabrics, one `rmcd` process), not global state, so concurrent tests
+//! never see each other's spans. It is the repo's one trace instrument: a
+//! node answers the Trace RPC with [`SpanRecorder::render`], so `kvshell
+//! --connect … trace` pulls every node's spans from a live fleet.
 
+use std::fmt::Write;
 use std::sync::{Arc, Mutex};
 
 /// A trace id: the RIFL `(client node id, sequence number)` pair.
@@ -166,29 +169,52 @@ impl SpanRecorder {
         seen
     }
 
-    /// Renders one trace's timeline as text: per-hop stage lines with
-    /// absolute and delta timestamps.
+    /// Renders one trace's timeline as text: one line per hop, in the
+    /// format of [`SpanRecorder::render`].
     pub fn render_timeline(&self, trace: TraceId) -> String {
-        let events = self.timeline(trace);
-        let mut out = format!("trace ({}, {})\n", trace.0, trace.1);
-        let mut prev = events.first().map_or(0, |e| e.at_ns);
-        for e in &events {
-            let side = match e.kind {
-                SpanKind::Send => "send   ",
-                SpanKind::Deliver => "deliver",
-            };
-            out.push_str(&format!(
-                "  {:>10.1} us (+{:>8.3} us) {side} {:<12} {} -> {}\n",
-                e.at_ns as f64 / 1_000.0,
-                (e.at_ns - prev) as f64 / 1_000.0,
-                e.label,
-                e.from,
-                e.to,
-            ));
-            prev = e.at_ns;
-        }
+        render_events(&self.timeline(trace))
+    }
+
+    /// Renders every recorded event, one line each in arrival order (oldest
+    /// first), then the count of events dropped after the capacity filled.
+    /// This is the text a node answers the Trace RPC with. Linear in the
+    /// number of events; the lock is held only to copy them.
+    pub fn render(&self) -> String {
+        let (events, dropped) = {
+            let inner = self.inner.lock().expect("span recorder poisoned");
+            (inner.events.clone(), inner.dropped)
+        };
+        let mut out = render_events(&events);
+        let _ = writeln!(out, "({} events, {dropped} dropped)", events.len());
         out
     }
+}
+
+/// The one line format of span dumps: absolute stamp, signed delta from
+/// the line before (arrival order may interleave threads), side, label,
+/// hop and trace id.
+fn render_events(events: &[SpanEvent]) -> String {
+    let mut out = String::new();
+    let mut prev = events.first().map_or(0, |e| e.at_ns);
+    for e in events {
+        let side = match e.kind {
+            SpanKind::Send => "send   ",
+            SpanKind::Deliver => "deliver",
+        };
+        let _ = writeln!(
+            out,
+            "  {:>10.1} us ({:>+9.3} us) {side} {:<13} {} -> {}  ({}, {})",
+            e.at_ns as f64 / 1_000.0,
+            (e.at_ns as f64 - prev as f64) / 1_000.0,
+            e.label,
+            e.from,
+            e.to,
+            e.trace.0,
+            e.trace.1,
+        );
+        prev = e.at_ns;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -208,7 +234,28 @@ mod tests {
         assert!(tl.iter().all(|e| e.trace == (9, 1)));
         assert_eq!(rec.traces(), vec![(9, 1), (9, 2)]);
         let dump = rec.render_timeline((9, 1));
+        assert_eq!(dump.lines().count(), 3, "{dump}");
         assert!(dump.contains("replicate"), "{dump}");
+        assert!(dump.lines().all(|l| l.ends_with("(9, 1)")), "{dump}");
+    }
+
+    #[test]
+    fn render_lists_every_event_in_arrival_order_then_the_drops() {
+        let rec = SpanRecorder::new(3);
+        rec.record((9, 1), SpanKind::Send, "request", 9, 1, 2_000);
+        rec.record((9, 2), SpanKind::Send, "request", 9, 1, 1_500);
+        rec.record((9, 1), SpanKind::Deliver, "request", 9, 1, 3_000);
+        rec.record((9, 3), SpanKind::Send, "request", 9, 1, 4_000);
+        let dump = rec.render();
+        let lines: Vec<&str> = dump.lines().collect();
+        assert_eq!(lines.len(), 4, "{dump}");
+        assert!(
+            lines[0].ends_with("send    request       9 -> 1  (9, 1)"),
+            "{dump}"
+        );
+        assert!(lines[1].contains("(   -0.500 us)"), "{dump}");
+        assert!(lines[2].contains(" deliver request "), "{dump}");
+        assert_eq!(lines[3], "(3 events, 1 dropped)");
     }
 
     #[test]

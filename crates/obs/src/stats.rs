@@ -1,18 +1,13 @@
-//! The stats plane: registry snapshots, correct diffs, and dumps.
+//! The stats plane: registry snapshots and their text dump.
 //!
-//! A [`MetricsRegistry`] accumulates three
-//! metric shapes; this module turns them into something a human or a bench
-//! report can read:
+//! A [`MetricsRegistry`] accumulates three metric shapes; this module turns
+//! them into something a human can read:
 //!
 //! - [`snapshot`] captures every counter, gauge, and histogram at an
-//!   instant;
-//! - [`StatsSnapshot::diff`] subtracts two snapshots *kind-correctly*:
-//!   counters are diffed (the delta is an event count over the interval)
-//!   while gauges report their latest level — a `set()`-style gauge like
-//!   `reclamation_lag` diffed as monotonic would produce nonsense;
-//! - [`StatsSnapshot::render_text`] / [`StatsSnapshot::render_json`] emit
-//!   the `kvshell stats` dump and the machine-readable form embedded in
-//!   bench reports.
+//!   instant, kind-separated (a `set()`-style gauge like `reclamation_lag`
+//!   is a level, not an event count);
+//! - [`StatsSnapshot::without_zeros`] prunes the idle ones;
+//! - [`StatsSnapshot::render_text`] emits the `kvshell stats` dump.
 
 use std::collections::BTreeMap;
 
@@ -81,31 +76,6 @@ pub fn snapshot(registry: &MetricsRegistry) -> StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// What changed between `earlier` and `self`:
-    ///
-    /// - counters become deltas (`self - earlier`, saturating, so a metric
-    ///   born after `earlier` reports its full value);
-    /// - gauges keep their *current* level — they are not diffed;
-    /// - histograms keep the current summary (log buckets make interval
-    ///   quantiles unrecoverable from two summaries, and the record points
-    ///   all reset with the process, so cumulative quantiles are what the
-    ///   operator wants anyway).
-    pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, &v)| {
-                let before = earlier.counters.get(name).copied().unwrap_or(0);
-                (name.clone(), v.saturating_sub(before))
-            })
-            .collect();
-        StatsSnapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
-    }
-
     /// Drops every metric whose value (or histogram count) is zero —
     /// registries accumulate hundreds of names, most idle in any interval.
     pub fn without_zeros(&self) -> StatsSnapshot {
@@ -155,45 +125,6 @@ impl StatsSnapshot {
         }
         out
     }
-
-    /// Compact JSON dump (hand-rolled; the workspace builds offline).
-    pub fn render_json(&self) -> String {
-        fn map_json(map: &BTreeMap<String, u64>) -> String {
-            let fields: Vec<String> = map
-                .iter()
-                .map(|(k, v)| format!("{}:{v}", quote(k)))
-                .collect();
-            format!("{{{}}}", fields.join(","))
-        }
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "{}:{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                    quote(k),
-                    h.count,
-                    h.mean,
-                    h.p50,
-                    h.p90,
-                    h.p99,
-                    h.max
-                )
-            })
-            .collect();
-        format!(
-            "{{\"counters\":{},\"gauges\":{},\"histograms\":{{{}}}}}",
-            map_json(&self.counters),
-            map_json(&self.gauges),
-            hists.join(",")
-        )
-    }
-}
-
-fn quote(s: &str) -> String {
-    // Metric names are dotted identifiers; escape the two JSON-special
-    // characters anyway so a hostile name can't break the document.
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 #[cfg(test)]
@@ -209,32 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_subtracts_counters_but_not_gauges() {
-        let reg = reg_with_activity();
-        let before = snapshot(&reg);
-        reg.counter("read.0.lockfree").add(50);
-        reg.gauge("read.0.value_views_live").set(1);
-        reg.histogram("stage.read_service_ns").record(1_600);
-        let after = snapshot(&reg);
-        let delta = after.diff(&before);
-        assert_eq!(delta.counters["read.0.lockfree"], 50);
-        assert_eq!(
-            delta.gauges["read.0.value_views_live"], 1,
-            "gauge reports its level, not a delta"
-        );
-        assert_eq!(delta.histograms["stage.read_service_ns"].count, 2);
-    }
-
-    #[test]
-    fn diff_handles_metrics_born_after_the_baseline() {
-        let reg = reg_with_activity();
-        let before = snapshot(&reg);
-        reg.counter("cleaner.0.passes").add(7);
-        let delta = snapshot(&reg).diff(&before);
-        assert_eq!(delta.counters["cleaner.0.passes"], 7);
-    }
-
-    #[test]
     fn without_zeros_prunes_idle_metrics() {
         let reg = reg_with_activity();
         reg.counter("client.0.giveups"); // registered, never incremented
@@ -246,16 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn renders_text_and_valid_json() {
-        let snap = snapshot(&reg_with_activity());
-        let text = snap.render_text();
+    fn renders_text() {
+        let text = snapshot(&reg_with_activity()).render_text();
         assert!(text.contains("read.0.lockfree"));
         assert!(text.contains("gauges:"));
         assert!(text.contains("p99="));
-        let json = snap.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"read.0.lockfree\":100"));
-        assert!(json.contains("\"value_views_live\"") || json.contains("read.0.value_views_live"));
-        assert!(json.contains("\"p99\":"));
     }
 }

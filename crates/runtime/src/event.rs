@@ -20,7 +20,7 @@ pub enum Event<M> {
         /// The message.
         msg: M,
     },
-    /// A remote process asked for this process's TimeTrace dump.
+    /// A remote process asked for this process's span dump.
     TraceRequest {
         /// The asking node (the reply is routed back here).
         from: NodeId,

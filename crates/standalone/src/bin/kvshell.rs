@@ -13,7 +13,7 @@
 //! kvshell --connect 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 --servers 2
 //! kv> set user1 hello     # routed by bucket, RIFL-retried
 //! kv> stats               # live Stats RPC from coordinator + every server
-//! kv> trace               # remote TimeTrace dump over the wire
+//! kv> trace               # every node's RIFL-keyed spans over the wire
 //! ```
 //!
 //! The `--connect` list is positional — coordinator first, then the
@@ -123,8 +123,8 @@ fn connect_repl(addrs_arg: &str, servers_arg: Option<usize>, client_index: usize
                 );
             }
             ReplCommand::Trace { limit } => {
-                // The remote coordinator's TimeTrace dump, then each
-                // server's, fetched over the wire.
+                // The coordinator's recorded spans, then each server's,
+                // fetched over the wire.
                 let mut targets = vec![("coordinator".to_owned(), coordinator_id())];
                 for s in 0..servers {
                     targets.push((format!("server {s}"), server_id(s)));
@@ -255,6 +255,14 @@ fn main() {
                     s.read_misses
                 );
                 println!(
+                    "read path: {} lock-free, {} under the shard lock | {} value views live, \
+                     {} limbo segments held by views",
+                    s.read_lockfree,
+                    s.read_fallback_locked,
+                    s.value_views_live,
+                    s.limbo_held_by_views
+                );
+                println!(
                     "cleaner: {} passes, {} segments freed, {} bytes relocated",
                     s.cleanings, s.segments_freed, s.bytes_relocated
                 );
@@ -267,16 +275,11 @@ fn main() {
                         .render_text()
                 );
             }
-            ReplCommand::Trace { limit } => {
-                rmc_obs::timetrace::freeze();
-                let mut events = rmc_obs::timetrace::merge();
-                rmc_obs::timetrace::thaw();
-                if let Some(n) = limit {
-                    let skip = events.len().saturating_sub(n);
-                    events.drain(..skip);
-                }
-                print!("{}", rmc_obs::timetrace::render(&events));
-                println!("({} events)", events.len());
+            ReplCommand::Trace { .. } => {
+                println!(
+                    "spans are recorded by a cluster's nodes: run kvshell --connect; \
+                     this store's sampled timings are the stage.* histograms in `stats`"
+                );
             }
             ReplCommand::Help => println!("{HELP}"),
             ReplCommand::Quit => break,

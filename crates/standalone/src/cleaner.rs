@@ -76,41 +76,6 @@ impl ShardCleanerMetrics {
     }
 }
 
-/// Per-shard read-path metrics under `read.{shard}.*`, published by the
-/// same cleaner thread (absolute values; the engine's shared atomics are
-/// the source of truth, the registry is the export surface).
-struct ShardReadMetrics {
-    /// Reads completed on the lock-free path.
-    lockfree: CounterHandle,
-    /// Contended probes served under the shard read lock instead.
-    fallback_locked: CounterHandle,
-    /// Gauge: zero-copy value views currently alive.
-    value_views_live: CounterHandle,
-    /// Gauge: epoch-safe limbo segments still pinned by outstanding views.
-    limbo_held_by_views: CounterHandle,
-}
-
-impl ShardReadMetrics {
-    fn new(registry: &MetricsRegistry, shard: usize) -> Self {
-        let fam = registry.family("read", shard);
-        ShardReadMetrics {
-            lockfree: fam.counter("lockfree"),
-            fallback_locked: fam.counter("fallback_locked"),
-            value_views_live: fam.gauge("value_views_live"),
-            limbo_held_by_views: fam.gauge("limbo_held_by_views"),
-        }
-    }
-
-    /// Re-exports the engine's read counters into the registry.
-    fn publish(&self, shard: &RwLock<Store>) {
-        let stats = shard.read().stats();
-        self.lockfree.set(stats.read_lockfree);
-        self.fallback_locked.set(stats.read_fallback_locked);
-        self.value_views_live.set(stats.value_views_live);
-        self.limbo_held_by_views.set(stats.limbo_held_by_views);
-    }
-}
-
 /// One background cleaner thread per shard. Stopped and joined by
 /// [`CleanerPool::stop_and_join`]; dropped unjoined, the threads run until
 /// someone sets the stop flag (the server's `Drop` does) and exit within one
@@ -141,10 +106,9 @@ impl CleanerPool {
                 let store = Arc::clone(store);
                 let stop = Arc::clone(stop);
                 let metrics = ShardCleanerMetrics::new(registry, i);
-                let read_metrics = ShardReadMetrics::new(registry, i);
                 std::thread::Builder::new()
                     .name(format!("rmc-cleaner-{i}"))
-                    .spawn(move || cleaner_loop(store.shard(i), &stop, &metrics, &read_metrics))
+                    .spawn(move || cleaner_loop(store.shard(i), &stop, &metrics))
                     .expect("spawn cleaner")
             })
             .collect();
@@ -169,12 +133,7 @@ impl CleanerPool {
 
 /// The per-shard cleaner loop: poll the balancer, run one pass when it
 /// asks for one, otherwise harvest safe limbo segments and back off.
-fn cleaner_loop(
-    shard: &RwLock<Store>,
-    stop: &AtomicBool,
-    metrics: &ShardCleanerMetrics,
-    read_metrics: &ShardReadMetrics,
-) {
+fn cleaner_loop(shard: &RwLock<Store>, stop: &AtomicBool, metrics: &ShardCleanerMetrics) {
     while !stop.load(Ordering::Acquire) {
         let Some(kind) = shard.read().clean_pressure() else {
             // No pressure. Epochs may still have advanced past limbo
@@ -187,7 +146,6 @@ fn cleaner_loop(
                 metrics.segments_freed.add(freed as u64);
             }
             metrics.reclamation_lag.set(shard.read().reclamation_lag());
-            read_metrics.publish(shard);
             std::thread::park_timeout(IDLE_BACKOFF);
             continue;
         };
@@ -225,8 +183,5 @@ fn cleaner_loop(
             metrics.tombstones_dropped.add(out.tombstones_dropped);
         }
         metrics.reclamation_lag.set(shard.read().reclamation_lag());
-        read_metrics.publish(shard);
     }
-    // Final export so post-shutdown metric snapshots see the end state.
-    read_metrics.publish(shard);
 }

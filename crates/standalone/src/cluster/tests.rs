@@ -448,3 +448,24 @@ fn wire_health_is_counted_in_the_cluster_registry() {
     assert_eq!(metrics.get("wire.decode_errors"), 0);
     cluster.shutdown();
 }
+
+/// TCP fabric: the Trace RPC answers with the RIFL-keyed spans the node
+/// recorded, so a client finds its own put delivered at the key's owner.
+#[test]
+fn the_trace_rpc_serves_the_spans_a_node_recorded() {
+    let cfg = small_cfg(SERVERS, 1, REPLICATION);
+    let (cluster, mut clients) = NetCluster::start(cfg.clone());
+    let c = &mut clients[0];
+    c.put(b"k", b"v").unwrap();
+    let (client, seq) = (c.node().0, c.core.seq());
+    // A fresh cluster routes by `ClientCore`'s initial round-robin map.
+    let owner = server_id(bucket_for(PROTO_TABLE, b"k", cfg.buckets) % cfg.servers);
+    let dump = c.node_trace(owner).unwrap();
+    let delivered = format!(
+        "deliver {:<13} {client} -> {}  ({client}, {seq})",
+        "request", owner.0
+    );
+    assert!(dump.lines().any(|l| l.ends_with(&delivered)), "{dump}");
+    assert!(dump.ends_with(" 0 dropped)\n"), "{dump}");
+    cluster.shutdown();
+}

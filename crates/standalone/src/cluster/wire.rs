@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::RecvTimeoutError;
 use rmc_core::protocol::{client_id, Msg, ProtocolConfig};
 use rmc_obs::span::SpanRecorder;
-use rmc_obs::timetrace;
 use rmc_runtime::{Event, MetricsRegistry, NodeId, SimDuration, SimTime, WallClock};
 use rmc_wire::{AddressBook, FabricConfig, WireFabric, WireInbox};
 
@@ -109,10 +108,10 @@ impl Fabric for WireFabric {
         inbox.recv(timeout)
     }
 
-    /// Sends back this process's rendered TimeTrace, so a remote `kvshell`
-    /// can pull a live dump over the wire.
+    /// Sends back every span event this fabric's recorder holds, so a
+    /// remote `kvshell` can pull a live node's spans over the wire.
     fn answer_trace(&self, to: NodeId) {
-        self.send_trace_reply(to, &timetrace::render(&timetrace::merge()));
+        self.send_trace_reply(to, &WireFabric::spans(self).render());
     }
 
     fn now(&self) -> SimTime {
@@ -149,8 +148,9 @@ impl Client<WireFabric> {
         client
     }
 
-    /// Pulls the rendered TimeTrace dump of the process behind `target`
-    /// over the wire, retrying under the usual schedule.
+    /// Pulls the rendered spans of the process behind `target` over the
+    /// wire (`SpanRecorder::render`: one line per event, then the drop
+    /// count), retrying under the usual schedule.
     pub fn node_trace(&mut self, target: NodeId) -> Result<String, String> {
         self.ask(
             "trace",

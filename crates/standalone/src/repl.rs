@@ -30,10 +30,10 @@ pub enum ReplCommand {
     },
     /// `stats`
     Stats,
-    /// `trace [n]` — dump the merged TimeTrace (most recent `n` events
-    /// when a limit is given).
+    /// `trace [n]` — dump every cluster node's RIFL-keyed spans (the last
+    /// `n` lines of each when a limit is given).
     Trace {
-        /// Keep only the most recent this-many events.
+        /// Keep only the last this-many lines of each node's dump.
         limit: Option<usize>,
     },
     /// `help`
@@ -127,7 +127,7 @@ pub const HELP: &str = "commands:
   del <key>              delete a key
   scan <start> <limit>   range scan in key order
   stats                  engine statistics + registry stats plane
-  trace [n]              dump the TimeTrace (last n events)
+  trace [n]              each node's RIFL-keyed spans (last n lines; --connect)
   help                   this text
   quit                   leave";
 

@@ -158,9 +158,9 @@ impl Client {
         let t0 = self.obs.sample();
         let done = op(&self.store);
         if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.obs.write_service.record(ns);
-            rmc_obs::tt_record!("store service: {} ns", ns);
+            self.obs
+                .write_service
+                .record(t0.elapsed().as_nanos() as u64);
         }
         done.map_err(Into::into)
     }
@@ -176,9 +176,7 @@ impl Client {
         let (shard, hash) = self.store.locate(table, key);
         let got = self.store.read_at(shard, hash, table, key);
         if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.obs.read_service.record(ns);
-            rmc_obs::tt_record!("fast-path read: {} ns (shard {})", ns, shard as u64);
+            self.obs.read_service.record(t0.elapsed().as_nanos() as u64);
         }
         Ok(got)
     }
@@ -198,9 +196,7 @@ impl Client {
         let (shard, hash) = self.store.locate(table, key);
         let got = self.store.read_view_at(shard, hash, table, key);
         if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.obs.read_service.record(ns);
-            rmc_obs::tt_record!("fast-path read_view: {} ns (shard {})", ns, shard as u64);
+            self.obs.read_service.record(t0.elapsed().as_nanos() as u64);
         }
         Ok(got)
     }
@@ -353,11 +349,8 @@ impl StandaloneServer {
     /// The server's metrics registry. Background cleaner threads publish
     /// per-shard counters here under `cleaner.{shard}.*` — passes, segments
     /// freed/compacted, survivor and relocated bytes, tombstones dropped,
-    /// busy nanoseconds, and the reclamation epoch-lag gauge — and
-    /// re-export the engine's read-path counters under `read.{shard}.*`
-    /// (`lockfree`, `fallback_locked`, and the `value_views_live` /
-    /// `limbo_held_by_views` gauges); [`ShardedStore::stats`] is always
-    /// authoritative.
+    /// busy nanoseconds, and the reclamation epoch-lag gauge. The read
+    /// path's counters live in [`ShardedStore::stats`] alone.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }

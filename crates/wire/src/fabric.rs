@@ -310,8 +310,8 @@ impl WireFabric {
         }
     }
 
-    /// Asks the process behind `to` for its TimeTrace dump; the answer
-    /// arrives as [`Event::TraceReply`].
+    /// Asks the process behind `to` for its span dump; the answer arrives
+    /// as [`Event::TraceReply`].
     pub fn send_trace_request(&self, to: NodeId) {
         let payload = codec::encode_trace_request(self.me);
         self.post_frame(to, FrameKind::TraceRequest, &payload);
@@ -910,6 +910,37 @@ mod tests {
                 assert_eq!(from, NodeId(0));
                 assert_eq!(text, "trace dump text");
             }
+            other => panic!("unexpected inbound {other:?}"),
+        }
+    }
+
+    /// A node answers the Trace RPC with its whole span recorder: at the
+    /// default capacity, with the widest ids and stamps there are, the
+    /// dump still fits one frame and arrives whole.
+    #[test]
+    fn a_full_span_dump_crosses_in_one_trace_reply() {
+        let spans = SpanRecorder::default();
+        for i in 0..70_000 {
+            let at = u64::MAX - i;
+            spans.record(
+                (u64::MAX, at),
+                SpanKind::Deliver,
+                "replicate_ack",
+                usize::MAX,
+                0,
+                at,
+            );
+        }
+        let dump = spans.render();
+        assert!(dump.len() < MAX_PAYLOAD, "{} bytes", dump.len());
+        let ((server, mut server_rx), (client, mut client_rx)) = loopback_pair();
+        client.send_trace_request(NodeId(0));
+        match recv_from(&mut server_rx, &mut client_rx) {
+            Event::TraceRequest { from } => server.send_trace_reply(from, &dump),
+            other => panic!("unexpected inbound {other:?}"),
+        }
+        match recv_from(&mut client_rx, &mut server_rx) {
+            Event::TraceReply { text, .. } => assert!(text == dump, "the dump was cut"),
             other => panic!("unexpected inbound {other:?}"),
         }
     }

@@ -35,16 +35,18 @@ pub const MAX_PAYLOAD: usize = 1 << 24;
 /// What a frame carries. `Hello` opens every dialed connection (it names
 /// the dialing node so the acceptor can pool the connection for replies);
 /// `Msg` wraps one encoded protocol message; the trace pair implements the
-/// remote TimeTrace dump without touching the protocol's `Msg` enum.
+/// remote span dump without touching the protocol's `Msg` enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// Connection opener: payload is the dialing node's id (u64 LE).
     Hello = 0,
     /// One `rmc_core::protocol::Msg`, encoded by [`crate::codec`].
     Msg = 1,
-    /// Ask the receiving process for its TimeTrace dump (empty payload).
+    /// Ask the receiving process for its span dump (empty payload).
     TraceRequest = 2,
-    /// The dump text answering a [`FrameKind::TraceRequest`] (UTF-8).
+    /// The dump text answering a [`FrameKind::TraceRequest`] (UTF-8): the
+    /// node's `SpanRecorder::render`, one line per recorded event, well
+    /// under [`MAX_PAYLOAD`] at the recorder's default capacity.
     TraceReply = 3,
 }
 
