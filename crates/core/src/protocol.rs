@@ -84,6 +84,7 @@
 //!   fresh tablet map instead of hot-looping against a stale one.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use rmc_chaos::{MsgClass, OpKind, OpRecord};
 use rmc_diskstore::{BackupStorage, MemStorage};
@@ -303,8 +304,8 @@ pub enum Msg {
         /// The master's segment the bytes belong to.
         segment: u64,
         /// Serialized [`LogEntry`] bytes (real wire format, CRC-checked on
-        /// replay).
-        bytes: Vec<u8>,
+        /// replay), shared by every replica of one write and every resend.
+        bytes: Arc<[u8]>,
         /// `(client, seq)` the master is waiting to answer —
         /// `REPLICA_RESEED` for fire-and-forget re-replication.
         token: (u64, u64),
@@ -892,7 +893,9 @@ struct PendingWrite {
     seq: u64,
     bucket: usize,
     segment: u64,
-    bytes: Vec<u8>,
+    /// The record, copied out of the log once; each `Replicate` of it
+    /// shares this buffer.
+    bytes: Arc<[u8]>,
     reply: Reply,
     waiting: BTreeSet<usize>,
     acked: BTreeSet<usize>,
@@ -935,7 +938,8 @@ pub struct Server {
     /// Backup role: masters whose `Replicate` traffic is rejected (known
     /// dead, or fetched from for recovery).
     fenced: BTreeSet<usize>,
-    /// RIFL: last sequence and recorded reply per client.
+    /// RIFL: last sequence per client, and the reply it was answered with
+    /// if it was an update (a read is served afresh, never recorded).
     rifl_last: BTreeMap<u64, (u64, Option<Reply>)>,
     /// Replica targets the last time we looked (to detect changes).
     last_targets: Vec<usize>,
@@ -1149,7 +1153,7 @@ impl Server {
         ]
     }
 
-    /// Records the reply for RIFL replay and sends it.
+    /// Records an update's reply for RIFL replay and sends it.
     fn respond<R: Runtime<Msg = Msg>>(
         &mut self,
         client: NodeId,
@@ -1185,9 +1189,11 @@ impl Server {
             );
             return;
         }
-        // RIFL: duplicates of finished ops replay the recorded reply;
+        // RIFL: duplicates of finished updates replay the recorded reply;
         // duplicates of the in-flight op re-drive replication; older
-        // sequences are dead retransmissions.
+        // sequences are dead retransmissions. A read records no reply: its
+        // duplicate is served afresh, which is linearizable because a read
+        // is idempotent.
         let rifl = self.rifl_last.get(&(client.0 as u64)).cloned();
         if let Some((last_seq, recorded)) = rifl {
             if seq < last_seq {
@@ -1220,7 +1226,8 @@ impl Server {
                     .store
                     .read_view(PROTO_TABLE, &key)
                     .map(|o| o.value.to_vec());
-                self.respond(client, seq, Reply::Value(value), rt);
+                let reply = Reply::Value(value);
+                rt.send(client, Msg::Response { seq, reply });
             }
             ClientOp::Put { key, value } => {
                 let completion = CompletionId {
@@ -1253,7 +1260,7 @@ impl Server {
         &mut self,
         from: NodeId,
         segment: u64,
-        bytes: Vec<u8>,
+        bytes: Arc<[u8]>,
         token: (u64, u64),
         rt: &mut R,
     ) {
@@ -1318,11 +1325,11 @@ impl Server {
             self.respond(client, seq, reply, rt);
             return;
         }
-        let bytes = self
-            .store
-            .appended_bytes(&outcome)
-            .expect("a record just written is in the log")
-            .to_vec();
+        let bytes = Arc::from(
+            self.store
+                .appended_bytes(&outcome)
+                .expect("a record just written is in the log"),
+        );
         let token = (client.0 as u64, seq);
         self.pending.insert(
             token,
@@ -1357,7 +1364,7 @@ impl Server {
                 server_id(b),
                 Msg::Replicate {
                     segment: p.segment,
-                    bytes: p.bytes.clone(),
+                    bytes: Arc::clone(&p.bytes),
                     token,
                 },
             );
@@ -1387,12 +1394,13 @@ impl Server {
             if bytes.is_empty() {
                 continue;
             }
+            let bytes: Arc<[u8]> = Arc::from(bytes);
             for &b in &targets {
                 rt.send(
                     server_id(b),
                     Msg::Replicate {
                         segment: self.replica_segment(id),
-                        bytes: bytes.to_vec(),
+                        bytes: Arc::clone(&bytes),
                         token: REPLICA_RESEED,
                     },
                 );
@@ -2200,6 +2208,78 @@ mod tests {
         assert_eq!(obj.version.0, first_version);
     }
 
+    #[test]
+    fn both_replicas_and_a_resend_share_one_buffer() {
+        let cfg = ProtocolConfig::new(3, 1, 2);
+        let client = client_id(3, 0);
+        let key = key_owned_by_zero(&cfg);
+        let mut server = Server::new(0, cfg);
+        let mut rt = TestRt::new(server_id(0));
+        let put = ClientOp::Put {
+            key,
+            value: vec![b'v'; 1000],
+        };
+        let request = Msg::Request { seq: 1, op: put };
+        server.on_message(client, request.clone(), &mut rt);
+        let token = (client.0 as u64, 1);
+        let out = rt.drain();
+        let sent = replicated(&out, token);
+        assert_eq!(sent.len(), 2, "one replicate per backup");
+        assert!(std::ptr::eq(sent[0], sent[1]), "one copy for both replicas");
+        // Neither backup acked: the duplicate re-drives the same buffer.
+        server.on_message(client, request, &mut rt);
+        let again = rt.drain();
+        let resent = replicated(&again, token);
+        assert_eq!(resent.len(), 2);
+        assert!(resent.iter().all(|b| std::ptr::eq(*b, sent[0])));
+        assert_eq!(server.counters.pending_resends, 1);
+    }
+
+    #[test]
+    fn a_duplicate_get_is_served_afresh_not_replayed() {
+        let cfg = ProtocolConfig::new(3, 1, 2);
+        let (reader, writer) = (client_id(3, 0), client_id(3, 1));
+        let key = key_owned_by_zero(&cfg);
+        let mut server = Server::new(0, cfg);
+        let mut rt = TestRt::new(server_id(0));
+        let mut put = |server: &mut Server, seq: u64, value: &[u8]| {
+            let op = ClientOp::Put {
+                key: key.clone(),
+                value: value.to_vec(),
+            };
+            server.on_message(writer, Msg::Request { seq, op }, &mut rt);
+            let token = (writer.0 as u64, seq);
+            server.on_message(server_id(1), Msg::ReplicateAck { token }, &mut rt);
+            server.on_message(server_id(2), Msg::ReplicateAck { token }, &mut rt);
+            assert!(answered(&rt.drain(), seq));
+        };
+        let get = Msg::Request {
+            seq: 1,
+            op: ClientOp::Get { key: key.clone() },
+        };
+        let read = |server: &mut Server| {
+            let mut rt = TestRt::new(server_id(0));
+            server.on_message(reader, get.clone(), &mut rt);
+            match &rt.drain()[..] {
+                [(
+                    to,
+                    Msg::Response {
+                        seq: 1,
+                        reply: Reply::Value(v),
+                    },
+                )] if *to == reader => v.clone(),
+                other => panic!("expected one value, got {other:?}"),
+            }
+        };
+        put(&mut server, 1, b"old");
+        assert_eq!(read(&mut server).as_deref(), Some(&b"old"[..]));
+        put(&mut server, 2, b"new");
+        // The duplicate reads the key as it is now: a read is idempotent.
+        assert_eq!(read(&mut server).as_deref(), Some(&b"new"[..]));
+        assert_eq!(server.counters.rifl_replays, 0);
+        assert_eq!(server.counters.stale_rifl_drops, 0);
+    }
+
     /// The `Replicate` payloads in `out` that carry `token`.
     fn replicated(out: &[(NodeId, Msg)], token: (u64, u64)) -> Vec<&[u8]> {
         out.iter()
@@ -2444,7 +2524,7 @@ mod tests {
             let record = replicated(&rt.drain(), (client.0 as u64, 1))[0].to_vec();
             let replica = Msg::Replicate {
                 segment: 0,
-                bytes: record.clone(),
+                bytes: record.clone().into(),
                 token: (client.0 as u64, 1),
             };
             servers[1].on_message(server_id(3), replica, &mut TestRt::new(server_id(1)));
@@ -2608,7 +2688,7 @@ mod tests {
             server_id(0),
             Msg::Replicate {
                 segment: 0,
-                bytes: vec![1, 2, 3],
+                bytes: vec![1, 2, 3].into(),
                 token: (9, 9),
             },
             &mut rt,

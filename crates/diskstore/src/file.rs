@@ -1,8 +1,8 @@
 //! [`FileStorage`]: the file-backed engine. One append-only log per
 //! master, a sequence of checksummed [frames](crate::frame) in the order
 //! they were staged; appends go straight to the file under the configured
-//! [`FsyncPolicy`], and [`FileStorage::open`] rebuilds the staged map from
-//! whatever survived a crash.
+//! [`FsyncPolicy`], and [`FileStorage::open`] rebuilds the index of staged
+//! frames from whatever survived a crash.
 //!
 //! ## Layout
 //!
@@ -34,7 +34,7 @@
 //! ## Crash recovery rules
 //!
 //! [`FileStorage::open`] walks each master's files in `n` order, frame by
-//! frame, and groups payloads by the header's segment. The first
+//! frame, and indexes payloads by the header's segment. The first
 //! undecodable position ends that file's trusted prefix:
 //!
 //! - **Torn tail** (file ends mid-frame): the signature of dying between
@@ -56,11 +56,24 @@
 //! layout before this one: a file per segment) is refused, not read and
 //! not ignored.
 //!
-//! Served reads (`segments_of`, the recovery `FetchSegments` path) come
-//! from an in-memory mirror of the staged payloads — a [`MemStorage`],
-//! maintained on append and rebuilt once at open by replaying each frame
-//! into it — the RAMCloud discipline of serving recovery from buffered
-//! copies while the disk takes writes.
+//! ## The file is the replica
+//!
+//! The store keeps no copy of what it staged in memory (only the buffer
+//! the next frame is encoded into). What it keeps is an index:
+//! for each `(master, segment)` slot, its length and where each of its
+//! frames lies — `(file n, offset, payload length)`. An append adds the
+//! frame it wrote to its slot; an image that wins replaces the slot's
+//! frames with itself. [`FileStorage::open`] builds the index from the
+//! frames it accepts, under the rules above.
+//!
+//! Served reads (`segments_of`, the recovery `FetchSegments` path) read
+//! each frame back from its file and check it again: a frame whose
+//! checksum fails, or that cannot be read at all, is left out of the
+//! answer and counted (`disk.crc_mismatch`, `disk.read_errors`). A slot's
+//! frames each hold whole log entries, so what is left is still a run of
+//! whole entries, and the other replicas of the segment hold the rest —
+//! DXRAM's discipline of serving recovery from the backup's log on the
+//! device.
 //!
 //! ## What is synced, and when
 //!
@@ -77,12 +90,13 @@
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::frame::{decode_frame, encode_frame, encode_image_frame, FrameError, FrameKind};
+use crate::frame::{decode_frame, encode_frame_into, FrameError, FrameKind, FRAME_HEADER_BYTES};
 use crate::storage::{
-    AppendFault, AppendOutcome, BackupStorage, DiskMetrics, FaultInjector, FsyncPolicy, MemStorage,
+    image_wins, AppendFault, AppendOutcome, BackupStorage, DiskMetrics, FaultInjector, FsyncPolicy,
     StorageError,
 };
 
@@ -153,14 +167,67 @@ pub struct RecoveryStats {
     pub quarantined: u64,
 }
 
+/// Where one accepted frame lies: file `n` of its master's log, the
+/// frame's offset in it, and its payload length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    file: u64,
+    offset: u64,
+    len: u32,
+}
+
+impl Extent {
+    /// The offset just past the frame.
+    fn end(&self) -> u64 {
+        self.offset + (FRAME_HEADER_BYTES as u64) + u64::from(self.len)
+    }
+}
+
+/// One `(master, segment)` slot: its length, and its frames in order.
+#[derive(Debug, Default)]
+struct Slot {
+    len: u64,
+    extents: Vec<Extent>,
+}
+
+impl Slot {
+    /// Applies one frame the way its live call was applied: an append
+    /// grows the slot; an image replaces it iff it wins.
+    fn apply(&mut self, kind: FrameKind, extent: Extent) {
+        match kind {
+            FrameKind::Append => {
+                self.len += u64::from(extent.len);
+                self.extents.push(extent);
+            }
+            FrameKind::Image if image_wins(extent.len as usize, self.len) => {
+                *self = Slot {
+                    len: u64::from(extent.len),
+                    extents: vec![extent],
+                };
+            }
+            FrameKind::Image => {}
+        }
+    }
+}
+
+/// The file a log appends to.
+#[derive(Debug)]
+struct Tail {
+    file: File,
+    /// Its index `n` in the master's log.
+    n: u64,
+    /// Its length.
+    len: u64,
+}
+
 /// One master's log: the file being appended to, and where the next goes.
 #[derive(Debug, Default)]
 struct MasterLog {
     /// Index of the next file to create: past every one on disk.
     next: u64,
-    /// The file appended to and its length; `None` before this
-    /// incarnation's first write and after a retirement.
-    tail: Option<(File, u64)>,
+    /// The file appended to; `None` before this incarnation's first write
+    /// and after a retirement.
+    tail: Option<Tail>,
     /// `tail` holds bytes written since its last fsync.
     dirty: bool,
 }
@@ -168,8 +235,9 @@ struct MasterLog {
 impl MasterLog {
     /// Syncs the tail if it is dirty.
     fn sync(&mut self, master: usize, metrics: &DiskMetrics) -> Result<(), StorageError> {
-        if let (true, Some((file, _))) = (self.dirty, &self.tail) {
-            file.sync_all()
+        if let (true, Some(tail)) = (self.dirty, &self.tail) {
+            tail.file
+                .sync_all()
                 .map_err(|e| StorageError::Io(format!("fsync log of master {master}: {e}")))?;
             metrics.fsyncs.incr();
             self.dirty = false;
@@ -184,9 +252,12 @@ pub struct FileStorage {
     policy: FsyncPolicy,
     epoch: u64,
     injector: Option<Box<dyn FaultInjector>>,
-    /// In-memory mirror of each slot's staged payload bytes.
-    mirror: MemStorage,
+    /// Each staged `(master, segment)` slot: no payload bytes, only where
+    /// its frames lie in the files.
+    slots: BTreeMap<(usize, u64), Slot>,
     logs: BTreeMap<usize, MasterLog>,
+    /// The frame being written, reused from one append to the next.
+    frame: Vec<u8>,
     /// Bytes written since the last flush (what `batched` counts).
     dirty_bytes: usize,
     last_sync: Instant,
@@ -201,7 +272,7 @@ impl std::fmt::Debug for FileStorage {
             .field("dir", &self.dir)
             .field("policy", &self.policy)
             .field("epoch", &self.epoch)
-            .field("segments", &self.mirror.segment_count())
+            .field("segments", &self.slots.len())
             .field("dirty", &self.dirty_logs())
             .field("recovery", &self.recovery)
             .finish()
@@ -225,8 +296,9 @@ impl FileStorage {
             policy,
             epoch,
             injector: None,
-            mirror: MemStorage::new(),
+            slots: BTreeMap::new(),
             logs: BTreeMap::new(),
+            frame: Vec::new(),
             dirty_bytes: 0,
             last_sync: Instant::now(),
             metrics,
@@ -256,8 +328,8 @@ impl FileStorage {
             ns.sort_unstable();
             store.recover_master(master, &ns)?;
         }
-        store.recovery.segments = store.mirror.segment_count();
-        store.recovery.bytes = store.mirror.staged_bytes();
+        store.recovery.segments = store.slots.len();
+        store.recovery.bytes = store.staged_bytes();
         Ok(store)
     }
 
@@ -277,7 +349,7 @@ impl FileStorage {
         self.epoch
     }
 
-    /// Replays `master`'s files, oldest first, into the mirror.
+    /// Indexes `master`'s files, oldest first.
     fn recover_master(&mut self, master: usize, files: &[u64]) -> Result<(), StorageError> {
         for &n in files {
             self.recover_file(master, n)?;
@@ -311,13 +383,16 @@ impl FileStorage {
                         header.master
                     )));
                 }
-                Ok((header, payload, total)) => {
-                    // A frame is applied exactly as its live call was (the
-                    // memory mirror cannot fail).
-                    let _ = match header.kind {
-                        FrameKind::Append => self.mirror.append(master, header.segment, payload),
-                        FrameKind::Image => self.mirror.supersede(master, header.segment, payload),
+                Ok((header, _, total)) => {
+                    let extent = Extent {
+                        file: n,
+                        offset: off as u64,
+                        len: header.len,
                     };
+                    self.slots
+                        .entry((master, header.segment))
+                        .or_default()
+                        .apply(header.kind, extent);
                     off += total;
                 }
                 Err(e) => break Some(e),
@@ -369,16 +444,17 @@ impl FileStorage {
             .logs
             .get(&master)
             .and_then(|log| log.tail.as_ref())
-            .is_some_and(|(_, len)| *len > 0 && len + frame_len > LOG_ROLL_BYTES);
+            .is_some_and(|tail| tail.len > 0 && tail.len + frame_len > LOG_ROLL_BYTES);
         if full {
             self.sync_owed(master)?;
             self.retire(master);
         }
         let log = self.logs.entry(master).or_default();
         if log.tail.is_none() {
-            let path = self.dir.join(log_name(master, log.next));
+            let n = log.next;
+            let path = self.dir.join(log_name(master, n));
             // Taken even if what follows fails: a retry starts clean.
-            log.next = log.next.saturating_add(1);
+            log.next = n.saturating_add(1);
             let file = OpenOptions::new()
                 .create_new(true)
                 .append(true)
@@ -387,7 +463,7 @@ impl FileStorage {
             if self.policy != FsyncPolicy::Off {
                 sync_dir(&self.dir)?;
             }
-            log.tail = Some((file, 0));
+            log.tail = Some(Tail { file, n, len: 0 });
         }
         Ok(log)
     }
@@ -421,17 +497,44 @@ impl FileStorage {
         }
     }
 
-    /// Writes one encoded frame to `master`'s log under the injector and
-    /// the fsync policy. `Ok` means the frame is whole in the file and the
-    /// policy is satisfied; the caller then updates the served mirror.
-    fn write_frame(
+    /// Encodes one frame of `kind` and writes it to `master`'s log under
+    /// the injector and the fsync policy, then indexes it where it landed.
+    /// Only a frame that is whole in the file with its policy satisfied is
+    /// indexed; a failed append is redriven by the master's retry.
+    fn stage(
+        &mut self,
+        kind: FrameKind,
+        master: usize,
+        segment: u64,
+        payload: &[u8],
+    ) -> Result<(), StorageError> {
+        let mut frame = std::mem::take(&mut self.frame);
+        encode_frame_into(&mut frame, kind, master, segment, self.epoch, payload);
+        let written = self.write_encoded(master, segment, &mut frame);
+        self.frame = frame;
+        let (file, offset) = written?;
+        let extent = Extent {
+            file,
+            offset,
+            len: payload.len() as u32,
+        };
+        self.slots
+            .entry((master, segment))
+            .or_default()
+            .apply(kind, extent);
+        Ok(())
+    }
+
+    /// Writes the encoded `frame`; returns the file it landed in and its
+    /// offset there.
+    fn write_encoded(
         &mut self,
         master: usize,
         segment: u64,
-        mut frame: Vec<u8>,
-    ) -> Result<(), StorageError> {
+        frame: &mut Vec<u8>,
+    ) -> Result<(u64, u64), StorageError> {
         let fault = match self.injector.as_mut() {
-            Some(injector) => injector.on_append(master, segment, &mut frame),
+            Some(injector) => injector.on_append(master, segment, frame),
             None => AppendFault::clean(),
         };
         if let Some(stall) = fault.stall {
@@ -447,13 +550,15 @@ impl FileStorage {
             AppendOutcome::Error => (0, Some("injected write EIO")),
         };
         let log = self.tail_for(master, len as u64)?;
-        let (file, file_len) = log.tail.as_mut().expect("`tail_for` leaves one");
-        let failure = match (file.write_all(&frame[..keep]), injected) {
+        let tail = log.tail.as_mut().expect("`tail_for` leaves one");
+        let failure = match (tail.file.write_all(&frame[..keep]), injected) {
             (Ok(()), None) => {
-                *file_len += len as u64;
+                let landed = (tail.n, tail.len);
+                tail.len += len as u64;
                 log.dirty = true;
                 self.metrics.write_bytes.add(len as u64);
-                return self.after_write(master, len);
+                self.after_write(master, len)?;
+                return Ok(landed);
             }
             (Err(e), _) => e.to_string(),
             (Ok(()), Some(what)) => {
@@ -505,35 +610,75 @@ impl FileStorage {
 
 impl BackupStorage for FileStorage {
     fn append(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        let frame = encode_frame(master, segment, self.epoch, bytes);
-        self.write_frame(master, segment, frame)?;
-        // Only an append that survived its policy joins the served
-        // mirror; a failed one is redriven by the master's retry.
-        self.mirror.append(master, segment, bytes)
+        self.stage(FrameKind::Append, master, segment, bytes)
     }
 
     fn supersede(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        if !self.mirror.image_wins(master, segment, bytes.len()) {
+        let held = self.slots.get(&(master, segment)).map_or(0, |s| s.len);
+        if !image_wins(bytes.len(), held) {
             return Ok(());
         }
         // A crash mid-write leaves a torn tail, which recovery truncates —
         // and reseeds are fire-and-forget re-replication, so the master
         // will send the image again.
-        let frame = encode_image_frame(master, segment, self.epoch, bytes);
-        self.write_frame(master, segment, frame)?;
-        self.mirror.supersede(master, segment, bytes)
+        self.stage(FrameKind::Image, master, segment, bytes)
     }
 
     fn segments_of(&self, master: usize) -> Vec<(u64, Vec<u8>)> {
-        self.mirror.segments_of(master)
+        // Each file is opened once, on its first frame; one that will not
+        // open fails every frame in it.
+        let mut files: BTreeMap<u64, Option<File>> = BTreeMap::new();
+        let mut run = Vec::new();
+        let slots = self.slots.range((master, 0)..=(master, u64::MAX));
+        slots
+            .map(|(&(_, segment), slot)| {
+                let mut bytes = Vec::with_capacity(slot.len as usize);
+                // A master fills one segment at a time, so a slot's frames
+                // mostly lie back to back: each such run is one read.
+                let runs = slot
+                    .extents
+                    .chunk_by(|a, b| b.file == a.file && b.offset == a.end());
+                for frames in runs {
+                    let (first, last) = (frames[0], frames[frames.len() - 1]);
+                    let file = files.entry(first.file).or_insert_with(|| {
+                        File::open(self.dir.join(log_name(master, first.file))).ok()
+                    });
+                    run.resize((last.end() - first.offset) as usize, 0);
+                    let got = file
+                        .as_ref()
+                        .map_or(0, |f| read_upto(f, &mut run, first.offset));
+                    self.metrics.read_bytes.add(got as u64);
+                    for extent in frames {
+                        let at = (extent.offset - first.offset) as usize;
+                        let end = (extent.end() - first.offset) as usize;
+                        let Some(frame) = run[..got].get(at..end) else {
+                            self.metrics.read_errors.incr();
+                            continue;
+                        };
+                        // Checked again on the way out: a frame the disk
+                        // changed since it was written is left out.
+                        match decode_frame(frame) {
+                            Ok((header, payload, _))
+                                if (header.master, header.segment, header.len)
+                                    == (master as u64, segment, extent.len) =>
+                            {
+                                bytes.extend_from_slice(payload)
+                            }
+                            _ => self.metrics.crc_mismatch.incr(),
+                        }
+                    }
+                }
+                (segment, bytes)
+            })
+            .collect()
     }
 
     fn segment_count(&self) -> usize {
-        self.mirror.segment_count()
+        self.slots.len()
     }
 
     fn staged_bytes(&self) -> u64 {
-        self.mirror.staged_bytes()
+        self.slots.values().map(|s| s.len).sum()
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
@@ -559,6 +704,21 @@ impl Drop for FileStorage {
     }
 }
 
+/// Reads `file` from `offset` into `buf` until `buf` is full, the file
+/// ends or a read fails; returns how many bytes arrived.
+fn read_upto(file: &File, buf: &mut [u8], offset: u64) -> usize {
+    let mut got = 0;
+    while got < buf.len() {
+        match file.read_at(&mut buf[got..], offset + got as u64) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    got
+}
+
 fn truncate_to(path: &Path, len: u64) -> Result<(), StorageError> {
     let f = OpenOptions::new()
         .write(true)
@@ -574,7 +734,7 @@ fn truncate_to(path: &Path, len: u64) -> Result<(), StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FRAME_HEADER_BYTES;
+    use crate::frame::{encode_frame, encode_image_frame};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -744,7 +904,7 @@ mod tests {
     fn recovery_applies_the_image_rule_too() {
         let dir = tmpdir("image-rule");
         // What a backup writes whose append hit an fsync EIO (in the file,
-        // not in the mirror) before a reseed no longer than it arrived.
+        // never indexed) before a reseed no longer than it arrived.
         let mut log = encode_frame(0, 5, 0, b"0123456789");
         log.extend(encode_image_frame(0, 5, 0, b"stale"));
         log.extend(encode_frame(0, 6, 0, b"other segment"));
@@ -1022,7 +1182,7 @@ mod tests {
             }));
             s.append(0, 1, b"acked bytes").unwrap();
             assert!(s.append(0, 1, b"torn bytes").is_err());
-            // The failed append never joined the served mirror.
+            // The failed append was never indexed, so it is not served.
             assert_eq!(s.segments_of(0), vec![(1, b"acked bytes".to_vec())]);
         }
         let s = open(&dir, FsyncPolicy::PerWrite);
@@ -1122,6 +1282,66 @@ mod tests {
         assert_eq!(s.segments_of(0), Vec::new());
         // Silence the Drop-flush error path.
         s.injector = None;
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_served_read_checks_every_frame_again() {
+        let dir = tmpdir("read-back");
+        let (mut s, registry) = counted(&dir, FsyncPolicy::Off);
+        for payload in [&b"first"[..], b"middle", b"last"] {
+            s.append(0, 1, payload).unwrap();
+        }
+        // Behind the store's back: one payload byte of the middle frame.
+        let path = dir.join(log_name(0, 0));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[encode_frame(0, 1, 0, b"first").len() + FRAME_HEADER_BYTES + 2] ^= 0x04;
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(s.segments_of(0), vec![(1, b"firstlast".to_vec())]);
+        assert_eq!(registry.get("disk.crc_mismatch"), 1);
+        assert_eq!(registry.get("disk.read_errors"), 0);
+        // The index still says what was acked: the damage is in the file.
+        assert_eq!(s.staged_bytes(), 15);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_served_read_of_a_deleted_file_drops_its_frames() {
+        let dir = tmpdir("read-gone");
+        {
+            let mut s = open(&dir, FsyncPolicy::Off);
+            s.append(0, 1, b"in the first file").unwrap();
+            s.append(0, 2, b"only in the first file").unwrap();
+        }
+        let (mut s, registry) = counted(&dir, FsyncPolicy::Off);
+        s.append(0, 1, b", then the second").unwrap();
+        fs::remove_file(dir.join(log_name(0, 0))).unwrap();
+        assert_eq!(
+            s.segments_of(0),
+            vec![(1, b", then the second".to_vec()), (2, Vec::new())]
+        );
+        assert_eq!(registry.get("disk.read_errors"), 2);
+        assert_eq!(registry.get("disk.crc_mismatch"), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_served_read_of_a_cut_file_serves_the_frames_before_the_cut() {
+        let dir = tmpdir("read-cut");
+        let (mut s, registry) = counted(&dir, FsyncPolicy::Off);
+        for payload in [&b"whole"[..], b"cut short", b"gone"] {
+            s.append(0, 1, payload).unwrap();
+        }
+        // Behind the store's back: the file ends inside the second frame.
+        let cut = encode_frame(0, 1, 0, b"whole").len() + FRAME_HEADER_BYTES + 3;
+        let f = OpenOptions::new()
+            .write(true)
+            .open(dir.join(log_name(0, 0)))
+            .unwrap();
+        f.set_len(cut as u64).unwrap();
+        assert_eq!(s.segments_of(0), vec![(1, b"whole".to_vec())]);
+        assert_eq!(registry.get("disk.read_errors"), 2);
+        assert_eq!(registry.get("disk.crc_mismatch"), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -102,17 +102,35 @@ fn frame_crc(frame: &[u8]) -> u32 {
 
 /// Encodes one append frame: header + payload, checksummed.
 pub fn encode_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
-    encode(FRAME_MAGIC, master, segment, epoch, payload)
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, FrameKind::Append, master, segment, epoch, payload);
+    out
 }
 
 /// Encodes one image frame: the same header under [`IMAGE_MAGIC`].
 pub fn encode_image_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
-    encode(IMAGE_MAGIC, master, segment, epoch, payload)
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, FrameKind::Image, master, segment, epoch, payload);
+    out
 }
 
-fn encode(magic: u32, master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
+/// Encodes one frame of `kind` into `out`, replacing what it held: the
+/// writer a store reuses for every frame instead of allocating one each.
+pub fn encode_frame_into(
+    out: &mut Vec<u8>,
+    kind: FrameKind,
+    master: usize,
+    segment: u64,
+    epoch: u64,
+    payload: &[u8],
+) {
     assert!(payload.len() <= MAX_FRAME_PAYLOAD, "payload too large");
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    let magic = match kind {
+        FrameKind::Append => FRAME_MAGIC,
+        FrameKind::Image => IMAGE_MAGIC,
+    };
+    out.clear();
+    out.reserve(FRAME_HEADER_BYTES + payload.len());
     out.extend_from_slice(&magic.to_le_bytes());
     out.extend_from_slice(&(master as u64).to_le_bytes());
     out.extend_from_slice(&segment.to_le_bytes());
@@ -120,9 +138,8 @@ fn encode(magic: u32, master: usize, segment: u64, epoch: u64, payload: &[u8]) -
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&[0u8; 4]);
     out.extend_from_slice(payload);
-    let crc = frame_crc(&out);
+    let crc = frame_crc(out);
     out[CRC_AT..FRAME_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// Decodes the frame at the start of `buf`. Returns the header, the

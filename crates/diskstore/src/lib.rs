@@ -18,7 +18,9 @@
 //!   by loading the longest valid frame prefix of every file — a torn tail
 //!   is clean truncation, a mid-file checksum mismatch quarantines the
 //!   file's remainder rather than panicking. A file whose write failed is
-//!   never appended to again, so torn bytes are always a tail.
+//!   never appended to again, so torn bytes are always a tail. The files
+//!   are the replica: the store keeps only where each frame lies, and a
+//!   served read checks every frame again as it reads it back.
 //!
 //! The storage boundary is also the disk fault-injection surface: a
 //! [`FaultInjector`] interposes on every append and fsync (short writes,

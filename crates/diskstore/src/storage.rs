@@ -104,7 +104,7 @@ impl std::fmt::Display for FsyncPolicy {
 pub struct DiskMetrics {
     /// Bytes written (frame bytes, including headers).
     pub write_bytes: CounterHandle,
-    /// Bytes read back (recovery scans).
+    /// Bytes read back (the scan at open, and every served read).
     pub read_bytes: CounterHandle,
     /// Completed fsync calls.
     pub fsyncs: CounterHandle,
@@ -112,8 +112,11 @@ pub struct DiskMetrics {
     pub write_errors: CounterHandle,
     /// Fsyncs that failed (EIO).
     pub fsync_errors: CounterHandle,
-    /// Frames rejected by checksum on recovery.
+    /// Frames rejected by checksum, at open or when read back to be served.
     pub crc_mismatch: CounterHandle,
+    /// Frames a served read could not read back at all (a file gone or
+    /// shorter than the frame); left out of the answer, like a bad CRC.
+    pub read_errors: CounterHandle,
     /// Files whose suspect remainder was copied to `quarantine/`.
     pub quarantined: CounterHandle,
     /// Torn frame tails truncated away on recovery.
@@ -135,6 +138,7 @@ impl DiskMetrics {
             write_errors: fam.counter("write_errors"),
             fsync_errors: fam.counter("fsync_errors"),
             crc_mismatch: fam.counter("crc_mismatch"),
+            read_errors: fam.counter("read_errors"),
             quarantined: fam.counter("quarantined"),
             torn_tails: fam.counter("torn_tails"),
             stalls: fam.counter("stalls"),
@@ -226,6 +230,13 @@ pub trait BackupStorage: std::fmt::Debug + Send {
     fn flush(&mut self) -> Result<(), StorageError>;
 }
 
+/// The one image rule, live and at recovery, in every engine: an image of
+/// `len` bytes replaces a slot holding `held` bytes iff it is strictly
+/// longer.
+pub(crate) fn image_wins(len: usize, held: u64) -> bool {
+    len as u64 > held
+}
+
 /// The in-memory engine: exactly the staging the protocol used before the
 /// durability layer existed. Used by the deterministic simulation and any
 /// harness that does not opt into files.
@@ -239,13 +250,6 @@ impl MemStorage {
     pub fn new() -> MemStorage {
         MemStorage::default()
     }
-
-    /// The one image rule, live and at recovery: an image of `len` bytes
-    /// replaces the staged slot of `(master, segment)` iff it is strictly
-    /// longer than what the slot holds.
-    pub(crate) fn image_wins(&self, master: usize, segment: u64, len: usize) -> bool {
-        len > self.staged.get(&(master, segment)).map_or(0, Vec::len)
-    }
 }
 
 impl BackupStorage for MemStorage {
@@ -258,7 +262,8 @@ impl BackupStorage for MemStorage {
     }
 
     fn supersede(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        if self.image_wins(master, segment, bytes.len()) {
+        let held = self.staged.get(&(master, segment)).map_or(0, Vec::len);
+        if image_wins(bytes.len(), held as u64) {
             self.staged.insert((master, segment), bytes.to_vec());
         }
         Ok(())

@@ -145,6 +145,80 @@ pub(crate) fn tombstone_len(key: usize) -> usize {
     HEADER_BYTES + key + 8
 }
 
+/// One record's fields, borrowed from wherever they already are: what the
+/// log lays out. The store writes from its caller's slices, and
+/// [`LogEntry::serialize_into`] from the entry's own, through the one
+/// writer, [`Record::write_into`]. The body is the one an [`EntryView`]
+/// reads back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Record<'a> {
+    pub table: TableId,
+    pub key: &'a [u8],
+    pub version: Version,
+    pub body: BodyView<'a>,
+}
+
+impl Record<'_> {
+    /// Serialized size in bytes.
+    pub(crate) fn len(&self) -> usize {
+        match self.body {
+            BodyView::Object { value, completion } => {
+                object_len(self.key.len(), value.len(), completion.is_some())
+            }
+            BodyView::Tombstone { .. } => tombstone_len(self.key.len()),
+        }
+    }
+
+    /// Lays the record out at the end of `out`: one pass to write it in
+    /// place, one checksum pass over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key or value exceeds [`MAX_KEY_BYTES`] /
+    /// [`MAX_VALUE_BYTES`].
+    pub(crate) fn write_into(&self, out: &mut Vec<u8>) {
+        assert!(self.key.len() <= MAX_KEY_BYTES, "key too large");
+        let ty = match self.body {
+            BodyView::Object { value, completion } => {
+                assert!(value.len() <= MAX_VALUE_BYTES, "value too large");
+                match completion {
+                    Some(_) => TYPE_OBJECT_RIFL,
+                    None => TYPE_OBJECT,
+                }
+            }
+            BodyView::Tombstone { .. } => TYPE_TOMBSTONE,
+        };
+        let total = self.len();
+        let value_len = total - HEADER_BYTES - self.key.len();
+        out.reserve(total);
+        let start = out.len();
+        out.push(ty);
+        out.extend_from_slice(&self.table.0.to_le_bytes());
+        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
+        out.extend_from_slice(&(value_len as u32).to_le_bytes());
+        out.extend_from_slice(&self.version.0.to_le_bytes());
+        out.extend_from_slice(&[0u8; 4]);
+        out.extend_from_slice(self.key);
+        match self.body {
+            BodyView::Object { value, completion } => {
+                out.extend_from_slice(value);
+                // The completion id rides after the value bytes; the
+                // declared value length includes it (the type byte tells
+                // the parser to split it off again).
+                if let Some(c) = completion {
+                    out.extend_from_slice(&c.client.to_le_bytes());
+                    out.extend_from_slice(&c.seq.to_le_bytes());
+                }
+            }
+            BodyView::Tombstone { dead_segment } => {
+                out.extend_from_slice(&dead_segment.0.to_le_bytes())
+            }
+        }
+        let crc = entry_checksum(&out[start..]);
+        out[start + CHECKSUM_AT..start + HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
 impl LogEntry {
     /// The owning table.
     pub fn table(&self) -> TableId {
@@ -170,12 +244,28 @@ impl LogEntry {
         }
     }
 
+    /// The entry's fields, borrowed, as the log lays them out.
+    pub(crate) fn record(&self) -> Record<'_> {
+        let body = match self {
+            LogEntry::Object(o) => BodyView::Object {
+                value: &o.value,
+                completion: o.completion,
+            },
+            LogEntry::Tombstone(t) => BodyView::Tombstone {
+                dead_segment: t.dead_segment,
+            },
+        };
+        Record {
+            table: self.table(),
+            key: self.key(),
+            version: self.version(),
+            body,
+        }
+    }
+
     /// Serialized size in bytes.
     pub fn serialized_len(&self) -> usize {
-        match self {
-            LogEntry::Object(o) => object_len(o.key.len(), o.value.len(), o.completion.is_some()),
-            LogEntry::Tombstone(t) => tombstone_len(t.key.len()),
-        }
+        self.record().len()
     }
 
     /// Serializes the entry, appending to `out`: one pass to lay the record
@@ -187,44 +277,7 @@ impl LogEntry {
     /// [`MAX_VALUE_BYTES`]; the store validates sizes before reaching this
     /// point.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        let key = self.key();
-        assert!(key.len() <= MAX_KEY_BYTES, "key too large");
-        let ty = match self {
-            LogEntry::Object(o) => {
-                assert!(o.value.len() <= MAX_VALUE_BYTES, "value too large");
-                match o.completion {
-                    Some(_) => TYPE_OBJECT_RIFL,
-                    None => TYPE_OBJECT,
-                }
-            }
-            LogEntry::Tombstone(_) => TYPE_TOMBSTONE,
-        };
-        let total = self.serialized_len();
-        let value_len = total - HEADER_BYTES - key.len();
-        out.reserve(total);
-        let start = out.len();
-        out.push(ty);
-        out.extend_from_slice(&self.table().0.to_le_bytes());
-        out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        out.extend_from_slice(&(value_len as u32).to_le_bytes());
-        out.extend_from_slice(&self.version().0.to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]);
-        out.extend_from_slice(key);
-        match self {
-            LogEntry::Object(o) => {
-                out.extend_from_slice(&o.value);
-                // The completion id rides after the value bytes; the
-                // declared value length includes it (the type byte tells
-                // the parser to split it off again).
-                if let Some(c) = o.completion {
-                    out.extend_from_slice(&c.client.to_le_bytes());
-                    out.extend_from_slice(&c.seq.to_le_bytes());
-                }
-            }
-            LogEntry::Tombstone(t) => out.extend_from_slice(&t.dead_segment.0.to_le_bytes()),
-        }
-        let crc = entry_checksum(&out[start..]);
-        out[start + CHECKSUM_AT..start + HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+        self.record().write_into(out);
     }
 
     /// Parses the entry starting at the beginning of `buf`. Returns the

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::entry::{EntryView, LogEntry};
+use crate::entry::{EntryView, LogEntry, Record};
 use crate::segbuf::SegmentMap;
 use crate::segment::{Segment, DEFAULT_SEGMENT_BYTES};
 use crate::types::{LogPosition, SegmentId};
@@ -119,6 +119,8 @@ pub struct Log {
     total_appended_bytes: u64,
     /// Sum of `charged_bytes` over allocated and limbo segments.
     charged_total: usize,
+    /// Where [`Log::append_record`] lays a record out, reused.
+    layout: Vec<u8>,
 }
 
 impl Log {
@@ -155,6 +157,7 @@ impl Log {
             append_seq: 0,
             total_appended_bytes: 0,
             charged_total,
+            layout: Vec::new(),
         }
     }
 
@@ -218,23 +221,42 @@ impl Log {
     /// free ([`Log::has_room`] is false); the store cleans before it gets
     /// here.
     pub fn append(&mut self, entry: &LogEntry) -> Result<AppendOutcome, LogFullError> {
+        self.append_record(entry.record())
+    }
+
+    /// [`Log::append`] from borrowed fields: the record is laid out once,
+    /// into a buffer the log reuses, and copied into the head from there.
+    pub(crate) fn append_record(
+        &mut self,
+        record: Record<'_>,
+    ) -> Result<AppendOutcome, LogFullError> {
+        let mut bytes = std::mem::take(&mut self.layout);
+        bytes.clear();
+        record.write_into(&mut bytes);
+        let out = self.append_raw(&bytes);
+        self.layout = bytes;
+        out
+    }
+
+    /// Appends one serialized entry, rolling the head if necessary.
+    fn append_raw(&mut self, bytes: &[u8]) -> Result<AppendOutcome, LogFullError> {
         debug_assert!(
-            entry.serialized_len() <= self.config.segment_bytes,
+            bytes.len() <= self.config.segment_bytes,
             "entry larger than a segment"
         );
         let mut sealed = None;
         let head = self.segments.get_mut(&self.head).expect("head exists");
-        let offset = match head.append(entry) {
+        let offset = match head.append_raw(bytes) {
             Ok(off) => off,
             Err(_) => {
                 sealed = Some(self.roll()?);
                 let head = self.segments.get_mut(&self.head).expect("head exists");
-                head.append(entry)
+                head.append_raw(bytes)
                     .expect("entry must fit in an empty segment")
             }
         };
         let seg = self.head;
-        let size = entry.serialized_len();
+        let size = bytes.len();
         self.stats.get_mut(&seg).expect("head stats").live_bytes += size;
         self.total_appended_bytes += size as u64;
         Ok(AppendOutcome {

@@ -44,7 +44,7 @@ impl Clone for Segment {
     }
 }
 
-/// Error returned by [`Segment::append`] when the entry does not fit.
+/// Error returned when an entry's bytes do not fit in what a segment has free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentFullError {
     /// Bytes still free in the segment.
@@ -124,35 +124,20 @@ impl Segment {
         &self.buf
     }
 
-    /// Appends an entry, returning its byte offset.
+    /// Appends serialized entry bytes (a straight memcpy), returning the
+    /// byte offset. The log lays a new record out once and appends it here;
+    /// the cleaner relocates entries into survivor segments the same way,
+    /// without re-serializing. `bytes` must be exactly one valid serialized
+    /// entry.
     ///
     /// # Errors
     ///
-    /// Returns [`SegmentFullError`] when the serialized entry does not fit.
+    /// Returns [`SegmentFullError`] when the bytes do not fit.
     ///
     /// # Panics
     ///
     /// Panics if the segment is closed — appending to a closed segment is a
     /// logic error in the caller, never a runtime condition.
-    pub fn append(&mut self, entry: &LogEntry) -> Result<u32, SegmentFullError> {
-        assert!(!self.closed, "append to closed segment {}", self.id);
-        let needed = entry.serialized_len();
-        if needed > self.free() {
-            return Err(SegmentFullError {
-                free: self.free(),
-                needed,
-            });
-        }
-        let mut bytes = Vec::with_capacity(needed);
-        entry.serialize_into(&mut bytes);
-        Ok(self.buf.append(&bytes) as u32)
-    }
-
-    /// Appends pre-serialized entry bytes (a straight memcpy), returning the
-    /// byte offset. Used by the cleaner to relocate entries into survivor
-    /// segments without re-serializing; `bytes` must be exactly one valid
-    /// serialized entry, which the caller guarantees by copying it out of an
-    /// existing segment.
     pub(crate) fn append_raw(&mut self, bytes: &[u8]) -> Result<u32, SegmentFullError> {
         assert!(!self.closed, "append to closed segment {}", self.id);
         if bytes.len() > self.free() {
@@ -262,6 +247,13 @@ mod tests {
     use crate::entry::ObjectRecord;
     use crate::types::{TableId, Version};
 
+    /// Lays `entry` out and appends it.
+    fn append(seg: &mut Segment, entry: &LogEntry) -> Result<u32, SegmentFullError> {
+        let mut bytes = Vec::new();
+        entry.serialize_into(&mut bytes);
+        seg.append_raw(&bytes)
+    }
+
     fn obj(key: &str, val_len: usize, version: u64) -> LogEntry {
         LogEntry::Object(ObjectRecord {
             table: TableId(1),
@@ -276,7 +268,7 @@ mod tests {
     fn append_then_read() {
         let mut seg = Segment::new(SegmentId(0), 4096);
         let e = obj("alpha", 64, 1);
-        let off = seg.append(&e).unwrap();
+        let off = append(&mut seg, &e).unwrap();
         assert_eq!(seg.read_at(off).unwrap(), e);
     }
 
@@ -285,7 +277,7 @@ mod tests {
         let mut seg = Segment::new(SegmentId(0), 4096);
         let entries: Vec<LogEntry> = (0..5).map(|i| obj(&format!("k{i}"), 10, i + 1)).collect();
         for e in &entries {
-            seg.append(e).unwrap();
+            append(&mut seg, e).unwrap();
         }
         let walked: Vec<LogEntry> = seg.iter().map(|(_, e)| e).collect();
         assert_eq!(walked, entries);
@@ -295,7 +287,7 @@ mod tests {
     fn offsets_from_iteration_readable() {
         let mut seg = Segment::new(SegmentId(0), 4096);
         for i in 0..4 {
-            seg.append(&obj(&format!("key{i}"), 20, 1)).unwrap();
+            append(&mut seg, &obj(&format!("key{i}"), 20, 1)).unwrap();
         }
         for (off, e) in seg.iter() {
             assert_eq!(seg.read_at(off).unwrap(), e);
@@ -305,8 +297,8 @@ mod tests {
     #[test]
     fn full_segment_rejects_append() {
         let mut seg = Segment::new(SegmentId(0), 128);
-        seg.append(&obj("a", 50, 1)).unwrap();
-        let err = seg.append(&obj("b", 50, 1)).unwrap_err();
+        append(&mut seg, &obj("a", 50, 1)).unwrap();
+        let err = append(&mut seg, &obj("b", 50, 1)).unwrap_err();
         assert!(err.needed > err.free);
     }
 
@@ -315,14 +307,14 @@ mod tests {
     fn closed_segment_append_panics() {
         let mut seg = Segment::new(SegmentId(0), 4096);
         seg.close();
-        let _ = seg.append(&obj("a", 1, 1));
+        let _ = append(&mut seg, &obj("a", 1, 1));
     }
 
     #[test]
     fn roundtrip_through_bytes() {
         let mut seg = Segment::new(SegmentId(3), 4096);
         for i in 0..3 {
-            seg.append(&obj(&format!("k{i}"), 16, 1)).unwrap();
+            append(&mut seg, &obj(&format!("k{i}"), 16, 1)).unwrap();
         }
         seg.close();
         let restored =
@@ -338,7 +330,7 @@ mod tests {
     #[test]
     fn from_bytes_rejects_corruption() {
         let mut seg = Segment::new(SegmentId(0), 4096);
-        seg.append(&obj("a", 32, 1)).unwrap();
+        append(&mut seg, &obj("a", 32, 1)).unwrap();
         let mut raw = seg.as_bytes().to_vec();
         raw[30] ^= 0x1;
         assert!(Segment::from_bytes(SegmentId(0), 4096, Bytes::from(raw)).is_err());
@@ -355,7 +347,7 @@ mod tests {
         let mut seg = Segment::new(SegmentId(0), 1000);
         let e = obj("k", 100, 1);
         let sz = e.serialized_len();
-        seg.append(&e).unwrap();
+        append(&mut seg, &e).unwrap();
         assert_eq!(seg.free(), 1000 - sz);
         assert_eq!(seg.len(), sz);
     }
@@ -363,7 +355,7 @@ mod tests {
     #[test]
     fn clone_of_closed_segment_shares_bytes() {
         let mut seg = Segment::new(SegmentId(1), 4096);
-        seg.append(&obj("k", 32, 1)).unwrap();
+        append(&mut seg, &obj("k", 32, 1)).unwrap();
         seg.close();
         let snap = seg.clone();
         assert_eq!(snap.as_bytes(), seg.as_bytes());

@@ -5,15 +5,13 @@
 //! Overwrites append a new version, deletes append a tombstone, and the
 //! cleaner (see [`crate::cleaner`]) reclaims dead space.
 
-use bytes::Bytes;
-
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
 use std::sync::Arc;
 
 use crate::cleaner::{CleanKind, CleanerConfig};
 use crate::entry::{
-    object_len, tombstone_len, BodyView, CompletionId, EntryView, LogEntry, ObjectRecord,
+    object_len, tombstone_len, BodyView, CompletionId, EntryView, LogEntry, ObjectRecord, Record,
     TombstoneRecord, HEADER_BYTES, MAX_KEY_BYTES, MAX_VALUE_BYTES,
 };
 use crate::epoch::EpochTracker;
@@ -542,14 +540,12 @@ impl Store {
             (None, Some(f)) => f.next(),
             (None, None) => Version::FIRST,
         };
-        let entry = LogEntry::Object(ObjectRecord {
+        let out = self.append(Record {
             table,
-            key: Bytes::copy_from_slice(key),
-            value: Bytes::copy_from_slice(value),
+            key,
             version,
-            completion,
-        });
-        let out = self.append(&entry)?;
+            body: BodyView::Object { value, completion },
+        })?;
         self.index_object(hash, existing, out.position);
         if existing.is_some() {
             self.stats.overwrites += 1;
@@ -566,14 +562,14 @@ impl Store {
         Ok(out)
     }
 
-    /// Appends `entry` to the log; the outcome every mutation reports.
-    fn append(&mut self, entry: &LogEntry) -> Result<WriteOutcome, LogFullError> {
-        let out = self.log.append(entry)?;
+    /// Appends `record` to the log; the outcome every mutation reports.
+    fn append(&mut self, record: Record<'_>) -> Result<WriteOutcome, LogFullError> {
+        let out = self.log.append_record(record)?;
         Ok(WriteOutcome {
-            version: entry.version(),
+            version: record.version,
             position: out.position,
             sealed: out.sealed,
-            len: entry.serialized_len(),
+            len: record.len(),
         })
     }
 
@@ -636,13 +632,14 @@ impl Store {
         let Some((old_pos, old_size, old_version)) = self.find(hash, table, key) else {
             return Ok(None);
         };
-        let entry = LogEntry::Tombstone(TombstoneRecord {
+        let out = self.append(Record {
             table,
-            key: Bytes::copy_from_slice(key),
+            key,
             version: old_version,
-            dead_segment: old_pos.segment,
-        });
-        let out = self.append(&entry)?;
+            body: BodyView::Tombstone {
+                dead_segment: old_pos.segment,
+            },
+        })?;
         let removed = self.index.remove(hash, old_pos);
         debug_assert!(removed, "the entry just looked up is indexed");
         self.log.adjust_live(old_pos.segment, -(old_size as isize));
@@ -691,7 +688,15 @@ impl Store {
         if stale && newer_completion.is_none() {
             return Ok(false);
         }
-        let out = self.append(&LogEntry::Object(rec.clone()))?;
+        let out = self.append(Record {
+            table: rec.table,
+            key: &rec.key,
+            version: rec.version,
+            body: BodyView::Object {
+                value: &rec.value,
+                completion: rec.completion,
+            },
+        })?;
         if let Some(c) = newer_completion {
             self.completions.insert(c.client, (c.seq, rec.version));
         }
@@ -702,12 +707,14 @@ impl Store {
             self.log
                 .adjust_live(out.position.segment, -(out.len as isize));
             if let Some(version) = floor {
-                self.append(&LogEntry::Tombstone(TombstoneRecord {
+                self.append(Record {
                     table: rec.table,
-                    key: rec.key.clone(),
+                    key: &rec.key,
                     version,
-                    dead_segment: out.position.segment,
-                }))?;
+                    body: BodyView::Tombstone {
+                        dead_segment: out.position.segment,
+                    },
+                })?;
             }
             return Ok(false);
         }
@@ -824,6 +831,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn tiny_store() -> Store {
         Store::new(LogConfig {

@@ -18,6 +18,7 @@
 //! misparse that silently yields a different message.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rmc_core::protocol::{ClientOp, Msg, Reply};
 use rmc_runtime::NodeId;
@@ -115,9 +116,55 @@ fn put_reply(out: &mut Vec<u8>, reply: &Reply) {
     }
 }
 
+/// The bytes [`encode_msg`] writes for `msg`, so its buffer is sized once.
+fn encoded_len(msg: &Msg) -> usize {
+    const U64: usize = 8;
+    const COUNT: usize = 4;
+    let bytes = |b: &[u8]| COUNT + b.len();
+    let usizes = |xs: &[usize]| COUNT + U64 * xs.len();
+    let body = match msg {
+        Msg::Request { op, .. } => {
+            U64 + 1
+                + match op {
+                    ClientOp::Put { key, value } => bytes(key) + bytes(value),
+                    ClientOp::Get { key } | ClientOp::Del { key } => bytes(key),
+                }
+        }
+        Msg::Response { reply, .. } => {
+            U64 + 1
+                + match reply {
+                    Reply::Done { .. } => U64,
+                    Reply::Value(v) => 1 + v.as_deref().map_or(0, bytes),
+                    Reply::WrongOwner => 0,
+                }
+        }
+        Msg::Replicate { bytes: b, .. } => U64 + bytes(b) + 2 * U64,
+        Msg::ReplicateAck { .. } | Msg::Heartbeat { .. } => 2 * U64,
+        Msg::MapRequest | Msg::StatsRequest => 0,
+        Msg::TakeOver {
+            buckets, survivors, ..
+        } => U64 + usizes(buckets) + usizes(survivors) + U64,
+        Msg::FetchSegments { .. } => U64,
+        Msg::SegmentData { segments, .. } => {
+            U64 + COUNT + segments.iter().map(|(_, b)| U64 + bytes(b)).sum::<usize>()
+        }
+        Msg::TakeOverDone { buckets, .. } => U64 + usizes(buckets) + U64,
+        Msg::MapUpdate { owners, alive, .. } => U64 + usizes(owners) + COUNT + alive.len(),
+        Msg::StatsReply { stats } => {
+            COUNT
+                + stats
+                    .iter()
+                    .map(|(name, _)| bytes(name.as_bytes()) + U64)
+                    .sum::<usize>()
+        }
+    };
+    // The sender's id, then the variant tag.
+    U64 + 1 + body
+}
+
 /// Encodes `(from, msg)` as a `Msg`-frame payload.
 pub fn encode_msg(from: NodeId, msg: &Msg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
+    let mut out = Vec::with_capacity(encoded_len(msg));
     put_u64(&mut out, from.0 as u64);
     match msg {
         Msg::Request { seq, op } => {
@@ -255,6 +302,13 @@ impl<'a> Cursor<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// A byte string copied once, straight into the buffer its
+    /// receivers share.
+    fn shared(&mut self) -> Result<Arc<[u8]>, CodecError> {
+        let n = self.count()?;
+        Ok(Arc::from(self.take(n)?))
+    }
+
     fn string(&mut self) -> Result<String, CodecError> {
         String::from_utf8(self.bytes()?).map_err(|_| CodecError::BadUtf8)
     }
@@ -324,7 +378,7 @@ pub fn decode_msg(payload: &[u8]) -> Result<(NodeId, Msg), CodecError> {
         },
         2 => Msg::Replicate {
             segment: c.u64()?,
-            bytes: c.bytes()?,
+            bytes: c.shared()?,
             token: (c.u64()?, c.u64()?),
         },
         3 => Msg::ReplicateAck {
@@ -489,7 +543,7 @@ mod tests {
             (any::<u64>(), key(), any::<u64>(), any::<u64>()).prop_map(|(segment, bytes, a, b)| {
                 Msg::Replicate {
                     segment,
-                    bytes,
+                    bytes: bytes.into(),
                     token: (a, b),
                 }
             }),
@@ -538,6 +592,7 @@ mod tests {
         #[test]
         fn msg_roundtrips(from in 0usize..64, m in msg()) {
             let bytes = encode_msg(NodeId(from), &m);
+            prop_assert_eq!(bytes.len(), encoded_len(&m), "sized once, exactly");
             let (f, decoded) = decode_msg(&bytes).expect("own encoding decodes");
             prop_assert_eq!(f, NodeId(from));
             prop_assert_eq!(decoded, m);
@@ -565,7 +620,7 @@ mod tests {
                 reader.feed(&stream[pos..pos + step]);
                 pos += step;
                 while let Some(frame) = reader.next_frame().expect("well-formed stream") {
-                    decoded.push(decode_msg(&frame.payload).expect("intact payload").1);
+                    decoded.push(decode_msg(frame.payload).expect("intact payload").1);
                 }
             }
             prop_assert_eq!(decoded, msgs);
@@ -589,7 +644,7 @@ mod tests {
             reader.feed(&stream[..cut]);
             let mut decoded = Vec::new();
             while let Some(frame) = reader.next_frame().expect("prefix of a valid stream") {
-                decoded.push(decode_msg(&frame.payload).expect("intact payload").1);
+                decoded.push(decode_msg(frame.payload).expect("intact payload").1);
             }
             prop_assert!(decoded.len() <= msgs.len());
             prop_assert_eq!(&decoded[..], &msgs[..decoded.len()]);

@@ -715,9 +715,13 @@ impl WireInbox {
         };
         self.conns[i].frames.feed(&self.buf[..n]);
         loop {
-            match self.conns[i].frames.next_frame() {
+            let Conn { id, frames, .. } = &mut self.conns[i];
+            let conn = *id;
+            // Decoded where it was read: the payload is a slice of the
+            // connection's buffer, which the next read compacts.
+            let inbound = match frames.next_frame() {
                 Ok(None) => return true,
-                Ok(Some(frame)) => self.handle_frame(frame, self.conns[i].id),
+                Ok(Some(frame)) => decode(&self.fabric, frame),
                 Err(_) => {
                     // Framing lost: there is no way to resynchronize a
                     // byte stream whose boundaries are gone. Count and
@@ -725,42 +729,50 @@ impl WireInbox {
                     self.fabric.metrics.decode_errors.incr();
                     return false;
                 }
-            }
-        }
-    }
-
-    /// Decodes one reassembled frame that arrived on connection `conn`.
-    fn handle_frame(&mut self, frame: Frame, conn: u64) {
-        self.fabric.metrics.frames_rx.incr();
-        let event = match frame.kind {
-            FrameKind::Hello => match codec::decode_hello(&frame.payload) {
+            };
+            match inbound {
                 // The dialer's socket becomes our route back to it: replies
                 // multiplex over the connection the requests arrive on.
-                Ok(peer) => return self.adopt(peer, conn),
-                Err(e) => Err(e),
-            },
-            FrameKind::Msg => codec::decode_msg(&frame.payload).map(|(from, msg)| {
-                let fabric = &self.fabric;
-                msg.record_span(
-                    &fabric.spans,
-                    SpanKind::Deliver,
-                    from,
-                    fabric.me,
-                    fabric.now(),
-                );
-                Event::Msg { from, msg }
-            }),
-            FrameKind::TraceRequest => {
-                codec::decode_trace_request(&frame.payload).map(|from| Event::TraceRequest { from })
+                Ok(Inbound::Hello(peer)) => self.adopt(peer, conn),
+                Ok(Inbound::Event(event)) => self.ready.push_back(event),
+                Err(_) => self.fabric.metrics.decode_errors.incr(),
             }
-            FrameKind::TraceReply => codec::decode_trace_reply(&frame.payload)
-                .map(|(from, text)| Event::TraceReply { from, text }),
-        };
-        match event {
-            Ok(event) => self.ready.push_back(event),
-            Err(_) => self.fabric.metrics.decode_errors.incr(),
         }
     }
+}
+
+/// What one frame asks of the node.
+enum Inbound {
+    /// A dialer named itself.
+    Hello(NodeId),
+    /// Something to hand out.
+    Event(Event<Msg>),
+}
+
+/// Decodes one reassembled frame, counting it.
+fn decode(fabric: &WireFabric, frame: Frame<'_>) -> Result<Inbound, codec::CodecError> {
+    fabric.metrics.frames_rx.incr();
+    let payload = frame.payload;
+    let event = match frame.kind {
+        FrameKind::Hello => return codec::decode_hello(payload).map(Inbound::Hello),
+        FrameKind::Msg => codec::decode_msg(payload).map(|(from, msg)| {
+            msg.record_span(
+                &fabric.spans,
+                SpanKind::Deliver,
+                from,
+                fabric.me,
+                fabric.now(),
+            );
+            Event::Msg { from, msg }
+        }),
+        FrameKind::TraceRequest => {
+            codec::decode_trace_request(payload).map(|from| Event::TraceRequest { from })
+        }
+        FrameKind::TraceReply => {
+            codec::decode_trace_reply(payload).map(|(from, text)| Event::TraceReply { from, text })
+        }
+    };
+    event.map(Inbound::Event)
 }
 
 #[cfg(test)]

@@ -62,13 +62,14 @@ impl FrameKind {
     }
 }
 
-/// One reassembled frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+/// One reassembled frame, read in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
     /// What the payload is.
     pub kind: FrameKind,
-    /// The payload bytes (owned: the reader's buffer moves on).
-    pub payload: Vec<u8>,
+    /// The payload bytes, borrowed from the reader's buffer: valid until
+    /// the reader is next fed, so a frame is decoded where it was read.
+    pub payload: &'a [u8],
 }
 
 /// A malformed header. All variants are unrecoverable for the connection:
@@ -136,7 +137,8 @@ impl FrameReader {
 
     /// Appends freshly read bytes to the pending buffer. Frames popped
     /// since the last feed are dropped from its front here, in one move,
-    /// not one move per frame.
+    /// not one move per frame — the only place the buffer is compacted, so
+    /// a popped frame's payload stays where it is until then.
     pub fn feed(&mut self, bytes: &[u8]) {
         if self.head > 0 {
             self.buf.drain(..self.head);
@@ -159,7 +161,7 @@ impl FrameReader {
     /// malformed — each header field is validated the moment it is
     /// complete, so a bad magic is detected after four bytes, not after a
     /// bogus length prefix has been waited on.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+    pub fn next_frame(&mut self) -> Result<Option<Frame<'_>>, FrameError> {
         let buf = &self.buf[self.head..];
         if buf.len() >= 4 {
             let magic: [u8; 4] = buf[..4].try_into().expect("4 bytes");
@@ -186,15 +188,11 @@ impl FrameReader {
         if buf.len() < HEADER_LEN + len {
             return Ok(None);
         }
-        let payload = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-        self.head += HEADER_LEN + len;
-        if self.head == self.buf.len() {
-            self.buf.clear();
-            self.head = 0;
-        }
+        let start = self.head + HEADER_LEN;
+        self.head = start + len;
         Ok(Some(Frame {
             kind: kind.expect("header complete"),
-            payload,
+            payload: &self.buf[start..self.head],
         }))
     }
 }
@@ -226,13 +224,13 @@ mod tests {
         for b in stream {
             r.feed(&[b]);
             while let Some(f) = r.next_frame().unwrap() {
-                frames.push(f);
+                frames.push((f.kind, f.payload.to_vec()));
             }
         }
         assert_eq!(frames.len(), 3);
-        assert_eq!(frames[0].kind, FrameKind::Hello);
-        assert_eq!(frames[1].payload.len(), 300);
-        assert_eq!(frames[2].kind, FrameKind::TraceRequest);
+        assert_eq!(frames[0].0, FrameKind::Hello);
+        assert_eq!(frames[1].1.len(), 300);
+        assert_eq!(frames[2].0, FrameKind::TraceRequest);
     }
 
     /// One read can hold dozens of frames (the readiness loop reads up to
