@@ -20,11 +20,9 @@ use rmc_bench::Verdict::{Diverges, Reproduces};
 use rmc_bench::{
     col, falling, rising, within, Artefact, ExpCtx, Finding, Rows, Sim, Table, DOCUMENTED_SCALE,
 };
-use rmc_core::{
-    ClientAffinity, ClusterConfig, Consistency, ElasticPolicy, Placement, RecoveryReport, RunReport,
-};
+use rmc_core::{ClientAffinity, ClusterConfig, RecoveryReport, RunReport};
 use rmc_sim::{SimDuration, SimTime};
-use rmc_ycsb::StandardWorkload::{self, A, B, C, D, F};
+use rmc_ycsb::StandardWorkload::{self, A, B, C};
 use rmc_ycsb::WorkloadSpec;
 
 fn main() -> ExitCode {
@@ -182,44 +180,6 @@ fn fig12(ctx: &ExpCtx) -> Vec<Rows> {
     vec![report.disk_timeline.iter().map(row).collect()]
 }
 
-/// Random vs copyset placement: in how many of 200 trials 3, 4 and 5
-/// simultaneous failures lose some segment's master and all its backups
-/// (20 servers, R3).
-fn ablation_copyset(ctx: &ExpCtx) -> Vec<Rows> {
-    let (servers, trials) = (20usize, 200u64);
-    let losses = |placement: Placement| {
-        let mut losses = [0u32; 3];
-        for trial in 0..trials {
-            let workload = WorkloadSpec::standard(C)
-                .with_record_count(2_000)
-                .with_ops_per_client(0);
-            let mut cfg = ClusterConfig::new(servers, 1, workload)
-                .with_replication(3)
-                .with_seed(ctx.seed + trial);
-            cfg.placement = placement;
-            let cluster = ExpCtx::preloaded(cfg);
-            // Deterministic pseudo-random victims per trial; the first n
-            // of them are the n simultaneous failures.
-            let mut dead = Vec::new();
-            let mut x = trial.wrapping_mul(0x9E3779B97F4A7C15);
-            while dead.len() < 5 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let v = (x >> 33) as usize % servers;
-                if !dead.contains(&v) {
-                    dead.push(v);
-                }
-            }
-            for (i, lost) in losses.iter_mut().enumerate() {
-                *lost += u32::from(cluster.would_lose_data(&dead[..i + 3]));
-            }
-        }
-        losses.map(|lost| format!("{:.4}", f64::from(lost) / trials as f64))
-    };
-    let (random, copyset) = (losses(Placement::Random), losses(Placement::Copyset));
-    let row = |i: usize| vec![(i + 3).to_string(), random[i].clone(), copyset[i].clone()];
-    vec![(0..3).map(row).collect()]
-}
-
 /// In Fig 10's rows, the seconds in which the lost-data client (client 0)
 /// completed nothing: `(last completion before, first completion after)`.
 fn blocked_window(t: &Table) -> (f64, f64) {
@@ -253,11 +213,11 @@ fn pct(new: f64, old: f64) -> f64 {
 }
 
 /// Every table and figure of the paper's evaluation, then the §IX
-/// ablations: the only enumeration of the artefacts. `all` runs it in
-/// order; EXPERIMENTS.md cites the findings by `id`. (Laid out by hand, one
-/// claim a line: rustfmt leaves an item alone once a string in it cannot be
-/// wrapped.)
-static ARTEFACTS: [Artefact; 20] = [
+/// segment-size ablation: the only enumeration of the artefacts. `all` runs
+/// it in order; EXPERIMENTS.md cites the findings by `id`. (Laid out by hand,
+/// one claim a line: rustfmt leaves an item alone once a string in it cannot
+/// be wrapped.)
+static ARTEFACTS: [Artefact; 16] = [
     Artefact {
         name: "fig1",
         title: "Fig 1: read-only throughput (a) and power per server (b), servers {1,5,10} × clients {1,10,30}, no replication",
@@ -594,86 +554,6 @@ static ARTEFACTS: [Artefact; 20] = [
                 let spread = ssd.iter().copied().fold(0.0, f64::max) - ssd.iter().copied().fold(f64::MAX, f64::min);
                 let measured = format!("HDD {:.1} s at 1 MB vs {:.1} s at 8 MB; SSD within {spread:.2} s", hdd[0], hdd[3]);
                 (hdd[0] / hdd[3] >= 1.3 && spread <= 0.2, measured)
-            }),
-        ],
-    },
-    Artefact {
-        name: "ablation-consistency",
-        title: "§IX-B: strong vs relaxed write consistency vs replication factor (20 servers, 10 clients, workload A)",
-        csv: &[("ablation_consistency", "replication,strong_ops,relaxed_ops,strong_watts,relaxed_watts")],
-        build: |ctx| {
-            let sim = |r, consistency| {
-                let mut cfg = sec_v(ctx, 20, 10, A).with_replication(r);
-                cfg.consistency = consistency;
-                cfg
-            };
-            let modes = [Consistency::Strong, Consistency::Relaxed];
-            vec![ctx.grid(&R14, &modes, sim, &[(&THR, 0), (&WATTS, 2)]).wide(&[0, 1], true)]
-        },
-        paper: "§IX-B hypothesis: answering before backup acks removes most of the replication penalty",
-        findings: &[
-            Finding::new("consistency.relaxed-flat", Reproduces, "§IX-B: answering before the backup acks holds throughput flat in R where strong consistency falls", |t| {
-                let (strong, relaxed) = (col(&t[0], 1), col(&t[0], 2));
-                let measured = format!("relaxed {} → {}, strong {} → {}", kops(relaxed[0]), kops(relaxed[3]), kops(strong[0]), kops(strong[3]));
-                (falling(&strong) && pct(relaxed[3], relaxed[0]).abs() <= 1.0, measured + " from R1 to R4")
-            }),
-        ],
-    },
-    Artefact {
-        name: "ablation-copyset",
-        title: "Random vs copyset backup placement: probability that {3,4,5} simultaneous failures lose data (20 servers, R3, 200 trials)",
-        csv: &[("ablation_copyset", "simultaneous_failures,random_loss_prob,copyset_loss_prob")],
-        build: ablation_copyset,
-        paper: "Cidon et al. (cited as [28]): copyset placement loses data in far fewer failure combinations",
-        findings: &[
-            Finding::new("copyset.fewer-losses", Reproduces, "[28]: copysets never lose data more often than random placement, and less often at 5 failures", |t| {
-                let holds = t[0].iter().all(|row| row[2] <= row[1]) && t[0][2][2] < t[0][2][1];
-                (holds, format!("at 5 failures random {:.1} %, copyset {:.1} %", t[0][2][1] * 100.0, t[0][2][2] * 100.0))
-            }),
-        ],
-    },
-    Artefact {
-        name: "ablation-elastic",
-        title: "§IX-A: static vs elastic cluster sizing under sustained light load (10 servers, clients {1,2,6} throttled to 500 req/s)",
-        csv: &[("ablation_elastic", "clients,static_ops,elastic_ops,static_kj,elastic_kj,energy_saved_frac")],
-        build: |ctx| {
-            let sim = |clients: u32, elastic: bool| {
-                let workload = WorkloadSpec::standard(C).with_record_count(20_000);
-                let workload = workload.with_ops_per_client(ctx.ops(300_000));
-                let mut cfg = ClusterConfig::new(10, clients as usize, workload).with_throttle(500.0);
-                cfg.elastic = elastic.then(ElasticPolicy::default);
-                cfg.with_seed(ctx.seed)
-            };
-            let (kj, joules) = (|r: &RunReport| r.total_energy_kj(), |r: &RunReport| r.energy.total_energy_joules);
-            let g = ctx.grid(&[1, 2, 6], &[false, true], sim, &[(&THR, 0), (&kj, 3), (&joules, 0)]);
-            let mut rows = g.wide(&[0, 1], true);
-            for (row, cells) in rows.iter_mut().zip(&g.cells) {
-                row.push(format!("{:.4}", 1.0 - cells[1][2] / cells[0][2]));
-            }
-            vec![rows]
-        },
-        paper: "§IX-A hypothesis: adapting the number of servers to the workload recovers the energy-proportionality lost to polling",
-        findings: &[
-            Finding::new("elastic.saves", Reproduces, "§IX-A: draining idle servers saves most of the energy at unchanged throughput", |t| {
-                let holds = t[0].iter().all(|row| (row[2] / row[1] - 1.0).abs() <= 0.01 && within(row[5], 0.55, 0.65));
-                (holds, format!("{:.1}-{:.1} % saved at equal op/s", t[0][2][5] * 100.0, t[0][0][5] * 100.0))
-            }),
-        ],
-    },
-    Artefact {
-        name: "extra-workloads",
-        title: "YCSB D (read latest, 5 % inserts) and F (read-modify-write) beside A/B/C (10 servers, 30 clients)",
-        csv: &[("extra_workloads", "workload,throughput_ops,avg_node_watts,ops_per_joule")],
-        build: |ctx| {
-            let g = ctx.grid(&[A, B, C, D, F], &[30], |w, c| sec_v(ctx, 10, c, w), &[(&THR, 0), (&WATTS, 2), (&OP_PER_J, 1)]);
-            vec![g.wide(&[0, 1, 2], false)]
-        },
-        paper: "named as future work; expectation: D behaves like B (reads dominate; inserts are writes), F like A (RMW pays the update path)",
-        findings: &[
-            Finding::new("extra.d-like-b", Reproduces, "D performs like B and F exactly like A", |t| {
-                let x = col(&t[0], 1);
-                let measured = format!("D {} vs B {}; F {} vs A {}", kops(x[3]), kops(x[1]), kops(x[4]), kops(x[0]));
-                ((x[3] / x[1] - 1.0).abs() <= 0.02 && x[4] == x[0], measured)
             }),
         ],
     },

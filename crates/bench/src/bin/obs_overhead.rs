@@ -139,9 +139,6 @@ fn run_ablation(scale: Scale) -> Result<Vec<Measurement>, String> {
         mix: Mix {
             read: 1.0,
             update: 0.0,
-            insert: 0.0,
-            rmw: 0.0,
-            scan: 0.0,
         },
         distribution: Distribution::Uniform,
         record_count: scale.record_count,

@@ -62,9 +62,6 @@ fn spec_for(name: &str, read_fraction: f64, scale: Scale) -> WorkloadSpec {
         mix: Mix {
             read: read_fraction,
             update: 1.0 - read_fraction,
-            insert: 0.0,
-            rmw: 0.0,
-            scan: 0.0,
         },
         distribution: Distribution::Uniform,
         record_count: scale.record_count,

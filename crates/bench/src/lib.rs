@@ -132,14 +132,6 @@ impl ExpCtx {
         report
     }
 
-    /// The one artefact input that is not a run: a loaded, idle cluster
-    /// whose replica placement `ablation-copyset` inspects.
-    pub fn preloaded(cfg: ClusterConfig) -> Cluster {
-        let mut cluster = Cluster::new(cfg);
-        cluster.preload();
-        cluster
-    }
-
     /// How many of the requested runs the memo saved.
     pub fn memo_summary(&self) -> String {
         let simulated = self.memo.borrow().len() as u64;

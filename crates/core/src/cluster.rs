@@ -18,7 +18,7 @@ use rmc_runtime::{MetricsRegistry, SimDuration, SimRng, SimTime};
 use rmc_sim::{Scheduler, Simulation};
 use rmc_ycsb::{ClientStats, OpKind, RequestGenerator, Throttle};
 
-use crate::config::{ClientAffinity, ClusterConfig, Consistency, Placement};
+use crate::config::{ClientAffinity, ClusterConfig};
 use crate::coordinator::{Coordinator, RecoveryState};
 use crate::ids::OpId;
 use crate::node::{QueuedWork, SegMeta, ServerNode};
@@ -306,32 +306,11 @@ impl Cluster {
             .filter(|&s| s != master)
             .collect();
         let r = self.cfg.replication as usize;
-        match self.cfg.placement {
-            Placement::Random => self
-                .rng
-                .sample_indices(candidates.len(), r)
-                .into_iter()
-                .map(|i| candidates[i])
-                .collect(),
-            Placement::Copyset => {
-                // Deterministic copyset groups: candidates partitioned into
-                // ⌈n/r⌉ contiguous groups (rotated by the master id so
-                // groups differ per master); a master always replicates a
-                // segment into one whole group.
-                if candidates.len() <= r {
-                    return candidates;
-                }
-                let groups = candidates.len() / r.max(1);
-                let g = if groups == 0 {
-                    0
-                } else {
-                    (self.rng.gen_below(groups as u64) as usize + master) % groups
-                };
-                (0..r)
-                    .map(|k| candidates[(g * r + k) % candidates.len()])
-                    .collect()
-            }
-        }
+        self.rng
+            .sample_indices(candidates.len(), r)
+            .into_iter()
+            .map(|i| candidates[i])
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -444,10 +423,7 @@ impl Cluster {
             return;
         }
         let server = self.coord.owner_of_bucket(bucket);
-        let is_write = matches!(
-            kind,
-            OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite
-        );
+        let is_write = kind == OpKind::Update;
         let overhead_us = if is_write {
             self.cfg.calib.client_write_overhead_us
         } else {
@@ -498,10 +474,7 @@ impl Cluster {
         };
         let now = sched.now();
         let latency = now.saturating_since(sent_at);
-        let is_write = matches!(
-            kind,
-            OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite
-        );
+        let is_write = kind == OpKind::Update;
         self.clients[client].stats.record(now, latency, is_write);
         self.completed_ops += 1;
         self.last_completion = now;
@@ -541,13 +514,9 @@ impl Cluster {
             }
             _ => {
                 let (is_write, client) = match &state.payload {
-                    OpPayload::Client { kind, client, .. } => (
-                        matches!(
-                            kind,
-                            OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite
-                        ),
-                        Some(*client),
-                    ),
+                    OpPayload::Client { kind, client, .. } => {
+                        (*kind == OpKind::Update, Some(*client))
+                    }
                     _ => (false, None),
                 };
                 let _ = client;
@@ -569,7 +538,7 @@ impl Cluster {
         let is_client_write = matches!(
             state.payload,
             OpPayload::Client {
-                kind: OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite,
+                kind: OpKind::Update,
                 ..
             }
         );
@@ -630,13 +599,12 @@ impl Cluster {
             OpPayload::Client { kind, .. } => {
                 let kind = *kind;
                 self.nodes[node_id].in_service -= 1;
-                self.nodes[node_id].ops_bins.add(sched.now(), 1.0);
                 match kind {
-                    OpKind::Read | OpKind::Scan => {
+                    OpKind::Read => {
                         self.execute_read(node_id, op);
                         self.respond_to_client(op, sched);
                     }
-                    OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite => {
+                    OpKind::Update => {
                         // Writer occupancy runs until the write completes
                         // (including the replication-ack wait): the thread
                         // exists and contends for that whole span.
@@ -763,15 +731,8 @@ impl Cluster {
             state.acks_remaining = live_backups.len() as u32;
             state.block_start = now;
         }
-        let strong = self.cfg.consistency == Consistency::Strong;
-        let worker = self.ops.get(&op).and_then(|s| s.worker);
-        if strong {
-            if let Some(w) = worker {
-                self.nodes[node_id].workers[w].free_at = SimTime::MAX;
-            }
-        } else {
-            self.nodes[node_id].adjust_writers(now, -1);
-            self.respond_to_client(op, sched);
+        if let Some(w) = self.ops.get(&op).and_then(|s| s.worker) {
+            self.nodes[node_id].workers[w].free_at = SimTime::MAX;
         }
         // Issue replication RPCs; each send costs master-side worker time,
         // inflated by the node's thread-contention factor (Finding 3).
@@ -789,7 +750,7 @@ impl Cluster {
                     bytes: entry_bytes.clone(),
                     nominal: nominal_entry,
                     entries: 1,
-                    reply_to: if strong { Some(op) } else { None },
+                    reply_to: Some(op),
                     recovery: false,
                 },
             );
@@ -801,10 +762,8 @@ impl Cluster {
                 });
             });
         }
-        if strong {
-            // Account the send costs as worker busy time immediately.
-            self.nodes[node_id].cpu.add_span(now, send_at, 1.0);
-        }
+        // Account the send costs as worker busy time immediately.
+        self.nodes[node_id].cpu.add_span(now, send_at, 1.0);
     }
 
     fn seal_segment(&mut self, master: usize, segment: u64, sched: Sched) {
@@ -925,11 +884,9 @@ impl Cluster {
             }
             self.ops.remove(&master_op);
             self.replay_chunk_complete(node_id, sched);
-        } else if self.cfg.consistency == Consistency::Strong {
+        } else {
             self.nodes[node_id].adjust_writers(now, -1);
             self.respond_to_client(master_op, sched);
-        } else {
-            self.ops.remove(&master_op);
         }
         self.pump_pending(node_id, sched);
     }
@@ -962,7 +919,7 @@ impl Cluster {
         };
         let client = *client;
         let resp_bytes = match kind {
-            OpKind::Read | OpKind::Scan => self.cfg.payload.nominal_value_bytes as u64 + 40,
+            OpKind::Read => self.cfg.payload.nominal_value_bytes as u64 + 40,
             _ => 48,
         };
         let client_net = self.clients[client].net_node;
@@ -1063,12 +1020,6 @@ impl Cluster {
             seq,
         });
         self.clients[client].next_seq = self.clients[client].next_seq.max(seq + 1);
-    }
-
-    /// Runs one elastic-sizing evaluation immediately and schedules the
-    /// next (for tests and custom drivers).
-    pub fn elastic_check_now(&mut self, sched: Sched) {
-        self.elastic_check(sched);
     }
 
     fn kill_server(&mut self, victim: usize, sched: Sched) {
@@ -1517,168 +1468,6 @@ impl Cluster {
         }
     }
 
-    /// Checks, from replica metadata alone, whether simultaneously losing
-    /// `dead` servers would lose data: true when some segment's master and
-    /// every backup are all in `dead`. Used by the copyset analysis.
-    pub fn would_lose_data(&self, dead: &[usize]) -> bool {
-        let is_dead = |s: usize| dead.contains(&s);
-        for master in 0..self.cfg.servers {
-            if !is_dead(master) {
-                continue;
-            }
-            for meta in self.nodes[master].segments.values() {
-                if meta.entries > 0 && meta.backups.iter().all(|&b| is_dead(b)) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    // ------------------------------------------------------------------
-    // Elastic cluster sizing (§IX-A)
-    // ------------------------------------------------------------------
-
-    /// Periodic coordinator check: drain a server when the cluster is
-    /// under-utilized, wake one when it saturates. Reschedules itself until
-    /// the workload completes.
-    fn elastic_check(&mut self, sched: Sched) {
-        let Some(policy) = self.cfg.elastic else {
-            return;
-        };
-        let now = sched.now();
-        if self.done_clients >= self.clients.len() {
-            return; // workload over; let the simulation drain
-        }
-        let bin = (now.as_secs_f64() as usize).saturating_sub(1);
-        let active = self.coord.active_servers();
-        if !active.is_empty() {
-            // Served load per active server against the dispatch-bound peak
-            // rate. Raw CPU would read ≥50 % even when idle-ish (polling +
-            // spinning, Finding 1) and never trigger a drain.
-            let peak_rate = 1e6 / self.cfg.calib.dispatch_us;
-            let served: f64 = active
-                .iter()
-                .map(|&s| self.nodes[s].ops_bins.gbps(bin) * 1e9)
-                .sum();
-            let avg = served / active.len() as f64 / peak_rate;
-            if avg < policy.low_util && active.len() > policy.min_servers {
-                // Drain the highest-indexed active server.
-                let victim = *active.last().expect("non-empty");
-                self.drain_server(victim, sched);
-            } else if avg > policy.high_util {
-                if let Some(&sleeper) = self
-                    .coord
-                    .alive_servers()
-                    .iter()
-                    .find(|&&s| self.coord.is_standby(s))
-                {
-                    self.wake_server(sleeper, sched);
-                }
-            }
-        }
-        let interval = SimDuration::from_secs_f64(policy.check_interval_secs);
-        sched.schedule_after(interval, move |cl: &mut Cluster, s| cl.elastic_check(s));
-    }
-
-    /// Migrates every tablet off `victim` to the remaining active servers,
-    /// then suspends it. Migration cost is modelled as a bulk transfer of
-    /// the victim's live data.
-    fn drain_server(&mut self, victim: usize, sched: Sched) {
-        let now = sched.now();
-        let targets: Vec<usize> = self
-            .coord
-            .active_servers()
-            .into_iter()
-            .filter(|&s| s != victim)
-            .collect();
-        if targets.is_empty() {
-            return;
-        }
-        let buckets = self.coord.buckets_of(victim);
-        let moves: Vec<(usize, usize)> = buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (b, targets[i % targets.len()]))
-            .collect();
-        // Transfer duration: live nominal bytes over the NIC, plus suspend
-        // latency.
-        let live_entries = self.nodes[victim].store.object_count() as u64;
-        let bytes = live_entries * self.nominal_entry();
-        let secs = bytes as f64 / self.cfg.net.bytes_per_sec + 0.5;
-        let done = now + SimDuration::from_secs_f64(secs);
-        sched.schedule_at(done, move |cl: &mut Cluster, s| {
-            cl.finish_drain(victim, &moves, s);
-        });
-    }
-
-    fn finish_drain(&mut self, victim: usize, moves: &[(usize, usize)], sched: Sched) {
-        let now = sched.now();
-        if !self.nodes[victim].alive {
-            return;
-        }
-        // Move the real objects bucket by bucket.
-        let objects: Vec<rmc_logstore::ObjectRecord> =
-            self.nodes[victim].store.live_objects().collect();
-        let bucket_target: BTreeMap<usize, usize> = moves.iter().copied().collect();
-        for obj in objects {
-            let bucket = self.coord.bucket_of(obj.table, &obj.key);
-            if let Some(&target) = bucket_target.get(&bucket) {
-                let _ = self.nodes[target].store.replay_object(&obj);
-            }
-        }
-        self.coord.reassign(moves);
-        self.coord.mark_standby(victim, true);
-        self.nodes[victim].set_standby(now, true);
-    }
-
-    /// Resumes a suspended server and rebalances a fair share of tablets
-    /// (with their data) onto it.
-    fn wake_server(&mut self, sleeper: usize, sched: Sched) {
-        let now = sched.now();
-        self.coord.mark_standby(sleeper, false);
-        // Resume latency before it can own tablets.
-        let ready = now + SimDuration::from_secs_f64(2.0);
-        sched.schedule_at(ready, move |cl: &mut Cluster, s| {
-            cl.finish_wake(sleeper, s);
-        });
-    }
-
-    fn finish_wake(&mut self, sleeper: usize, sched: Sched) {
-        let now = sched.now();
-        if !self.nodes[sleeper].alive {
-            return;
-        }
-        self.nodes[sleeper].set_standby(now, false);
-        let active = self.coord.active_servers();
-        let share = self.coord.buckets() / active.len().max(1);
-        // Steal a fair share of buckets round-robin from current owners.
-        let mut moves = Vec::new();
-        for b in 0..self.coord.buckets() {
-            if moves.len() >= share {
-                break;
-            }
-            if b % active.len().max(1) == sleeper % active.len().max(1)
-                && self.coord.owner_of_bucket(b) != sleeper
-            {
-                moves.push((b, sleeper));
-            }
-        }
-        // Move the data (bulk, modelled as already-paid resume window).
-        for &(bucket, _) in &moves {
-            let owner = self.coord.owner_of_bucket(bucket);
-            let objects: Vec<rmc_logstore::ObjectRecord> = self.nodes[owner]
-                .store
-                .live_objects()
-                .filter(|o| self.coord.bucket_of(o.table, &o.key) == bucket)
-                .collect();
-            for obj in objects {
-                let _ = self.nodes[sleeper].store.replay_object(&obj);
-            }
-        }
-        self.coord.reassign(&moves);
-    }
-
     // ------------------------------------------------------------------
     // The run driver
     // ------------------------------------------------------------------
@@ -1690,7 +1479,6 @@ impl Cluster {
     pub fn run_with_min_duration(mut self, min_duration: SimDuration) -> RunReport {
         self.preload();
         let kill = self.kill_plan;
-        let elastic = self.cfg.elastic;
         let mut sim = Simulation::new(self);
         let rt = sim.scheduler_mut();
         rt.schedule_at(SimTime::ZERO, move |cl: &mut Cluster, s| {
@@ -1701,15 +1489,11 @@ impl Cluster {
         if let Some((at, victim)) = kill {
             rt.schedule_at(at, move |cl: &mut Cluster, s| cl.kill_server(victim, s));
         }
-        if let Some(policy) = elastic {
-            let interval = SimDuration::from_secs_f64(policy.check_interval_secs);
-            rt.schedule_after(interval, move |cl: &mut Cluster, s| cl.elastic_check(s));
-        }
         let sim_end = sim.run();
         let cluster = sim.into_state();
         // Measure to the end of *useful* activity: the last client
-        // completion or recovery finish. Housekeeping events (elastic
-        // checks, trailing disk flushes) must not pad the energy window.
+        // completion or recovery finish. Housekeeping events (trailing
+        // disk flushes) must not pad the energy window.
         let end_activity = cluster
             .last_completion
             .max(cluster.recovery_finished_at.unwrap_or(SimTime::ZERO));
@@ -1743,23 +1527,14 @@ impl Cluster {
             let mut watt_sum = 0.0;
             let mut live = 0usize;
             for (i, node) in self.nodes.iter().enumerate() {
-                let standby = node.is_standby_at(SimTime::from_millis(sec as u64 * 1000 + 500));
-                let cpu = if standby {
-                    0.0
-                } else {
-                    node.cpu_fraction(sec, coverage, &cfg.calib)
-                };
+                let cpu = node.cpu_fraction(sec, coverage, &cfg.calib);
                 let activity = NodeActivity {
                     cpu,
                     disk: (node.disk.busy_fraction(sec) / coverage).min(1.0),
                     mem_write_gbps: node.mem_write.gbps(sec) / coverage,
                     nic_gbps: self.net.traffic_gbps(i, sec) / coverage,
                 };
-                let watts = if standby {
-                    cfg.power.suspend_watts
-                } else {
-                    cfg.power.power(activity)
-                };
+                let watts = cfg.power.power(activity);
                 pdu.sample(i, t, watts);
                 let dead = node
                     .killed_at
@@ -1797,18 +1572,6 @@ impl Cluster {
                 .min(cfg.calib.worker_threads as f64);
             per_node_cpu.push(((dispatch + workers) / cfg.calib.cores as f64).min(1.0));
         }
-
-        let active_servers_timeline: Vec<(f64, usize)> = (0..secs)
-            .map(|sec| {
-                let mid = SimTime::from_millis(sec as u64 * 1000 + 500);
-                let active = self
-                    .nodes
-                    .iter()
-                    .filter(|n| n.alive && !n.is_standby_at(mid))
-                    .count();
-                (sec as f64, active)
-            })
-            .collect();
 
         // Aggregate disk traces across nodes (Fig 12).
         let mut disk_timeline: Vec<(f64, f64, f64)> = Vec::new();
@@ -1865,7 +1628,6 @@ impl Cluster {
             cpu_timeline,
             power_timeline,
             disk_timeline,
-            active_servers_timeline,
             recovery,
             timeout_ops: self.timeout_ops,
             crashed,

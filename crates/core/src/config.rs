@@ -8,31 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::calib::Calibration;
 
-/// How a master picks the backups for a new segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Placement {
-    /// RAMCloud's scheme: independent uniform choice per segment, which
-    /// maximizes recovery parallelism but makes *any* simultaneous
-    /// R+1-node failure likely to lose some segment (the paper cites
-    /// Copysets — ref. \[28\] in the paper — on exactly this trade-off).
-    Random,
-    /// Copyset placement: backups come from a small fixed set of replica
-    /// groups, trading recovery parallelism for a much lower probability
-    /// of loss under simultaneous failures.
-    Copyset,
-}
-
-/// Consistency mode for replicated writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Consistency {
-    /// RAMCloud's behaviour: the master answers the client only after all
-    /// backups acknowledged (Finding 3's overhead source).
-    Strong,
-    /// The §IX-B what-if: respond as soon as replication requests are sent,
-    /// tolerating inconsistency on failure.
-    Relaxed,
-}
-
 /// Decouples *modelled* object size from *stored* object size.
 ///
 /// The paper's large experiments hold ~10 GB per node, which a single-process
@@ -87,38 +62,6 @@ pub enum ClientAffinity {
     NotOn(usize),
 }
 
-/// Coordinator-driven elastic cluster sizing (§IX-A: "a smart approach can
-/// be considered at the coordinator level which can decide whether to add
-/// or remove nodes depending on the workload").
-///
-/// The decision signal is *served load relative to per-server capacity*,
-/// **not** raw CPU: Finding 1 shows RAMCloud's CPU usage is
-/// non-proportional (polling and spinning pin cores at any load), so a
-/// CPU-threshold policy would never drain anything.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ElasticPolicy {
-    /// How often the coordinator evaluates cluster load, seconds.
-    pub check_interval_secs: f64,
-    /// Drain one server when per-active-server load falls below this
-    /// fraction of peak service capacity.
-    pub low_util: f64,
-    /// Wake one server when per-active-server load exceeds this fraction.
-    pub high_util: f64,
-    /// Never drain below this many active servers.
-    pub min_servers: usize,
-}
-
-impl Default for ElasticPolicy {
-    fn default() -> Self {
-        ElasticPolicy {
-            check_interval_secs: 2.0,
-            low_util: 0.08,
-            high_util: 0.6,
-            min_servers: 1,
-        }
-    }
-}
-
 /// Everything needed to run one simulated experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterConfig {
@@ -143,8 +86,6 @@ pub struct ClusterConfig {
     pub pdu_tau_secs: f64,
     /// Node cost model.
     pub calib: Calibration,
-    /// Write consistency mode.
-    pub consistency: Consistency,
     /// Nominal vs stored payload sizes.
     pub payload: PayloadScale,
     /// Tablet granularity: key space is split into this many hash buckets
@@ -154,11 +95,6 @@ pub struct ClusterConfig {
     pub throttle_rate: Option<f64>,
     /// Master log segment size (nominal bytes); RAMCloud hard-codes 8 MB.
     pub segment_bytes: usize,
-    /// Backup placement scheme.
-    pub placement: Placement,
-    /// Coordinator-driven elastic sizing; `None` keeps the cluster static
-    /// (the paper's setting). Currently requires `replication == 0`.
-    pub elastic: Option<ElasticPolicy>,
     /// Optional per-client data affinity. Used by the Fig 10 experiment
     /// (one client requests exactly the crashed server's data, one requests
     /// the rest). A `None` list samples uniformly for everyone.
@@ -181,13 +117,10 @@ impl ClusterConfig {
             power: PowerProfile::grid5000_nancy(),
             pdu_tau_secs: 3.0,
             calib: Calibration::default(),
-            consistency: Consistency::Strong,
             payload,
             hash_buckets: 1024,
             throttle_rate: None,
             segment_bytes: 8 << 20,
-            placement: Placement::Random,
-            elastic: None,
             client_affinity: None,
         }
     }
@@ -259,11 +192,6 @@ impl ClusterConfig {
             "need ≥1 bucket per server"
         );
         assert!(self.segment_bytes > 0);
-        assert!(
-            self.elastic.is_none() || self.replication == 0,
-            "elastic sizing currently requires replication to be disabled \
-             (draining a backup would need replica re-placement)"
-        );
     }
 }
 
@@ -283,7 +211,6 @@ mod tests {
         assert_eq!(c.max_segments(), 1280, "10 GB of 8 MB segments");
         assert_eq!(c.net.name, "infiniband-20g");
         assert_eq!(c.replication, 0);
-        assert_eq!(c.consistency, Consistency::Strong);
         c.validate();
     }
 

@@ -39,8 +39,6 @@ pub struct RecoveryState {
 pub struct Coordinator {
     tablet_owner: Vec<usize>,
     alive: Vec<bool>,
-    /// Elastically drained (suspended) servers: alive but owning nothing.
-    standby: Vec<bool>,
     /// Recovery in progress, if any.
     pub recovery: Option<RecoveryState>,
     /// Completed recoveries: (crashed server, detected_at, finished_at).
@@ -59,7 +57,6 @@ impl Coordinator {
         Coordinator {
             tablet_owner: (0..buckets).map(|b| b % servers).collect(),
             alive: vec![true; servers],
-            standby: vec![false; servers],
             recovery: None,
             completed_recoveries: Vec::new(),
         }
@@ -96,36 +93,9 @@ impl Coordinator {
         self.alive[server]
     }
 
-    /// Alive server ids (including standbys).
+    /// Alive server ids.
     pub fn alive_servers(&self) -> Vec<usize> {
         (0..self.alive.len()).filter(|&s| self.alive[s]).collect()
-    }
-
-    /// Alive, non-standby server ids.
-    pub fn active_servers(&self) -> Vec<usize> {
-        (0..self.alive.len())
-            .filter(|&s| self.alive[s] && !self.standby[s])
-            .collect()
-    }
-
-    /// Whether a server is elastically drained.
-    pub fn is_standby(&self, server: usize) -> bool {
-        self.standby[server]
-    }
-
-    /// Marks a server drained; its buckets must already be reassigned.
-    pub fn mark_standby(&mut self, server: usize, standby: bool) {
-        self.standby[server] = standby;
-    }
-
-    /// Buckets owned by `server`.
-    pub fn buckets_of(&self, server: usize) -> Vec<usize> {
-        self.tablet_owner
-            .iter()
-            .enumerate()
-            .filter(|&(_, &o)| o == server)
-            .map(|(b, _)| b)
-            .collect()
     }
 
     /// Marks a server alive again (readmission after a restart recovery or

@@ -10,8 +10,8 @@
 //!   simulated disks (`rmc-disk`),
 //! - a **coordinator** with tablet map, wills, failure detection, and crash
 //!   recovery,
-//! - **primary-backup replication** with strong (ack-waiting) or relaxed
-//!   consistency,
+//! - **primary-backup replication** in which a write is answered only
+//!   after every backup acknowledged it,
 //! - a **node model** that reproduces the paper's threading behaviour:
 //!   a dispatch thread that polls (pinning one of four cores), worker
 //!   threads that spin before sleeping, a serialized log head with
@@ -52,9 +52,7 @@ pub mod report;
 
 pub use calib::Calibration;
 pub use cluster::{Cluster, BENCH_TABLE};
-pub use config::{
-    ClientAffinity, ClusterConfig, Consistency, ElasticPolicy, PayloadScale, Placement,
-};
+pub use config::{ClientAffinity, ClusterConfig, PayloadScale};
 pub use coordinator::{Coordinator, RecoveryState};
 pub use ids::{ClientId, OpId};
 pub use node::{BackupService, ByteBins, SegMeta, ServerNode};

@@ -168,15 +168,8 @@ pub struct ServerNode {
     pub mem_write: ByteBins,
     /// Instant the node died, if it did.
     pub killed_at: Option<SimTime>,
-    /// Completed standby (suspended) intervals.
-    pub standby_intervals: Vec<(SimTime, SimTime)>,
-    /// Start of the current standby interval, if suspended now.
-    pub standby_open: Option<SimTime>,
     /// Ops that timed out at clients while targeting this server.
     pub timeouts: u64,
-    /// Client operations completed per one-second bin (the elastic policy's
-    /// load signal).
-    pub ops_bins: ByteBins,
 }
 
 impl ServerNode {
@@ -207,33 +200,8 @@ impl ServerNode {
             cpu: BinnedUsage::new(SimDuration::from_secs(1)),
             mem_write: ByteBins::new(),
             killed_at: None,
-            standby_intervals: Vec::new(),
-            standby_open: None,
             timeouts: 0,
-            ops_bins: ByteBins::new(),
         }
-    }
-
-    /// Records entering (`true`) or leaving standby at `now`.
-    pub fn set_standby(&mut self, now: SimTime, standby: bool) {
-        match (standby, self.standby_open) {
-            (true, None) => self.standby_open = Some(now),
-            (false, Some(from)) => {
-                self.standby_intervals.push((from, now));
-                self.standby_open = None;
-            }
-            _ => {}
-        }
-    }
-
-    /// Whether the node was suspended at instant `t`.
-    pub fn is_standby_at(&self, t: SimTime) -> bool {
-        if let Some(from) = self.standby_open {
-            if t >= from {
-                return true;
-            }
-        }
-        self.standby_intervals.iter().any(|&(a, b)| t >= a && t < b)
     }
 
     /// Runs the dispatch stage for a request arriving at `now`; returns when

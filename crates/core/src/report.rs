@@ -50,9 +50,6 @@ pub struct RunReport {
     /// Aggregated per-second disk activity across nodes (Fig 12):
     /// `(seconds, read MB/s, write MB/s)`.
     pub disk_timeline: Vec<(f64, f64, f64)>,
-    /// Per-second count of active (powered, non-standby) servers; varies
-    /// only under elastic sizing.
-    pub active_servers_timeline: Vec<(f64, usize)>,
     /// Recovery results, when a crash was injected.
     pub recovery: Option<RecoveryReport>,
     /// Ops whose latency exceeded the RPC timeout.

@@ -2,14 +2,18 @@
 //! replication and recovery invariants, determinism, and the qualitative
 //! behaviours the paper's findings rest on.
 
-use rmc_core::{Cluster, ClusterConfig, Consistency};
-use rmc_sim::{SimDuration, SimTime};
+use rmc_core::{Cluster, ClusterConfig};
+use rmc_sim::{SimDuration, SimTime, Simulation};
 use rmc_ycsb::{StandardWorkload, WorkloadSpec};
 
 fn small_workload(w: StandardWorkload, records: u64, ops: u64) -> WorkloadSpec {
     WorkloadSpec::standard(w)
         .with_record_count(records)
         .with_ops_per_client(ops)
+}
+
+fn workload(records: u64, ops: u64) -> WorkloadSpec {
+    small_workload(StandardWorkload::C, records, ops)
 }
 
 #[test]
@@ -92,27 +96,6 @@ fn replication_slows_updates_monotonically() {
         );
         last = report.throughput_ops;
     }
-}
-
-#[test]
-fn relaxed_consistency_outperforms_strong() {
-    // The §IX-B what-if: not waiting for acks recovers most of the loss.
-    let base = small_workload(StandardWorkload::A, 300, 2_000);
-    let strong = {
-        let cfg = ClusterConfig::new(5, 4, base.clone()).with_replication(3);
-        Cluster::new(cfg).run()
-    };
-    let relaxed = {
-        let mut cfg = ClusterConfig::new(5, 4, base).with_replication(3);
-        cfg.consistency = Consistency::Relaxed;
-        Cluster::new(cfg).run()
-    };
-    assert!(
-        relaxed.throughput_ops > strong.throughput_ops * 1.1,
-        "relaxed {} vs strong {}",
-        relaxed.throughput_ops,
-        strong.throughput_ops
-    );
 }
 
 #[test]
@@ -315,4 +298,122 @@ fn all_client_ops_complete_across_crash() {
             >= report.recovery.as_ref().unwrap().duration_secs * 0.9,
         "some op should have waited for the recovery"
     );
+}
+
+#[test]
+fn sequential_double_crash_loses_nothing() {
+    // Kill server 0, let recovery finish, then kill server 1 (which now
+    // holds recovered data). Everything must still be readable: this
+    // exercises the post-recovery replica reseeding.
+    let records = 400u64;
+    let w = workload(records, 0);
+    let cfg = ClusterConfig::new(4, 1, w.clone())
+        .with_replication(2)
+        .with_seed(21);
+    let mut cluster = Cluster::new(cfg);
+    cluster.preload();
+
+    let mut sim = Simulation::new(cluster);
+    sim.scheduler_mut()
+        .schedule_at(SimTime::from_millis(10), |cl: &mut Cluster, s| {
+            cl.kill_server_now(0, s);
+        });
+    sim.run(); // first recovery completes (queue drains)
+    let first_done = sim.now();
+    sim.scheduler_mut().schedule_at(
+        first_done + SimDuration::from_secs(1),
+        |cl: &mut Cluster, s| {
+            cl.kill_server_now(1, s);
+        },
+    );
+    sim.run();
+    let cluster = sim.into_state();
+
+    assert_eq!(cluster.coordinator().completed_recoveries.len(), 2);
+    let mut missing = 0;
+    for i in 0..records {
+        if cluster.peek(&w.key_for(i)).is_none() {
+            missing += 1;
+        }
+    }
+    assert_eq!(
+        missing, 0,
+        "{missing}/{records} records lost after two crashes"
+    );
+}
+
+#[test]
+fn crash_retry_is_exactly_once() {
+    // Surgical interleaving: a write is applied and replicated, the master
+    // dies before the client's response arrives, and the client re-issues
+    // after recovery. The RIFL completion record — recovered from the log —
+    // must suppress the duplicate: the key's version stays at its
+    // post-write value instead of bumping again.
+    use rmc_core::BENCH_TABLE;
+    let records = 50u64;
+    let w = WorkloadSpec::standard(StandardWorkload::A)
+        .with_record_count(records)
+        .with_ops_per_client(0);
+    let cfg = ClusterConfig::new(3, 1, w.clone())
+        .with_replication(2)
+        .with_seed(33);
+    let mut cluster = Cluster::new(cfg);
+    cluster.preload();
+
+    // Find a key owned by server 0 and its pre-write version.
+    let key = (0..records)
+        .map(|i| w.key_for(i))
+        .find(|k| cluster.coordinator().owner_of(BENCH_TABLE, k) == 0)
+        .expect("some key on server 0");
+    assert_eq!(cluster.peek(&key).unwrap().version.0, 1);
+
+    // Drive the simulation manually: apply a RIFL write directly on the
+    // master (as if the client's request had just executed), kill the
+    // master before any response, recover, then send the retry through the
+    // normal path via a blocked-op re-issue.
+    let mut sim = Simulation::new(cluster);
+    let key2 = key.clone();
+    sim.scheduler_mut()
+        .schedule_at(SimTime::from_millis(1), move |cl: &mut Cluster, s| {
+            // The write applies on master 0 with completion (client 0, seq 7)
+            // and replicates; then the master dies before acking the client.
+            cl.test_apply_write(0, &key2, 7);
+            cl.test_block_retry(0, &key2, 7);
+            cl.kill_server_now(0, s);
+        });
+    sim.run();
+    let cluster = sim.into_state();
+
+    let obj = cluster.peek(&key).expect("key survives recovery");
+    assert_eq!(
+        obj.version.0, 2,
+        "retry after recovery must not double-apply (exactly-once)"
+    );
+}
+
+#[test]
+fn not_on_affinity_avoids_target_server() {
+    use rmc_core::{ClientAffinity, BENCH_TABLE};
+    let w = workload(500, 2_000);
+    let mut cfg = ClusterConfig::new(4, 1, w.clone()).with_seed(8);
+    cfg.client_affinity = Some(vec![ClientAffinity::NotOn(2)]);
+    let mut cluster = Cluster::new(cfg);
+    cluster.preload();
+    let mut sim = Simulation::new(cluster);
+    sim.scheduler_mut()
+        .schedule_at(SimTime::ZERO, |cl: &mut Cluster, s| cl.start_client(0, s));
+    sim.run();
+    let cluster = sim.into_state();
+    // Server 2's store must have seen zero read traffic.
+    assert_eq!(
+        cluster.node(2).store.stats().read_hits,
+        0,
+        "NotOn(2) client must never read from server 2"
+    );
+    let others: u64 = [0usize, 1, 3]
+        .iter()
+        .map(|&n| cluster.node(n).store.stats().read_hits)
+        .sum();
+    assert_eq!(others, 2_000);
+    let _ = BENCH_TABLE;
 }

@@ -55,10 +55,6 @@ pub struct PowerProfile {
     pub mem_watts_per_gbps: f64,
     /// Additional watts per GB/s of NIC traffic.
     pub nic_watts_per_gbps: f64,
-    /// Watts drawn while suspended to RAM (ACPI S3) — what an elastically
-    /// drained server costs (§IX-A's "turn off the largest possible subset
-    /// of servers").
-    pub suspend_watts: f64,
 }
 
 impl PowerProfile {
@@ -72,7 +68,6 @@ impl PowerProfile {
             disk_active_watts: 6.0,
             mem_watts_per_gbps: 2.5,
             nic_watts_per_gbps: 1.5,
-            suspend_watts: 9.0,
         }
     }
 

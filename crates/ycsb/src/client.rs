@@ -16,7 +16,7 @@ use crate::workload::{OpKind, WorkloadSpec};
 pub struct Request {
     /// The operation kind.
     pub kind: OpKind,
-    /// Target record index (for inserts: the new record's index).
+    /// Target record index.
     pub key_index: u64,
 }
 
@@ -27,7 +27,6 @@ pub struct RequestGenerator {
     chooser: KeyChooser,
     rng: SimRng,
     issued: u64,
-    inserted: u64,
 }
 
 impl RequestGenerator {
@@ -39,7 +38,6 @@ impl RequestGenerator {
             chooser,
             rng: SimRng::seed_from_u64(seed),
             issued: 0,
-            inserted: 0,
         }
     }
 
@@ -66,15 +64,7 @@ impl RequestGenerator {
         }
         self.issued += 1;
         let kind = self.spec.mix.sample(&mut self.rng);
-        let key_index = match kind {
-            OpKind::Insert => {
-                let idx = self.spec.record_count + self.inserted;
-                self.inserted += 1;
-                self.chooser.grow(idx + 1);
-                idx
-            }
-            _ => self.chooser.next(&mut self.rng),
-        };
+        let key_index = self.chooser.next(&mut self.rng);
         Some(Request { kind, key_index })
     }
 
@@ -173,24 +163,6 @@ mod tests {
         while let Some(r) = g.next_request() {
             assert!(r.key_index < 100_000);
         }
-    }
-
-    #[test]
-    fn inserts_extend_keyspace_monotonically() {
-        let mut s = WorkloadSpec::standard(StandardWorkload::D);
-        s.ops_per_client = 5000;
-        s.record_count = 100;
-        let mut g = RequestGenerator::new(s, 4);
-        let mut next_expected = 100;
-        while let Some(r) = g.next_request() {
-            if r.kind == OpKind::Insert {
-                assert_eq!(r.key_index, next_expected);
-                next_expected += 1;
-            } else {
-                assert!(r.key_index < next_expected);
-            }
-        }
-        assert!(next_expected > 100, "inserts must occur in workload D");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Request distributions over a key space.
 //!
 //! The paper drives RAMCloud with YCSB using a **uniform** request
-//! distribution (Section III-C); zipfian and latest are provided because
-//! they are YCSB's other standard choices and the paper names "different
-//! request distributions" as future work.
+//! distribution (Section III-C); zipfian is provided because it is YCSB's
+//! default skew and the `local_b` benchmark workload draws it.
 
 use rmc_runtime::SimRng;
 use serde::{Deserialize, Serialize};
@@ -19,8 +18,6 @@ pub enum Distribution {
         /// Skew parameter in `(0, 1)`.
         theta: f64,
     },
-    /// Most recently inserted records are most popular.
-    Latest,
 }
 
 impl Distribution {
@@ -73,7 +70,6 @@ impl KeyChooser {
                 );
                 Some(ZipfState::new(record_count, theta))
             }
-            Distribution::Latest => Some(ZipfState::new(record_count, 0.99)),
             Distribution::Uniform => None,
         };
         KeyChooser {
@@ -86,34 +82,6 @@ impl KeyChooser {
     /// The configured distribution.
     pub fn distribution(&self) -> Distribution {
         self.dist
-    }
-
-    /// Current key-space size.
-    pub fn record_count(&self) -> u64 {
-        self.record_count
-    }
-
-    /// Grows the key space after an insert (affects `Latest` popularity and
-    /// uniform range; the zipfian state is rebuilt lazily on large growth).
-    pub fn grow(&mut self, new_count: u64) {
-        if new_count <= self.record_count {
-            return;
-        }
-        // Rebuilding zeta on every insert would be quadratic; refresh when
-        // the space grew by 5 %.
-        let stale = self
-            .zipf
-            .as_ref()
-            .map(|_| new_count as f64 > self.record_count as f64 * 1.05)
-            .unwrap_or(false);
-        self.record_count = new_count;
-        if stale {
-            let theta = match self.dist {
-                Distribution::Zipfian { theta } => theta,
-                _ => 0.99,
-            };
-            self.zipf = Some(ZipfState::new(new_count, theta));
-        }
     }
 
     /// Samples a key index in `[0, record_count)`.
@@ -130,14 +98,6 @@ impl KeyChooser {
                 // ScrambledZipfian), preserving the popularity *distribution*
                 // while decorrelating it from insertion order.
                 fnv64(rank) % self.record_count
-            }
-            Distribution::Latest => {
-                let rank = self
-                    .zipf
-                    .as_ref()
-                    .expect("zipf state")
-                    .sample(rng, self.record_count);
-                self.record_count - 1 - rank.min(self.record_count - 1)
             }
         }
     }
@@ -237,47 +197,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(kc.next(&mut r) < 17);
         }
-    }
-
-    #[test]
-    fn latest_prefers_recent() {
-        let n = 1000u64;
-        let mut kc = KeyChooser::new(Distribution::Latest, n);
-        let mut r = rng();
-        let mut newest_half = 0u32;
-        let samples = 50_000;
-        for _ in 0..samples {
-            if kc.next(&mut r) >= n / 2 {
-                newest_half += 1;
-            }
-        }
-        assert!(
-            newest_half as f64 > samples as f64 * 0.8,
-            "latest distribution should hit the newest half mostly, got {newest_half}"
-        );
-    }
-
-    #[test]
-    fn grow_extends_range() {
-        let mut kc = KeyChooser::new(Distribution::Latest, 10);
-        kc.grow(1000);
-        assert_eq!(kc.record_count(), 1000);
-        let mut r = rng();
-        let mut max_seen = 0;
-        for _ in 0..10_000 {
-            max_seen = max_seen.max(kc.next(&mut r));
-        }
-        assert!(
-            max_seen > 500,
-            "grown space should be reachable, max {max_seen}"
-        );
-    }
-
-    #[test]
-    fn grow_never_shrinks() {
-        let mut kc = KeyChooser::new(Distribution::Uniform, 100);
-        kc.grow(50);
-        assert_eq!(kc.record_count(), 100);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Reimplements the slice of the Yahoo! Cloud Serving Benchmark the paper
 //! uses to drive RAMCloud: the standard workload mixes
-//! ([A/B/C plus D and F](crate::StandardWorkload)), key-request
+//! ([A/B/C](crate::StandardWorkload)), key-request
 //! [distributions](crate::Distribution) (uniform as in the paper, zipfian
-//! and latest as extensions), deterministic per-client
+//! as an extension), deterministic per-client
 //! [request streams](crate::RequestGenerator), client-side
 //! [throttling](crate::Throttle) (Fig 13), and measurement containers
 //! ([`ClientStats`]).

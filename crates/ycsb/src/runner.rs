@@ -165,9 +165,7 @@ fn client_loop<B: KvBackend>(
         let key = generator.key_for(request.key_index);
         outcome.ops += 1;
         match request.kind {
-            // Scan never appears in the mixes used here (the paper excludes
-            // it); treat a custom mix's scans as reads of the start key.
-            OpKind::Read | OpKind::Scan => {
+            OpKind::Read => {
                 if batch_size == 1 {
                     let t = Instant::now();
                     backend.read(&key)?;
@@ -179,7 +177,7 @@ fn client_loop<B: KvBackend>(
                     }
                 }
             }
-            OpKind::Update | OpKind::Insert => {
+            OpKind::Update => {
                 let value = generator.value_for(request.key_index);
                 if batch_size == 1 {
                     let t = Instant::now();
@@ -191,16 +189,6 @@ fn client_loop<B: KvBackend>(
                         flush_writes(backend, &mut write_batch, &mut outcome.write_us)?;
                     }
                 }
-            }
-            OpKind::ReadModifyWrite => {
-                // Always closed-loop: the write depends on the read.
-                let t = Instant::now();
-                backend.read(&key)?;
-                outcome.read_us.push(t.elapsed().as_secs_f64() * 1e6);
-                let value = generator.value_for(request.key_index);
-                let t = Instant::now();
-                backend.write(&key, &value)?;
-                outcome.write_us.push(t.elapsed().as_secs_f64() * 1e6);
             }
         }
     }
@@ -337,24 +325,6 @@ mod tests {
         assert_eq!(summary.reads.count + summary.writes.count, 400);
         assert!(backend.batch_calls.load(Ordering::Relaxed) > before);
         assert_eq!(backend.single_calls.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn rmw_measures_both_sides() {
-        let backend = Arc::new(MapBackend::default());
-        let spec = WorkloadSpec::standard(StandardWorkload::F)
-            .with_record_count(32)
-            .with_ops_per_client(100);
-        load(&*backend, &spec, 1).unwrap();
-        let summary = run(&backend, &spec, &RunnerConfig::default()).unwrap();
-        assert_eq!(summary.ops, 100);
-        // ~50 reads + ~50 RMWs (each contributing one read and one write).
-        assert!(summary.reads.count >= 90, "reads={}", summary.reads.count);
-        assert_eq!(
-            summary.reads.count + summary.writes.count - summary.ops,
-            summary.writes.count,
-            "every write sample comes from an RMW's write half"
-        );
     }
 
     #[test]

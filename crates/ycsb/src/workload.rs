@@ -6,10 +6,7 @@
 //! - **B** — read-heavy: 95 % reads, 5 % updates,
 //! - **C** — read-only: 100 % reads,
 //!
-//! all with 1 KB records and a uniform request distribution. Workloads D and
-//! F are included for completeness (the paper lists broader coverage as
-//! future work); E (scans) is declared but not exercised by the reproduction,
-//! matching the paper's explicit exclusion of scans.
+//! all with 1 KB records and a uniform request distribution.
 
 use rmc_runtime::SimRng;
 use serde::{Deserialize, Serialize};
@@ -23,13 +20,6 @@ pub enum OpKind {
     Read,
     /// Overwrite one record.
     Update,
-    /// Insert a new record (grows the key space).
-    Insert,
-    /// Read-modify-write one record.
-    ReadModifyWrite,
-    /// Range scan (declared for API completeness; unscheduled by the stock
-    /// mixes used here, matching the paper).
-    Scan,
 }
 
 /// Operation mix of a workload (proportions sum to 1).
@@ -39,17 +29,11 @@ pub struct Mix {
     pub read: f64,
     /// Fraction of updates.
     pub update: f64,
-    /// Fraction of inserts.
-    pub insert: f64,
-    /// Fraction of read-modify-writes.
-    pub rmw: f64,
-    /// Fraction of scans.
-    pub scan: f64,
 }
 
 impl Mix {
     fn validated(self) -> Self {
-        let sum = self.read + self.update + self.insert + self.rmw + self.scan;
+        let sum = self.read + self.update;
         assert!(
             (sum - 1.0).abs() < 1e-9,
             "workload mix must sum to 1, got {sum}"
@@ -57,26 +41,19 @@ impl Mix {
         self
     }
 
-    /// Samples an operation kind.
+    /// Samples an operation kind from exactly one `next_f64` draw, which
+    /// keeps every stock request stream as `tests/streams.rs` pins it.
     pub fn sample(&self, rng: &mut SimRng) -> OpKind {
-        let mut x = rng.next_f64();
-        for (p, kind) in [
-            (self.read, OpKind::Read),
-            (self.update, OpKind::Update),
-            (self.insert, OpKind::Insert),
-            (self.rmw, OpKind::ReadModifyWrite),
-        ] {
-            if x < p {
-                return kind;
-            }
-            x -= p;
+        if rng.next_f64() < self.read {
+            OpKind::Read
+        } else {
+            OpKind::Update
         }
-        OpKind::Scan
     }
 
-    /// Fraction of operations that mutate state (updates + inserts + RMW).
+    /// Fraction of operations that mutate state.
     pub fn write_fraction(&self) -> f64 {
-        self.update + self.insert + self.rmw
+        self.update
     }
 }
 
@@ -89,10 +66,6 @@ pub enum StandardWorkload {
     B,
     /// Read-only.
     C,
-    /// Read-latest: 95 % reads / 5 % inserts over a `Latest` distribution.
-    D,
-    /// Read-modify-write: 50 % reads / 50 % RMW.
-    F,
 }
 
 impl std::fmt::Display for StandardWorkload {
@@ -101,8 +74,6 @@ impl std::fmt::Display for StandardWorkload {
             StandardWorkload::A => "A",
             StandardWorkload::B => "B",
             StandardWorkload::C => "C",
-            StandardWorkload::D => "D",
-            StandardWorkload::F => "F",
         };
         write!(f, "{name}")
     }
@@ -134,9 +105,6 @@ impl WorkloadSpec {
                 Mix {
                     read: 0.5,
                     update: 0.5,
-                    insert: 0.0,
-                    rmw: 0.0,
-                    scan: 0.0,
                 },
                 Distribution::Uniform,
             ),
@@ -144,9 +112,6 @@ impl WorkloadSpec {
                 Mix {
                     read: 0.95,
                     update: 0.05,
-                    insert: 0.0,
-                    rmw: 0.0,
-                    scan: 0.0,
                 },
                 Distribution::Uniform,
             ),
@@ -154,29 +119,6 @@ impl WorkloadSpec {
                 Mix {
                     read: 1.0,
                     update: 0.0,
-                    insert: 0.0,
-                    rmw: 0.0,
-                    scan: 0.0,
-                },
-                Distribution::Uniform,
-            ),
-            StandardWorkload::D => (
-                Mix {
-                    read: 0.95,
-                    update: 0.0,
-                    insert: 0.05,
-                    rmw: 0.0,
-                    scan: 0.0,
-                },
-                Distribution::Latest,
-            ),
-            StandardWorkload::F => (
-                Mix {
-                    read: 0.5,
-                    update: 0.0,
-                    insert: 0.0,
-                    rmw: 0.5,
-                    scan: 0.0,
                 },
                 Distribution::Uniform,
             ),
@@ -278,9 +220,6 @@ mod tests {
         let _ = Mix {
             read: 0.5,
             update: 0.0,
-            insert: 0.0,
-            rmw: 0.0,
-            scan: 0.0,
         }
         .validated();
     }
@@ -292,12 +231,5 @@ mod tests {
         let k2 = w.key_for(2);
         assert_eq!(k1.len(), k2.len());
         assert_ne!(k1, k2);
-    }
-
-    #[test]
-    fn d_uses_latest_distribution() {
-        let d = WorkloadSpec::standard(StandardWorkload::D);
-        assert_eq!(d.distribution, Distribution::Latest);
-        assert!(d.mix.insert > 0.0);
     }
 }

@@ -7,28 +7,23 @@ use rmc_ycsb::{Distribution, KeyChooser, Mix, Throttle};
 proptest! {
     /// Any valid mix's empirical proportions converge to the specification.
     #[test]
-    fn mix_sampling_converges(read_w in 0u32..10, update_w in 0u32..10, insert_w in 0u32..10) {
-        prop_assume!(read_w + update_w + insert_w > 0);
-        let total = (read_w + update_w + insert_w) as f64;
+    fn mix_sampling_converges(read_w in 0u32..10, update_w in 0u32..10) {
+        prop_assume!(read_w + update_w > 0);
+        let total = (read_w + update_w) as f64;
         let mix = Mix {
             read: read_w as f64 / total,
             update: update_w as f64 / total,
-            insert: insert_w as f64 / total,
-            rmw: 0.0,
-            scan: 0.0,
         };
         let mut rng = SimRng::seed_from_u64(9);
         let n = 40_000;
-        let mut counts = [0u32; 3];
+        let mut counts = [0u32; 2];
         for _ in 0..n {
             match mix.sample(&mut rng) {
                 rmc_ycsb::OpKind::Read => counts[0] += 1,
                 rmc_ycsb::OpKind::Update => counts[1] += 1,
-                rmc_ycsb::OpKind::Insert => counts[2] += 1,
-                _ => {}
             }
         }
-        for (got, want) in counts.iter().zip([mix.read, mix.update, mix.insert]) {
+        for (got, want) in counts.iter().zip([mix.read, mix.update]) {
             let frac = *got as f64 / n as f64;
             prop_assert!((frac - want).abs() < 0.02, "frac {frac} vs want {want}");
         }
@@ -45,7 +40,6 @@ proptest! {
         for dist in [
             Distribution::Uniform,
             Distribution::Zipfian { theta },
-            Distribution::Latest,
         ] {
             let mut kc = KeyChooser::new(dist, records);
             let mut rng = SimRng::seed_from_u64(seed);
