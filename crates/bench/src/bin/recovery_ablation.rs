@@ -18,9 +18,15 @@
 //! victim's buckets across all survivors, so an `S`-server cluster replays
 //! on `S-1` masters in parallel — the paper's partitioned parallel
 //! recovery (Fig 11, Finding 6). The `file` engine stages every backup
-//! replica in `rmc_diskstore::FileStorage` (checksummed frames, batched
-//! fsync by default), so its recovery serves segment bytes that really
-//! round-tripped through files.
+//! replica in `rmc_diskstore::FileStorage` (checksummed frames, `batched`
+//! by default), so its recovery serves segment bytes that really
+//! round-tripped through files. Under `batched` (and `off`) a backup acks
+//! from memory and writes each replica segment in one call when its master
+//! seals it: recovery reads the sealed segments back from the files and
+//! the open one from the backup's pending frames, and an ack survives a
+//! crash of the backup *process* only once its segment is written — until
+//! then it lives on the other replica. (The victim here is a master
+//! thread; no backup dies with it.)
 //!
 //! Each row's `recovery_bytes_per_sec` is the recovery bandwidth (victim's
 //! data over recovery seconds) — the number `bench_compare` diffs against

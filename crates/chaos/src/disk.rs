@@ -2,9 +2,10 @@
 //! boundary — the physical-I/O twin of the message-level [`FaultState`].
 //!
 //! Where [`FaultState`](crate::FaultState) judges every `send`, a
-//! [`DiskFaults`] judges every file append and fsync a backup's
-//! `FileStorage` performs, drawing each fate from a [`SimRng`] derived from
-//! the plan seed and the node index. The four fates mirror how real disks
+//! [`DiskFaults`] judges every file write and fsync a backup's
+//! `FileStorage` performs (a write is one frame under `fsync=per_write`,
+//! one drained segment's frames otherwise), drawing each fate from a
+//! [`SimRng`] derived from the plan seed and the node index. The four fates mirror how real disks
 //! betray a storage system:
 //!
 //! - **short write** — the frame is cut mid-byte and the write errors: the
@@ -31,7 +32,7 @@ use crate::FaultPlan;
 /// for the message layer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskFaultStats {
-    /// Appends judged in total.
+    /// Writes judged in total.
     pub appends: u64,
     /// Short writes injected.
     pub short_writes: u64,

@@ -1,8 +1,10 @@
 //! [`FileStorage`]: the file-backed engine. One append-only log per
 //! master, a sequence of checksummed [frames](crate::frame) in the order
-//! they were staged; appends go straight to the file under the configured
-//! [`FsyncPolicy`], and [`FileStorage::open`] rebuilds the index of staged
-//! frames from whatever survived a crash.
+//! they were staged; appends reach the file under the configured
+//! [`FsyncPolicy`] — one `write` per frame under `per_write`, one per
+//! sealed segment otherwise (below, "What is buffered") — and
+//! [`FileStorage::open`] rebuilds the index of staged frames from whatever
+//! survived a crash.
 //!
 //! ## Layout
 //!
@@ -29,7 +31,10 @@
 //! cuts without believing anything, and the master's retry lands whole in
 //! file `n + 1`. (Were the retry appended behind the torn frame, its bytes
 //! would complete the torn frame's declared length, fail its checksum, and
-//! be thrown away as corruption with everything after them.)
+//! be thrown away as corruption with everything after them.) A write that
+//! carried several frames keeps, in the index, those wholly before the cut
+//! — exactly what recovery will find — and drops and counts the rest
+//! (`disk.write_errors`).
 //!
 //! ## Crash recovery rules
 //!
@@ -58,16 +63,18 @@
 //!
 //! ## The file is the replica
 //!
-//! The store keeps no copy of what it staged in memory (only the buffer
-//! the next frame is encoded into). What it keeps is an index:
+//! The store keeps no copy of what it wrote in memory (only the frames
+//! still pending, below). What it keeps is an index:
 //! for each `(master, segment)` slot, its length and where each of its
-//! frames lies — `(file n, offset, payload length)`. An append adds the
-//! frame it wrote to its slot; an image that wins replaces the slot's
-//! frames with itself. [`FileStorage::open`] builds the index from the
-//! frames it accepts, under the rules above.
+//! frames lies — `(file n, offset, payload length)`, an offset the frame
+//! holds once it is written. An append adds its frame to its slot; an
+//! image that wins replaces the slot's frames with itself.
+//! [`FileStorage::open`] builds the index from the frames it accepts,
+//! under the rules above.
 //!
 //! Served reads (`segments_of`, the recovery `FetchSegments` path) read
-//! each frame back from its file and check it again: a frame whose
+//! each frame back from its file, or take it from the pending frames if it
+//! is not written yet, and check it again either way: a frame whose
 //! checksum fails, or that cannot be read at all, is left out of the
 //! answer and counted (`disk.crc_mismatch`, `disk.read_errors`). A slot's
 //! frames each hold whole log entries, so what is left is still a run of
@@ -75,12 +82,36 @@
 //! DXRAM's discipline of serving recovery from the backup's log on the
 //! device.
 //!
+//! ## What is buffered
+//!
+//! Each master's log holds the frames bound for its open file that are not
+//! in it yet — its *pending* frames, all of one segment, each encoded in
+//! place at the end of the buffer, the way a RAMCloud backup keeps the open
+//! segment's replica in memory. Under `off` and `batched` an append is
+//! indexed and acked from there. The pending frames are written in one
+//! `write` call (a *drain*) when the next frame names another segment (the
+//! master sealed the one pending), when the next frame would roll the
+//! file, when the file is retired, and on [`flush`](BackupStorage::flush),
+//! a `batched` sync and a graceful drop. The bound on the buffer is
+//! therefore the segment (64 KiB in the protocol), with the roll behind
+//! it. An image is drained as it is staged, with the appends pending
+//! before it, and only then indexed. Under `per_write` every append is
+//! drained, and synced, before it is acked: nothing stays pending.
+//!
+//! The durability contract follows. `per_write`: an acked frame is in the
+//! file and synced. `off` and `batched`: an acked frame survives a crash of
+//! the backup *process* once it is drained, and until then only on the
+//! segment's other replicas — RAMCloud's own contract for its buffered
+//! backups. The [`FaultInjector`] judges each `write` the store makes,
+//! which under `per_write` is one frame.
+//!
 //! ## What is synced, and when
 //!
-//! The store holds one descriptor per master and one dirty flag with it.
-//! `per_write` syncs the file before every ack; `batched` and an explicit
-//! [`flush`](BackupStorage::flush) sync every file written since its last
-//! sync; a file retired with a sync owed gets it as it is retired, so
+//! The store holds one descriptor per master and one dirty flag with it:
+//! the file owes a sync, for bytes written to it or pending. `per_write`
+//! syncs the file before every ack; `batched` and an explicit
+//! [`flush`](BackupStorage::flush) drain and then sync every file that owes
+//! one; a file retired with a sync owed gets it as it is retired, so
 //! nothing ever has to be reopened to be synced. Under `off` nothing is
 //! owed: `flush` reaches the open files, and a retired one was left to the
 //! page cache when it was closed. Unless the policy is `off`, creating a
@@ -216,11 +247,12 @@ struct Tail {
     file: File,
     /// Its index `n` in the master's log.
     n: u64,
-    /// Its length.
+    /// Its length: the bytes written to it.
     len: u64,
 }
 
-/// One master's log: the file being appended to, and where the next goes.
+/// One master's log: the file being appended to, the frames not yet in
+/// it, and where the next file goes.
 #[derive(Debug, Default)]
 struct MasterLog {
     /// Index of the next file to create: past every one on disk.
@@ -228,12 +260,20 @@ struct MasterLog {
     /// The file appended to; `None` before this incarnation's first write
     /// and after a retirement.
     tail: Option<Tail>,
-    /// `tail` holds bytes written since its last fsync.
+    /// Whole frames bound for `tail` at offset `tail.len`, encoded in
+    /// place and not yet written: all of them name `segment`. Empty
+    /// whenever `tail` is `None`.
+    pending: Vec<u8>,
+    /// The segment the frames in `pending` name.
+    segment: u64,
+    /// `tail` owes a sync: it holds bytes, written or pending, that no
+    /// fsync has covered.
     dirty: bool,
 }
 
 impl MasterLog {
-    /// Syncs the tail if it is dirty.
+    /// Syncs the tail if it is dirty. What is pending must be drained
+    /// first.
     fn sync(&mut self, master: usize, metrics: &DiskMetrics) -> Result<(), StorageError> {
         if let (true, Some(tail)) = (self.dirty, &self.tail) {
             tail.file
@@ -244,6 +284,13 @@ impl MasterLog {
         }
         Ok(())
     }
+
+    /// The pending frames, with the file they are bound for and the offset
+    /// the first of them will land at.
+    fn pending(&self) -> Option<(u64, u64, &[u8])> {
+        let tail = self.tail.as_ref()?;
+        Some((tail.n, tail.len, &self.pending))
+    }
 }
 
 /// The file-backed [`BackupStorage`] engine.
@@ -253,12 +300,10 @@ pub struct FileStorage {
     epoch: u64,
     injector: Option<Box<dyn FaultInjector>>,
     /// Each staged `(master, segment)` slot: no payload bytes, only where
-    /// its frames lie in the files.
+    /// its frames lie in the files or in their log's pending frames.
     slots: BTreeMap<(usize, u64), Slot>,
     logs: BTreeMap<usize, MasterLog>,
-    /// The frame being written, reused from one append to the next.
-    frame: Vec<u8>,
-    /// Bytes written since the last flush (what `batched` counts).
+    /// Bytes staged since the last flush (what `batched` counts).
     dirty_bytes: usize,
     last_sync: Instant,
     metrics: DiskMetrics,
@@ -298,7 +343,6 @@ impl FileStorage {
             injector: None,
             slots: BTreeMap::new(),
             logs: BTreeMap::new(),
-            frame: Vec::new(),
             dirty_bytes: 0,
             last_sync: Instant::now(),
             metrics,
@@ -431,21 +475,39 @@ impl FileStorage {
         Ok(())
     }
 
-    /// Logs with bytes written since their last fsync.
+    /// Logs that owe a sync.
     fn dirty_logs(&self) -> usize {
         self.logs.values().filter(|log| log.dirty).count()
     }
 
-    /// `master`'s log with the tail a frame of `frame_len` bytes goes to:
-    /// the one it has, or a new file when it has none or the frame would
-    /// take it past [`LOG_ROLL_BYTES`].
-    fn tail_for(&mut self, master: usize, frame_len: u64) -> Result<&mut MasterLog, StorageError> {
+    /// `master`'s log, ready to take a frame of `frame_len` bytes of
+    /// `segment` behind its pending ones: frames pending for another
+    /// segment (one the master sealed) are drained first, the tail is
+    /// retired if the frame would take it past [`LOG_ROLL_BYTES`], and a
+    /// file is created if there is none.
+    fn log_for(
+        &mut self,
+        master: usize,
+        segment: u64,
+        frame_len: u64,
+    ) -> Result<&mut MasterLog, StorageError> {
+        let sealed = self
+            .logs
+            .get(&master)
+            .is_some_and(|log| !log.pending.is_empty() && log.segment != segment);
+        if sealed {
+            self.drain(master)?;
+        }
         let full = self
             .logs
             .get(&master)
-            .and_then(|log| log.tail.as_ref())
-            .is_some_and(|tail| tail.len > 0 && tail.len + frame_len > LOG_ROLL_BYTES);
+            .and_then(MasterLog::pending)
+            .is_some_and(|(_, written, pending)| {
+                let held = written + pending.len() as u64;
+                held > 0 && held + frame_len > LOG_ROLL_BYTES
+            });
         if full {
+            self.drain(master)?;
             self.sync_owed(master)?;
             self.retire(master);
         }
@@ -469,7 +531,7 @@ impl FileStorage {
     }
 
     /// Closes `master`'s tail for good; the next write creates file
-    /// `n + 1`.
+    /// `n + 1`. Nothing may be pending.
     fn retire(&mut self, master: usize) {
         if let Some(log) = self.logs.get_mut(&master) {
             log.tail = None;
@@ -497,10 +559,11 @@ impl FileStorage {
         }
     }
 
-    /// Encodes one frame of `kind` and writes it to `master`'s log under
-    /// the injector and the fsync policy, then indexes it where it landed.
-    /// Only a frame that is whole in the file with its policy satisfied is
-    /// indexed; a failed append is redriven by the master's retry.
+    /// Encodes one frame of `kind` onto `master`'s pending frames and
+    /// indexes it. An append under `off` or `batched` waits there for the
+    /// drain that seals its segment; any other frame is drained (and under
+    /// `per_write` synced) before it is indexed, so a failed one is never
+    /// indexed and the master's retry redrives it.
     fn stage(
         &mut self,
         kind: FrameKind,
@@ -508,70 +571,87 @@ impl FileStorage {
         segment: u64,
         payload: &[u8],
     ) -> Result<(), StorageError> {
-        let mut frame = std::mem::take(&mut self.frame);
-        encode_frame_into(&mut frame, kind, master, segment, self.epoch, payload);
-        let written = self.write_encoded(master, segment, &mut frame);
-        self.frame = frame;
-        let (file, offset) = written?;
+        let epoch = self.epoch;
+        let frame_len = FRAME_HEADER_BYTES + payload.len();
+        let log = self.log_for(master, segment, frame_len as u64)?;
+        let (file, written, pending) = log.pending().expect("`log_for` leaves a tail");
         let extent = Extent {
             file,
-            offset,
+            offset: written + pending.len() as u64,
             len: payload.len() as u32,
         };
+        encode_frame_into(&mut log.pending, kind, master, segment, epoch, payload);
+        log.segment = segment;
+        log.dirty = true;
+        if kind == FrameKind::Image || self.policy == FsyncPolicy::PerWrite {
+            if let Err(e) = self.drain(master) {
+                // The frame being staged is lost with the rest.
+                self.metrics.write_errors.incr();
+                return Err(e);
+            }
+            if self.policy == FsyncPolicy::PerWrite {
+                self.sync_log(master)?;
+            }
+        }
         self.slots
             .entry((master, segment))
             .or_default()
             .apply(kind, extent);
-        Ok(())
+        self.after_stage(frame_len)
     }
 
-    /// Writes the encoded `frame`; returns the file it landed in and its
-    /// offset there.
-    fn write_encoded(
-        &mut self,
-        master: usize,
-        segment: u64,
-        frame: &mut Vec<u8>,
-    ) -> Result<(u64, u64), StorageError> {
+    /// Writes `master`'s pending frames to its file in one call, judged by
+    /// the injector. A write that fails or is cut short retires the file:
+    /// the frames wholly before the cut stay indexed, and the rest are
+    /// removed from the index and counted in `disk.write_errors`.
+    fn drain(&mut self, master: usize) -> Result<(), StorageError> {
+        let Some(log) = self.logs.get_mut(&master) else {
+            return Ok(());
+        };
+        if log.pending.is_empty() {
+            return Ok(());
+        }
+        let segment = log.segment;
         let fault = match self.injector.as_mut() {
-            Some(injector) => injector.on_append(master, segment, frame),
+            Some(injector) => injector.on_append(master, segment, &mut log.pending),
             None => AppendFault::clean(),
         };
         if let Some(stall) = fault.stall {
-            // Stuck-slow I/O: the append blocks the backup's event loop,
+            // Stuck-slow I/O: the write blocks the backup's event loop,
             // exactly like a device hiccup under a synchronous write path.
             self.metrics.stalls.incr();
             std::thread::sleep(stall);
         }
-        let len = frame.len();
+        let len = log.pending.len();
         let (keep, injected) = match fault.outcome {
             AppendOutcome::Commit => (len, None),
             AppendOutcome::Short { keep } => (keep.min(len), Some("injected short write")),
             AppendOutcome::Error => (0, Some("injected write EIO")),
         };
-        let log = self.tail_for(master, len as u64)?;
-        let tail = log.tail.as_mut().expect("`tail_for` leaves one");
-        let failure = match (tail.file.write_all(&frame[..keep]), injected) {
+        let tail = log.tail.as_mut().expect("pending frames have a file");
+        self.metrics.write_calls.incr();
+        let (landed, failure) = match (tail.file.write_all(&log.pending[..keep]), injected) {
             (Ok(()), None) => {
-                let landed = (tail.n, tail.len);
                 tail.len += len as u64;
-                log.dirty = true;
+                log.pending.clear();
                 self.metrics.write_bytes.add(len as u64);
-                self.after_write(master, len)?;
-                return Ok(landed);
+                return Ok(());
             }
-            (Err(e), _) => e.to_string(),
+            // How much reached the file is unknown: none of it is believed.
+            (Err(e), _) => (0, e.to_string()),
             (Ok(()), Some(what)) => {
                 self.metrics.write_bytes.add(keep as u64);
-                format!("{what} ({keep}/{len} bytes)")
+                (keep, format!("{what} ({keep}/{len} bytes)"))
             }
         };
-        self.metrics.write_errors.incr();
-        // How much of the frame reached the file is unknown. Whatever did
-        // is this file's tail, and stays it: recovery cuts a torn tail
-        // without believing it, and the retry lands whole in file `n + 1`.
-        // No ack, so no durability was promised for these bytes — but the
-        // acked ones before them are owed what the policy owes them.
+        let (file, cut) = (tail.n, tail.len + landed as u64);
+        log.pending.clear();
+        let lost = self.unindex_past(master, segment, file, cut);
+        self.metrics.write_errors.add(lost);
+        // Whatever reached the file is its tail, and stays it: recovery
+        // cuts a torn tail without believing it, and the next write lands
+        // whole in file `n + 1`. The frames before the cut are owed what
+        // the policy owes them.
         let _ = self.sync_owed(master);
         self.retire(master);
         Err(StorageError::Io(format!(
@@ -579,19 +659,45 @@ impl FileStorage {
         )))
     }
 
-    /// Runs the policy after `written` new bytes landed on `master`'s log.
-    fn after_write(&mut self, master: usize, written: usize) -> Result<(), StorageError> {
-        match self.policy {
-            FsyncPolicy::PerWrite => self.sync_log(master)?,
-            FsyncPolicy::Batched { bytes, interval } => {
-                self.dirty_bytes += written;
-                self.metrics.queue_depth.set(self.dirty_logs() as u64);
-                if self.dirty_bytes >= bytes || self.last_sync.elapsed() >= interval {
-                    self.flush()?;
-                }
+    /// Removes the frames of `(master, segment)` in file `file` that end
+    /// past `cut`: what a drain cut short there lost. They are the slot's
+    /// last frames, since a drain holds one segment's frames and only
+    /// appends wait to be drained. Returns how many there were.
+    fn unindex_past(&mut self, master: usize, segment: u64, file: u64, cut: u64) -> u64 {
+        let Some(slot) = self.slots.get_mut(&(master, segment)) else {
+            return 0;
+        };
+        let mut lost = 0;
+        while let Some(extent) = slot
+            .extents
+            .pop_if(|extent| extent.file == file && extent.end() > cut)
+        {
+            slot.len -= u64::from(extent.len);
+            lost += 1;
+        }
+        if slot.extents.is_empty() {
+            self.slots.remove(&(master, segment));
+        }
+        lost
+    }
+
+    /// Drains every log; the first failure, if any.
+    fn drain_all(&mut self) -> Result<(), StorageError> {
+        let masters: Vec<usize> = self.logs.keys().copied().collect();
+        masters
+            .into_iter()
+            .map(|master| self.drain(master))
+            .fold(Ok(()), Result::and)
+    }
+
+    /// Runs the policy after a frame of `staged` bytes was staged.
+    fn after_stage(&mut self, staged: usize) -> Result<(), StorageError> {
+        if let FsyncPolicy::Batched { bytes, interval } = self.policy {
+            self.dirty_bytes += staged;
+            self.metrics.queue_depth.set(self.dirty_logs() as u64);
+            if self.dirty_bytes >= bytes || self.last_sync.elapsed() >= interval {
+                self.flush()?;
             }
-            // Synced only if somebody calls `flush`.
-            FsyncPolicy::Off => {}
         }
         Ok(())
     }
@@ -625,6 +731,12 @@ impl BackupStorage for FileStorage {
     }
 
     fn segments_of(&self, master: usize) -> Vec<(u64, Vec<u8>)> {
+        let pending = self.logs.get(&master).and_then(MasterLog::pending);
+        // A frame at or past what its file was given is still pending.
+        let buffered = |extent: &Extent| {
+            pending
+                .is_some_and(|(file, written, _)| extent.file == file && extent.offset >= written)
+        };
         // Each file is opened once, on its first frame; one that will not
         // open fails every frame in it.
         let mut files: BTreeMap<u64, Option<File>> = BTreeMap::new();
@@ -634,29 +746,39 @@ impl BackupStorage for FileStorage {
             .map(|(&(_, segment), slot)| {
                 let mut bytes = Vec::with_capacity(slot.len as usize);
                 // A master fills one segment at a time, so a slot's frames
-                // mostly lie back to back: each such run is one read.
-                let runs = slot
-                    .extents
-                    .chunk_by(|a, b| b.file == a.file && b.offset == a.end());
+                // mostly lie back to back: each such run is one read, or
+                // one slice of the pending frames.
+                let runs = slot.extents.chunk_by(|a, b| {
+                    b.file == a.file && b.offset == a.end() && buffered(a) == buffered(b)
+                });
                 for frames in runs {
                     let (first, last) = (frames[0], frames[frames.len() - 1]);
-                    let file = files.entry(first.file).or_insert_with(|| {
-                        File::open(self.dir.join(log_name(master, first.file))).ok()
-                    });
-                    run.resize((last.end() - first.offset) as usize, 0);
-                    let got = file
-                        .as_ref()
-                        .map_or(0, |f| read_upto(f, &mut run, first.offset));
-                    self.metrics.read_bytes.add(got as u64);
+                    let span: &[u8] = match pending.filter(|_| buffered(&first)) {
+                        Some((_, written, pending)) => pending
+                            .get((first.offset - written) as usize..(last.end() - written) as usize)
+                            .unwrap_or_default(),
+                        None => {
+                            let file = files.entry(first.file).or_insert_with(|| {
+                                File::open(self.dir.join(log_name(master, first.file))).ok()
+                            });
+                            run.resize((last.end() - first.offset) as usize, 0);
+                            let got = file
+                                .as_ref()
+                                .map_or(0, |f| read_upto(f, &mut run, first.offset));
+                            self.metrics.read_bytes.add(got as u64);
+                            &run[..got]
+                        }
+                    };
                     for extent in frames {
                         let at = (extent.offset - first.offset) as usize;
                         let end = (extent.end() - first.offset) as usize;
-                        let Some(frame) = run[..got].get(at..end) else {
+                        let Some(frame) = span.get(at..end) else {
                             self.metrics.read_errors.incr();
                             continue;
                         };
-                        // Checked again on the way out: a frame the disk
-                        // changed since it was written is left out.
+                        // Checked again on the way out, wherever it came
+                        // from: a frame changed since it was encoded is
+                        // left out.
                         match decode_frame(frame) {
                             Ok((header, payload, _))
                                 if (header.master, header.segment, header.len)
@@ -682,6 +804,7 @@ impl BackupStorage for FileStorage {
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
+        let drained = self.drain_all();
         self.injected_fsync()?;
         for (&master, log) in &mut self.logs {
             log.sync(master, &self.metrics)?;
@@ -689,18 +812,20 @@ impl BackupStorage for FileStorage {
         self.dirty_bytes = 0;
         self.last_sync = Instant::now();
         self.metrics.queue_depth.set(0);
-        Ok(())
+        drained
     }
 }
 
 impl Drop for FileStorage {
     fn drop(&mut self) {
-        // Graceful exits flush whatever the policy left unsynced; a real
-        // crash never runs this, which is the whole point of the policies.
-        // `Off` promised no sync, and nobody is asking for one here.
-        if self.policy != FsyncPolicy::Off {
-            let _ = self.flush();
-        }
+        // Graceful exits write what is pending and sync what the policy
+        // left unsynced; a real crash never runs this, which is the whole
+        // point of the policies. `Off` promised no sync, and nobody is
+        // asking for one here.
+        let _ = match self.policy {
+            FsyncPolicy::Off => self.drain_all(),
+            _ => self.flush(),
+        };
     }
 }
 
@@ -1018,6 +1143,7 @@ mod tests {
             for _ in 0..9 {
                 s.append(0, 1, &payload).unwrap();
             }
+            s.flush().unwrap();
             assert_eq!(
                 log_files(&dir),
                 [("m0_0.log".into(), 8 * frame), ("m0_1.log".into(), frame)]
@@ -1129,7 +1255,9 @@ mod tests {
                 ..Default::default()
             }));
             s.append(0, 1, b"acked, not yet synced").unwrap();
-            assert!(s.append(0, 1, b"torn").is_err());
+            // Sealing segment 1 writes it; the drain of segment 2 is cut.
+            s.append(0, 2, b"torn").unwrap();
+            assert!(s.append(0, 3, b"sealing 2").is_err());
             // Nothing will reach the retired file again: it was synced on
             // the way out (unless nothing was promised), and is not dirty.
             assert_eq!(registry.get("disk.fsyncs"), owed);
@@ -1292,6 +1420,7 @@ mod tests {
         for payload in [&b"first"[..], b"middle", b"last"] {
             s.append(0, 1, payload).unwrap();
         }
+        s.flush().unwrap();
         // Behind the store's back: one payload byte of the middle frame.
         let path = dir.join(log_name(0, 0));
         let mut bytes = fs::read(&path).unwrap();
@@ -1332,6 +1461,7 @@ mod tests {
         for payload in [&b"whole"[..], b"cut short", b"gone"] {
             s.append(0, 1, payload).unwrap();
         }
+        s.flush().unwrap();
         // Behind the store's back: the file ends inside the second frame.
         let cut = encode_frame(0, 1, 0, b"whole").len() + FRAME_HEADER_BYTES + 3;
         let f = OpenOptions::new()
@@ -1342,6 +1472,116 @@ mod tests {
         assert_eq!(s.segments_of(0), vec![(1, b"whole".to_vec())]);
         assert_eq!(registry.get("disk.read_errors"), 2);
         assert_eq!(registry.get("disk.crc_mismatch"), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The length of the frame `payload` is staged in.
+    fn frame_len(payload: &[u8]) -> usize {
+        FRAME_HEADER_BYTES + payload.len()
+    }
+
+    #[test]
+    fn off_writes_a_segment_in_one_call_and_per_write_writes_every_frame() {
+        let record = [0x3Cu8; 100];
+        let sealed = 60 * frame_len(&record) as u64;
+        for (policy, calls, fsyncs, written) in [
+            (FsyncPolicy::Off, 1, 0, sealed),
+            (FsyncPolicy::PerWrite, 61, 61, sealed + 52),
+        ] {
+            let dir = tmpdir("write-calls");
+            let (mut s, registry) = counted(&dir, policy.clone());
+            for _ in 0..60 {
+                s.append(0, 0, &record).unwrap();
+            }
+            s.append(0, 1, b"the next segment").unwrap();
+            let counts = ["write_calls", "fsyncs", "write_bytes"]
+                .map(|c| registry.get(&format!("disk.{c}")));
+            assert_eq!(counts, [calls, fsyncs, written], "{policy}");
+            assert_eq!(s.staged_bytes(), 60 * 100 + 16, "{policy}");
+            drop(s);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_served_read_serves_pending_frames_and_checks_them_too() {
+        let dir = tmpdir("read-pending");
+        let (mut s, registry) = counted(&dir, FsyncPolicy::Off);
+        s.append(0, 1, b"written").unwrap();
+        s.append(0, 2, b"flushed, ").unwrap();
+        s.flush().unwrap();
+        s.append(0, 2, b"pending, ").unwrap();
+        s.append(0, 2, b"then flipped").unwrap();
+        assert_eq!(registry.get("disk.write_calls"), 2);
+        // Segment 2 is one run: its first frame in the file, the rest not.
+        assert_eq!(
+            s.segments_of(0),
+            vec![
+                (1, b"written".to_vec()),
+                (2, b"flushed, pending, then flipped".to_vec())
+            ]
+        );
+        // Behind the store's back: one payload byte of the last pending frame.
+        let at = frame_len(b"pending, ") + FRAME_HEADER_BYTES + 2;
+        s.logs.get_mut(&0).unwrap().pending[at] ^= 0x04;
+        assert_eq!(
+            s.segments_of(0),
+            vec![
+                (1, b"written".to_vec()),
+                (2, b"flushed, pending, ".to_vec())
+            ]
+        );
+        assert_eq!(registry.get("disk.crc_mismatch"), 1);
+        assert_eq!(registry.get("disk.read_errors"), 0);
+        assert_eq!(registry.get("disk.write_calls"), 2, "served, not written");
+        // The index still says what was acked: the damage is in the buffer.
+        assert_eq!(s.staged_bytes(), 7 + 9 + 9 + 12);
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_drain_cut_short_keeps_the_frames_wholly_before_the_cut() {
+        let dir = tmpdir("drain-cut");
+        let payloads: [&[u8]; 4] = [b"kept", b"kept too", b"cut short", b"never written"];
+        // Two whole frames and five bytes of the third reach the file.
+        let keep = frame_len(payloads[0]) + frame_len(payloads[1]) + 5;
+        {
+            let (s, registry) = counted(&dir, FsyncPolicy::Off);
+            let mut s = s.with_injector(Box::new(Scripted {
+                appends: [AppendFault {
+                    stall: None,
+                    outcome: AppendOutcome::Short { keep },
+                }]
+                .into(),
+                ..Default::default()
+            }));
+            for payload in payloads {
+                s.append(0, 1, payload).unwrap();
+            }
+            // Sealing segment 1 drains it, and the drain is cut.
+            assert!(s.append(0, 2, b"next").is_err());
+            assert_eq!(s.segments_of(0), vec![(1, b"keptkept too".to_vec())]);
+            assert_eq!(registry.get("disk.write_errors"), 2);
+            assert_eq!(s.staged_bytes(), 12);
+            // The cut retired file 0; the retry lands in file 1.
+            s.append(0, 2, b"next").unwrap();
+            assert_eq!(s.logs[&0].tail.as_ref().map(|tail| tail.n), Some(1));
+            assert_eq!(registry.get("disk.write_calls"), 1);
+        }
+        assert_eq!(
+            log_files(&dir),
+            [
+                ("m0_0.log".to_owned(), keep as u64),
+                ("m0_1.log".to_owned(), frame_len(b"next") as u64)
+            ]
+        );
+        let s = open(&dir, FsyncPolicy::Off);
+        assert_eq!(
+            s.segments_of(0),
+            vec![(1, b"keptkept too".to_vec()), (2, b"next".to_vec())]
+        );
+        assert_eq!((s.recovery.torn_tails, s.recovery.quarantined), (1, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -114,8 +114,9 @@ pub fn encode_image_frame(master: usize, segment: u64, epoch: u64, payload: &[u8
     out
 }
 
-/// Encodes one frame of `kind` into `out`, replacing what it held: the
-/// writer a store reuses for every frame instead of allocating one each.
+/// Encodes one frame of `kind` onto the end of `out`, after what it holds:
+/// how a store lays a frame in place behind the frames it has not yet
+/// written.
 pub fn encode_frame_into(
     out: &mut Vec<u8>,
     kind: FrameKind,
@@ -129,7 +130,7 @@ pub fn encode_frame_into(
         FrameKind::Append => FRAME_MAGIC,
         FrameKind::Image => IMAGE_MAGIC,
     };
-    out.clear();
+    let start = out.len();
     out.reserve(FRAME_HEADER_BYTES + payload.len());
     out.extend_from_slice(&magic.to_le_bytes());
     out.extend_from_slice(&(master as u64).to_le_bytes());
@@ -138,8 +139,9 @@ pub fn encode_frame_into(
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&[0u8; 4]);
     out.extend_from_slice(payload);
-    let crc = frame_crc(out);
-    out[CRC_AT..FRAME_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+    let frame = &mut out[start..];
+    let crc = frame_crc(frame);
+    frame[CRC_AT..FRAME_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Decodes the frame at the start of `buf`. Returns the header, the
@@ -288,6 +290,20 @@ mod tests {
         );
         assert_eq!(total, golden.len());
         assert_eq!(encode_frame(3, 17, 2, payload), golden);
+    }
+
+    #[test]
+    fn frames_encoded_onto_one_buffer_lie_back_to_back_behind_what_it_held() {
+        let mut buf = b"held".to_vec();
+        encode_frame_into(&mut buf, FrameKind::Append, 1, 2, 3, b"first");
+        encode_frame_into(&mut buf, FrameKind::Image, 1, 2, 3, b"second");
+        let want = [
+            &b"held"[..],
+            &encode_frame(1, 2, 3, b"first"),
+            &encode_image_frame(1, 2, 3, b"second"),
+        ]
+        .concat();
+        assert_eq!(buf, want);
     }
 
     #[test]

@@ -14,16 +14,18 @@
 //!   their own `(master, segment)`. An fsync policy axis ([`FsyncPolicy`]:
 //!   `per_write` / `batched{bytes,interval}` / `off`) trades durability
 //!   against write latency exactly the way RAMCloud's buffered logging
-//!   does, and [`FileStorage::open`] recovers staged segments after a crash
+//!   does — under `batched` and `off` a master's open segment is acked
+//!   from memory and written in one call when it seals — and [`FileStorage::open`] recovers staged segments after a crash
 //!   by loading the longest valid frame prefix of every file — a torn tail
 //!   is clean truncation, a mid-file checksum mismatch quarantines the
 //!   file's remainder rather than panicking. A file whose write failed is
 //!   never appended to again, so torn bytes are always a tail. The files
-//!   are the replica: the store keeps only where each frame lies, and a
-//!   served read checks every frame again as it reads it back.
+//!   are the replica: the store keeps only where each frame lies (and the
+//!   frames not written yet), and a served read checks every frame again
+//!   as it reads it back.
 //!
 //! The storage boundary is also the disk fault-injection surface: a
-//! [`FaultInjector`] interposes on every append and fsync (short writes,
+//! [`FaultInjector`] interposes on every write and fsync (short writes,
 //! EIO, bit flips, stuck-slow I/O), with every detected consequence counted
 //! in the `disk.*` metric family ([`DiskMetrics`]).
 

@@ -30,23 +30,33 @@ impl std::fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
-/// When staged bytes are forced to the platter.
+/// When staged bytes reach the file, and when they are forced to the
+/// platter. Under `Batched` and `Off` a file engine acks an append from
+/// its master's pending frames, written when the segment seals (see
+/// `FileStorage`'s "What is buffered").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every append, before the ack: an acked write is on
+    /// Write and `fsync` every append before the ack: an acked write is on
     /// disk, full stop. The paper's durability-first configuration.
     PerWrite,
-    /// Appends accumulate in the OS page cache and one `fsync` covers the
-    /// whole dirty queue once `bytes` have accumulated or `interval` has
-    /// passed since the last sync — io-queue-depth batching, the
-    /// RAMCloud-style buffered-logging compromise.
+    /// Appends wait in memory until their segment seals, then reach the
+    /// OS page cache in one write; one `fsync` covers the whole dirty
+    /// queue once `bytes` have been staged or `interval` has passed since
+    /// the last sync — io-queue-depth batching, the RAMCloud-style
+    /// buffered-logging compromise. An ack survives a crash of the backup
+    /// process once its segment is written, and until then lives on the
+    /// other replicas.
     Batched {
         /// Dirty-byte threshold that triggers a sync.
         bytes: usize,
         /// Maximum age of unsynced bytes.
         interval: Duration,
     },
-    /// Never fsync; the OS flushes on close. Fastest, weakest.
+    /// Never fsync unless asked; appends wait in memory until their
+    /// segment seals, and the OS flushes what was written when it likes.
+    /// An ack survives a crash of the backup process once its segment is
+    /// written, and until then lives on the other replicas. Fastest,
+    /// weakest.
     Off,
 }
 
@@ -104,11 +114,16 @@ impl std::fmt::Display for FsyncPolicy {
 pub struct DiskMetrics {
     /// Bytes written (frame bytes, including headers).
     pub write_bytes: CounterHandle,
+    /// `write` calls made to log files: one per frame under `per_write`,
+    /// one per drain of pending frames otherwise.
+    pub write_calls: CounterHandle,
     /// Bytes read back (the scan at open, and every served read).
     pub read_bytes: CounterHandle,
     /// Completed fsync calls.
     pub fsyncs: CounterHandle,
-    /// Appends that failed (injected or real write errors, short writes).
+    /// Frames a failed or short write lost (injected or real): the frame
+    /// a `per_write` append or an image was writing, and every pending
+    /// frame a failed drain did not land whole.
     pub write_errors: CounterHandle,
     /// Fsyncs that failed (EIO).
     pub fsync_errors: CounterHandle,
@@ -133,6 +148,7 @@ impl DiskMetrics {
     pub fn new(fam: &MetricsFamily) -> DiskMetrics {
         DiskMetrics {
             write_bytes: fam.counter("write_bytes"),
+            write_calls: fam.counter("write_calls"),
             read_bytes: fam.counter("read_bytes"),
             fsyncs: fam.counter("fsyncs"),
             write_errors: fam.counter("write_errors"),
@@ -169,9 +185,9 @@ pub enum AppendOutcome {
     Error,
 }
 
-/// One append's injected fate: an optional stall (stuck-slow I/O) plus the
+/// One write's injected fate: an optional stall (stuck-slow I/O) plus the
 /// outcome for the bytes. The injector may additionally mutate the encoded
-/// frame in place (bit-flip corruption) before it is written.
+/// frames in place (bit-flip corruption) before they are written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendFault {
     /// Sleep this long before touching the file.
@@ -194,8 +210,10 @@ impl AppendFault {
 /// disk-fault twin of the message-level `FaultRuntime`. Implemented by
 /// `rmc-chaos` with seeded, deterministic draws.
 pub trait FaultInjector: std::fmt::Debug + Send {
-    /// Judges one append. `frame` is the encoded bytes about to be
-    /// written; the injector may flip bits in place.
+    /// Judges one write of `segment`'s frames to `master`'s log. `frame`
+    /// is the encoded bytes about to be written — one frame under
+    /// `per_write`, a drain's run of whole frames otherwise; the injector
+    /// may flip bits in place.
     fn on_append(&mut self, master: usize, segment: u64, frame: &mut Vec<u8>) -> AppendFault;
 
     /// Judges one fsync; `false` is an injected EIO.

@@ -23,6 +23,12 @@
 //! With `--data-dir DIR`, a server stages its backup segment replicas in
 //! checksummed files under `DIR` (`rmc-diskstore`'s `FileStorage`), forced
 //! durable per `--fsync` (`per_write` | `batched[:BYTES,MILLIS]` | `off`).
+//! Under `per_write` (the default) every replica write is written and
+//! synced before its ack. Under `batched` and `off` a write is acked from
+//! the segment's pending frames in memory, which reach the file in one
+//! call when the master seals the segment (or on a flush): a crash of this
+//! process loses the unwritten ones, which then live only on the segment's
+//! other replicas — RAMCloud's contract for its buffered backups.
 //! A restart from the same `DIR` bumps the persisted incarnation epoch —
 //! so the coordinator's restart detection recovers the previous
 //! incarnation — and rejoins with every staged segment recovered from disk
@@ -31,8 +37,8 @@
 //!
 //! Two ways to stop: kill the process (a crash; the protocol's recovery
 //! machinery is the cleanup, and with `--fsync per_write` every acked
-//! write survives on disk), or close its stdin (graceful: the node flushes
-//! and fsyncs its open log files, then exits 0).
+//! write survives on disk), or close its stdin (graceful: the node writes
+//! what is pending, fsyncs its open log files, then exits 0).
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener};
@@ -53,7 +59,11 @@ use rmc_wire::{AddressBook, FabricConfig, WireFabric};
 const USAGE: &str = "usage: rmcd --role coordinator|server [--index I] \
 --addrs a0,a1,... --servers N --replication R \
 [--clients C] [--heartbeat-ms H] [--failure-ms F] [--retry-ms T] \
-[--data-dir DIR] [--fsync per_write|batched[:BYTES,MILLIS]|off]";
+[--data-dir DIR] [--fsync per_write|batched[:BYTES,MILLIS]|off]
+  --fsync per_write (the default) writes and syncs every replica write before
+  its ack; batched and off ack from memory and write a replica segment in one
+  call when it seals, so a crash of this process loses what is unwritten here
+  and the other replicas keep it";
 
 struct Args {
     role: String,
