@@ -4,28 +4,20 @@
 //!
 //! Both files go through `rmc_bench::report::load`, so a report the
 //! schema rejects is never diffed. Rows are matched by the identity fields
-//! the report table names for the kind (`mix`/`batch_size`,
-//! `mode`/`round`, `case`), and the kind's gated metric
-//! (`throughput_ops_per_sec`, `recovery_bytes_per_sec`) is diffed per
-//! matched pair — no per-schema code here.
+//! the report table names for the kind (`mode`/`round`, `case`), and the
+//! kind's gated metric (`throughput_ops_per_sec`,
+//! `recovery_bytes_per_sec`) is diffed per matched pair — no per-schema
+//! code here.
 //!
 //! By default regressions are warnings (benchmarks on shared CI hardware
 //! are noisy) and the exit code stays 0; `--strict` turns any regression
 //! beyond the threshold into a failure.
 //!
-//! With `--history FILE`, each comparison also appends one compact JSONL
-//! record (timestamp, benchmark, metric, per-row values, regression count) to
-//! `FILE` — a durable trend log (`results/bench_history.jsonl`) that
-//! accumulates across runs where individual `BENCH_*.json` files only hold
-//! the latest.
-//!
 //! Usage:
 //!   bench_compare --baseline OLD.json --current NEW.json
-//!                 [--threshold PCT] [--strict] [--history FILE]
+//!                 [--threshold PCT] [--strict]
 
-use std::io::Write;
 use std::process::ExitCode;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use rmc_bench::chart::format_quantity as kops;
 use rmc_bench::json::Json;
@@ -77,45 +69,12 @@ fn compare(
     (regressions, notes)
 }
 
-/// Appends one compact JSONL record of this comparison to `path`.
-fn append_history(
-    path: &str,
-    kind: &ReportKind,
-    cur_rows: Vec<(String, f64)>,
-    regressions: usize,
-) -> Result<(), String> {
-    let unix_secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let row_entries: Vec<Json> = cur_rows
-        .into_iter()
-        .map(|(key, value)| Json::obj(vec![("key", key.into()), ("value", value.into())]))
-        .collect();
-    let record = Json::obj(vec![
-        ("unix_secs", unix_secs.into()),
-        ("benchmark", kind.benchmark.into()),
-        ("metric", kind.metric.into()),
-        ("rows", Json::Arr(row_entries)),
-        ("regressions", regressions.into()),
-    ]);
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("open {path}: {e}"))?;
-    writeln!(file, "{}", record.to_compact()).map_err(|e| format!("append {path}: {e}"))?;
-    println!("history -> {path}");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut baseline_path = None;
     let mut current_path = None;
     let mut threshold = DEFAULT_THRESHOLD;
     let mut strict = false;
-    let mut history_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -138,15 +97,11 @@ fn main() -> ExitCode {
                 };
             }
             "--strict" => strict = true,
-            "--history" if i + 1 < args.len() => {
-                i += 1;
-                history_path = Some(args[i].clone());
-            }
             other => {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
                     "usage: bench_compare --baseline OLD.json --current NEW.json \
-                     [--threshold PCT] [--strict] [--history FILE]"
+                     [--threshold PCT] [--strict]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -181,9 +136,6 @@ fn main() -> ExitCode {
             notes.len() + regressions.len(),
             regressions.len()
         );
-        if let Some(path) = &history_path {
-            append_history(path, kind, cur_rows, regressions.len())?;
-        }
         Ok(!regressions.is_empty())
     })();
 

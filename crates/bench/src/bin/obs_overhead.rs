@@ -26,18 +26,18 @@
 //!   obs_overhead --check PATH             validate an existing report
 
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::time::Instant;
 
-use rmc_bench::backend::{latency_json, StandaloneBackend};
 use rmc_bench::chart::format_quantity as kops;
 use rmc_bench::json::Json;
 use rmc_bench::report::{self, paired_overhead_percent, SCHEMA_VERSION};
-use rmc_logstore::LogConfig;
-use rmc_standalone::{ServerConfig, StandaloneServer};
-use rmc_ycsb::runner::{self, RunSummary, RunnerConfig};
-use rmc_ycsb::{Distribution, Mix, WorkloadSpec};
+use rmc_logstore::{LogConfig, TableId};
+use rmc_standalone::{Client, ServerConfig, StandaloneServer};
+use rmc_ycsb::{Distribution, LatencySummary, Mix, RequestGenerator, WorkloadSpec};
 
 const SHARDS: usize = 16;
+/// The table every record lives in.
+const TABLE: TableId = TableId(1);
 /// The acceptance bound: enabled instrumentation may cost at most this
 /// much read throughput versus the kill-switch baseline.
 const BUDGET_PERCENT: f64 = 3.0;
@@ -81,14 +81,49 @@ fn mode_name(enabled: bool) -> &'static str {
 struct Measurement {
     enabled: bool,
     round: usize,
-    summary: RunSummary,
+    elapsed_secs: f64,
+    throughput_ops_per_sec: f64,
+    reads: LatencySummary,
     /// `stage.read_service_ns` samples taken during the run — proof the
     /// switch was actually in the claimed position.
     stage_samples: u64,
 }
 
+/// Writes every record of `spec`, 128 to a `multiwrite`.
+fn preload(client: &Client, spec: &WorkloadSpec) -> Result<(), String> {
+    let mut generator = RequestGenerator::new(spec.clone(), 1);
+    let records: Vec<(Vec<u8>, Vec<u8>)> = (0..spec.record_count)
+        .map(|index| (spec.key_for(index), generator.value_for(index)))
+        .collect();
+    for chunk in records.chunks(128) {
+        let ops: Vec<(&[u8], &[u8])> = chunk
+            .iter()
+            .map(|(k, v)| (k.as_slice(), v.as_slice()))
+            .collect();
+        for outcome in client.multiwrite(TABLE, &ops).map_err(|e| e.to_string())? {
+            outcome.map_err(|e| e.to_string())?;
+        }
+    }
+    Ok(())
+}
+
+/// One closed-loop client: every request of the (read-only) stream is one
+/// timed `read_view`, the server's lock-free zero-copy path. Returns the
+/// per-read latencies, µs.
+fn read_loop(client: &Client, spec: &WorkloadSpec) -> Result<Vec<f64>, String> {
+    let mut generator = RequestGenerator::new(spec.clone(), 42);
+    let mut read_us = Vec::with_capacity(spec.ops_per_client as usize);
+    while let Some(request) = generator.next_request() {
+        let key = generator.key_for(request.key_index);
+        let t = Instant::now();
+        client.read_view(TABLE, &key).map_err(|e| e.to_string())?;
+        read_us.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    Ok(read_us)
+}
+
 fn run_measured(
-    backend: &Arc<StandaloneBackend>,
+    client: &Client,
     spec: &WorkloadSpec,
     hist: &rmc_runtime::HistogramHandle,
     enabled: bool,
@@ -96,31 +131,32 @@ fn run_measured(
 ) -> Result<Measurement, String> {
     rmc_obs::set_enabled(enabled);
     let before = hist.count();
-    let summary = runner::run(
-        backend,
-        spec,
-        &RunnerConfig {
-            clients: 1,
-            batch_size: 1,
-            seed: 42,
-        },
-    );
+    let start = Instant::now();
+    let handle = {
+        let (client, spec) = (client.clone(), spec.clone());
+        std::thread::spawn(move || read_loop(&client, &spec))
+    };
+    let read_us = handle.join().expect("client thread panicked");
+    let elapsed_secs = start.elapsed().as_secs_f64();
     rmc_obs::set_enabled(true);
-    let summary = summary?;
+    let mut read_us = read_us?;
     let stage_samples = hist.count() - before;
+    let m = Measurement {
+        enabled,
+        round,
+        elapsed_secs,
+        throughput_ops_per_sec: read_us.len() as f64 / elapsed_secs,
+        reads: LatencySummary::from_samples(&mut read_us),
+        stage_samples,
+    };
     println!(
         "  round {round} {:<8} {:>9} ops/s  read p99 {:>7.2} us  stage samples {}",
         mode_name(enabled),
-        kops(summary.throughput_ops_per_sec),
-        summary.reads.p99_us,
+        kops(m.throughput_ops_per_sec),
+        m.reads.p99_us,
         stage_samples,
     );
-    Ok(Measurement {
-        enabled,
-        round,
-        summary,
-        stage_samples,
-    })
+    Ok(m)
 }
 
 /// Runs the full interleaved ablation against one shared server instance.
@@ -145,26 +181,36 @@ fn run_ablation(scale: Scale) -> Result<Vec<Measurement>, String> {
         value_bytes: scale.value_bytes,
         ops_per_client: scale.ops_per_client,
     };
-    let backend = Arc::new(StandaloneBackend {
-        client: server.client(),
-    });
-    runner::load(&*backend, &spec, 1)?;
+    let client = server.client();
+    preload(&client, &spec)?;
     let hist = server.metrics().histogram("stage.read_service_ns");
 
     // Unrecorded warmup: first-touch page faults and allocator growth land
     // here, not in round 0.
-    run_measured(&backend, &spec, &hist, false, 0)?;
+    run_measured(&client, &spec, &hist, false, 0)?;
     let mut measurements = Vec::new();
     for round in 0..scale.rounds {
         // Interleave so drift lands on both modes symmetrically, and
         // alternate which mode goes first so any run-after-run order
         // effect (cache state left by the previous run) cancels too.
         let first = round % 2 == 0;
-        measurements.push(run_measured(&backend, &spec, &hist, first, round)?);
-        measurements.push(run_measured(&backend, &spec, &hist, !first, round)?);
+        measurements.push(run_measured(&client, &spec, &hist, first, round)?);
+        measurements.push(run_measured(&client, &spec, &hist, !first, round)?);
     }
     server.shutdown();
     Ok(measurements)
+}
+
+/// Renders a latency summary as the report's `read_latency_us` block.
+fn latency_json(lat: &LatencySummary) -> Json {
+    Json::obj(vec![
+        ("count", lat.count.into()),
+        ("mean", lat.mean_us.into()),
+        ("p50", lat.p50_us.into()),
+        ("p90", lat.p90_us.into()),
+        ("p99", lat.p99_us.into()),
+        ("max", lat.max_us.into()),
+    ])
 }
 
 fn report(measurements: &[Measurement], scale: Scale) -> Result<Json, String> {
@@ -174,14 +220,11 @@ fn report(measurements: &[Measurement], scale: Scale) -> Result<Json, String> {
             Json::obj(vec![
                 ("mode", mode_name(m.enabled).into()),
                 ("round", m.round.into()),
-                ("ops", m.summary.ops.into()),
-                ("elapsed_secs", m.summary.elapsed_secs.into()),
-                (
-                    "throughput_ops_per_sec",
-                    m.summary.throughput_ops_per_sec.into(),
-                ),
+                ("ops", m.reads.count.into()),
+                ("elapsed_secs", m.elapsed_secs.into()),
+                ("throughput_ops_per_sec", m.throughput_ops_per_sec.into()),
                 ("stage_samples", m.stage_samples.into()),
-                ("read_latency_us", latency_json(&m.summary.reads)),
+                ("read_latency_us", latency_json(&m.reads)),
             ])
         })
         .collect();
@@ -195,7 +238,7 @@ fn report(measurements: &[Measurement], scale: Scale) -> Result<Json, String> {
             measurements
                 .iter()
                 .find(|m| m.round == round && m.enabled == enabled)
-                .map(|m| m.summary.throughput_ops_per_sec)
+                .map(|m| m.throughput_ops_per_sec)
                 .ok_or_else(|| format!("round {round} is missing a mode"))
         };
         pairs.push((pick(false)?, pick(true)?));
@@ -205,7 +248,7 @@ fn report(measurements: &[Measurement], scale: Scale) -> Result<Json, String> {
         let mut v: Vec<f64> = measurements
             .iter()
             .filter(|m| m.enabled == enabled)
-            .map(|m| m.summary.throughput_ops_per_sec)
+            .map(|m| m.throughput_ops_per_sec)
             .collect();
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]

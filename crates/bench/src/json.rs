@@ -1,7 +1,7 @@
 //! Minimal JSON value, serializer, and parser.
 //!
-//! The bench drivers emit machine-readable results (`BENCH_standalone.json`)
-//! and CI re-parses them to validate the schema. The workspace builds
+//! The bench drivers emit machine-readable results (`BENCH_obs.json`,
+//! `BENCH_recovery.json`) and CI re-parses them to validate the schema. The workspace builds
 //! offline with no JSON dependency, so this is a small self-contained
 //! implementation: enough JSON for flat benchmark reports (no unicode
 //! escapes beyond `\uXXXX` parsing, numbers as `f64`).
@@ -62,70 +62,6 @@ impl Json {
     pub fn obj(fields: Vec<(&str, Json)>) -> Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
-
-    /// Serializes on a single line with no whitespace — one JSONL record.
-    ///
-    /// The `Display` impl pretty-prints for human-diffed `BENCH_*.json`
-    /// files; history logs (`bench_history.jsonl`) need exactly one line
-    /// per entry instead.
-    pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Str(s) => escape_into(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    escape_into(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl From<f64> for Json {
@@ -443,24 +379,6 @@ mod tests {
         assert_eq!(arr[0].as_f64(), Some(1.0));
         assert_eq!(arr[1].as_f64(), Some(-25.0));
         assert_eq!(arr[2].as_str(), Some("A"));
-    }
-
-    #[test]
-    fn compact_form_is_one_line_and_roundtrips() {
-        let doc = Json::obj(vec![
-            ("name", "a \"b\"\n".into()),
-            ("n", 3u64.into()),
-            ("xs", Json::Arr(vec![1u64.into(), Json::Null, false.into()])),
-            ("o", Json::obj(vec![("p50", 1.5.into())])),
-        ]);
-        let line = doc.to_compact();
-        assert!(!line.contains('\n'), "got {line:?}");
-        assert!(!line.contains(": "), "got {line:?}");
-        assert_eq!(parse(&line).unwrap(), doc);
-        assert_eq!(
-            line,
-            r#"{"name":"a \"b\"\n","n":3,"xs":[1,null,false],"o":{"p50":1.5}}"#
-        );
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod chart;
 pub mod json;
 pub mod report;

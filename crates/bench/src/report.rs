@@ -1,5 +1,5 @@
-//! The reports `rmc-bench` emits (`BENCH_standalone.json`, `BENCH_obs.json`,
-//! `BENCH_recovery.json`) and the one validator for all of them.
+//! The reports `rmc-bench` emits (`BENCH_obs.json`, `BENCH_recovery.json`)
+//! and the one validator for both.
 //!
 //! Every report is the same envelope — `schema_version`, a `benchmark` tag,
 //! a `config` block, a non-empty `results` array, for some kinds a
@@ -27,18 +27,14 @@ enum Is {
     Min(f64),
     /// A number `> 0`.
     Positive,
-    /// A number in `[0, 1]`.
-    Fraction,
     /// A non-empty string.
     Str,
     /// One of the listed strings.
     OneOf(&'static [&'static str]),
     /// An object holding these fields.
     Block(&'static [Field]),
-    /// An array of objects each holding these fields.
-    Rows(&'static [Field]),
 }
-use Is::{Block, Fraction, Min, Num, OneOf, Positive, Rows, Str};
+use Is::{Block, Min, Num, OneOf, Positive, Str};
 
 #[derive(Debug)]
 struct Field {
@@ -84,7 +80,7 @@ pub struct ReportKind {
     invariants: fn(&Json) -> Result<(), String>,
 }
 
-/// A `*_latency_us` block as `backend::latency_json` renders it.
+/// A `*_latency_us` block as `obs_overhead` renders it.
 const LATENCY: Is = Block(&[
     req("count", Min(0.0)),
     req("mean", Min(0.0)),
@@ -94,84 +90,11 @@ const LATENCY: Is = Block(&[
     req("max", Min(0.0)),
 ]);
 
-/// One `stage.*` histogram summary.
-const STAGE: Is = Block(&[
-    req("count", Min(0.0)),
-    req("mean_ns", Min(0.0)),
-    req("p50_ns", Min(0.0)),
-    req("p99_ns", Min(0.0)),
-    req("max_ns", Min(0.0)),
-]);
-
 /// The backup staging engines the recovery ablation compares.
 const RECOVERY_ENGINES: [&str; 2] = ["memory", "file"];
 
 /// Every report kind this crate emits.
-pub static KINDS: [ReportKind; 3] = [
-    // The standalone mix x batch sweep (`standalone_ycsb`).
-    ReportKind {
-        benchmark: "standalone_ycsb",
-        config: &[
-            req("record_count", Positive),
-            req("ops_per_client", Positive),
-            req("clients", Positive),
-            req("value_bytes", Positive),
-        ],
-        row: &[
-            req("mix", Str),
-            req("read_fraction", Fraction),
-            req("batch_size", Min(1.0)),
-            req("ops", Min(1.0)),
-            req("elapsed_secs", Positive),
-            req("throughput_ops_per_sec", Positive),
-            req("read_latency_us", LATENCY),
-            req("write_latency_us", LATENCY),
-            opt(
-                "cleaner",
-                Block(&[
-                    req("passes", Min(0.0)),
-                    req("segments_freed", Min(0.0)),
-                    req("segments_compacted", Min(0.0)),
-                    req("bytes_relocated", Min(0.0)),
-                    req("tombstones_dropped", Min(0.0)),
-                    req("busy_ns", Min(0.0)),
-                ]),
-            ),
-            // Mandatory: the proof of which path served the row's reads.
-            req(
-                "read_path",
-                Block(&[req("lockfree", Min(0.0)), req("fallback_locked", Min(0.0))]),
-            ),
-            opt(
-                "stages",
-                Block(&[
-                    req("read_service_ns", STAGE),
-                    req("write_service_ns", STAGE),
-                    req("fallback_locked_ns", STAGE),
-                ]),
-            ),
-            opt(
-                "energy",
-                Block(&[
-                    req("total_joules", Num),
-                    req(
-                        "classes",
-                        Rows(&[
-                            req("name", Str),
-                            req("ops", Min(0.0)),
-                            req("joules", Min(0.0)),
-                            req("micro_joules_per_op", Min(0.0)),
-                            req("ops_per_joule", Min(0.0)),
-                        ]),
-                    ),
-                ]),
-            ),
-        ],
-        comparison: &[],
-        identity: &["mix", "batch_size"],
-        metric: "throughput_ops_per_sec",
-        invariants: reads_took_the_lockfree_path,
-    },
+pub static KINDS: [ReportKind; 2] = [
     // The observability ablation (`obs_overhead`): instrumentation enabled
     // vs the kill-switch baseline on the read-path hot loop.
     ReportKind {
@@ -273,13 +196,12 @@ fn check_block(obj: &Json, ctx: &str, fields: &[Field]) -> Result<(), String> {
             continue;
         }
         match &f.is {
-            Num | Min(_) | Positive | Fraction => {
+            Num | Min(_) | Positive => {
                 let v = num(obj, ctx, key)?;
                 let must = match &f.is {
                     Min(b) if v < *b && *b == 0.0 => "non-negative".to_owned(),
                     Min(b) if v < *b => format!(">= {b}"),
                     Positive if v <= 0.0 => "positive".to_owned(),
-                    Fraction if !(0.0..=1.0).contains(&v) => "in [0, 1]".to_owned(),
                     _ => continue,
                 };
                 return Err(format!("{ctx}: \"{key}\" must be {must}"));
@@ -296,21 +218,13 @@ fn check_block(obj: &Json, ctx: &str, fields: &[Field]) -> Result<(), String> {
                 }
             }
             Block(inner) => check_block(field(obj, ctx, key)?, &format!("{ctx}.{key}"), inner)?,
-            Rows(inner) => {
-                let items = field(obj, ctx, key)?
-                    .as_array()
-                    .ok_or_else(|| format!("{ctx}: \"{key}\" must be an array"))?;
-                for (i, item) in items.iter().enumerate() {
-                    check_block(item, &format!("{ctx}.{key}[{i}]"), inner)?;
-                }
-            }
         }
     }
     Ok(())
 }
 
 impl ReportKind {
-    /// The identity of a result row, e.g. `mix=read95 batch_size=1`.
+    /// The identity of a result row, e.g. `mode=enabled round=3`.
     pub fn row_key(&self, row: &Json) -> String {
         let parts: Vec<String> = self
             .identity
@@ -476,21 +390,6 @@ pub fn run_bin(
     }
 }
 
-/// Standalone: a row whose reads never took the lock-free path did not
-/// measure this design.
-fn reads_took_the_lockfree_path(doc: &Json) -> Result<(), String> {
-    for (i, row) in rows(doc)?.iter().enumerate() {
-        let ctx = format!("results[{i}]");
-        let read_path = field(row, &ctx, "read_path")?;
-        if num(read_path, &format!("{ctx}.read_path"), "lockfree")? == 0.0 {
-            return Err(format!(
-                "{ctx}.read_path: run never took the lock-free path"
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Computes the obs-ablation overhead statistic from per-round paired
 /// throughputs `(disabled, enabled)`: each round's relative overhead in
 /// percent, then the 25 %-trimmed mean across rounds. The emitter runs
@@ -640,59 +539,6 @@ fn recovery_sweep_is_covered_and_consistent(doc: &Json) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::json::parse;
-
-    fn minimal() -> String {
-        r#"{
-          "schema_version": 1,
-          "benchmark": "standalone_ycsb",
-          "config": {"record_count": 100, "ops_per_client": 50, "clients": 2, "value_bytes": 64},
-          "results": [{
-            "mix": "read95",
-            "read_fraction": 0.95, "batch_size": 1, "ops": 100,
-            "elapsed_secs": 0.5, "throughput_ops_per_sec": 200.0,
-            "read_path": {"lockfree": 95, "fallback_locked": 0},
-            "read_latency_us": {"count": 95, "mean": 2.0, "p50": 1.5, "p90": 3.0, "p99": 9.0, "max": 11.0},
-            "write_latency_us": {"count": 5, "mean": 5.0, "p50": 4.0, "p90": 8.0, "p99": 9.0, "max": 9.5}
-          }]
-        }"#
-        .to_owned()
-    }
-
-    #[test]
-    fn accepts_minimal_valid_report() {
-        validate(&parse(&minimal()).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn standalone_report_requires_and_checks_read_path_block() {
-        let bad = minimal().replace("\"lockfree\": 95", "\"lockfree\": 0");
-        let err = validate(&parse(&bad).unwrap()).unwrap_err();
-        assert!(err.contains("lock-free path"), "got {err}");
-        let missing = minimal().replace("\"read_path\"", "\"read_pathology\"");
-        let err = validate(&parse(&missing).unwrap()).unwrap_err();
-        assert!(err.contains("read_path"), "got {err}");
-    }
-
-    #[test]
-    fn standalone_report_checks_stage_and_energy_blocks() {
-        let with_blocks = minimal().replace(
-            "\"read_latency_us\"",
-            "\"stages\": {
-               \"read_service_ns\": {\"count\": 3, \"mean_ns\": 700.0, \"p50_ns\": 650, \"p99_ns\": 900, \"max_ns\": 950},
-               \"write_service_ns\": {\"count\": 1, \"mean_ns\": 1200.0, \"p50_ns\": 1200, \"p99_ns\": 1200, \"max_ns\": 1200},
-               \"fallback_locked_ns\": {\"count\": 0, \"mean_ns\": 0.0, \"p50_ns\": 0, \"p99_ns\": 0, \"max_ns\": 0}},
-             \"energy\": {\"total_joules\": 12.5, \"classes\": [
-               {\"name\": \"read\", \"ops\": 95, \"joules\": 9.0, \"micro_joules_per_op\": 94736.8, \"ops_per_joule\": 10.6}]},
-             \"read_latency_us\"",
-        );
-        validate(&parse(&with_blocks).unwrap()).unwrap();
-        let bad = with_blocks.replace("\"joules\": 9.0", "\"joules\": -1.0");
-        let err = validate(&parse(&bad).unwrap()).unwrap_err();
-        assert!(err.contains("joules"), "got {err}");
-        let missing = with_blocks.replace("\"write_service_ns\"", "\"write_service_zz\"");
-        let err = validate(&parse(&missing).unwrap()).unwrap_err();
-        assert!(err.contains("write_service_ns"), "got {err}");
-    }
 
     fn minimal_obs() -> String {
         r#"{
@@ -847,6 +693,18 @@ mod tests {
         assert!(err.contains("data sizes"), "got {err}");
     }
 
+    /// Each kind's minimal report validates, as the kind its tag names.
+    #[test]
+    fn accepts_minimal_valid_report() {
+        for (doc, tag) in [
+            (minimal_obs(), "obs_overhead"),
+            (minimal_recovery(), "recovery_ablation"),
+        ] {
+            assert_eq!(validate(&parse(&doc).unwrap()).unwrap().benchmark, tag);
+        }
+    }
+
+    /// The envelope every kind shares, and the field bounds of its table.
     #[test]
     fn rejects_missing_fields_and_bad_values() {
         for (needle, replacement, expect) in [
@@ -855,20 +713,20 @@ mod tests {
                 "\"schema_version\": 2",
                 "schema_version",
             ),
-            ("standalone_ycsb", "other_bench", "benchmark"),
+            ("obs_overhead", "other_bench", "benchmark"),
             (
-                "\"results\": [{",
-                "\"results\": [], \"ignored\": [{",
+                "\"results\": [",
+                "\"results\": [], \"ignored\": [",
                 "non-empty",
             ),
             (
-                "\"read_fraction\": 0.95",
-                "\"read_fraction\": 1.5",
-                "read_fraction",
+                "\"elapsed_secs\": 0.1,",
+                "\"elapsed_secs\": -0.1,",
+                "elapsed_secs",
             ),
-            ("\"p99\": 9.0, \"max\": 11.0", "\"max\": 11.0", "p99"),
+            ("\"p99\": 2.0, \"max\": 9.0", "\"max\": 9.0", "p99"),
         ] {
-            let doc = minimal().replace(needle, replacement);
+            let doc = minimal_obs().replace(needle, replacement);
             let err = validate(&parse(&doc).unwrap()).unwrap_err();
             assert!(err.contains(expect), "{expect}: got {err}");
         }
@@ -914,7 +772,16 @@ mod tests {
                 }
             }
         }
-        assert!(paths.len() >= 5, "found only {paths:?}");
+        let mut names: Vec<String> = (paths.iter())
+            .map(|p| p.strip_prefix(&root).unwrap().display().to_string())
+            .collect();
+        names.sort();
+        let expected = [
+            "BENCH_obs.json",
+            "BENCH_recovery.json",
+            "results/BENCH_recovery_smoke.json",
+        ];
+        assert_eq!(names, expected);
         for path in paths {
             load(path.to_str().unwrap()).unwrap();
         }

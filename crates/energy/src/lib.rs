@@ -11,19 +11,17 @@
 //!   inertia (real PDUs report a lagging average, which matters for the
 //!   paper's short Section-V runs),
 //! - [`EnergyReport`] — per-node average power, total energy, and the
-//!   paper's efficiency metric (requests served per joule),
-//! - [`attribute_energy`] — per-op-class energy attribution: splits a
-//!   node's joules across reads/writes/cleaning from the decomposed
-//!   stage-time histograms, conserving total energy.
+//!   paper's efficiency metric (requests served per joule).
+//!
+//! Energy is node-level, as the PDUs measured it: nothing here splits a
+//! node's joules across operation classes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod attribution;
 mod profile;
 mod sampler;
 
-pub use attribution::{attribute_energy, EnergyAttribution, OpClassUsage};
 pub use profile::{NodeActivity, PowerProfile};
 pub use sampler::{EnergyReport, PduSampler};

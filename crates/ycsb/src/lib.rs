@@ -7,7 +7,12 @@
 //! as an extension), deterministic per-client
 //! [request streams](crate::RequestGenerator), client-side
 //! [throttling](crate::Throttle) (Fig 13), and measurement containers
-//! ([`ClientStats`]).
+//! ([`ClientStats`], [`LatencySummary`]).
+//!
+//! It generates requests and summarises latencies; it drives no store.
+//! The wall-clock loops that issue these requests live with what they
+//! measure: `benchmark/` for the cluster and the standalone server, and
+//! `obs_overhead` in `rmc-bench` for the instrumentation budget.
 //!
 //! ## Example
 //!
@@ -30,12 +35,10 @@
 
 mod client;
 mod distribution;
-pub mod runner;
 mod stats;
 mod workload;
 
 pub use client::{Request, RequestGenerator, Throttle};
 pub use distribution::{Distribution, KeyChooser};
-pub use runner::{KvBackend, RunSummary, RunnerConfig};
 pub use stats::{percentile, ClientStats, LatencySummary};
 pub use workload::{Mix, OpKind, StandardWorkload, WorkloadSpec};

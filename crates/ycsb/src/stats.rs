@@ -1,9 +1,9 @@
 //! Per-client and per-run measurement containers.
 //!
 //! Both engines report through this module: the simulated clients record
-//! into [`ClientStats`] histograms, the wall-clock runner collects raw
-//! sample vectors, and both collapse into the same [`LatencySummary`] so a
-//! sim row and a thread row in a results table are directly comparable.
+//! into [`ClientStats`] histograms, a wall-clock loop collects raw sample
+//! vectors, and both collapse into the same [`LatencySummary`] so a sim
+//! row and a thread row in a results table are directly comparable.
 
 use rmc_runtime::{Histogram, SimDuration, SimTime};
 use serde::Serialize;
@@ -74,7 +74,7 @@ impl ClientStats {
     }
 
     /// Percentile summary of the latency distribution — the same container
-    /// the wall-clock runner reports, so simulated and threaded runs print
+    /// a wall-clock loop reports, so simulated and threaded runs print
     /// through one code path.
     pub fn latency_summary(&self) -> LatencySummary {
         LatencySummary::from_histogram(&self.latency)
@@ -115,10 +115,6 @@ impl ClientStats {
 }
 
 /// Latency percentiles over one operation class, in microseconds.
-///
-/// For batched runs each operation in a batch is charged the batch's
-/// amortized per-op latency (batch time ÷ batch length), so single-op and
-/// batched runs are comparable per operation served.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LatencySummary {
     /// Operations measured.

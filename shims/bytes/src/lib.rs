@@ -6,9 +6,7 @@
 
 #![warn(missing_docs)]
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -142,33 +140,9 @@ impl Deref for Bytes {
     }
 }
 
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes::from_arc(Arc::from(v.into_boxed_slice()))
-    }
-}
-
-impl From<&'static [u8]> for Bytes {
-    fn from(v: &'static [u8]) -> Self {
-        Bytes::from_static(v)
-    }
-}
-
-impl<const N: usize> From<&'static [u8; N]> for Bytes {
-    fn from(v: &'static [u8; N]) -> Self {
-        Bytes::from_static(v)
     }
 }
 
@@ -185,36 +159,6 @@ impl PartialEq for Bytes {
 }
 
 impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -253,8 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn ordering_and_debug() {
-        assert!(Bytes::copy_from_slice(b"a") < Bytes::copy_from_slice(b"b"));
+    fn debug_escapes_non_printable_bytes() {
         let d = format!("{:?}", Bytes::copy_from_slice(b"a\x01"));
         assert_eq!(d, "b\"a\\x01\"");
     }
@@ -271,7 +214,7 @@ mod tests {
         // Slicing a slice composes.
         let t = s.slice(1..=2);
         assert_eq!(&t[..], b"34");
-        // Comparisons, hashing, and debug all respect the window.
+        // Comparisons and debug respect the window.
         assert_eq!(t, Bytes::copy_from_slice(b"34"));
         assert_eq!(format!("{t:?}"), "b\"34\"");
         assert!(b.slice(3..3).is_empty());

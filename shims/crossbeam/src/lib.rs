@@ -3,7 +3,7 @@
 //! Provides `crossbeam::channel` with the semantics this workspace relies
 //! on, implemented over `Mutex` + `Condvar`:
 //!
-//! - bounded MPMC channels; `send` blocks when full,
+//! - unbounded MPMC channels; `send` never blocks,
 //! - `send` fails once every `Receiver` is gone,
 //! - `recv` fails once every `Sender` is gone **and** the queue is empty,
 //! - when the last `Receiver` drops, all queued messages are dropped
@@ -28,28 +28,18 @@ pub mod channel {
 
     struct Shared<T> {
         state: Mutex<State<T>>,
-        capacity: usize,
         not_empty: Condvar,
-        not_full: Condvar,
     }
 
-    /// Creates a bounded channel of `capacity` messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (rendezvous channels are not needed by
-    /// this workspace and are not implemented).
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        assert!(capacity > 0, "shim does not implement rendezvous channels");
+    /// Creates an unbounded channel.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
             }),
-            capacity,
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         });
         (
             Sender {
@@ -59,37 +49,14 @@ pub mod channel {
         )
     }
 
-    /// Creates an effectively unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        bounded(usize::MAX / 2)
-    }
-
     /// Error returned by [`Sender::send`] when all receivers are gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is full.
-        Full(T),
-        /// All receivers are gone.
-        Disconnected(T),
-    }
 
     /// Error returned by [`Receiver::recv`] when the channel is empty and
     /// all senders are gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty.
-        Empty,
-        /// The channel is empty and all senders are gone.
-        Disconnected,
-    }
 
     /// Error returned by [`Receiver::recv_timeout`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,39 +78,15 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Sends `value`, blocking while the channel is full.
+        /// Sends `value`; never blocks.
         ///
         /// # Errors
         ///
         /// [`SendError`] carrying the value back if all receivers are gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut st = self.shared.state.lock().unwrap();
-            loop {
-                if st.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                if st.queue.len() < self.shared.capacity {
-                    st.queue.push_back(value);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-                st = self.shared.not_full.wait(st).unwrap();
-            }
-        }
-
-        /// Sends without blocking.
-        ///
-        /// # Errors
-        ///
-        /// [`TrySendError::Full`] or [`TrySendError::Disconnected`],
-        /// carrying the value back.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut st = self.shared.state.lock().unwrap();
             if st.receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if st.queue.len() >= self.shared.capacity {
-                return Err(TrySendError::Full(value));
+                return Err(SendError(value));
             }
             st.queue.push_back(value);
             self.shared.not_empty.notify_one();
@@ -161,7 +104,6 @@ pub mod channel {
             let mut st = self.shared.state.lock().unwrap();
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    self.shared.not_full.notify_one();
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -186,7 +128,6 @@ pub mod channel {
             let mut st = self.shared.state.lock().unwrap();
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    self.shared.not_full.notify_one();
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -203,33 +144,6 @@ pub mod channel {
                     .unwrap();
                 st = guard;
             }
-        }
-
-        /// Receives without blocking.
-        ///
-        /// # Errors
-        ///
-        /// [`TryRecvError::Empty`] or [`TryRecvError::Disconnected`].
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut st = self.shared.state.lock().unwrap();
-            if let Some(v) = st.queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
-            if st.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
-
-        /// Number of messages currently queued.
-        pub fn len(&self) -> usize {
-            self.shared.state.lock().unwrap().queue.len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
         }
     }
 
@@ -271,7 +185,6 @@ pub mod channel {
                     // Nothing can receive these messages anymore; drop them
                     // now (outside the lock) so any resources they hold —
                     // e.g. reply senders — are released promptly.
-                    self.shared.not_full.notify_all();
                     std::mem::take(&mut st.queue)
                 } else {
                     VecDeque::new()
@@ -300,28 +213,20 @@ pub mod channel {
 
         #[test]
         fn fifo_roundtrip() {
-            let (tx, rx) = bounded(4);
+            let (tx, rx) = unbounded();
             tx.send(1).unwrap();
             tx.send(2).unwrap();
             assert_eq!(rx.recv(), Ok(1));
             assert_eq!(rx.recv(), Ok(2));
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        }
-
-        #[test]
-        fn send_blocks_until_capacity_frees() {
-            let (tx, rx) = bounded(1);
-            tx.send(1).unwrap();
-            let t = std::thread::spawn(move || tx.send(2).unwrap());
-            std::thread::sleep(Duration::from_millis(10));
-            assert_eq!(rx.recv(), Ok(1));
-            t.join().unwrap();
-            assert_eq!(rx.recv(), Ok(2));
+            assert_eq!(
+                rx.recv_timeout(Duration::ZERO),
+                Err(RecvTimeoutError::Timeout)
+            );
         }
 
         #[test]
         fn recv_disconnects_when_senders_gone() {
-            let (tx, rx) = bounded::<u32>(4);
+            let (tx, rx) = unbounded::<u32>();
             tx.send(7).unwrap();
             drop(tx);
             assert_eq!(rx.recv(), Ok(7));
@@ -330,10 +235,9 @@ pub mod channel {
 
         #[test]
         fn send_fails_when_receivers_gone() {
-            let (tx, rx) = bounded::<u32>(4);
+            let (tx, rx) = unbounded::<u32>();
             drop(rx);
             assert_eq!(tx.send(1), Err(SendError(1)));
-            assert!(matches!(tx.try_send(1), Err(TrySendError::Disconnected(1))));
         }
 
         #[test]
@@ -346,7 +250,7 @@ pub mod channel {
                     DROPS.fetch_add(1, Ordering::SeqCst);
                 }
             }
-            let (tx, rx) = bounded(8);
+            let (tx, rx) = unbounded();
             tx.send(Probe).unwrap();
             tx.send(Probe).unwrap();
             assert_eq!(DROPS.load(Ordering::SeqCst), 0);
@@ -356,7 +260,7 @@ pub mod channel {
 
         #[test]
         fn blocked_recv_wakes_on_disconnect() {
-            let (tx, rx) = bounded::<u32>(1);
+            let (tx, rx) = unbounded::<u32>();
             let t = std::thread::spawn(move || rx.recv());
             std::thread::sleep(Duration::from_millis(10));
             drop(tx);
@@ -365,7 +269,7 @@ pub mod channel {
 
         #[test]
         fn mpmc_many_producers_consumers() {
-            let (tx, rx) = bounded::<u64>(16);
+            let (tx, rx) = unbounded::<u64>();
             let total = Arc::new(AtomicUsize::new(0));
             let consumers: Vec<_> = (0..3)
                 .map(|_| {
@@ -401,7 +305,7 @@ pub mod channel {
 
         #[test]
         fn recv_timeout_times_out() {
-            let (_tx, rx) = bounded::<u32>(1);
+            let (_tx, rx) = unbounded::<u32>();
             assert_eq!(
                 rx.recv_timeout(Duration::from_millis(5)),
                 Err(RecvTimeoutError::Timeout)
@@ -410,7 +314,7 @@ pub mod channel {
 
         #[test]
         fn an_inexpressible_timeout_waits_without_limit() {
-            let (tx, rx) = bounded::<u32>(1);
+            let (tx, rx) = unbounded::<u32>();
             tx.send(7).unwrap();
             assert_eq!(rx.recv_timeout(Duration::MAX), Ok(7));
             drop(tx);

@@ -1,25 +1,17 @@
 //! Offline shim for the [`parking_lot`](https://docs.rs/parking_lot) crate.
 //!
-//! Wraps `std::sync` primitives with `parking_lot`'s non-poisoning API (lock
+//! Wraps `std::sync::RwLock` with `parking_lot`'s non-poisoning API (lock
 //! acquisition returns guards directly instead of `Result`s). Poisoning is
 //! handled by propagating the inner value: a panic while holding a lock
 //! panics subsequent acquirers too, which matches how this workspace uses
-//! locks (worker panics are already fatal to the test/process).
+//! locks (a panic is already fatal to the test/process).
 
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::sync::TryLockError;
-
-/// Re-export of the std read guard type returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Re-export of the std write guard type returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-/// Re-export of the std guard type returned by [`Mutex::lock`].
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
+use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 /// A reader-writer lock with `parking_lot`'s panic-free API.
-#[derive(Default)]
 pub struct RwLock<T: ?Sized> {
     inner: std::sync::RwLock<T>,
 }
@@ -30,11 +22,6 @@ impl<T> RwLock<T> {
         RwLock {
             inner: std::sync::RwLock::new(value),
         }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -48,87 +35,12 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Attempts to acquire a shared read lock without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts to acquire an exclusive write lock without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
+/// Never blocks: a lock held elsewhere prints as `<locked>`.
 impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_read() {
-            Some(g) => f.debug_struct("RwLock").field("data", &&*g).finish(),
-            None => f.debug_struct("RwLock").field("data", &"<locked>").finish(),
-        }
-    }
-}
-
-/// A mutual-exclusion lock with `parking_lot`'s panic-free API.
-#[derive(Default)]
-pub struct Mutex<T: ?Sized> {
-    inner: std::sync::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// Creates a new mutex holding `value`.
-    pub fn new(value: T) -> Self {
-        Mutex {
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the lock, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
-        }
+        self.inner.fmt(f)
     }
 }
 
@@ -143,18 +55,17 @@ mod tests {
         assert_eq!(*l.read(), 1);
         *l.write() += 1;
         assert_eq!(*l.read(), 2);
-        assert_eq!(l.into_inner(), 2);
     }
 
     #[test]
-    fn mutex_across_threads() {
-        let m = Arc::new(Mutex::new(0u64));
+    fn rwlock_writers_across_threads() {
+        let l = Arc::new(RwLock::new(0u64));
         let hs: Vec<_> = (0..4)
             .map(|_| {
-                let m = Arc::clone(&m);
+                let l = Arc::clone(&l);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        *m.lock() += 1;
+                        *l.write() += 1;
                     }
                 })
             })
@@ -162,7 +73,7 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-        assert_eq!(*m.lock(), 4000);
+        assert_eq!(*l.read(), 4000);
     }
 
     #[test]

@@ -119,16 +119,6 @@ pub mod strategy {
         {
             Map { inner: self, f }
         }
-
-        /// Discards generated values failing `pred` by regenerating (up to a
-        /// bounded number of attempts, then keeps the last value).
-        fn prop_filter<F>(self, _whence: &'static str, pred: F) -> Filter<Self, F>
-        where
-            Self: Sized,
-            F: Fn(&Self::Value) -> bool,
-        {
-            Filter { inner: self, pred }
-        }
     }
 
     impl<S: Strategy + ?Sized> Strategy for &S {
@@ -164,31 +154,6 @@ pub mod strategy {
         type Value = T;
         fn generate(&self, rng: &mut TestRng) -> T {
             (self.f)(self.inner.generate(rng))
-        }
-    }
-
-    /// See [`Strategy::prop_filter`].
-    #[derive(Debug, Clone)]
-    pub struct Filter<S, F> {
-        inner: S,
-        pred: F,
-    }
-
-    impl<S, F> Strategy for Filter<S, F>
-    where
-        S: Strategy,
-        F: Fn(&S::Value) -> bool,
-    {
-        type Value = S::Value;
-        fn generate(&self, rng: &mut TestRng) -> S::Value {
-            let mut last = self.inner.generate(rng);
-            for _ in 0..100 {
-                if (self.pred)(&last) {
-                    break;
-                }
-                last = self.inner.generate(rng);
-            }
-            last
         }
     }
 
@@ -267,18 +232,11 @@ pub mod strategy {
             }
         )*};
     }
-    arbitrary_ints!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    arbitrary_ints!(u8, u32, u64);
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut TestRng) -> bool {
             rng.next_u64() & 1 == 1
-        }
-    }
-
-    impl Arbitrary for char {
-        fn arbitrary(rng: &mut TestRng) -> char {
-            // Printable ASCII keeps generated text debuggable.
-            (0x20 + rng.below(0x5f) as u8) as char
         }
     }
 
@@ -308,22 +266,13 @@ pub mod strategy {
             }
         )*};
     }
-    range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    range_strategy!(u8, u32, u64, usize, i8);
 
     impl Strategy for std::ops::Range<f64> {
         type Value = f64;
         fn generate(&self, rng: &mut TestRng) -> f64 {
             assert!(self.start < self.end, "empty range strategy");
             self.start + rng.unit_f64() * (self.end - self.start)
-        }
-    }
-
-    impl Strategy for std::ops::Range<f32> {
-        type Value = f32;
-        #[allow(clippy::cast_possible_truncation)]
-        fn generate(&self, rng: &mut TestRng) -> f32 {
-            assert!(self.start < self.end, "empty range strategy");
-            self.start + (rng.unit_f64() as f32) * (self.end - self.start)
         }
     }
 
@@ -342,7 +291,6 @@ pub mod strategy {
         (A/0, B/1)
         (A/0, B/1, C/2)
         (A/0, B/1, C/2, D/3)
-        (A/0, B/1, C/2, D/3, E/4)
     }
 }
 
@@ -353,7 +301,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
 
     /// Length bounds for [`vec()`]; build one from a `Range<usize>` or a
-    /// fixed `usize`.
+    /// `RangeInclusive<usize>`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -375,15 +323,6 @@ pub mod collection {
             SizeRange {
                 lo: *r.start(),
                 hi_exclusive: r.end() + 1,
-            }
-        }
-    }
-
-    impl From<usize> for SizeRange {
-        fn from(n: usize) -> Self {
-            SizeRange {
-                lo: n,
-                hi_exclusive: n + 1,
             }
         }
     }
@@ -443,7 +382,7 @@ pub mod option {
 pub mod prelude {
     //! Single-import surface mirroring `proptest::prelude::*`.
 
-    pub use crate::strategy::{any, Any, Arbitrary, Just, Strategy, Union};
+    pub use crate::strategy::{any, Just, Strategy};
     pub use crate::test_runner::Config as ProptestConfig;
     pub use crate::test_runner::TestRng;
     pub use crate::{

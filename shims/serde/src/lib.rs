@@ -17,12 +17,3 @@ impl<T: ?Sized> Serialize for T {}
 /// Marker stand-in for `serde::Deserialize`; satisfied by every type.
 pub trait Deserialize<'de> {}
 impl<'de, T: ?Sized> Deserialize<'de> for T {}
-
-/// Marker stand-in for `serde::de::DeserializeOwned`.
-pub trait DeserializeOwned {}
-impl<T: ?Sized> DeserializeOwned for T {}
-
-/// Deserialization support types (marker-only in the shim).
-pub mod de {
-    pub use crate::DeserializeOwned;
-}
