@@ -123,13 +123,6 @@ impl Default for Calibration {
     }
 }
 
-impl Calibration {
-    /// Fraction of a node's CPU pinned by the dispatch thread alone.
-    pub fn dispatch_floor(&self) -> f64 {
-        1.0 / self.cores as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +134,7 @@ mod tests {
         let ceiling = 1e6 / c.dispatch_us;
         assert!((350_000.0..420_000.0).contains(&ceiling), "{ceiling}");
         // Idle CPU floor = 25 % (Table I row 0).
-        assert_eq!(c.dispatch_floor(), 0.25);
+        assert_eq!(1.0 / c.cores as f64, 0.25);
         // 4 cores = 1 dispatch + 3 workers.
         assert_eq!(c.cores, c.worker_threads + 1);
     }

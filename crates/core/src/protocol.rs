@@ -59,10 +59,10 @@
 //!   acked after recovery has read the backup's segments.
 //! - **Recovery rounds.** `TakeOver`/`TakeOverDone` carry a round number;
 //!   the coordinator re-issues a recovery (new round, recomputed over the
-//!   current survivors) if it stalls for `recovery_retry_timeout`, and
-//!   ignores completions from superseded rounds. A completed recovery whose
-//!   target owner has meanwhile died is re-run rather than reassigning
-//!   buckets to a corpse.
+//!   current survivors) if it stalls for `RECOVERY_RETRY_TIMEOUT` (200 ms),
+//!   and ignores completions from superseded rounds. A completed recovery
+//!   whose target owner has meanwhile died is re-run rather than
+//!   reassigning buckets to a corpse.
 //! - **Replica re-targeting.** A backup's replica of segment S is the
 //!   master's log segment S. When the replica target set changes (a backup
 //!   died or was readmitted) the master seals its head, images every log
@@ -79,9 +79,10 @@
 //!   of the last op is answered with the recorded reply (same version, no
 //!   re-apply), and a duplicate of a still-pending op re-drives replication
 //!   instead of re-applying.
-//! - **Client backoff.** Retries use capped exponential backoff with
-//!   deterministic jitter ([`retry_jitter`]) and ask the coordinator for a
-//!   fresh tablet map instead of hot-looping against a stale one.
+//! - **Client backoff.** Retries wait `retry_timeout` doubled per attempt,
+//!   at most three times (8 × the base), plus deterministic jitter
+//!   ([`retry_jitter`]), and ask the coordinator for a fresh tablet map
+//!   instead of hot-looping against a stale one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -136,13 +137,9 @@ pub struct ProtocolConfig {
     pub heartbeat_interval: SimDuration,
     /// Silence after which the coordinator declares a server dead.
     pub failure_timeout: SimDuration,
-    /// Client retry timeout for unanswered requests (the backoff base).
+    /// Client retry timeout for unanswered requests: the backoff base
+    /// (see [`retry_backoff`]).
     pub retry_timeout: SimDuration,
-    /// Upper bound on the exponential retry backoff (jitter rides on top).
-    pub retry_backoff_cap: SimDuration,
-    /// How long the coordinator waits for a recovery round to complete
-    /// before re-issuing it over the current survivors.
-    pub recovery_retry_timeout: SimDuration,
     /// Master log sizing.
     pub log: LogConfig,
 }
@@ -164,8 +161,6 @@ impl ProtocolConfig {
             heartbeat_interval: SimDuration::from_millis(10),
             failure_timeout: SimDuration::from_millis(50),
             retry_timeout: SimDuration::from_millis(40),
-            retry_backoff_cap: SimDuration::from_millis(320),
-            recovery_retry_timeout: SimDuration::from_millis(200),
             log: LogConfig {
                 segment_bytes: 1 << 16,
                 max_segments: 1024,
@@ -213,15 +208,22 @@ pub fn retry_jitter(client: usize, seq: u64, attempt: u32, max_nanos: u64) -> u6
     x % max_nanos
 }
 
-/// The capped exponential backoff window (plus [`retry_jitter`]) a client
-/// waits before retry number `attempt` of `seq`. [`ClientCore`] is its one
-/// caller.
+/// How many times a client's retry window doubles: from attempt 3 on it
+/// waits `retry_timeout · 8` (320 ms at the 40 ms default).
+const MAX_BACKOFF_DOUBLINGS: u32 = 3;
+
+/// How long the coordinator waits for a recovery round to complete before
+/// re-issuing it over the current survivors.
+const RECOVERY_RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(200);
+
+/// The exponential backoff window, `retry_timeout · 2^min(attempt, 3)`, plus
+/// [`retry_jitter`] below half the base, that a client waits before retry
+/// number `attempt` of `seq`. [`ClientCore`] is its one caller.
 pub fn retry_backoff(cfg: &ProtocolConfig, client: usize, seq: u64, attempt: u32) -> SimDuration {
     let base = cfg.retry_timeout;
-    let raw = base.mul_f64(f64::from(1u32 << attempt.min(6)));
-    let capped = raw.min(cfg.retry_backoff_cap);
+    let window = base.mul_f64(f64::from(1u32 << attempt.min(MAX_BACKOFF_DOUBLINGS)));
     let jitter = retry_jitter(client, seq, attempt, base.as_nanos() / 2);
-    capped
+    window
         .checked_add(SimDuration::from_nanos(jitter))
         .unwrap_or(SimDuration::MAX)
 }
@@ -713,7 +715,7 @@ impl CoordinatorNode {
         let overdue: Vec<usize> = self
             .pending
             .iter()
-            .filter(|(_, rec)| now.saturating_since(rec.started) >= self.cfg.recovery_retry_timeout)
+            .filter(|(_, rec)| now.saturating_since(rec.started) >= RECOVERY_RETRY_TIMEOUT)
             .map(|(&crashed, _)| crashed)
             .collect();
         for crashed in overdue {
@@ -2702,21 +2704,37 @@ mod tests {
         let cfg = ProtocolConfig::new(3, 1, 2);
         let base = cfg.retry_timeout;
         let mut prev = SimDuration::ZERO;
-        for attempt in 0..6 {
+        for attempt in 0..=MAX_BACKOFF_DOUBLINGS {
             let d = retry_backoff(&cfg, 0, 1, attempt);
             assert!(d >= base, "attempt {attempt} below base");
-            // Strictly growing until the cap region (jitter < base/2 can
-            // never cancel a doubling).
+            // Strictly growing while the window doubles (jitter < base/2
+            // can never cancel a doubling).
             assert!(d > prev, "attempt {attempt} did not grow");
             prev = d;
         }
-        let capped = retry_backoff(&cfg, 0, 1, 20);
-        let cap = cfg.retry_backoff_cap;
-        assert!(capped >= cap && capped <= cap + base, "{capped}");
+        // Past the last doubling every window sits on the plateau, 8 × the
+        // base, plus jitter below half the base.
+        let plateau = base.mul_f64(8.0);
+        for attempt in MAX_BACKOFF_DOUBLINGS + 1..=20 {
+            let d = retry_backoff(&cfg, 0, 1, attempt);
+            assert!(d >= plateau && d < plateau + base.mul_f64(0.5), "{d}");
+        }
         // Jitter is deterministic: the same (client, seq, attempt) always
         // waits the same window, and distinct clients de-synchronize.
         assert_eq!(retry_backoff(&cfg, 1, 7, 3), retry_backoff(&cfg, 1, 7, 3));
         assert_ne!(retry_backoff(&cfg, 0, 7, 3), retry_backoff(&cfg, 1, 7, 3));
+    }
+
+    /// A retry timeout is a floor on the first retry's window, however
+    /// large it is set.
+    #[test]
+    fn a_retry_timeout_above_the_old_cap_is_honoured() {
+        let mut cfg = ProtocolConfig::new(3, 2, 2);
+        cfg.retry_timeout = SimDuration::from_secs(5);
+        for (client, seq) in [(0, 1), (1, 1), (0, 7), (1, 42)] {
+            let d = retry_backoff(&cfg, client, seq, 0);
+            assert!(d >= cfg.retry_timeout, "client {client} seq {seq}: {d}");
+        }
     }
 
     /// The client half, driven directly: what every engine's client does

@@ -177,8 +177,6 @@ pub struct DiskModel {
     busy: BinnedUsage,
     read_trace: RateMeter,
     write_trace: RateMeter,
-    reads: u64,
-    writes: u64,
     read_bytes: u64,
     write_bytes: u64,
     metrics: Option<ModelMetrics>,
@@ -197,8 +195,6 @@ impl DiskModel {
             busy: BinnedUsage::new(SimDuration::from_secs(1)),
             read_trace: RateMeter::new(SimDuration::from_secs(1)),
             write_trace: RateMeter::new(SimDuration::from_secs(1)),
-            reads: 0,
-            writes: 0,
             read_bytes: 0,
             write_bytes: 0,
             metrics: None,
@@ -240,14 +236,12 @@ impl DiskModel {
         self.last_kind = Some(kind);
         match kind {
             IoKind::Read => {
-                self.reads += 1;
                 self.read_bytes += bytes;
                 // Attribute the bytes to the completion-side window, matching
                 // how an iostat-style monitor would observe them.
                 self.read_trace.add(done, bytes as f64);
             }
             IoKind::Write => {
-                self.writes += 1;
                 self.write_bytes += bytes;
                 self.write_trace.add(done, bytes as f64);
             }
@@ -274,25 +268,10 @@ impl DiskModel {
         done
     }
 
-    /// The instant the disk drains everything queued so far.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// True if the disk would start a request arriving at `now` immediately.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Busy fraction (0..=1) during one-second bin `i`; feeds the power
     /// model's disk-activity term.
     pub fn busy_fraction(&self, bin: usize) -> f64 {
         self.busy.bin_value(bin).min(1.0)
-    }
-
-    /// Total completed requests `(reads, writes)`.
-    pub fn request_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 
     /// Total transferred bytes `(read, written)`.
@@ -350,7 +329,6 @@ mod tests {
         disk.submit(SimTime::ZERO, IoKind::Write, 100_000_000);
         let done = disk.submit(SimTime::from_secs(10), IoKind::Write, 100_000_000);
         assert_eq!(done, SimTime::from_secs(11));
-        assert!(disk.is_idle_at(SimTime::from_secs(20)));
     }
 
     #[test]
@@ -423,7 +401,6 @@ mod tests {
         disk.submit(SimTime::ZERO, IoKind::Read, 100);
         disk.submit(SimTime::ZERO, IoKind::Write, 200);
         disk.submit(SimTime::ZERO, IoKind::Write, 300);
-        assert_eq!(disk.request_counts(), (1, 2));
         assert_eq!(disk.byte_counts(), (100, 500));
     }
 

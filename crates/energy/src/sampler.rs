@@ -71,11 +71,6 @@ impl PduSampler {
         }
     }
 
-    /// Number of monitored nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Records one power sample for `node` at time `t` with instantaneous
     /// model power `watts`; the stored value is the meter-lagged reading.
     ///
@@ -182,25 +177,6 @@ impl EnergyReport {
             self.requests_served as f64 / self.total_energy_joules
         }
     }
-
-    /// Min and max of per-node average power, watts.
-    pub fn node_power_range(&self) -> (f64, f64) {
-        let min = self
-            .per_node_avg_watts
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        let max = self
-            .per_node_avg_watts
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        if self.per_node_avg_watts.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (min, max)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -271,9 +247,7 @@ mod tests {
         }
         let report = pdu.report(500_000);
         assert!((report.ops_per_joule() - 500.0).abs() < 1e-9);
-        let (min, max) = report.node_power_range();
-        assert_eq!(min, 100.0);
-        assert_eq!(max, 100.0);
+        assert_eq!(report.per_node_avg_watts, vec![100.0]);
     }
 
     #[test]
@@ -281,7 +255,7 @@ mod tests {
         let pdu = PduSampler::new(0, 0.0);
         let report = pdu.report(0);
         assert_eq!(report.ops_per_joule(), 0.0);
-        assert_eq!(report.node_power_range(), (0.0, 0.0));
+        assert!(report.per_node_avg_watts.is_empty());
     }
 
     #[test]

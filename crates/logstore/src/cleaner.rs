@@ -45,7 +45,7 @@
 //! [`Store::clean_step`] runs all three back-to-back under one borrow (the
 //! deterministic driver of the simulated engine); and a store nobody drives
 //! cleans when it is full: the write path, finding no room for an append,
-//! runs combined passes under its own borrow until `target_free_slots` is
+//! runs combined passes under its own borrow until [`TARGET_FREE_SLOTS`] is
 //! met. Survivors are built outside the log, so a pass needs no free slot
 //! to start from.
 //!
@@ -61,121 +61,29 @@ use crate::segment::Segment;
 use crate::store::Store;
 use crate::types::{key_hash, KeyHash, LogPosition, SegmentId};
 
-/// Cleaner policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CleanerConfig {
-    /// Master switch; when off, a full log surfaces as
-    /// [`crate::StoreError::OutOfMemory`].
-    pub enabled: bool,
-    /// The hard reserve: at or below this many free segment slots the
-    /// balancer asks for combined cleaning (above it, for compaction).
-    pub min_free_slots: usize,
-    /// Keep cleaning until this many slots are free (or no candidates
-    /// remain).
-    pub target_free_slots: usize,
-    /// Do not clean segments with live fraction above this (cleaning them
-    /// costs almost a full segment of writes for almost no gain).
-    pub max_candidate_utilization: f64,
-    /// Most victims merged by one combined pass.
-    pub max_victims: usize,
-}
+/// The hard reserve: at or below this many free segment slots the balancer
+/// asks for combined cleaning (above it, for compaction).
+const MIN_FREE_SLOTS: usize = 2;
 
-impl Default for CleanerConfig {
-    fn default() -> Self {
-        CleanerConfig {
-            enabled: true,
-            min_free_slots: 2,
-            target_free_slots: 4,
-            max_candidate_utilization: 0.97,
-            max_victims: 8,
-        }
-    }
-}
+/// Cleaning continues until this many slots are free (or no candidate
+/// remains). A log must have more slots than this: the head always occupies
+/// one, so a log of `TARGET_FREE_SLOTS` slots could never reach the target
+/// and its cleaner would spin forever.
+pub const TARGET_FREE_SLOTS: usize = 4;
 
-/// A degenerate [`CleanerConfig`] rejected by [`CleanerConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CleanerConfigError {
-    /// `min_free_slots` exceeds `target_free_slots`: every pass would stop
-    /// short of its own trigger and the cleaner would spin forever.
-    MinAboveTarget {
-        /// The configured `min_free_slots`.
-        min: usize,
-        /// The configured `target_free_slots`.
-        target: usize,
-    },
-    /// `target_free_slots` is not below the total segment slots: the target
-    /// is unreachable (the head always occupies a slot) and the cleaner
-    /// would spin forever.
-    TargetAboveCapacity {
-        /// The configured `target_free_slots`.
-        target: usize,
-        /// The log's `max_segments`.
-        max_segments: usize,
-    },
-    /// `max_victims` is zero: a combined pass could never pick a victim.
-    NoVictims,
-    /// `max_candidate_utilization` outside `(0, 1]`.
-    BadUtilization(f64),
-}
+/// Segments with a live fraction above this are never cleaned: cleaning one
+/// costs almost a full segment of writes for almost no gain.
+const MAX_CANDIDATE_UTILIZATION: f64 = 0.97;
 
-impl std::fmt::Display for CleanerConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CleanerConfigError::MinAboveTarget { min, target } => write!(
-                f,
-                "min_free_slots ({min}) exceeds target_free_slots ({target})"
-            ),
-            CleanerConfigError::TargetAboveCapacity {
-                target,
-                max_segments,
-            } => write!(
-                f,
-                "target_free_slots ({target}) must be below max_segments ({max_segments})"
-            ),
-            CleanerConfigError::NoVictims => write!(f, "max_victims must be at least 1"),
-            CleanerConfigError::BadUtilization(u) => {
-                write!(f, "max_candidate_utilization ({u}) must be in (0, 1]")
-            }
-        }
-    }
-}
+/// Most victims merged by one combined pass.
+const MAX_VICTIMS: usize = 8;
 
-impl std::error::Error for CleanerConfigError {}
-
-impl CleanerConfig {
-    /// Checks the knobs against a log of `max_segments` slots. A disabled
-    /// cleaner is always valid — its knobs are never consulted.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CleanerConfigError`] found.
-    pub fn validate(&self, max_segments: usize) -> Result<(), CleanerConfigError> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if self.min_free_slots > self.target_free_slots {
-            return Err(CleanerConfigError::MinAboveTarget {
-                min: self.min_free_slots,
-                target: self.target_free_slots,
-            });
-        }
-        if self.target_free_slots >= max_segments {
-            return Err(CleanerConfigError::TargetAboveCapacity {
-                target: self.target_free_slots,
-                max_segments,
-            });
-        }
-        if self.max_victims == 0 {
-            return Err(CleanerConfigError::NoVictims);
-        }
-        if !(self.max_candidate_utilization > 0.0 && self.max_candidate_utilization <= 1.0) {
-            return Err(CleanerConfigError::BadUtilization(
-                self.max_candidate_utilization,
-            ));
-        }
-        Ok(())
-    }
-}
+// A pass that stops short of its own trigger would spin forever.
+const _: () = assert!(MIN_FREE_SLOTS <= TARGET_FREE_SLOTS);
+// A combined pass must be able to pick a victim.
+const _: () = assert!(MAX_VICTIMS >= 1);
+// A live fraction, and one that admits some candidate.
+const _: () = assert!(MAX_CANDIDATE_UTILIZATION > 0.0 && MAX_CANDIDATE_UTILIZATION <= 1.0);
 
 /// Which cleaning level a pass runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,7 +247,7 @@ impl Store {
     /// Scores a candidate segment; higher is better to clean.
     fn cost_benefit(&self, id: SegmentId) -> Option<f64> {
         let u = self.log.segment_utilization(id)?;
-        if u > self.cleaner.max_candidate_utilization {
+        if u > MAX_CANDIDATE_UTILIZATION {
             return None;
         }
         let age = self.log.segment_age(id)? as f64;
@@ -349,8 +257,8 @@ impl Store {
     /// The balancer: decides whether cleaning is warranted right now and at
     /// which level. `None` means no pressure.
     ///
-    /// Policy: no cleaning at or above `target_free_slots` free slots. At
-    /// or below the hard reserve (`min_free_slots`), combined cleaning —
+    /// Policy: no cleaning at or above [`TARGET_FREE_SLOTS`] free slots. At
+    /// or below the hard reserve (`MIN_FREE_SLOTS`), combined cleaning —
     /// only it frees whole slots and drops tombstones. In between, the
     /// cheap in-memory compaction level squeezes dead bytes out of a
     /// single segment *if* one has decayed enough to be worth copying
@@ -362,14 +270,11 @@ impl Store {
     /// writer gets more slots per pass rather than earlier, younger
     /// victims.
     pub fn clean_pressure(&self) -> Option<CleanKind> {
-        if !self.cleaner.enabled {
-            return None;
-        }
         let free = self.log.free_segment_slots();
-        if free >= self.cleaner.target_free_slots {
+        if free >= TARGET_FREE_SLOTS {
             return None;
         }
-        if free <= self.cleaner.min_free_slots {
+        if free <= MIN_FREE_SLOTS {
             return Some(CleanKind::Combined);
         }
         Some(CleanKind::Compact)
@@ -394,9 +299,6 @@ impl Store {
     /// client's latest RIFL completion: a replica of the log must still
     /// answer that client's retry.
     pub fn prepare_clean(&self, kind: CleanKind) -> Option<CleanPlan> {
-        if !self.cleaner.enabled {
-            return None;
-        }
         let segment_bytes = self.log.config().segment_bytes;
         let victims: Vec<SegmentId> = match kind {
             CleanKind::Compact => {
@@ -442,9 +344,7 @@ impl Store {
                 let seglet = self.log.seglet_bytes();
                 let burst_slots = ((self.log.total_appended_bytes() - self.last_clean_appended)
                     / segment_bytes.max(1) as u64) as usize;
-                let deficit_bytes = self
-                    .cleaner
-                    .target_free_slots
+                let deficit_bytes = TARGET_FREE_SLOTS
                     .saturating_sub(self.log.free_segment_slots())
                     .max(1)
                     .saturating_add(burst_slots.min(2))
@@ -452,7 +352,7 @@ impl Store {
                 let mut victims = Vec::new();
                 let mut gain = 0usize;
                 for (id, _) in scored {
-                    if victims.len() >= self.cleaner.max_victims || gain >= deficit_bytes {
+                    if victims.len() >= MAX_VICTIMS || gain >= deficit_bytes {
                         break;
                     }
                     let charge = self.log.segment_charged_bytes(id).unwrap_or(segment_bytes);
@@ -710,18 +610,11 @@ mod tests {
     const T: TableId = TableId(1);
 
     fn churn_store(max_segments: usize) -> Store {
-        churn_store_with(max_segments, CleanerConfig::default())
-    }
-
-    fn churn_store_with(max_segments: usize, cleaner: CleanerConfig) -> Store {
-        Store::with_cleaner(
-            LogConfig {
-                segment_bytes: 512,
-                max_segments,
-                ordered_index: false,
-            },
-            cleaner,
-        )
+        Store::new(LogConfig {
+            segment_bytes: 512,
+            max_segments,
+            ordered_index: false,
+        })
     }
 
     /// A store rebuilt by replaying every segment image of `s`'s log: what
@@ -989,21 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cleaner_never_cleans() {
-        let mut s = churn_store_with(
-            8,
-            CleanerConfig {
-                enabled: false,
-                ..CleanerConfig::default()
-            },
-        );
-        assert_eq!(s.clean_step(), None);
-        assert_eq!(s.stats().cleanings, 0);
-        assert_eq!(s.clean_pressure(), None);
-        assert!(s.prepare_clean(CleanKind::Combined).is_none());
-    }
-
-    #[test]
     fn fully_live_log_reports_out_of_memory() {
         // Distinct keys, no dead data: the cleaner cannot help.
         let mut s = churn_store(6);
@@ -1044,82 +922,37 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_degenerate_knobs() {
-        let base = CleanerConfig::default();
-        assert!(base.validate(64).is_ok());
-        assert_eq!(
-            CleanerConfig {
-                min_free_slots: 5,
-                target_free_slots: 4,
-                ..base
-            }
-            .validate(64),
-            Err(CleanerConfigError::MinAboveTarget { min: 5, target: 4 })
-        );
-        assert_eq!(
-            CleanerConfig {
-                target_free_slots: 64,
-                ..base
-            }
-            .validate(64),
-            Err(CleanerConfigError::TargetAboveCapacity {
-                target: 64,
-                max_segments: 64
-            })
-        );
-        assert_eq!(
-            CleanerConfig {
-                max_victims: 0,
-                ..base
-            }
-            .validate(64),
-            Err(CleanerConfigError::NoVictims)
-        );
-        for bad in [0.0, -0.5, 1.5] {
-            assert_eq!(
-                CleanerConfig {
-                    max_candidate_utilization: bad,
-                    ..base
-                }
-                .validate(64),
-                Err(CleanerConfigError::BadUtilization(bad))
-            );
-        }
-        // A disabled cleaner never consults its knobs, so any values pass.
-        assert!(CleanerConfig {
-            enabled: false,
-            min_free_slots: 100,
-            target_free_slots: 99,
-            max_victims: 0,
-            ..base
-        }
-        .validate(2)
-        .is_ok());
+    #[should_panic(expected = "is too small")]
+    fn degenerate_config_panics_at_store_construction() {
+        // TARGET_FREE_SLOTS is not below max_segments: the cleaner could
+        // never reach its target and would spin forever.
+        let _ = churn_store(TARGET_FREE_SLOTS);
     }
 
     #[test]
-    #[should_panic(expected = "invalid cleaner config")]
-    fn degenerate_config_panics_at_store_construction() {
-        // Default target_free_slots (4) is not below max_segments (4): the
-        // cleaner could never reach its target and would spin forever.
-        let _ = churn_store(4);
+    fn validation_rejects_degenerate_knobs() {
+        // The boundary of the one run-time check: a log of exactly
+        // TARGET_FREE_SLOTS slots is refused, one slot more is accepted.
+        assert!(std::panic::catch_unwind(|| churn_store(TARGET_FREE_SLOTS)).is_err());
+        let s = churn_store(TARGET_FREE_SLOTS + 1);
+        assert_eq!(s.log().free_segment_slots(), TARGET_FREE_SLOTS);
+        assert_eq!(s.clean_pressure(), None);
     }
 
     #[test]
     fn balancer_levels_track_pressure_and_write_rate() {
         let mut s = churn_store(16);
         assert_eq!(s.clean_pressure(), None, "fresh store: no pressure");
-        // Fill until free slots dip just below the target (4): modest
-        // pressure picks the cheap compaction level.
+        // Fill until free slots dip just below the target: modest pressure
+        // picks the cheap compaction level.
         let mut i = 0u64;
-        while s.log().free_segment_slots() >= 4 {
+        while s.log().free_segment_slots() >= TARGET_FREE_SLOTS {
             s.write(T, format!("k{i}").as_bytes(), &[0u8; 64]).unwrap();
             i += 1;
         }
         assert_eq!(s.clean_pressure(), Some(CleanKind::Compact));
-        // At the hard reserve (min_free_slots = 2), only combined cleaning
-        // frees whole slots.
-        while s.log().free_segment_slots() > 2 {
+        // At the hard reserve, only combined cleaning frees whole slots.
+        while s.log().free_segment_slots() > MIN_FREE_SLOTS {
             s.write(T, format!("k{i}").as_bytes(), &[0u8; 64]).unwrap();
             i += 1;
         }

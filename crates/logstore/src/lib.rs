@@ -44,9 +44,7 @@ mod store;
 mod types;
 mod view;
 
-pub use cleaner::{
-    CleanKind, CleanOutcome, CleanPlan, CleanerConfig, CleanerConfigError, PreparedClean,
-};
+pub use cleaner::{CleanKind, CleanOutcome, CleanPlan, PreparedClean};
 pub use crc::{crc32c, Crc32c};
 pub use entry::{
     CompletionId, LogEntry, ObjectRecord, ParseEntryError, TombstoneRecord, HEADER_BYTES,

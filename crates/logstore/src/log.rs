@@ -488,12 +488,6 @@ impl Log {
         self.charged_total += charged_bytes;
     }
 
-    /// Memory utilization: fraction of the budget charged by allocated and
-    /// limbo segments.
-    pub fn memory_utilization(&self) -> f64 {
-        self.charged_total as f64 / self.budget_bytes() as f64
-    }
-
     /// Closed (non-head) segment ids — the cleaner's candidate pool.
     pub fn closed_segment_ids(&self) -> Vec<SegmentId> {
         self.segments
@@ -713,7 +707,7 @@ mod tests {
         // the survivor's partial charge leaves more than one slot free.
         assert_eq!(log.allocated_segments(), 2);
         assert!(log.free_segment_slots() >= 1);
-        assert!(log.memory_utilization() < 2.0 / 3.0);
+        assert!(log.charged_bytes() < 2 * log.budget_bytes() / 3);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::ops::AddAssign;
 use std::sync::Arc;
 
-use crate::cleaner::{CleanKind, CleanerConfig};
+use crate::cleaner::{CleanKind, TARGET_FREE_SLOTS};
 use crate::entry::{
     object_len, tombstone_len, BodyView, CompletionId, EntryView, LogEntry, ObjectRecord, Record,
     TombstoneRecord, HEADER_BYTES, MAX_KEY_BYTES, MAX_VALUE_BYTES,
@@ -222,7 +222,6 @@ impl Counters {
 pub struct Store {
     pub(crate) log: Log,
     pub(crate) index: HashTable,
-    pub(crate) cleaner: CleanerConfig,
     pub(crate) stats: Counters,
     /// Ordered key directory for range scans; present only when
     /// `LogConfig::ordered_index` is set.
@@ -252,29 +251,26 @@ pub struct Store {
 }
 
 impl Store {
-    /// Creates a store with the default cleaner policy.
-    pub fn new(config: LogConfig) -> Self {
-        Store::with_cleaner(config, CleanerConfig::default())
-    }
-
-    /// Creates a store with an explicit cleaner policy.
+    /// Creates a store.
     ///
     /// # Panics
     ///
-    /// Panics when `cleaner` fails [`CleanerConfig::validate`] against
-    /// `config.max_segments` — a degenerate cleaner config would spin
-    /// forever at runtime, so it is rejected at construction.
-    pub fn with_cleaner(config: LogConfig, cleaner: CleanerConfig) -> Self {
-        if let Err(e) = cleaner.validate(config.max_segments) {
-            panic!("invalid cleaner config: {e}");
-        }
+    /// Panics when `config.max_segments` is not above
+    /// [`TARGET_FREE_SLOTS`](crate::cleaner::TARGET_FREE_SLOTS): the head
+    /// always occupies a slot, so the cleaner could never reach its target
+    /// and would spin forever.
+    pub fn new(config: LogConfig) -> Self {
+        assert!(
+            config.max_segments > TARGET_FREE_SLOTS,
+            "a log of {} segments is too small: the cleaner's target is {TARGET_FREE_SLOTS} free",
+            config.max_segments
+        );
         let ordered = config.ordered_index.then(BTreeMap::new);
         let log = Log::new(config);
         let read_counters = Arc::new(ReadCounters::new(log.segment_map()));
         Store {
             log,
             index: HashTable::new(),
-            cleaner,
             stats: Counters::default(),
             ordered,
             completions: BTreeMap::new(),
@@ -440,13 +436,13 @@ impl Store {
     /// Mutations call this *before* they look their key up: a pass moves
     /// live entries, so a position resolved before it would be stale after.
     fn make_room(&mut self, len: usize) {
-        if self.log.has_room(len) || !self.cleaner.enabled {
+        if self.log.has_room(len) {
             return;
         }
         loop {
             // Victims a pinned reader kept in limbo still charge the budget.
             self.reclaim_waiting();
-            if self.log.free_segment_slots() >= self.cleaner.target_free_slots {
+            if self.log.free_segment_slots() >= TARGET_FREE_SLOTS {
                 break;
             }
             let Some(plan) = self.prepare_clean(CleanKind::Combined) else {
@@ -982,26 +978,23 @@ mod tests {
 
     #[test]
     fn out_of_memory_without_cleaner() {
-        let mut s = Store::with_cleaner(
-            LogConfig {
-                segment_bytes: 256,
-                max_segments: 2,
-                ordered_index: false,
-            },
-            CleanerConfig {
-                enabled: false,
-                ..CleanerConfig::default()
-            },
-        );
+        // The smallest log a store accepts, filled with distinct live keys:
+        // no record is dead, so the cleaner can free nothing.
+        let mut s = Store::new(LogConfig {
+            segment_bytes: 256,
+            max_segments: TARGET_FREE_SLOTS + 1,
+            ordered_index: false,
+        });
         let val = vec![1u8; 100];
-        let mut failed = false;
-        for i in 0..10 {
-            if s.write(T, format!("key{i}").as_bytes(), &val).is_err() {
-                failed = true;
+        let mut result = Ok(());
+        for i in 0..100 {
+            if let Err(e) = s.write(T, format!("key{i}").as_bytes(), &val) {
+                result = Err(e);
                 break;
             }
         }
-        assert!(failed, "a 2-segment log must fill up");
+        assert_eq!(result, Err(StoreError::OutOfMemory));
+        assert_eq!(s.stats().cleanings, 0, "no pass can free anything");
     }
 
     #[test]
@@ -1388,14 +1381,11 @@ mod tests {
 
     #[test]
     fn scan_survives_cleaning() {
-        let mut s = Store::with_cleaner(
-            LogConfig {
-                segment_bytes: 512,
-                max_segments: 16,
-                ordered_index: true,
-            },
-            CleanerConfig::default(),
-        );
+        let mut s = Store::new(LogConfig {
+            segment_bytes: 512,
+            max_segments: 16,
+            ordered_index: true,
+        });
         for i in 0..20 {
             s.write(T, format!("stable{i:02}").as_bytes(), b"keep")
                 .unwrap();

@@ -115,17 +115,6 @@ impl Network {
         &self.profile
     }
 
-    /// Number of attached nodes.
-    pub fn node_count(&self) -> usize {
-        self.nics.len()
-    }
-
-    /// Adds a node (e.g. a late-joining client); returns its id.
-    pub fn add_node(&mut self) -> usize {
-        self.nics.push(Nic::new());
-        self.nics.len() - 1
-    }
-
     /// Sends `bytes` from `src` to `dst` starting no earlier than `now`;
     /// returns the arrival instant at `dst`.
     ///
@@ -271,15 +260,6 @@ mod tests {
         net.transfer(SimTime::ZERO, 1, 0, 500);
         assert_eq!(net.byte_counts(0), (1000, 500));
         assert_eq!(net.byte_counts(1), (500, 1000));
-    }
-
-    #[test]
-    fn add_node_extends_cluster() {
-        let mut net = Network::new(1, NetProfile::infiniband_20g());
-        let id = net.add_node();
-        assert_eq!(id, 1);
-        assert_eq!(net.node_count(), 2);
-        net.transfer(SimTime::ZERO, 0, 1, 64);
     }
 
     #[test]

@@ -81,8 +81,7 @@ pub struct Sampler {
 
 impl Sampler {
     /// A sampler firing on one tick in `every`, at random. `every` is
-    /// rounded up to the next power of two — see [`Sampler::period`] for
-    /// the effective value.
+    /// rounded up to the next power of two.
     ///
     /// # Panics
     ///
@@ -116,10 +115,5 @@ impl Sampler {
         let mut z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         (z ^ (z >> 31)) & self.mask == 0
-    }
-
-    /// The effective sampling period (for scaling sampled counts back up).
-    pub fn period(&self) -> u64 {
-        self.mask + 1
     }
 }

@@ -1,34 +1,13 @@
-//! The [`Clock`] trait: where "now" comes from.
+//! [`WallClock`]: where "now" comes from on the wall-clock engines.
 //!
 //! Everything above the engines measures time as [`SimTime`] — a nanosecond
 //! count since some origin. In the simulator that origin is the start of the
 //! simulation and time advances only when events fire; on real threads it is
 //! the moment the [`WallClock`] was created and time advances by itself.
-//! Code that only needs to *read* time (throttles, statistics, timeouts)
-//! takes a `&impl Clock` and works unchanged under either engine.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::time::{SimDuration, SimTime};
-
-/// A source of monotonic nanosecond timestamps.
-pub trait Clock {
-    /// The current instant.
-    fn now(&self) -> SimTime;
-
-    /// Blocks the caller for `d`. Engines that cannot block (the simulator
-    /// advances time by scheduling, never by waiting) keep the default
-    /// no-op; wall-clock engines really sleep.
-    fn sleep(&self, d: SimDuration) {
-        let _ = d;
-    }
-
-    /// The instant `d` from now — convenience for building timeouts.
-    fn deadline(&self, d: SimDuration) -> SimTime {
-        self.now() + d
-    }
-}
+use crate::time::SimTime;
 
 /// Real time: nanoseconds elapsed since the clock was created.
 #[derive(Debug)]
@@ -43,6 +22,11 @@ impl WallClock {
             start: Instant::now(),
         }
     }
+
+    /// The current instant.
+    pub fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
+    }
 }
 
 impl Default for WallClock {
@@ -51,76 +35,18 @@ impl Default for WallClock {
     }
 }
 
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
-    }
-
-    fn sleep(&self, d: SimDuration) {
-        std::thread::sleep(std::time::Duration::from_nanos(d.as_nanos()));
-    }
-}
-
-/// A hand-advanced clock for tests: deterministic like the simulator's,
-/// without needing an event queue.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: Mutex<SimTime>,
-}
-
-impl ManualClock {
-    /// A clock starting at time zero.
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Moves the clock forward by `d`.
-    pub fn advance(&self, d: SimDuration) {
-        let mut now = self.now.lock().unwrap();
-        *now += d;
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> SimTime {
-        *self.now.lock().unwrap()
-    }
-
-    /// "Sleeping" on a manual clock just advances it — callers that sleep
-    /// in wall-clock runs make the same progress in tests instantly.
-    fn sleep(&self, d: SimDuration) {
-        self.advance(d);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn wall_clock_is_monotonic_and_moves() {
         let c = WallClock::new();
         let a = c.now();
-        c.sleep(SimDuration::from_millis(2));
+        std::thread::sleep(std::time::Duration::from_millis(2));
         let b = c.now();
         assert!(b > a);
         assert!((b - a) >= SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn manual_clock_advances_only_by_hand() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance(SimDuration::from_micros(5));
-        assert_eq!(c.now(), SimTime::from_micros(5));
-        c.sleep(SimDuration::from_micros(5));
-        assert_eq!(c.now(), SimTime::from_micros(10));
-    }
-
-    #[test]
-    fn deadline_is_now_plus_delta() {
-        let c = ManualClock::new();
-        c.advance(SimDuration::from_secs(1));
-        assert_eq!(c.deadline(SimDuration::from_secs(2)), SimTime::from_secs(3));
     }
 }

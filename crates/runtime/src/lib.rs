@@ -2,18 +2,18 @@
 //!
 //! Substrate for the reproduction of *"Characterizing Performance and
 //! Energy-Efficiency of the RAMCloud Storage System"* (ICDCS 2017). This
-//! workspace runs the same replication/recovery protocol on two engines —
-//! the deterministic discrete-event simulator in `rmc-sim` and real threads
-//! in `rmc-standalone` — and this crate holds everything both sides share:
+//! workspace runs the same replication/recovery protocol on three engines —
+//! the deterministic discrete-event simulator in `rmc-sim`, threads in one
+//! process, and `rmcd` processes over TCP (both in `rmc-standalone`) — and
+//! this crate holds everything they share:
 //!
 //! - [`SimTime`] / [`SimDuration`]: nanosecond timestamps and intervals.
-//!   "Sim" is historical; on the threaded engine they carry wall-clock
-//!   nanoseconds since a [`WallClock`]'s origin.
-//! - [`Clock`]: where "now" comes from ([`WallClock`], [`ManualClock`], or
-//!   the simulator's event queue).
+//!   "Sim" is historical; on the wall-clock engines they carry nanoseconds
+//!   since a [`WallClock`]'s origin, and in the simulator the event queue
+//!   says what "now" is.
 //! - [`Runtime`] + [`NodeId`]: the full surface a protocol node may touch —
 //!   clock, message transport, and a timer. Protocol handlers generic over
-//!   `R: Runtime` run unchanged under either engine.
+//!   `R: Runtime` run unchanged under every engine.
 //! - [`Event`] + [`DelayLine`]: what every *wall-clock* engine shares below
 //!   its transport — the one inbox item a node's event loop drains, and the
 //!   one place a message held by `Runtime::send_after` is parked.
@@ -37,7 +37,7 @@ mod rng;
 mod runtime;
 mod time;
 
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::WallClock;
 pub use delay::DelayLine;
 pub use event::Event;
 pub use metrics::{BinnedUsage, Histogram, RateMeter, Summary, TimeSeries};

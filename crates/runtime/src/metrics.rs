@@ -3,7 +3,7 @@
 //! The reproduced paper reports averages with error bars, per-second power
 //! samples, latency timelines, and throughput. These types cover those needs:
 //!
-//! - [`Summary`] — running mean/min/max/stddev without storing samples,
+//! - [`Summary`] — running mean/min/max without storing samples,
 //! - [`TimeSeries`] — `(time, value)` samples for timeline figures,
 //! - [`Histogram`] — log-bucketed latency histogram with quantiles,
 //! - [`RateMeter`] — events-per-second over fixed windows (throughput
@@ -15,7 +15,7 @@ use serde::Serialize;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Streaming summary statistics (Welford's algorithm).
+/// Streaming summary statistics: count, mean, min and max.
 ///
 /// # Examples
 ///
@@ -34,7 +34,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -45,7 +44,6 @@ impl Summary {
         Summary {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -54,9 +52,7 @@ impl Summary {
     /// Adds one observation.
     pub fn record(&mut self, v: f64) {
         self.count += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (v - self.mean);
+        self.mean += (v - self.mean) / self.count as f64;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -93,15 +89,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation, `0.0` for fewer than two observations.
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
     /// Merges another summary into this one.
     pub fn merge(&mut self, other: &Summary) {
         if other.count == 0 {
@@ -114,12 +101,8 @@ impl Summary {
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
         let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
         self.count = total;
         self.mean = mean;
-        self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -155,32 +138,6 @@ impl TimeSeries {
     /// True when no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Mean of the values within `[from, to)` seconds, or `None` if no
-    /// samples fall in the window.
-    pub fn window_mean(&self, from: f64, to: f64) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for &(t, v) in &self.points {
-            if t >= from && t < to {
-                sum += v;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-
-    /// Largest value in the series, or `None` when empty.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 }
 
@@ -485,16 +442,6 @@ impl BinnedUsage {
         self.bins.is_empty()
     }
 
-    /// Mean bin value over `[from_bin, to_bin)`, counting untouched bins in
-    /// the range as zero.
-    pub fn mean_over(&self, from_bin: usize, to_bin: usize) -> f64 {
-        if to_bin <= from_bin {
-            return 0.0;
-        }
-        let sum: f64 = (from_bin..to_bin).map(|i| self.bin_value(i)).sum();
-        sum / (to_bin - from_bin) as f64
-    }
-
     /// Total accumulated weighted busy seconds.
     pub fn total_busy_seconds(&self) -> f64 {
         self.bins.iter().sum()
@@ -515,7 +462,6 @@ mod tests {
         assert!((s.mean() - 2.5).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 4.0);
-        assert!((s.stddev() - (1.25f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -524,7 +470,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
     }
 
     #[test]
@@ -544,20 +489,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.stddev() - all.stddev()).abs() < 1e-9);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn timeseries_window_mean() {
-        let mut ts = TimeSeries::new();
-        for i in 0..10 {
-            ts.push(SimTime::from_secs(i), i as f64);
-        }
-        assert_eq!(ts.window_mean(2.0, 5.0), Some(3.0));
-        assert_eq!(ts.window_mean(100.0, 200.0), None);
-        assert_eq!(ts.max_value(), Some(9.0));
     }
 
     #[test]
@@ -660,14 +593,6 @@ mod tests {
         u.add_span(SimTime::from_secs(1), SimTime::from_secs(1), 1.0);
         assert!(u.is_empty(), "zero-length span must be ignored");
         assert_eq!(u.bin_value(99), 0.0);
-        assert_eq!(u.mean_over(0, 0), 0.0);
-    }
-
-    #[test]
-    fn binned_usage_mean_over_counts_untouched_as_zero() {
-        let mut u = BinnedUsage::new(SimDuration::from_secs(1));
-        u.add_span(SimTime::ZERO, SimTime::from_secs(1), 1.0);
-        assert!((u.mean_over(0, 4) - 0.25).abs() < 1e-9);
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// simulated component its own stream without cross-coupling.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
-    }
-
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
@@ -132,23 +126,6 @@ impl SimRng {
         -mean * (1.0 - self.next_f64()).ln()
     }
 
-    /// Picks a uniformly random element of `items`, or `None` when empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.gen_below(items.len() as u64) as usize])
-        }
-    }
-
-    /// Fisher–Yates shuffles `items` in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Samples `k` distinct indices out of `0..n` (reservoir-free partial
     /// Fisher–Yates). Returns fewer than `k` when `n < k`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
@@ -219,16 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from_u64(6);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn sample_indices_distinct() {
         let mut rng = SimRng::seed_from_u64(7);
         let picked = rng.sample_indices(50, 10);
@@ -245,16 +212,6 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(8);
         let picked = rng.sample_indices(3, 10);
         assert_eq!(picked.len(), 3);
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut parent = SimRng::seed_from_u64(9);
-        let mut child = parent.fork();
-        // Child stream must not equal the parent's continuation.
-        let p: Vec<u64> = (0..16).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..16).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 
     #[test]

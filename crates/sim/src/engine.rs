@@ -66,7 +66,6 @@ pub struct Scheduler<S> {
     queue: BinaryHeap<Reverse<Scheduled<S>>>,
     next_seq: u64,
     cancelled: HashSet<EventId>,
-    executed: u64,
 }
 
 impl<S> fmt::Debug for Scheduler<S> {
@@ -74,7 +73,6 @@ impl<S> fmt::Debug for Scheduler<S> {
         f.debug_struct("Scheduler")
             .field("now", &self.now)
             .field("pending", &self.queue.len())
-            .field("executed", &self.executed)
             .finish()
     }
 }
@@ -86,24 +84,12 @@ impl<S> Scheduler<S> {
             queue: BinaryHeap::new(),
             next_seq: 0,
             cancelled: HashSet::new(),
-            executed: 0,
         }
     }
 
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn executed_events(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events still pending (including cancelled ones not yet
-    /// reaped).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedules `f` to run at absolute time `at`.
@@ -212,19 +198,9 @@ impl<S> Simulation<S> {
         &self.state
     }
 
-    /// Exclusive access to the user state.
-    pub fn state_mut(&mut self) -> &mut S {
-        &mut self.state
-    }
-
     /// Exclusive access to the scheduler, e.g. for seeding initial events.
     pub fn scheduler_mut(&mut self) -> &mut Scheduler<S> {
         &mut self.sched
-    }
-
-    /// Shared access to the scheduler.
-    pub fn scheduler(&self) -> &Scheduler<S> {
-        &self.sched
     }
 
     /// Executes the next event. Returns `false` when the queue is empty.
@@ -233,7 +209,6 @@ impl<S> Simulation<S> {
             Some(ev) => {
                 debug_assert!(ev.at >= self.sched.now);
                 self.sched.now = ev.at;
-                self.sched.executed += 1;
                 (ev.run)(&mut self.state, &mut self.sched);
                 true
             }
@@ -375,17 +350,6 @@ mod tests {
             0,
             "event exactly at the deadline must not run"
         );
-    }
-
-    #[test]
-    fn executed_counter_counts() {
-        let mut sim = Simulation::new(());
-        for i in 0..7 {
-            sim.scheduler_mut()
-                .schedule_at(SimTime::from_secs(i), |_, _| {});
-        }
-        sim.run();
-        assert_eq!(sim.scheduler().executed_events(), 7);
     }
 
     #[test]

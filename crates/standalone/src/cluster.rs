@@ -53,7 +53,8 @@
 //!
 //! ## Fault injection
 //!
-//! [`Cluster::start_chaos`] runs the cluster under an `rmc_chaos`
+//! A chaos cluster ([`Cluster::run_plan`],
+//! [`Cluster::start_chaos_with_storage`]) runs under an `rmc_chaos`
 //! [`FaultPlan`]: each node judges its outgoing messages through a
 //! [`FaultRuntime`] wrapper (per-node seeded fault streams; partitions are
 //! a pure schedule and therefore consistent across nodes), and injected
@@ -473,19 +474,14 @@ impl<F: Fabric> Cluster<F> {
         Self::launch(cfg, Some(scripts), None, None).0
     }
 
-    /// Starts a scripted cluster under the message-level faults of `plan`
-    /// (drops, duplicates, delays, partitions, backup-write failures),
-    /// judged where a message would enter the fabric. The plan's crash
+    /// Starts a scripted cluster, its backups on `storage`, under the
+    /// message-level faults of `plan` (drops, duplicates, delays,
+    /// partitions, backup-write failures), judged where a message would
+    /// enter the fabric — the harness for running chaos plans (message
+    /// *and* disk faults) against file-backed backups. The plan's crash
     /// schedule is *not* applied — drive it with [`Cluster::kill_server`]
     /// / [`Cluster::restart_server`], or use [`Cluster::run_plan`] for the
     /// whole thing.
-    pub fn start_chaos(cfg: ProtocolConfig, scripts: Vec<Vec<ClientOp>>, plan: &FaultPlan) -> Self {
-        Self::launch(cfg, Some(scripts), Some(plan), None).0
-    }
-
-    /// [`Cluster::start_chaos`] with a backup storage factory — the
-    /// harness for running chaos plans (message *and* disk faults) against
-    /// file-backed backups.
     pub fn start_chaos_with_storage(
         cfg: ProtocolConfig,
         scripts: Vec<Vec<ClientOp>>,
@@ -495,11 +491,11 @@ impl<F: Fabric> Cluster<F> {
         Self::launch(cfg, Some(scripts), Some(plan), Some(storage)).0
     }
 
-    /// Runs a scripted cluster under the full [`FaultPlan`] — message
-    /// faults via [`Cluster::start_chaos`] plus the plan's crash and
-    /// restart schedule driven on the wall clock — then waits for every
-    /// script to finish (panicking after `client_timeout`), lets detection
-    /// and recovery settle, and returns the final report.
+    /// Runs a scripted cluster under the full [`FaultPlan`] — its message
+    /// faults plus its crash and restart schedule driven on the wall clock
+    /// — then waits for every script to finish (panicking after
+    /// `client_timeout`), lets detection and recovery settle, and returns
+    /// the final report.
     pub fn run_plan(
         cfg: ProtocolConfig,
         scripts: Vec<Vec<ClientOp>>,
@@ -510,7 +506,7 @@ impl<F: Fabric> Cluster<F> {
             Kill(usize),
             Restart(usize),
         }
-        let mut cluster = Self::start_chaos(cfg, scripts, plan);
+        let mut cluster = Self::launch(cfg, Some(scripts), Some(plan), None).0;
         let mut events: Vec<(SimTime, Ev)> = Vec::new();
         for c in &plan.crashes {
             events.push((c.at, Ev::Kill(c.server)));

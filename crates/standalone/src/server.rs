@@ -50,7 +50,7 @@ use crate::shard::ShardedStore;
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Ignored: every operation runs on the thread that issues it. Kept only
-    /// because the gated `benchmark/` still names it (ROADMAP item 6).
+    /// because the gated `benchmark/` still names it (ROADMAP item 7(a)).
     pub worker_threads: usize,
     /// Engine shards (the lock granularity).
     pub shards: usize,

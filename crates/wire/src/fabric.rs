@@ -47,8 +47,7 @@ use crossbeam::channel::RecvTimeoutError;
 use rmc_core::protocol::Msg;
 use rmc_obs::span::{SpanKind, SpanRecorder};
 use rmc_runtime::{
-    Clock, CounterHandle, DelayLine, Event, MetricsRegistry, NodeId, SimDuration, SimTime,
-    WallClock,
+    CounterHandle, DelayLine, Event, MetricsRegistry, NodeId, SimDuration, SimTime, WallClock,
 };
 
 use crate::codec;

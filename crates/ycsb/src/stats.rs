@@ -1,9 +1,8 @@
 //! Per-client and per-run measurement containers.
 //!
-//! Both engines report through this module: the simulated clients record
-//! into [`ClientStats`] histograms, a wall-clock loop collects raw sample
-//! vectors, and both collapse into the same [`LatencySummary`] so a sim
-//! row and a thread row in a results table are directly comparable.
+//! The simulated clients record into [`ClientStats`] histograms; a
+//! wall-clock loop collects raw sample vectors and collapses them into a
+//! [`LatencySummary`].
 
 use rmc_runtime::{Histogram, SimDuration, SimTime};
 use serde::Serialize;
@@ -71,13 +70,6 @@ impl ClientStats {
     /// Mean latency in microseconds.
     pub fn mean_latency_us(&self) -> f64 {
         self.latency.mean() / 1e3
-    }
-
-    /// Percentile summary of the latency distribution — the same container
-    /// a wall-clock loop reports, so simulated and threaded runs print
-    /// through one code path.
-    pub fn latency_summary(&self) -> LatencySummary {
-        LatencySummary::from_histogram(&self.latency)
     }
 
     /// Observed throughput: completed ops over the completion span.
@@ -159,24 +151,6 @@ impl LatencySummary {
             p90_us: percentile(samples, 90.0),
             p99_us: percentile(samples, 99.0),
             max_us: *samples.last().expect("nonempty"),
-        }
-    }
-
-    /// Summarizes a nanosecond latency [`Histogram`] (the simulated
-    /// clients' container). Percentiles carry the histogram's bucket
-    /// resolution (±~0.5% per octave sub-bucket).
-    pub fn from_histogram(latency_ns: &Histogram) -> Self {
-        if latency_ns.count() == 0 {
-            return Self::empty();
-        }
-        let us = |ns: u64| ns as f64 / 1e3;
-        LatencySummary {
-            count: latency_ns.count(),
-            mean_us: latency_ns.mean() / 1e3,
-            p50_us: us(latency_ns.quantile(0.50)),
-            p90_us: us(latency_ns.quantile(0.90)),
-            p99_us: us(latency_ns.quantile(0.99)),
-            max_us: us(latency_ns.max()),
         }
     }
 }
@@ -323,37 +297,6 @@ mod tests {
         assert_eq!(s.max_us, 4.0);
         let empty = LatencySummary::from_samples(&mut Vec::new());
         assert_eq!(empty.count, 0);
-    }
-
-    #[test]
-    fn summary_from_histogram_matches_samples() {
-        // The same latencies through both paths must agree to within the
-        // histogram's bucket resolution.
-        let latencies_us = [10.0_f64, 20.0, 40.0, 80.0, 160.0];
-        let hist = Histogram::new();
-        for &us in &latencies_us {
-            hist.record_duration(SimDuration::from_nanos((us * 1e3) as u64));
-        }
-        let from_hist = LatencySummary::from_histogram(&hist);
-        let mut samples = latencies_us.to_vec();
-        let from_samples = LatencySummary::from_samples(&mut samples);
-        assert_eq!(from_hist.count, from_samples.count);
-        let close = |a: f64, b: f64| (a - b).abs() / b < 0.05;
-        assert!(close(from_hist.mean_us, from_samples.mean_us));
-        assert!(close(from_hist.p50_us, from_samples.p50_us));
-        assert!(close(from_hist.max_us, from_samples.max_us));
-        assert_eq!(LatencySummary::from_histogram(&Histogram::new()).count, 0);
-    }
-
-    #[test]
-    fn client_stats_summary_uses_shared_path() {
-        let mut s = ClientStats::new();
-        s.record(SimTime::from_secs(1), SimDuration::from_micros(10), false);
-        s.record(SimTime::from_secs(2), SimDuration::from_micros(30), true);
-        let sum = s.latency_summary();
-        assert_eq!(sum.count, 2);
-        assert!((sum.mean_us - s.mean_latency_us()).abs() < 1e-9);
-        assert!(sum.p99_us >= sum.p50_us);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl Mix {
             OpKind::Update
         }
     }
-
-    /// Fraction of operations that mutate state.
-    pub fn write_fraction(&self) -> f64 {
-        self.update
-    }
 }
 
 /// A named standard workload.
@@ -177,7 +172,7 @@ mod tests {
         assert_eq!(b.mix.update, 0.05);
         let c = WorkloadSpec::standard(StandardWorkload::C);
         assert_eq!(c.mix.read, 1.0);
-        assert_eq!(c.mix.write_fraction(), 0.0);
+        assert_eq!(c.mix.update, 0.0);
         for w in [a, b, c] {
             assert_eq!(w.record_count, 100_000);
             assert_eq!(w.value_bytes, 1024);
