@@ -112,20 +112,6 @@ impl SimRng {
         self.next_f64() < p
     }
 
-    /// An exponentially distributed float with the given mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not positive and finite.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        assert!(
-            mean.is_finite() && mean > 0.0,
-            "mean must be positive, got {mean}"
-        );
-        // Inverse-CDF sampling; 1 - U avoids ln(0).
-        -mean * (1.0 - self.next_f64()).ln()
-    }
-
     /// Samples `k` distinct indices out of `0..n` (reservoir-free partial
     /// Fisher–Yates). Returns fewer than `k` when `n < k`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
@@ -180,19 +166,6 @@ mod tests {
             let f = rng.next_f64();
             assert!((0.0..1.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn exp_mean_is_close() {
-        let mut rng = SimRng::seed_from_u64(5);
-        let n = 20_000;
-        let mean = 10.0;
-        let sum: f64 = (0..n).map(|_| rng.gen_exp(mean)).sum();
-        let observed = sum / n as f64;
-        assert!(
-            (observed - mean).abs() < 0.3,
-            "exp mean {observed} too far from {mean}"
-        );
     }
 
     #[test]

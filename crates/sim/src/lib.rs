@@ -22,7 +22,7 @@
 //! fn arrival(w: &mut World, sched: &mut rmc_sim::Scheduler<World>) {
 //!     w.arrivals += 1;
 //!     if w.arrivals < 100 {
-//!         let gap = SimDuration::from_micros_f64(w.rng.gen_exp(30.0));
+//!         let gap = SimDuration::from_micros(w.rng.gen_range(10, 50));
 //!         sched.schedule_after(gap, arrival);
 //!     }
 //! }

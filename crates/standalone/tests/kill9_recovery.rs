@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rmc_chaos::{check_histories, OpKind, OpRecord};
-use rmc_core::protocol::{coordinator_id, ProtocolConfig};
+use rmc_core::protocol::{coordinator_id, server_id, ProtocolConfig};
 use rmc_runtime::SimDuration;
 use rmc_standalone::{reserve_addrs, rmcd_sibling_path, FleetConfig, NetClient, RmcdFleet};
 use rmc_wire::AddressBook;
@@ -148,35 +148,60 @@ fn kill9_whole_fleet_mid_burst_loses_no_acked_write() {
     // the live version is taken from the put's own ack — value loss and
     // value corruption are what the wire can prove, and they are exactly
     // the acceptance bar ("every acked write readable as acked").
+    //
+    // The map may still be propagating right after the recovery quiesced,
+    // so absent keys are read again until one deadline, shared by the whole
+    // read-back, passes; a key still absent then is lost. A lost partition
+    // therefore fails within the deadline instead of waiting once per key.
     let mut live: BTreeMap<Vec<u8>, (Vec<u8>, u64)> = BTreeMap::new();
-    for op in &acked {
-        let read_deadline = Instant::now() + Duration::from_secs(20);
-        loop {
+    let mut absent = acked.clone();
+    let read_deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let mut still_absent = Vec::new();
+        for op in absent {
             match client.get(&op.key).expect("post-restart read") {
                 Some(value) => {
                     live.insert(op.key.clone(), (value, op.version));
-                    break;
                 }
-                None if Instant::now() < read_deadline => {
-                    // The map may still be propagating right after the
-                    // recovery quiesced; absence must persist to count.
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                None => break, // stays absent -> AckedWriteLost below
+                None => still_absent.push(op),
             }
         }
+        absent = still_absent;
+        if absent.is_empty() || Instant::now() >= read_deadline {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
     }
 
     let violations = check_histories(&histories, &live, false);
-    assert!(
-        violations.is_empty(),
-        "acked writes lost or corrupted across kill-9 + cold restart:\n{}",
-        violations
+    if !violations.is_empty() {
+        let lost: Vec<String> = absent
             .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+            .map(|op| String::from_utf8_lossy(&op.key).into_owned())
+            .collect();
+        let coordinator = client.node_stats(coordinator_id());
+        let staged: Vec<String> = (0..SERVERS)
+            .map(|i| match client.node_stats(server_id(i)) {
+                Ok(stats) => format!(
+                    "server {i}: staged_segments {}",
+                    stat(&stats, "staged_segments")
+                ),
+                Err(e) => format!("server {i}: no stats ({e})"),
+            })
+            .collect();
+        panic!(
+            "acked writes lost or corrupted across kill-9 + cold restart:\n{}\n\
+             {} keys absent after the read-back deadline: {lost:?}\n\
+             coordinator stats: {coordinator:?}\n{}",
+            violations
+                .iter()
+                .map(|v| format!("  {v}"))
+                .collect::<Vec<_>>()
+                .join("\n"),
+            lost.len(),
+            staged.join("\n"),
+        );
+    }
 
     fleet
         .shutdown(Duration::from_secs(10))

@@ -46,16 +46,6 @@ impl RequestGenerator {
         &self.spec
     }
 
-    /// Requests issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Requests remaining before the client finishes.
-    pub fn remaining(&self) -> u64 {
-        self.spec.ops_per_client - self.issued
-    }
-
     /// Produces the next request, or `None` when the client's quota
     /// (`ops_per_client`) is exhausted.
     pub fn next_request(&mut self) -> Option<Request> {
@@ -141,7 +131,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 1000);
-        assert_eq!(g.remaining(), 0);
         assert!(g.next_request().is_none());
     }
 

@@ -37,8 +37,10 @@ pub struct KeyChooser {
 
 #[derive(Debug, Clone)]
 struct ZipfState {
-    theta: f64,
     zeta_n: f64,
+    /// `1 + 0.5^θ`: a draw with `u · ζ(n)` below it (and not below 1) is
+    /// rank 1.
+    rank1_bound: f64,
     alpha: f64,
     eta: f64,
 }
@@ -110,8 +112,8 @@ impl ZipfState {
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zeta_n);
         ZipfState {
-            theta,
             zeta_n,
+            rank1_bound: 1.0 + 0.5f64.powf(theta),
             alpha,
             eta,
         }
@@ -125,7 +127,7 @@ impl ZipfState {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
         let rank = (n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;

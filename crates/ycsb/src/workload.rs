@@ -152,9 +152,26 @@ impl WorkloadSpec {
         self
     }
 
-    /// The canonical YCSB-style key for a record index.
+    /// The canonical YCSB-style key for a record index: `user` and the
+    /// index in decimal, zero-padded to 16 digits (an index of 17–20 digits
+    /// keeps its full width), the bytes of `format!("user{index:016}")`.
+    ///
+    /// The digits are written right to left into a buffer allocated at its
+    /// final length, without `core::fmt`: the closed-loop clients that call
+    /// this once per request share the CPUs of the store they measure.
     pub fn key_for(&self, index: u64) -> Vec<u8> {
-        format!("user{index:016}").into_bytes()
+        const PREFIX: &[u8] = b"user";
+        let digits = index.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let len = PREFIX.len() + digits.max(16);
+        let mut key = Vec::with_capacity(len);
+        key.extend_from_slice(PREFIX);
+        key.resize(len, b'0');
+        let mut rest = index;
+        for digit in key[PREFIX.len()..].iter_mut().rev().take(digits) {
+            *digit = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        key
     }
 }
 
@@ -217,6 +234,34 @@ mod tests {
             update: 0.0,
         }
         .validated();
+    }
+
+    #[test]
+    fn keys_are_the_formatted_bytes_in_one_exact_allocation() {
+        let w = WorkloadSpec::standard(StandardWorkload::C);
+        let check = |i: u64| {
+            let key = w.key_for(i);
+            assert_eq!(key, format!("user{i:016}").into_bytes(), "index {i}");
+            assert_eq!(key.capacity(), key.len(), "index {i}");
+        };
+        let edges = [
+            0,
+            9,
+            10,
+            99_999,
+            10u64.pow(15),
+            10u64.pow(16) - 1,
+            10u64.pow(16),
+            10u64.pow(19),
+            u64::MAX,
+        ];
+        edges.into_iter().for_each(check);
+        // Shifted draws cover every width from 1 to 20 digits.
+        let mut rng = SimRng::seed_from_u64(42);
+        for _ in 0..10_000 {
+            let shift = rng.gen_below(64) as u32;
+            check(rng.next_u64() >> shift);
+        }
     }
 
     #[test]
