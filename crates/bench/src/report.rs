@@ -756,7 +756,7 @@ mod tests {
     }
 
     /// Every report committed to the repo is one `validate` accepts, and
-    /// sits where ROADMAP 6(c) puts it: full-scale at the root, the smoke
+    /// sits where the repo keeps them: full-scale at the root, the smoke
     /// baselines CI diffs against in `results/`.
     #[test]
     fn committed_artefacts_validate() {

@@ -111,6 +111,22 @@ pub enum Violation {
     },
 }
 
+/// A value as a violation message shows it: whole up to 32 bytes, else its
+/// first 16 bytes and its length, so a lost partition of kilobyte values
+/// prints one short line per key.
+fn show_value(value: &Option<Vec<u8>>) -> String {
+    match value.as_deref() {
+        Some(v) if v.len() > 32 => {
+            format!(
+                "Some({:?}… ({} bytes))",
+                String::from_utf8_lossy(&v[..16]),
+                v.len()
+            )
+        }
+        v => format!("{:?}", v.map(String::from_utf8_lossy)),
+    }
+}
+
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let k = |key: &[u8]| String::from_utf8_lossy(key).into_owned();
@@ -121,10 +137,10 @@ impl std::fmt::Display for Violation {
                 found,
             } => write!(
                 f,
-                "acked write lost on {:?}: expected {:?}, found {:?}",
+                "acked write lost on {:?}: expected {}, found {}",
                 k(key),
-                expected.as_deref().map(String::from_utf8_lossy),
-                found.as_deref().map(String::from_utf8_lossy),
+                show_value(expected),
+                show_value(found),
             ),
             Violation::VersionRegression { key, prev, next } => {
                 write!(f, "version regression on {:?}: {prev} then {next}", k(key))
@@ -136,10 +152,10 @@ impl std::fmt::Display for Violation {
             ),
             Violation::StaleRead { key, expected, got } => write!(
                 f,
-                "stale read on {:?}: expected {:?}, got {:?}",
+                "stale read on {:?}: expected {}, got {}",
                 k(key),
-                expected.as_deref().map(String::from_utf8_lossy),
-                got.as_deref().map(String::from_utf8_lossy),
+                show_value(expected),
+                show_value(got),
             ),
             Violation::PhantomKey { key } => write!(f, "phantom key {:?}", k(key)),
             Violation::SharedKey { key } => write!(f, "key {:?} written by two histories", k(key)),
@@ -364,6 +380,42 @@ mod tests {
         let l = BTreeMap::new();
         let v = check_histories(&h, &l, true);
         assert!(matches!(v[0], Violation::AckedWriteLost { .. }), "{v:?}");
+    }
+
+    #[test]
+    fn long_values_print_as_a_prefix_and_a_length() {
+        let long = "0123456789abcdef".repeat(35);
+        let lost = Violation::AckedWriteLost {
+            key: b"user7".to_vec(),
+            expected: Some(long.clone().into_bytes()),
+            found: None,
+        };
+        assert_eq!(
+            lost.to_string(),
+            r#"acked write lost on "user7": expected Some("0123456789abcdef"… (560 bytes)), found None"#
+        );
+        let stale = Violation::StaleRead {
+            key: b"k".to_vec(),
+            expected: Some(b"v1".to_vec()),
+            got: Some(long.as_bytes()[..33].to_vec()),
+        };
+        assert_eq!(
+            stale.to_string(),
+            r#"stale read on "k": expected Some("v1"), got Some("0123456789abcdef"… (33 bytes))"#
+        );
+        // Up to 32 bytes a value prints whole, as before.
+        let whole = Violation::StaleRead {
+            key: b"k".to_vec(),
+            expected: None,
+            got: Some(long.as_bytes()[..32].to_vec()),
+        };
+        assert_eq!(
+            whole.to_string(),
+            format!(
+                r#"stale read on "k": expected None, got Some({:?})"#,
+                &long[..32]
+            )
+        );
     }
 
     #[test]

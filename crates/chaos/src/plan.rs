@@ -131,7 +131,7 @@ impl FaultPlan {
     }
 
     /// Are any disk-level fault probabilities set?
-    pub fn disk_faults_enabled(&self) -> bool {
+    pub(crate) fn disk_faults_enabled(&self) -> bool {
         self.disk_short_write_prob > 0.0
             || self.disk_fsync_eio_prob > 0.0
             || self.disk_bit_flip_prob > 0.0

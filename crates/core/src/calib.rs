@@ -3,125 +3,120 @@
 //! Each constant is fitted to an operating point the paper reports; the
 //! constants are the *only* free parameters of the reproduction — everything
 //! else (queueing, locking, replication fan-out, recovery replay) follows
-//! from mechanism. Calibration-envelope tests in `tests/calibration.rs` pin
-//! the resulting shapes.
+//! from mechanism. Together they model one RAMCloud server process on a
+//! 4-core Xeon X3440 node, plus the client-side costs of one YCSB client
+//! process. Every caller uses the same values, so they are constants, not
+//! settings.
+//!
+//! What pins the envelope: the anchor-point tests below check the fits
+//! that follow from the constants alone; every `experiments` artefact
+//! evaluates its findings (`✓`/`✗` against the paper's shapes) on the rows
+//! it simulates, and `every_finding_holds_on_the_committed_rows_and_fails_on_broken_ones`
+//! (`crates/bench/src/bin/experiments/tests.rs`) holds them on the
+//! committed `results/*.csv`, which `experiments all` must regenerate byte
+//! for byte.
 
-use serde::{Deserialize, Serialize};
+/// Cores per node (the paper's nodes have 4).
+pub const CORES: usize = 4;
 
-/// Microsecond-level cost model of one RAMCloud server process on a 4-core
-/// Xeon X3440 node, plus client-side costs of one YCSB client process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Calibration {
-    /// Cores per node (the paper's nodes have 4).
-    pub cores: usize,
-    /// Worker (service) threads; the 4th core is pinned by the dispatch
-    /// thread's polling loop — the cause of the 25 % idle CPU floor
-    /// (Table I, Fig 9a).
-    pub worker_threads: usize,
-    /// Dispatch cost per request, µs. Fitted to the single-server read-only
-    /// ceiling of ~372 Kop/s (Fig 1a): 1 / 2.6 µs ≈ 385 Kop/s.
-    pub dispatch_us: f64,
-    /// Worker time to service a read (hash lookup + copy-out of 1 KB), µs.
-    pub read_service_us: f64,
-    /// Worker time for the parallel part of a write (request parsing,
-    /// hash-table update, value copy), µs at zero contention. Fitted to
-    /// workload A on 10 servers / 10 clients ≈ 98 Kop/s with replication
-    /// disabled (Table II). This is the part context switching inflates.
-    pub write_service_us: f64,
-    /// The short serialized log-head append (version bump + head bump), µs.
-    /// Sets the per-master ceiling on write *rate* independent of workers.
-    pub write_lock_us: f64,
-    /// Context-switch ceiling: a write's worker service takes
-    /// `write_service_us × (1 + contention_write × ramp)` where the ramp
-    /// rises linearly from 0 to 1 as the server's time-averaged
-    /// *concurrent-writer* count climbs from `contention_threshold` past
-    /// `contention_threshold + contention_scale`. Concurrent write-path
-    /// threads are the paper's own explanation (Finding 2: degradation
-    /// "tightly related to the number of threads servicing requests").
-    /// Fitted to Table II: effective per-write worker time grows
-    /// ~165 → ~330 → ~940 µs as clients go 10 → 20 → 30+, then *plateaus*
-    /// (A is flat at 64 Kop/s from 30 to 90 clients) — and workload B keeps
-    /// fast writes at 30 clients because its writer occupancy stays low.
-    pub contention_write: f64,
-    /// Time-averaged concurrent-writer count below which writes run at
-    /// their base cost.
-    pub contention_threshold: f64,
-    /// Width of the ramp from onset to ceiling, in concurrent writers.
-    pub contention_scale: f64,
-    /// Mild service inflation per runnable request beyond the worker count,
-    /// applied to reads (cache pressure, scheduler churn).
-    pub contention_read: f64,
-    /// Worker time for a backup to stage one replicated entry, µs. These
-    /// requests flow through the same dispatch/worker path as client
-    /// requests — the CPU contention of Finding 3.
-    pub backup_write_us: f64,
-    /// Client-side cost of issuing a read and consuming its response
-    /// (YCSB's Java client path), µs. Together with the network and server
-    /// costs this puts one closed-loop client at ~25 Kop/s, matching
-    /// Table II workload C: 236 Kop/s for 10 clients.
-    pub client_read_overhead_us: f64,
-    /// Client-side cost of issuing an update (value serialization), µs.
-    pub client_write_overhead_us: f64,
-    /// How long a worker spins (burning its core) after finishing work
-    /// before sleeping. Together with hot-worker-first assignment this fits
-    /// Table I: one closed-loop client keeps one worker spinning on *every*
-    /// server it touches (49.8 % CPU on 1, 5, and 10 servers alike), two
-    /// clients keep ~2 (74 %).
-    pub spin_timeout_us: f64,
-    /// Coordinator failure-detection delay, ms.
-    pub detection_delay_ms: f64,
-    /// Client RPC timeout, ms; sustained timeouts mark the run crashed —
-    /// reproducing the missing 10-server bars of Fig 6a.
-    pub rpc_timeout_ms: f64,
-    /// Recovery-master replay cost per entry, µs (log append + index insert
-    /// at replay rates; cheaper than the full client write path).
-    pub replay_entry_us: f64,
-    /// Entries replayed per worker occupancy chunk during recovery.
-    pub replay_chunk_entries: usize,
-    /// Master-side worker cost to issue and mind one replication RPC
-    /// (serialize, post, poll completion), µs at zero contention; inflated
-    /// by the same context-switch factor as write service. Fitted to
-    /// Fig 5's 10-client column: marginal cost ≈ 69 µs per added replica
-    /// (78 K → 43 Kop/s from R1 to R4). Most of Finding 3's per-replica
-    /// overhead lives here.
-    pub repl_send_us: f64,
-    /// Backup staging buffer before disk backpressure kicks in, nominal
-    /// bytes. When a backup's un-flushed staged data exceeds this, its
-    /// replication acks wait for the disk — the coupling that makes
-    /// recovery time grow with the replication factor (Finding 6).
-    pub backup_buffer_bytes: u64,
-    /// Synthetic delay charged when a master must re-replicate after its
-    /// backup died mid-write, ms.
-    pub rereplication_penalty_ms: f64,
-}
+/// Worker (service) threads; the 4th core is pinned by the dispatch
+/// thread's polling loop — the cause of the 25 % idle CPU floor
+/// (Table I, Fig 9a).
+pub const WORKER_THREADS: usize = 3;
 
-impl Default for Calibration {
-    fn default() -> Self {
-        Calibration {
-            cores: 4,
-            worker_threads: 3,
-            dispatch_us: 2.6,
-            read_service_us: 6.0,
-            write_service_us: 100.0,
-            write_lock_us: 15.0,
-            contention_write: 5.5,
-            contention_threshold: 1.1,
-            contention_scale: 1.45,
-            contention_read: 0.01,
-            backup_write_us: 6.0,
-            client_read_overhead_us: 28.0,
-            client_write_overhead_us: 55.0,
-            spin_timeout_us: 400.0,
-            detection_delay_ms: 350.0,
-            rpc_timeout_ms: 1000.0,
-            replay_entry_us: 6.0,
-            replay_chunk_entries: 20,
-            repl_send_us: 65.0,
-            backup_buffer_bytes: 64 << 20,
-            rereplication_penalty_ms: 5.0,
-        }
-    }
-}
+/// Dispatch cost per request, µs. Fitted to the single-server read-only
+/// ceiling of ~372 Kop/s (Fig 1a): 1 / 2.6 µs ≈ 385 Kop/s.
+pub const DISPATCH_US: f64 = 2.6;
+
+/// Worker time to service a read (hash lookup + copy-out of 1 KB), µs.
+pub const READ_SERVICE_US: f64 = 6.0;
+
+/// Worker time for the parallel part of a write (request parsing,
+/// hash-table update, value copy), µs at zero contention. Fitted to
+/// workload A on 10 servers / 10 clients ≈ 98 Kop/s with replication
+/// disabled (Table II). This is the part context switching inflates.
+pub const WRITE_SERVICE_US: f64 = 100.0;
+
+/// The short serialized log-head append (version bump + head bump), µs.
+/// Sets the per-master ceiling on write *rate* independent of workers.
+pub const WRITE_LOCK_US: f64 = 15.0;
+
+/// Context-switch ceiling: a write's worker service takes
+/// `WRITE_SERVICE_US × (1 + CONTENTION_WRITE × ramp)` where the ramp
+/// rises linearly from 0 to 1 as the server's time-averaged
+/// *concurrent-writer* count climbs from `CONTENTION_THRESHOLD` past
+/// `CONTENTION_THRESHOLD + CONTENTION_SCALE`. Concurrent write-path
+/// threads are the paper's own explanation (Finding 2: degradation
+/// "tightly related to the number of threads servicing requests").
+/// Fitted to Table II: effective per-write worker time grows
+/// ~165 → ~330 → ~940 µs as clients go 10 → 20 → 30+, then *plateaus*
+/// (A is flat at 64 Kop/s from 30 to 90 clients) — and workload B keeps
+/// fast writes at 30 clients because its writer occupancy stays low.
+pub const CONTENTION_WRITE: f64 = 5.5;
+
+/// Time-averaged concurrent-writer count below which writes run at
+/// their base cost.
+pub const CONTENTION_THRESHOLD: f64 = 1.1;
+
+/// Width of the ramp from onset to ceiling, in concurrent writers.
+pub const CONTENTION_SCALE: f64 = 1.45;
+
+/// Mild service inflation per runnable request beyond the worker count,
+/// applied to reads (cache pressure, scheduler churn).
+pub const CONTENTION_READ: f64 = 0.01;
+
+/// Worker time for a backup to stage one replicated entry, µs. These
+/// requests flow through the same dispatch/worker path as client
+/// requests — the CPU contention of Finding 3.
+pub const BACKUP_WRITE_US: f64 = 6.0;
+
+/// Client-side cost of issuing a read and consuming its response
+/// (YCSB's Java client path), µs. Together with the network and server
+/// costs this puts one closed-loop client at ~25 Kop/s, matching
+/// Table II workload C: 236 Kop/s for 10 clients.
+pub const CLIENT_READ_OVERHEAD_US: f64 = 28.0;
+
+/// Client-side cost of issuing an update (value serialization), µs.
+pub const CLIENT_WRITE_OVERHEAD_US: f64 = 55.0;
+
+/// How long a worker spins (burning its core) after finishing work
+/// before sleeping. Together with hot-worker-first assignment this fits
+/// Table I: one closed-loop client keeps one worker spinning on *every*
+/// server it touches (49.8 % CPU on 1, 5, and 10 servers alike), two
+/// clients keep ~2 (74 %).
+pub const SPIN_TIMEOUT_US: f64 = 400.0;
+
+/// Coordinator failure-detection delay, ms.
+pub const DETECTION_DELAY_MS: f64 = 350.0;
+
+/// Client RPC timeout, ms; sustained timeouts mark the run crashed —
+/// reproducing the missing 10-server bars of Fig 6a.
+pub const RPC_TIMEOUT_MS: f64 = 1000.0;
+
+/// Recovery-master replay cost per entry, µs (log append + index insert
+/// at replay rates; cheaper than the full client write path).
+pub const REPLAY_ENTRY_US: f64 = 6.0;
+
+/// Entries replayed per worker occupancy chunk during recovery.
+pub const REPLAY_CHUNK_ENTRIES: usize = 20;
+
+/// Master-side worker cost to issue and mind one replication RPC
+/// (serialize, post, poll completion), µs at zero contention; inflated
+/// by the same context-switch factor as write service. Fitted to
+/// Fig 5's 10-client column: marginal cost ≈ 69 µs per added replica
+/// (78 K → 43 Kop/s from R1 to R4). Most of Finding 3's per-replica
+/// overhead lives here.
+pub const REPL_SEND_US: f64 = 65.0;
+
+/// Backup staging buffer before disk backpressure kicks in, nominal
+/// bytes. When a backup's un-flushed staged data exceeds this, its
+/// replication acks wait for the disk — the coupling that makes
+/// recovery time grow with the replication factor (Finding 6).
+pub const BACKUP_BUFFER_BYTES: u64 = 64 << 20;
+
+/// Synthetic delay charged when a master must re-replicate after its
+/// backup died mid-write, ms.
+pub const REREPLICATION_PENALTY_MS: f64 = 5.0;
 
 #[cfg(test)]
 mod tests {
@@ -129,21 +124,19 @@ mod tests {
 
     #[test]
     fn default_matches_paper_anchor_points() {
-        let c = Calibration::default();
         // Dispatch ceiling ≈ 372-385 Kop/s (Fig 1a).
-        let ceiling = 1e6 / c.dispatch_us;
+        let ceiling = 1e6 / DISPATCH_US;
         assert!((350_000.0..420_000.0).contains(&ceiling), "{ceiling}");
         // Idle CPU floor = 25 % (Table I row 0).
-        assert_eq!(1.0 / c.cores as f64, 0.25);
+        assert_eq!(1.0 / CORES as f64, 0.25);
         // 4 cores = 1 dispatch + 3 workers.
-        assert_eq!(c.cores, c.worker_threads + 1);
+        assert_eq!(CORES, WORKER_THREADS + 1);
     }
 
     #[test]
     fn closed_loop_read_rate_near_25k() {
-        let c = Calibration::default();
         // client overhead + ~2 network hops (~6 µs) + dispatch + service.
-        let rtt_us = c.client_read_overhead_us + 6.0 + c.dispatch_us + c.read_service_us;
+        let rtt_us = CLIENT_READ_OVERHEAD_US + 6.0 + DISPATCH_US + READ_SERVICE_US;
         // (read_service fitted so 3 workers sustain the dispatch ceiling)
         let per_client = 1e6 / rtt_us;
         assert!(

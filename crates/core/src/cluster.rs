@@ -11,13 +11,14 @@
 use std::collections::BTreeMap;
 
 use rmc_disk::{DiskModel, IoKind};
-use rmc_energy::{NodeActivity, PduSampler};
+use rmc_energy::{NodeActivity, PduSampler, PowerProfile};
 use rmc_logstore::{CompletionId, LogConfig, LogEntry, ObjectRecord, Store, TableId};
-use rmc_net::Network;
-use rmc_runtime::{MetricsRegistry, SimDuration, SimRng, SimTime};
+use rmc_net::{NetProfile, Network};
+use rmc_runtime::{SimDuration, SimRng, SimTime};
 use rmc_sim::{Scheduler, Simulation};
 use rmc_ycsb::{ClientStats, OpKind, RequestGenerator, Throttle};
 
+use crate::calib;
 use crate::config::{ClientAffinity, ClusterConfig};
 use crate::coordinator::{Coordinator, RecoveryState};
 use crate::ids::OpId;
@@ -125,18 +126,19 @@ pub struct Cluster {
     last_completion: SimTime,
     /// Key indices grouped by their initial owner (for client affinity).
     keys_by_owner: Vec<Vec<u64>>,
-    /// Live metrics: each server's [`DiskModel`] feeds `disk.{id}.*` here —
-    /// the same family names the file-backed backup engine exports.
-    metrics: MetricsRegistry,
 }
+
+/// Time constant of the PDU meters' lag, seconds (real PDUs report a
+/// lagging average; `rmc_energy::PduSampler`).
+const PDU_TAU_SECS: f64 = 3.0;
 
 impl Cluster {
     /// Builds an idle cluster (no data loaded yet).
     pub fn new(cfg: ClusterConfig) -> Self {
         cfg.validate();
         let mut rng = SimRng::seed_from_u64(cfg.seed);
-        let metrics = MetricsRegistry::new();
-        let net = Network::new(cfg.servers + cfg.clients, cfg.net.clone());
+        // The paper ran RAMCloud over Infiniband only.
+        let net = Network::new(cfg.servers + cfg.clients, NetProfile::infiniband_20g());
         let nodes: Vec<ServerNode> = (0..cfg.servers)
             .map(|id| {
                 // The simulator plays the background cleaner thread itself:
@@ -146,12 +148,10 @@ impl Cluster {
                     max_segments: cfg.max_segments(),
                     ordered_index: false,
                 });
-                let mut disk = DiskModel::new(cfg.disk.clone());
-                disk.attach_metrics(&metrics.family("disk", id));
-                ServerNode::new(id, store, disk, &cfg.calib)
+                ServerNode::new(id, store, DiskModel::new(cfg.disk.clone()))
             })
             .collect();
-        let coord = Coordinator::new(cfg.servers, cfg.hash_buckets);
+        let coord = Coordinator::new(cfg.servers, ClusterConfig::HASH_BUCKETS);
         let clients: Vec<ClientMachine> = (0..cfg.clients)
             .map(|c| ClientMachine {
                 net_node: cfg.servers + c,
@@ -186,15 +186,7 @@ impl Cluster {
             final_recovery: None,
             last_completion: SimTime::ZERO,
             keys_by_owner: Vec::new(),
-            metrics,
         }
-    }
-
-    /// The live metric registry; each server disk feeds `disk.{id}.*` —
-    /// queue depth, request and byte counters — under the same names as the
-    /// file-backed backup engine's `disk.*` family.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Schedules a server kill at `at` (crash-recovery experiments). When
@@ -202,11 +194,6 @@ impl Cluster {
     pub fn plan_kill(&mut self, at: SimTime, victim: Option<usize>) {
         let v = victim.unwrap_or_else(|| self.rng.gen_below(self.cfg.servers as u64) as usize);
         self.kill_plan = Some((at, v));
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 
     /// Immutable access to a server (tests / verification).
@@ -231,7 +218,7 @@ impl Cluster {
     }
 
     fn stored_value(&self, key_index: u64, version_salt: u64) -> Vec<u8> {
-        let n = self.cfg.payload.stored_value_bytes;
+        let n = self.cfg.stored_value_bytes();
         let mut v = vec![0u8; n];
         let tag = key_index.wrapping_mul(0x9E3779B97F4A7C15) ^ version_salt;
         for (i, b) in v.iter_mut().enumerate() {
@@ -425,9 +412,9 @@ impl Cluster {
         let server = self.coord.owner_of_bucket(bucket);
         let is_write = kind == OpKind::Update;
         let overhead_us = if is_write {
-            self.cfg.calib.client_write_overhead_us
+            calib::CLIENT_WRITE_OVERHEAD_US
         } else {
-            self.cfg.calib.client_read_overhead_us
+            calib::CLIENT_READ_OVERHEAD_US
         };
         let mut send_at = now + SimDuration::from_micros_f64(overhead_us);
         if let Some(t) = self.clients[c].throttle.as_mut() {
@@ -478,7 +465,7 @@ impl Cluster {
         self.clients[client].stats.record(now, latency, is_write);
         self.completed_ops += 1;
         self.last_completion = now;
-        if latency.as_secs_f64() * 1e3 > self.cfg.calib.rpc_timeout_ms {
+        if latency.as_secs_f64() * 1e3 > calib::RPC_TIMEOUT_MS {
             self.timeout_ops += 1;
         }
         self.client_issue(client, sched);
@@ -505,10 +492,9 @@ impl Cluster {
                 // deadlock the worker pool.
                 let entries = *entries;
                 let node = &mut self.nodes[node_id];
-                let per =
-                    SimDuration::from_micros_f64(self.cfg.calib.backup_write_us * entries as f64);
+                let per = SimDuration::from_micros_f64(calib::BACKUP_WRITE_US * entries as f64);
                 let start = now.max(node.dispatch_free);
-                let done = start + SimDuration::from_micros_f64(self.cfg.calib.dispatch_us) + per;
+                let done = start + SimDuration::from_micros_f64(calib::DISPATCH_US) + per;
                 node.dispatch_free = done;
                 sched.schedule_at(done, move |cl: &mut Cluster, s| cl.op_local_done(op, s));
             }
@@ -521,7 +507,7 @@ impl Cluster {
                 };
                 let _ = client;
                 let node = &mut self.nodes[node_id];
-                let ready = node.dispatch(now, &self.cfg.calib);
+                let ready = node.dispatch(now);
                 if is_write {
                     node.adjust_writers(now, 1);
                 }
@@ -531,7 +517,6 @@ impl Cluster {
     }
 
     fn try_assign(&mut self, node_id: usize, op: OpId, ready: SimTime, sched: Sched) {
-        let calib = self.cfg.calib.clone();
         let Some(state) = self.ops.get(&op) else {
             return;
         };
@@ -559,24 +544,25 @@ impl Cluster {
         let start = ready.max(idle_since);
         node.in_service += 1;
         let local_done = if is_client_write {
-            let svc = SimDuration::from_micros_f64(calib.write_service_us)
-                .mul_f64(node.write_inflation(&calib));
+            let svc = SimDuration::from_micros_f64(calib::WRITE_SERVICE_US)
+                .mul_f64(node.write_inflation());
             let lock_start = (start + svc).max(node.lock_free);
-            let done = lock_start + node.write_lock_duration(&calib);
+            // The short serialized log-head append.
+            let done = lock_start + SimDuration::from_micros_f64(calib::WRITE_LOCK_US);
             node.lock_free = done;
             done
         } else if is_replay {
-            let svc = SimDuration::from_micros_f64(calib.replay_entry_us * replay_entries as f64);
+            let svc = SimDuration::from_micros_f64(calib::REPLAY_ENTRY_US * replay_entries as f64);
             let lock_start = start.max(node.lock_free);
             let done = lock_start + svc;
             node.lock_free = done;
             done
         } else {
-            let svc = SimDuration::from_micros_f64(calib.read_service_us)
-                .mul_f64(node.read_inflation(&calib));
+            let svc =
+                SimDuration::from_micros_f64(calib::READ_SERVICE_US).mul_f64(node.read_inflation());
             start + svc
         };
-        node.account_worker_busy(w, idle_since, start, local_done, &calib);
+        node.account_worker_busy(idle_since, start, local_done);
         node.workers[w].free_at = local_done;
         if let Some(state) = self.ops.get_mut(&op) {
             state.worker = Some(w);
@@ -737,7 +723,7 @@ impl Cluster {
         // Issue replication RPCs; each send costs master-side worker time,
         // inflated by the node's thread-contention factor (Finding 3).
         let send_cost = SimDuration::from_micros_f64(
-            self.cfg.calib.repl_send_us * self.nodes[node_id].write_inflation(&self.cfg.calib),
+            calib::REPL_SEND_US * self.nodes[node_id].write_inflation(),
         );
         let mut send_at = now;
         for b in live_backups {
@@ -830,8 +816,7 @@ impl Cluster {
             // recovery time grow with the replication factor (Finding 6).
             let disk_done = self.nodes[node_id].disk.submit(now, IoKind::Write, nominal);
             self.nodes[node_id].backup.flush(master, segment, nominal);
-            let slack_secs =
-                self.cfg.calib.backup_buffer_bytes as f64 / self.cfg.disk.write_bytes_per_sec;
+            let slack_secs = calib::BACKUP_BUFFER_BYTES as f64 / self.cfg.disk.write_bytes_per_sec;
             let slack = SimDuration::from_secs_f64(slack_secs);
             let throttled = disk_done.saturating_since(now) > slack;
             if throttled {
@@ -919,7 +904,7 @@ impl Cluster {
         };
         let client = *client;
         let resp_bytes = match kind {
-            OpKind::Read => self.cfg.payload.nominal_value_bytes as u64 + 40,
+            OpKind::Read => self.cfg.workload.value_bytes as u64 + 40,
             _ => 48,
         };
         let client_net = self.clients[client].net_node;
@@ -973,7 +958,7 @@ impl Cluster {
     /// an acked-but-unanswered write leaves behind.
     pub fn test_apply_write(&mut self, master: usize, key: &[u8], seq: u64) {
         let completion = CompletionId { client: 0, seq };
-        let value = vec![0xEE; self.cfg.payload.stored_value_bytes];
+        let value = vec![0xEE; self.cfg.stored_value_bytes()];
         let outcome = self.nodes[master]
             .store
             .write_with(BENCH_TABLE, key, &value, Some(completion))
@@ -1030,7 +1015,7 @@ impl Cluster {
         // Fail everything in flight on the victim; synthesize delayed acks
         // for masters that were waiting on the victim as a backup.
         let op_ids: Vec<OpId> = self.ops.keys().copied().collect();
-        let penalty = SimDuration::from_micros_f64(self.cfg.calib.rereplication_penalty_ms * 1e3);
+        let penalty = SimDuration::from_micros_f64(calib::REREPLICATION_PENALTY_MS * 1e3);
         for id in op_ids {
             let Some(state) = self.ops.get(&id) else {
                 continue;
@@ -1050,7 +1035,7 @@ impl Cluster {
                 }
             }
         }
-        let delay = SimDuration::from_micros_f64(self.cfg.calib.detection_delay_ms * 1e3);
+        let delay = SimDuration::from_micros_f64(calib::DETECTION_DELAY_MS * 1e3);
         sched.schedule_at(now + delay, move |cl: &mut Cluster, s| {
             cl.start_recovery(victim, s)
         });
@@ -1174,7 +1159,7 @@ impl Cluster {
             off += len;
         }
         let nominal_entry = self.nominal_entry();
-        let chunk_entries = self.cfg.calib.replay_chunk_entries as u64;
+        let chunk_entries = calib::REPLAY_CHUNK_ENTRIES as u64;
         for (owner, (gbytes, n)) in groups {
             let nominal = n * nominal_entry;
             let arrival = self.net.transfer(now, src, owner, nominal + 64);
@@ -1219,7 +1204,7 @@ impl Cluster {
         // log-head lock still serializes the appends, but the waiting
         // worker threads burn CPU — the paper's 92 % recovery spike — and
         // normal requests queue behind them (Fig 10's latency rise).
-        let limit = self.cfg.calib.worker_threads;
+        let limit = calib::WORKER_THREADS;
         if !self.nodes[owner].alive {
             return;
         }
@@ -1299,7 +1284,7 @@ impl Cluster {
             state.worker = None; // ack wait does not hold a worker slot
         }
         let send_cost = SimDuration::from_micros_f64(
-            self.cfg.calib.repl_send_us * self.nodes[node_id].write_inflation(&self.cfg.calib),
+            calib::REPL_SEND_US * self.nodes[node_id].write_inflation(),
         );
         let mut send_at = now;
         // One recovery staging "segment" per (recovery master, backup) pair.
@@ -1517,7 +1502,8 @@ impl Cluster {
         let secs = duration_secs.ceil() as usize;
 
         // Offline PDU sampling at 1 Hz from the recorded activity bins.
-        let mut pdu = PduSampler::new(cfg.servers, cfg.pdu_tau_secs);
+        let mut pdu = PduSampler::new(cfg.servers, PDU_TAU_SECS);
+        let power = PowerProfile::grid5000_nancy();
         let mut cpu_timeline = Vec::with_capacity(secs);
         let mut power_timeline = Vec::with_capacity(secs);
         for sec in 0..secs {
@@ -1527,14 +1513,14 @@ impl Cluster {
             let mut watt_sum = 0.0;
             let mut live = 0usize;
             for (i, node) in self.nodes.iter().enumerate() {
-                let cpu = node.cpu_fraction(sec, coverage, &cfg.calib);
+                let cpu = node.cpu_fraction(sec, coverage);
                 let activity = NodeActivity {
                     cpu,
                     disk: (node.disk.busy_fraction(sec) / coverage).min(1.0),
                     mem_write_gbps: node.mem_write.gbps(sec) / coverage,
                     nic_gbps: self.net.traffic_gbps(i, sec) / coverage,
                 };
-                let watts = cfg.power.power(activity);
+                let watts = power.power(activity);
                 pdu.sample(i, t, watts);
                 let dead = node
                     .killed_at
@@ -1568,9 +1554,9 @@ impl Cluster {
                 .map(|k| k.as_secs_f64().min(duration_secs))
                 .unwrap_or(duration_secs);
             let dispatch = alive_secs / duration_secs;
-            let workers = (node.cpu.total_busy_seconds() / duration_secs)
-                .min(cfg.calib.worker_threads as f64);
-            per_node_cpu.push(((dispatch + workers) / cfg.calib.cores as f64).min(1.0));
+            let workers =
+                (node.cpu.total_busy_seconds() / duration_secs).min(calib::WORKER_THREADS as f64);
+            per_node_cpu.push(((dispatch + workers) / calib::CORES as f64).min(1.0));
         }
 
         // Aggregate disk traces across nodes (Fig 12).

@@ -1,54 +1,8 @@
 //! Cluster/experiment configuration.
 
 use rmc_disk::DiskProfile;
-use rmc_energy::PowerProfile;
-use rmc_net::NetProfile;
 use rmc_ycsb::WorkloadSpec;
 use serde::{Deserialize, Serialize};
-
-use crate::calib::Calibration;
-
-/// Decouples *modelled* object size from *stored* object size.
-///
-/// The paper's large experiments hold ~10 GB per node, which a single-process
-/// reproduction cannot afford to materialize. All timing, network, disk, and
-/// power models use the **nominal** value size; the real data plane stores a
-/// compact payload. Setting both equal gives full-fidelity storage for
-/// correctness tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PayloadScale {
-    /// Value size used by every performance/energy model, bytes.
-    pub nominal_value_bytes: usize,
-    /// Value size actually materialized in the store, bytes.
-    pub stored_value_bytes: usize,
-}
-
-impl PayloadScale {
-    /// Full fidelity: store exactly what the model assumes.
-    pub fn full(value_bytes: usize) -> Self {
-        PayloadScale {
-            nominal_value_bytes: value_bytes,
-            stored_value_bytes: value_bytes,
-        }
-    }
-
-    /// Compact storage: model `value_bytes`, store a 16-byte digest.
-    pub fn compact(value_bytes: usize) -> Self {
-        PayloadScale {
-            nominal_value_bytes: value_bytes,
-            stored_value_bytes: 16.min(value_bytes.max(1)),
-        }
-    }
-
-    /// Ratio of stored to nominal entry size (used to shrink segment
-    /// capacity so head-roll cadence matches nominal fill).
-    pub fn entry_scale(&self, key_bytes: usize) -> f64 {
-        let header = rmc_logstore::HEADER_BYTES;
-        let stored = header + key_bytes + self.stored_value_bytes;
-        let nominal = header + key_bytes + self.nominal_value_bytes;
-        stored as f64 / nominal as f64
-    }
-}
 
 /// Restricts which part of the key space a client samples (Fig 10 pins one
 /// client to the crash victim's data and one to everything else).
@@ -76,21 +30,8 @@ pub struct ClusterConfig {
     pub workload: WorkloadSpec,
     /// RNG seed; runs are bit-for-bit reproducible per seed.
     pub seed: u64,
-    /// Network profile (the paper uses Infiniband only).
-    pub net: NetProfile,
     /// Disk profile of each node.
     pub disk: DiskProfile,
-    /// Node power model.
-    pub power: PowerProfile,
-    /// PDU meter time constant, seconds (0 = instantaneous sampling).
-    pub pdu_tau_secs: f64,
-    /// Node cost model.
-    pub calib: Calibration,
-    /// Nominal vs stored payload sizes.
-    pub payload: PayloadScale,
-    /// Tablet granularity: key space is split into this many hash buckets
-    /// for placement and recovery partitioning.
-    pub hash_buckets: usize,
     /// Per-client request rate cap (Fig 13); `None` = unthrottled.
     pub throttle_rate: Option<f64>,
     /// Master log segment size (nominal bytes); RAMCloud hard-codes 8 MB.
@@ -102,23 +43,20 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A config with the paper's fixed platform parameters and compact
-    /// payload storage; callers set cluster size, workload, replication.
+    /// Tablet granularity: the key space is split into this many hash
+    /// buckets for placement and recovery partitioning.
+    pub const HASH_BUCKETS: usize = 1024;
+
+    /// A config with the paper's fixed platform parameters; callers set
+    /// cluster size, workload, replication.
     pub fn new(servers: usize, clients: usize, workload: WorkloadSpec) -> Self {
-        let payload = PayloadScale::compact(workload.value_bytes);
         ClusterConfig {
             servers,
             clients,
             replication: 0,
             workload,
             seed: 42,
-            net: NetProfile::infiniband_20g(),
             disk: DiskProfile::grid5000_hdd(),
-            power: PowerProfile::grid5000_nancy(),
-            pdu_tau_secs: 3.0,
-            calib: Calibration::default(),
-            payload,
-            hash_buckets: 1024,
             throttle_rate: None,
             segment_bytes: 8 << 20,
             client_affinity: None,
@@ -143,9 +81,20 @@ impl ClusterConfig {
         self
     }
 
+    /// Value size actually materialized in the store, bytes.
+    ///
+    /// The paper's large experiments hold ~10 GB per node, which a
+    /// single-process reproduction cannot afford to materialize. Every
+    /// timing, network, disk and power model uses the workload's nominal
+    /// `value_bytes`; the real data plane stores a digest of at most
+    /// 16 bytes.
+    pub fn stored_value_bytes(&self) -> usize {
+        16.min(self.workload.value_bytes.max(1))
+    }
+
     /// Nominal size of one serialized log entry for this workload.
     pub fn nominal_entry_bytes(&self) -> usize {
-        rmc_logstore::HEADER_BYTES + self.key_bytes() + self.payload.nominal_value_bytes
+        rmc_logstore::HEADER_BYTES + self.key_bytes() + self.workload.value_bytes
     }
 
     /// Key length produced by the workload's key formatter.
@@ -153,10 +102,12 @@ impl ClusterConfig {
         self.workload.key_for(0).len()
     }
 
-    /// The *stored* segment size: scaled so a segment seals after the same
-    /// number of entries as a nominal one.
+    /// The *stored* segment size: scaled by the ratio of stored to nominal
+    /// entry size, so a segment seals after the same number of entries as
+    /// a nominal one.
     pub fn stored_segment_bytes(&self) -> usize {
-        let scale = self.payload.entry_scale(self.key_bytes());
+        let stored = rmc_logstore::HEADER_BYTES + self.key_bytes() + self.stored_value_bytes();
+        let scale = stored as f64 / self.nominal_entry_bytes() as f64;
         ((self.segment_bytes as f64) * scale).ceil() as usize
     }
 
@@ -188,7 +139,7 @@ impl ClusterConfig {
             self.servers
         );
         assert!(
-            self.hash_buckets >= self.servers,
+            Self::HASH_BUCKETS >= self.servers,
             "need ≥1 bucket per server"
         );
         assert!(self.segment_bytes > 0);
@@ -209,7 +160,6 @@ mod tests {
         let c = cfg();
         assert_eq!(c.segment_bytes, 8 << 20);
         assert_eq!(c.max_segments(), 1280, "10 GB of 8 MB segments");
-        assert_eq!(c.net.name, "infiniband-20g");
         assert_eq!(c.replication, 0);
         c.validate();
     }
@@ -217,23 +167,16 @@ mod tests {
     #[test]
     fn payload_scaling_shrinks_segments_proportionally() {
         let c = cfg();
-        let scale = c.payload.entry_scale(c.key_bytes());
+        let scale = c.stored_segment_bytes() as f64 / c.segment_bytes as f64;
         assert!(scale < 0.1, "compact scale should be small, got {scale}");
         let nominal_entries = c.segment_bytes / c.nominal_entry_bytes();
-        let stored_entry =
-            rmc_logstore::HEADER_BYTES + c.key_bytes() + c.payload.stored_value_bytes;
+        let stored_entry = rmc_logstore::HEADER_BYTES + c.key_bytes() + c.stored_value_bytes();
         let stored_entries = c.stored_segment_bytes() / stored_entry;
         let ratio = stored_entries as f64 / nominal_entries as f64;
         assert!(
             (0.9..1.2).contains(&ratio),
             "entries per segment should match: nominal {nominal_entries} stored {stored_entries}"
         );
-    }
-
-    #[test]
-    fn full_payload_is_identity() {
-        let p = PayloadScale::full(1024);
-        assert_eq!(p.entry_scale(24), 1.0);
     }
 
     #[test]

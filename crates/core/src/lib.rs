@@ -50,9 +50,8 @@ pub mod proto_sim;
 pub mod protocol;
 pub mod report;
 
-pub use calib::Calibration;
 pub use cluster::{Cluster, BENCH_TABLE};
-pub use config::{ClientAffinity, ClusterConfig, PayloadScale};
+pub use config::{ClientAffinity, ClusterConfig};
 pub use coordinator::{Coordinator, RecoveryState};
 pub use ids::{ClientId, OpId};
 pub use node::{BackupService, ByteBins, SegMeta, ServerNode};

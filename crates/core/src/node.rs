@@ -7,7 +7,7 @@ use rmc_disk::DiskModel;
 use rmc_logstore::Store;
 use rmc_runtime::{BinnedUsage, SimDuration, SimTime};
 
-use crate::calib::Calibration;
+use crate::calib;
 use crate::ids::OpId;
 
 /// Bytes accumulated into one-second bins; reports GB/s per bin (feeds the
@@ -174,7 +174,7 @@ pub struct ServerNode {
 
 impl ServerNode {
     /// Creates an idle, empty server.
-    pub fn new(id: usize, store: Store, disk: DiskModel, calib: &Calibration) -> Self {
+    pub fn new(id: usize, store: Store, disk: DiskModel) -> Self {
         ServerNode {
             id,
             alive: true,
@@ -187,7 +187,7 @@ impl ServerNode {
                 Worker {
                     free_at: SimTime::ZERO
                 };
-                calib.worker_threads
+                calib::WORKER_THREADS
             ],
             pending: VecDeque::new(),
             in_service: 0,
@@ -206,9 +206,9 @@ impl ServerNode {
 
     /// Runs the dispatch stage for a request arriving at `now`; returns when
     /// dispatch hands the request to the worker pool.
-    pub fn dispatch(&mut self, now: SimTime, calib: &Calibration) -> SimTime {
+    pub fn dispatch(&mut self, now: SimTime) -> SimTime {
         let start = now.max(self.dispatch_free);
-        let done = start + SimDuration::from_micros_f64(calib.dispatch_us);
+        let done = start + SimDuration::from_micros_f64(calib::DISPATCH_US);
         self.dispatch_free = done;
         done
     }
@@ -284,15 +284,8 @@ impl ServerNode {
 
     /// Accounts a worker's busy span, extending backwards over its
     /// spin-before-sleep window.
-    pub fn account_worker_busy(
-        &mut self,
-        worker: usize,
-        idle_since: SimTime,
-        start: SimTime,
-        end: SimTime,
-        calib: &Calibration,
-    ) {
-        let spin = SimDuration::from_micros_f64(calib.spin_timeout_us);
+    pub fn account_worker_busy(&mut self, idle_since: SimTime, start: SimTime, end: SimTime) {
+        let spin = SimDuration::from_micros_f64(calib::SPIN_TIMEOUT_US);
         let spin_end = idle_since.saturating_add(spin).min(start);
         if spin_end > idle_since {
             self.cpu.add_span(idle_since, spin_end, 1.0);
@@ -300,45 +293,39 @@ impl ServerNode {
         if end > start {
             self.cpu.add_span(start, end, 1.0);
         }
-        let _ = worker;
     }
 
     /// Read-side contention factor at current queue depth.
-    pub fn read_inflation(&self, calib: &Calibration) -> f64 {
-        let excess = self.runnable().saturating_sub(calib.worker_threads);
-        1.0 + calib.contention_read * excess as f64
+    pub fn read_inflation(&self) -> f64 {
+        let excess = self.runnable().saturating_sub(calib::WORKER_THREADS);
+        1.0 + calib::CONTENTION_READ * excess as f64
     }
 
     /// Context-switch inflation factor for write worker service at the
     /// current writer pressure: ramps linearly from 1 to
-    /// `1 + contention_write` as the time-averaged concurrent-writer count
-    /// climbs from `contention_threshold` over `contention_scale` more
+    /// `1 + CONTENTION_WRITE` as the time-averaged concurrent-writer count
+    /// climbs from `CONTENTION_THRESHOLD` over `CONTENTION_SCALE` more
     /// writers — the paper's "poor thread handling under highly-concurrent
     /// accesses" (Finding 2).
-    pub fn write_inflation(&self, calib: &Calibration) -> f64 {
-        let excess = (self.writers_ewma - calib.contention_threshold).max(0.0);
-        let ramp = (excess / calib.contention_scale).min(1.0);
-        1.0 + calib.contention_write * ramp
-    }
-
-    /// The short serialized log-head append.
-    pub fn write_lock_duration(&self, calib: &Calibration) -> SimDuration {
-        SimDuration::from_micros_f64(calib.write_lock_us)
+    pub fn write_inflation(&self) -> f64 {
+        let excess = (self.writers_ewma - calib::CONTENTION_THRESHOLD).max(0.0);
+        let ramp = (excess / calib::CONTENTION_SCALE).min(1.0);
+        1.0 + calib::CONTENTION_WRITE * ramp
     }
 
     /// CPU busy fraction of the node in one-second bin `bin`: dispatch core
-    /// (while alive) plus worker activity, over `cores`. `coverage` is the
+    /// (while alive) plus worker activity, over the node's cores. `coverage` is the
     /// fraction of the bin the run actually spans (the final bin of a short
     /// run is partial; without the correction short runs would dilute).
-    pub fn cpu_fraction(&self, bin: usize, coverage: f64, calib: &Calibration) -> f64 {
+    pub fn cpu_fraction(&self, bin: usize, coverage: f64) -> f64 {
         let coverage = coverage.clamp(1e-9, 1.0);
         let died_before = match self.killed_at {
             Some(t) => (t.as_secs_f64() as usize) < bin + 1,
             None => false,
         };
         let dispatch = if died_before { 0.0 } else { 1.0 };
-        let workers = (self.cpu.bin_value(bin) / coverage).min(calib.worker_threads as f64);
-        ((dispatch + workers) / calib.cores as f64).min(1.0)
+        let workers = (self.cpu.bin_value(bin) / coverage).min(calib::WORKER_THREADS as f64);
+        ((dispatch + workers) / calib::CORES as f64).min(1.0)
     }
 }
 
@@ -357,18 +344,16 @@ mod tests {
                 ordered_index: false,
             }),
             DiskModel::new(DiskProfile::grid5000_hdd()),
-            &Calibration::default(),
         )
     }
 
     #[test]
     fn dispatch_serializes() {
-        let calib = Calibration::default();
         let mut n = node();
-        let d1 = n.dispatch(SimTime::ZERO, &calib);
-        let d2 = n.dispatch(SimTime::ZERO, &calib);
+        let d1 = n.dispatch(SimTime::ZERO);
+        let d2 = n.dispatch(SimTime::ZERO);
         assert!(d2 > d1);
-        assert_eq!((d2 - d1).as_micros_f64(), calib.dispatch_us);
+        assert_eq!((d2 - d1).as_micros_f64(), calib::DISPATCH_US);
     }
 
     #[test]
@@ -403,33 +388,27 @@ mod tests {
 
     #[test]
     fn spin_accounting_caps_at_timeout() {
-        let calib = Calibration::default();
         let mut n = node();
         // Worker idle from t=0, next work at t=1ms: spin covers only the
         // spin timeout, then sleep.
         n.account_worker_busy(
-            0,
             SimTime::ZERO,
             SimTime::from_millis(1),
             SimTime::from_millis(1) + SimDuration::from_micros(5),
-            &calib,
         );
         let busy = n.cpu.total_busy_seconds();
-        let expect = (calib.spin_timeout_us + 5.0) / 1e6;
+        let expect = (calib::SPIN_TIMEOUT_US + 5.0) / 1e6;
         assert!((busy - expect).abs() < 1e-9, "busy={busy} expect={expect}");
     }
 
     #[test]
     fn spin_accounting_contiguous_when_gap_small() {
-        let calib = Calibration::default();
         let mut n = node();
         // Gap of 10 µs < 35 µs timeout: worker never sleeps.
         n.account_worker_busy(
-            0,
             SimTime::ZERO,
             SimTime::from_micros(10),
             SimTime::from_micros(14),
-            &calib,
         );
         let busy = n.cpu.total_busy_seconds();
         assert!((busy - 14e-6).abs() < 1e-12, "busy={busy}");
@@ -437,14 +416,13 @@ mod tests {
 
     #[test]
     fn write_lock_inflates_superlinearly_with_runnable() {
-        let calib = Calibration::default();
         let mut n = node();
         n.writers_ewma = 0.8;
-        let base = n.write_inflation(&calib);
+        let base = n.write_inflation();
         n.writers_ewma = 2.0;
-        let mid = n.write_inflation(&calib);
+        let mid = n.write_inflation();
         n.writers_ewma = 9.0;
-        let high = n.write_inflation(&calib);
+        let high = n.write_inflation();
         assert!(
             (base - 1.0).abs() < 0.05,
             "no inflation at light writers: {base}"
@@ -452,25 +430,23 @@ mod tests {
         assert!(mid > 1.8, "mid={mid}");
         // Saturating: the factor approaches a ceiling instead of running
         // away (the paper's A throughput is flat from 30 to 90 clients).
-        let cap = 1.0 + calib.contention_write;
+        let cap = 1.0 + calib::CONTENTION_WRITE;
         assert!(high <= cap + 1e-9, "high={high} cap={cap}");
         assert!(high >= mid);
     }
 
     #[test]
     fn cpu_fraction_has_dispatch_floor() {
-        let calib = Calibration::default();
         let n = node();
-        assert_eq!(n.cpu_fraction(0, 1.0, &calib), 0.25);
+        assert_eq!(n.cpu_fraction(0, 1.0), 0.25);
     }
 
     #[test]
     fn cpu_fraction_zero_after_death() {
-        let calib = Calibration::default();
         let mut n = node();
         n.killed_at = Some(SimTime::from_secs(5));
-        assert_eq!(n.cpu_fraction(2, 1.0, &calib), 0.25);
-        assert_eq!(n.cpu_fraction(6, 1.0, &calib), 0.0);
+        assert_eq!(n.cpu_fraction(2, 1.0), 0.25);
+        assert_eq!(n.cpu_fraction(6, 1.0), 0.0);
     }
 
     #[test]

@@ -30,9 +30,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::VecDeque;
-
-use rmc_runtime::{BinnedUsage, CounterHandle, MetricsFamily, RateMeter, SimDuration, SimTime};
+use rmc_runtime::{BinnedUsage, RateMeter, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Direction of a disk transfer.
@@ -47,8 +45,7 @@ pub enum IoKind {
 /// Performance envelope of a storage device.
 ///
 /// Constructed via the named profiles ([`DiskProfile::grid5000_hdd`],
-/// [`DiskProfile::commodity_ssd`]) or struct-literal-style via
-/// [`DiskProfile::custom`].
+/// [`DiskProfile::commodity_ssd`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiskProfile {
     /// Human-readable profile name.
@@ -98,71 +95,12 @@ impl DiskProfile {
         }
     }
 
-    /// Builds an arbitrary profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either bandwidth is not positive and finite.
-    pub fn custom(
-        name: &str,
-        read_bytes_per_sec: f64,
-        write_bytes_per_sec: f64,
-        switch_penalty: SimDuration,
-        per_request_overhead: SimDuration,
-    ) -> Self {
-        assert!(
-            read_bytes_per_sec.is_finite() && read_bytes_per_sec > 0.0,
-            "read bandwidth must be positive"
-        );
-        assert!(
-            write_bytes_per_sec.is_finite() && write_bytes_per_sec > 0.0,
-            "write bandwidth must be positive"
-        );
-        DiskProfile {
-            name: name.to_owned(),
-            read_bytes_per_sec,
-            write_bytes_per_sec,
-            switch_penalty,
-            per_request_overhead,
-        }
-    }
-
     fn transfer_time(&self, kind: IoKind, bytes: u64) -> SimDuration {
         let bw = match kind {
             IoKind::Read => self.read_bytes_per_sec,
             IoKind::Write => self.write_bytes_per_sec,
         };
         SimDuration::from_secs_f64(bytes as f64 / bw)
-    }
-}
-
-/// Live `disk.*` handles a [`DiskModel`] feeds on every submit — the same
-/// metric family (and names) the file-backed backup engine's
-/// `rmc_diskstore::DiskMetrics` exports, so dashboards and the stats plane
-/// read one schema regardless of which engine produced the I/O.
-#[derive(Debug, Clone)]
-struct ModelMetrics {
-    reads: CounterHandle,
-    writes: CounterHandle,
-    read_bytes: CounterHandle,
-    write_bytes: CounterHandle,
-    /// Requests still queued or in service at the last submit.
-    queue_depth: CounterHandle,
-}
-
-impl ModelMetrics {
-    fn new(fam: &MetricsFamily) -> Self {
-        // The simulated device never corrupts data, but the family must
-        // carry the same members as the file engine's — create the CRC
-        // counter at zero so snapshots stay schema-identical.
-        let _ = fam.counter("crc_mismatch");
-        ModelMetrics {
-            reads: fam.counter("reads"),
-            writes: fam.counter("writes"),
-            read_bytes: fam.counter("read_bytes"),
-            write_bytes: fam.counter("write_bytes"),
-            queue_depth: fam.gauge("queue_depth"),
-        }
     }
 }
 
@@ -179,10 +117,6 @@ pub struct DiskModel {
     write_trace: RateMeter,
     read_bytes: u64,
     write_bytes: u64,
-    metrics: Option<ModelMetrics>,
-    /// Completion times of outstanding requests (for the queue-depth gauge);
-    /// only maintained while metrics are attached.
-    inflight: VecDeque<SimTime>,
 }
 
 impl DiskModel {
@@ -197,25 +131,7 @@ impl DiskModel {
             write_trace: RateMeter::new(SimDuration::from_secs(1)),
             read_bytes: 0,
             write_bytes: 0,
-            metrics: None,
-            inflight: VecDeque::new(),
         }
-    }
-
-    /// Attaches this disk to a `disk.*` metric family (typically
-    /// `registry.family("disk", node)`). From then on every [`submit`]
-    /// updates the shared read/write byte and request counters and a
-    /// queue-depth gauge — the same family the file-backed backup engine
-    /// feeds, so both engines are observed through one schema.
-    ///
-    /// [`submit`]: DiskModel::submit
-    pub fn attach_metrics(&mut self, fam: &MetricsFamily) {
-        self.metrics = Some(ModelMetrics::new(fam));
-    }
-
-    /// The device profile.
-    pub fn profile(&self) -> &DiskProfile {
-        &self.profile
     }
 
     /// Enqueues a transfer arriving at `now` and returns its completion time.
@@ -245,25 +161,6 @@ impl DiskModel {
                 self.write_bytes += bytes;
                 self.write_trace.add(done, bytes as f64);
             }
-        }
-        if let Some(m) = &self.metrics {
-            match kind {
-                IoKind::Read => {
-                    m.reads.incr();
-                    m.read_bytes.add(bytes);
-                }
-                IoKind::Write => {
-                    m.writes.incr();
-                    m.write_bytes.add(bytes);
-                }
-            }
-            // Queue depth as an iostat-style monitor would see it at `now`:
-            // requests submitted but not yet complete, this one included.
-            while self.inflight.front().is_some_and(|&t| t <= now) {
-                self.inflight.pop_front();
-            }
-            self.inflight.push_back(done);
-            m.queue_depth.set(self.inflight.len() as u64);
         }
         done
     }
@@ -298,13 +195,13 @@ mod tests {
 
     fn simple_profile() -> DiskProfile {
         // 100 MB/s both ways, no overheads: easy arithmetic.
-        DiskProfile::custom(
-            "test",
-            100.0 * 1e6,
-            100.0 * 1e6,
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        )
+        DiskProfile {
+            name: "test".to_owned(),
+            read_bytes_per_sec: 100.0 * 1e6,
+            write_bytes_per_sec: 100.0 * 1e6,
+            switch_penalty: SimDuration::ZERO,
+            per_request_overhead: SimDuration::ZERO,
+        }
     }
 
     #[test]
@@ -423,34 +320,5 @@ mod tests {
         let h = hdd.submit(SimTime::ZERO, IoKind::Read, 64 << 20);
         let s = ssd.submit(SimTime::ZERO, IoKind::Read, 64 << 20);
         assert!(s < h);
-    }
-
-    #[test]
-    #[should_panic(expected = "read bandwidth must be positive")]
-    fn zero_bandwidth_rejected() {
-        let _ = DiskProfile::custom("bad", 0.0, 1.0, SimDuration::ZERO, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn attached_metrics_mirror_io() {
-        use rmc_runtime::MetricsRegistry;
-
-        let reg = MetricsRegistry::new();
-        let mut disk = DiskModel::new(simple_profile());
-        disk.attach_metrics(&reg.family("disk", 2));
-        disk.submit(SimTime::ZERO, IoKind::Read, 100);
-        disk.submit(SimTime::ZERO, IoKind::Write, 200);
-        disk.submit(SimTime::ZERO, IoKind::Write, 300);
-        assert_eq!(reg.get("disk.2.reads"), 1);
-        assert_eq!(reg.get("disk.2.writes"), 2);
-        assert_eq!(reg.get("disk.2.read_bytes"), 100);
-        assert_eq!(reg.get("disk.2.write_bytes"), 500);
-        // All three submitted at t=0 against a busy queue: all outstanding.
-        assert_eq!(reg.get("disk.2.queue_depth"), 3);
-        // Same family schema as the file engine: the CRC counter exists at 0.
-        assert_eq!(reg.get("disk.2.crc_mismatch"), 0);
-        // Once the queue has drained, a new request sees depth 1.
-        disk.submit(SimTime::from_secs(100), IoKind::Read, 100);
-        assert_eq!(reg.get("disk.2.queue_depth"), 1);
     }
 }

@@ -859,7 +859,14 @@ fn truncate_to(path: &Path, len: u64) -> Result<(), StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_frame, encode_image_frame};
+    use crate::frame::{encode_frame, encode_frame_into};
+
+    /// One image frame alone, as `supersede` lays it down.
+    fn encode_image_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame_into(&mut out, FrameKind::Image, master, segment, epoch, payload);
+        out
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

@@ -107,13 +107,6 @@ pub fn encode_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> 
     out
 }
 
-/// Encodes one image frame: the same header under [`IMAGE_MAGIC`].
-pub fn encode_image_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_frame_into(&mut out, FrameKind::Image, master, segment, epoch, payload);
-    out
-}
-
 /// Encodes one frame of `kind` onto the end of `out`, after what it holds:
 /// how a store lays a frame in place behind the frames it has not yet
 /// written.
@@ -193,6 +186,13 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameHeader, &[u8], usize), FrameErro
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One image frame alone, as `supersede` lays it down.
+    fn encode_image_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame_into(&mut out, FrameKind::Image, master, segment, epoch, payload);
+        out
+    }
 
     #[test]
     fn roundtrip() {

@@ -1,6 +1,6 @@
 //! 1 Hz PDU emulation and energy reports.
 
-use rmc_runtime::{SimTime, Summary, TimeSeries};
+use rmc_runtime::{SimTime, Summary};
 use serde::Serialize;
 
 /// Emulates the paper's per-machine power distribution units.
@@ -34,7 +34,6 @@ pub struct PduSampler {
 
 #[derive(Debug, Clone)]
 struct NodePdu {
-    series: TimeSeries,
     summary: Summary,
     energy_joules: f64,
     smoothed: Option<f64>,
@@ -44,7 +43,6 @@ struct NodePdu {
 impl NodePdu {
     fn new() -> Self {
         NodePdu {
-            series: TimeSeries::new(),
             summary: Summary::new(),
             energy_joules: 0.0,
             smoothed: None,
@@ -83,25 +81,18 @@ impl PduSampler {
             Some(prev) => t.saturating_since(prev).as_secs_f64(),
             None => 1.0,
         };
+        // A cold meter reads the first sample in full (a real one starts from
+        // its pre-run, idle-ish value; the filter catches up within a few
+        // tau anyway).
         let reading = match pdu.smoothed {
             Some(prev) if self.tau_secs > 0.0 => {
                 let alpha = 1.0 - (-dt / self.tau_secs).exp();
                 prev + alpha * (watts - prev)
             }
-            _ => {
-                if self.tau_secs > 0.0 && pdu.smoothed.is_none() {
-                    // A cold meter starts from its pre-run (idle-ish) value;
-                    // we approximate by charging the first sample in full —
-                    // the filter catches up within a few tau anyway.
-                    watts
-                } else {
-                    watts
-                }
-            }
+            _ => watts,
         };
         pdu.smoothed = Some(reading);
         pdu.last_sample = Some(t);
-        pdu.series.push(t, reading);
         pdu.summary.record(reading);
         // The paper's method: energy = Σ sample × 1 s (here: × dt).
         pdu.energy_joules += reading * dt;
@@ -115,16 +106,6 @@ impl PduSampler {
         } else {
             Some(s.mean())
         }
-    }
-
-    /// Energy consumed by `node` so far, joules.
-    pub fn node_energy(&self, node: usize) -> f64 {
-        self.nodes[node].energy_joules
-    }
-
-    /// The power timeline of `node`.
-    pub fn node_series(&self, node: usize) -> &TimeSeries {
-        &self.nodes[node].series
     }
 
     /// Average sampled power across all nodes, watts.
@@ -191,22 +172,29 @@ mod tests {
         }
         assert_eq!(pdu.node_average(0), Some(100.0));
         // First sample charged for 1 s, then 9 × 1 s.
-        assert!((pdu.node_energy(0) - 1000.0).abs() < 1e-9);
+        assert!((pdu.cluster_energy() - 1000.0).abs() < 1e-9);
+    }
+
+    /// Samples `node` at second `t`, one second after its previous sample,
+    /// and returns the meter's reading: the energy charged for that second.
+    fn reading(pdu: &mut PduSampler, node: usize, t: u64, watts: f64) -> f64 {
+        let before = pdu.cluster_energy();
+        pdu.sample(node, SimTime::from_secs(t), watts);
+        pdu.cluster_energy() - before
     }
 
     #[test]
     fn smoothing_lags_a_step() {
         let mut pdu = PduSampler::new(1, 3.0);
         pdu.sample(0, SimTime::from_secs(1), 75.0);
-        pdu.sample(0, SimTime::from_secs(2), 125.0);
-        let after_step = pdu.node_series(0).points()[1].1;
+        let after_step = reading(&mut pdu, 0, 2, 125.0);
         assert!(after_step < 125.0, "meter must lag, read {after_step}");
         assert!(after_step > 75.0);
         // Converges eventually.
+        let mut last = after_step;
         for s in 3..=40u64 {
-            pdu.sample(0, SimTime::from_secs(s), 125.0);
+            last = reading(&mut pdu, 0, s, 125.0);
         }
-        let last = pdu.node_series(0).points().last().unwrap().1;
         assert!((last - 125.0).abs() < 1.0, "converged to {last}");
     }
 
@@ -263,6 +251,6 @@ mod tests {
         let mut pdu = PduSampler::new(1, 0.0);
         pdu.sample(0, SimTime::from_secs(1), 100.0); // 1 s charge
         pdu.sample(0, SimTime::from_secs(4), 100.0); // 3 s charge
-        assert!((pdu.node_energy(0) - 400.0).abs() < 1e-9);
+        assert!((pdu.cluster_energy() - 400.0).abs() < 1e-9);
     }
 }

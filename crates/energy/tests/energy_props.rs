@@ -21,11 +21,12 @@ proptest! {
             expect += watts * if first { 1.0 } else { dt as f64 };
             first = false;
         }
-        prop_assert!((pdu.node_energy(0) - expect).abs() < 1e-6);
+        prop_assert!((pdu.cluster_energy() - expect).abs() < 1e-6);
     }
 
     /// A smoothed reading always lies within the range of inputs seen so
-    /// far (the filter is a convex combination).
+    /// far (the filter is a convex combination). Samples are 1 s apart, so
+    /// a reading is the energy its sample adds.
     #[test]
     fn smoothing_is_bounded(
         tau in 0.5f64..10.0,
@@ -37,8 +38,9 @@ proptest! {
         for (i, &w) in samples.iter().enumerate() {
             lo = lo.min(w);
             hi = hi.max(w);
+            let before = pdu.cluster_energy();
             pdu.sample(0, SimTime::from_secs(i as u64 + 1), w);
-            let reading = pdu.node_series(0).points().last().unwrap().1;
+            let reading = pdu.cluster_energy() - before;
             prop_assert!(
                 reading >= lo - 1e-9 && reading <= hi + 1e-9,
                 "reading {reading} outside [{lo}, {hi}]"

@@ -137,7 +137,7 @@ fn update_sse42(crc: u32, bytes: &[u8]) -> u32 {
 /// per append (`rmc_diskstore::frame::encode_frame`). Verifiers are every
 /// locked lookup (`LogEntry::parse` / `Segment::view_at`: one pass per
 /// `Get`, two per overwrite — finding the old version, then confirming
-/// which copy died), `Segment::from_bytes`, recovery replay, and
+/// which copy died), recovery replay, and
 /// `decode_frame` when a backup reopens its files and again when it reads
 /// a frame back to serve it. The lock-free read path does not verify. An
 /// update therefore runs the kernel five times over

@@ -12,8 +12,6 @@
 //! clones the buffer's `Arc` and the bytes stay valid (and immutable) even
 //! after the cleaner retires the segment, until the view drops.
 
-use bytes::Bytes;
-
 use crate::entry::{EntryView, LogEntry, ParseEntryError};
 use crate::segbuf::SegmentBuf;
 use crate::types::SegmentId;
@@ -182,31 +180,6 @@ impl Segment {
     pub fn as_bytes(&self) -> &[u8] {
         self.buf.committed()
     }
-
-    /// Reconstructs a closed segment from raw bytes, validating every entry.
-    ///
-    /// Used on the recovery path: a recovery master receives segment bytes
-    /// from a backup and replays them.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first parse error encountered.
-    pub fn from_bytes(
-        id: SegmentId,
-        capacity: usize,
-        bytes: Bytes,
-    ) -> Result<Self, ParseEntryError> {
-        // Validate structure eagerly so corruption is caught at transfer
-        // time rather than mid-replay.
-        let mut off = 0usize;
-        while off < bytes.len() {
-            off += EntryView::parse(&bytes[off..])?.len;
-        }
-        let mut seg = Segment::new(id, capacity.max(bytes.len()));
-        seg.buf.append(&bytes);
-        seg.closed = true;
-        Ok(seg)
-    }
 }
 
 /// Iterator over the entries of a [`Segment`].
@@ -246,6 +219,7 @@ mod tests {
     use super::*;
     use crate::entry::ObjectRecord;
     use crate::types::{TableId, Version};
+    use bytes::Bytes;
 
     /// Lays `entry` out and appends it.
     fn append(seg: &mut Segment, entry: &LogEntry) -> Result<u32, SegmentFullError> {
@@ -308,32 +282,6 @@ mod tests {
         let mut seg = Segment::new(SegmentId(0), 4096);
         seg.close();
         let _ = append(&mut seg, &obj("a", 1, 1));
-    }
-
-    #[test]
-    fn roundtrip_through_bytes() {
-        let mut seg = Segment::new(SegmentId(3), 4096);
-        for i in 0..3 {
-            append(&mut seg, &obj(&format!("k{i}"), 16, 1)).unwrap();
-        }
-        seg.close();
-        let restored =
-            Segment::from_bytes(SegmentId(3), 4096, Bytes::copy_from_slice(seg.as_bytes()))
-                .unwrap();
-        assert!(restored.is_closed());
-        assert_eq!(
-            restored.iter().map(|(_, e)| e).collect::<Vec<_>>(),
-            seg.iter().map(|(_, e)| e).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn from_bytes_rejects_corruption() {
-        let mut seg = Segment::new(SegmentId(0), 4096);
-        append(&mut seg, &obj("a", 32, 1)).unwrap();
-        let mut raw = seg.as_bytes().to_vec();
-        raw[30] ^= 0x1;
-        assert!(Segment::from_bytes(SegmentId(0), 4096, Bytes::from(raw)).is_err());
     }
 
     #[test]

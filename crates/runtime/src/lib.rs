@@ -18,8 +18,8 @@
 //!   its transport — the one inbox item a node's event loop drains, and the
 //!   one place a message held by `Runtime::send_after` is parked.
 //! - [`SimRng`]: deterministic seedable randomness.
-//! - Measurement primitives: [`Summary`], [`Histogram`], [`TimeSeries`],
-//!   [`RateMeter`] and [`BinnedUsage`].
+//! - Measurement primitives: [`Summary`], [`Histogram`], [`RateMeter`]
+//!   and [`BinnedUsage`].
 //!
 //! `rmc-sim` re-exports the time/rng/metric types, so simulator-facing code
 //! may import them from either crate.
@@ -40,7 +40,7 @@ mod time;
 pub use clock::WallClock;
 pub use delay::DelayLine;
 pub use event::Event;
-pub use metrics::{BinnedUsage, Histogram, RateMeter, Summary, TimeSeries};
+pub use metrics::{BinnedUsage, Histogram, RateMeter, Summary};
 pub use registry::{CounterHandle, HistogramHandle, MetricKind, MetricsFamily, MetricsRegistry};
 pub use rng::SimRng;
 pub use runtime::{NodeId, Runtime};

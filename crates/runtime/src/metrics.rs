@@ -4,7 +4,6 @@
 //! samples, latency timelines, and throughput. These types cover those needs:
 //!
 //! - [`Summary`] — running mean/min/max without storing samples,
-//! - [`TimeSeries`] — `(time, value)` samples for timeline figures,
 //! - [`Histogram`] — log-bucketed latency histogram with quantiles,
 //! - [`RateMeter`] — events-per-second over fixed windows (throughput
 //!   timelines, disk MB/s in Fig 12).
@@ -105,39 +104,6 @@ impl Summary {
         self.mean = mean;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// A sampled `(time, value)` series, e.g. a power or CPU timeline.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct TimeSeries {
-    points: Vec<(f64, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a sample taken at `t`.
-    pub fn push(&mut self, t: SimTime, value: f64) {
-        self.points.push((t.as_secs_f64(), value));
-    }
-
-    /// The samples as `(seconds, value)` pairs in insertion order.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 }
 

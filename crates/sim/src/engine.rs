@@ -3,8 +3,8 @@
 //! A [`Simulation`] owns user state `S` and a [`Scheduler`]. Events are boxed
 //! closures `FnOnce(&mut S, &mut Scheduler<S>)` ordered by `(time, sequence)`
 //! so that same-instant events run in scheduling order (FIFO), which keeps
-//! runs deterministic. Handlers receive the scheduler and may schedule or
-//! cancel further events.
+//! runs deterministic. Handlers receive the scheduler and may schedule
+//! further events.
 //!
 //! # Examples
 //!
@@ -22,14 +22,10 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use rmc_runtime::{SimDuration, SimTime};
-
-/// Identifies a scheduled event so it can be cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
 
 type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
 
@@ -58,14 +54,13 @@ impl<S> Ord for Scheduled<S> {
     }
 }
 
-/// Schedules and cancels events; tracks the current simulated instant.
+/// Schedules events; tracks the current simulated instant.
 ///
 /// Obtained from [`Simulation::scheduler_mut`] or passed into event handlers.
 pub struct Scheduler<S> {
     now: SimTime,
     queue: BinaryHeap<Reverse<Scheduled<S>>>,
     next_seq: u64,
-    cancelled: HashSet<EventId>,
 }
 
 impl<S> fmt::Debug for Scheduler<S> {
@@ -83,7 +78,6 @@ impl<S> Scheduler<S> {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: HashSet::new(),
         }
     }
 
@@ -102,7 +96,7 @@ impl<S> Scheduler<S> {
         &mut self,
         at: SimTime,
         f: impl FnOnce(&mut S, &mut Scheduler<S>) + 'static,
-    ) -> EventId {
+    ) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={} at={}",
@@ -116,7 +110,6 @@ impl<S> Scheduler<S> {
             seq,
             run: Box::new(f),
         }));
-        EventId(seq)
     }
 
     /// Schedules `f` to run `delay` after the current instant.
@@ -124,43 +117,14 @@ impl<S> Scheduler<S> {
         &mut self,
         delay: SimDuration,
         f: impl FnOnce(&mut S, &mut Scheduler<S>) + 'static,
-    ) -> EventId {
+    ) {
         let at = self.now.saturating_add(delay);
         self.schedule_at(at, f)
     }
 
-    /// Cancels a pending event. Cancelling an already-executed or unknown id
-    /// is a no-op (the id space is never reused, so this is safe).
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
-    }
-
-    /// Pops the next runnable event, skipping cancelled ones.
-    fn pop_next(&mut self) -> Option<Scheduled<S>> {
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            if self.cancelled.remove(&EventId(ev.seq)) {
-                continue;
-            }
-            return Some(ev);
-        }
-        None
-    }
-
-    /// The time of the next runnable event, if any.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        loop {
-            let seq = match self.queue.peek() {
-                Some(Reverse(ev)) => {
-                    if !self.cancelled.contains(&EventId(ev.seq)) {
-                        return Some(ev.at);
-                    }
-                    ev.seq
-                }
-                None => return None,
-            };
-            self.queue.pop();
-            self.cancelled.remove(&EventId(seq));
-        }
+    /// The time of the next event, if any.
+    pub fn peek_next_time(&self) -> Option<SimTime> {
+        self.queue.peek().map(|Reverse(ev)| ev.at)
     }
 }
 
@@ -205,8 +169,8 @@ impl<S> Simulation<S> {
 
     /// Executes the next event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.sched.pop_next() {
-            Some(ev) => {
+        match self.sched.queue.pop() {
+            Some(Reverse(ev)) => {
                 debug_assert!(ev.at >= self.sched.now);
                 self.sched.now = ev.at;
                 (ev.run)(&mut self.state, &mut self.sched);
@@ -287,31 +251,6 @@ mod tests {
         sim.run();
         assert_eq!(*sim.state(), 5);
         assert_eq!(sim.now(), SimTime::from_millis(40));
-    }
-
-    #[test]
-    fn cancelled_events_do_not_run() {
-        let mut sim = Simulation::new(0u32);
-        let id = sim
-            .scheduler_mut()
-            .schedule_at(SimTime::from_secs(1), |c: &mut u32, _| *c += 1);
-        sim.scheduler_mut()
-            .schedule_at(SimTime::from_secs(2), |c, _| *c += 10);
-        sim.scheduler_mut().cancel(id);
-        sim.run();
-        assert_eq!(*sim.state(), 10);
-    }
-
-    #[test]
-    fn cancel_from_within_handler() {
-        let mut sim = Simulation::new(0u32);
-        let later = sim
-            .scheduler_mut()
-            .schedule_at(SimTime::from_secs(5), |c: &mut u32, _| *c += 100);
-        sim.scheduler_mut()
-            .schedule_at(SimTime::from_secs(1), move |_, sched| sched.cancel(later));
-        sim.run();
-        assert_eq!(*sim.state(), 0);
     }
 
     #[test]

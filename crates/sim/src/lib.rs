@@ -38,10 +38,8 @@
 
 mod engine;
 
-pub use engine::{EventId, Scheduler, Simulation};
+pub use engine::{Scheduler, Simulation};
 // Time, randomness, and measurement primitives live in `rmc-runtime` (they
 // are shared with the threaded engine); re-exported here so simulator-facing
 // code keeps importing them from `rmc_sim`.
-pub use rmc_runtime::{
-    BinnedUsage, Histogram, RateMeter, SimDuration, SimRng, SimTime, Summary, TimeSeries,
-};
+pub use rmc_runtime::{BinnedUsage, Histogram, RateMeter, SimDuration, SimRng, SimTime, Summary};

@@ -60,34 +60,4 @@ proptest! {
         prop_assert_eq!(sim.state().count, 300);
     }
 
-    /// Cancellation removes exactly the cancelled events, regardless of
-    /// interleaving.
-    #[test]
-    fn cancellation_is_exact(
-        times in proptest::collection::vec(0u64..100, 2..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 2..100),
-    ) {
-        let mut sim = Simulation::new(Vec::<usize>::new());
-        let mut expected = Vec::new();
-        let mut ids = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            let id = sim.scheduler_mut().schedule_at(
-                SimTime::from_millis(t),
-                move |log: &mut Vec<usize>, _| log.push(i),
-            );
-            ids.push((i, t, id));
-        }
-        for (i, _, id) in &ids {
-            if *cancel_mask.get(*i).unwrap_or(&false) {
-                sim.scheduler_mut().cancel(*id);
-            } else {
-                expected.push(*i);
-            }
-        }
-        sim.run();
-        let mut log = sim.into_state();
-        log.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(log, expected);
-    }
 }

@@ -201,25 +201,6 @@ impl Client {
         Ok(got)
     }
 
-    /// Reads many keys as [`ObjectView`]s (the zero-copy flavor of
-    /// [`Client::multiread`]). Results come back in `keys` order; misses are
-    /// `None`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::ServerStopped`] if the server is gone.
-    pub fn multiread_views(
-        &self,
-        table: TableId,
-        keys: &[&[u8]],
-    ) -> Result<Vec<Option<ObjectView>>, ClientError> {
-        self.check_running()?;
-        Ok(keys
-            .iter()
-            .map(|key| self.store.read_view(table, key))
-            .collect())
-    }
-
     /// Writes a key.
     ///
     /// # Errors
@@ -458,34 +439,6 @@ mod tests {
         let hists = srv.metrics().snapshot_histograms();
         assert!(hists["stage.write_service_ns"].count() > 0);
         assert!(hists["stage.read_service_ns"].count() > 0);
-        srv.shutdown();
-    }
-
-    #[test]
-    fn multiread_views_preserves_order() {
-        let srv = server();
-        let client = srv.client();
-        for i in 0..16 {
-            client
-                .write(T, format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
-        }
-        let keys: Vec<Vec<u8>> = (0..20)
-            .map(|i| format!("k{}", 19 - i).into_bytes())
-            .collect();
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let got = client.multiread_views(T, &refs).unwrap();
-        assert_eq!(got.len(), 20);
-        for (i, entry) in got.iter().enumerate() {
-            let idx = 19 - i;
-            if idx < 16 {
-                let view = entry.as_ref().expect("present key");
-                assert_eq!(&view.value[..], format!("v{idx}").as_bytes());
-            } else {
-                assert!(entry.is_none());
-            }
-        }
-        assert!(client.multiread_views(T, &[]).unwrap().is_empty());
         srv.shutdown();
     }
 

@@ -73,25 +73,15 @@ fn reader_loop(client: &Client, stop: &AtomicBool) -> u64 {
 /// through every held view never change. This is the core zero-copy
 /// safety contract: a view pins its segment buffer, so relocation and
 /// even log-side retirement of the victim must not mutate or reclaim the
-/// memory a live handle points into. Alternate passes take each writer's
-/// keys with one `multiread_views` call instead of a `read_view` per key,
-/// so the batched view path is held under cleaning too.
+/// memory a live handle points into.
 fn holder_loop(client: &Client, metrics: &MetricsRegistry, stop: &AtomicBool) -> u64 {
     let mut held_checks = 0u64;
-    let mut batched = false;
     while !stop.load(Ordering::Acquire) {
         // Acquire a view + byte snapshot of every key.
         let mut held = Vec::with_capacity(WRITERS * KEYS_PER_WRITER);
         for w in 0..WRITERS {
-            let keys: Vec<Vec<u8>> = (0..KEYS_PER_WRITER).map(|i| key_for(w, i)).collect();
-            let views = if batched {
-                let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-                client.multiread_views(T, &refs).expect("server alive")
-            } else {
-                let read = |k: &Vec<u8>| client.read_view(T, k).expect("server alive");
-                keys.iter().map(read).collect()
-            };
-            for (i, view) in views.into_iter().enumerate() {
+            for i in 0..KEYS_PER_WRITER {
+                let view = client.read_view(T, &key_for(w, i)).expect("server alive");
                 let view = view.expect("preloaded key can never be absent");
                 let snapshot = view.value.to_vec();
                 assert_eq!(
@@ -102,7 +92,6 @@ fn holder_loop(client: &Client, metrics: &MetricsRegistry, stop: &AtomicBool) ->
                 held.push((w, i, view, snapshot));
             }
         }
-        batched = !batched;
         // Hold the views across cleaner activity: wait until the pass
         // counter advances (bounded, in case the writers finish first).
         let passes_before = metrics.sum("cleaner.", ".passes");
