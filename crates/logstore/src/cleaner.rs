@@ -54,9 +54,11 @@
 //! EXPERIMENTS.md measured exactly what the paper avoided.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::entry::LogEntry;
+use crate::segbuf::SegmentArena;
 use crate::segment::Segment;
 use crate::store::Store;
 use crate::types::{key_hash, KeyHash, LogPosition, SegmentId};
@@ -130,7 +132,8 @@ pub struct CleanPlan {
     victims: Vec<SegmentId>,
     victim_segments: Vec<Segment>,
     survivor_ids: Vec<SegmentId>,
-    segment_bytes: usize,
+    /// The log's arena, which the survivors take their slots from.
+    arena: Arc<SegmentArena>,
     items: Vec<PlannedItem>,
     tombstones_droppable: u64,
 }
@@ -150,7 +153,7 @@ impl CleanPlan {
             victims,
             victim_segments,
             survivor_ids,
-            segment_bytes,
+            arena,
             items,
             tombstones_droppable,
         } = self;
@@ -165,10 +168,7 @@ impl CleanPlan {
             let raw = &src[item.offset as usize..item.offset as usize + item.len];
             loop {
                 let seg = current.get_or_insert_with(|| {
-                    Segment::new(
-                        ids.next().expect("survivor ids are over-reserved"),
-                        segment_bytes,
-                    )
+                    Segment::new(ids.next().expect("survivor ids are over-reserved"), &arena)
                 });
                 match seg.append_raw(raw) {
                     Ok(off) => {
@@ -430,7 +430,7 @@ impl Store {
             victims,
             victim_segments,
             survivor_ids,
-            segment_bytes,
+            arena: Arc::clone(self.log.arena()),
             items,
             tombstones_droppable,
         })

@@ -134,14 +134,14 @@ fn update_sse42(crc: u32, bytes: &[u8]) -> u32 {
 /// Who pays for it, per 1 KB record: the master produces an entry's
 /// checksum once, when `Log::append_record` lays it out, and the same bytes
 /// are what it replicates; each backup produces one disk-frame checksum
-/// per append (`rmc_diskstore::frame::encode_frame`). Verifiers are every
-/// locked lookup (`LogEntry::parse` / `Segment::view_at`: one pass per
-/// `Get`, two per overwrite — finding the old version, then confirming
-/// which copy died), recovery replay, and
-/// `decode_frame` when a backup reopens its files and again when it reads
-/// a frame back to serve it. The lock-free read path does not verify. An
-/// update therefore runs the kernel five times over
-/// its kilobyte at R = 2 and a `Get` once, which is why the kernel is not
+/// per append (`rmc_diskstore::frame::encode_frame_into`). Verifiers are
+/// every locked lookup (`LogEntry::parse` / `Segment::view_at`: one pass
+/// per `Get`, and one per write — `Store::write_with` finds the old
+/// version once and swings the index from that position), recovery
+/// replay, and `decode_frame` when a backup reopens its files and again
+/// when it reads a frame back to serve it. The lock-free read path does
+/// not verify. An update therefore runs the kernel four times over its
+/// kilobyte at R = 2 and a `Get` once, which is why the kernel is not
 /// bit-at-a-time: that loop took 6.9 µs a pass against the table's 0.8, ran
 /// six times, and was 38 of an update's 62 µs (EXPERIMENTS.md "Checksum
 /// cost"). On a 2-vCPU x86_64 VM the `crc32` instruction takes ≈ 70 ns a

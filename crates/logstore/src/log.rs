@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::entry::{EntryView, LogEntry, Record};
-use crate::segbuf::SegmentMap;
+use crate::segbuf::{SegmentArena, SegmentMap};
 use crate::segment::{Segment, DEFAULT_SEGMENT_BYTES};
 use crate::types::{LogPosition, SegmentId};
 
@@ -111,6 +111,8 @@ pub struct Log {
     /// retirement; epoch-pinned readers resolve candidate positions through
     /// it without touching `segments`.
     segment_map: Arc<SegmentMap>,
+    /// Where every segment's memory comes from and goes back to.
+    arena: Arc<SegmentArena>,
     head: SegmentId,
     /// Atomic so the cleaner can reserve survivor ids through `&self`
     /// (during its lock-free build phase ids must already be minted).
@@ -133,8 +135,9 @@ impl Log {
         assert!(config.max_segments > 0, "log needs at least one segment");
         let head = SegmentId(0);
         let segment_map = Arc::new(SegmentMap::new());
+        let arena = SegmentArena::new(config.segment_bytes, config.max_segments);
         let mut segments = BTreeMap::new();
-        let head_seg = Segment::new(head, config.segment_bytes);
+        let head_seg = Segment::new(head, &arena);
         segment_map.publish(head, head_seg.shared_buf());
         segments.insert(head, head_seg);
         let mut stats = BTreeMap::new();
@@ -152,6 +155,7 @@ impl Log {
             stats,
             limbo: Vec::new(),
             segment_map,
+            arena,
             head,
             next_id: AtomicU64::new(1),
             append_seq: 0,
@@ -278,7 +282,7 @@ impl Log {
         self.segments.get_mut(&sealed).expect("head exists").close();
         let new_id = self.reserve_segment_id();
         self.append_seq += 1;
-        let seg = Segment::new(new_id, self.config.segment_bytes);
+        let seg = Segment::new(new_id, &self.arena);
         self.segment_map.publish(new_id, seg.shared_buf());
         self.segments.insert(new_id, seg);
         self.stats.insert(
@@ -433,6 +437,12 @@ impl Log {
             .iter()
             .filter(|l| l.epoch <= safe_epoch && Arc::strong_count(l.segment.shared_buf()) > 1)
             .count()
+    }
+
+    /// The arena the log's segments take their memory from: the cleaner
+    /// builds its survivors on it.
+    pub(crate) fn arena(&self) -> &Arc<SegmentArena> {
+        &self.arena
     }
 
     /// The lock-free id → buffer map shared with read handles.
@@ -661,7 +671,7 @@ mod tests {
         // 256-byte segments -> 4-byte seglets.
         assert_eq!(log.seglet_bytes(), 4);
         let id = log.reserve_segment_id();
-        let mut seg = Segment::new(id, 256);
+        let mut seg = Segment::new(id, log.arena());
         let e = obj("k", 10);
         let mut raw = Vec::new();
         e.serialize_into(&mut raw);
@@ -694,7 +704,7 @@ mod tests {
         let victim = first.position.segment;
         assert_eq!(log.free_segment_slots(), 1);
         let sid = log.reserve_segment_id();
-        let mut surv = Segment::new(sid, 256);
+        let mut surv = Segment::new(sid, log.arena());
         let mut raw = Vec::new();
         e.serialize_into(&mut raw);
         surv.append_raw(&raw).unwrap();

@@ -6,14 +6,15 @@
 //! the unit of replication: backups receive and store whole segments.
 //!
 //! Segment bytes live in a pinned, refcounted [`SegmentBuf`]: a
-//! fixed-capacity allocation that never moves, with the committed length
-//! published atomically. That is what lets the lock-free read path hand out
-//! zero-copy [`ValueView`](crate::ValueView)s into live segments — a view
-//! clones the buffer's `Arc` and the bytes stay valid (and immutable) even
-//! after the cleaner retires the segment, until the view drops.
+//! fixed-capacity slot of the log's [`SegmentArena`] that never moves, with
+//! the committed length published atomically. That is what lets the
+//! lock-free read path hand out zero-copy [`ValueView`](crate::ValueView)s
+//! into live segments — a view clones the buffer's `Arc` and the bytes stay
+//! valid (and immutable) even after the cleaner retires the segment, until
+//! the view drops.
 
 use crate::entry::{EntryView, LogEntry, ParseEntryError};
-use crate::segbuf::SegmentBuf;
+use crate::segbuf::{SegmentArena, SegmentBuf};
 use crate::types::SegmentId;
 use std::sync::Arc;
 
@@ -64,19 +65,20 @@ impl std::fmt::Display for SegmentFullError {
 impl std::error::Error for SegmentFullError {}
 
 impl Segment {
-    /// Creates an empty open segment.
+    /// Creates an empty open segment on a free slot of `arena`.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` cannot hold even a minimal entry header.
-    pub fn new(id: SegmentId, capacity: usize) -> Self {
+    /// Panics if the arena's slots cannot hold even a minimal entry header.
+    pub(crate) fn new(id: SegmentId, arena: &Arc<SegmentArena>) -> Self {
         assert!(
-            capacity >= crate::entry::HEADER_BYTES,
-            "segment capacity {capacity} smaller than an entry header"
+            arena.slot_bytes() >= crate::entry::HEADER_BYTES,
+            "segment capacity {} smaller than an entry header",
+            arena.slot_bytes()
         );
         Segment {
             id,
-            buf: Arc::new(SegmentBuf::new(capacity)),
+            buf: Arc::new(arena.take()),
             closed: false,
         }
     }
@@ -240,7 +242,7 @@ mod tests {
 
     #[test]
     fn append_then_read() {
-        let mut seg = Segment::new(SegmentId(0), 4096);
+        let mut seg = Segment::new(SegmentId(0), &SegmentArena::new(4096, 1));
         let e = obj("alpha", 64, 1);
         let off = append(&mut seg, &e).unwrap();
         assert_eq!(seg.read_at(off).unwrap(), e);
@@ -248,7 +250,7 @@ mod tests {
 
     #[test]
     fn multiple_entries_iterate_in_order() {
-        let mut seg = Segment::new(SegmentId(0), 4096);
+        let mut seg = Segment::new(SegmentId(0), &SegmentArena::new(4096, 1));
         let entries: Vec<LogEntry> = (0..5).map(|i| obj(&format!("k{i}"), 10, i + 1)).collect();
         for e in &entries {
             append(&mut seg, e).unwrap();
@@ -259,7 +261,7 @@ mod tests {
 
     #[test]
     fn offsets_from_iteration_readable() {
-        let mut seg = Segment::new(SegmentId(0), 4096);
+        let mut seg = Segment::new(SegmentId(0), &SegmentArena::new(4096, 1));
         for i in 0..4 {
             append(&mut seg, &obj(&format!("key{i}"), 20, 1)).unwrap();
         }
@@ -270,7 +272,7 @@ mod tests {
 
     #[test]
     fn full_segment_rejects_append() {
-        let mut seg = Segment::new(SegmentId(0), 128);
+        let mut seg = Segment::new(SegmentId(0), &SegmentArena::new(128, 1));
         append(&mut seg, &obj("a", 50, 1)).unwrap();
         let err = append(&mut seg, &obj("b", 50, 1)).unwrap_err();
         assert!(err.needed > err.free);
@@ -279,20 +281,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "append to closed segment")]
     fn closed_segment_append_panics() {
-        let mut seg = Segment::new(SegmentId(0), 4096);
+        let mut seg = Segment::new(SegmentId(0), &SegmentArena::new(4096, 1));
         seg.close();
         let _ = append(&mut seg, &obj("a", 1, 1));
     }
 
     #[test]
     fn read_past_end_is_error() {
-        let seg = Segment::new(SegmentId(0), 128);
+        let seg = Segment::new(SegmentId(0), &SegmentArena::new(128, 1));
         assert!(seg.read_at(64).is_err());
     }
 
     #[test]
     fn free_accounting() {
-        let mut seg = Segment::new(SegmentId(0), 1000);
+        let mut seg = Segment::new(SegmentId(0), &SegmentArena::new(1000, 1));
         let e = obj("k", 100, 1);
         let sz = e.serialized_len();
         append(&mut seg, &e).unwrap();
@@ -302,7 +304,7 @@ mod tests {
 
     #[test]
     fn clone_of_closed_segment_shares_bytes() {
-        let mut seg = Segment::new(SegmentId(1), 4096);
+        let mut seg = Segment::new(SegmentId(1), &SegmentArena::new(4096, 1));
         append(&mut seg, &obj("k", 32, 1)).unwrap();
         seg.close();
         let snap = seg.clone();
