@@ -22,7 +22,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use rmc_core::{Cluster, ClusterConfig, RunReport};
+use rmc_core::{cost, ClusterConfig, RunReport};
 use rmc_sim::{SimDuration, SimTime};
 
 /// The rows of one CSV, formatted: what an artefact writes and prints.
@@ -58,13 +58,10 @@ impl Sim {
         self
     }
 
-    /// Builds the cluster, plans the kill and runs it to completion.
+    /// Runs the protocol cluster of `cfg` under the cost layer, with its
+    /// kill, to completion.
     pub fn simulate(&self) -> RunReport {
-        let mut cluster = Cluster::new(self.cfg.clone());
-        if let Some((at, victim)) = self.kill {
-            cluster.plan_kill(at, Some(victim));
-        }
-        cluster.run_with_min_duration(self.min)
+        cost::run(&self.cfg, self.kill, self.min, false).report
     }
 }
 

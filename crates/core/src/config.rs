@@ -187,14 +187,15 @@ mod tests {
         c.validate();
     }
 
-    /// The budget is a constant, so no reachable config hands
-    /// `Cluster::new` a log too small for the cleaner's free-slot targets.
+    /// The budget is a constant, so no reachable config hands a server a
+    /// log too small for the cleaner's free-slot targets.
     #[test]
     fn every_segment_size_leaves_the_cleaner_room() {
         for mb in [1usize, 2, 4, 8, 16, 32, 256] {
             let mut c = cfg();
             c.segment_bytes = mb << 20;
-            let _ = crate::Cluster::new(c); // panics on a cleaner config it cannot build
+            // Panics on a cleaner config it cannot build.
+            let _ = crate::protocol::Server::new(0, crate::cost::protocol_config(&c));
         }
     }
 

@@ -1,4 +1,5 @@
-//! The coordinator: server list, tablet map, and failure handling state.
+//! The coordinator's tablet map and wills (the protocol's `CoordinatorNode`
+//! wraps it).
 //!
 //! RAMCloud's coordinator tracks which master owns which tablet and
 //! orchestrates crash recovery. Here tablets are fixed-size hash buckets
@@ -7,7 +8,6 @@
 //! effect).
 
 use rmc_logstore::{key_hash, TableId};
-use rmc_runtime::SimTime;
 
 /// The hash bucket `key` falls into among `buckets` tablets.
 ///
@@ -17,32 +17,11 @@ pub fn bucket_for(table: TableId, key: &[u8], buckets: usize) -> usize {
     (key_hash(table, key).0 % buckets as u64) as usize
 }
 
-/// Ongoing recovery bookkeeping.
-#[derive(Debug, Clone)]
-pub struct RecoveryState {
-    /// The crashed master.
-    pub crashed: usize,
-    /// When the failure was detected (recovery scheduling begins).
-    pub detected_at: SimTime,
-    /// Segment-read / replay chunks still outstanding.
-    pub outstanding_chunks: usize,
-    /// Entries replayed so far.
-    pub replayed_entries: u64,
-    /// Nominal bytes replayed so far.
-    pub replayed_nominal_bytes: u64,
-    /// Bucket reassignments to apply when recovery completes.
-    pub new_owners: Vec<(usize, usize)>,
-}
-
 /// Cluster metadata service.
 #[derive(Debug, Clone)]
 pub struct Coordinator {
     tablet_owner: Vec<usize>,
     alive: Vec<bool>,
-    /// Recovery in progress, if any.
-    pub recovery: Option<RecoveryState>,
-    /// Completed recoveries: (crashed server, detected_at, finished_at).
-    pub completed_recoveries: Vec<(usize, SimTime, SimTime)>,
 }
 
 impl Coordinator {
@@ -57,19 +36,7 @@ impl Coordinator {
         Coordinator {
             tablet_owner: (0..buckets).map(|b| b % servers).collect(),
             alive: vec![true; servers],
-            recovery: None,
-            completed_recoveries: Vec::new(),
         }
-    }
-
-    /// Number of tablets.
-    pub fn buckets(&self) -> usize {
-        self.tablet_owner.len()
-    }
-
-    /// The bucket a key falls into.
-    pub fn bucket_of(&self, table: TableId, key: &[u8]) -> usize {
-        bucket_for(table, key, self.tablet_owner.len())
     }
 
     /// Snapshot of the tablet map as `bucket -> owner` (broadcast to nodes
@@ -85,7 +52,7 @@ impl Coordinator {
 
     /// The master owning a key.
     pub fn owner_of(&self, table: TableId, key: &[u8]) -> usize {
-        self.owner_of_bucket(self.bucket_of(table, key))
+        self.owner_of_bucket(bucket_for(table, key, self.tablet_owner.len()))
     }
 
     /// Whether a server is alive.
@@ -141,12 +108,6 @@ impl Coordinator {
             self.tablet_owner[bucket] = owner;
         }
     }
-
-    /// True while a recovery is running and `bucket` belongs to the crashed
-    /// master (requests for it must block).
-    pub fn bucket_unavailable(&self, bucket: usize) -> bool {
-        !self.alive[self.tablet_owner[bucket]]
-    }
 }
 
 #[cfg(test)]
@@ -201,11 +162,11 @@ mod tests {
     fn reassign_restores_availability() {
         let mut c = Coordinator::new(2, 4);
         c.mark_dead(0);
-        assert!(c.bucket_unavailable(0));
-        assert!(!c.bucket_unavailable(1));
+        assert!(!c.is_alive(c.owner_of_bucket(0)), "bucket 0 is down");
+        assert!(c.is_alive(c.owner_of_bucket(1)));
         let will = c.partition_will(0);
         c.reassign(&will);
-        assert!(!c.bucket_unavailable(0));
+        assert!(c.is_alive(c.owner_of_bucket(0)), "bucket 0 is back");
         assert_eq!(c.owner_of_bucket(0), 1);
     }
 }

@@ -1,148 +1,29 @@
-//! Per-server state: the master's store, the collocated backup service, the
-//! threading model (dispatch + spinning workers), and activity accounting.
+//! The cost model of one storage server's machine: the threading model
+//! (a polling dispatch thread, spin-then-sleep workers, a serialized log
+//! head with contention inflation), its disk, and activity accounting.
+//! [`crate::cost`] charges every delivery to a server against it; the
+//! protocol's `Server` never sees it.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use rmc_disk::DiskModel;
-use rmc_logstore::Store;
 use rmc_runtime::{BinnedUsage, SimDuration, SimTime};
 
 use crate::calib;
-use crate::ids::OpId;
+use crate::cost::Waiting;
 
-/// Bytes accumulated into one-second bins; reports GB/s per bin (feeds the
-/// power model's memory-write and NIC terms).
-#[derive(Debug, Clone, Default)]
-pub struct ByteBins {
-    bins: Vec<f64>,
-}
-
-impl ByteBins {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        ByteBins::default()
-    }
-
-    /// Adds `bytes` at time `t`.
-    pub fn add(&mut self, t: SimTime, bytes: f64) {
-        let bin = t.as_secs_f64() as usize;
-        if self.bins.len() <= bin {
-            self.bins.resize(bin + 1, 0.0);
-        }
-        self.bins[bin] += bytes;
-    }
-
-    /// GB/s during bin `i`.
-    pub fn gbps(&self, i: usize) -> f64 {
-        self.bins.get(i).copied().unwrap_or(0.0) / 1e9
-    }
-
-    /// Total bytes recorded.
-    pub fn total(&self) -> f64 {
-        self.bins.iter().sum()
-    }
-}
-
-/// Metadata a master keeps per log segment for replication and recovery.
-#[derive(Debug, Clone)]
-pub struct SegMeta {
-    /// Backup servers holding replicas of this segment.
-    pub backups: Vec<usize>,
-    /// Whether the segment has been sealed (closed and flushed-eligible).
-    pub sealed: bool,
-    /// Nominal bytes appended to this segment (model size).
-    pub nominal_bytes: u64,
-    /// Entries appended.
-    pub entries: u64,
-}
-
-/// One worker thread's scheduling state.
-#[derive(Debug, Clone, Copy)]
-pub struct Worker {
-    /// When the worker next becomes available; `SimTime::MAX` while blocked
-    /// waiting for replication acks.
-    pub free_at: SimTime,
-}
-
-/// The backup service's replica storage: real serialized entry bytes staged
-/// in DRAM, then flushed to the (simulated) disk when the segment seals.
-#[derive(Debug, Default)]
-pub struct BackupService {
-    /// Open-segment replicas staged in DRAM, keyed by (master, segment).
-    pub staged: HashMap<(usize, u64), Vec<u8>>,
-    /// Sealed replicas on disk.
-    pub flushed: HashMap<(usize, u64), Vec<u8>>,
-    /// Bytes staged in DRAM right now (nominal accounting).
-    pub staged_nominal_bytes: u64,
-}
-
-impl BackupService {
-    /// Appends replicated entry bytes to the staged copy of a segment.
-    pub fn stage(&mut self, master: usize, segment: u64, bytes: &[u8], nominal: u64) {
-        self.staged
-            .entry((master, segment))
-            .or_default()
-            .extend_from_slice(bytes);
-        self.staged_nominal_bytes += nominal;
-    }
-
-    /// Moves a staged segment to disk storage (called when the disk write
-    /// completes).
-    pub fn flush(&mut self, master: usize, segment: u64, nominal: u64) {
-        if let Some(bytes) = self.staged.remove(&(master, segment)) {
-            self.flushed.insert((master, segment), bytes);
-            self.staged_nominal_bytes = self.staged_nominal_bytes.saturating_sub(nominal);
-        }
-    }
-
-    /// The replica bytes for a segment, wherever they live. The bool is
-    /// `true` when the copy is on disk (reading it costs I/O).
-    pub fn replica(&self, master: usize, segment: u64) -> Option<(&[u8], bool)> {
-        if let Some(b) = self.flushed.get(&(master, segment)) {
-            return Some((b, true));
-        }
-        self.staged
-            .get(&(master, segment))
-            .map(|b| (b.as_slice(), false))
-    }
-
-    /// Drops every replica belonging to `master` (post-recovery cleanup).
-    pub fn drop_master(&mut self, master: usize) {
-        self.staged.retain(|&(m, _), _| m != master);
-        self.flushed.retain(|&(m, _), _| m != master);
-    }
-}
-
-/// Work waiting for a free worker (all workers blocked on replication acks).
-#[derive(Debug, Clone, Copy)]
-pub struct QueuedWork {
-    /// The op to run.
-    pub op: OpId,
-    /// When dispatch finished with it.
-    pub ready_at: SimTime,
-}
-
-/// A storage server: master + backup service on one 4-core machine.
+/// A storage server's machine: master + backup on one 4-core node.
 #[derive(Debug)]
 pub struct ServerNode {
-    /// Server index.
-    pub id: usize,
-    /// False once killed.
-    pub alive: bool,
-    /// The master's real log-structured store.
-    pub store: Store,
-    /// The collocated backup service.
-    pub backup: BackupService,
     /// The node's disk.
     pub disk: DiskModel,
-    /// Per-segment replication metadata (keyed by raw segment id).
-    pub segments: BTreeMap<u64, SegMeta>,
     /// When the dispatch thread frees up.
     pub dispatch_free: SimTime,
-    /// Worker pool.
-    pub workers: Vec<Worker>,
-    /// Ops whose dispatch finished but no worker was available.
-    pub pending: VecDeque<QueuedWork>,
+    /// When each worker thread next becomes available; `SimTime::MAX` while
+    /// it is blocked waiting for replication acks.
+    pub workers: Vec<SimTime>,
+    /// Deliveries whose dispatch finished but no worker was available.
+    pub(crate) pending: VecDeque<Waiting>,
     /// Ops between worker assignment and local completion.
     pub in_service: usize,
     /// Writers between dispatch arrival and local completion (drives the
@@ -164,31 +45,17 @@ pub struct ServerNode {
     writers_last_change: SimTime,
     /// Worker busy time (service + spin) per 1 s bin, in core-seconds.
     pub cpu: BinnedUsage,
-    /// Nominal bytes written to memory (appends + staging) per 1 s bin.
-    pub mem_write: ByteBins,
     /// Instant the node died, if it did.
     pub killed_at: Option<SimTime>,
-    /// Ops that timed out at clients while targeting this server.
-    pub timeouts: u64,
 }
 
 impl ServerNode {
-    /// Creates an idle, empty server.
-    pub fn new(id: usize, store: Store, disk: DiskModel) -> Self {
+    /// Creates an idle server.
+    pub fn new(disk: DiskModel) -> Self {
         ServerNode {
-            id,
-            alive: true,
-            store,
-            backup: BackupService::default(),
             disk,
-            segments: BTreeMap::new(),
             dispatch_free: SimTime::ZERO,
-            workers: vec![
-                Worker {
-                    free_at: SimTime::ZERO
-                };
-                calib::WORKER_THREADS
-            ],
+            workers: vec![SimTime::ZERO; calib::WORKER_THREADS],
             pending: VecDeque::new(),
             in_service: 0,
             waiting_writers: 0,
@@ -198,9 +65,7 @@ impl ServerNode {
             writers_integral: 0.0,
             writers_last_change: SimTime::ZERO,
             cpu: BinnedUsage::new(SimDuration::from_secs(1)),
-            mem_write: ByteBins::new(),
             killed_at: None,
-            timeouts: 0,
         }
     }
 
@@ -267,16 +132,16 @@ impl ServerNode {
     pub fn pick_worker(&mut self, ready: SimTime) -> Option<usize> {
         let mut hottest_idle: Option<(usize, SimTime)> = None;
         let mut earliest_busy: Option<(usize, SimTime)> = None;
-        for (w, worker) in self.workers.iter().enumerate() {
-            if worker.free_at == SimTime::MAX {
+        for (w, free_at) in self.workers.iter().enumerate() {
+            if *free_at == SimTime::MAX {
                 continue;
             }
-            if worker.free_at <= ready {
-                if hottest_idle.is_none_or(|(_, f)| worker.free_at > f) {
-                    hottest_idle = Some((w, worker.free_at));
+            if *free_at <= ready {
+                if hottest_idle.is_none_or(|(_, f)| *free_at > f) {
+                    hottest_idle = Some((w, *free_at));
                 }
-            } else if earliest_busy.is_none_or(|(_, f)| worker.free_at < f) {
-                earliest_busy = Some((w, worker.free_at));
+            } else if earliest_busy.is_none_or(|(_, f)| *free_at < f) {
+                earliest_busy = Some((w, *free_at));
             }
         }
         hottest_idle.or(earliest_busy).map(|(w, _)| w)
@@ -333,18 +198,9 @@ impl ServerNode {
 mod tests {
     use super::*;
     use rmc_disk::DiskProfile;
-    use rmc_logstore::LogConfig;
 
     fn node() -> ServerNode {
-        ServerNode::new(
-            0,
-            Store::new(LogConfig {
-                segment_bytes: 4096,
-                max_segments: 16,
-                ordered_index: false,
-            }),
-            DiskModel::new(DiskProfile::grid5000_hdd()),
-        )
+        ServerNode::new(DiskModel::new(DiskProfile::grid5000_hdd()))
     }
 
     #[test]
@@ -360,9 +216,9 @@ mod tests {
     fn hottest_idle_worker_preferred() {
         let mut n = node();
         let ready = SimTime::from_micros(100);
-        n.workers[0].free_at = SimTime::from_micros(10);
-        n.workers[1].free_at = SimTime::from_micros(90); // most recently freed
-        n.workers[2].free_at = SimTime::from_micros(50);
+        n.workers[0] = SimTime::from_micros(10);
+        n.workers[1] = SimTime::from_micros(90); // most recently freed
+        n.workers[2] = SimTime::from_micros(50);
         assert_eq!(n.pick_worker(ready), Some(1));
     }
 
@@ -370,19 +226,19 @@ mod tests {
     fn earliest_busy_worker_when_none_idle() {
         let mut n = node();
         let ready = SimTime::from_micros(10);
-        n.workers[0].free_at = SimTime::from_micros(300);
-        n.workers[1].free_at = SimTime::from_micros(200);
-        n.workers[2].free_at = SimTime::from_micros(400);
+        n.workers[0] = SimTime::from_micros(300);
+        n.workers[1] = SimTime::from_micros(200);
+        n.workers[2] = SimTime::from_micros(400);
         assert_eq!(n.pick_worker(ready), Some(1));
     }
 
     #[test]
     fn blocked_workers_skipped() {
         let mut n = node();
-        n.workers[0].free_at = SimTime::MAX;
-        n.workers[1].free_at = SimTime::MAX;
+        n.workers[0] = SimTime::MAX;
+        n.workers[1] = SimTime::MAX;
         assert_eq!(n.pick_worker(SimTime::ZERO), Some(2));
-        n.workers[2].free_at = SimTime::MAX;
+        n.workers[2] = SimTime::MAX;
         assert_eq!(n.pick_worker(SimTime::ZERO), None);
     }
 
@@ -447,23 +303,5 @@ mod tests {
         n.killed_at = Some(SimTime::from_secs(5));
         assert_eq!(n.cpu_fraction(2, 1.0), 0.25);
         assert_eq!(n.cpu_fraction(6, 1.0), 0.0);
-    }
-
-    #[test]
-    fn backup_stage_flush_replica_lifecycle() {
-        let mut b = BackupService::default();
-        b.stage(3, 7, b"abc", 1024);
-        b.stage(3, 7, b"def", 1024);
-        let (bytes, on_disk) = b.replica(3, 7).unwrap();
-        assert_eq!(bytes, b"abcdef");
-        assert!(!on_disk);
-        assert_eq!(b.staged_nominal_bytes, 2048);
-        b.flush(3, 7, 2048);
-        let (bytes, on_disk) = b.replica(3, 7).unwrap();
-        assert_eq!(bytes, b"abcdef");
-        assert!(on_disk);
-        assert_eq!(b.staged_nominal_bytes, 0);
-        b.drop_master(3);
-        assert!(b.replica(3, 7).is_none());
     }
 }

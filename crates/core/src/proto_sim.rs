@@ -3,7 +3,10 @@
 //! `rmc_sim` event queue.
 //!
 //! Each `send` becomes a delivery event after a fixed latency; each
-//! `set_timer` becomes a timer event. Handlers execute against a
+//! `set_timer` becomes a timer event. The paper's figures replace the fixed
+//! latency with [`crate::cost`]'s machine model at the same two
+//! chokepoints (`SimNet::cost`): what a delivery waits for, and when the
+//! handler's sends leave. Handlers execute against a
 //! `QueuedRuntime` that buffers their effects, which are then scheduled
 //! in emission order — so a given config, script, and fault plan replays
 //! bit-identically. Crashed nodes are `None` slots: messages and timers
@@ -33,6 +36,7 @@ use rmc_obs::span::{SpanKind, SpanRecorder};
 use rmc_runtime::{MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
 use rmc_sim::{Scheduler, Simulation};
 
+use crate::cost::Costs;
 use crate::protocol::{
     msg_class, AnyNode, ClientOp, CoordinatorNode, Msg, ProtocolConfig, ScriptClient, Server,
 };
@@ -42,13 +46,13 @@ use crate::protocol::{
 /// `&self` (the NIC contract); buffering order is unchanged, so same-seed
 /// runs stay bit-identical.
 #[derive(Debug)]
-struct QueuedRuntime {
+pub(crate) struct QueuedRuntime {
     me: NodeId,
     now: SimTime,
     /// `(to, msg, extra_delay)` — the delay comes from `send_after`
     /// (fault-injected delays ride through it).
-    out: std::cell::RefCell<Vec<(NodeId, Msg, SimDuration)>>,
-    timers: Vec<SimDuration>,
+    pub(crate) out: std::cell::RefCell<Vec<(NodeId, Msg, SimDuration)>>,
+    pub(crate) timers: Vec<SimDuration>,
 }
 
 impl QueuedRuntime {
@@ -95,7 +99,7 @@ pub struct SimNet {
     pub nodes: Vec<Option<AnyNode>>,
     latency: SimDuration,
     /// Incarnation number per node id; restarts bump the slot.
-    incarnations: Vec<u64>,
+    pub(crate) incarnations: Vec<u64>,
     /// In-flight messages discarded because the destination restarted
     /// between emission and delivery.
     pub epoch_mismatch_drops: u64,
@@ -106,6 +110,9 @@ pub struct SimNet {
     /// engine's send/deliver chokepoints — replays of the same seed record
     /// identical timelines.
     pub spans: SpanRecorder,
+    /// The machine model charging every delivery its dispatch, worker, NIC
+    /// and disk time (`None` = the fixed `latency`).
+    pub(crate) cost: Option<Box<Costs>>,
 }
 
 impl SimNet {
@@ -125,6 +132,7 @@ impl SimNet {
             epoch_mismatch_drops: 0,
             faults: None,
             spans: SpanRecorder::default(),
+            cost: None,
         }
     }
 
@@ -166,10 +174,11 @@ impl SimNet {
         self.coordinator().coord.owners_snapshot()
     }
 
-    /// Have all scripted clients finished their scripts?
+    /// Have all clients finished their scripts or their YCSB quotas?
     pub fn clients_done(&self) -> bool {
         self.nodes.iter().flatten().all(|n| match n {
             AnyNode::Client(c) => c.done,
+            AnyNode::Ycsb(c) => c.done,
             _ => true,
         })
     }
@@ -199,6 +208,7 @@ impl SimNet {
             .flatten()
             .filter_map(|n| match n {
                 AnyNode::Client(c) => Some(c.full_history()),
+                AnyNode::Ycsb(c) => Some(c.full_history()),
                 _ => None,
             })
             .collect()
@@ -226,7 +236,11 @@ impl SimNet {
 /// delay) later; each armed timer becomes a timer event. Both are stamped
 /// with the destination's current incarnation. Scheduling in emission order
 /// inherits the engine's `(time, seq)` ordering, so runs are deterministic.
-fn dispatch(net: &SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, q: QueuedRuntime) {
+/// Under a cost model, [`crate::cost::emit`] schedules them instead.
+fn dispatch(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, q: QueuedRuntime) {
+    if net.cost.is_some() {
+        return crate::cost::emit(net, rt, node, q);
+    }
     let latency = net.latency;
     for (to, msg, extra) in q.out.into_inner() {
         let from = node;
@@ -241,7 +255,7 @@ fn dispatch(net: &SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, q: QueuedRun
     }
 }
 
-fn deliver(
+pub(crate) fn deliver(
     net: &mut SimNet,
     rt: &mut Scheduler<SimNet>,
     from: NodeId,
@@ -270,7 +284,7 @@ fn deliver(
     dispatch(net, rt, to, q);
 }
 
-fn fire_timer(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, inc: u64) {
+pub(crate) fn fire_timer(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, inc: u64) {
     if net.incarnations.get(node.0).copied().unwrap_or(0) != inc {
         return; // the timer died with the incarnation that armed it
     }
@@ -287,7 +301,7 @@ fn fire_timer(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, inc: u
     dispatch(net, rt, node, q);
 }
 
-fn start_node(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId) {
+pub(crate) fn start_node(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId) {
     let mut q = QueuedRuntime::new(node, rt.now());
     {
         let Some(n) = net.nodes.get_mut(node.0).and_then(|n| n.as_mut()) else {
@@ -303,7 +317,7 @@ fn start_node(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId) {
 
 /// Crashes server `victim`: its slot empties, in-flight traffic to it is
 /// dropped on delivery.
-fn crash_server(net: &mut SimNet, victim: usize) {
+pub(crate) fn crash_server(net: &mut SimNet, victim: usize) {
     let id = crate::protocol::server_id(victim);
     net.nodes[id.0] = None;
 }

@@ -59,7 +59,7 @@
 //!   acked after recovery has read the backup's segments.
 //! - **Recovery rounds.** `TakeOver`/`TakeOverDone` carry a round number;
 //!   the coordinator re-issues a recovery (new round, recomputed over the
-//!   current survivors) if it stalls for `RECOVERY_RETRY_TIMEOUT` (200 ms),
+//!   current survivors) if it stalls for `round_timeout` (200 ms),
 //!   and ignores completions from superseded rounds. A completed recovery
 //!   whose target owner has meanwhile died is re-run rather than
 //!   reassigning buckets to a corpse.
@@ -96,7 +96,7 @@ use rmc_runtime::{Histogram, MetricsRegistry, NodeId, Runtime, SimDuration, SimT
 
 use crate::coordinator::{bucket_for, Coordinator};
 
-/// The single table the protocol serves (mirrors [`crate::BENCH_TABLE`]).
+/// The single table the protocol serves (the paper loads one YCSB table).
 pub const PROTO_TABLE: TableId = TableId(1);
 
 // ---------------------------------------------------------------------
@@ -140,6 +140,12 @@ pub struct ProtocolConfig {
     /// Client retry timeout for unanswered requests: the backoff base
     /// (see [`retry_backoff`]).
     pub retry_timeout: SimDuration,
+    /// How long the coordinator waits for a recovery round to complete before
+    /// re-issuing it over the current survivors (200 ms). A round ships the
+    /// crashed master's whole replica set to every recovery master, so at the
+    /// paper's data sizes it takes seconds, and a shorter wait re-issues it
+    /// forever.
+    pub round_timeout: SimDuration,
     /// Master log sizing.
     pub log: LogConfig,
 }
@@ -161,6 +167,7 @@ impl ProtocolConfig {
             heartbeat_interval: SimDuration::from_millis(10),
             failure_timeout: SimDuration::from_millis(50),
             retry_timeout: SimDuration::from_millis(40),
+            round_timeout: SimDuration::from_millis(200),
             log: LogConfig {
                 segment_bytes: 1 << 16,
                 max_segments: 1024,
@@ -211,10 +218,6 @@ pub fn retry_jitter(client: usize, seq: u64, attempt: u32, max_nanos: u64) -> u6
 /// How many times a client's retry window doubles: from attempt 3 on it
 /// waits `retry_timeout · 8` (320 ms at the 40 ms default).
 const MAX_BACKOFF_DOUBLINGS: u32 = 3;
-
-/// How long the coordinator waits for a recovery round to complete before
-/// re-issuing it over the current survivors.
-const RECOVERY_RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(200);
 
 /// The exponential backoff window, `retry_timeout · 2^min(attempt, 3)`, plus
 /// [`retry_jitter`] below half the base, that a client waits before retry
@@ -715,7 +718,7 @@ impl CoordinatorNode {
         let overdue: Vec<usize> = self
             .pending
             .iter()
-            .filter(|(_, rec)| now.saturating_since(rec.started) >= RECOVERY_RETRY_TIMEOUT)
+            .filter(|(_, rec)| now.saturating_since(rec.started) >= self.cfg.round_timeout)
             .map(|(&crashed, _)| crashed)
             .collect();
         for crashed in overdue {
@@ -1916,6 +1919,9 @@ pub enum AnyNode {
     Server(Server),
     /// A scripted client.
     Client(ScriptClient),
+    /// A closed-loop YCSB client (the paper's figures, under
+    /// [`crate::cost`]).
+    Ycsb(crate::cost::YcsbClient),
 }
 
 impl AnyNode {
@@ -1925,6 +1931,7 @@ impl AnyNode {
             AnyNode::Coordinator(n) => n.on_start(rt),
             AnyNode::Server(n) => n.on_start(rt),
             AnyNode::Client(n) => n.on_start(rt),
+            AnyNode::Ycsb(n) => n.on_start(rt),
         }
     }
 
@@ -1934,6 +1941,7 @@ impl AnyNode {
             AnyNode::Coordinator(n) => n.on_message(from, msg, rt),
             AnyNode::Server(n) => n.on_message(from, msg, rt),
             AnyNode::Client(n) => n.on_message(from, msg, rt),
+            AnyNode::Ycsb(n) => n.on_message(msg, rt),
         }
     }
 
@@ -1943,6 +1951,7 @@ impl AnyNode {
             AnyNode::Coordinator(n) => n.on_timer(rt),
             AnyNode::Server(n) => n.on_timer(rt),
             AnyNode::Client(n) => n.on_timer(rt),
+            AnyNode::Ycsb(n) => n.core.on_timer(rt),
         }
     }
 
@@ -1955,6 +1964,7 @@ impl AnyNode {
             AnyNode::Coordinator(n) => (reg.family_at("coord."), n.stat_rows()),
             AnyNode::Server(n) => (reg.family("server", n.index), n.stat_rows()),
             AnyNode::Client(n) => (reg.family("client", n.index), n.core.stat_rows()),
+            AnyNode::Ycsb(n) => (reg.family("client", n.core.index), n.core.stat_rows()),
         };
         for (name, kind, value) in rows {
             match kind {

@@ -1,10 +1,11 @@
 //! Property-based crash-recovery test: for arbitrary cluster shapes,
-//! replication factors, victims, and seeds, a single crash never loses
-//! data and always ends with the victim owning nothing.
+//! replication factors, victims, and seeds, a single crash of the paper's
+//! cluster (the protocol under the cost layer) never loses data and always
+//! ends with the victim owning nothing.
 
 use proptest::prelude::*;
-use rmc_core::{Cluster, ClusterConfig};
-use rmc_sim::{SimTime, Simulation};
+use rmc_core::{cost, ClusterConfig};
+use rmc_sim::{SimDuration, SimTime};
 use rmc_ycsb::{StandardWorkload, WorkloadSpec};
 
 proptest! {
@@ -26,33 +27,20 @@ proptest! {
         let cfg = ClusterConfig::new(servers, 1, workload.clone())
             .with_replication(replication)
             .with_seed(seed);
-        let mut cluster = Cluster::new(cfg);
-        cluster.preload();
+        let kill = Some((SimTime::from_millis(5), victim));
+        let run = cost::run(&cfg, kill, SimDuration::ZERO, false);
 
-        let mut sim = Simulation::new(cluster);
-        sim.scheduler_mut()
-            .schedule_at(SimTime::from_millis(5), move |cl: &mut Cluster, s| {
-                cl.kill_server_now(victim, s);
-            });
-        sim.run();
-        let cluster = sim.into_state();
-
-        prop_assert!(cluster.coordinator().recovery.is_none());
-        prop_assert_eq!(cluster.coordinator().completed_recoveries.len(), 1);
-        let mut missing = Vec::new();
-        for i in 0..records {
-            let key = workload.key_for(i);
-            if cluster.peek(&key).is_none() {
-                missing.push(i);
-            }
-        }
+        prop_assert!(!run.net.recovery_pending());
+        prop_assert!(run.report.recovery.is_some());
+        let live = run.net.live_map();
+        let missing: Vec<u64> = (0..records)
+            .filter(|&i| !live.contains_key(&workload.key_for(i)))
+            .collect();
         prop_assert!(
             missing.is_empty(),
             "lost {} of {} records (servers={}, R={}, victim={}, seed={})",
             missing.len(), records, servers, replication, victim, seed
         );
-        for b in 0..cluster.coordinator().buckets() {
-            prop_assert_ne!(cluster.coordinator().owner_of_bucket(b), victim);
-        }
+        prop_assert!(run.net.owners().iter().all(|&o| o != victim));
     }
 }

@@ -306,6 +306,8 @@ fn report(
             let history = c.full_history();
             report.client = Some((c.results, c.done, history));
         }
+        // The cost layer's YCSB clients run only in simulation.
+        AnyNode::Ycsb(_) => {}
     }
     report
 }

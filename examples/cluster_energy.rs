@@ -4,11 +4,13 @@
 //! cargo run --release --example cluster_energy
 //! ```
 //!
-//! Runs YCSB workloads A/B/C against a 10-server simulated cluster and
+//! Runs YCSB workloads A/B/C against a 10-server simulated cluster (the
+//! protocol under the cost layer) and
 //! prints the paper's headline metrics: aggregate throughput, average
 //! per-node power, total energy, and requests served per joule.
 
-use rmc_core::{Cluster, ClusterConfig};
+use rmc_core::{cost, ClusterConfig};
+use rmc_sim::SimDuration;
 use rmc_ycsb::{StandardWorkload, WorkloadSpec};
 
 fn main() {
@@ -24,7 +26,7 @@ fn main() {
     ] {
         let workload = WorkloadSpec::standard(w).with_ops_per_client(10_000);
         let cfg = ClusterConfig::new(10, 30, workload);
-        let report = Cluster::new(cfg).run();
+        let report = cost::run(&cfg, None, SimDuration::ZERO, false).report;
         println!(
             "{:>10} | {:>10.0}/s | {:>8.1} W | {:>10.2} KJ | {:>10.0}",
             w.to_string(),

@@ -7,9 +7,9 @@
 //! Loads ~2 GB (nominal) into 5 simulated servers with 3-way replication,
 //! kills one at t=10 s, and prints the recovery report plus the CPU/power
 //! spike — Figs 9 and 11 in miniature. All data is verified readable after
-//! recovery through the real data plane.
+//! recovery through the protocol's own stores.
 
-use rmc_core::{Cluster, ClusterConfig};
+use rmc_core::{cost, ClusterConfig};
 use rmc_sim::{SimDuration, SimTime};
 use rmc_ycsb::{StandardWorkload, WorkloadSpec};
 
@@ -18,11 +18,10 @@ fn main() {
         .with_record_count(200_000)
         .with_ops_per_client(0);
     workload.value_bytes = 10 * 1024; // ~2 GB nominal across the cluster
-    let cfg = ClusterConfig::new(5, 1, workload).with_replication(3);
-    let mut cluster = Cluster::new(cfg);
-    cluster.plan_kill(SimTime::from_secs(10), Some(2));
-
-    let report = cluster.run_with_min_duration(SimDuration::from_secs(40));
+    let cfg = ClusterConfig::new(5, 1, workload.clone()).with_replication(3);
+    let kill = Some((SimTime::from_secs(10), 2));
+    let run = cost::run(&cfg, kill, SimDuration::from_secs(40), false);
+    let report = run.report;
     let rec = report.recovery.expect("a recovery must have run");
     println!(
         "killed server {} at t={:.0}s",
@@ -52,4 +51,13 @@ fn main() {
         .iter()
         .fold((0.0, 0.0), |(r, w), &(_, tr, tw)| (r + tr, w + tw));
     println!("\naggregate disk traffic during the run: {reads:.0} MB read, {writes:.0} MB written");
+    let live = run.net.live_map();
+    let lost = (0..workload.record_count)
+        .filter(|&i| !live.contains_key(&workload.key_for(i)))
+        .count();
+    assert_eq!(lost, 0, "every record must survive the crash");
+    println!(
+        "all {} records readable after recovery",
+        workload.record_count
+    );
 }

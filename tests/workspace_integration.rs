@@ -1,7 +1,7 @@
 //! Workspace-level integration tests: exercise the whole stack through the
 //! umbrella crate, the way a downstream user would.
 
-use ramcloud_repro::core::{Cluster, ClusterConfig};
+use ramcloud_repro::core::{cost, ClusterConfig};
 use ramcloud_repro::logstore::{LogConfig, Store, TableId};
 use ramcloud_repro::sim::{SimDuration, SimTime, Simulation};
 use ramcloud_repro::standalone::{ServerConfig, StandaloneServer};
@@ -45,17 +45,17 @@ fn simulated_cluster_and_standalone_agree_on_semantics() {
     assert!(client.read(table, b"key").unwrap().is_none());
     server.shutdown();
 
-    // Simulated cluster (peek through the data plane).
+    // Simulated cluster: after a run of updates every loaded record is
+    // served, at version 1 plus the overwrites it took.
     let workload = WorkloadSpec::standard(StandardWorkload::A)
         .with_record_count(50)
         .with_ops_per_client(500);
     let cfg = ClusterConfig::new(2, 2, workload.clone());
-    let mut cluster = Cluster::new(cfg);
-    cluster.preload();
-    for i in 0..50 {
-        let key = workload.key_for(i);
-        assert_eq!(cluster.peek(&key).unwrap().version.0, 1);
-    }
+    let run = cost::run(&cfg, None, SimDuration::ZERO, false);
+    let live = run.net.live_map_versioned();
+    let updates = run.report.client_stats.writes;
+    let overwrites: u64 = (0..50).map(|i| live[&workload.key_for(i)].1 - 1).sum();
+    assert_eq!(overwrites, updates, "every update bumped one version once");
 }
 
 #[test]
@@ -66,7 +66,7 @@ fn full_measurement_pipeline_miniature() {
         .with_record_count(1_000)
         .with_ops_per_client(2_000);
     let cfg = ClusterConfig::new(4, 6, workload).with_replication(2);
-    let report = Cluster::new(cfg).run();
+    let report = cost::run(&cfg, None, SimDuration::ZERO, false).report;
     assert_eq!(report.completed_ops, 12_000);
     assert!(report.throughput_ops > 1_000.0);
     // Power must sit inside the node model's physical envelope.
@@ -85,9 +85,8 @@ fn crash_recovery_through_umbrella() {
         .with_record_count(2_000)
         .with_ops_per_client(0);
     let cfg = ClusterConfig::new(3, 1, workload).with_replication(2);
-    let mut cluster = Cluster::new(cfg);
-    cluster.plan_kill(SimTime::from_secs(1), Some(0));
-    let report = cluster.run_with_min_duration(SimDuration::from_secs(5));
+    let kill = Some((SimTime::from_secs(1), 0));
+    let report = cost::run(&cfg, kill, SimDuration::from_secs(5), false).report;
     let rec = report.recovery.expect("recovery ran");
     assert!(rec.replayed_entries > 0);
     assert!(rec.duration_secs > 0.0);
