@@ -408,11 +408,12 @@ static ARTEFACTS: [Artefact; 16] = [
         },
         paper: "with replication, MORE servers are more efficient: 1.5/1.9/2.3 Kop/J at R1 for 20/30/40; gap narrows as R grows",
         findings: &[
-            Finding::new("fig8.more-servers", Reproduces, "Finding 4: with replicated updates more servers are more efficient, and the gap closes as R grows", |t| {
+            Finding::new("fig8.more-servers", Diverges("Finding 2's writer contention: 60 clients put more concurrent writers on each of 20 servers than of 40, so at R4 the 40-server cluster runs 2.3× as fast as the 20-server one (Fig 6a), not 2×; the earlier model's 10 % rested on its 40-server run ending at 5.03 s and being billed a sixth whole PDU second"), "more servers are more efficient at R1 and the gap narrows as R grows, but at R4 40 servers still lead 20 by 15 % or more", |t| {
                 let (r1, r4) = (&t[0][0], &t[0][3]);
-                let gap = pct(r4[3], r4[1]);
+                let (gap1, gap4) = (pct(r1[3], r1[1]), pct(r4[3], r4[1]));
                 let measured = format!("R1 {:.3}/{:.3}/{:.3} Kop/J for 20/30/40 servers", r1[1], r1[2], r1[3]);
-                (r1[3] > r1[2] && r1[2] > r1[1] && gap < 15.0, format!("{measured}; at R4 40 leads 20 by {gap:.0} %"))
+                let holds = r1[3] > r1[2] && r1[2] > r1[1] && gap4 >= 15.0 && gap4 < gap1;
+                (holds, format!("{measured}; 40 leads 20 by {gap1:.0} % at R1, {gap4:.0} % at R4"))
             }),
         ],
     },
@@ -451,15 +452,17 @@ static ARTEFACTS: [Artefact; 16] = [
                 let measured = format!("client 0 last completes in t = {}, client 1 in t = {}; paper: blocked ~40 s", last(0.0), last(1.0));
                 (within(last(0.0), 58.0, 60.0) && last(1.0) >= 125.0, measured)
             }),
-            Finding::new("fig10.live", Diverges("the masters whose replica targets died re-image their whole log at once (`REPLICA_RESEED`) through the NIC that also carries the live client's reads"), "the live-data client stalls for seconds at the kill, then runs slowed by 1.1-2.4× through the recovery", |t| {
+            Finding::new("fig10.live", Diverges("the masters whose replica targets died re-image their whole logs (`REPLICA_RESEED`, onto the targets that already hold them too), and a backup stages each image on the dispatch thread that also dispatches reads; the 73 s recovery of Fig 9 then keeps the client slowed past the window"), "the live-data client waits a few hundred ms at the kill, then runs slowed by 1.1-2.4× through a recovery that outlasts the figure", |t| {
                 let live: Vec<&Vec<f64>> = t[0].iter().filter(|row| row[0] == 1.0).collect();
                 let base = live[0][2];
                 let mut during: Vec<f64> = live.iter().filter(|row| within(row[1], 65.0, 129.0)).map(|row| row[2] / base).collect();
                 during.sort_by(f64::total_cmp);
                 let median = during.get(during.len() / 2).copied().unwrap_or(f64::NAN);
+                let spike = live.iter().filter(|row| within(row[1], 60.0, 63.0)).map(|row| row[2]).fold(0.0, f64::max);
                 let stall = live.windows(2).filter(|w| w[0][1] >= 60.0).map(|w| w[1][1] - w[0][1]).fold(0.0, f64::max);
-                let measured = format!("no completion for {} s after the kill, then {base:.1} µs × {median:.2} (median); paper 1.4-2.4×", stall - 1.0);
-                (stall >= 3.0 && within(median, 1.1, 2.4), measured)
+                let end = live.last().map_or(f64::NAN, |row| row[2] / base);
+                let measured = format!("{base:.1} µs before, a second averaging {spike:.0} µs at the kill, then × {median:.2} (median), × {end:.2} in the last second; paper 1.4-2.4×");
+                (spike >= 1000.0 && stall <= 1.0 && within(median, 1.1, 2.4) && end > 1.1, measured)
             }),
         ],
     },

@@ -105,18 +105,18 @@ fn all_asks_for_157_runs_of_103_configurations() {
 fn fig5_renders_to_its_committed_bytes() {
     fn fig5_cell(sim: &Sim) -> RunReport {
         let ops = match (sim.cfg.replication, sim.cfg.clients) {
-            (1, 10) => 67469.3,
-            (1, 30) => 197850.4,
-            (1, 60) => 113339.6,
-            (2, 10) => 55973.9,
-            (2, 30) => 106616.2,
-            (2, 60) => 85770.1,
-            (3, 10) => 47840.0,
-            (3, 30) => 94838.51,
-            (3, 60) => 72931.9,
-            (4, 10) => 41764.2,
-            (4, 30) => 65911.0,
-            (4, 60) => 62559.3,
+            (1, 10) => 66317.0,
+            (1, 30) => 194312.0,
+            (1, 60) => 109290.0,
+            (2, 10) => 54438.0,
+            (2, 30) => 102545.0,
+            (2, 60) => 82778.0,
+            (3, 10) => 46151.0,
+            (3, 30) => 73951.0,
+            (3, 60) => 66770.0,
+            (4, 10) => 40076.0,
+            (4, 30) => 62714.0,
+            (4, 60) => 56790.0,
             other => panic!("fig5 asked for {other:?}"),
         };
         assert_eq!((sim.cfg.servers, sim.cfg.seed), (20, 42));

@@ -110,11 +110,8 @@ pub const REPLAY_ENTRY_US: f64 = 6.0;
 /// by the same context-switch factor as write service. Fitted to
 /// Fig 5's 10-client column: marginal cost ≈ 69 µs per added replica
 /// (78 K → 43 Kop/s from R1 to R4). Most of Finding 3's per-replica
-/// overhead lives here. Refit from 65 to 60 µs when the figures moved onto
-/// `protocol.rs`, whose ring placement balances backup load where the
-/// earlier model's random placement did not: at 65 µs Fig 8's 40-server
-/// R4 run finished under 5 s and led the 20-server one by 18 %.
-pub const REPL_SEND_US: f64 = 60.0;
+/// overhead lives here.
+pub const REPL_SEND_US: f64 = 65.0;
 
 #[cfg(test)]
 mod tests {

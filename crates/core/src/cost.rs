@@ -57,15 +57,12 @@ const PDU_TAU_SECS: f64 = 3.0;
 
 /// The protocol configuration of a paper run: the paper's 1 024 tablets, its
 /// failure-detection delay and RPC timeout, and a log sized so a stored
-/// segment seals after as many entries as a nominal 8 MB one. The network
-/// loses nothing and one server dies, so a recovery round is never
-/// re-issued: it takes as long as its disks and NICs do.
+/// segment seals after as many entries as a nominal 8 MB one.
 pub fn protocol_config(cfg: &ClusterConfig) -> ProtocolConfig {
     let mut p = ProtocolConfig::new(cfg.servers, cfg.clients, cfg.replication as usize);
     p.buckets = ClusterConfig::HASH_BUCKETS;
     p.failure_timeout = SimDuration::from_micros_f64(calib::DETECTION_DELAY_MS * 1e3);
     p.retry_timeout = SimDuration::from_micros_f64(calib::RPC_TIMEOUT_MS * 1e3);
-    p.round_timeout = SimDuration::MAX;
     p.log = LogConfig {
         segment_bytes: cfg.stored_segment_bytes(),
         max_segments: cfg.max_segments(),
@@ -93,7 +90,16 @@ pub fn run(
     min: SimDuration,
     histories: bool,
 ) -> Run {
-    let net = build(cfg, histories);
+    let sim = drive(build(cfg, histories), kill);
+    let sim_end = sim.now();
+    let mut net = sim.into_state();
+    let report = report(cfg, &mut net, kill, min, sim_end);
+    Run { report, net }
+}
+
+/// Starts every node of `net`, kills as planned, and runs until the cluster
+/// is quiet.
+fn drive(net: SimNet, kill: Option<(SimTime, usize)>) -> Simulation<SimNet> {
     let total = net.nodes.len();
     let mut sim = Simulation::new(net);
     let rt = sim.scheduler_mut();
@@ -120,10 +126,7 @@ pub fn run(
             break;
         }
     }
-    let sim_end = sim.now();
-    let mut net = sim.into_state();
-    let report = report(cfg, &mut net, kill, min, sim_end);
-    Run { report, net }
+    sim
 }
 
 fn costs(net: &mut SimNet) -> &mut Costs {
@@ -149,7 +152,6 @@ fn build(cfg: &ClusterConfig, histories: bool) -> SimNet {
             .write(PROTO_TABLE, &key, &stored_value(cfg, i, 0))
             .expect("preload must fit in the memory budget");
     }
-    let mut staged = vec![BTreeMap::new(); cfg.servers];
     let mut storage: Vec<MemStorage> = (0..cfg.servers).map(|_| MemStorage::new()).collect();
     for (master, server) in servers.iter().enumerate() {
         let log = server.store.log();
@@ -157,8 +159,6 @@ fn build(cfg: &ClusterConfig, histories: bool) -> SimNet {
         for b in replica_targets(master, cfg.servers, pcfg.replication, &alive) {
             for id in log.segment_ids() {
                 let segment = log.segment(id).expect("listed");
-                let replica = (segment.iter().count() as u64, id != log.head());
-                staged[b].insert((master, id.0), replica);
                 (storage[b].append(master, id.0, segment.as_bytes()))
                     .expect("memory staging cannot fail");
             }
@@ -192,7 +192,7 @@ fn build(cfg: &ClusterConfig, histories: bool) -> SimNet {
     }
     let mut net = SimNet::new(&pcfg, Vec::new(), SimDuration::ZERO);
     net.nodes = nodes.into_iter().map(Some).collect();
-    net.cost = Some(Box::new(Costs::new(cfg, staged)));
+    net.cost = Some(Box::new(Costs::new(cfg)));
     net
 }
 
@@ -311,10 +311,6 @@ impl YcsbClient {
 // The machine model
 // ---------------------------------------------------------------------
 
-/// A backup's replica of one master segment: `(entries, sealed)`. Sealed
-/// replicas are on the backup's disk; the open one is in DRAM.
-type Replica = (u64, bool);
-
 /// What a delivery to a server costs before its handler runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Work {
@@ -325,8 +321,8 @@ enum Work {
     Write,
     /// Dispatch only.
     Dispatch,
-    /// `(master, segment, entries, image)`, staged on the dispatch thread.
-    Stage(usize, u64, u64, bool),
+    /// Staging `entries` on the dispatch thread.
+    Stage(u64),
 }
 
 /// One message on its way: sender, receiver (at the incarnation it was
@@ -352,11 +348,13 @@ pub(crate) struct Waiting {
 /// The server delivery whose handler is running: `(node, work, worker)`.
 type Serving = Option<(NodeId, Work, Option<usize>)>;
 
-/// The cost model's state: one [`ServerNode`] per server, the network, the
-/// replicas each backup stages, and the held write workers.
+/// The cost model's state: one [`ServerNode`] per server, the network and
+/// the held write workers.
 #[derive(Debug)]
 pub(crate) struct Costs {
     nominal_entry: u64,
+    /// Nominal bytes per stored byte of a log entry.
+    inflate: f64,
     key_bytes: u64,
     value_bytes: u64,
     nodes: Vec<ServerNode>,
@@ -364,8 +362,6 @@ pub(crate) struct Costs {
     mem_write: Vec<RateMeter>,
     profile: NetProfile,
     net: Network,
-    /// Per backup: the `(master, segment)` replicas it stages.
-    staged: Vec<BTreeMap<(usize, u64), Replica>>,
     /// `(server, (client, seq))` → `(worker, since)`: a write's worker,
     /// held from its handler until its response leaves.
     held: BTreeMap<(usize, (u64, u64)), (usize, SimTime)>,
@@ -377,6 +373,11 @@ pub(crate) struct Costs {
     serving: Serving,
     /// Messages between their send and their handler, heartbeats aside.
     in_flight: usize,
+    /// `(holder, recovery master, crashed)` of each `SegmentData` on its
+    /// way.
+    answering: BTreeSet<(usize, usize, usize)>,
+    /// Per node: when its NIC is done with the replica images it sends.
+    bulk_free: Vec<SimTime>,
     killed: bool,
     detected_at: Option<SimTime>,
     finished_at: Option<SimTime>,
@@ -409,11 +410,12 @@ fn all_entries(bytes: &[u8]) -> u64 {
 }
 
 impl Costs {
-    fn new(cfg: &ClusterConfig, staged: Vec<BTreeMap<(usize, u64), Replica>>) -> Self {
+    fn new(cfg: &ClusterConfig) -> Self {
         let total = 1 + cfg.servers + cfg.clients;
         let second = SimDuration::from_secs(1);
         Costs {
             nominal_entry: cfg.nominal_entry_bytes() as u64,
+            inflate: cfg.segment_bytes as f64 / cfg.stored_segment_bytes() as f64,
             key_bytes: cfg.key_bytes() as u64,
             value_bytes: cfg.workload.value_bytes as u64,
             nodes: (0..cfg.servers)
@@ -423,12 +425,13 @@ impl Costs {
             // The paper ran RAMCloud over Infiniband only.
             profile: NetProfile::infiniband_20g(),
             net: Network::new(total, NetProfile::infiniband_20g()),
-            staged,
             held: BTreeMap::new(),
             timers: vec![None; total],
             shed: vec![0; cfg.servers],
             serving: None,
             in_flight: 0,
+            answering: BTreeSet::new(),
+            bulk_free: vec![SimTime::ZERO; total],
             killed: false,
             detected_at: None,
             finished_at: None,
@@ -445,9 +448,18 @@ impl Costs {
         self.killed = true;
         let node = &mut self.nodes[victim];
         node.killed_at = Some(now);
-        self.in_flight -= node.pending.iter().filter(|w| counted(&w.hop.msg)).count();
-        node.pending.clear();
+        for w in std::mem::take(&mut node.pending) {
+            self.settle(&w.hop);
+        }
         self.held.retain(|&(s, _), _| s != victim);
+    }
+
+    /// A message is handled, or dropped at a dead node.
+    fn settle(&mut self, hop: &Hop) {
+        self.in_flight -= usize::from(counted(&hop.msg));
+        if let Msg::SegmentData { crashed, .. } = hop.msg {
+            self.answering.remove(&(hop.from.0, hop.to.0, crashed));
+        }
     }
 
     /// Nominal wire size of `msg`, bytes.
@@ -478,14 +490,13 @@ impl Costs {
                 ClientOp::Get { .. } => Work::Read,
                 _ => Work::Write,
             },
-            Msg::Replicate {
-                segment,
-                bytes,
-                token,
-            } => {
-                let image = *token == REPLICA_RESEED;
-                let entries = if image { all_entries(bytes) } else { 1 };
-                Work::Stage(from.0.checked_sub(1)?, *segment, entries, image)
+            Msg::Replicate { bytes, token, .. } => {
+                from.0.checked_sub(1)?;
+                Work::Stage(if *token == REPLICA_RESEED {
+                    all_entries(bytes)
+                } else {
+                    1
+                })
             }
             // The worker holding the write polls for its acks.
             Msg::ReplicateAck { .. } => return None,
@@ -566,34 +577,32 @@ impl Costs {
         });
     }
 
-    /// A backup staged a replicate: memory is written now, and a segment
-    /// sealed by it goes to disk — an image (of a sealed segment) that
-    /// supersedes what the backup held, or the segment an append to a later
-    /// one of the same master closed.
-    fn stage(
-        &mut self,
-        backup: usize,
-        (master, segment, entries, image): (usize, u64, u64, bool),
-        now: SimTime,
-    ) {
-        let nominal = self.nominal_entry;
-        self.mem_write[backup].add(now, (entries * nominal) as f64);
-        let staged = &mut self.staged[backup];
-        let disk = &mut self.nodes[backup].disk;
-        if image {
-            if entries > staged.get(&(master, segment)).map_or(0, |r| r.0) {
-                staged.insert((master, segment), (entries, true));
-                disk.submit(now, IoKind::Write, entries * nominal);
-            }
+    /// A backup stages `msg` from `master`: memory is written now, and its
+    /// disk takes what the staging seals — an image that supersedes the
+    /// replica held, or the open segment (the master's highest) that an
+    /// append to a later one closes.
+    fn stage(&mut self, backup: usize, held: &dyn BackupStorage, hop: &Hop, now: SimTime) {
+        let Msg::Replicate {
+            segment,
+            bytes,
+            token,
+        } = &hop.msg
+        else {
             return;
-        }
-        for (_, (held, sealed)) in staged.range_mut((master, 0)..(master, segment)) {
-            if !*sealed {
-                *sealed = true;
-                disk.submit(now, IoKind::Write, *held * nominal);
+        };
+        let master = hop.from.0 - 1;
+        let nominal = (bytes.len() as f64 * self.inflate) as u64;
+        self.mem_write[backup].add(now, nominal as f64);
+        let sealed = match held.last_slot(master) {
+            _ if *token == REPLICA_RESEED => {
+                (bytes.len() as u64 > held.slot_len(master, *segment)).then_some(nominal)
             }
+            Some((open, len)) if open < *segment => Some((len as f64 * self.inflate) as u64),
+            _ => None,
+        };
+        if let Some(size) = sealed {
+            self.nodes[backup].disk.submit(now, IoKind::Write, size);
         }
-        staged.entry((master, segment)).or_insert((0, false)).0 += entries;
     }
 
     /// The disk reads a backup does to answer `FetchSegments`: its sealed
@@ -603,16 +612,16 @@ impl Costs {
     fn read_replicas(
         &mut self,
         backup: usize,
-        crashed: usize,
         segments: &[(u64, Vec<u8>)],
         now: SimTime,
     ) -> VecDeque<(SimTime, u64)> {
         let mut plan = VecDeque::with_capacity(segments.len());
+        let open = segments.iter().map(|s| s.0).max();
         for (segment, bytes) in segments {
             let size = all_entries(bytes) * self.nominal_entry;
-            let ready = match self.staged[backup].get(&(crashed, *segment)) {
-                Some((_, true)) => self.nodes[backup].disk.submit(now, IoKind::Read, size),
-                _ => now + SimDuration::from_micros(50),
+            let ready = match Some(*segment) == open {
+                true => now + SimDuration::from_micros(50),
+                false => self.nodes[backup].disk.submit(now, IoKind::Read, size),
             };
             plan.push_back((ready, size));
         }
@@ -667,8 +676,12 @@ impl Costs {
                     Msg::Replicate { token, .. } if *token != REPLICA_RESEED => Some(*token),
                     _ => None,
                 });
+                // A retry of a write still waiting for its acks re-sends its
+                // replicas: the first delivery's worker minds them, and this
+                // one is free at once.
+                let token = token.filter(|t| !answered && !self.held.contains_key(&(server, *t)));
                 let node = &mut self.nodes[server];
-                let Some(token) = token.filter(|_| !answered) else {
+                let Some(token) = token else {
                     node.adjust_writers(now, -1);
                     return self.release(server, worker, now, rt);
                 };
@@ -686,9 +699,6 @@ impl Costs {
                 self.held.insert((server, token), (worker, now));
             }
             Some((_, _, Some(worker))) => self.release(server, worker, now, rt),
-            Some((_, Work::Stage(master, segment, entries, image), None)) => {
-                self.stage(server, (master, segment, entries, image), now)
-            }
             _ => {}
         }
         if outs
@@ -733,8 +743,15 @@ fn arrive(net: &mut SimNet, rt: &mut Sched, hop: Hop) {
         return handle(net, rt, hop, None);
     };
     if nodes[hop.to.0].is_none() {
-        c.in_flight -= usize::from(counted(&hop.msg)); // dead: the NIC drops it
-        return;
+        return c.settle(&hop); // dead: the NIC drops it
+    }
+    if let Msg::FetchSegments { crashed } = hop.msg {
+        if c.answering.contains(&(hop.to.0, hop.from.0, crashed)) {
+            // A re-sent round repeats a request whose answer is still on its
+            // way: the holder's transport drops it, as it would a retried
+            // RPC still in progress.
+            return c.settle(&hop);
+        }
     }
     let Some(work) = Costs::work(hop.from, &hop.msg) else {
         return handle(net, rt, hop, None);
@@ -743,7 +760,7 @@ fn arrive(net: &mut SimNet, rt: &mut Sched, hop: Hop) {
     let ready_at = match work {
         // Replication is staged on the dispatch thread: it contends with
         // client requests for dispatch but never waits for a worker.
-        Work::Stage(_, _, entries, _) => {
+        Work::Stage(entries) => {
             let busy = calib::DISPATCH_US + calib::BACKUP_WRITE_US * entries as f64;
             node.dispatch_free = now.max(node.dispatch_free) + SimDuration::from_micros_f64(busy);
             node.dispatch_free
@@ -767,12 +784,16 @@ fn arrive(net: &mut SimNet, rt: &mut Sched, hop: Hop) {
 
 /// A server's service of `w` ended: run its handler.
 fn serve(net: &mut SimNet, rt: &mut Sched, w: Waiting) {
-    let node = &mut costs(net).nodes[w.hop.to.0 - 1];
-    if node.killed_at.is_some() {
-        costs(net).in_flight -= usize::from(counted(&w.hop.msg));
-        return;
+    let SimNet { cost, nodes, .. } = net;
+    let c = cost.as_deref_mut().expect("a costed run");
+    let server = w.hop.to.0 - 1;
+    if c.nodes[server].killed_at.is_some() {
+        return c.settle(&w.hop);
     }
-    node.in_service -= usize::from(w.worker.is_some());
+    c.nodes[server].in_service -= usize::from(w.worker.is_some());
+    if let (Work::Stage(_), Some(AnyNode::Server(s))) = (w.work, &nodes[w.hop.to.0]) {
+        c.stage(server, s.storage(), &w.hop, rt.now());
+    }
     let serving = Some((w.hop.to, w.work, w.worker));
     handle(net, rt, w.hop, serving);
 }
@@ -780,7 +801,7 @@ fn serve(net: &mut SimNet, rt: &mut Sched, w: Waiting) {
 /// Runs a handler through the engine's own delivery path.
 fn handle(net: &mut SimNet, rt: &mut Sched, hop: Hop, serving: Serving) {
     let c = costs(net);
-    c.in_flight -= usize::from(counted(&hop.msg));
+    c.settle(&hop);
     c.serving = serving;
     proto_sim::deliver(net, rt, hop.from, hop.to, hop.inc, hop.msg);
     costs(net).serving = None;
@@ -831,7 +852,17 @@ pub(crate) fn emit(net: &mut SimNet, rt: &mut Sched, node: NodeId, q: QueuedRunt
         c.in_flight += usize::from(counted(&msg));
         let mut plan = match (&msg, c.server(node)) {
             (Msg::SegmentData { crashed, segments }, Some(b)) => {
-                c.read_replicas(b, *crashed, segments, now)
+                c.answering.insert((node.0, to.0, *crashed));
+                c.read_replicas(b, segments, now)
+            }
+            // A node sends its replica images one at a time, so what it sends
+            // meanwhile goes between them instead of behind all of them.
+            (Msg::Replicate { token, .. }, _) if *token == REPLICA_RESEED => {
+                let bytes = c.wire_bytes(&msg);
+                let start = at.max(c.bulk_free[node.0]);
+                let serialized = SimDuration::from_secs_f64(bytes as f64 / c.profile.bytes_per_sec);
+                c.bulk_free[node.0] = start + c.profile.per_message_overhead + serialized;
+                VecDeque::from([(start, bytes)])
             }
             _ => VecDeque::from([(at, c.wire_bytes(&msg))]),
         };
@@ -1005,5 +1036,40 @@ fn report(
         recovery,
         timeout_ops,
         crashed: completed > 0 && timeout_ops as f64 > completed as f64 * 0.01,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rmc_ycsb::{StandardWorkload, WorkloadSpec};
+
+    #[test]
+    fn a_retried_write_waiting_for_its_acks_frees_its_worker() {
+        let workload = WorkloadSpec::standard(StandardWorkload::A)
+            .with_record_count(400)
+            .with_ops_per_client(300);
+        let cfg = ClusterConfig::new(4, 2, workload).with_replication(1);
+        let mut net = build(&cfg, false);
+        // Server 1's dispatch thread is busy for 3 s: the writes it masters,
+        // and those it backs up, wait past the clients' 1 s retry timeout,
+        // so a retry reaches a master whose write still waits for its acks.
+        costs(&mut net).nodes[1].dispatch_free = SimTime::from_secs(3);
+        let sim = drive(net, None);
+        assert!(sim.now() < SimTime::from_secs(60), "ran to {:?}", sim.now());
+        let net = sim.state();
+        let resends: u64 = (net.nodes.iter().flatten())
+            .filter_map(|n| match n {
+                AnyNode::Server(s) => Some(s.counters.pending_resends),
+                _ => None,
+            })
+            .sum();
+        assert!(resends > 0, "no retry met a pending write");
+        let c = net.cost.as_deref().expect("a costed run");
+        assert!(c.held.is_empty());
+        for node in &c.nodes {
+            assert!(node.workers.iter().all(|&w| w != SimTime::MAX));
+        }
+        assert!(net.clients_done());
     }
 }

@@ -57,12 +57,17 @@
 //!   a master it knows to be dead — and fences the master *before* serving
 //!   a recovery `FetchSegments` — so a zombie master can never get a write
 //!   acked after recovery has read the backup's segments.
-//! - **Recovery rounds.** `TakeOver`/`TakeOverDone` carry a round number;
-//!   the coordinator re-issues a recovery (new round, recomputed over the
-//!   current survivors) if it stalls for `round_timeout` (200 ms),
-//!   and ignores completions from superseded rounds. A completed recovery
-//!   whose target owner has meanwhile died is re-run rather than
-//!   reassigning buckets to a corpse.
+//! - **Recovery rounds.** `TakeOver`/`TakeOverDone` carry a round number.
+//!   A round still unfinished after `RECOVERY_RETRY_TIMEOUT` (200 ms) is
+//!   re-sent as it is to the recovery masters that have not reported — a
+//!   lost message is all that can hold it up — and re-issued (new round,
+//!   recomputed over the current survivors) only once a server it counts on
+//!   has died or restarted. A recovery master answers a re-sent round by
+//!   asking again whoever has not answered, or by reporting again if it has
+//!   finished, so a round that takes longer than 200 ms (as one shipping
+//!   gigabytes does) is never restarted. Completions from superseded rounds
+//!   are ignored, and a completed recovery whose target owner has meanwhile
+//!   died is re-run rather than reassigning buckets to a corpse.
 //! - **Replica re-targeting.** A backup's replica of segment S is the
 //!   master's log segment S. When the replica target set changes (a backup
 //!   died or was readmitted) the master seals its head, images every log
@@ -140,12 +145,6 @@ pub struct ProtocolConfig {
     /// Client retry timeout for unanswered requests: the backoff base
     /// (see [`retry_backoff`]).
     pub retry_timeout: SimDuration,
-    /// How long the coordinator waits for a recovery round to complete before
-    /// re-issuing it over the current survivors (200 ms). A round ships the
-    /// crashed master's whole replica set to every recovery master, so at the
-    /// paper's data sizes it takes seconds, and a shorter wait re-issues it
-    /// forever.
-    pub round_timeout: SimDuration,
     /// Master log sizing.
     pub log: LogConfig,
 }
@@ -167,7 +166,6 @@ impl ProtocolConfig {
             heartbeat_interval: SimDuration::from_millis(10),
             failure_timeout: SimDuration::from_millis(50),
             retry_timeout: SimDuration::from_millis(40),
-            round_timeout: SimDuration::from_millis(200),
             log: LogConfig {
                 segment_bytes: 1 << 16,
                 max_segments: 1024,
@@ -218,6 +216,10 @@ pub fn retry_jitter(client: usize, seq: u64, attempt: u32, max_nanos: u64) -> u6
 /// How many times a client's retry window doubles: from attempt 3 on it
 /// waits `retry_timeout · 8` (320 ms at the 40 ms default).
 const MAX_BACKOFF_DOUBLINGS: u32 = 3;
+
+/// How long the coordinator waits for a recovery round to complete before
+/// re-sending it (or, if a server it counts on died, re-issuing it).
+const RECOVERY_RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(200);
 
 /// The exponential backoff window, `retry_timeout · 2^min(attempt, 3)`, plus
 /// [`retry_jitter`] below half the base, that a client waits before retry
@@ -485,7 +487,7 @@ pub struct CoordCounters {
     /// Servers readmitted (bucket-less) after restart or a healed
     /// partition.
     pub readmissions: u64,
-    /// Recovery rounds re-issued after a stall or a dead recovery master.
+    /// Recovery rounds re-issued because a server they counted on died.
     pub recovery_retries: u64,
     /// Restart recoveries deferred because declaring the server dead at
     /// detection time would have left no survivor (whole-fleet restart).
@@ -497,15 +499,20 @@ pub struct CoordCounters {
 /// One in-flight recovery the coordinator is tracking.
 #[derive(Debug)]
 struct PendingRecovery {
-    /// Recovery masters still working this round. A set keyed by server
-    /// index, not a count: the network may duplicate a `TakeOverDone`, and
-    /// counting one master's completion twice would finish the recovery
-    /// with another master's buckets never replayed.
-    left: BTreeSet<usize>,
+    /// Recovery masters still working this round, with the buckets each
+    /// replays. Keyed by server index, not a count: the network may
+    /// duplicate a `TakeOverDone`, and counting one master's completion
+    /// twice would finish the recovery with another master's buckets never
+    /// replayed.
+    left: BTreeMap<usize, Vec<usize>>,
     /// Current round; completions from other rounds are stale.
     round: u64,
-    /// When the current round was issued.
+    /// When the current round was last sent.
     started: SimTime,
+    /// The survivors the round fetches from, with the epoch each had when
+    /// it was issued: the round is re-issued once one of them dies or
+    /// restarts.
+    counts_on: Vec<(usize, u64)>,
     /// `(bucket, new_owner)` reassignments to apply when all finish.
     moves: Vec<(usize, usize)>,
 }
@@ -713,17 +720,25 @@ impl CoordinatorNode {
             return;
         }
         let now = rt.now();
-        // Re-issue stalled recoveries (a recovery master died, or its
-        // completion was lost) over the current survivors.
+        // Stalled recoveries: re-send the round while every server it counts
+        // on lives (a message was lost, or the round is merely long), and
+        // re-issue it over the current survivors once one has died.
         let overdue: Vec<usize> = self
             .pending
             .iter()
-            .filter(|(_, rec)| now.saturating_since(rec.started) >= self.cfg.round_timeout)
+            .filter(|(_, rec)| now.saturating_since(rec.started) >= RECOVERY_RETRY_TIMEOUT)
             .map(|(&crashed, _)| crashed)
             .collect();
         for crashed in overdue {
-            self.counters.recovery_retries += 1;
-            self.start_recovery_round(crashed, rt);
+            let rec = &self.pending[&crashed];
+            let intact = (rec.counts_on.iter())
+                .all(|&(s, epoch)| self.coord.is_alive(s) && self.server_epoch[s] == epoch);
+            if intact {
+                self.send_round(crashed, rt);
+            } else {
+                self.counters.recovery_retries += 1;
+                self.start_recovery_round(crashed, rt);
+            }
         }
         // Parked restart recoveries (see the deferral in `on_heartbeat`):
         // retry each tick; once enough siblings are readmitted the
@@ -787,26 +802,36 @@ impl CoordinatorNode {
             return;
         }
         self.next_round += 1;
-        let round = self.next_round;
+        let counts_on = (survivors.iter())
+            .map(|&s| (s, self.server_epoch[s]))
+            .collect();
         self.pending.insert(
             victim,
             PendingRecovery {
-                left: per_owner.keys().copied().collect(),
-                round,
+                left: per_owner,
+                round: self.next_round,
                 started: rt.now(),
+                counts_on,
                 moves: will,
             },
         );
-        for (owner, buckets) in per_owner {
-            rt.send(
-                server_id(owner),
-                Msg::TakeOver {
-                    crashed: victim,
-                    buckets,
-                    survivors: survivors.clone(),
-                    round,
-                },
-            );
+        self.send_round(victim, rt);
+    }
+
+    /// Sends `victim`'s current round to each recovery master that has not
+    /// reported it done.
+    fn send_round<R: Runtime<Msg = Msg>>(&mut self, victim: usize, rt: &mut R) {
+        let rec = self.pending.get_mut(&victim).expect("pending");
+        rec.started = rt.now();
+        let survivors: Vec<usize> = rec.counts_on.iter().map(|&(s, _)| s).collect();
+        for (&owner, buckets) in &rec.left {
+            let takeover = Msg::TakeOver {
+                crashed: victim,
+                buckets: buckets.clone(),
+                survivors: survivors.clone(),
+                round: rec.round,
+            };
+            rt.send(server_id(owner), takeover);
         }
     }
 
@@ -950,6 +975,8 @@ pub struct Server {
     last_targets: Vec<usize>,
     /// In-progress recoveries, keyed by crashed master.
     recovery: BTreeMap<usize, RecoveryFetch>,
+    /// The last recovery round finished per crashed master.
+    recovered: BTreeMap<usize, u64>,
     /// Event counters.
     pub counters: ServerCounters,
     /// Time writes spend waiting on backup acks (ns): from the first
@@ -1033,6 +1060,7 @@ impl Server {
             rifl_last: BTreeMap::new(),
             last_targets,
             recovery: BTreeMap::new(),
+            recovered: BTreeMap::new(),
             counters: ServerCounters::default(),
             ack_wait: Histogram::new(),
         }
@@ -1506,9 +1534,31 @@ impl Server {
         round: u64,
         rt: &mut R,
     ) {
+        if let Some(&done) = self.recovered.get(&crashed) {
+            if done == round {
+                // A re-sent round already finished here: its report is lost
+                // or still on its way.
+                let done = Msg::TakeOverDone {
+                    crashed,
+                    buckets,
+                    round,
+                };
+                return rt.send(coordinator_id(), done);
+            }
+            if done > round {
+                return;
+            }
+        }
         if let Some(existing) = self.recovery.get(&crashed) {
+            if existing.round == round {
+                // A re-sent round in progress: ask again whoever has not
+                // answered (the request or its answer may have been lost).
+                for &s in &existing.awaiting {
+                    rt.send(server_id(s), Msg::FetchSegments { crashed });
+                }
+            }
             if existing.round >= round {
-                return; // stale re-send of a round already in progress
+                return;
             }
         }
         // We know the master is dead even if the MapUpdate raced.
@@ -1550,7 +1600,9 @@ impl Server {
         let Some(fetch) = self.recovery.get_mut(&crashed) else {
             return;
         };
-        fetch.awaiting.remove(&survivor);
+        if !fetch.awaiting.remove(&survivor) {
+            return; // a repeated answer
+        }
         fetch.collected.extend(segments);
         if fetch.awaiting.is_empty() {
             self.finish_takeover(crashed, rt);
@@ -1565,6 +1617,7 @@ impl Server {
             .recovery
             .remove(&crashed)
             .expect("takeover in progress");
+        self.recovered.insert(crashed, fetch.round);
         let bucket_set: BTreeSet<usize> = fetch.buckets.iter().copied().collect();
         // Replay into fresh segments only: a duplicated `Replicate` can leave
         // a backup holding more bytes of the head than the log does, and it
@@ -2859,6 +2912,106 @@ mod tests {
             &mut rt,
         );
         assert_eq!(coord.counters.stale_heartbeats, 1);
+    }
+
+    #[test]
+    fn a_stalled_round_is_resent_until_a_server_it_counts_on_dies() {
+        let cfg = ProtocolConfig::new(4, 0, 1);
+        let mut coord = CoordinatorNode::new(cfg);
+        let mut rt = TestRt::new(coordinator_id());
+        coord.on_start(&mut rt);
+        let beat = |coord: &mut CoordinatorNode, rt: &mut TestRt, s: usize, epoch| {
+            let hb = Msg::Heartbeat {
+                epoch,
+                map_version: 0,
+            };
+            coord.on_message(server_id(s), hb, rt);
+        };
+        beat(&mut coord, &mut rt, 0, 1); // server 0 restarted
+        let takeovers = |rt: &mut TestRt| -> Vec<(usize, Vec<usize>, u64)> {
+            (rt.drain().into_iter())
+                .filter_map(|(to, m)| match m {
+                    Msg::TakeOver { buckets, round, .. } => Some((to.0 - 1, buckets, round)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let first = takeovers(&mut rt);
+        assert_eq!(first.len(), 3);
+        let (done, bks, round) = first[0].clone();
+        let report = Msg::TakeOverDone {
+            crashed: 0,
+            buckets: bks,
+            round,
+        };
+        coord.on_message(server_id(done), report, &mut rt);
+
+        // 200 ms on, every survivor alive: the same round goes again to the
+        // two recovery masters that have not reported.
+        for _ in 0..20 {
+            rt.now += SimDuration::from_millis(10);
+            (1..4).for_each(|s| beat(&mut coord, &mut rt, s, 0));
+            coord.on_timer(&mut rt);
+        }
+        let again = takeovers(&mut rt);
+        assert_eq!(again, first[1..].to_vec());
+        assert_eq!(coord.counters.recovery_retries, 0);
+
+        // Server 3 falls silent and is declared dead: the round is
+        // re-issued over servers 1 and 2.
+        for _ in 0..30 {
+            rt.now += SimDuration::from_millis(10);
+            (1..3).for_each(|s| beat(&mut coord, &mut rt, s, 0));
+            coord.on_timer(&mut rt);
+        }
+        assert!(!coord.coord.is_alive(3));
+        assert_eq!(coord.counters.recovery_retries, 1);
+        let reissued = takeovers(&mut rt);
+        let of_0: Vec<_> = reissued.iter().filter(|t| t.2 > round).collect();
+        assert!(of_0.iter().all(|t| t.0 == 1 || t.0 == 2), "{reissued:?}");
+    }
+
+    #[test]
+    fn a_recovery_master_asks_again_or_reports_again_for_a_resent_round() {
+        let cfg = ProtocolConfig::new(3, 0, 1);
+        let mut rm = Server::new(1, cfg);
+        let mut rt = TestRt::new(server_id(1));
+        let takeover = || Msg::TakeOver {
+            crashed: 0,
+            buckets: vec![0, 1],
+            survivors: vec![1, 2],
+            round: 4,
+        };
+        let fetches = |rt: &mut TestRt| -> Vec<NodeId> {
+            (rt.drain().into_iter())
+                .filter(|(_, m)| matches!(m, Msg::FetchSegments { crashed: 0 }))
+                .map(|(to, _)| to)
+                .collect()
+        };
+        rm.on_message(coordinator_id(), takeover(), &mut rt);
+        assert_eq!(fetches(&mut rt), vec![server_id(2)]);
+        // Re-sent while server 2 has not answered: ask it again.
+        rm.on_message(coordinator_id(), takeover(), &mut rt);
+        assert_eq!(fetches(&mut rt), vec![server_id(2)]);
+        let data = || Msg::SegmentData {
+            crashed: 0,
+            segments: Vec::new(),
+        };
+        rm.on_message(server_id(2), data(), &mut rt);
+        let done = |rt: &mut TestRt| {
+            (rt.drain().into_iter())
+                .filter(|(to, m)| {
+                    *to == coordinator_id() && matches!(m, Msg::TakeOverDone { round: 4, .. })
+                })
+                .count()
+        };
+        assert_eq!(done(&mut rt), 1);
+        // A late repeated answer changes nothing; a re-sent finished round
+        // is reported again without fetching.
+        rm.on_message(server_id(2), data(), &mut rt);
+        assert_eq!(done(&mut rt), 0);
+        rm.on_message(coordinator_id(), takeover(), &mut rt);
+        assert_eq!(done(&mut rt), 1);
     }
 
     #[test]

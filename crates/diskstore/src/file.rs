@@ -795,6 +795,15 @@ impl BackupStorage for FileStorage {
             .collect()
     }
 
+    fn slot_len(&self, master: usize, segment: u64) -> u64 {
+        self.slots.get(&(master, segment)).map_or(0, |s| s.len)
+    }
+
+    fn last_slot(&self, master: usize) -> Option<(u64, u64)> {
+        let mut slots = self.slots.range((master, 0)..=(master, u64::MAX));
+        slots.next_back().map(|(&(_, s), slot)| (s, slot.len))
+    }
+
     fn segment_count(&self) -> usize {
         self.slots.len()
     }
@@ -910,6 +919,8 @@ mod tests {
         let s = open(&dir, FsyncPolicy::PerWrite);
         assert_eq!(s.segments_of(0), vec![(1, b"firstsecond".to_vec())]);
         assert_eq!(s.segments_of(2), vec![(7, b"other master".to_vec())]);
+        assert_eq!((s.slot_len(0, 1), s.slot_len(0, 2)), (11, 0));
+        assert_eq!((s.last_slot(2), s.last_slot(1)), (Some((7, 12)), None));
         assert_eq!(s.recovery.segments, 2);
         assert_eq!(s.recovery.torn_tails, 0);
         let _ = fs::remove_dir_all(&dir);

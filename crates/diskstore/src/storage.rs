@@ -237,6 +237,14 @@ pub trait BackupStorage: std::fmt::Debug + Send {
     /// The staged segments of `master`: `(segment, concatenated bytes)`.
     fn segments_of(&self, master: usize) -> Vec<(u64, Vec<u8>)>;
 
+    /// Bytes staged for `(master, segment)`, 0 if none, without reading
+    /// them.
+    fn slot_len(&self, master: usize, segment: u64) -> u64;
+
+    /// `master`'s highest staged segment and its length: the one a live
+    /// master is still filling.
+    fn last_slot(&self, master: usize) -> Option<(u64, u64)>;
+
     /// Number of `(master, segment)` slots staged.
     fn segment_count(&self) -> usize;
 
@@ -295,6 +303,17 @@ impl BackupStorage for MemStorage {
             .collect()
     }
 
+    fn slot_len(&self, master: usize, segment: u64) -> u64 {
+        self.staged
+            .get(&(master, segment))
+            .map_or(0, |b| b.len() as u64)
+    }
+
+    fn last_slot(&self, master: usize) -> Option<(u64, u64)> {
+        let mut slots = self.staged.range((master, 0)..=(master, u64::MAX));
+        slots.next_back().map(|(&(_, s), b)| (s, b.len() as u64))
+    }
+
     fn segment_count(&self) -> usize {
         self.staged.len()
     }
@@ -322,6 +341,9 @@ mod tests {
         assert_eq!(s.segments_of(2), vec![(1, b"cc".to_vec())]);
         assert_eq!(s.segment_count(), 2);
         assert_eq!(s.staged_bytes(), 6);
+        s.append(0, 3, b"d").unwrap();
+        assert_eq!((s.slot_len(0, 1), s.slot_len(0, 2)), (4, 0));
+        assert_eq!((s.last_slot(0), s.last_slot(1)), (Some((3, 1)), None));
     }
 
     #[test]
