@@ -7,14 +7,19 @@
 //! (the paper sets `ServerSpan` to the number of servers for the same
 //! effect).
 
-use rmc_logstore::{key_hash, TableId};
+use rmc_logstore::{key_hash, KeyHash, TableId};
 
 /// The hash bucket `key` falls into among `buckets` tablets.
 ///
 /// Free function so every routing decision — coordinator, masters, and
 /// clients, under either engine — shares one hash.
 pub fn bucket_for(table: TableId, key: &[u8], buckets: usize) -> usize {
-    (key_hash(table, key).0 % buckets as u64) as usize
+    bucket_of(key_hash(table, key), buckets)
+}
+
+/// The hash bucket of a key whose hash is `hash`, among `buckets` tablets.
+pub(crate) fn bucket_of(hash: KeyHash, buckets: usize) -> usize {
+    (hash.0 % buckets as u64) as usize
 }
 
 /// Cluster metadata service.

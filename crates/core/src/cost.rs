@@ -41,8 +41,8 @@ use crate::config::{ClientAffinity, ClusterConfig};
 use crate::node::ServerNode;
 use crate::proto_sim::{self, QueuedRuntime, SimNet};
 use crate::protocol::{
-    replica_targets, server_id, AnyNode, ClientCore, ClientOp, CoordinatorNode, Msg,
-    ProtocolConfig, Reply, Server, PROTO_TABLE, REPLICA_RESEED,
+    is_image, replica_targets, server_id, AnyNode, ClientCore, ClientOp, CoordinatorNode, Msg,
+    ProtocolConfig, Reply, Server, ServerCounters, PROTO_TABLE,
 };
 use crate::report::{RecoveryReport, RunReport};
 
@@ -368,8 +368,8 @@ pub(crate) struct Costs {
     /// Each node's one timer deadline (the [`Runtime::set_timer`] contract:
     /// re-arming keeps the earlier deadline).
     timers: Vec<Option<SimTime>>,
-    /// Per server: `pending_dropped` as last seen.
-    shed: Vec<u64>,
+    /// Per server: its counters as last seen.
+    seen: Vec<ServerCounters>,
     serving: Serving,
     /// Messages between their send and their handler, heartbeats aside.
     in_flight: usize,
@@ -427,7 +427,7 @@ impl Costs {
             net: Network::new(total, NetProfile::infiniband_20g()),
             held: BTreeMap::new(),
             timers: vec![None; total],
-            shed: vec![0; cfg.servers],
+            seen: vec![ServerCounters::default(); cfg.servers],
             serving: None,
             in_flight: 0,
             answering: BTreeSet::new(),
@@ -462,7 +462,8 @@ impl Costs {
         }
     }
 
-    /// Nominal wire size of `msg`, bytes.
+    /// Nominal wire size of `msg`, bytes: a `Replicate`'s scales with the
+    /// entries it carries (one for an update's, a segment's for an image).
     fn wire_bytes(&self, msg: &Msg) -> u64 {
         match msg {
             Msg::Request { op, .. } => match op {
@@ -473,10 +474,7 @@ impl Costs {
                 Reply::Value(Some(_)) => self.value_bytes + 40,
                 _ => 48,
             },
-            Msg::Replicate { bytes, token, .. } if *token == REPLICA_RESEED => {
-                all_entries(bytes) * self.nominal_entry + 40
-            }
-            Msg::Replicate { .. } => self.nominal_entry + 40,
+            Msg::Replicate { bytes, .. } => all_entries(bytes) * self.nominal_entry + 40,
             Msg::ReplicateAck { .. } => 32,
             _ => 64,
         }
@@ -490,13 +488,9 @@ impl Costs {
                 ClientOp::Get { .. } => Work::Read,
                 _ => Work::Write,
             },
-            Msg::Replicate { bytes, token, .. } => {
+            Msg::Replicate { bytes, .. } => {
                 from.0.checked_sub(1)?;
-                Work::Stage(if *token == REPLICA_RESEED {
-                    all_entries(bytes)
-                } else {
-                    1
-                })
+                Work::Stage(all_entries(bytes))
             }
             // The worker holding the write polls for its acks.
             Msg::ReplicateAck { .. } => return None,
@@ -578,26 +572,20 @@ impl Costs {
     }
 
     /// A backup stages `msg` from `master`: memory is written now, and its
-    /// disk takes what the staging seals — an image that supersedes the
-    /// replica held, or the open segment (the master's highest) that an
-    /// append to a later one closes.
+    /// disk takes what the staging seals — the open segment (the master's
+    /// highest) that an append to a later one closes, or the append itself
+    /// when it is to a segment below the open one (an image of a sealed
+    /// segment, a late retry).
     fn stage(&mut self, backup: usize, held: &dyn BackupStorage, hop: &Hop, now: SimTime) {
-        let Msg::Replicate {
-            segment,
-            bytes,
-            token,
-        } = &hop.msg
-        else {
+        let Msg::Replicate { segment, bytes, .. } = &hop.msg else {
             return;
         };
         let master = hop.from.0 - 1;
         let nominal = (bytes.len() as f64 * self.inflate) as u64;
         self.mem_write[backup].add(now, nominal as f64);
         let sealed = match held.last_slot(master) {
-            _ if *token == REPLICA_RESEED => {
-                (bytes.len() as u64 > held.slot_len(master, *segment)).then_some(nominal)
-            }
             Some((open, len)) if open < *segment => Some((len as f64 * self.inflate) as u64),
+            Some((open, _)) if *segment < open => Some(nominal),
             _ => None,
         };
         if let Some(size) = sealed {
@@ -652,9 +640,9 @@ impl Costs {
                 }
             }
         }
-        if s.counters.pending_dropped > self.shed[server] {
+        let seen = std::mem::replace(&mut self.seen[server], s.counters);
+        if s.counters.pending_dropped > seen.pending_dropped {
             // A shed write is never answered: free its worker.
-            self.shed[server] = s.counters.pending_dropped;
             let shed: Vec<_> = self
                 .held
                 .keys()
@@ -673,7 +661,7 @@ impl Costs {
                     .iter()
                     .any(|(_, m, _)| matches!(m, Msg::Response { .. }));
                 let token = outs.iter().find_map(|(_, m, _)| match m {
-                    Msg::Replicate { token, .. } if *token != REPLICA_RESEED => Some(*token),
+                    Msg::Replicate { token, .. } => Some(*token),
                     _ => None,
                 });
                 // A retry of a write still waiting for its acks re-sends its
@@ -701,22 +689,15 @@ impl Costs {
             Some((_, _, Some(worker))) => self.release(server, worker, now, rt),
             _ => {}
         }
-        if outs
-            .iter()
-            .any(|(_, m, _)| matches!(m, Msg::TakeOverDone { .. }))
-        {
+        if s.counters.replays > seen.replays {
             // The takeover's one handler replayed what it now images: that
-            // replay holds the log head and a core, and its images and
-            // `TakeOverDone` leave when it ends.
-            let mut seen = BTreeSet::new();
+            // replay holds the log head and a core, and what the handler
+            // sent leaves when it ends.
+            let mut segments = BTreeSet::new();
             let replayed: u64 = (outs.iter())
                 .filter_map(|(_, m, _)| match m {
-                    Msg::Replicate {
-                        segment,
-                        bytes,
-                        token,
-                    } if *token == REPLICA_RESEED => {
-                        seen.insert(*segment).then(|| all_entries(bytes))
+                    Msg::Replicate { segment, bytes, .. } => {
+                        segments.insert(*segment).then(|| all_entries(bytes))
                     }
                     _ => None,
                 })
@@ -857,7 +838,7 @@ pub(crate) fn emit(net: &mut SimNet, rt: &mut Sched, node: NodeId, q: QueuedRunt
             }
             // A node sends its replica images one at a time, so what it sends
             // meanwhile goes between them instead of behind all of them.
-            (Msg::Replicate { token, .. }, _) if *token == REPLICA_RESEED => {
+            (Msg::Replicate { token, .. }, _) if is_image(node, *token) => {
                 let bytes = c.wire_bytes(&msg);
                 let start = at.max(c.bulk_free[node.0]);
                 let serialized = SimDuration::from_secs_f64(bytes as f64 / c.profile.bytes_per_sec);
@@ -1071,5 +1052,50 @@ mod tests {
             assert!(node.workers.iter().all(|&w| w != SimTime::MAX));
         }
         assert!(net.clients_done());
+    }
+
+    #[test]
+    fn a_recovery_sends_no_image_twice_to_one_target() {
+        // Fig 9's shape at a five-hundredth of its data: ten idle servers,
+        // R = 4, 10 KB values, the middle server killed.
+        let mut workload = WorkloadSpec::standard(StandardWorkload::C)
+            .with_record_count(2_000)
+            .with_ops_per_client(0);
+        workload.value_bytes = 10 * 1024;
+        let cfg = ClusterConfig::new(10, 1, workload).with_replication(4);
+        let run = run(
+            &cfg,
+            Some((SimTime::from_secs(2), 5)),
+            SimDuration::ZERO,
+            false,
+        );
+        let recovery = run.report.recovery.expect("the kill was recovered");
+        assert!(recovery.replayed_entries > 0);
+        let servers: Vec<&Server> = (run.net.nodes.iter().flatten())
+            .filter_map(|n| match n {
+                AnyNode::Server(s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(servers.len(), 9);
+        let alive: Vec<bool> = (0..10).map(|i| i != 5).collect();
+        for master in &servers {
+            assert_eq!(master.counters.image_resends, 0, "server {}", master.index);
+            // Every target holds each segment of the log once: the kept ones
+            // from the load, the adopted one and the replay's from images.
+            let log = master.store.log();
+            for b in replica_targets(master.index, 10, 4, &alive) {
+                let backup = servers.iter().find(|s| s.index == b).expect("alive");
+                for (segment, bytes) in backup.storage().segments_of(master.index) {
+                    let held = log.segment(rmc_logstore::SegmentId(segment));
+                    assert_eq!(
+                        bytes.len(),
+                        held.expect("held").as_bytes().len(),
+                        "master {}, backup {b}, segment {segment}",
+                        master.index
+                    );
+                }
+            }
+        }
     }
 }

@@ -35,11 +35,12 @@
 //! `failure_timeout` without heartbeats, partitions the will over the
 //! survivors, and sends each recovery master a `TakeOver`. A recovery
 //! master fetches the crashed master's staged segment replicas from every
-//! survivor, replays the entries that hash into its assigned buckets
-//! (version-guarded, so duplicate replicas are harmless), re-replicates the
-//! recovered entries for durability, and reports `TakeOverDone`. When all
-//! recovery masters finish, the coordinator reassigns the buckets and
-//! broadcasts the new tablet map; blocked clients retry into it.
+//! survivor, forgets whatever stale copy it holds of its assigned buckets,
+//! replays the entries that hash into them (version-guarded, so duplicate
+//! replicas are harmless), re-replicates the recovered entries, and reports
+//! `TakeOverDone` once its backups have acked them. When all recovery
+//! masters finish, the coordinator reassigns the buckets and broadcasts the
+//! new tablet map; blocked clients retry into it.
 //!
 //! ## Fault hardening
 //!
@@ -65,19 +66,19 @@
 //!   has died or restarted. A recovery master answers a re-sent round by
 //!   asking again whoever has not answered, or by reporting again if it has
 //!   finished, so a round that takes longer than 200 ms (as one shipping
-//!   gigabytes does) is never restarted. Completions from superseded rounds
+//!   gigabytes does) is never restarted. Completions from replaced rounds
 //!   are ignored, and a completed recovery whose target owner has meanwhile
 //!   died is re-run rather than reassigning buckets to a corpse.
-//! - **Replica re-targeting.** A backup's replica of segment S is the
-//!   master's log segment S. When the replica target set changes (a backup
-//!   died or was readmitted) the master seals its head, images every log
-//!   segment onto the new targets (after a takeover: the segments the replay
-//!   wrote) and re-points pending ack-gated writes at the survivors, so a
-//!   backup death mid-replication neither wedges the write nor silently
-//!   drops a copy. Only sealed segments are imaged, so an image cannot erase
-//!   an append that overtook it (a log with no segment left to roll into is
-//!   imaged open, and counted). A backup adopted later holds only the live
-//!   log, so the cleaner keeps what a retry or a replay needs from it: each
+//! - **One replication write.** A backup's replica of segment S is the
+//!   master's log segment S, and every byte of it arrives as an acked
+//!   append. When the replica target set changes the master seals its head,
+//!   images every log segment onto the targets it adopted and re-points
+//!   pending writes at the survivors, so a backup death mid-replication
+//!   neither wedges the write nor drops a copy. An image is a pending write
+//!   answering no client, re-sent from the heartbeat tick to a target that
+//!   acked no image for `retry_timeout`; a takeover is reported done once
+//!   its images are acked. A backup adopted later holds only the live log,
+//!   so the cleaner keeps what a retry or a replay needs from it: each
 //!   client's latest completion record and each deleted key's tombstone.
 //! - **RIFL duplicate suppression.** Masters remember the last sequence
 //!   number and reply per client: older duplicates are dropped, a duplicate
@@ -89,7 +90,7 @@
 //!   ([`retry_jitter`]), and ask the coordinator for a fresh tablet map
 //!   instead of hot-looping against a stale one.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map::Range, BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rmc_chaos::{MsgClass, OpKind, OpRecord};
@@ -99,7 +100,7 @@ use rmc_obs::span::{SpanKind, SpanRecorder};
 use rmc_runtime::MetricKind::{self, Counter, Gauge};
 use rmc_runtime::{Histogram, MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
 
-use crate::coordinator::{bucket_for, Coordinator};
+use crate::coordinator::{bucket_for, bucket_of, Coordinator};
 
 /// The single table the protocol serves (the paper loads one YCSB table).
 pub const PROTO_TABLE: TableId = TableId(1);
@@ -313,8 +314,9 @@ pub enum Msg {
         /// Serialized [`LogEntry`] bytes (real wire format, CRC-checked on
         /// replay), shared by every replica of one write and every resend.
         bytes: Arc<[u8]>,
-        /// `(client, seq)` the master is waiting to answer —
-        /// `REPLICA_RESEED` for fire-and-forget re-replication.
+        /// `(client, seq)` the master is waiting to answer, or for an image
+        /// of a log segment `(master's node id, segment)`: no client has a
+        /// server's node id.
         token: (u64, u64),
     },
     /// Backup → master: the bytes for `token` are staged.
@@ -415,14 +417,13 @@ impl Msg {
     /// The RIFL `(client, seq)` trace id this message serves, if it is part
     /// of a client operation's span. `from`/`to` identify the client side
     /// of request/response hops; replication hops carry the id as their
-    /// token (re-seed traffic serves no client and yields `None`).
+    /// token (an image serves no client and yields `None`).
     pub fn trace_id(&self, from: NodeId, to: NodeId) -> Option<(u64, u64)> {
         match self {
             Msg::Request { seq, .. } => Some((from.0 as u64, *seq)),
             Msg::Response { seq, .. } => Some((to.0 as u64, *seq)),
-            Msg::Replicate { token, .. } | Msg::ReplicateAck { token } => {
-                (*token != REPLICA_RESEED).then_some(*token)
-            }
+            Msg::Replicate { token, .. } => (!is_image(from, *token)).then_some(*token),
+            Msg::ReplicateAck { token } => (!is_image(to, *token)).then_some(*token),
             _ => None,
         }
     }
@@ -444,9 +445,12 @@ impl Msg {
     }
 }
 
-/// Replicate token used for recovery/re-targeting re-replication (no
-/// client waits on these, so acks are not sent).
-pub const REPLICA_RESEED: (u64, u64) = (u64::MAX, u64::MAX);
+/// Does `master`'s replication token `token` name an image of one of its
+/// log segments? An image's token is `(master's node id, segment)`, an
+/// update's `(client, seq)`, and no client has a server's node id.
+pub(crate) fn is_image(master: NodeId, token: (u64, u64)) -> bool {
+    token.0 == master.0 as u64
+}
 
 /// Classifies a message for the fault layer: replication traffic is
 /// additionally subject to the plan's backup-write fault probability.
@@ -603,7 +607,7 @@ impl CoordinatorNode {
                     return;
                 };
                 if rec.round != round {
-                    return; // a retried round superseded this completion
+                    return; // a retried round replaced this completion
                 }
                 rec.left.remove(&sender);
                 if !rec.left.is_empty() {
@@ -891,14 +895,19 @@ impl CoordinatorNode {
 pub struct ServerCounters {
     /// Replicate messages rejected because the sending master is fenced.
     pub fenced_drops: u64,
-    /// Requests dropped as duplicates of an already-superseded sequence.
+    /// Requests dropped as duplicates of a sequence the client has moved past.
     pub stale_rifl_drops: u64,
     /// Duplicate requests answered from the recorded reply (no re-apply).
     pub rifl_replays: u64,
     /// Requests answered `WrongOwner`.
     pub wrong_owner: u64,
-    /// Times the replica target set changed and the log was re-seeded.
+    /// Times the replica target set changed and the log was imaged onto
+    /// the adopted targets.
     pub reseeds: u64,
+    /// Images re-sent to a target silent for `retry_timeout`.
+    pub image_resends: u64,
+    /// Takeovers replayed here as a recovery master.
+    pub replays: u64,
     /// Pending writes dropped because ownership (or our own liveness)
     /// moved away mid-replication.
     pub pending_dropped: u64,
@@ -910,37 +919,54 @@ pub struct ServerCounters {
     /// Recoveries that stopped replaying a collected replica early because
     /// its bytes stopped parsing (torn/corrupt replica tail).
     pub replay_truncations: u64,
-    /// Head seals a re-replication skipped because the log had no free
-    /// segment to roll into. The open head is imaged all the same, and an
-    /// append that overtakes that image can then be erased on a backup.
+    /// Head seals an image skipped because the log had no free segment to
+    /// roll into. The open head is imaged all the same, and an append that
+    /// overtakes that image lands beside it: neither erases the other.
     pub unsealed_heads: u64,
 }
 
-/// A write applied locally, waiting on backup acks before answering.
+/// Bytes replicated to backups, waiting on their acks: an update's record,
+/// answered when every ack is in, or an image of a log segment, which
+/// answers no client.
 #[derive(Debug)]
 struct PendingWrite {
-    client: NodeId,
-    seq: u64,
-    bucket: usize,
     segment: u64,
-    /// The record, copied out of the log once; each `Replicate` of it
+    /// The bytes, copied out of the log once; each `Replicate` of them
     /// shares this buffer.
     bytes: Arc<[u8]>,
-    reply: Reply,
+    /// An update's bucket and the reply its acks release; `None` for an
+    /// image.
+    answer: Option<(usize, Reply)>,
     waiting: BTreeSet<usize>,
     acked: BTreeSet<usize>,
     /// When replication started, for the ack-wait stage histogram.
     started: SimTime,
 }
 
+impl PendingWrite {
+    fn new(segment: u64, bytes: &[u8], answer: Option<(usize, Reply)>, now: SimTime) -> Self {
+        let (bytes, waiting, acked) = (Arc::from(bytes), BTreeSet::new(), BTreeSet::new());
+        PendingWrite {
+            segment,
+            bytes,
+            answer,
+            waiting,
+            acked,
+            started: now,
+        }
+    }
+}
+
 /// An in-progress recovery fetch on a recovery master.
 #[derive(Debug)]
 struct RecoveryFetch {
-    crashed: usize,
     buckets: Vec<usize>,
     round: u64,
     awaiting: BTreeSet<usize>,
     collected: Vec<(u64, Vec<u8>)>,
+    /// Once replayed: the first replica segment the replay wrote. The
+    /// takeover is reported when no image from it on is pending.
+    replayed: Option<u64>,
 }
 
 /// A server state machine: master for its buckets, backup for its ring
@@ -973,6 +999,8 @@ pub struct Server {
     rifl_last: BTreeMap<u64, (u64, Option<Reply>)>,
     /// Replica targets the last time we looked (to detect changes).
     last_targets: Vec<usize>,
+    /// Per server: when it last acked one of our images or was sent one.
+    image_clock: Vec<SimTime>,
     /// In-progress recoveries, keyed by crashed master.
     recovery: BTreeMap<usize, RecoveryFetch>,
     /// The last recovery round finished per crashed master.
@@ -1045,6 +1073,7 @@ impl Server {
         let alive = vec![true; cfg.servers];
         let last_targets = replica_targets(index, cfg.servers, cfg.replication, &alive);
         let store = Store::new(cfg.log.clone());
+        let image_clock = vec![SimTime::ZERO; cfg.servers];
         Server {
             index,
             cfg,
@@ -1059,6 +1088,7 @@ impl Server {
             fenced: BTreeSet::new(),
             rifl_last: BTreeMap::new(),
             last_targets,
+            image_clock,
             recovery: BTreeMap::new(),
             recovered: BTreeMap::new(),
             counters: ServerCounters::default(),
@@ -1087,9 +1117,10 @@ impl Server {
         rt.set_timer(self.cfg.heartbeat_interval);
     }
 
-    /// Heartbeat tick; re-arms itself.
+    /// Heartbeat tick, which also re-drives images; re-arms itself.
     pub fn on_timer<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
         self.heartbeat(rt);
+        self.redrive_images(rt);
         rt.set_timer(self.cfg.heartbeat_interval);
     }
 
@@ -1107,13 +1138,13 @@ impl Server {
                     return;
                 };
                 if let Some(p) = self.pending.get_mut(&token) {
+                    if let (None, Some(clock)) = (&p.answer, self.image_clock.get_mut(backup)) {
+                        *clock = rt.now();
+                    }
                     p.acked.insert(backup);
                     p.waiting.remove(&backup);
                     if p.waiting.is_empty() {
-                        let p = self.pending.remove(&token).expect("present");
-                        self.ack_wait
-                            .record(rt.now().saturating_since(p.started).as_nanos());
-                        self.respond(p.client, p.seq, p.reply, rt);
+                        self.complete(token, rt);
                     }
                 }
             }
@@ -1169,6 +1200,8 @@ impl Server {
             ("rifl_replays", Counter, c.rifl_replays),
             ("wrong_owner", Counter, c.wrong_owner),
             ("reseeds", Counter, c.reseeds),
+            ("image_resends", Counter, c.image_resends),
+            ("replays", Counter, c.replays),
             ("pending_dropped", Counter, c.pending_dropped),
             ("pending_resends", Counter, c.pending_resends),
             ("backup_append_errors", Counter, c.backup_append_errors),
@@ -1240,9 +1273,11 @@ impl Server {
                     return;
                 }
                 let token = (client.0 as u64, seq);
-                if self.pending.contains_key(&token) {
+                if let Some(p) = self.pending.get(&token) {
                     self.counters.pending_resends += 1;
-                    self.send_replicas(token, rt);
+                    for b in p.waiting.clone() {
+                        self.send_replica(token, b, rt);
+                    }
                     return;
                 }
                 // No recorded reply and nothing pending: the op was shed
@@ -1310,24 +1345,13 @@ impl Server {
             self.counters.fenced_drops += 1;
             return;
         }
-        if token == REPLICA_RESEED {
-            // A reseed carries the master's full segment image. Segments
-            // are append-only, so a longer image strictly supersedes a
-            // shorter one; never let a reordered stale reseed truncate.
-            // Fire-and-forget: a storage failure here just leaves the
-            // shorter image, and the master's next reseed tries again.
-            if self.staged.supersede(master, segment, &bytes).is_err() {
+        match self.staged.append(master, segment, &bytes) {
+            Ok(()) => rt.send(from, Msg::ReplicateAck { token }),
+            Err(_) => {
+                // Not durable: withhold the ack. The master's retry
+                // machinery redrives the write; duplicate frames from a
+                // retry are harmless (replay is version-guarded).
                 self.counters.backup_append_errors += 1;
-            }
-        } else {
-            match self.staged.append(master, segment, &bytes) {
-                Ok(()) => rt.send(from, Msg::ReplicateAck { token }),
-                Err(_) => {
-                    // Not durable: withhold the ack. The master's retry
-                    // machinery redrives the write; duplicate frames from
-                    // a retry are harmless (replay is version-guarded).
-                    self.counters.backup_append_errors += 1;
-                }
             }
         }
     }
@@ -1348,37 +1372,25 @@ impl Server {
         let reply = Reply::Done {
             version: outcome.version.0,
         };
-        let targets = replica_targets(
-            self.index,
-            self.cfg.servers,
-            self.cfg.replication,
-            &self.alive,
-        );
+        let targets = self.targets();
         if targets.is_empty() {
             self.respond(client, seq, reply, rt);
             return;
         }
-        let bytes = Arc::from(
-            self.store
-                .appended_bytes(&outcome)
-                .expect("a record just written is in the log"),
-        );
+        let bytes = (self.store)
+            .appended_bytes(&outcome)
+            .expect("a record just written is in the log");
         let token = (client.0 as u64, seq);
-        self.pending.insert(
-            token,
-            PendingWrite {
-                client,
-                seq,
-                bucket,
-                segment: self.replica_segment(outcome.position.segment),
-                bytes,
-                reply,
-                waiting: targets.into_iter().collect(),
-                acked: BTreeSet::new(),
-                started: rt.now(),
-            },
-        );
-        self.send_replicas(token, rt);
+        let segment = self.replica_segment(outcome.position.segment);
+        let write = PendingWrite::new(segment, bytes, Some((bucket, reply)), rt.now());
+        self.pending.insert(token, write);
+        self.replicate_to(token, &targets, rt);
+    }
+
+    /// The replica targets under the current map.
+    fn targets(&self) -> Vec<usize> {
+        let (servers, replication) = (self.cfg.servers, self.cfg.replication);
+        replica_targets(self.index, servers, replication, &self.alive)
     }
 
     /// The id backups stage log segment `segment` under, tagged with this
@@ -1388,56 +1400,115 @@ impl Server {
         self.epoch << 32 | segment.0
     }
 
-    /// Sends pending write `token`'s record to every backup still waiting
-    /// for it.
-    fn send_replicas<R: Runtime<Msg = Msg>>(&self, token: (u64, u64), rt: &mut R) {
-        let p = &self.pending[&token];
-        for &b in &p.waiting {
-            rt.send(
-                server_id(b),
-                Msg::Replicate {
-                    segment: p.segment,
-                    bytes: Arc::clone(&p.bytes),
-                    token,
-                },
-            );
+    /// Adds `to` to the backups pending write `token` waits for, and sends
+    /// it to each that neither acked it nor was waited for already.
+    fn replicate_to<R: Runtime<Msg = Msg>>(&mut self, token: (u64, u64), to: &[usize], rt: &mut R) {
+        let p = self.pending.get_mut(&token).expect("pending");
+        let fresh: BTreeSet<usize> = (to.iter().copied())
+            .filter(|&b| !p.acked.contains(&b) && p.waiting.insert(b))
+            .collect();
+        for b in fresh {
+            self.send_replica(token, b, rt);
         }
     }
 
-    /// Re-replicates the log from segment `from` on, fire-and-forget: seals
-    /// the head first, so that every image is of a segment nothing will
-    /// append to again, then sends each segment's bytes to every current
-    /// target. An append that overtakes an image lands in a later segment,
-    /// so the image cannot erase it — unless the log was too full to seal
-    /// (see [`ServerCounters::unsealed_heads`]).
-    fn reseed<R: Runtime<Msg = Msg>>(&mut self, from: SegmentId, rt: &mut R) {
-        let targets = replica_targets(
-            self.index,
-            self.cfg.servers,
-            self.cfg.replication,
-            &self.alive,
-        );
-        if targets.is_empty() {
+    /// Sends pending write `token`'s bytes to backup `b`; an image restarts
+    /// `b`'s image clock.
+    fn send_replica<R: Runtime<Msg = Msg>>(&mut self, token: (u64, u64), b: usize, rt: &mut R) {
+        let p = &self.pending[&token];
+        let replicate = Msg::Replicate {
+            segment: p.segment,
+            bytes: Arc::clone(&p.bytes),
+            token,
+        };
+        rt.send(server_id(b), replicate);
+        if p.answer.is_none() {
+            self.image_clock[b] = rt.now();
+        }
+    }
+
+    /// Retires pending write `token`, its last ack in: answers its client,
+    /// or, for an image, reports each takeover it was the last to hold up.
+    fn complete<R: Runtime<Msg = Msg>>(&mut self, token: (u64, u64), rt: &mut R) {
+        let p = self.pending.remove(&token).expect("pending");
+        match p.answer {
+            Some((_, reply)) => {
+                self.ack_wait
+                    .record(rt.now().saturating_since(p.started).as_nanos());
+                self.respond(NodeId(token.0 as usize), token.1, reply, rt);
+            }
+            None => self.report_replayed(rt),
+        }
+    }
+
+    /// The pending images of replica segment `from` and later ones.
+    fn images(&self, from: u64) -> Range<'_, (u64, u64), PendingWrite> {
+        let me = server_id(self.index).0 as u64;
+        self.pending.range((me, from)..=(me, u64::MAX))
+    }
+
+    /// Images every log segment from `from` on onto backups `to`, each a
+    /// pending write, after sealing the head (see
+    /// [`ServerCounters::unsealed_heads`]). A segment already imaged goes
+    /// only to the backups of `to` that neither acked nor await it.
+    fn image<R: Runtime<Msg = Msg>>(&mut self, from: SegmentId, to: &[usize], rt: &mut R) {
+        if to.is_empty() {
             return;
         }
         self.seal_head();
+        let mut tokens = Vec::new();
         let log = self.store.log();
         for id in log.segment_ids().into_iter().filter(|&id| id >= from) {
             let bytes = log.segment(id).expect("listed").as_bytes();
             if bytes.is_empty() {
                 continue;
             }
-            let bytes: Arc<[u8]> = Arc::from(bytes);
-            for &b in &targets {
-                rt.send(
-                    server_id(b),
-                    Msg::Replicate {
-                        segment: self.replica_segment(id),
-                        bytes: Arc::clone(&bytes),
-                        token: REPLICA_RESEED,
-                    },
-                );
+            let token = (server_id(self.index).0 as u64, self.replica_segment(id));
+            let image = PendingWrite::new(token.1, bytes, None, rt.now());
+            let p = self.pending.entry(token).or_insert(image);
+            if p.bytes.len() < bytes.len() {
+                p.bytes = Arc::from(bytes); // an unsealed head grew
             }
+            tokens.push(token);
+        }
+        for token in tokens {
+            self.replicate_to(token, to, rt);
+        }
+    }
+
+    /// Re-sends the waiting images of each target that has acked none for
+    /// `retry_timeout`, so a slow transfer that is moving is never re-sent.
+    /// An update's ack says nothing of an image the backup failed to stage.
+    fn redrive_images<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
+        let now = rt.now();
+        let quiet = |b: usize| now.saturating_since(self.image_clock[b]) >= self.cfg.retry_timeout;
+        let resend: Vec<((u64, u64), usize)> = (self.images(0))
+            .flat_map(|(&token, p)| p.waiting.iter().map(move |&b| (token, b)))
+            .filter(|&(_, b)| quiet(b))
+            .collect();
+        self.counters.image_resends += resend.len() as u64;
+        for (token, b) in resend {
+            self.send_replica(token, b, rt);
+        }
+    }
+
+    /// Reports each takeover replayed here whose images are all acked: none
+    /// of a segment from the first its replay wrote on is pending.
+    fn report_replayed<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
+        let pending = |from| self.images(from).next().is_some();
+        let durable: Vec<usize> = (self.recovery.iter())
+            .filter(|(_, f)| f.replayed.is_some_and(|from| !pending(from)))
+            .map(|(&crashed, _)| crashed)
+            .collect();
+        for crashed in durable {
+            let fetch = self.recovery.remove(&crashed).expect("listed");
+            self.recovered.insert(crashed, fetch.round);
+            let done = Msg::TakeOverDone {
+                crashed,
+                buckets: fetch.buckets,
+                round: fetch.round,
+            };
+            rt.send(coordinator_id(), done);
         }
     }
 
@@ -1475,14 +1546,18 @@ impl Server {
     }
 
     /// Reacts to a map change in the master role: sheds pending writes we
-    /// can no longer answer for, and re-seeds + re-points replication when
-    /// the replica target set changed.
+    /// can no longer answer for, and when the replica target set changed,
+    /// re-points pending writes and images the log onto the adopted
+    /// targets.
     fn retarget_replication<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
         let me_alive = self.alive[self.index];
-        let shed: Vec<(u64, u64)> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| !me_alive || self.owners[p.bucket] != self.index)
+        let moved = |p: &PendingWrite| {
+            p.answer
+                .as_ref()
+                .is_some_and(|a| self.owners[a.0] != self.index)
+        };
+        let shed: Vec<(u64, u64)> = (self.pending.iter())
+            .filter(|(_, p)| !me_alive || moved(p))
             .map(|(&t, _)| t)
             .collect();
         for token in shed {
@@ -1492,37 +1567,33 @@ impl Server {
             self.counters.pending_dropped += 1;
         }
         if !me_alive {
+            // Declared dead: a takeover replayed here is run again elsewhere,
+            // and the images it waited for are shed.
+            self.recovery.retain(|_, f| f.replayed.is_none());
             return;
         }
-        let targets = replica_targets(
-            self.index,
-            self.cfg.servers,
-            self.cfg.replication,
-            &self.alive,
-        );
+        let targets = self.targets();
         if targets == self.last_targets {
             return;
         }
         self.counters.reseeds += 1;
-        // Backfill the whole log onto the current target set so a freshly
-        // adopted backup holds everything, not just future writes.
-        self.reseed(SegmentId(0), rt);
-        // Re-point pending ack-gated writes at the new targets.
+        let adopted: Vec<usize> = (targets.iter().copied())
+            .filter(|b| !self.last_targets.contains(b))
+            .collect();
+        // Re-point pending writes: a dead target is waited for no more, an
+        // adopted one is sent what it lacks, a kept one holds what it got.
         let tokens: Vec<(u64, u64)> = self.pending.keys().copied().collect();
         for token in tokens {
             let p = self.pending.get_mut(&token).expect("present");
-            p.waiting = targets
-                .iter()
-                .copied()
-                .filter(|b| !p.acked.contains(b))
-                .collect();
-            if p.waiting.is_empty() {
-                let p = self.pending.remove(&token).expect("present");
-                self.respond(p.client, p.seq, p.reply, rt);
-            } else {
-                self.send_replicas(token, rt);
+            p.waiting.retain(|b| targets.contains(b));
+            self.replicate_to(token, &adopted, rt);
+            if self.pending[&token].waiting.is_empty() {
+                self.complete(token, rt);
             }
         }
+        // Image the whole log onto the adopted targets, so that they hold
+        // everything, not just future writes.
+        self.image(SegmentId(0), &adopted, rt);
         self.last_targets = targets;
     }
 
@@ -1553,6 +1624,7 @@ impl Server {
             if existing.round == round {
                 // A re-sent round in progress: ask again whoever has not
                 // answered (the request or its answer may have been lost).
+                // Once replayed, no one is: the last image ack reports it.
                 for &s in &existing.awaiting {
                     rt.send(server_id(s), Msg::FetchSegments { crashed });
                 }
@@ -1564,7 +1636,6 @@ impl Server {
         // We know the master is dead even if the MapUpdate raced.
         self.fenced.insert(crashed);
         let mut fetch = RecoveryFetch {
-            crashed,
             buckets,
             round,
             awaiting: survivors
@@ -1573,6 +1644,7 @@ impl Server {
                 .filter(|&s| s != self.index)
                 .collect(),
             collected: Vec::new(),
+            replayed: None,
         };
         // Own staged replicas join the pool without a network round trip.
         fetch.collected.extend(self.staged.segments_of(crashed));
@@ -1615,16 +1687,21 @@ impl Server {
     fn finish_takeover<R: Runtime<Msg = Msg>>(&mut self, crashed: usize, rt: &mut R) {
         let fetch = self
             .recovery
-            .remove(&crashed)
+            .get_mut(&crashed)
             .expect("takeover in progress");
-        self.recovered.insert(crashed, fetch.round);
+        let collected = std::mem::take(&mut fetch.collected);
         let bucket_set: BTreeSet<usize> = fetch.buckets.iter().copied().collect();
-        // Replay into fresh segments only: a duplicated `Replicate` can leave
-        // a backup holding more bytes of the head than the log does, and it
-        // would then refuse the head's image.
+        self.counters.replays += 1;
+        // What this server holds of these buckets is stale (a write it never
+        // had acked before it was declared dead): no replay may lose to it.
+        let buckets = self.cfg.buckets;
+        (self.store).forget(PROTO_TABLE, |h| bucket_set.contains(&bucket_of(h, buckets)));
+        // Replay into fresh segments only, so that the images below repeat
+        // nothing the backups hold (a log too full to seal repeats its head:
+        // a backup only appends, so that costs room, not data).
         self.seal_head();
         let from = self.store.log().head();
-        for (_seg, bytes) in &fetch.collected {
+        for (_seg, bytes) in &collected {
             let mut off = 0;
             while off < bytes.len() {
                 // A replica recovered from disk may end in a torn or
@@ -1653,16 +1730,12 @@ impl Server {
         }
         // Restore durability of the recovered data: image every segment the
         // replay wrote — objects, the tombstones that must travel with them,
-        // and completion records — onto this server's own backups.
-        self.reseed(from, rt);
-        rt.send(
-            coordinator_id(),
-            Msg::TakeOverDone {
-                crashed: fetch.crashed,
-                buckets: fetch.buckets,
-                round: fetch.round,
-            },
-        );
+        // and completion records — onto this server's own backups, and
+        // report the takeover done once each of them is acked.
+        self.image(from, &self.targets(), rt);
+        let replayed = Some(self.replica_segment(from));
+        self.recovery.get_mut(&crashed).expect("replayed").replayed = replayed;
+        self.report_replayed(rt);
     }
 }
 
@@ -2176,15 +2249,190 @@ mod tests {
     /// Delivers `out`, sent by `from`, and everything it sets off among
     /// `servers`, in send order; messages for other nodes are dropped.
     fn deliver(servers: &mut [Server], from: NodeId, out: Vec<(NodeId, Msg)>) {
+        deliver_but(servers, from, out, |_, _, _| false);
+    }
+
+    /// [`deliver`], losing each message `lose` picks; returns what went to
+    /// nodes other than `servers`.
+    fn deliver_but(
+        servers: &mut [Server],
+        from: NodeId,
+        out: Vec<(NodeId, Msg)>,
+        mut lose: impl FnMut(NodeId, NodeId, &Msg) -> bool,
+    ) -> Vec<(NodeId, Msg)> {
         let mut queue: std::collections::VecDeque<_> =
             out.into_iter().map(|(to, msg)| (from, to, msg)).collect();
+        let mut others = Vec::new();
         while let Some((from, to, msg)) = queue.pop_front() {
+            if lose(from, to, &msg) {
+                continue;
+            }
             let Some(server) = to.0.checked_sub(1).and_then(|i| servers.get_mut(i)) else {
+                others.push((to, msg));
                 continue;
             };
             let mut rt = TestRt::new(to);
             server.on_message(from, msg, &mut rt);
             queue.extend(rt.drain().into_iter().map(|(next, msg)| (to, next, msg)));
+        }
+        others
+    }
+
+    /// Keys that hash to buckets owned by `owner` under the initial
+    /// round-robin map of four servers.
+    fn keys_owned_by(cfg: &ProtocolConfig, owner: usize) -> impl Iterator<Item = Vec<u8>> + '_ {
+        (0..10_000u32)
+            .map(|i| format!("k{i}").into_bytes())
+            .filter(move |key| bucket_for(PROTO_TABLE, key, cfg.buckets) % cfg.servers == owner)
+    }
+
+    /// Three acked puts on master `master`, replicated among `servers`.
+    fn three_puts(servers: &mut [Server], cfg: &ProtocolConfig, master: usize) {
+        let client = client_id(cfg.servers, 0);
+        for (seq, key) in (1..).zip(keys_owned_by(cfg, master).take(3)) {
+            let op = ClientOp::Put {
+                key,
+                value: vec![b'v'; 100],
+            };
+            let mut rt = TestRt::new(server_id(master));
+            servers[master].on_message(client, Msg::Request { seq, op }, &mut rt);
+            deliver(servers, server_id(master), rt.drain());
+        }
+    }
+
+    #[test]
+    fn a_takeover_reports_done_only_once_its_images_are_acked() {
+        // Server 3 dies; server 0 recovers its buckets and images what it
+        // replayed onto its own backups, 1 and 2. Each image is lost once.
+        let cfg = ProtocolConfig::new(4, 1, 2);
+        let mut servers: Vec<Server> = (0..4).map(|i| Server::new(i, cfg.clone())).collect();
+        three_puts(&mut servers, &cfg, 3);
+        let lost = std::cell::RefCell::new(BTreeSet::new());
+        let lose_once = |from: NodeId, to: NodeId, msg: &Msg| match msg {
+            Msg::Replicate { segment, .. } if from == server_id(0) => {
+                lost.borrow_mut().insert((to, *segment))
+            }
+            _ => false,
+        };
+        let takeover = Msg::TakeOver {
+            crashed: 3,
+            buckets: (3..cfg.buckets).step_by(4).collect(),
+            survivors: vec![0, 1, 2],
+            round: 1,
+        };
+        let mut rt = TestRt::new(server_id(0));
+        servers[0].on_message(coordinator_id(), takeover, &mut rt);
+        let sent = deliver_but(&mut servers, server_id(0), rt.drain(), lose_once);
+        let reports = |sent: &[(NodeId, Msg)]| {
+            (sent.iter())
+                .filter(|(to, m)| *to == coordinator_id() && matches!(m, Msg::TakeOverDone { .. }))
+                .count()
+        };
+        assert_eq!(reports(&sent), 0, "reported before its images were acked");
+        // A tick before the backups have been quiet for `retry_timeout`
+        // re-sends nothing; the next one re-sends every image.
+        let images = lost.borrow().len();
+        assert!(images >= 2, "the replay is imaged onto both backups");
+        for (after, again) in [(cfg.retry_timeout / 2, false), (cfg.retry_timeout, true)] {
+            let mut rt = TestRt::new(server_id(0));
+            rt.now += after;
+            servers[0].on_timer(&mut rt);
+            let out = rt.drain();
+            let resent = out
+                .iter()
+                .filter(|(_, m)| matches!(m, Msg::Replicate { .. }));
+            assert_eq!(resent.count(), if again { images } else { 0 });
+            let sent = deliver_but(&mut servers, server_id(0), out, lose_once);
+            assert_eq!(reports(&sent), usize::from(again), "after {after:?}");
+        }
+        assert_eq!(servers[0].counters.image_resends, images as u64);
+        for backup in [1, 2] {
+            let staged = servers[backup].storage().segments_of(0);
+            let entries: usize = staged.iter().map(|(_, b)| b.len()).sum();
+            assert!(entries > 0, "backup {backup} holds the replay");
+        }
+    }
+
+    #[test]
+    fn a_takeover_replays_past_a_stale_copy_of_what_it_recovers() {
+        // Server 0 holds a copy of a key of server 3's that was never acked
+        // (as a server declared dead and readmitted may), at the version
+        // server 3 then acks its own put of the key at. Server 3 dies and
+        // server 0 recovers the key's bucket.
+        let cfg = ProtocolConfig::new(4, 1, 2);
+        let mut servers: Vec<Server> = (0..4).map(|i| Server::new(i, cfg.clone())).collect();
+        let key = keys_owned_by(&cfg, 3)
+            .next()
+            .expect("a key owned by server 3");
+        (servers[0].store)
+            .write(PROTO_TABLE, &key, b"stale")
+            .unwrap();
+        let client = client_id(4, 0);
+        let op = ClientOp::Put {
+            key: key.clone(),
+            value: b"acked".to_vec(),
+        };
+        let mut rt = TestRt::new(server_id(3));
+        servers[3].on_message(client, Msg::Request { seq: 1, op }, &mut rt);
+        let out = rt.drain();
+        let record = replicated(&out, (client.0 as u64, 1))[0].to_vec();
+        assert!(answered(
+            &deliver_but(&mut servers, server_id(3), out, |_, _, _| false),
+            1
+        ));
+        let takeover = Msg::TakeOver {
+            crashed: 3,
+            buckets: vec![bucket_for(PROTO_TABLE, &key, cfg.buckets)],
+            survivors: vec![0, 1, 2],
+            round: 1,
+        };
+        deliver(
+            &mut servers,
+            coordinator_id(),
+            vec![(server_id(0), takeover)],
+        );
+        let live = servers[0].store.read(PROTO_TABLE, &key).expect("recovered");
+        assert_eq!(&live.value[..], b"acked");
+        for backup in [1, 2] {
+            let staged = servers[backup].storage().segments_of(0);
+            assert!(
+                (staged.iter()).any(|(_, b)| b.windows(record.len()).any(|w| w == record)),
+                "backup {backup} holds the recovered record"
+            );
+        }
+    }
+
+    #[test]
+    fn a_backup_death_images_each_log_onto_the_target_adopted_only() {
+        // Four servers, R = 2: master 0 replicates to 1 and 2, master 1 to 2
+        // and 3. Server 2 dies: master 0 keeps 1 and adopts 3, master 1
+        // keeps 3 and adopts 0.
+        let cfg = ProtocolConfig::new(4, 1, 2);
+        let mut servers: Vec<Server> = (0..4).map(|i| Server::new(i, cfg.clone())).collect();
+        for master in [0, 1] {
+            three_puts(&mut servers, &cfg, master);
+        }
+        for (master, kept, adopted) in [(0, 1, 3), (1, 3, 0)] {
+            let mut rt = TestRt::new(server_id(master));
+            servers[master].on_message(coordinator_id(), without(&cfg, 2), &mut rt);
+            let out = rt.drain();
+            let to: BTreeSet<NodeId> = (out.iter())
+                .filter(|(_, m)| matches!(m, Msg::Replicate { .. }))
+                .map(|&(to, _)| to)
+                .collect();
+            assert_eq!(to, BTreeSet::from([server_id(adopted)]), "master {master}");
+            deliver(&mut servers, server_id(master), out);
+            // Each target holds the log once: the kept one from the writes,
+            // the adopted one from the images.
+            let log = servers[master].store.log();
+            for backup in [kept, adopted] {
+                let staged = servers[backup].storage().segments_of(master);
+                assert!(!staged.is_empty());
+                for (segment, bytes) in staged {
+                    let held = log.segment(SegmentId(segment)).expect("held");
+                    assert_eq!(bytes, held.as_bytes(), "master {master}, backup {backup}");
+                }
+            }
         }
     }
 

@@ -120,8 +120,13 @@ proptest! {
 
 /// The pinned regression seeds the CI `chaos-smoke` job replays in release
 /// mode. Override with `RMC_CHAOS_SEEDS=1,2,3` (comma-separated u64s,
-/// `0x`-prefixed hex accepted).
-const PINNED_SEEDS: [u64; 20] = [
+/// `0x`-prefixed hex accepted). The last seven lost an acked write: the
+/// first two while re-replication images were fire-and-forget (a recovery
+/// reported done before its images were staged, and they were lost), the
+/// other five while a recovery master measured its replay against its own
+/// stale copy of the buckets it recovered (a write it had applied and never
+/// had acked before it was declared dead).
+const PINNED_SEEDS: [u64; 27] = [
     0x0000_0000_0000_0001,
     0x0000_0000_0000_002a,
     0x0000_0000_dead_beef,
@@ -142,6 +147,13 @@ const PINNED_SEEDS: [u64; 20] = [
     0xdddd_dddd_dddd_dddd,
     0xfeed_face_feed_face,
     0xffff_ffff_ffff_ffff,
+    0xa20f_191a_054a_8dbc,
+    0xa4a1_bc14_8715_72d6,
+    0x4d1c_bf2c_220c_665a,
+    0x945b_0ae9_ee11_eae2,
+    0xa246_27a7_4043_58a1,
+    0x58be_a1ab_4113_2be3,
+    0x6405_9d6e_366d_b535,
 ];
 
 fn parse_seed(s: &str) -> Option<u64> {
@@ -164,7 +176,7 @@ fn pinned_seeds_preserve_committed_writes() {
     }
 }
 
-/// Satellite scenario: a backup dies mid-replication, its masters reseed
+/// Satellite scenario: a backup dies mid-replication, its masters image
 /// their logs onto fresh targets, and a later crash of one of those masters
 /// still recovers the full live set — acked writes survive losing first a
 /// replica and then the master itself.
@@ -193,7 +205,7 @@ fn backup_death_then_master_crash_loses_nothing() {
     assert!(net.clients_done(), "scripts did not finish");
     assert!(!net.recovery_pending(), "recovery stuck");
     // Master 0 also replicated to the dead backup ({1, 2} -> {1, 3}), so a
-    // surviving master must have exercised the reseed path.
+    // surviving master must have imaged its log.
     let survivor = net.server(0).expect("server 0 alive");
     assert!(
         survivor.counters.reseeds > 0,

@@ -19,10 +19,9 @@
 //! it fails (below), and when the store is dropped: an incarnation creates
 //! its own files and never appends to one it found.
 //!
-//! [`supersede`](BackupStorage::supersede) appends one **image frame**
-//! (the same header under a second magic) holding the segment's whole
-//! image. One rule, live and at recovery: an image replaces what the log
-//! holds for that segment iff it is longer.
+//! Every frame is an append to its segment: a master's image of a whole
+//! segment arrives as one more append. A data dir written by a build before
+//! that, holding `"RMCI"` image frames, reads each as corruption (below).
 //!
 //! ## A file is appended to only while every write to it succeeded
 //!
@@ -67,8 +66,7 @@
 //! still pending, below). What it keeps is an index:
 //! for each `(master, segment)` slot, its length and where each of its
 //! frames lies — `(file n, offset, payload length)`, an offset the frame
-//! holds once it is written. An append adds its frame to its slot; an
-//! image that wins replaces the slot's frames with itself.
+//! holds once it is written. An append adds its frame to its slot.
 //! [`FileStorage::open`] builds the index from the frames it accepts,
 //! under the rules above.
 //!
@@ -94,9 +92,8 @@
 //! file, when the file is retired, and on [`flush`](BackupStorage::flush),
 //! a `batched` sync and a graceful drop. The bound on the buffer is
 //! therefore the segment (64 KiB in the protocol), with the roll behind
-//! it. An image is drained as it is staged, with the appends pending
-//! before it, and only then indexed. Under `per_write` every append is
-//! drained, and synced, before it is acked: nothing stays pending.
+//! it. Under `per_write` every append is drained, and synced, before it is
+//! acked: nothing stays pending.
 //!
 //! The durability contract follows. `per_write`: an acked frame is in the
 //! file and synced. `off` and `batched`: an acked frame survives a crash of
@@ -125,9 +122,9 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::frame::{decode_frame, encode_frame_into, FrameError, FrameKind, FRAME_HEADER_BYTES};
+use crate::frame::{decode_frame, encode_frame_into, FrameError, FRAME_HEADER_BYTES};
 use crate::storage::{
-    image_wins, AppendFault, AppendOutcome, BackupStorage, DiskMetrics, FaultInjector, FsyncPolicy,
+    AppendFault, AppendOutcome, BackupStorage, DiskMetrics, FaultInjector, FsyncPolicy,
     StorageError,
 };
 
@@ -222,22 +219,10 @@ struct Slot {
 }
 
 impl Slot {
-    /// Applies one frame the way its live call was applied: an append
-    /// grows the slot; an image replaces it iff it wins.
-    fn apply(&mut self, kind: FrameKind, extent: Extent) {
-        match kind {
-            FrameKind::Append => {
-                self.len += u64::from(extent.len);
-                self.extents.push(extent);
-            }
-            FrameKind::Image if image_wins(extent.len as usize, self.len) => {
-                *self = Slot {
-                    len: u64::from(extent.len),
-                    extents: vec![extent],
-                };
-            }
-            FrameKind::Image => {}
-        }
+    /// Appends one frame to the slot.
+    fn push(&mut self, extent: Extent) {
+        self.len += u64::from(extent.len);
+        self.extents.push(extent);
     }
 }
 
@@ -436,7 +421,7 @@ impl FileStorage {
                     self.slots
                         .entry((master, header.segment))
                         .or_default()
-                        .apply(header.kind, extent);
+                        .push(extent);
                     off += total;
                 }
                 Err(e) => break Some(e),
@@ -559,18 +544,12 @@ impl FileStorage {
         }
     }
 
-    /// Encodes one frame of `kind` onto `master`'s pending frames and
-    /// indexes it. An append under `off` or `batched` waits there for the
-    /// drain that seals its segment; any other frame is drained (and under
-    /// `per_write` synced) before it is indexed, so a failed one is never
-    /// indexed and the master's retry redrives it.
-    fn stage(
-        &mut self,
-        kind: FrameKind,
-        master: usize,
-        segment: u64,
-        payload: &[u8],
-    ) -> Result<(), StorageError> {
+    /// Encodes one frame onto `master`'s pending frames and indexes it.
+    /// Under `off` or `batched` it waits there for the drain that seals its
+    /// segment; under `per_write` it is drained and synced before it is
+    /// indexed, so a failed one is never indexed and the master's retry
+    /// redrives it.
+    fn stage(&mut self, master: usize, segment: u64, payload: &[u8]) -> Result<(), StorageError> {
         let epoch = self.epoch;
         let frame_len = FRAME_HEADER_BYTES + payload.len();
         let log = self.log_for(master, segment, frame_len as u64)?;
@@ -580,23 +559,21 @@ impl FileStorage {
             offset: written + pending.len() as u64,
             len: payload.len() as u32,
         };
-        encode_frame_into(&mut log.pending, kind, master, segment, epoch, payload);
+        encode_frame_into(&mut log.pending, master, segment, epoch, payload);
         log.segment = segment;
         log.dirty = true;
-        if kind == FrameKind::Image || self.policy == FsyncPolicy::PerWrite {
+        if self.policy == FsyncPolicy::PerWrite {
             if let Err(e) = self.drain(master) {
                 // The frame being staged is lost with the rest.
                 self.metrics.write_errors.incr();
                 return Err(e);
             }
-            if self.policy == FsyncPolicy::PerWrite {
-                self.sync_log(master)?;
-            }
+            self.sync_log(master)?;
         }
         self.slots
             .entry((master, segment))
             .or_default()
-            .apply(kind, extent);
+            .push(extent);
         self.after_stage(frame_len)
     }
 
@@ -661,8 +638,8 @@ impl FileStorage {
 
     /// Removes the frames of `(master, segment)` in file `file` that end
     /// past `cut`: what a drain cut short there lost. They are the slot's
-    /// last frames, since a drain holds one segment's frames and only
-    /// appends wait to be drained. Returns how many there were.
+    /// last frames, since a drain holds one segment's frames. Returns how
+    /// many there were.
     fn unindex_past(&mut self, master: usize, segment: u64, file: u64, cut: u64) -> u64 {
         let Some(slot) = self.slots.get_mut(&(master, segment)) else {
             return 0;
@@ -716,18 +693,7 @@ impl FileStorage {
 
 impl BackupStorage for FileStorage {
     fn append(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        self.stage(FrameKind::Append, master, segment, bytes)
-    }
-
-    fn supersede(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        let held = self.slots.get(&(master, segment)).map_or(0, |s| s.len);
-        if !image_wins(bytes.len(), held) {
-            return Ok(());
-        }
-        // A crash mid-write leaves a torn tail, which recovery truncates —
-        // and reseeds are fire-and-forget re-replication, so the master
-        // will send the image again.
-        self.stage(FrameKind::Image, master, segment, bytes)
+        self.stage(master, segment, bytes)
     }
 
     fn segments_of(&self, master: usize) -> Vec<(u64, Vec<u8>)> {
@@ -793,10 +759,6 @@ impl BackupStorage for FileStorage {
                 (segment, bytes)
             })
             .collect()
-    }
-
-    fn slot_len(&self, master: usize, segment: u64) -> u64 {
-        self.slots.get(&(master, segment)).map_or(0, |s| s.len)
     }
 
     fn last_slot(&self, master: usize) -> Option<(u64, u64)> {
@@ -868,14 +830,7 @@ fn truncate_to(path: &Path, len: u64) -> Result<(), StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_frame, encode_frame_into};
-
-    /// One image frame alone, as `supersede` lays it down.
-    fn encode_image_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_frame_into(&mut out, FrameKind::Image, master, segment, epoch, payload);
-        out
-    }
+    use crate::frame::encode_frame;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -919,7 +874,6 @@ mod tests {
         let s = open(&dir, FsyncPolicy::PerWrite);
         assert_eq!(s.segments_of(0), vec![(1, b"firstsecond".to_vec())]);
         assert_eq!(s.segments_of(2), vec![(7, b"other master".to_vec())]);
-        assert_eq!((s.slot_len(0, 1), s.slot_len(0, 2)), (11, 0));
         assert_eq!((s.last_slot(2), s.last_slot(1)), (Some((7, 12)), None));
         assert_eq!(s.recovery.segments, 2);
         assert_eq!(s.recovery.torn_tails, 0);
@@ -1024,47 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn supersede_replaces_only_when_longer() {
-        let dir = tmpdir("supersede");
-        let mut s = open(&dir, FsyncPolicy::PerWrite);
-        s.append(0, 5, b"0123456789").unwrap();
-        let before = log_files(&dir);
-        s.supersede(0, 5, b"short").unwrap();
-        assert_eq!(s.segments_of(0), vec![(5, b"0123456789".to_vec())]);
-        assert_eq!(log_files(&dir), before, "a stale image is not even written");
-        s.supersede(0, 5, b"0123456789AB").unwrap();
-        assert_eq!(s.segments_of(0), vec![(5, b"0123456789AB".to_vec())]);
-        // Appends continue after a supersede, and everything reopens.
-        s.append(0, 5, b"+tail").unwrap();
-        drop(s);
-        let s = open(&dir, FsyncPolicy::PerWrite);
-        assert_eq!(s.segments_of(0), vec![(5, b"0123456789AB+tail".to_vec())]);
-        assert_eq!(log_files(&dir).len(), 1, "an image is one more frame");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recovery_applies_the_image_rule_too() {
-        let dir = tmpdir("image-rule");
-        // What a backup writes whose append hit an fsync EIO (in the file,
-        // never indexed) before a reseed no longer than it arrived.
-        let mut log = encode_frame(0, 5, 0, b"0123456789");
-        log.extend(encode_image_frame(0, 5, 0, b"stale"));
-        log.extend(encode_frame(0, 6, 0, b"other segment"));
-        log.extend(encode_image_frame(0, 5, 0, b"0123456789AB"));
-        fs::write(dir.join(log_name(0, 0)), &log).unwrap();
-        let s = open(&dir, FsyncPolicy::PerWrite);
-        assert_eq!(
-            s.segments_of(0),
-            vec![
-                (5, b"0123456789AB".to_vec()),
-                (6, b"other segment".to_vec())
-            ]
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn batched_policy_defers_then_flushes() {
         let dir = tmpdir("batched");
         let mut s = open(
@@ -1154,7 +1067,7 @@ mod tests {
         let dir = tmpdir("roll");
         let frame = (FRAME_HEADER_BYTES + 1_000_000) as u64;
         let payload = vec![0xA5u8; 1_000_000];
-        let image = vec![0x5Au8; LOG_ROLL_BYTES as usize + 1];
+        let large = vec![0x5Au8; LOG_ROLL_BYTES as usize + 1];
         {
             let mut s = open(&dir, FsyncPolicy::Off);
             // Eight fit under 8 MiB; the ninth would cross it.
@@ -1166,8 +1079,9 @@ mod tests {
                 log_files(&dir),
                 [("m0_0.log".into(), 8 * frame), ("m0_1.log".into(), frame)]
             );
-            // Larger than any file may grow: one frame, a file to itself.
-            s.supersede(0, 2, &image).unwrap();
+            // Larger than any file may grow (a segment's image, say): one
+            // frame, a file to itself.
+            s.append(0, 2, &large).unwrap();
             s.append(0, 1, b"next").unwrap();
             assert_eq!(descriptors_under(&dir), 1);
         }
@@ -1178,7 +1092,7 @@ mod tests {
             [
                 8 * frame,
                 frame,
-                FRAME_HEADER_BYTES as u64 + image.len() as u64,
+                FRAME_HEADER_BYTES as u64 + large.len() as u64,
                 tail
             ]
         );
@@ -1187,7 +1101,7 @@ mod tests {
         let recovered = s.segments_of(0);
         assert_eq!(recovered.len(), 2);
         assert_eq!(recovered[0].1.len(), 9 * payload.len() + 4);
-        assert!(recovered[1].1 == image);
+        assert!(recovered[1].1 == large);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1370,29 +1284,6 @@ mod tests {
     #[test]
     fn a_retry_after_a_write_error_survives_reopen() {
         retry_survives_reopen("retry-eio", EIO, 0);
-    }
-
-    #[test]
-    fn a_retried_image_after_a_short_one_survives_reopen() {
-        let dir = tmpdir("retry-image");
-        {
-            let mut s = open(&dir, FsyncPolicy::PerWrite).with_injector(Box::new(Scripted {
-                appends: [AppendFault::clean(), SHORT].into(),
-                ..Default::default()
-            }));
-            s.append(0, 1, b"acked").unwrap();
-            assert!(s.supersede(0, 1, b"acked and reseeded").is_err());
-            assert_eq!(s.segments_of(0), vec![(1, b"acked".to_vec())]);
-            s.supersede(0, 1, b"acked and reseeded").unwrap();
-            s.append(0, 1, b", then more").unwrap();
-        }
-        let s = open(&dir, FsyncPolicy::PerWrite);
-        assert_eq!(
-            s.segments_of(0),
-            vec![(1, b"acked and reseeded, then more".to_vec())]
-        );
-        assert_eq!((s.recovery.torn_tails, s.recovery.quarantined), (1, 0));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

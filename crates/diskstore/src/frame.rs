@@ -10,10 +10,11 @@
 //! +-------+--------+---------+-------+-----+-----+---------+
 //! ```
 //!
-//! The magic is the frame's [kind](FrameKind): `"RMCS"` for bytes appended
-//! to the segment, `"RMCI"` for a whole image of it (a reseed). A frame
-//! names its `(master, segment)` itself, so a file may hold the frames of
-//! many segments in the order they were written.
+//! The magic is `"RMCS"`: every frame holds bytes appended to its segment.
+//! A frame names its `(master, segment)` itself, so a file may hold the
+//! frames of many segments in the order they were written. (Builds before
+//! images became appends also wrote `"RMCI"` image frames; this one reads
+//! such a frame as corruption.)
 //!
 //! The CRC (CRC-32C, the same `crc32c` the log entries use) covers the
 //! header minus the crc field itself, then the payload — so a bit flip
@@ -27,12 +28,8 @@
 
 use rmc_logstore::Crc32c;
 
-/// `"RMCS"` as the first four bytes of an append frame (little-endian u32).
+/// `"RMCS"` as the first four bytes of a frame (little-endian u32).
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"RMCS");
-/// `"RMCI"` as the first four bytes of an image frame. Three bits from
-/// [`FRAME_MAGIC`], so no single flip turns one kind into the other (and
-/// the checksum covers the magic besides).
-pub const IMAGE_MAGIC: u32 = u32::from_le_bytes(*b"RMCI");
 
 /// Fixed header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 4 + 8 + 8 + 8 + 4 + 4;
@@ -43,20 +40,9 @@ const CRC_AT: usize = FRAME_HEADER_BYTES - 4;
 /// a declared length past this is corruption, not a huge write).
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 28;
 
-/// What a frame's payload is to its segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
-    /// Bytes that extend the segment.
-    Append,
-    /// The segment's whole image: replaces what is held if it is longer.
-    Image,
-}
-
 /// Decoded header fields of one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// What the payload is to its segment (the magic).
-    pub kind: FrameKind,
     /// Master whose segment this replica belongs to (server index).
     pub master: u64,
     /// Segment id within that master's log.
@@ -100,32 +86,26 @@ fn frame_crc(frame: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Encodes one append frame: header + payload, checksummed.
+/// Encodes one frame: header + payload, checksummed.
 pub fn encode_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_frame_into(&mut out, FrameKind::Append, master, segment, epoch, payload);
+    encode_frame_into(&mut out, master, segment, epoch, payload);
     out
 }
 
-/// Encodes one frame of `kind` onto the end of `out`, after what it holds:
-/// how a store lays a frame in place behind the frames it has not yet
-/// written.
+/// Encodes one frame onto the end of `out`, after what it holds: how a
+/// store lays a frame in place behind the frames it has not yet written.
 pub fn encode_frame_into(
     out: &mut Vec<u8>,
-    kind: FrameKind,
     master: usize,
     segment: u64,
     epoch: u64,
     payload: &[u8],
 ) {
     assert!(payload.len() <= MAX_FRAME_PAYLOAD, "payload too large");
-    let magic = match kind {
-        FrameKind::Append => FRAME_MAGIC,
-        FrameKind::Image => IMAGE_MAGIC,
-    };
     let start = out.len();
     out.reserve(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&magic.to_le_bytes());
+    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     out.extend_from_slice(&(master as u64).to_le_bytes());
     out.extend_from_slice(&segment.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
@@ -149,11 +129,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameHeader, &[u8], usize), FrameErro
     if buf.len() < FRAME_HEADER_BYTES {
         return Err(FrameError::TornTail);
     }
-    let kind = match u32::from_le_bytes(buf[0..4].try_into().unwrap()) {
-        FRAME_MAGIC => FrameKind::Append,
-        IMAGE_MAGIC => FrameKind::Image,
-        magic => return Err(FrameError::Corrupt(format!("bad magic {magic:#010x}"))),
-    };
+    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
+    if magic != FRAME_MAGIC {
+        return Err(FrameError::Corrupt(format!("bad magic {magic:#010x}")));
+    }
     let master = u64::from_le_bytes(buf[4..12].try_into().unwrap());
     let segment = u64::from_le_bytes(buf[12..20].try_into().unwrap());
     let epoch = u64::from_le_bytes(buf[20..28].try_into().unwrap());
@@ -173,7 +152,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameHeader, &[u8], usize), FrameErro
         )));
     }
     let header = FrameHeader {
-        kind,
         master,
         segment,
         epoch,
@@ -187,13 +165,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameHeader, &[u8], usize), FrameErro
 mod tests {
     use super::*;
 
-    /// One image frame alone, as `supersede` lays it down.
-    fn encode_image_frame(master: usize, segment: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_frame_into(&mut out, FrameKind::Image, master, segment, epoch, payload);
-        out
-    }
-
     #[test]
     fn roundtrip() {
         let frame = encode_frame(3, 17, 2, b"replica bytes");
@@ -204,23 +175,14 @@ mod tests {
     }
 
     #[test]
-    fn an_image_frame_differs_from_an_append_frame_in_magic_and_crc_only() {
-        let append = encode_frame(3, 17, 2, b"replica bytes");
-        let image = encode_image_frame(3, 17, 2, b"replica bytes");
-        let (h, payload, total) = decode_frame(&image).unwrap();
-        assert_eq!(h.kind, FrameKind::Image);
-        assert_eq!((h.master, h.segment, h.epoch, h.len), (3, 17, 2, 13));
-        assert_eq!((payload, total), (&b"replica bytes"[..], append.len()));
-        assert_eq!(decode_frame(&append).unwrap().0.kind, FrameKind::Append);
-        let differing: Vec<usize> = (0..total).filter(|&i| append[i] != image[i]).collect();
-        assert!(differing
-            .iter()
-            .all(|&i| i < 4 || (CRC_AT..FRAME_HEADER_BYTES).contains(&i)));
-        // Swapping the magic alone is caught: the checksum covers it.
-        let mut forged = append.clone();
-        forged[..4].copy_from_slice(&IMAGE_MAGIC.to_le_bytes());
-        assert!(matches!(decode_frame(&forged), Err(FrameError::Corrupt(_))));
-        assert!((FRAME_MAGIC ^ IMAGE_MAGIC).count_ones() > 1);
+    fn an_image_frame_of_an_older_build_is_corrupt() {
+        // What builds before images became appends wrote for a segment
+        // image: the same header under the magic "RMCI", checksummed.
+        let mut image = encode_frame(3, 17, 2, b"replica bytes");
+        image[..4].copy_from_slice(b"RMCI");
+        let crc = frame_crc(&image);
+        image[CRC_AT..FRAME_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(decode_frame(&image), Err(FrameError::Corrupt(_))));
     }
 
     #[test]
@@ -295,12 +257,12 @@ mod tests {
     #[test]
     fn frames_encoded_onto_one_buffer_lie_back_to_back_behind_what_it_held() {
         let mut buf = b"held".to_vec();
-        encode_frame_into(&mut buf, FrameKind::Append, 1, 2, 3, b"first");
-        encode_frame_into(&mut buf, FrameKind::Image, 1, 2, 3, b"second");
+        encode_frame_into(&mut buf, 1, 2, 3, b"first");
+        encode_frame_into(&mut buf, 1, 2, 3, b"second");
         let want = [
             &b"held"[..],
             &encode_frame(1, 2, 3, b"first"),
-            &encode_image_frame(1, 2, 3, b"second"),
+            &encode_frame(1, 2, 3, b"second"),
         ]
         .concat();
         assert_eq!(buf, want);

@@ -122,8 +122,8 @@ pub struct DiskMetrics {
     /// Completed fsync calls.
     pub fsyncs: CounterHandle,
     /// Frames a failed or short write lost (injected or real): the frame
-    /// a `per_write` append or an image was writing, and every pending
-    /// frame a failed drain did not land whole.
+    /// a `per_write` append was writing, and every pending frame a failed
+    /// drain did not land whole.
     pub write_errors: CounterHandle,
     /// Fsyncs that failed (EIO).
     pub fsync_errors: CounterHandle,
@@ -222,24 +222,15 @@ pub trait FaultInjector: std::fmt::Debug + Send {
 
 /// Where a backup stages replica bytes. The protocol's backup role talks
 /// only to this trait; whether the bytes live in a `BTreeMap` or in
-/// checksummed files is an engine choice.
+/// checksummed files is an engine choice. Appending is the one way bytes
+/// get in: an image of a whole segment is an append like any other.
 pub trait BackupStorage: std::fmt::Debug + Send {
     /// Appends replica bytes for `(master, segment)`. `Err` means the
     /// bytes were **not** made durable and the caller must not ack.
     fn append(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError>;
 
-    /// Replaces the staged image for `(master, segment)` with `bytes` if
-    /// `bytes` is strictly longer — the reseed rule: segments are
-    /// append-only, so a longer image supersedes, and a reordered stale
-    /// reseed can never truncate. Fire-and-forget (no ack rides on it).
-    fn supersede(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError>;
-
     /// The staged segments of `master`: `(segment, concatenated bytes)`.
     fn segments_of(&self, master: usize) -> Vec<(u64, Vec<u8>)>;
-
-    /// Bytes staged for `(master, segment)`, 0 if none, without reading
-    /// them.
-    fn slot_len(&self, master: usize, segment: u64) -> u64;
 
     /// `master`'s highest staged segment and its length: the one a live
     /// master is still filling.
@@ -254,13 +245,6 @@ pub trait BackupStorage: std::fmt::Debug + Send {
     /// Forces everything staged so far to be durable (fsync of every
     /// dirty file). A no-op for memory engines.
     fn flush(&mut self) -> Result<(), StorageError>;
-}
-
-/// The one image rule, live and at recovery, in every engine: an image of
-/// `len` bytes replaces a slot holding `held` bytes iff it is strictly
-/// longer.
-pub(crate) fn image_wins(len: usize, held: u64) -> bool {
-    len as u64 > held
 }
 
 /// The in-memory engine: exactly the staging the protocol used before the
@@ -287,26 +271,12 @@ impl BackupStorage for MemStorage {
         Ok(())
     }
 
-    fn supersede(&mut self, master: usize, segment: u64, bytes: &[u8]) -> Result<(), StorageError> {
-        let held = self.staged.get(&(master, segment)).map_or(0, Vec::len);
-        if image_wins(bytes.len(), held as u64) {
-            self.staged.insert((master, segment), bytes.to_vec());
-        }
-        Ok(())
-    }
-
     fn segments_of(&self, master: usize) -> Vec<(u64, Vec<u8>)> {
         self.staged
             .iter()
             .filter(|((m, _), _)| *m == master)
             .map(|((_, seg), bytes)| (*seg, bytes.clone()))
             .collect()
-    }
-
-    fn slot_len(&self, master: usize, segment: u64) -> u64 {
-        self.staged
-            .get(&(master, segment))
-            .map_or(0, |b| b.len() as u64)
     }
 
     fn last_slot(&self, master: usize) -> Option<(u64, u64)> {
@@ -342,18 +312,7 @@ mod tests {
         assert_eq!(s.segment_count(), 2);
         assert_eq!(s.staged_bytes(), 6);
         s.append(0, 3, b"d").unwrap();
-        assert_eq!((s.slot_len(0, 1), s.slot_len(0, 2)), (4, 0));
         assert_eq!((s.last_slot(0), s.last_slot(1)), (Some((3, 1)), None));
-    }
-
-    #[test]
-    fn mem_supersede_replaces_only_if_longer() {
-        let mut s = MemStorage::new();
-        s.append(0, 1, b"abcd").unwrap();
-        s.supersede(0, 1, b"xy").unwrap();
-        assert_eq!(s.segments_of(0), vec![(1, b"abcd".to_vec())]);
-        s.supersede(0, 1, b"longer!").unwrap();
-        assert_eq!(s.segments_of(0), vec![(1, b"longer!".to_vec())]);
     }
 
     #[test]

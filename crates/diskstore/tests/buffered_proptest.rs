@@ -1,9 +1,9 @@
 //! A property test of what pending frames cost a crash: under `off` and
 //! `batched`, an append waits in its master's pending frames until a drain
 //! writes them, so a backup process that dies loses what was pending — and
-//! nothing else. Random sequences of appends, images, flushes, graceful
-//! reopens and crashes run over 2 masters × 3 segments against a model
-//! that keeps, per master, the calls the store acked:
+//! nothing else. Random sequences of appends, flushes, graceful reopens and
+//! crashes run over 2 masters × 3 segments against a model that keeps, per
+//! master, the appends the store acked:
 //!
 //! - while the store is open, it serves what those calls add up to;
 //! - after a graceful reopen it recovers exactly that;
@@ -27,9 +27,6 @@ use rmc_diskstore::{BackupStorage, DiskMetrics, FileStorage, FsyncPolicy};
 #[derive(Debug, Clone)]
 enum Op {
     Append(usize, u64, Vec<u8>),
-    /// A reseed: what is served plus `extra` bytes, or — stale — all but
-    /// the last `-extra` of them.
-    Image(usize, u64, i8),
     Flush,
     Reopen,
     Crash,
@@ -39,7 +36,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     let payload = proptest::collection::vec(any::<u8>(), 1..64);
     let op = prop_oneof![
         8 => (0usize..2, 0u64..3, payload).prop_map(|(m, s, p)| Op::Append(m, s, p)),
-        2 => (0usize..2, 0u64..3, -20i8..20).prop_map(|(m, s, d)| Op::Image(m, s, d)),
         1 => Just(Op::Flush),
         1 => Just(Op::Reopen),
         1 => Just(Op::Crash),
@@ -60,19 +56,17 @@ fn policies() -> impl Strategy<Value = FsyncPolicy> {
     ]
 }
 
-/// One acked call: its segment, whether it is an image, and its bytes.
-type Call = (u64, bool, Vec<u8>);
+/// One acked append: its segment and its bytes.
+type Call = (u64, Vec<u8>);
 
-/// What `master`'s slots hold after `calls`, under the store's rules.
+/// What `master`'s slots hold after `calls`.
 fn replay(master: usize, calls: &[Call]) -> Staged {
     let mut staged = Staged::new();
-    for (segment, image, bytes) in calls {
-        let slot = staged.entry((master, *segment)).or_default();
-        if !image {
-            slot.extend_from_slice(bytes);
-        } else if bytes.len() > slot.len() {
-            *slot = bytes.clone();
-        }
+    for (segment, bytes) in calls {
+        staged
+            .entry((master, *segment))
+            .or_default()
+            .extend_from_slice(bytes);
     }
     staged
 }
@@ -105,22 +99,7 @@ proptest! {
             match op {
                 Op::Append(master, segment, payload) => {
                     store.append(master, segment, &payload).unwrap();
-                    calls[master].push((segment, false, payload));
-                }
-                Op::Image(master, segment, extra) => {
-                    let held = replay(master, &calls[master])
-                        .remove(&(master, segment))
-                        .unwrap_or_default();
-                    let image = if extra > 0 {
-                        [&held[..], &vec![0xEE; extra as usize]].concat()
-                    } else {
-                        held[..held.len().saturating_sub(-extra as usize)].to_vec()
-                    };
-                    store.supersede(master, segment, &image).unwrap();
-                    // A stale image is not written, and changes nothing.
-                    if image.len() > held.len() {
-                        calls[master].push((segment, true, image));
-                    }
+                    calls[master].push((segment, payload));
                 }
                 Op::Flush => {
                     store.flush().unwrap();

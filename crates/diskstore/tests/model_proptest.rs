@@ -1,8 +1,8 @@
 //! A model-based property test of the log's write and recovery rules
 //! together: random sequences of appends (clean, cut short by the disk,
 //! failed outright, written but not synced), late retries to segments a
-//! master has left, reseed images shorter and longer than what is held,
-//! and reopens — over 2 masters × 3 segments under `per_write`, against
+//! master has left, and reopens — over 2 masters × 3 segments under
+//! `per_write`, against
 //! two `BTreeMap`s: what the store must *serve* now, and what the *files*
 //! must give back at the next open.
 //!
@@ -53,9 +53,6 @@ enum Op {
     /// An append to any of the master's three segments: one below the last
     /// it wrote to is a late retry.
     Append(usize, u64, Vec<u8>, Fate),
-    /// A reseed: what is served plus `extra` bytes, or — stale — all but
-    /// the last `-extra` of them.
-    Image(usize, u64, i8, Fate),
     Reopen,
 }
 
@@ -71,7 +68,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     let payload = proptest::collection::vec(any::<u8>(), 1..64);
     let op = prop_oneof![
         8 => (0usize..2, 0u64..3, payload, fate()).prop_map(|(m, s, p, f)| Op::Append(m, s, p, f)),
-        2 => (0usize..2, 0u64..3, -20i8..20, fate()).prop_map(|(m, s, d, f)| Op::Image(m, s, d, f)),
         1 => Just(Op::Reopen),
     ];
     proptest::collection::vec(op, 1..48)
@@ -135,33 +131,6 @@ proptest! {
                     }
                     let kept = dealt.kept(FRAME_HEADER_BYTES + payload.len());
                     torn += kept.is_some_and(|kept| kept > 0) as u64;
-                }
-                Op::Image(master, segment, extra, dealt) => {
-                    let key = (master, segment);
-                    let held = live.get(&key).cloned().unwrap_or_default();
-                    let image = if extra > 0 {
-                        [&held[..], &vec![0xEE; extra as usize]].concat()
-                    } else {
-                        held[..held.len().saturating_sub(-extra as usize)].to_vec()
-                    };
-                    *fate.lock().unwrap() = dealt;
-                    let done = store.supersede(master, segment, &image).is_ok();
-                    // A reseed no longer than what is held is dropped
-                    // before it reaches the disk, whatever the disk's mood.
-                    let written = image.len() > held.len();
-                    prop_assert_eq!(done, !written || dealt == Fate::Clean, "{:?}", dealt);
-                    if written && done {
-                        live.insert(key, image.clone());
-                    }
-                    if written && (done || dealt == Fate::FsyncEio) {
-                        // The one rule, as recovery will apply it.
-                        let on_disk = disk.entry(key).or_default();
-                        if image.len() > on_disk.len() {
-                            *on_disk = image.clone();
-                        }
-                    }
-                    let kept = dealt.kept(FRAME_HEADER_BYTES + image.len());
-                    torn += (written && kept.is_some_and(|kept| kept > 0)) as u64;
                 }
                 Op::Reopen => {
                     *fate.lock().unwrap() = Fate::Clean;

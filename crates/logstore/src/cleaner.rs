@@ -777,7 +777,7 @@ mod tests {
                     .any(|(_, e)| matches!(e, LogEntry::Object(o) if o.completion == Some(c)))
             })
         };
-        assert!(!carried(&s), "a superseded completion is not kept");
+        assert!(!carried(&s), "an outdated completion is not kept");
     }
 
     #[test]

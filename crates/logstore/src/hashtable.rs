@@ -15,7 +15,7 @@
 //! [`IndexShared`] handle, which validates a sequence counter around each
 //! probe and retries (or reports contention) instead of ever observing a
 //! torn slot. Array growth publishes a freshly built slot array through an
-//! `AtomicPtr`; superseded arrays are parked until the index drops, so a
+//! `AtomicPtr`; replaced arrays are parked until the index drops, so a
 //! reader that raced the swap still probes valid (if stale) memory and its
 //! seqlock validation sends it around again.
 //!
@@ -181,7 +181,7 @@ impl IndexShared {
     /// Writer-side view of the current array.
     fn array(&self) -> &SlotArray {
         // SAFETY: the pointer is always a live Box published by the writer;
-        // superseded arrays are parked, never freed, while `self` lives.
+        // replaced arrays are parked, never freed, while `self` lives.
         unsafe { &*self.current.load(Ordering::Acquire) }
     }
 
@@ -203,7 +203,7 @@ impl IndexShared {
         if s1 & 1 == 1 {
             return false;
         }
-        // SAFETY: as in `array` — superseded arrays stay allocated.
+        // SAFETY: as in `array` — replaced arrays stay allocated.
         let arr = unsafe { &*self.current.load(Ordering::Acquire) };
         let mask = arr.mask();
         let mut i = hash.0 as usize & mask;

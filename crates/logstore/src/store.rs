@@ -746,6 +746,32 @@ impl Store {
         Ok(applied)
     }
 
+    /// Forgets every object of `table` and every tombstone floor whose key
+    /// hash `doomed` picks, with each client completion naming a forgotten
+    /// record, and writes nothing to the log: what a recovery master holds
+    /// of buckets it did not own must not outvote their replay.
+    pub fn forget(&mut self, table: TableId, mut doomed: impl FnMut(KeyHash) -> bool) {
+        let picked: Vec<_> = self.index.iter().filter(|&(h, _)| doomed(h)).collect();
+        for (hash, pos) in picked {
+            let o = match self.log.read(pos) {
+                Some(LogEntry::Object(o)) if o.table == table => o,
+                _ => continue,
+            };
+            self.index.remove(hash, pos);
+            let len = object_len(o.key.len(), o.value.len(), o.completion.is_some());
+            self.log.adjust_live(pos.segment, -(len as isize));
+            if let Some(ordered) = self.ordered.as_mut() {
+                ordered.remove(&(table.0, o.key.to_vec()));
+            }
+            let named =
+                |c: &CompletionId| self.completions.get(&c.client) == Some(&(c.seq, o.version));
+            if let Some(c) = o.completion.filter(named) {
+                self.completions.remove(&c.client);
+            }
+        }
+        self.dead_versions.retain(|&hash, _| !doomed(KeyHash(hash)));
+    }
+
     /// Iterates over all live objects (order unspecified). Intended for
     /// verification and for building recovery partitions.
     pub fn live_objects(&self) -> impl Iterator<Item = ObjectRecord> + '_ {
@@ -1058,7 +1084,7 @@ mod tests {
         // overwrites of one hot key. Every closed segment is a mix of dead
         // hot versions and live cold records, so when a replay finds the
         // log full, the pass that makes room relocates the very record the
-        // replay supersedes. The replay must swing that record's index
+        // replay replaces. The replay must swing that record's index
         // entry, not add a second one for the key beside it.
         let mut s = Store::new(LogConfig {
             segment_bytes: 512,
@@ -1183,6 +1209,42 @@ mod tests {
             (&live.value[..], live.version),
             (&b"from d"[..], Version(2))
         );
+    }
+
+    #[test]
+    fn forgetting_a_key_lets_a_replay_at_its_version_in() {
+        let c = CompletionId { client: 1, seq: 5 };
+        let mut s = tiny_store();
+        s.write_with(T, b"stale", b"never acked", Some(c)).unwrap();
+        s.write(T, b"kept", b"mine").unwrap();
+        s.write(T, b"gone", b"deleted").unwrap();
+        s.delete(T, b"gone").unwrap();
+        let doomed = [key_hash(T, b"stale"), key_hash(T, b"gone")];
+        s.forget(T, |h| doomed.contains(&h));
+        assert!(s.read(T, b"stale").is_none());
+        assert_eq!(
+            s.read(T, b"kept").map(|o| o.value),
+            Some(Bytes::from_static(b"mine"))
+        );
+        assert_eq!(
+            s.last_completion(1),
+            None,
+            "the completion named the record"
+        );
+        // The same version of each key, from elsewhere, replays in: the copy
+        // and the tombstone floor it would have lost to are forgotten.
+        for key in [&b"stale"[..], b"gone"] {
+            let rec = ObjectRecord {
+                table: T,
+                key: Bytes::copy_from_slice(key),
+                value: Bytes::from_static(b"acked"),
+                version: Version(1),
+                completion: Some(c),
+            };
+            assert!(s.replay_object(&rec).unwrap());
+            assert_eq!(s.read(T, key).map(|o| o.value), Some(rec.value));
+        }
+        assert_eq!(s.last_completion(1), Some((5, Version(1))));
     }
 
     #[test]
