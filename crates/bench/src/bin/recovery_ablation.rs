@@ -42,8 +42,7 @@ use std::time::{Duration, Instant};
 
 use rmc_bench::json::Json;
 use rmc_bench::report::{self, SCHEMA_VERSION};
-use rmc_core::coordinator::bucket_for;
-use rmc_core::protocol::{coordinator_id, ProtocolConfig, PROTO_TABLE};
+use rmc_core::protocol::{bucket_for, coordinator_id, ProtocolConfig, PROTO_TABLE};
 use rmc_diskstore::{DiskMetrics, FileStorage, FsyncPolicy};
 use rmc_runtime::{MetricsRegistry, SimDuration};
 use rmc_standalone::{MiniCluster, StorageFactory};

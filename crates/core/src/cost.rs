@@ -41,8 +41,8 @@ use crate::config::{ClientAffinity, ClusterConfig};
 use crate::node::ServerNode;
 use crate::proto_sim::{self, QueuedRuntime, SimNet};
 use crate::protocol::{
-    is_image, replica_targets, server_id, AnyNode, ClientCore, ClientOp, CoordinatorNode, Msg,
-    ProtocolConfig, Reply, Server, ServerCounters, PROTO_TABLE,
+    bucket_for, is_image, replica_targets, server_id, AnyNode, ClientCore, ClientOp,
+    CoordinatorNode, Msg, ProtocolConfig, Reply, Server, ServerCounters, PROTO_TABLE,
 };
 use crate::report::{RecoveryReport, RunReport};
 
@@ -146,7 +146,7 @@ fn build(cfg: &ClusterConfig, histories: bool) -> SimNet {
     let mut keys_by_owner = vec![Vec::new(); cfg.servers];
     for i in 0..cfg.workload.record_count {
         let key = cfg.workload.key_for(i);
-        let owner = coordinator.coord.owner_of(PROTO_TABLE, &key);
+        let owner = coordinator.owners()[bucket_for(PROTO_TABLE, &key, pcfg.buckets)];
         keys_by_owner[owner].push(i);
         (servers[owner].store)
             .write(PROTO_TABLE, &key, &stored_value(cfg, i, 0))

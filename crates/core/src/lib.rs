@@ -8,16 +8,20 @@
 //!   crash recovery), the servers (masters with real log-structured storage
 //!   from `rmc-logstore`, backups staging real segment replicas, recovery
 //!   masters) and the client half (routing, RIFL exactly-once retries), as
-//!   message handlers over `rmc_runtime::Runtime`;
+//!   message handlers over `rmc_runtime::Runtime`, plus the bucket hash
+//!   every router shares ([`protocol::bucket_for`]);
 //! - [`proto_sim`]: the deterministic engine that runs them on the
 //!   `rmc_sim` event queue (the threaded and TCP engines live in
 //!   `rmc-standalone`);
+//! - [`config`] and [`report`]: a figure run's inputs ([`ClusterConfig`])
+//!   and outputs ([`RunReport`]);
 //! - [`cost`]: the machine model the paper's figures run the protocol under —
 //!   a polling dispatch thread (pinning one of four cores), worker threads
 //!   that spin before sleeping, a serialized log head with contention
 //!   inflation, workers that wait for replication acks, an Infiniband NIC,
 //!   an HDD per backup, closed-loop YCSB clients (`rmc-ycsb`) and per-node
-//!   power accounting (`rmc-energy`); its constants are [`calib`].
+//!   power accounting (`rmc-energy`); the server's cores and threads are
+//!   [`node`] and the constants [`calib`].
 //!
 //! ## Example: measure a small cluster
 //!
@@ -42,14 +46,18 @@
 
 pub mod calib;
 pub mod config;
-pub mod coordinator;
 pub mod cost;
 pub mod node;
 pub mod proto_sim;
 pub mod protocol;
 pub mod report;
 
+/// [`protocol::bucket_for`] under the path `benchmark/`'s code-path
+/// harness imports it by.
+pub mod coordinator {
+    pub use crate::protocol::bucket_for;
+}
+
 pub use config::{ClientAffinity, ClusterConfig};
-pub use coordinator::Coordinator;
 pub use node::ServerNode;
 pub use report::{RecoveryReport, RunReport};

@@ -171,7 +171,7 @@ impl SimNet {
 
     /// The coordinator's current `bucket -> owner` map.
     pub fn owners(&self) -> Vec<usize> {
-        self.coordinator().coord.owners_snapshot()
+        self.coordinator().owners().to_vec()
     }
 
     /// Have all clients finished their scripts or their YCSB quotas?
@@ -523,7 +523,7 @@ mod tests {
         let restarted = net.server(1).expect("server 1 restarted");
         assert_eq!(restarted.epoch(), 1);
         let coord = net.coordinator();
-        assert!(coord.coord.is_alive(1), "restarted server readmitted");
+        assert!(coord.is_alive(1), "restarted server readmitted");
         assert!(
             coord.counters.restarts_detected >= 1,
             "epoch jump was noticed"

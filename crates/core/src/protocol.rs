@@ -1,4 +1,4 @@
-//! One replication/recovery protocol, two engines.
+//! One replication/recovery protocol, three engines.
 //!
 //! The node state machines in this module — [`CoordinatorNode`],
 //! [`Server`], [`ClientCore`] (under a [`ScriptClient`] or the wall-clock
@@ -10,13 +10,13 @@
 //! thread; everything they may do to the outside world is `rt.now()`,
 //! `rt.send(..)`, and `rt.set_timer(..)`.
 //!
-//! Two engines run them:
+//! Three engines run them:
 //!
 //! - [`crate::proto_sim`] delivers messages through the deterministic
-//!   `rmc_sim` event queue, and
+//!   `rmc_sim` event queue (under [`crate::cost`] for the paper's figures);
 //! - `rmc_standalone::cluster` delivers them between real threads on the
-//!   wall clock, over crossbeam channels (the *mini-cluster*) or TCP
-//!   sockets (`rmcd` processes).
+//!   wall clock, over crossbeam channels (the *mini-cluster*); and
+//! - `rmcd` runs one node per process, over TCP sockets (`rmc_wire`).
 //!
 //! The cross-engine equivalence test drives the same scripted op/crash
 //! sequence through all of them and asserts the surviving key/value sets
@@ -95,15 +95,28 @@ use std::sync::Arc;
 
 use rmc_chaos::{MsgClass, OpKind, OpRecord};
 use rmc_diskstore::{BackupStorage, MemStorage};
-use rmc_logstore::{CompletionId, LogConfig, LogEntry, SegmentId, Store, TableId, WriteOutcome};
+use rmc_logstore::{
+    key_hash, CompletionId, KeyHash, LogConfig, LogEntry, SegmentId, Store, TableId, WriteOutcome,
+};
 use rmc_obs::span::{SpanKind, SpanRecorder};
 use rmc_runtime::MetricKind::{self, Counter, Gauge};
 use rmc_runtime::{Histogram, MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
 
-use crate::coordinator::{bucket_for, bucket_of, Coordinator};
-
 /// The single table the protocol serves (the paper loads one YCSB table).
 pub const PROTO_TABLE: TableId = TableId(1);
+
+/// The hash bucket (tablet) `key` falls into among `buckets`.
+///
+/// Free function so every routing decision — coordinator, masters, and
+/// clients, under every engine — shares one hash.
+pub fn bucket_for(table: TableId, key: &[u8], buckets: usize) -> usize {
+    bucket_of(key_hash(table, key), buckets)
+}
+
+/// The hash bucket of a key whose hash is `hash`, among `buckets`.
+fn bucket_of(hash: KeyHash, buckets: usize) -> usize {
+    (hash.0 % buckets as u64) as usize
+}
 
 // ---------------------------------------------------------------------
 // Addressing
@@ -365,13 +378,11 @@ pub enum Msg {
         /// Replica buffers, one per staged segment.
         segments: Vec<(u64, Vec<u8>)>,
     },
-    /// Recovery master → coordinator: `buckets` of `crashed` are replayed
-    /// and re-replicated.
+    /// Recovery master → coordinator: the buckets the `TakeOver` of
+    /// `round` gave the sender are replayed and re-replicated.
     TakeOverDone {
         /// The dead master.
         crashed: usize,
-        /// The buckets now live on the sender.
-        buckets: Vec<usize>,
         /// Echo of the `TakeOver` round this completion answers.
         round: u64,
     },
@@ -503,12 +514,11 @@ pub struct CoordCounters {
 /// One in-flight recovery the coordinator is tracking.
 #[derive(Debug)]
 struct PendingRecovery {
-    /// Recovery masters still working this round, with the buckets each
-    /// replays. Keyed by server index, not a count: the network may
-    /// duplicate a `TakeOverDone`, and counting one master's completion
-    /// twice would finish the recovery with another master's buckets never
-    /// replayed.
-    left: BTreeMap<usize, Vec<usize>>,
+    /// Recovery masters still working this round. A set, not a count: the
+    /// network may duplicate a `TakeOverDone`, and counting one master's
+    /// completion twice would finish the recovery with another master's
+    /// buckets never replayed.
+    left: BTreeSet<usize>,
     /// Current round; completions from other rounds are stale.
     round: u64,
     /// When the current round was last sent.
@@ -517,24 +527,29 @@ struct PendingRecovery {
     /// it was issued: the round is re-issued once one of them dies or
     /// restarts.
     counts_on: Vec<(usize, u64)>,
-    /// `(bucket, new_owner)` reassignments to apply when all finish.
+    /// The will, as `(bucket, new_owner)` in bucket order: each recovery
+    /// master's `TakeOver` names its buckets, and all of them move once
+    /// every one has finished.
     moves: Vec<(usize, usize)>,
 }
 
-/// The coordinator state machine: tablet map, failure detection, recovery
-/// orchestration. Wraps the same [`Coordinator`] the simulated cluster
-/// uses.
+/// The coordinator state machine: the tablet map, failure detection and
+/// recovery orchestration.
 #[derive(Debug)]
 pub struct CoordinatorNode {
     cfg: ProtocolConfig,
-    /// Tablet map + wills (shared with the simulated cluster model).
-    pub coord: Coordinator,
+    /// `bucket -> owner`. The buckets start round-robin over the servers
+    /// (a uniform spread, as the paper's `ServerSpan` gives) and move when
+    /// a recovery completes.
+    tablet_owner: Vec<usize>,
+    /// Per server: not declared dead, or readmitted since.
+    alive: Vec<bool>,
     last_heartbeat: Vec<SimTime>,
+    /// Highest incarnation epoch heard per server.
+    server_epoch: Vec<u64>,
     map_version: u64,
     /// crashed server -> recovery in progress.
     pending: BTreeMap<usize, PendingRecovery>,
-    /// Highest incarnation epoch heard per server.
-    server_epoch: Vec<u64>,
     /// Restarted servers whose old incarnation still awaits recovery:
     /// declaring them dead at detection time would have left no survivor
     /// (the whole-fleet cold-restart shape). Retried from the timer.
@@ -546,23 +561,37 @@ pub struct CoordinatorNode {
 }
 
 impl CoordinatorNode {
-    /// Creates the coordinator for `cfg`'s cluster shape.
+    /// Creates the coordinator for `cfg`'s cluster shape, every server
+    /// alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has no servers or no buckets.
     pub fn new(cfg: ProtocolConfig) -> Self {
-        let coord = Coordinator::new(cfg.servers, cfg.buckets);
-        let hb = vec![SimTime::ZERO; cfg.servers];
-        let epochs = vec![0; cfg.servers];
+        assert!(cfg.servers > 0 && cfg.buckets > 0);
         CoordinatorNode {
-            cfg,
-            coord,
-            last_heartbeat: hb,
+            tablet_owner: (0..cfg.buckets).map(|b| b % cfg.servers).collect(),
+            alive: vec![true; cfg.servers],
+            last_heartbeat: vec![SimTime::ZERO; cfg.servers],
+            server_epoch: vec![0; cfg.servers],
             map_version: 0,
             pending: BTreeMap::new(),
-            server_epoch: epochs,
             deferred_restarts: BTreeSet::new(),
             next_round: 0,
             counters: CoordCounters::default(),
             started: false,
+            cfg,
         }
+    }
+
+    /// The tablet map, `bucket -> owner`.
+    pub fn owners(&self) -> &[usize] {
+        &self.tablet_owner
+    }
+
+    /// Is `server` alive (never declared dead, or readmitted since)?
+    pub fn is_alive(&self, server: usize) -> bool {
+        self.alive[server]
     }
 
     /// Is any crash recovery still in flight (or detected but deferred)?
@@ -593,13 +622,9 @@ impl CoordinatorNode {
             }
             Msg::MapRequest => {
                 self.counters.map_requests += 1;
-                self.send_map_to(from, rt);
+                rt.send(from, self.map_update());
             }
-            Msg::TakeOverDone {
-                crashed,
-                buckets: _,
-                round,
-            } => {
+            Msg::TakeOverDone { crashed, round } => {
                 let Some(sender) = from.0.checked_sub(1) else {
                     return;
                 };
@@ -616,13 +641,11 @@ impl CoordinatorNode {
                 // Never reassign buckets to a recovery master that has
                 // itself died since finishing: re-run over the current
                 // survivors instead.
-                let all_alive = rec
-                    .moves
-                    .iter()
-                    .all(|&(_, owner)| self.coord.is_alive(owner));
-                if all_alive {
+                if rec.moves.iter().all(|&(_, owner)| self.alive[owner]) {
                     let rec = self.pending.remove(&crashed).expect("present");
-                    self.coord.reassign(&rec.moves);
+                    for (bucket, owner) in rec.moves {
+                        self.tablet_owner[bucket] = owner;
+                    }
                     self.broadcast_map(rt);
                 } else {
                     self.counters.recovery_retries += 1;
@@ -692,9 +715,9 @@ impl CoordinatorNode {
             // pending for it.
             self.server_epoch[server] = epoch;
             self.counters.restarts_detected += 1;
-            if self.coord.is_alive(server) && !self.pending.contains_key(&server) {
+            if self.alive[server] && !self.pending.contains_key(&server) {
                 self.declare_dead(server, rt);
-                if self.coord.is_alive(server) {
+                if self.alive[server] {
                     // Refused: every other server is already down for
                     // recovery (the whole fleet cold-restarted at once).
                     // The epoch is recorded, so this branch never fires
@@ -704,17 +727,17 @@ impl CoordinatorNode {
                     self.counters.restarts_deferred += 1;
                 }
             }
-        } else if !self.coord.is_alive(server) && !self.pending.contains_key(&server) {
+        } else if !self.alive[server] && !self.pending.contains_key(&server) {
             // Same incarnation, declared dead, nothing left to recover:
             // either a healed partition or a completed restart recovery.
             // Readmit bucket-less (its old buckets stay where recovery put
             // them).
-            self.coord.mark_alive(server);
+            self.alive[server] = true;
             self.counters.readmissions += 1;
             self.broadcast_map(rt);
         }
         if map_version < self.map_version {
-            self.send_map_to(from, rt);
+            rt.send(from, self.map_update());
         }
     }
 
@@ -736,7 +759,7 @@ impl CoordinatorNode {
         for crashed in overdue {
             let rec = &self.pending[&crashed];
             let intact = (rec.counts_on.iter())
-                .all(|&(s, epoch)| self.coord.is_alive(s) && self.server_epoch[s] == epoch);
+                .all(|&(s, epoch)| self.alive[s] && self.server_epoch[s] == epoch);
             if intact {
                 self.send_round(crashed, rt);
             } else {
@@ -751,15 +774,15 @@ impl CoordinatorNode {
             if self.pending.contains_key(&server) {
                 continue; // a recovery for it is underway after all
             }
-            if self.coord.is_alive(server) {
+            if self.alive[server] {
                 self.declare_dead(server, rt);
-                if self.coord.is_alive(server) {
+                if self.alive[server] {
                     self.deferred_restarts.insert(server); // still refused
                 }
             }
         }
         for s in 0..self.cfg.servers {
-            if !self.coord.is_alive(s) || self.pending.contains_key(&s) {
+            if !self.alive[s] || self.pending.contains_key(&s) {
                 continue;
             }
             if now - self.last_heartbeat[s] >= self.cfg.failure_timeout {
@@ -769,18 +792,17 @@ impl CoordinatorNode {
         rt.set_timer(self.cfg.heartbeat_interval);
     }
 
+    /// The servers alive now, in index order.
+    fn survivors(&self) -> Vec<usize> {
+        (0..self.cfg.servers).filter(|&s| self.alive[s]).collect()
+    }
+
     fn declare_dead<R: Runtime<Msg = Msg>>(&mut self, victim: usize, rt: &mut R) {
         // Never declare the last server dead: no survivor could recover it.
-        let survivors_after = self
-            .coord
-            .alive_servers()
-            .iter()
-            .filter(|&&s| s != victim)
-            .count();
-        if survivors_after == 0 {
+        if self.survivors().iter().all(|&s| s == victim) {
             return;
         }
-        self.coord.mark_dead(victim);
+        self.alive[victim] = false;
         // Tell everyone the victim is dead (clients stop sending to it,
         // backups fence it) before recovery masters start fetching.
         self.broadcast_map(rt);
@@ -790,18 +812,15 @@ impl CoordinatorNode {
     /// Issues (or re-issues) the recovery of `victim` as a fresh round over
     /// the current survivors.
     fn start_recovery_round<R: Runtime<Msg = Msg>>(&mut self, victim: usize, rt: &mut R) {
-        let survivors = self.coord.alive_servers();
-        if survivors.is_empty() {
-            self.pending.remove(&victim);
-            return;
-        }
-        let will = self.coord.partition_will(victim);
-        let mut per_owner: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &(bucket, owner) in &will {
-            per_owner.entry(owner).or_default().push(bucket);
-        }
-        if per_owner.is_empty() {
-            // The victim owned nothing; its death broadcast was enough.
+        let survivors = self.survivors();
+        // The will: the victim's buckets spread round-robin over the
+        // survivors, so every machine takes part in recovery (the paper's
+        // Section II-B).
+        let owned = (0..self.tablet_owner.len()).filter(|&b| self.tablet_owner[b] == victim);
+        let moves: Vec<(usize, usize)> = owned.zip(survivors.iter().copied().cycle()).collect();
+        if moves.is_empty() {
+            // No survivor, or the victim owned nothing (its death broadcast
+            // was enough).
             self.pending.remove(&victim);
             return;
         }
@@ -812,26 +831,30 @@ impl CoordinatorNode {
         self.pending.insert(
             victim,
             PendingRecovery {
-                left: per_owner,
+                left: moves.iter().map(|&(_, owner)| owner).collect(),
                 round: self.next_round,
                 started: rt.now(),
                 counts_on,
-                moves: will,
+                moves,
             },
         );
         self.send_round(victim, rt);
     }
 
     /// Sends `victim`'s current round to each recovery master that has not
-    /// reported it done.
+    /// reported it done, with the buckets the will gives it.
     fn send_round<R: Runtime<Msg = Msg>>(&mut self, victim: usize, rt: &mut R) {
         let rec = self.pending.get_mut(&victim).expect("pending");
         rec.started = rt.now();
         let survivors: Vec<usize> = rec.counts_on.iter().map(|&(s, _)| s).collect();
-        for (&owner, buckets) in &rec.left {
+        for &owner in &rec.left {
+            let buckets = (rec.moves.iter())
+                .filter(|&&(_, o)| o == owner)
+                .map(|&(bucket, _)| bucket)
+                .collect();
             let takeover = Msg::TakeOver {
                 crashed: victim,
-                buckets: buckets.clone(),
+                buckets,
                 survivors: survivors.clone(),
                 round: rec.round,
             };
@@ -839,48 +862,24 @@ impl CoordinatorNode {
         }
     }
 
-    /// Unicasts the current map (no version bump) to one node.
-    fn send_map_to<R: Runtime<Msg = Msg>>(&self, to: NodeId, rt: &mut R) {
-        let alive: Vec<bool> = (0..self.cfg.servers)
-            .map(|s| self.coord.is_alive(s))
-            .collect();
-        rt.send(
-            to,
-            Msg::MapUpdate {
-                version: self.map_version,
-                owners: self.coord.owners_snapshot(),
-                alive,
-            },
-        );
+    /// The current tablet map, as sent to a node that asks or lags (no
+    /// version bump).
+    fn map_update(&self) -> Msg {
+        Msg::MapUpdate {
+            version: self.map_version,
+            owners: self.tablet_owner.clone(),
+            alive: self.alive.clone(),
+        }
     }
 
+    /// Bumps the map version and sends the map to every live server, then
+    /// to every client.
     fn broadcast_map<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
         self.map_version += 1;
-        let owners = self.coord.owners_snapshot();
-        let alive: Vec<bool> = (0..self.cfg.servers)
-            .map(|s| self.coord.is_alive(s))
-            .collect();
-        for s in 0..self.cfg.servers {
-            if self.coord.is_alive(s) {
-                rt.send(
-                    server_id(s),
-                    Msg::MapUpdate {
-                        version: self.map_version,
-                        owners: owners.clone(),
-                        alive: alive.clone(),
-                    },
-                );
-            }
-        }
-        for c in 0..self.cfg.clients {
-            rt.send(
-                client_id(self.cfg.servers, c),
-                Msg::MapUpdate {
-                    version: self.map_version,
-                    owners: owners.clone(),
-                    alive: alive.clone(),
-                },
-            );
+        let servers = self.survivors().into_iter().map(server_id);
+        let clients = (0..self.cfg.clients).map(|c| client_id(self.cfg.servers, c));
+        for to in servers.chain(clients) {
+            rt.send(to, self.map_update());
         }
     }
 }
@@ -957,16 +956,29 @@ impl PendingWrite {
     }
 }
 
-/// An in-progress recovery fetch on a recovery master.
+/// A recovery master's takeover of a crashed master's buckets, from the
+/// `TakeOver` that starts a round to the `TakeOverDone` that reports it.
 #[derive(Debug)]
-struct RecoveryFetch {
-    buckets: Vec<usize>,
+struct Takeover {
     round: u64,
-    awaiting: BTreeSet<usize>,
-    collected: Vec<(u64, Vec<u8>)>,
-    /// Once replayed: the first replica segment the replay wrote. The
-    /// takeover is reported when no image from it on is pending.
-    replayed: Option<u64>,
+    buckets: Vec<usize>,
+    phase: Phase,
+}
+
+/// How far a [`Takeover`]'s round has got.
+#[derive(Debug)]
+enum Phase {
+    /// Gathering the crashed master's staged replicas: the survivors yet to
+    /// answer, and what has arrived.
+    Fetching {
+        awaiting: BTreeSet<usize>,
+        collected: Vec<(u64, Vec<u8>)>,
+    },
+    /// Replayed; reported once no image of replica segment `from` (the
+    /// first the replay wrote) or a later one is pending.
+    Imaging { from: u64 },
+    /// `TakeOverDone` sent; a re-sent round is answered with another.
+    Reported,
 }
 
 /// A server state machine: master for its buckets, backup for its ring
@@ -989,7 +1001,7 @@ pub struct Server {
     pending: BTreeMap<(u64, u64), PendingWrite>,
     /// Backup role: where replica bytes are staged. [`MemStorage`] by
     /// default (the deterministic engines); a file-backed engine when the
-    /// harness opts into durability ([`Server::with_storage`]).
+    /// harness opts into durability ([`Server::set_storage`]).
     staged: Box<dyn BackupStorage>,
     /// Backup role: masters whose `Replicate` traffic is rejected (known
     /// dead, or fetched from for recovery).
@@ -1001,10 +1013,8 @@ pub struct Server {
     last_targets: Vec<usize>,
     /// Per server: when it last acked one of our images or was sent one.
     image_clock: Vec<SimTime>,
-    /// In-progress recoveries, keyed by crashed master.
-    recovery: BTreeMap<usize, RecoveryFetch>,
-    /// The last recovery round finished per crashed master.
-    recovered: BTreeMap<usize, u64>,
+    /// The latest takeover round sent here, per crashed master.
+    takeovers: BTreeMap<usize, Takeover>,
     /// Event counters.
     pub counters: ServerCounters,
     /// Time writes spend waiting on backup acks (ns): from the first
@@ -1034,25 +1044,15 @@ impl Server {
         self.staged = storage;
     }
 
-    /// [`Server::new`] with an explicit backup staging engine.
+    /// [`Server::new`] with an explicit backup staging engine. Nothing in
+    /// the workspace calls it (they call `set_storage`); `benchmark/`'s
+    /// path harness does.
     pub fn with_storage(
         index: usize,
         cfg: ProtocolConfig,
         storage: Box<dyn BackupStorage>,
     ) -> Self {
         let mut s = Server::new(index, cfg);
-        s.set_storage(storage);
-        s
-    }
-
-    /// [`Server::restarted`] with an explicit backup staging engine.
-    pub fn restarted_with_storage(
-        index: usize,
-        cfg: ProtocolConfig,
-        epoch: u64,
-        storage: Box<dyn BackupStorage>,
-    ) -> Self {
-        let mut s = Server::restarted(index, cfg, epoch);
         s.set_storage(storage);
         s
     }
@@ -1089,8 +1089,7 @@ impl Server {
             rifl_last: BTreeMap::new(),
             last_targets,
             image_clock,
-            recovery: BTreeMap::new(),
-            recovered: BTreeMap::new(),
+            takeovers: BTreeMap::new(),
             counters: ServerCounters::default(),
             ack_wait: Histogram::new(),
         }
@@ -1495,20 +1494,16 @@ impl Server {
     /// Reports each takeover replayed here whose images are all acked: none
     /// of a segment from the first its replay wrote on is pending.
     fn report_replayed<R: Runtime<Msg = Msg>>(&mut self, rt: &mut R) {
-        let pending = |from| self.images(from).next().is_some();
-        let durable: Vec<usize> = (self.recovery.iter())
-            .filter(|(_, f)| f.replayed.is_some_and(|from| !pending(from)))
+        let acked = |from| self.images(from).next().is_none();
+        let durable: Vec<usize> = (self.takeovers.iter())
+            .filter(|(_, t)| matches!(t.phase, Phase::Imaging { from } if acked(from)))
             .map(|(&crashed, _)| crashed)
             .collect();
         for crashed in durable {
-            let fetch = self.recovery.remove(&crashed).expect("listed");
-            self.recovered.insert(crashed, fetch.round);
-            let done = Msg::TakeOverDone {
-                crashed,
-                buckets: fetch.buckets,
-                round: fetch.round,
-            };
-            rt.send(coordinator_id(), done);
+            let t = self.takeovers.get_mut(&crashed).expect("listed");
+            t.phase = Phase::Reported;
+            let round = t.round;
+            rt.send(coordinator_id(), Msg::TakeOverDone { crashed, round });
         }
     }
 
@@ -1569,7 +1564,7 @@ impl Server {
         if !me_alive {
             // Declared dead: a takeover replayed here is run again elsewhere,
             // and the images it waited for are shed.
-            self.recovery.retain(|_, f| f.replayed.is_none());
+            (self.takeovers).retain(|_, t| !matches!(t.phase, Phase::Imaging { .. }));
             return;
         }
         let targets = self.targets();
@@ -1605,55 +1600,51 @@ impl Server {
         round: u64,
         rt: &mut R,
     ) {
-        if let Some(&done) = self.recovered.get(&crashed) {
-            if done == round {
-                // A re-sent round already finished here: its report is lost
-                // or still on its way.
-                let done = Msg::TakeOverDone {
-                    crashed,
-                    buckets,
-                    round,
-                };
-                return rt.send(coordinator_id(), done);
-            }
-            if done > round {
-                return;
-            }
-        }
-        if let Some(existing) = self.recovery.get(&crashed) {
-            if existing.round == round {
-                // A re-sent round in progress: ask again whoever has not
-                // answered (the request or its answer may have been lost).
-                // Once replayed, no one is: the last image ack reports it.
-                for &s in &existing.awaiting {
+        use std::cmp::Ordering::{Equal, Greater};
+        let latest = self.takeovers.get(&crashed);
+        match latest.map(|t| (t.round.cmp(&round), &t.phase)) {
+            // A newer round replaced this one.
+            Some((Greater, _)) => return,
+            // A re-sent round in progress: ask again whoever has not
+            // answered (the request or its answer may have been lost).
+            Some((Equal, Phase::Fetching { awaiting, .. })) => {
+                for &s in awaiting {
                     rt.send(server_id(s), Msg::FetchSegments { crashed });
                 }
-            }
-            if existing.round >= round {
                 return;
             }
+            // Replayed: the last image ack reports it.
+            Some((Equal, Phase::Imaging { .. })) => return,
+            // Finished here: its report is lost or still on its way.
+            Some((Equal, Phase::Reported)) => {
+                return rt.send(coordinator_id(), Msg::TakeOverDone { crashed, round });
+            }
+            // The first round sent here, or one replacing an older one.
+            _ => {}
         }
         // We know the master is dead even if the MapUpdate raced.
         self.fenced.insert(crashed);
-        let mut fetch = RecoveryFetch {
-            buckets,
-            round,
-            awaiting: survivors
-                .iter()
-                .copied()
-                .filter(|&s| s != self.index)
-                .collect(),
-            collected: Vec::new(),
-            replayed: None,
-        };
-        // Own staged replicas join the pool without a network round trip.
-        fetch.collected.extend(self.staged.segments_of(crashed));
-        let peers: Vec<usize> = fetch.awaiting.iter().copied().collect();
-        let done = peers.is_empty();
-        self.recovery.insert(crashed, fetch);
-        for s in peers {
+        let awaiting: BTreeSet<usize> = (survivors.into_iter())
+            .filter(|&s| s != self.index)
+            .collect();
+        for &s in &awaiting {
             rt.send(server_id(s), Msg::FetchSegments { crashed });
         }
+        let done = awaiting.is_empty();
+        // Own staged replicas join the pool without a network round trip.
+        let collected = self.staged.segments_of(crashed);
+        let phase = Phase::Fetching {
+            awaiting,
+            collected,
+        };
+        self.takeovers.insert(
+            crashed,
+            Takeover {
+                round,
+                buckets,
+                phase,
+            },
+        );
         if done {
             self.finish_takeover(crashed, rt);
         }
@@ -1669,14 +1660,18 @@ impl Server {
         let Some(survivor) = from.0.checked_sub(1) else {
             return;
         };
-        let Some(fetch) = self.recovery.get_mut(&crashed) else {
+        let Some(Phase::Fetching {
+            awaiting,
+            collected,
+        }) = self.takeovers.get_mut(&crashed).map(|t| &mut t.phase)
+        else {
             return;
         };
-        if !fetch.awaiting.remove(&survivor) {
+        if !awaiting.remove(&survivor) {
             return; // a repeated answer
         }
-        fetch.collected.extend(segments);
-        if fetch.awaiting.is_empty() {
+        collected.extend(segments);
+        if awaiting.is_empty() {
             self.finish_takeover(crashed, rt);
         }
     }
@@ -1685,12 +1680,12 @@ impl Server {
     /// Replicas overlap (R copies of each segment); `replay_object` /
     /// `replay_tombstone` are version-guarded, so duplicates are no-ops.
     fn finish_takeover<R: Runtime<Msg = Msg>>(&mut self, crashed: usize, rt: &mut R) {
-        let fetch = self
-            .recovery
-            .get_mut(&crashed)
-            .expect("takeover in progress");
-        let collected = std::mem::take(&mut fetch.collected);
-        let bucket_set: BTreeSet<usize> = fetch.buckets.iter().copied().collect();
+        let t = self.takeovers.get_mut(&crashed).expect("takeover");
+        let Phase::Fetching { collected, .. } = &mut t.phase else {
+            unreachable!("a takeover is replayed once it has fetched")
+        };
+        let collected = std::mem::take(collected);
+        let bucket_set: BTreeSet<usize> = t.buckets.iter().copied().collect();
         self.counters.replays += 1;
         // What this server holds of these buckets is stale (a write it never
         // had acked before it was declared dead): no replay may lose to it.
@@ -1733,8 +1728,8 @@ impl Server {
         // and completion records — onto this server's own backups, and
         // report the takeover done once each of them is acked.
         self.image(from, &self.targets(), rt);
-        let replayed = Some(self.replica_segment(from));
-        self.recovery.get_mut(&crashed).expect("replayed").replayed = replayed;
+        let from = self.replica_segment(from);
+        self.takeovers.get_mut(&crashed).expect("takeover").phase = Phase::Imaging { from };
         self.report_replayed(rt);
     }
 }
@@ -3142,7 +3137,7 @@ mod tests {
             &mut rt,
         );
         assert_eq!(coord.counters.restarts_detected, 1);
-        assert!(!coord.coord.is_alive(0));
+        assert!(!coord.is_alive(0));
         assert!(coord.recovery_pending());
         let out = rt.drain();
         assert!(
@@ -3186,12 +3181,8 @@ mod tests {
         };
         let first = takeovers(&mut rt);
         assert_eq!(first.len(), 3);
-        let (done, bks, round) = first[0].clone();
-        let report = Msg::TakeOverDone {
-            crashed: 0,
-            buckets: bks,
-            round,
-        };
+        let (done, _, round) = first[0].clone();
+        let report = Msg::TakeOverDone { crashed: 0, round };
         coord.on_message(server_id(done), report, &mut rt);
 
         // 200 ms on, every survivor alive: the same round goes again to the
@@ -3212,7 +3203,7 @@ mod tests {
             (1..3).for_each(|s| beat(&mut coord, &mut rt, s, 0));
             coord.on_timer(&mut rt);
         }
-        assert!(!coord.coord.is_alive(3));
+        assert!(!coord.is_alive(3));
         assert_eq!(coord.counters.recovery_retries, 1);
         let reissued = takeovers(&mut rt);
         let of_0: Vec<_> = reissued.iter().filter(|t| t.2 > round).collect();
@@ -3221,45 +3212,101 @@ mod tests {
 
     #[test]
     fn a_recovery_master_asks_again_or_reports_again_for_a_resent_round() {
-        let cfg = ProtocolConfig::new(3, 0, 1);
-        let mut rm = Server::new(1, cfg);
-        let mut rt = TestRt::new(server_id(1));
+        // Server 0 dies with three acked puts staged on servers 1 and 2.
+        // Server 1 recovers them and images its replay onto its own
+        // backups, 2 and 3.
+        let cfg = ProtocolConfig::new(4, 1, 2);
+        let mut servers: Vec<Server> = (0..4).map(|i| Server::new(i, cfg.clone())).collect();
+        three_puts(&mut servers, &cfg, 0);
         let takeover = || Msg::TakeOver {
             crashed: 0,
-            buckets: vec![0, 1],
-            survivors: vec![1, 2],
+            buckets: (0..cfg.buckets).step_by(4).collect(),
+            survivors: vec![1, 2, 3],
             round: 4,
         };
-        let fetches = |rt: &mut TestRt| -> Vec<NodeId> {
-            (rt.drain().into_iter())
+        let fetches = |out: &[(NodeId, Msg)]| -> Vec<NodeId> {
+            (out.iter())
                 .filter(|(_, m)| matches!(m, Msg::FetchSegments { crashed: 0 }))
-                .map(|(to, _)| to)
+                .map(|&(to, _)| to)
                 .collect()
         };
-        rm.on_message(coordinator_id(), takeover(), &mut rt);
-        assert_eq!(fetches(&mut rt), vec![server_id(2)]);
-        // Re-sent while server 2 has not answered: ask it again.
-        rm.on_message(coordinator_id(), takeover(), &mut rt);
-        assert_eq!(fetches(&mut rt), vec![server_id(2)]);
-        let data = || Msg::SegmentData {
-            crashed: 0,
-            segments: Vec::new(),
-        };
-        rm.on_message(server_id(2), data(), &mut rt);
-        let done = |rt: &mut TestRt| {
-            (rt.drain().into_iter())
+        let reports = |out: &[(NodeId, Msg)]| {
+            (out.iter())
                 .filter(|(to, m)| {
                     *to == coordinator_id() && matches!(m, Msg::TakeOverDone { round: 4, .. })
                 })
                 .count()
         };
-        assert_eq!(done(&mut rt), 1);
+        let mut rt = TestRt::new(server_id(1));
+        servers[1].on_message(coordinator_id(), takeover(), &mut rt);
+        assert_eq!(fetches(&rt.drain()), vec![server_id(2), server_id(3)]);
+        // Re-sent while neither has answered: ask both again.
+        servers[1].on_message(coordinator_id(), takeover(), &mut rt);
+        assert_eq!(fetches(&rt.drain()), vec![server_id(2), server_id(3)]);
+        let data = |servers: &[Server], s: usize| Msg::SegmentData {
+            crashed: 0,
+            segments: servers[s].storage().segments_of(0),
+        };
+        assert!(!servers[2].storage().segments_of(0).is_empty());
+        for s in [2, 3] {
+            let answer = data(&servers, s);
+            servers[1].on_message(server_id(s), answer, &mut rt);
+        }
+        let images = rt.drain();
+        let imaged: BTreeSet<NodeId> = (images.iter())
+            .filter(|(_, m)| matches!(m, Msg::Replicate { .. }))
+            .map(|&(to, _)| to)
+            .collect();
+        assert_eq!(imaged, BTreeSet::from([server_id(2), server_id(3)]));
+        assert_eq!(reports(&images), 0, "reported before its images were acked");
+        // Re-sent while the images are unacked: no one is left to ask and
+        // nothing is reported yet.
+        servers[1].on_message(coordinator_id(), takeover(), &mut rt);
+        assert_eq!(rt.drain(), vec![]);
+        // The acks report it, once.
+        let sent = deliver_but(&mut servers, server_id(1), images, |_, _, _| false);
+        assert_eq!(reports(&sent), 1);
         // A late repeated answer changes nothing; a re-sent finished round
         // is reported again without fetching.
-        rm.on_message(server_id(2), data(), &mut rt);
-        assert_eq!(done(&mut rt), 0);
-        rm.on_message(coordinator_id(), takeover(), &mut rt);
-        assert_eq!(done(&mut rt), 1);
+        let answer = data(&servers, 2);
+        servers[1].on_message(server_id(2), answer, &mut rt);
+        assert_eq!(rt.drain(), vec![]);
+        servers[1].on_message(coordinator_id(), takeover(), &mut rt);
+        let out = rt.drain();
+        assert_eq!((reports(&out), fetches(&out).len()), (1, 0));
+    }
+
+    #[test]
+    fn a_stale_round_gets_no_report_while_a_newer_round_runs() {
+        let cfg = ProtocolConfig::new(3, 0, 1);
+        let mut rm = Server::new(1, cfg);
+        let mut rt = TestRt::new(server_id(1));
+        let takeover = |round| Msg::TakeOver {
+            crashed: 0,
+            buckets: vec![0, 1],
+            survivors: vec![1, 2],
+            round,
+        };
+        let nothing = || Msg::SegmentData {
+            crashed: 0,
+            segments: Vec::new(),
+        };
+        // Round 4 finishes here: there was nothing to replay.
+        rm.on_message(coordinator_id(), takeover(4), &mut rt);
+        rm.on_message(server_id(2), nothing(), &mut rt);
+        let done = |round| (coordinator_id(), Msg::TakeOverDone { crashed: 0, round });
+        assert_eq!(rt.drain().last(), Some(&done(4)));
+        // Round 5 replaces it. A late copy of round 4 is stale while round 5
+        // fetches, and once it has finished.
+        rm.on_message(coordinator_id(), takeover(5), &mut rt);
+        let fetch = (server_id(2), Msg::FetchSegments { crashed: 0 });
+        assert_eq!(rt.drain(), vec![fetch]);
+        rm.on_message(coordinator_id(), takeover(4), &mut rt);
+        assert_eq!(rt.drain(), vec![], "a replaced round is not reported");
+        rm.on_message(server_id(2), nothing(), &mut rt);
+        assert_eq!(rt.drain().last(), Some(&done(5)));
+        rm.on_message(coordinator_id(), takeover(4), &mut rt);
+        assert_eq!(rt.drain(), vec![]);
     }
 
     #[test]
@@ -3287,16 +3334,9 @@ mod tests {
             })
             .collect();
         assert!(!takeovers.is_empty());
-        for (owner, bks, round) in takeovers {
-            coord.on_message(
-                server_id(owner),
-                Msg::TakeOverDone {
-                    crashed: 0,
-                    buckets: bks,
-                    round,
-                },
-                &mut rt,
-            );
+        for (owner, _, round) in takeovers {
+            let done = Msg::TakeOverDone { crashed: 0, round };
+            coord.on_message(server_id(owner), done, &mut rt);
         }
         assert!(!coord.recovery_pending());
         // The next heartbeat of the new incarnation readmits it
@@ -3310,8 +3350,8 @@ mod tests {
             &mut rt,
         );
         assert_eq!(coord.counters.readmissions, 1);
-        assert!(coord.coord.is_alive(0));
-        let owners = coord.coord.owners_snapshot();
+        assert!(coord.is_alive(0));
+        let owners = coord.owners();
         assert_eq!(owners.len(), buckets);
         assert!(
             owners.iter().all(|&o| o != 0),
@@ -3321,29 +3361,16 @@ mod tests {
 
     /// Drains `rt` and answers every TakeOver with its TakeOverDone.
     fn complete_takeovers(coord: &mut CoordinatorNode, rt: &mut TestRt) {
-        let takeovers: Vec<(usize, usize, Vec<usize>, u64)> = rt
+        let takeovers: Vec<(usize, usize, u64)> = rt
             .drain()
             .into_iter()
             .filter_map(|(to, m)| match m {
-                Msg::TakeOver {
-                    crashed,
-                    buckets,
-                    round,
-                    ..
-                } => Some((to.0 - 1, crashed, buckets, round)),
+                Msg::TakeOver { crashed, round, .. } => Some((to.0 - 1, crashed, round)),
                 _ => None,
             })
             .collect();
-        for (owner, crashed, bks, round) in takeovers {
-            coord.on_message(
-                server_id(owner),
-                Msg::TakeOverDone {
-                    crashed,
-                    buckets: bks,
-                    round,
-                },
-                rt,
-            );
+        for (owner, crashed, round) in takeovers {
+            coord.on_message(server_id(owner), Msg::TakeOverDone { crashed, round }, rt);
         }
     }
 
@@ -3368,10 +3395,10 @@ mod tests {
             );
         };
         hb(&mut coord, &mut rt, 0);
-        assert!(!coord.coord.is_alive(0), "first restart recovered eagerly");
+        assert!(!coord.is_alive(0), "first restart recovered eagerly");
         hb(&mut coord, &mut rt, 1);
         assert!(
-            coord.coord.is_alive(1),
+            coord.is_alive(1),
             "last server must not be declared dead with no survivor left"
         );
         assert_eq!(coord.counters.restarts_deferred, 1);
@@ -3379,7 +3406,7 @@ mod tests {
 
         complete_takeovers(&mut coord, &mut rt);
         hb(&mut coord, &mut rt, 0); // readmit server 0
-        assert!(coord.coord.is_alive(0));
+        assert!(coord.is_alive(0));
         assert!(
             coord.recovery_pending(),
             "server 1's old incarnation is still owed"
@@ -3387,15 +3414,97 @@ mod tests {
 
         // The timer retries the parked restart, now with a survivor.
         coord.on_timer(&mut rt);
-        assert!(
-            !coord.coord.is_alive(1),
-            "deferred declaration went through"
-        );
+        assert!(!coord.is_alive(1), "deferred declaration went through");
         complete_takeovers(&mut coord, &mut rt);
         hb(&mut coord, &mut rt, 1); // readmit server 1
-        assert!(coord.coord.is_alive(1));
+        assert!(coord.is_alive(1));
         assert!(!coord.recovery_pending());
         assert_eq!(coord.counters.readmissions, 2);
         assert_eq!(coord.counters.restarts_detected, 2);
+    }
+
+    /// A coordinator over `servers` servers and `buckets` buckets that has
+    /// declared server `dead` dead (it restarted) and sent its will out.
+    fn coordinator_without(
+        servers: usize,
+        buckets: usize,
+        dead: usize,
+        rt: &mut TestRt,
+    ) -> CoordinatorNode {
+        let mut cfg = ProtocolConfig::new(servers, 0, 1);
+        cfg.buckets = buckets;
+        let mut coord = CoordinatorNode::new(cfg);
+        coord.on_start(rt);
+        let restarted = Msg::Heartbeat {
+            epoch: 1,
+            map_version: 0,
+        };
+        coord.on_message(server_id(dead), restarted, rt);
+        coord
+    }
+
+    #[test]
+    fn buckets_distributed_uniformly() {
+        let mut cfg = ProtocolConfig::new(4, 0, 1);
+        cfg.buckets = 1024;
+        let c = CoordinatorNode::new(cfg);
+        let mut counts = [0usize; 4];
+        for &owner in c.owners() {
+            counts[owner] += 1;
+        }
+        assert!(counts.iter().all(|&n| n == 256), "{counts:?}");
+    }
+
+    #[test]
+    fn owner_lookup_consistent() {
+        let mut cfg = ProtocolConfig::new(5, 0, 1);
+        cfg.buckets = 100;
+        let c = CoordinatorNode::new(cfg);
+        let owner_of = |key: &[u8]| c.owners()[bucket_for(PROTO_TABLE, key, 100)];
+        let o1 = owner_of(b"some-key");
+        let o2 = owner_of(b"some-key");
+        assert_eq!(o1, o2);
+        assert!(o1 < 5);
+    }
+
+    #[test]
+    fn a_declared_death_marks_the_victim_alone_dead() {
+        let mut rt = TestRt::new(coordinator_id());
+        let c = coordinator_without(3, 9, 1, &mut rt);
+        assert!(!c.is_alive(1));
+        let alive: Vec<usize> = (0..3).filter(|&s| c.is_alive(s)).collect();
+        assert_eq!(alive, vec![0, 2]);
+    }
+
+    #[test]
+    fn will_spreads_over_survivors() {
+        let mut rt = TestRt::new(coordinator_id());
+        coordinator_without(4, 16, 0, &mut rt);
+        let will: Vec<(usize, usize)> = (rt.drain().into_iter())
+            .filter_map(|(to, m)| match m {
+                Msg::TakeOver { buckets, .. } => Some((to.0 - 1, buckets)),
+                _ => None,
+            })
+            .flat_map(|(owner, buckets)| buckets.into_iter().map(move |b| (b, owner)))
+            .collect();
+        assert_eq!(will.len(), 4); // buckets 0,4,8,12
+        let owners: Vec<usize> = will.iter().map(|&(_, o)| o).collect();
+        assert!(owners.iter().all(|&o| o != 0), "dead master excluded");
+        // Round-robin across 3 survivors: at least 2 distinct owners here.
+        let mut distinct = owners.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() >= 2);
+    }
+
+    #[test]
+    fn reassign_restores_availability() {
+        let mut rt = TestRt::new(coordinator_id());
+        let mut c = coordinator_without(2, 4, 0, &mut rt);
+        assert!(!c.is_alive(c.owners()[0]), "bucket 0 is down");
+        assert!(c.is_alive(c.owners()[1]));
+        complete_takeovers(&mut c, &mut rt);
+        assert!(c.is_alive(c.owners()[0]), "bucket 0 is back");
+        assert_eq!(c.owners()[0], 1);
     }
 }

@@ -4,9 +4,8 @@
 //! paper's findings rest on.
 
 use rmc_chaos::{check_histories, Crash, FaultPlan};
-use rmc_core::coordinator::bucket_for;
 use rmc_core::cost::{self, Run};
-use rmc_core::protocol::{replica_targets, ClientOp, ProtocolConfig, PROTO_TABLE};
+use rmc_core::protocol::{bucket_for, replica_targets, ClientOp, ProtocolConfig, PROTO_TABLE};
 use rmc_core::{proto_sim, ClientAffinity, ClusterConfig};
 use rmc_logstore::LogEntry;
 use rmc_sim::{SimDuration, SimTime};
@@ -191,7 +190,7 @@ fn recovery_leaves_cluster_readable() {
     let run = run_killing(&cfg, SimTime::from_millis(10), 0, SimDuration::ZERO);
     let coord = run.net.coordinator();
     assert!(!coord.recovery_pending(), "recovery finished");
-    assert!(!coord.coord.is_alive(0));
+    assert!(!coord.is_alive(0));
     let missing = missing(&run, &workload);
     assert!(missing.is_empty(), "{missing:?} lost in recovery");
     // The dead master owns nothing afterwards.

@@ -222,11 +222,12 @@ fn main() {
             storage.recovery.quarantined,
             dir.display(),
         );
-        let server = if epoch == 0 {
-            Server::with_storage(args.index, cfg, Box::new(storage))
+        let mut server = if epoch == 0 {
+            Server::new(args.index, cfg)
         } else {
-            Server::restarted_with_storage(args.index, cfg, epoch, Box::new(storage))
+            Server::restarted(args.index, cfg, epoch)
         };
+        server.set_storage(Box::new(storage));
         AnyNode::Server(server)
     } else {
         AnyNode::Server(Server::new(args.index, cfg))

@@ -73,10 +73,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rmc_chaos::{FaultPlan, FaultRuntime, FaultState, OpRecord};
-use rmc_core::coordinator::bucket_for;
 use rmc_core::protocol::{
-    msg_class, server_id, AnyNode, ClientCore, ClientOp, Msg, ProtocolConfig, Reply, Server,
-    PROTO_TABLE,
+    bucket_for, msg_class, server_id, AnyNode, ClientCore, ClientOp, Msg, ProtocolConfig, Reply,
+    Server, PROTO_TABLE,
 };
 use rmc_obs::span::SpanRecorder;
 use rmc_runtime::{Event, MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
@@ -293,7 +292,7 @@ fn report(
         client: None,
     };
     match node {
-        AnyNode::Coordinator(c) => report.owners = Some(c.coord.owners_snapshot()),
+        AnyNode::Coordinator(c) => report.owners = Some(c.owners().to_vec()),
         AnyNode::Server(s) => {
             let live = s
                 .store

@@ -139,7 +139,7 @@ fn encoded_len(msg: &Msg) -> usize {
                 }
         }
         Msg::Replicate { bytes: b, .. } => U64 + bytes(b) + 2 * U64,
-        Msg::ReplicateAck { .. } | Msg::Heartbeat { .. } => 2 * U64,
+        Msg::ReplicateAck { .. } | Msg::Heartbeat { .. } | Msg::TakeOverDone { .. } => 2 * U64,
         Msg::MapRequest | Msg::StatsRequest => 0,
         Msg::TakeOver {
             buckets, survivors, ..
@@ -148,7 +148,6 @@ fn encoded_len(msg: &Msg) -> usize {
         Msg::SegmentData { segments, .. } => {
             U64 + COUNT + segments.iter().map(|(_, b)| U64 + bytes(b)).sum::<usize>()
         }
-        Msg::TakeOverDone { buckets, .. } => U64 + usizes(buckets) + U64,
         Msg::MapUpdate { owners, alive, .. } => U64 + usizes(owners) + COUNT + alive.len(),
         Msg::StatsReply { stats } => {
             COUNT
@@ -224,14 +223,9 @@ pub fn encode_msg(from: NodeId, msg: &Msg) -> Vec<u8> {
                 put_bytes(&mut out, bytes);
             }
         }
-        Msg::TakeOverDone {
-            crashed,
-            buckets,
-            round,
-        } => {
+        Msg::TakeOverDone { crashed, round } => {
             out.push(9);
             put_u64(&mut out, *crashed as u64);
-            put_usizes(&mut out, buckets);
             put_u64(&mut out, *round);
         }
         Msg::MapUpdate {
@@ -409,7 +403,6 @@ pub fn decode_msg(payload: &[u8]) -> Result<(NodeId, Msg), CodecError> {
         }
         9 => Msg::TakeOverDone {
             crashed: c.u64()? as usize,
-            buckets: c.usizes()?,
             round: c.u64()?,
         },
         10 => {
@@ -565,13 +558,8 @@ mod tests {
                 proptest::collection::vec((any::<u64>(), key()), 0..6)
             )
                 .prop_map(|(crashed, segments)| Msg::SegmentData { crashed, segments }),
-            (0usize..16, usizes(), any::<u64>()).prop_map(|(crashed, buckets, round)| {
-                Msg::TakeOverDone {
-                    crashed,
-                    buckets,
-                    round,
-                }
-            }),
+            (0usize..16, any::<u64>())
+                .prop_map(|(crashed, round)| Msg::TakeOverDone { crashed, round }),
             (
                 any::<u64>(),
                 usizes(),
