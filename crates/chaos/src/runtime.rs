@@ -56,9 +56,9 @@ impl<'a, R: Runtime> FaultRuntime<'a, R> {
         };
         for extra in fates {
             self.inner
-                .send_after(base.saturating_add_dur(extra), to, msg.clone());
+                .send_after(base.saturating_add(extra), to, msg.clone());
         }
-        let total = base.saturating_add_dur(last);
+        let total = base.saturating_add(last);
         if total.is_zero() {
             self.inner.send(to, msg);
         } else {
@@ -106,18 +106,6 @@ where
             .borrow_mut()
             .judge(now, from, to, (self.classify)(&msg));
         self.deliver_fates(delay, to, msg, fates);
-    }
-}
-
-/// Saturating duration addition helper (kept local; `SimDuration` exposes
-/// `checked_add`).
-trait SaturatingAdd {
-    fn saturating_add_dur(self, other: SimDuration) -> SimDuration;
-}
-
-impl SaturatingAdd for SimDuration {
-    fn saturating_add_dur(self, other: SimDuration) -> SimDuration {
-        self.checked_add(other).unwrap_or(SimDuration::MAX)
     }
 }
 

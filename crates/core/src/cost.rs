@@ -20,12 +20,15 @@
 //!   [`PduSampler`] through the Grid'5000 power profile.
 //!
 //! Clients are closed-loop YCSB clients ([`YcsbClient`]) over the
-//! protocol's `ClientCore`. [`run`] is the one entry point.
+//! protocol's `ClientCore`. [`run`] is the one entry point. This module
+//! holds the machine model only: each node's timer, the kill (the plan's
+//! one crash, which settles [`Costs::kill`]) and the run loop are
+//! [`crate::proto_sim`]'s, the same as for every plan run.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use rmc_chaos::OpRecord;
+use rmc_chaos::{Crash, FaultPlan, OpRecord};
 use rmc_disk::{DiskModel, IoKind};
 use rmc_diskstore::{BackupStorage, MemStorage};
 use rmc_energy::{NodeActivity, PduSampler, PowerProfile};
@@ -33,13 +36,13 @@ use rmc_logstore::{LogConfig, LogEntry};
 use rmc_net::{NetProfile, Network};
 use rmc_obs::span::SpanKind;
 use rmc_runtime::{NodeId, RateMeter, Runtime, SimDuration, SimRng, SimTime};
-use rmc_sim::{Scheduler, Simulation};
+use rmc_sim::Scheduler;
 use rmc_ycsb::{ClientStats, OpKind, RequestGenerator, Throttle};
 
 use crate::calib;
 use crate::config::{ClientAffinity, ClusterConfig};
 use crate::node::ServerNode;
-use crate::proto_sim::{self, QueuedRuntime, SimNet};
+use crate::proto_sim::{self, SimNet};
 use crate::protocol::{
     bucket_for, is_image, replica_targets, server_id, AnyNode, ClientCore, ClientOp,
     CoordinatorNode, Msg, ProtocolConfig, Reply, Server, ServerCounters, PROTO_TABLE,
@@ -90,43 +93,23 @@ pub fn run(
     min: SimDuration,
     histories: bool,
 ) -> Run {
-    let sim = drive(build(cfg, histories), kill);
+    // The kill is the plan's one crash, on a network without faults. The
+    // run loop looks between events, so a look at the kill's own instant
+    // comes before it: the plan quiesces just after.
+    let mut plan = FaultPlan::quiet();
+    if let Some((at, server)) = kill {
+        plan.crashes.push(Crash {
+            at,
+            server,
+            restart_after: None,
+        });
+        plan.quiesce_at = at + SimDuration::from_nanos(1);
+    }
+    let sim = proto_sim::run(build(cfg, histories), &plan, SimTime::from_secs(10_000));
     let sim_end = sim.now();
     let mut net = sim.into_state();
     let report = report(cfg, &mut net, kill, min, sim_end);
     Run { report, net }
-}
-
-/// Starts every node of `net`, kills as planned, and runs until the cluster
-/// is quiet.
-fn drive(net: SimNet, kill: Option<(SimTime, usize)>) -> Simulation<SimNet> {
-    let total = net.nodes.len();
-    let mut sim = Simulation::new(net);
-    let rt = sim.scheduler_mut();
-    for i in 0..total {
-        rt.schedule_at(SimTime::ZERO, move |net, rt| {
-            proto_sim::start_node(net, rt, NodeId(i))
-        });
-    }
-    if let Some((at, victim)) = kill {
-        rt.schedule_at(at, move |net: &mut SimNet, rt| {
-            proto_sim::crash_server(net, victim);
-            costs(net).kill(victim, rt.now());
-        });
-    }
-    // Heartbeats re-arm forever: stop once every client is done, the kill
-    // is recovered and nothing but heartbeats is in flight.
-    let quiet = |net: &SimNet| {
-        let c = net.cost.as_deref().expect("a costed run");
-        (kill.is_none() || c.finished_at.is_some()) && net.clients_done() && c.in_flight == 0
-    };
-    while sim.now() < SimTime::from_secs(10_000) {
-        sim.run_until(sim.now().saturating_add(SimDuration::from_millis(20)));
-        if quiet(sim.state()) {
-            break;
-        }
-    }
-    sim
 }
 
 fn costs(net: &mut SimNet) -> &mut Costs {
@@ -190,8 +173,7 @@ fn build(cfg: &ClusterConfig, histories: bool) -> SimNet {
             history: histories.then(Vec::new),
         }));
     }
-    let mut net = SimNet::new(&pcfg, Vec::new(), SimDuration::ZERO);
-    net.nodes = nodes.into_iter().map(Some).collect();
+    let mut net = SimNet::new(&pcfg, nodes, SimDuration::ZERO);
     net.cost = Some(Box::new(Costs::new(cfg)));
     net
 }
@@ -365,9 +347,6 @@ pub(crate) struct Costs {
     /// `(server, (client, seq))` → `(worker, since)`: a write's worker,
     /// held from its handler until its response leaves.
     held: BTreeMap<(usize, (u64, u64)), (usize, SimTime)>,
-    /// Each node's one timer deadline (the [`Runtime::set_timer`] contract:
-    /// re-arming keeps the earlier deadline).
-    timers: Vec<Option<SimTime>>,
     /// Per server: its counters as last seen.
     seen: Vec<ServerCounters>,
     serving: Serving,
@@ -426,7 +405,6 @@ impl Costs {
             profile: NetProfile::infiniband_20g(),
             net: Network::new(total, NetProfile::infiniband_20g()),
             held: BTreeMap::new(),
-            timers: vec![None; total],
             seen: vec![ServerCounters::default(); cfg.servers],
             serving: None,
             in_flight: 0,
@@ -444,7 +422,15 @@ impl Costs {
         (1..=self.nodes.len()).contains(&node.0).then(|| node.0 - 1)
     }
 
-    fn kill(&mut self, victim: usize, now: SimTime) {
+    /// Is the run quiet: nothing but heartbeats in flight, and a kill, if
+    /// there was one, recovered?
+    pub(crate) fn quiet(&self) -> bool {
+        self.in_flight == 0 && (!self.killed || self.finished_at.is_some())
+    }
+
+    /// Settles a crashed server: its queued deliveries and held writes die
+    /// with it.
+    pub(crate) fn kill(&mut self, victim: usize, now: SimTime) {
         self.killed = true;
         let node = &mut self.nodes[victim];
         node.killed_at = Some(now);
@@ -553,22 +539,6 @@ impl Costs {
         node.cpu.add_span(since, now, 1.0);
         node.adjust_writers(now, -1);
         self.release(server, worker, now, rt);
-    }
-
-    /// Arms `node`'s timer for `at`; the earlier deadline wins.
-    fn arm(&mut self, node: NodeId, inc: u64, at: SimTime, rt: &mut Sched) {
-        let slot = &mut self.timers[node.0];
-        if slot.is_some_and(|t| t <= at) {
-            return;
-        }
-        *slot = Some(at);
-        rt.schedule_at(at, move |net: &mut SimNet, rt| {
-            let c = costs(net);
-            if c.timers[node.0] == Some(at) {
-                c.timers[node.0] = None;
-                proto_sim::fire_timer(net, rt, node, inc);
-            }
-        });
     }
 
     /// A backup stages `msg` from `master`: memory is written now, and its
@@ -788,12 +758,16 @@ fn handle(net: &mut SimNet, rt: &mut Sched, hop: Hop, serving: Serving) {
     costs(net).serving = None;
 }
 
-/// Schedules the effects of one handler under the cost model (the engine's
-/// `dispatch` chokepoint): arms its timer, settles the server resources it
-/// used, and sends each message through the network when it leaves.
-pub(crate) fn emit(net: &mut SimNet, rt: &mut Sched, node: NodeId, q: QueuedRuntime) {
+/// Schedules the messages one handler sent under the cost model (the
+/// engine's `dispatch` chokepoint): settles the server resources it used,
+/// and sends each message through the network when it leaves.
+pub(crate) fn emit(
+    net: &mut SimNet,
+    rt: &mut Sched,
+    node: NodeId,
+    outs: Vec<(NodeId, Msg, SimDuration)>,
+) {
     let now = rt.now();
-    let outs = q.out.into_inner();
     let SimNet {
         cost,
         nodes,
@@ -802,9 +776,6 @@ pub(crate) fn emit(net: &mut SimNet, rt: &mut Sched, node: NodeId, q: QueuedRunt
         ..
     } = net;
     let c = cost.as_deref_mut().expect("a costed run");
-    for after in q.timers {
-        c.arm(node, incarnations[node.0], now.saturating_add(after), rt);
-    }
     if c.serving.is_some_and(|(n, ..)| n != node) {
         c.serving = None;
     }
@@ -1036,7 +1007,7 @@ mod tests {
         // and those it backs up, wait past the clients' 1 s retry timeout,
         // so a retry reaches a master whose write still waits for its acks.
         costs(&mut net).nodes[1].dispatch_free = SimTime::from_secs(3);
-        let sim = drive(net, None);
+        let sim = proto_sim::run(net, &FaultPlan::quiet(), SimTime::from_secs(10_000));
         assert!(sim.now() < SimTime::from_secs(60), "ran to {:?}", sim.now());
         let net = sim.state();
         let resends: u64 = (net.nodes.iter().flatten())

@@ -1,17 +1,22 @@
 //! The simulated engine for the shared protocol: runs
 //! [`crate::protocol`]'s node state machines on the deterministic
-//! `rmc_sim` event queue.
+//! `rmc_sim` event queue, and owns every simulated node's lifecycle — its
+//! start, its timer, its crash and restart, and the loop that runs the
+//! cluster — whether messages travel at a fixed latency or through
+//! [`crate::cost`]'s machine model.
 //!
-//! Each `send` becomes a delivery event after a fixed latency; each
-//! `set_timer` becomes a timer event. The paper's figures replace the fixed
-//! latency with [`crate::cost`]'s machine model at the same two
-//! chokepoints (`SimNet::cost`): what a delivery waits for, and when the
-//! handler's sends leave. Handlers execute against a
-//! `QueuedRuntime` that buffers their effects, which are then scheduled
-//! in emission order — so a given config, script, and fault plan replays
-//! bit-identically. Crashed nodes are `None` slots: messages and timers
-//! addressed to them are dropped, exactly like the threaded engine's dead
-//! threads.
+//! Each `send` becomes a delivery event after a fixed latency. Each node
+//! has one timer deadline, as [`Runtime::set_timer`] promises on every
+//! engine: re-arming keeps the earlier deadline, so a node that re-arms on
+//! every event still fires once per deadline. The paper's figures replace
+//! the fixed latency with the machine model at the same two chokepoints
+//! (`SimNet::cost`): what a delivery waits for, and when the handler's
+//! sends leave. Every handler — start, timer or message — is entered
+//! through one function against a `QueuedRuntime` that buffers its
+//! effects, which are then scheduled in emission order — so a given
+//! config, script, and fault plan replays bit-identically. Crashed nodes
+//! are `None` slots: messages and timers addressed to them are dropped,
+//! exactly like the threaded engine's dead threads.
 //!
 //! ## Fault injection and restarts
 //!
@@ -21,13 +26,17 @@
 //! (drop / delay / duplicate / partition) by the plan's seeded
 //! [`FaultState`] before it reaches the event queue. Scheduled crashes
 //! empty the victim's node slot; scheduled restarts boot a fresh
-//! [`Server::restarted`] incarnation.
+//! [`Server::restarted`] incarnation. A costed run
+//! ([`crate::cost::run`]) goes through the same loop with its one kill as
+//! the plan's only crash and no fault judge.
 //!
-//! Every delivery and timer event is stamped with the destination's
-//! *incarnation number* at emission time. A restart bumps the incarnation,
-//! so messages and timers that were in flight toward the previous life are
-//! discarded on arrival instead of leaking into the new one — the count is
-//! exposed as `net.epoch_mismatch` in [`SimNet::metrics`].
+//! Every delivery and every timer deadline is stamped with the
+//! destination's *incarnation number* at emission time. A restart bumps
+//! the incarnation, so messages and timers that were in flight toward the
+//! previous life are discarded on arrival instead of leaking into the new
+//! one — the message count is exposed as `net.epoch_mismatch` in
+//! [`SimNet::metrics`] — and the new life's first arm replaces the old
+//! life's deadline even when both fall on one instant.
 
 use std::collections::BTreeMap;
 
@@ -38,7 +47,8 @@ use rmc_sim::{Scheduler, Simulation};
 
 use crate::cost::Costs;
 use crate::protocol::{
-    msg_class, AnyNode, ClientOp, CoordinatorNode, Msg, ProtocolConfig, ScriptClient, Server,
+    msg_class, server_id, AnyNode, ClientOp, CoordinatorNode, Msg, ProtocolConfig, ScriptClient,
+    Server, Wake,
 };
 
 /// Buffered effects of one handler invocation under the simulated engine.
@@ -46,13 +56,13 @@ use crate::protocol::{
 /// `&self` (the NIC contract); buffering order is unchanged, so same-seed
 /// runs stay bit-identical.
 #[derive(Debug)]
-pub(crate) struct QueuedRuntime {
+struct QueuedRuntime {
     me: NodeId,
     now: SimTime,
     /// `(to, msg, extra_delay)` — the delay comes from `send_after`
     /// (fault-injected delays ride through it).
-    pub(crate) out: std::cell::RefCell<Vec<(NodeId, Msg, SimDuration)>>,
-    pub(crate) timers: Vec<SimDuration>,
+    out: std::cell::RefCell<Vec<(NodeId, Msg, SimDuration)>>,
+    timers: Vec<SimDuration>,
 }
 
 impl QueuedRuntime {
@@ -100,6 +110,11 @@ pub struct SimNet {
     latency: SimDuration,
     /// Incarnation number per node id; restarts bump the slot.
     pub(crate) incarnations: Vec<u64>,
+    /// Each node's one timer deadline, stamped with the incarnation that
+    /// armed it.
+    timers: Vec<Option<(SimTime, u64)>>,
+    /// Timer handlers run, per node id (exported as `net.timer_fires`).
+    timer_fires: Vec<u64>,
     /// In-flight messages discarded because the destination restarted
     /// between emission and delivery.
     pub epoch_mismatch_drops: u64,
@@ -116,19 +131,17 @@ pub struct SimNet {
 }
 
 impl SimNet {
-    /// Builds the cluster for `cfg` with per-client op scripts and a fixed
-    /// one-way message latency.
-    pub fn new(cfg: &ProtocolConfig, scripts: Vec<Vec<ClientOp>>, latency: SimDuration) -> Self {
-        let nodes: Vec<Option<AnyNode>> = AnyNode::build_cluster(cfg, scripts)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let incarnations = vec![0; nodes.len()];
+    /// Builds the cluster of `nodes` (indexed by [`NodeId`]) under `cfg`,
+    /// with a fixed one-way message latency.
+    pub fn new(cfg: &ProtocolConfig, nodes: Vec<AnyNode>, latency: SimDuration) -> Self {
+        let total = nodes.len();
         SimNet {
             cfg: cfg.clone(),
-            nodes,
+            nodes: nodes.into_iter().map(Some).collect(),
             latency,
-            incarnations,
+            incarnations: vec![0; total],
+            timers: vec![None; total],
+            timer_fires: vec![0; total],
             epoch_mismatch_drops: 0,
             faults: None,
             spans: SpanRecorder::default(),
@@ -154,7 +167,7 @@ impl SimNet {
 
     /// The surviving server with cluster index `index`, if alive.
     pub fn server(&self, index: usize) -> Option<&Server> {
-        match self.nodes[crate::protocol::server_id(index).0].as_ref() {
+        match self.nodes[server_id(index).0].as_ref() {
             Some(AnyNode::Server(s)) => Some(s),
             _ => None,
         }
@@ -215,12 +228,15 @@ impl SimNet {
     }
 
     /// Exports every stat the nodes report ([`AnyNode::export_stats`]), the
-    /// epoch-mismatch drop count, and the fault interpreter's stats into a
-    /// fresh [`MetricsRegistry`] under dotted-path names.
+    /// epoch-mismatch drop count, the timer handlers run, and the fault
+    /// interpreter's stats into a fresh [`MetricsRegistry`] under
+    /// dotted-path names.
     pub fn metrics(&self) -> MetricsRegistry {
         let reg = MetricsRegistry::new();
         reg.counter("net.epoch_mismatch")
             .add(self.epoch_mismatch_drops);
+        reg.counter("net.timer_fires")
+            .add(self.timer_fires.iter().sum());
         if let Some(f) = &self.faults {
             f.stats.export(&reg);
         }
@@ -231,30 +247,68 @@ impl SimNet {
     }
 }
 
-/// Schedules the buffered effects of one handler invocation: each emitted
-/// message becomes a delivery event one `latency` (plus any fault-injected
-/// delay) later; each armed timer becomes a timer event. Both are stamped
-/// with the destination's current incarnation. Scheduling in emission order
+/// Enters node `id` for one handler — its start, its timer or a message —
+/// behind the plan's fault judge when there is one, and schedules what the
+/// handler did. A dead node is not entered: its NIC drops the message.
+fn enter(net: &mut SimNet, rt: &mut Scheduler<SimNet>, id: NodeId, wake: Wake) {
+    let now = rt.now();
+    let mut q = QueuedRuntime::new(id, now);
+    let Some(node) = net.nodes.get_mut(id.0).and_then(Option::as_mut) else {
+        return;
+    };
+    if let Wake::Message(from, msg) = &wake {
+        msg.record_span(&net.spans, SpanKind::Deliver, *from, id, now);
+    }
+    match net.faults.as_mut() {
+        Some(f) => node.wake(wake, &mut FaultRuntime::new(&mut q, f, msg_class)),
+        None => node.wake(wake, &mut q),
+    }
+    dispatch(net, rt, id, q);
+}
+
+/// Schedules the buffered effects of one handler invocation: its timer arms
+/// go to the node's one deadline; each emitted message becomes a delivery
+/// event one `latency` (plus any fault-injected delay) later, stamped with
+/// the destination's current incarnation. Scheduling in emission order
 /// inherits the engine's `(time, seq)` ordering, so runs are deterministic.
-/// Under a cost model, [`crate::cost::emit`] schedules them instead.
+/// Under a cost model, [`crate::cost::emit`] schedules the messages instead.
 fn dispatch(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, q: QueuedRuntime) {
-    if net.cost.is_some() {
-        return crate::cost::emit(net, rt, node, q);
-    }
-    let latency = net.latency;
-    for (to, msg, extra) in q.out.into_inner() {
-        let from = node;
-        msg.record_span(&net.spans, SpanKind::Send, from, to, rt.now());
-        let inc = net.incarnations.get(to.0).copied().unwrap_or(0);
-        let after = latency.checked_add(extra).unwrap_or(SimDuration::MAX);
-        rt.schedule_after(after, move |net, rt| deliver(net, rt, from, to, inc, msg));
-    }
-    let self_inc = net.incarnations.get(node.0).copied().unwrap_or(0);
     for after in q.timers {
-        rt.schedule_after(after, move |net, rt| fire_timer(net, rt, node, self_inc));
+        arm(net, rt, node, after);
+    }
+    let outs = q.out.into_inner();
+    if net.cost.is_some() {
+        return crate::cost::emit(net, rt, node, outs);
+    }
+    for (to, msg, extra) in outs {
+        msg.record_span(&net.spans, SpanKind::Send, node, to, rt.now());
+        let inc = net.incarnations.get(to.0).copied().unwrap_or(0);
+        let after = net.latency.saturating_add(extra);
+        rt.schedule_after(after, move |net, rt| deliver(net, rt, node, to, inc, msg));
     }
 }
 
+/// Arms `node`'s one timer `after` from now ([`Runtime::set_timer`]): an
+/// earlier deadline its incarnation armed stands; any other is replaced.
+/// The deadline fires only while it is still the node's, and never into
+/// another incarnation than the one that armed it.
+fn arm(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, after: SimDuration) {
+    let (at, inc) = (rt.now().saturating_add(after), net.incarnations[node.0]);
+    let slot = &mut net.timers[node.0];
+    if matches!(*slot, Some((due, armed)) if armed == inc && due <= at) {
+        return;
+    }
+    *slot = Some((at, inc));
+    rt.schedule_at(at, move |net: &mut SimNet, rt| {
+        if net.timers[node.0] == Some((at, inc)) && net.incarnations[node.0] == inc {
+            net.timers[node.0] = None;
+            net.timer_fires[node.0] += 1;
+            enter(net, rt, node, Wake::Timer);
+        }
+    });
+}
+
+/// Delivers `msg` to `to` if the incarnation it was sent to still lives.
 pub(crate) fn deliver(
     net: &mut SimNet,
     rt: &mut Scheduler<SimNet>,
@@ -270,56 +324,17 @@ pub(crate) fn deliver(
         net.epoch_mismatch_drops += 1;
         return;
     }
-    let mut q = QueuedRuntime::new(to, rt.now());
-    {
-        let Some(node) = net.nodes.get_mut(to.0).and_then(|n| n.as_mut()) else {
-            return; // dead or unknown: the NIC drops it
-        };
-        msg.record_span(&net.spans, SpanKind::Deliver, from, to, rt.now());
-        match net.faults.as_mut() {
-            Some(f) => node.on_message(from, msg, &mut FaultRuntime::new(&mut q, f, msg_class)),
-            None => node.on_message(from, msg, &mut q),
-        }
-    }
-    dispatch(net, rt, to, q);
+    enter(net, rt, to, Wake::Message(from, msg));
 }
 
-pub(crate) fn fire_timer(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId, inc: u64) {
-    if net.incarnations.get(node.0).copied().unwrap_or(0) != inc {
-        return; // the timer died with the incarnation that armed it
+/// Crashes server `victim`: its slot empties, and what is in flight to it
+/// is dropped when it comes due. Under a cost model the machine's queued
+/// work dies with it.
+fn crash_server(net: &mut SimNet, victim: usize, now: SimTime) {
+    net.nodes[server_id(victim).0] = None;
+    if let Some(c) = net.cost.as_deref_mut() {
+        c.kill(victim, now);
     }
-    let mut q = QueuedRuntime::new(node, rt.now());
-    {
-        let Some(n) = net.nodes.get_mut(node.0).and_then(|n| n.as_mut()) else {
-            return;
-        };
-        match net.faults.as_mut() {
-            Some(f) => n.on_timer(&mut FaultRuntime::new(&mut q, f, msg_class)),
-            None => n.on_timer(&mut q),
-        }
-    }
-    dispatch(net, rt, node, q);
-}
-
-pub(crate) fn start_node(net: &mut SimNet, rt: &mut Scheduler<SimNet>, node: NodeId) {
-    let mut q = QueuedRuntime::new(node, rt.now());
-    {
-        let Some(n) = net.nodes.get_mut(node.0).and_then(|n| n.as_mut()) else {
-            return;
-        };
-        match net.faults.as_mut() {
-            Some(f) => n.on_start(&mut FaultRuntime::new(&mut q, f, msg_class)),
-            None => n.on_start(&mut q),
-        }
-    }
-    dispatch(net, rt, node, q);
-}
-
-/// Crashes server `victim`: its slot empties, in-flight traffic to it is
-/// dropped on delivery.
-pub(crate) fn crash_server(net: &mut SimNet, victim: usize) {
-    let id = crate::protocol::server_id(victim);
-    net.nodes[id.0] = None;
 }
 
 /// Boots a fresh incarnation of server `victim`: bumps the slot's
@@ -327,7 +342,7 @@ pub(crate) fn crash_server(net: &mut SimNet, victim: usize) {
 /// timers) and starts a [`Server::restarted`] with an empty store that
 /// stays unsynced until the coordinator readmits it.
 fn restart_server(net: &mut SimNet, rt: &mut Scheduler<SimNet>, victim: usize) {
-    let id = crate::protocol::server_id(victim);
+    let id = server_id(victim);
     if net.nodes[id.0].is_some() {
         return; // already alive: stale restart event
     }
@@ -338,7 +353,51 @@ fn restart_server(net: &mut SimNet, rt: &mut Scheduler<SimNet>, victim: usize) {
         net.cfg.clone(),
         epoch,
     )));
-    start_node(net, rt, id);
+    enter(net, rt, id, Wake::Start);
+}
+
+/// Starts every node of `net`, crashes and restarts servers as `plan`
+/// schedules, and runs to `horizon` — or until the cluster is quiet: the
+/// plan has quiesced, every client is done, no recovery is pending, and,
+/// under a cost model, nothing but heartbeats is in flight and a kill is
+/// recovered ([`Costs::quiet`]). The fault judge is whatever `net.faults`
+/// holds; `plan` supplies only the crash schedule and the quiesce instant.
+pub(crate) fn run(net: SimNet, plan: &FaultPlan, horizon: SimTime) -> Simulation<SimNet> {
+    let total = net.nodes.len();
+    let mut sim = Simulation::new(net);
+    let rt = sim.scheduler_mut();
+    for i in 0..total {
+        rt.schedule_at(SimTime::ZERO, move |net, rt| {
+            enter(net, rt, NodeId(i), Wake::Start)
+        });
+    }
+    for crash in plan.crashes.iter().copied() {
+        rt.schedule_at(crash.at, move |net: &mut SimNet, rt| {
+            crash_server(net, crash.server, rt.now());
+        });
+        if let Some(after) = crash.restart_after {
+            rt.schedule_at(crash.at.saturating_add(after), move |net, rt| {
+                restart_server(net, rt, crash.server);
+            });
+        }
+    }
+    // Chunked run with an early exit: heartbeats re-arm forever, so the
+    // queue never drains on its own; but once faults have ceased, scripts
+    // finished, and recovery settled, nothing interesting remains.
+    let quiet = |net: &SimNet, now: SimTime| {
+        now >= plan.quiesce_at
+            && net.clients_done()
+            && !net.recovery_pending()
+            && net.cost.as_deref().is_none_or(Costs::quiet)
+    };
+    let chunk = SimDuration::from_millis(20);
+    while sim.now() < horizon {
+        sim.run_until(sim.now().saturating_add(chunk).min(horizon));
+        if quiet(sim.state(), sim.now()) {
+            break;
+        }
+    }
+    sim
 }
 
 /// Runs the scripted protocol cluster under a full [`FaultPlan`]:
@@ -354,45 +413,10 @@ pub fn run_plan(
     plan: &FaultPlan,
     horizon: SimTime,
 ) -> SimNet {
-    let mut net = SimNet::new(cfg, scripts, SimDuration::from_micros(100));
+    let nodes = AnyNode::build_cluster(cfg, scripts);
+    let mut net = SimNet::new(cfg, nodes, SimDuration::from_micros(100));
     net.faults = Some(FaultState::new(plan.clone()));
-    let total = 1 + cfg.servers + cfg.clients;
-    let mut sim = Simulation::new(net);
-    let rt = sim.scheduler_mut();
-    for i in 0..total {
-        rt.schedule_at(SimTime::ZERO, move |net, rt| start_node(net, rt, NodeId(i)));
-    }
-    for crash in plan.crashes.iter().copied() {
-        rt.schedule_at(crash.at, move |net: &mut SimNet, _| {
-            crash_server(net, crash.server);
-        });
-        if let Some(after) = crash.restart_after {
-            rt.schedule_at(crash.at.saturating_add(after), move |net, rt| {
-                restart_server(net, rt, crash.server);
-            });
-        }
-    }
-    // Chunked run with an early exit: heartbeats re-arm forever, so the
-    // queue never drains on its own; but once faults have ceased, scripts
-    // finished, and recovery settled, nothing interesting remains.
-    let quiesce = plan.quiesce_at;
-    let chunk = SimDuration::from_millis(20);
-    loop {
-        let now = sim.now();
-        if now >= horizon {
-            break;
-        }
-        let mut next = now.saturating_add(chunk);
-        if next > horizon {
-            next = horizon;
-        }
-        sim.run_until(next);
-        let net = sim.state();
-        if sim.now() >= quiesce && net.clients_done() && !net.recovery_pending() {
-            break;
-        }
-    }
-    sim.into_state()
+    run(net, plan, horizon).into_state()
 }
 
 /// Runs the scripted protocol cluster under simulated time with a perfect
@@ -421,7 +445,7 @@ pub fn run_script(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Reply;
+    use crate::protocol::{client_id, Reply};
     use rmc_chaos::{check_histories, PlanShape};
 
     fn key(i: usize) -> Vec<u8> {
@@ -503,6 +527,59 @@ mod tests {
             .live_map()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_client_fires_its_timer_once_per_deadline_not_once_per_arm() {
+        // Every op the client begins re-arms its retry timer; the earlier
+        // deadline stands, so over 400 ops of a few hundred microseconds
+        // each the timer fires about once per retry window.
+        let cfg = ProtocolConfig::new(3, 1, 1);
+        let puts = (0..400)
+            .map(|i| ClientOp::Put {
+                key: key(i),
+                value: b"v".to_vec(),
+            })
+            .collect();
+        let net = run_script(&cfg, vec![puts], vec![], SimTime::from_secs(5));
+        assert!(net.client(&cfg, 0).done);
+        let end_ns = net.spans.events().iter().map(|e| e.at_ns).max();
+        let windows = end_ns.expect("spans were stamped") / cfg.retry_timeout.as_nanos() + 1;
+        let fires = net.timer_fires[client_id(cfg.servers, 0).0];
+        assert!(
+            (1..=windows + 1).contains(&fires),
+            "{fires} timer fires in {windows} retry windows"
+        );
+        assert_eq!(
+            net.metrics().get("net.timer_fires"),
+            net.timer_fires.iter().sum()
+        );
+    }
+
+    #[test]
+    fn a_restart_arming_its_previous_lifes_deadline_still_heartbeats() {
+        // Server 1 crashes and restarts at t = 0, right after its first
+        // start: the new life's first arm lands on the instant the old
+        // life left pending. Only the new life's deadline may fire, and it
+        // must: its heartbeats are what readmit it.
+        let cfg = ProtocolConfig::new(3, 1, 1);
+        let mut plan = FaultPlan::quiet();
+        plan.crashes.push(Crash {
+            at: SimTime::ZERO,
+            server: 1,
+            restart_after: Some(SimDuration::ZERO),
+        });
+        plan.quiesce_at = SimTime::from_millis(500);
+        let net = run_plan(&cfg, vec![script(20)], &plan, SimTime::from_secs(5));
+        assert_eq!(net.server(1).expect("server 1 restarted").epoch(), 1);
+        assert!(
+            net.timer_fires[server_id(1).0] > 0,
+            "the new life never ticked"
+        );
+        let coord = net.coordinator();
+        assert_eq!(coord.counters.restarts_detected, 1);
+        assert!(coord.counters.readmissions >= 1, "{:?}", coord.counters);
+        assert!(coord.is_alive(1), "the restarted server was not readmitted");
     }
 
     #[test]

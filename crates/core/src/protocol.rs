@@ -242,9 +242,7 @@ pub fn retry_backoff(cfg: &ProtocolConfig, client: usize, seq: u64, attempt: u32
     let base = cfg.retry_timeout;
     let window = base.mul_f64(f64::from(1u32 << attempt.min(MAX_BACKOFF_DOUBLINGS)));
     let jitter = retry_jitter(client, seq, attempt, base.as_nanos() / 2);
-    window
-        .checked_add(SimDuration::from_nanos(jitter))
-        .unwrap_or(SimDuration::MAX)
+    window.saturating_add(SimDuration::from_nanos(jitter))
 }
 
 // ---------------------------------------------------------------------
@@ -2027,6 +2025,17 @@ impl ScriptClient {
 // A cluster node of any role (used by both engine harnesses)
 // ---------------------------------------------------------------------
 
+/// What makes a node run a handler: its start, its timer, or a message.
+#[derive(Debug)]
+pub enum Wake {
+    /// The engine boots the node (once per incarnation).
+    Start,
+    /// The node's one timer deadline came due.
+    Timer,
+    /// A message arrived from the given node.
+    Message(NodeId, Msg),
+}
+
 /// One node of the protocol cluster, whatever its role. Engine harnesses
 /// hold a `Vec<AnyNode>` indexed by [`NodeId`].
 // Variant sizes differ by a few hundred bytes, but there is exactly one
@@ -2073,6 +2082,15 @@ impl AnyNode {
             AnyNode::Server(n) => n.on_timer(rt),
             AnyNode::Client(n) => n.on_timer(rt),
             AnyNode::Ycsb(n) => n.core.on_timer(rt),
+        }
+    }
+
+    /// Runs the handler `wake` calls for: every engine enters a node here.
+    pub fn wake<R: Runtime<Msg = Msg>>(&mut self, wake: Wake, rt: &mut R) {
+        match wake {
+            Wake::Start => self.on_start(rt),
+            Wake::Timer => self.on_timer(rt),
+            Wake::Message(from, msg) => self.on_message(from, msg, rt),
         }
     }
 

@@ -8,8 +8,8 @@
 //! under two engines:
 //!
 //! - a deterministic simulated engine, where `send` schedules a delivery
-//!   event on the discrete-event queue and `set_timer` schedules a timer
-//!   event, or
+//!   event on the discrete-event queue and `set_timer` moves the node's one
+//!   timer deadline, or
 //! - a threaded engine, where `send` pushes onto the destination node's
 //!   channel and `set_timer` bounds the node loop's `recv_timeout`.
 
@@ -54,7 +54,10 @@ pub trait Runtime {
     /// Arms this node's timer to fire no later than `after` from now. The
     /// engine will invoke the node's timer handler at (or after) that
     /// point; re-arming before expiry moves the deadline to the earlier of
-    /// the two. The timer is genuinely per-node state, so unlike
+    /// the two. Every engine keeps exactly one deadline per node — the
+    /// simulated one, its cost layer and both wall-clock fabrics — so a
+    /// node that re-arms on every event still fires once per deadline, not
+    /// once per arm. The timer is genuinely per-node state, so unlike
     /// [`Runtime::send`] it keeps the exclusive receiver.
     fn set_timer(&mut self, after: SimDuration);
 

@@ -191,9 +191,9 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
-    /// Checked addition, `None` on overflow.
-    pub fn checked_add(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(other.0).map(SimDuration)
+    /// Saturating addition: [`SimDuration::MAX`] on overflow.
+    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(other.0))
     }
 }
 

@@ -74,8 +74,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rmc_chaos::{FaultPlan, FaultRuntime, FaultState, OpRecord};
 use rmc_core::protocol::{
-    bucket_for, msg_class, server_id, AnyNode, ClientCore, ClientOp, Msg, ProtocolConfig, Reply,
-    Server, PROTO_TABLE,
+    live_map, live_map_versioned, msg_class, server_id, AnyNode, ClientCore, ClientOp, Msg,
+    ProtocolConfig, Reply, Server, Wake,
 };
 use rmc_obs::span::SpanRecorder;
 use rmc_runtime::{Event, MetricsRegistry, NodeId, Runtime, SimDuration, SimTime};
@@ -256,16 +256,13 @@ fn pump<F: Fabric, T>(
     }
 }
 
-/// A server's live `(key, value, version)` triples, tagged with its index.
-pub type ServerDump = (usize, Vec<(Vec<u8>, Vec<u8>, u64)>);
-
 /// What a node hands back on graceful shutdown.
 #[derive(Debug)]
 pub struct NodeReport {
     /// The node's id.
     pub node: NodeId,
-    /// Server role: `(index, live objects)` from its real store.
-    pub server: Option<ServerDump>,
+    /// Server role: the shut-down server, its store as it served.
+    pub server: Option<Server>,
     /// Coordinator role: final `bucket -> owner` map.
     pub owners: Option<Vec<usize>>,
     /// Scripted-client role: `(per-op replies, finished, op history)`.
@@ -293,14 +290,7 @@ fn report(
     };
     match node {
         AnyNode::Coordinator(c) => report.owners = Some(c.owners().to_vec()),
-        AnyNode::Server(s) => {
-            let live = s
-                .store
-                .live_objects()
-                .map(|o| (o.key.to_vec(), o.value.to_vec(), o.version.0))
-                .collect();
-            report.server = Some((s.index, live));
-        }
+        AnyNode::Server(s) => report.server = Some(s),
         AnyNode::Client(c) => {
             let history = c.full_history();
             report.client = Some((c.results, c.done, history));
@@ -325,38 +315,31 @@ pub fn node_loop<F: Fabric>(
         fabric,
         deadline: None,
     };
-    // A scripted client reports, once, that its script is through.
-    let mut notify_done = |node: &AnyNode| {
+    // The one entry into the node: its start, its timer and each message
+    // run behind the plan's fault judge when there is one. A scripted
+    // client then reports, once, that its script is through.
+    let mut enter = |node: &mut AnyNode, rt: &mut NodeRuntime<F>, wake: Wake| {
+        match faults.as_mut() {
+            Some(f) => node.wake(wake, &mut FaultRuntime::new(rt, f, msg_class)),
+            None => node.wake(wake, rt),
+        }
         if let AnyNode::Client(c) = node {
-            if c.done {
-                if let Some(tx) = done_tx.take() {
-                    let _ = tx.send(c.index);
-                }
+            if let Some(tx) = done_tx.take_if(|_| c.done) {
+                let _ = tx.send(c.index);
             }
         }
     };
-    match faults.as_mut() {
-        Some(f) => node.on_start(&mut FaultRuntime::new(&mut rt, f, msg_class)),
-        None => node.on_start(&mut rt),
-    }
-    notify_done(&node);
+    enter(&mut node, &mut rt, Wake::Start);
     let graceful = pump(&mut rt, &mut inbox, |rt, turn| {
         match turn {
-            Turn::Timer => match faults.as_mut() {
-                Some(f) => node.on_timer(&mut FaultRuntime::new(rt, f, msg_class)),
-                None => node.on_timer(rt),
-            },
-            Turn::Event(Event::Msg { from, msg }) => match faults.as_mut() {
-                Some(f) => node.on_message(from, msg, &mut FaultRuntime::new(rt, f, msg_class)),
-                None => node.on_message(from, msg, rt),
-            },
+            Turn::Timer => enter(&mut node, rt, Wake::Timer),
+            Turn::Event(Event::Msg { from, msg }) => enter(&mut node, rt, Wake::Message(from, msg)),
             Turn::Event(Event::TraceRequest { from }) => rt.fabric.answer_trace(from),
             // Cluster nodes never ask for traces.
             Turn::Event(Event::TraceReply { .. }) => {}
             Turn::Event(Event::Kill) => return Some(false),
             Turn::Event(Event::Shutdown) => return Some(true),
         }
-        notify_done(&node);
         None
     });
     if graceful != Some(true) {
@@ -716,7 +699,7 @@ fn aggregate_reports(
     spans: SpanRecorder,
 ) -> ClusterReport {
     let mut owners = Vec::new();
-    let mut servers: Vec<ServerDump> = Vec::new();
+    let mut servers = Vec::new();
     let mut clients = Vec::new();
     for (id, rep) in reports {
         let Some(rep) = rep else {
@@ -725,32 +708,17 @@ fn aggregate_reports(
         if let Some(o) = rep.owners {
             owners = o;
         }
-        if let Some(s) = rep.server {
-            servers.push(s);
-        }
+        servers.extend(rep.server);
         if let Some((results, done, history)) = rep.client {
             clients.push((id.0, results, done, history));
         }
     }
     clients.sort_unstable_by_key(|(i, _, _, _)| *i);
-    let buckets = owners.len().max(1);
-    let mut live_versioned = BTreeMap::new();
-    for (index, objects) in servers {
-        for (key, value, version) in objects {
-            if owners[bucket_for(PROTO_TABLE, &key, buckets)] == index {
-                live_versioned.insert(key, (value, version));
-            }
-        }
-    }
-    let live = live_versioned
-        .iter()
-        .map(|(k, (v, _))| (k.clone(), v.clone()))
-        .collect();
     let histories = clients.iter().map(|(_, _, _, h)| h.clone()).collect();
     ClusterReport {
+        live: live_map(&servers, &owners),
+        live_versioned: live_map_versioned(&servers, &owners),
         owners,
-        live,
-        live_versioned,
         clients: clients.into_iter().map(|(i, r, d, _)| (i, r, d)).collect(),
         histories,
         metrics,

@@ -5,7 +5,7 @@
 
 use super::*;
 use rmc_chaos::{check_histories, Crash, Partition};
-use rmc_core::protocol::coordinator_id;
+use rmc_core::protocol::{bucket_for, coordinator_id, PROTO_TABLE};
 use rmc_obs::span::SpanKind;
 
 const SERVERS: usize = 3;
